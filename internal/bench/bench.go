@@ -63,7 +63,8 @@ type Spec struct {
 	BatchSize int `json:"batch_size"`
 	// PrefetchDepth is the root prefetch buffer in elements (default 8).
 	PrefetchDepth int `json:"prefetch_depth"`
-	// ChunkSize is the worker handoff granularity; 1 = per-element baseline.
+	// ChunkSize caps the elements per worker handoff (engine.Options.ChunkSize);
+	// 1 = per-element baseline.
 	ChunkSize int `json:"chunk_size"`
 	// Handoff selects the stage-edge implementation: "ring" (sharded SPMC
 	// rings + arena payload views) or "channel" (the buffered-Go-channel

@@ -57,13 +57,15 @@ type Options struct {
 	// ChannelSlack is the per-worker edge depth, in chunks, for parallel
 	// stages: the buffered-channel capacity per worker, or the ring shard's
 	// logical depth (its slot count is ChannelSlack rounded up to a power
-	// of two). Values below MinChannelSlack are replaced by
+	// of two, at least two). Values below MinChannelSlack are replaced by
 	// DefaultChannelSlack.
 	ChannelSlack int
-	// ChunkSize is the number of elements a worker hands off per channel
-	// send. Chunking amortizes channel synchronization across many elements;
-	// 1 reproduces the legacy per-element handoff (useful as a benchmark
-	// baseline). Default 64.
+	// ChunkSize caps the number of elements a worker hands off per edge
+	// send. Chunking amortizes edge synchronization across many elements;
+	// the engine sizes each handoff to about a millisecond of the producing
+	// worker's measured work (handoffQuantum), so only stages cheaper than
+	// 1 ms / ChunkSize per element reach the cap. 1 reproduces the legacy
+	// per-element handoff (useful as a benchmark baseline). Default 64.
 	ChunkSize int
 	// SampleEvery samples per-element wall timers every Nth element (scaling
 	// the recorded duration by N), so traced runs pay the time.Now cost only
@@ -691,7 +693,7 @@ func (p *Pipeline) handle(name string) *trace.NodeStats {
 	return h
 }
 
-// DefaultChunkSize is the default number of elements per worker handoff.
+// DefaultChunkSize is the default cap on the elements per worker handoff.
 const DefaultChunkSize = 64
 
 // Stage-edge depth bounds: MinChannelSlack is the smallest usable per-worker
@@ -703,7 +705,7 @@ const (
 	DefaultChannelSlack = 2
 )
 
-// chunkSize returns the normalized per-handoff element count.
+// chunkSize returns the normalized cap on a handoff's element count.
 func (p *Pipeline) chunkSize() int { return p.opts.ChunkSize }
 
 // sampleEvery returns the normalized wall-timer sampling period.

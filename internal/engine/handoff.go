@@ -247,7 +247,12 @@ type ringHandoff struct {
 }
 
 func newRingHandoff(producers, depth int) *ringHandoff {
-	capacity := 1
+	// At least two cells: with one, a cell's "occupied at lap L" and "free
+	// for lap L+1" sequence values are the same number, so a consumer's head
+	// CAS alone would tell the producer (through the depth limit) that the
+	// cell is free while the consumer is still reading it. The limit keeps
+	// the logical depth at the requested 1.
+	capacity := 2
 	for capacity < depth {
 		capacity <<= 1
 	}

@@ -24,6 +24,55 @@ func TestRingHandoffGeometry(t *testing.T) {
 	}
 }
 
+// TestRingHandoffDepthOne is the workout for the shallowest edge — what
+// ChannelSlack 1, or a Prefetch of three elements or fewer, builds. With a
+// single slot the cell's "occupied at lap L" and "free for lap L+1" sequence
+// values coincide, so a consumer's head CAS alone told the producer the cell
+// was free while the consumer was still reading it: the next chunk could be
+// overwritten or dropped, and the consumer's late sequence store then left
+// the shard full to the producer and empty to the consumer for good. Every
+// chunk must arrive exactly once, in order, and the run must end.
+func TestRingHandoffDepthOne(t *testing.T) {
+	r := newRingHandoff(1, 1)
+	if r.limit != 1 {
+		t.Fatalf("logical depth limit = %d, want 1", r.limit)
+	}
+	const chunks = 200000
+	done := make(chan struct{})
+	go func() {
+		defer r.close()
+		for i := 0; i < chunks; i++ {
+			if !r.send(0, []item{{elem: data.Element{Index: int64(i)}}}, done) {
+				return
+			}
+		}
+	}()
+	var prefer int
+	timeout := time.After(30 * time.Second)
+	for want := int64(0); ; want++ {
+		got := make(chan []item, 1)
+		go func() {
+			c, _ := r.recv(&prefer, done)
+			got <- c
+		}()
+		select {
+		case c := <-got:
+			if c == nil {
+				if want != chunks {
+					t.Fatalf("edge closed after %d chunks, want %d", want, chunks)
+				}
+				return
+			}
+			if len(c) != 1 || c[0].elem.Index != want {
+				t.Fatalf("chunk %d arrived as %+v", want, c)
+			}
+		case <-timeout:
+			close(done)
+			t.Fatalf("edge wedged after %d chunks: full to the producer, empty to the consumer", want)
+		}
+	}
+}
+
 // TestRingHandoffConcurrentStealWrapAround is the -race workout for the ring:
 // three producers push 400 chunks each through depth-2 shards (hundreds of
 // sequence-counter laps), while two consumers with separate shard-affinity

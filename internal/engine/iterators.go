@@ -23,10 +23,22 @@ type item struct {
 // ---------------------------------------------------------------------------
 // Chunked handoff plumbing
 //
-// Parallel stages pass []item chunks through their channels instead of
-// single items, amortizing channel synchronization (futex wakeups, memory
-// barriers) over ChunkSize elements. Chunk slices are recycled through a
-// pool: the consumer returns a drained chunk, the next producer reuses it.
+// Parallel stages pass []item chunks through their stage edges instead of
+// single items, amortizing the edge's synchronization (futex wakeups, memory
+// barriers) over the chunk. A chunk is sized by time, not by count: about
+// handoffQuantum of the producing worker's own work, at most
+// Options.ChunkSize elements. A 60 ns/element stage therefore hands off
+// full-size chunks, while a 1 ms/element stage hands off every element — so
+// its workers share the input evenly and the consumer sees the first
+// element after one element's time, not after ChunkSize of them. Chunk
+// slices are recycled through a pool: the consumer returns a drained chunk,
+// the next producer reuses it.
+
+// handoffQuantum is the amount of a worker's work one handoff carries. It
+// is far above an edge operation's cost (tens of ns uncontended, a few µs
+// when a waiter must be woken), so chunking still amortizes it away, and far
+// below a minibatch's time wherever the stage's cost matters at all.
+const handoffQuantum = time.Millisecond
 
 var chunkPool sync.Pool
 
@@ -53,20 +65,51 @@ func putChunk(c []item) {
 // whose sources hold every slot while its maps wait for one would deadlock
 // against itself. (For a prefetch goroutine, sl is its sequential gate's
 // slot — the same invariant, one level up.)
+//
+// A worker that calls ready before producing each element gets time-sized
+// chunks: ready starts a clock at the chunk's first element (after any wait
+// for a pool slot), flush stops it before sending (so a blocked send is not
+// counted either) and sets the next chunk to handoffQuantum of work at the
+// rate just measured. That is two clock reads per chunk, none per element.
+// An emitter whose owner never calls ready keeps size fixed.
 type chunkEmitter struct {
-	h    handoff
-	w    int // producer index: which ring shard this emitter owns
-	done <-chan struct{}
-	size int
-	sl   *slot
-	buf  []item
+	h     handoff
+	w     int // producer index: which ring shard this emitter owns
+	done  <-chan struct{}
+	size  int // elements in the next chunk, 1..max
+	max   int // Options.ChunkSize
+	sl    *slot
+	buf   []item
+	since time.Time // when the chunk in hand began filling; zero until ready runs
+}
+
+// emitter returns a time-sized emitter for worker w of a parallel stage. It
+// starts at one element: the stage's cost is unknown until something has
+// been timed, and guessing high would hold the first ChunkSize elements of
+// an expensive stage back from the consumer.
+func (p *Pipeline) emitter(h handoff, w int, done <-chan struct{}, sl *slot) chunkEmitter {
+	return chunkEmitter{h: h, w: w, done: done, size: 1, max: p.chunkSize(), sl: sl}
+}
+
+// ready is called by a worker before it produces each element. It takes the
+// worker's pool slot — a no-op re-check while the slot is held; it re-arms
+// after a flush released the slot to make a blocking send — and starts the
+// chunk's clock. It returns false when the pipeline is shutting down.
+func (ce *chunkEmitter) ready() bool {
+	if !ce.sl.acquire() {
+		return false
+	}
+	if ce.max > 1 && ce.since.IsZero() { // at a cap of one there is nothing to size
+		ce.since = time.Now()
+	}
+	return true
 }
 
 // add appends one item, flushing when the chunk is full. It returns false
 // when the consumer has gone away.
 func (ce *chunkEmitter) add(it item) bool {
 	if ce.buf == nil {
-		ce.buf = getChunk(ce.size)
+		ce.buf = getChunk(ce.max)
 	}
 	ce.buf = append(ce.buf, it)
 	if len(ce.buf) >= ce.size {
@@ -79,6 +122,13 @@ func (ce *chunkEmitter) add(it item) bool {
 func (ce *chunkEmitter) flush() bool {
 	if len(ce.buf) == 0 {
 		return true
+	}
+	if !ce.since.IsZero() {
+		n := int64(ce.max)
+		if took := time.Since(ce.since); took > 0 {
+			n = min(n, max(1, int64(len(ce.buf))*int64(handoffQuantum)/int64(took)))
+		}
+		ce.size, ce.since = int(n), time.Time{}
 	}
 	// Fast path: room on the edge, the slot (if any) stays held.
 	if ce.h.trySend(ce.w, ce.buf) {
@@ -254,7 +304,7 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 	defer s.wg.Done()
 	sl := s.p.slot(s.latch.ch)
 	defer sl.release()
-	em := chunkEmitter{h: s.out, w: w, done: s.latch.ch, size: s.p.chunkSize(), sl: &sl}
+	em := s.p.emitter(s.out, w, s.latch.ch, &sl)
 	defer em.flush()
 	// Zero-copy payload views: this worker's records are carved out of its
 	// private arena and handed downstream as borrowed views (Element.Owner).
@@ -275,11 +325,10 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 	// fixed CPU cost plus a per-byte term for the CRC pass.
 	const parsePerByte = 0.3e-9 // ~3.3 GB/s checksum throughput
 	const parsePerElem = 1.5e-6 // record framing bookkeeping
-	// Sequence numbers are reserved in chunk-sized blocks so the shared
-	// counter is touched once per chunk instead of once per record.
+	// Sequence numbers are reserved in ChunkSize blocks so the shared
+	// counter is touched once per block instead of once per record.
 	idxBlock := int64(s.p.chunkSize())
 	var idxNext, idxEnd int64
-	recs := 0
 	// stream reads one shard to EOF, retrying transiently faulting opens
 	// and record reads under the pipeline's retry policy. It reports
 	// whether the worker should continue with the next file; on any
@@ -324,10 +373,9 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 				return false
 			}
 			// Reading records is this worker's CPU work: it happens under a
-			// pool slot (a no-op re-check when already held — the emitter
-			// releases it whenever a flush has to block), yielded every
-			// chunk so shares enforce at chunk granularity.
-			if !sl.acquire() {
+			// pool slot, yielded every chunk so shares enforce at chunk
+			// granularity.
+			if !em.ready() {
 				return false
 			}
 			var start time.Time
@@ -381,11 +429,8 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 			if !em.add(item{elem: e}) {
 				return false
 			}
-			if recs++; recs >= int(idxBlock) {
-				recs = 0
-				if !sl.yield() {
-					return false
-				}
+			if em.buf == nil && !sl.yield() { // the chunk just went out
+				return false
 			}
 		}
 	}
@@ -478,20 +523,21 @@ func (m *mapIter) worker(w int) {
 	defer m.wg.Done()
 	sl := m.p.slot(m.latch.ch)
 	defer sl.release()
-	em := chunkEmitter{h: m.out, w: w, done: m.latch.ch, size: m.p.chunkSize(), sl: &sl}
+	em := m.p.emitter(m.out, w, m.latch.ch, &sl)
 	defer em.flush()
 	tr := tracker{h: m.handle}
 	defer tr.flush()
 	rt := m.p.retrier(m.name, &tr, m.latch.ch, m.seed^uint64(w+1)*0xbf58476d1ce4e5b9)
 	traced := tr.traced()
 	sm := trace.NewSampler(m.p.sampleEvery())
-	cs := m.p.chunkSize()
-	in := make([]item, 0, cs)
+	in := make([]item, 0, m.p.chunkSize())
 	for {
 		if m.eof.Load() {
 			return
 		}
-		// Pull up to a chunk of inputs under one lock acquisition. Clear
+		// Pull as many inputs as the next handoff will carry — about
+		// handoffQuantum of this worker's work, so an expensive UDF's inputs
+		// spread evenly over the workers — under one lock acquisition. Clear
 		// the reused buffer first so stale payload references from the
 		// previous chunk don't pin their buffers against collection.
 		for i := range in {
@@ -499,7 +545,7 @@ func (m *mapIter) worker(w int) {
 		}
 		in = in[:0]
 		m.childMu.Lock()
-		for len(in) < cs {
+		for len(in) < em.size {
 			e, err := m.child.Next()
 			if err == io.EOF {
 				m.eof.Store(true)
@@ -518,11 +564,9 @@ func (m *mapIter) worker(w int) {
 		m.childMu.Unlock()
 		// Apply the UDF to the chunk under a pool slot, returned before the
 		// next pull so shares enforce per chunk. The pull above holds no
-		// slot — it is mostly a channel receive. The per-element acquire is
-		// a no-op re-check while the slot is held; it re-arms after the
-		// emitter released the slot to make a blocking handoff.
+		// slot — it is mostly a channel receive.
 		for _, it := range in {
-			if !sl.acquire() {
+			if !em.ready() {
 				return
 			}
 			if it.err != nil {
@@ -1038,7 +1082,7 @@ func (p *prefetchIter) start() {
 		defer p.wg.Done()
 		defer p.out.close()
 		defer p.childGate.close()
-		em := chunkEmitter{h: p.out, w: 0, done: p.latch.ch, size: cs}
+		em := chunkEmitter{h: p.out, w: 0, done: p.latch.ch, size: cs, max: cs}
 		if p.childGate != nil {
 			// A blocking flush must not sit on the sequential segment's
 			// admission slot (same invariant as the worker emitters).
@@ -1204,13 +1248,26 @@ func newCacheIter(p *Pipeline, key string, entry *cacheEntry, factory func() (it
 	return c, nil
 }
 
-// capture implements resumable. Only a serving cache carries position; an
-// interrupted fill leaves no state — the rebuilt cache passes through for
-// the rest of the epoch (driven by the source resume entry below it).
+// capture implements resumable. A serving cache carries its position. So
+// does a cache whose fill completed in the interrupted epoch — a prefetch
+// above it ran ahead to the child's EOF before the barrier was asked for —
+// because every element it recorded has been delivered: the rebuilt cache
+// finds the entry complete and must resume serving at its end, not replay
+// the epoch from element 0. An interrupted fill leaves no state — the
+// rebuilt cache passes through for the rest of the epoch (driven by the
+// source resume entry below it).
 func (c *cacheIter) capture(rs *resumeState) {
-	if c.serving {
-		rs.caches[c.key] = cacheResume{pos: c.pos, replica: c.replica, seed: c.seed}
+	cr := cacheResume{pos: c.pos, replica: c.replica, seed: c.seed}
+	if !c.serving {
+		c.entry.mu.Lock()
+		complete, n := c.entry.complete, len(c.entry.elems)
+		c.entry.mu.Unlock()
+		if !complete {
+			return
+		}
+		cr.pos, cr.filled = n, true
 	}
+	rs.caches[c.key] = cr
 }
 
 func (c *cacheIter) Next() (data.Element, error) {

@@ -33,7 +33,7 @@ import (
 //     old tree is torn down (flushing its counters), and the knobs are
 //     swapped: the new graph (per-stage parallelism, prefetch, cache
 //     insertion/removal from rewrite.ApplyPlan), ChannelSlack (ring/channel
-//     edge depth), ChunkSize.
+//     edge depth), ChunkSize (the handoff cap).
 //
 //   - Resume. install rebuilds the tree; sources reopen their partial
 //     files and SkipTo the recorded offsets, repeat/take/cache iterators
@@ -61,7 +61,8 @@ type Patch struct {
 	// rebuilt stage edges (values below MinChannelSlack normalize to
 	// DefaultChannelSlack, as in New).
 	ChannelSlack int
-	// ChunkSize, when positive, replaces Options.ChunkSize.
+	// ChunkSize, when positive, replaces Options.ChunkSize (the cap on a
+	// handoff's element count).
 	ChunkSize int
 }
 
@@ -311,7 +312,7 @@ func (p *Pipeline) applyReconfig(pr *pendingReconfig) error {
 func (p *Pipeline) checkServingCaches(rs *resumeState, g *pipeline.Graph) error {
 	serving := false
 	for _, cr := range rs.caches {
-		if cr.pos > 0 {
+		if cr.pos > 0 && !cr.filled {
 			serving = true
 		}
 	}
@@ -323,7 +324,7 @@ func (p *Pipeline) checkServingCaches(rs *resumeState, g *pipeline.Graph) error 
 		return err
 	}
 	for key, cr := range rs.caches {
-		if cr.pos == 0 {
+		if cr.pos == 0 || cr.filled {
 			continue
 		}
 		found := false
@@ -412,11 +413,15 @@ type repeatResume struct {
 
 // cacheResume is a serving cache's position; keyed by the cache store key
 // (name, replica-suffixed). replica and the replica's effective seed
-// reproduce the entry signature check at apply time.
+// reproduce the entry signature check at apply time. filled marks a cache
+// that completed its fill in the interrupted epoch: the sources below it are
+// tracked and captured as exhausted, so — unlike a cache that was serving —
+// a patch may drop or invalidate its entry and the epoch still ends there.
 type cacheResume struct {
 	pos     int
 	replica int
 	seed    uint64
+	filled  bool
 }
 
 type resumeState struct {

@@ -336,6 +336,110 @@ func TestReconfigureServingCacheGuard(t *testing.T) {
 	}
 }
 
+// TestReconfigureAfterFillCompleted is the reproducer for an epoch delivered
+// twice: a root prefetch runs the fill of a small catalog to its end, so the
+// cache below it is complete — and every source exhausted — before the
+// consumer has taken its second element. A hot-apply landing then used to
+// rebuild a cache that found its entry complete and served it again from
+// element 0 (2 epochs x 48 examples delivered 144). The barrier is asked for
+// after the consumer's 1st, 2nd or 3rd element, with the same graph, with a
+// patch that invalidates the entry, and with one that removes the cache; with
+// a Repeat above the source and without; batched (exact example count) and
+// per record (payload multiset), on both handoffs.
+func TestReconfigureAfterFillCompleted(t *testing.T) {
+	_, reg := testSetup(t)
+	patches := map[string]func(g *pipeline.Graph) (*pipeline.Graph, error){
+		"same":       func(g *pipeline.Graph) (*pipeline.Graph, error) { return g, nil },
+		"invalidate": func(g *pipeline.Graph) (*pipeline.Graph, error) { return g.WithParallelism("decode", 2) },
+		"uncache":    func(g *pipeline.Graph) (*pipeline.Graph, error) { return g.Remove("hotcache") },
+	}
+	const perEpoch = 48
+	run := func(kind HandoffKind, batched bool, epochs int, patchName string, after int) {
+		label := fmt.Sprintf("%s batched=%v epochs=%d patch=%s after=%d", kind, batched, epochs, patchName, after)
+		fs := memFS(t, smallCatalog)
+		b := pipeline.NewBuilder().
+			Named("src").Interleave(smallCatalog.Name, 1).
+			Named("decode").Map("noop", 1)
+		if batched {
+			b = b.Batch(16)
+		}
+		b = b.Named("hotcache").Cache().Prefetch(256)
+		if epochs > 1 {
+			b = b.Repeat(int64(epochs))
+		}
+		p, err := New(b.MustBuild(), Options{FS: fs, UDFs: reg, Handoff: kind})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		got := make(map[string]int)
+		var examples int64
+		done := make(chan struct{})
+		for n := 1; ; n++ {
+			e, err := p.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			got[string(e.Payload)]++
+			examples += int64(e.Count)
+			if n != after {
+				continue
+			}
+			// The prefetch completes the fill on its own; wait for that,
+			// then for the barrier request to register (or fail).
+			for {
+				if _, complete, ok := p.caches.peek("hotcache"); ok && complete {
+					break
+				}
+				runtime.Gosched()
+			}
+			go func() {
+				defer close(done)
+				ng, err := patches[patchName](p.Graph())
+				if err == nil {
+					_, err = p.Reconfigure(Patch{Graph: ng})
+				}
+				if err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
+			}()
+			for registered := false; !registered && !p.quiesce.Load(); {
+				select {
+				case <-done:
+					registered = true
+				default:
+					runtime.Gosched()
+				}
+			}
+		}
+		<-done
+		if want := int64(perEpoch * epochs); examples != want {
+			t.Fatalf("%s: delivered %d examples, want %d", label, examples, want)
+		}
+		if !batched {
+			want := catalogPayloads(t, fsAdapter{
+				list: fs.List,
+				open: func(path string) (connReader, error) { return fs.Open(path) },
+			}, epochs)
+			comparePayloadMultisets(t, label, got, want)
+		}
+	}
+	for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
+		for _, batched := range []bool{true, false} {
+			for _, epochs := range []int{1, 2} {
+				for name := range patches {
+					for after := 1; after <= 3; after++ {
+						run(kind, batched, epochs, name, after)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestReconfigureValidation checks the hot-patch boundary: patches that
 // change outer parallelism, replace the source, or alter Repeat/Take
 // structure are rejected up front, before any quiesce starts.
@@ -391,86 +495,101 @@ func TestReconfigureValidation(t *testing.T) {
 // slack and chunk changes — against a draining repeated pipeline, on both
 // handoff kinds, with byte-exact delivery asserted and (under
 // -tags=arena_debug) zero arena blocks leaked across all the transitions.
+// It runs on the free chain and on a mixed-cost one — a 200 µs/element map
+// above the free one — so barriers also land between stages whose handoffs
+// carry 64 elements and stages whose handoffs carry a few.
 func TestReconfigureTortureFlat(t *testing.T) {
+	for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
+		for _, mixed := range []bool{false, true} {
+			tortureFlat(t, kind, mixed)
+		}
+	}
+}
+
+func tortureFlat(t *testing.T, kind HandoffKind, mixed bool) {
 	const epochs = 3
 	const rounds = 6
 	want := wantPayloads(t, epochs)
-	for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
-		arenaBase := arenaLive()
-		fs, reg := testSetup(t)
-		g := pipeline.NewBuilder().
-			Named("src").Interleave(testCatalog.Name, 2).
-			Named("decode").Map("noop", 2).
-			Repeat(epochs).
-			MustBuild()
-		p, err := New(g, Options{FS: fs, UDFs: reg, ChunkSize: 8, Handoff: kind})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rng := stats.NewRNG(0x7a317 ^ hashName(string(kind)))
-		var applied, rejected atomic.Int64
-		got, examples := drainWithReconfigs(t, p, func() {
-			for i := 0; i < rounds; i++ {
-				ng := p.Graph()
-				var err error
-				switch rng.Intn(4) {
-				case 0, 1: // parallelism shuffle
-					ng, err = ng.WithParallelism("src", 1+rng.Intn(4))
+	label := fmt.Sprintf("%s mixed=%v", kind, mixed)
+	arenaBase := arenaLive()
+	fs, _ := testSetup(t)
+	reg := costedRegistry(t, 200*time.Microsecond, true)
+	b := pipeline.NewBuilder().
+		Named("src").Interleave(testCatalog.Name, 2).
+		Named("decode").Map("noop", 2)
+	stages := []string{"src", "decode"}
+	if mixed {
+		b = b.Named("augment").Map("costly", 2)
+		stages = append(stages, "augment")
+	}
+	p, err := New(b.Repeat(epochs).MustBuild(), Options{FS: fs, UDFs: reg, ChunkSize: 8, Handoff: kind})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := stats.NewRNG(0x7a317 ^ hashName(label))
+	var applied, rejected atomic.Int64
+	got, examples := drainWithReconfigs(t, p, func() {
+		for i := 0; i < rounds; i++ {
+			ng := p.Graph()
+			var err error
+			switch rng.Intn(4) {
+			case 0, 1: // parallelism shuffle
+				for _, name := range stages {
 					if err == nil {
-						ng, err = ng.WithParallelism("decode", 1+rng.Intn(4))
+						ng, err = ng.WithParallelism(name, 1+rng.Intn(4))
 					}
-				case 2: // cache toggle
-					if ng.NodeIndex("hotcache") >= 0 {
-						ng, err = ng.Remove("hotcache")
-					} else {
-						ng, err = ng.InsertAbove("decode", pipeline.Node{Name: "hotcache", Kind: pipeline.KindCache})
-					}
-				case 3: // edge knobs only
-					ng = nil
 				}
-				if err != nil {
-					t.Error(err)
-					return
+			case 2: // cache toggle
+				if ng.NodeIndex("hotcache") >= 0 {
+					ng, err = ng.Remove("hotcache")
+				} else {
+					ng, err = ng.InsertAbove("decode", pipeline.Node{Name: "hotcache", Kind: pipeline.KindCache})
 				}
-				patch := Patch{Graph: ng}
-				if rng.Intn(2) == 0 {
-					patch.ChannelSlack = 1 + rng.Intn(4)
-					patch.ChunkSize = 1 + rng.Intn(32)
-				}
-				_, rerr := p.Reconfigure(patch)
-				switch {
-				case rerr == nil:
-					applied.Add(1)
-				case strings.Contains(rerr.Error(), "mid-serve"):
-					rejected.Add(1) // legal outcome: patch hit a serving cache
-				default:
-					t.Errorf("round %d: Reconfigure: %v", i, rerr)
-					return
-				}
+			case 3: // edge knobs only
+				ng = nil
 			}
-		})
-		if err := p.Close(); err != nil {
-			t.Fatal(err)
-		}
-		total := int64(testCatalog.NumFiles*testCatalog.RecordsPerFile) * epochs
-		if examples != total {
-			t.Fatalf("%s: drained %d examples, want %d (applied=%d rejected=%d)",
-				kind, examples, total, applied.Load(), rejected.Load())
-		}
-		comparePayloadMultisets(t, string(kind), got, want)
-		if applied.Load() == 0 {
-			t.Fatalf("%s: no reconfiguration was applied", kind)
-		}
-		if arenaDebug {
-			// Give released blocks a moment: the consumer recycled every
-			// view above, so the counter must return to its baseline.
-			deadline := time.Now().Add(2 * time.Second)
-			for arenaLive() != arenaBase && time.Now().Before(deadline) {
-				runtime.Gosched()
+			if err != nil {
+				t.Error(err)
+				return
 			}
-			if live := arenaLive(); live != arenaBase {
-				t.Fatalf("%s: %d arena blocks leaked across reconfigurations", kind, live-arenaBase)
+			patch := Patch{Graph: ng}
+			if rng.Intn(2) == 0 {
+				patch.ChannelSlack = 1 + rng.Intn(4)
+				patch.ChunkSize = 1 + rng.Intn(32)
 			}
+			_, rerr := p.Reconfigure(patch)
+			switch {
+			case rerr == nil:
+				applied.Add(1)
+			case strings.Contains(rerr.Error(), "mid-serve"):
+				rejected.Add(1) // legal outcome: patch hit a serving cache
+			default:
+				t.Errorf("round %d: Reconfigure: %v", i, rerr)
+				return
+			}
+		}
+	})
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	total := int64(testCatalog.NumFiles*testCatalog.RecordsPerFile) * epochs
+	if examples != total {
+		t.Fatalf("%s: drained %d examples, want %d (applied=%d rejected=%d)",
+			label, examples, total, applied.Load(), rejected.Load())
+	}
+	comparePayloadMultisets(t, label, got, want)
+	if applied.Load() == 0 {
+		t.Fatalf("%s: no reconfiguration was applied", label)
+	}
+	if arenaDebug {
+		// Give released blocks a moment: the consumer recycled every
+		// view above, so the counter must return to its baseline.
+		deadline := time.Now().Add(2 * time.Second)
+		for arenaLive() != arenaBase && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if live := arenaLive(); live != arenaBase {
+			t.Fatalf("%s: %d arena blocks leaked across reconfigurations", label, live-arenaBase)
 		}
 	}
 }
@@ -646,5 +765,3 @@ func TestReconfigureWithSharedPool(t *testing.T) {
 		t.Fatalf("drained %d examples, want %d", examples, total)
 	}
 }
-
-var _ = fmt.Sprintf // keep fmt imported if assertions above change

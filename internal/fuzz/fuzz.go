@@ -6,7 +6,11 @@
 // solve -> rewrite path, and checks the invariants the joint planner must
 // never violate:
 //
-//   - no core overcommit: CoresPlanned never exceeds the resolved budget;
+//   - no core overcommit: the planned CPU demand (planned rate x
+//     core-seconds per minibatch, all replicas, steady state and fill epoch
+//     alike) fits the resolved budget, CoresPlanned reports its ceiling, and
+//     the knobs sized together exceed the per-replica budget by the rounding
+//     only (parallel stages - 1);
 //   - no memory overcommit: CacheBytes x replicas fits MemoryBytes, and no
 //     cache is planned without a memory budget;
 //   - no bandwidth overcommit: the plan's modeled I/O demand fits the disk
@@ -63,11 +67,16 @@ type Case struct {
 	// the joint plan and the greedy reference, scored with the same
 	// PredictRate. Infinite rates (everything served from a warm cache)
 	// serialize as 0 with RateInfinite set.
-	PlannerRate   float64 `json:"planner_rate"`
-	GreedyRate    float64 `json:"greedy_rate"`
-	RateInfinite  bool    `json:"rate_infinite,omitempty"`
-	CacheAbove    string  `json:"cache_above,omitempty"`
+	PlannerRate  float64 `json:"planner_rate"`
+	GreedyRate   float64 `json:"greedy_rate"`
+	RateInfinite bool    `json:"rate_infinite,omitempty"`
+	CacheAbove   string  `json:"cache_above,omitempty"`
+	// Parallelism is the planned knob of every parallelizable Dataset.
+	Parallelism map[string]int `json:"parallelism,omitempty"`
+	// CoresPlanned is the plan's own claim; CPUDemand is the same quantity
+	// re-derived here from the plan's knobs through ops, in cores.
 	CoresPlanned  int     `json:"cores_planned"`
+	CPUDemand     float64 `json:"cpu_demand"`
 	OuterReplicas int     `json:"outer_replicas"`
 
 	// Violations lists every invariant the case broke; empty means pass.
@@ -199,6 +208,7 @@ func CheckSpec(s scenario.Spec, b plan.Budget) (*Case, error) {
 		return c, nil
 	}
 	c.CacheAbove = p.CacheAbove
+	c.Parallelism = p.Parallelism
 	c.CoresPlanned = p.CoresPlanned
 	c.OuterReplicas = p.OuterParallelism
 
@@ -208,10 +218,43 @@ func CheckSpec(s scenario.Spec, b plan.Budget) (*Case, error) {
 		outer = 1
 	}
 
-	// No core overcommit.
-	if p.CoresPlanned > cores {
+	// No core overcommit, by CPU demand and by knob count. Each phase of the
+	// job — the steady state, and the fill epoch of a planned cache — is
+	// scored at the rate the plan's own knobs reach in it.
+	cached := map[string]bool{}
+	if p.CacheAbove != "" {
+		cached, _ = a.AtOrBelow(p.CacheAbove)
+	}
+	for _, warm := range []bool{true, false} {
+		if !warm && p.CacheAbove == "" {
+			break
+		}
+		h := p.Hypothetical(warm, cores, b.DiskBandwidth)
+		if rate := a.PredictRate(h); !math.IsInf(rate, 1) {
+			c.CPUDemand = math.Max(c.CPUDemand, rate*a.Ceiling(h).CPUPerMinibatch)
+		}
+		// The knobs this phase sizes: below the cache for the fill epoch,
+		// the rest for the steady state.
+		knobs, stages := 0, 0
+		for _, n := range a.Nodes {
+			if n.Parallelizable && cached[n.Name] != warm {
+				knobs += p.ParallelismFor(n.Name, n.Parallelism)
+				stages++
+			}
+		}
+		if limit := (cores+outer-1)/outer + stages - 1; stages > 0 && knobs > limit {
+			c.Violations = append(c.Violations,
+				fmt.Sprintf("core overcommit (warm=%v): %d workers per replica over %d stages > budget %d / %d replicas + stages - 1",
+					warm, knobs, stages, cores, outer))
+		}
+	}
+	if c.CPUDemand > float64(cores)*(1+1e-9) {
 		c.Violations = append(c.Violations,
-			fmt.Sprintf("core overcommit: CoresPlanned %d > budget %d", p.CoresPlanned, cores))
+			fmt.Sprintf("core overcommit: planned CPU demand %.3f > budget %d", c.CPUDemand, cores))
+	}
+	if want := int(math.Ceil(c.CPUDemand - 1e-9)); p.CoresPlanned > cores || p.CoresPlanned != want {
+		c.Violations = append(c.Violations,
+			fmt.Sprintf("core overcommit: CoresPlanned %d, want ceil(demand %.3f) = %d within budget %d", p.CoresPlanned, c.CPUDemand, want, cores))
 	}
 	// No memory overcommit; no cache without a memory budget.
 	if b.MemoryBytes <= 0 && p.CacheAbove != "" {
@@ -263,10 +306,6 @@ func CheckSpec(s scenario.Spec, b plan.Budget) (*Case, error) {
 	// No bandwidth overcommit: the plan's modeled I/O demand at its own
 	// predicted rate must fit the disk budget.
 	if b.DiskBandwidth > 0 && !math.IsInf(c.PlannerRate, 1) {
-		cached := map[string]bool{}
-		if p.CacheAbove != "" {
-			cached, _ = a.AtOrBelow(p.CacheAbove)
-		}
 		var io float64
 		for _, n := range a.Nodes {
 			if !cached[n.Name] {

@@ -56,6 +56,50 @@ func TestJointSolveCanonicalScenarios(t *testing.T) {
 	}
 }
 
+// TestCanonicalPlansNeverBelowWholeCoreCounting pins the change of core
+// accounting from the other side: sizing knobs by CPU demand may only ever
+// add workers to a stage. The floors are the workers per stage (knob x
+// replicas) that the whole-core grant loop this planner replaced gave the
+// canonical scenarios under 3, 4 and 9 cores, without a memory budget and
+// with 64 MiB — its plans were the same on every run, accounted CPU being a
+// function of the data.
+func TestCanonicalPlansNeverBelowWholeCoreCounting(t *testing.T) {
+	type floor struct{ interleave, map1, map2 int }
+	// Indexed [budget 3, 4, 9][no memory, 64 MiB].
+	floors := map[string][3][2]floor{
+		"vision":         {{{1, 2, 0}, {1, 2, 0}}, {{1, 3, 0}, {1, 3, 0}}, {{1, 8, 0}, {1, 8, 0}}},
+		"nlp":            {{{1, 1, 0}, {1, 1, 0}}, {{2, 2, 0}, {1, 1, 0}}, {{4, 4, 0}, {1, 1, 0}}},
+		"tiny-files":     {{{1, 2, 0}, {1, 2, 0}}, {{2, 2, 0}, {2, 2, 0}}, {{4, 5, 0}, {4, 5, 0}}},
+		"skewed":         {{{1, 2, 0}, {1, 2, 0}}, {{1, 3, 0}, {1, 3, 0}}, {{1, 8, 0}, {1, 8, 0}}},
+		"random-augment": {{{1, 1, 1}, {1, 1, 3}}, {{1, 2, 1}, {1, 1, 4}}, {{1, 4, 4}, {1, 1, 9}}},
+		"cold-storage":   {{{1, 1, 0}, {1, 1, 0}}, {{1, 1, 0}, {1, 1, 0}}, {{1, 1, 0}, {1, 1, 0}}},
+	}
+	for _, spec := range scenario.Suite(true) {
+		want, ok := floors[spec.Name]
+		if !ok {
+			t.Fatalf("no floor recorded for canonical scenario %q", spec.Name)
+		}
+		for bi, cores := range []int{3, 4, 9} {
+			for mi, mem := range []int64{0, 64 << 20} {
+				c, err := CheckSpec(spec, plan.Budget{Cores: cores, MemoryBytes: mem, DiskBandwidth: spec.Device.TotalBandwidth})
+				if err != nil {
+					t.Fatalf("%s: %v", spec.Name, err)
+				}
+				if len(c.Violations) > 0 {
+					t.Errorf("%s cores=%d mem=%d: %v", spec.Name, cores, mem, c.Violations)
+				}
+				f := want[bi][mi]
+				for name, floor := range map[string]int{"interleave_1": f.interleave, "map_1": f.map1, "map_2": f.map2} {
+					if got := c.Parallelism[name] * c.OuterReplicas; got < floor {
+						t.Errorf("%s cores=%d mem=%d: %s runs %d workers (knobs %v x %d replicas), whole-core counting planned %d",
+							spec.Name, cores, mem, name, got, c.Parallelism, c.OuterReplicas, floor)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzSolve is the native fuzz target over the same generator: any uint64
 // is a valid workload, so the mutator explores the whole spec space.
 // Run with: go test -fuzz=FuzzSolve -fuzztime=20s ./internal/fuzz

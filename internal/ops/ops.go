@@ -386,7 +386,7 @@ func (a *Analysis) DiskBoundWithSources(bandwidth float64, src map[string]float6
 func (a *Analysis) CPUBoundMinibatchesPerSec(cores int) float64 {
 	var perMB float64
 	for _, n := range a.Nodes {
-		if !math.IsInf(n.Rate, 1) && n.Rate > 0 {
+		if n.Measurable() {
 			perMB += 1 / n.Rate
 		}
 	}

@@ -39,6 +39,76 @@ type Hypothetical struct {
 	SourceBandwidth map[string]float64
 }
 
+// Ceiling is what no knob assignment can beat for a hypothetical's cache
+// state and resource bounds — the part of PredictRate that parallelism does
+// not move, which is what the planner sizes knobs against.
+type Ceiling struct {
+	// Resource is the minimum of the disk-bandwidth bounds and the aggregate
+	// CPU work-conservation bound, in root minibatches/second: fixed by the
+	// budget. +Inf when neither binds.
+	Resource float64
+	// Sequential is the capacity of the slowest active non-parallelizable
+	// Dataset at one pipeline replica (+Inf when none has a measurable
+	// cost); only outer parallelism lifts it. SequentialNode names it.
+	Sequential     float64
+	SequentialNode string
+	// CPUPerMinibatch is Σ 1/R_i over the active Datasets: the core-seconds
+	// one root minibatch costs, so a pipeline delivering X minibatches/s
+	// claims X × CPUPerMinibatch cores (the LP's Σ θ_i, paper §4.4).
+	CPUPerMinibatch float64
+}
+
+// idle returns the Datasets a warm cache serves in h's steady state — the
+// branch feeding the cache (membership, not chain position: on a DAG only
+// that branch goes idle) — or nil when everything runs.
+func (a *Analysis) idle(h Hypothetical) map[string]bool {
+	if !h.WarmCache || h.CacheAbove == "" {
+		return nil
+	}
+	cached, _ := a.AtOrBelow(h.CacheAbove)
+	return cached
+}
+
+// Measurable reports whether the trace priced this Dataset: a finite,
+// positive rate. A Dataset with no measured CPU bounds nothing in the model.
+func (n NodeAnalysis) Measurable() bool { return n.Rate > 0 && !math.IsInf(n.Rate, 1) }
+
+// Ceiling evaluates the knob-independent bounds of the hypothetical shape;
+// h.Parallelism and h.OuterParallelism are not consulted.
+func (a *Analysis) Ceiling(h Hypothetical) Ceiling { return a.ceiling(h, a.idle(h)) }
+
+func (a *Analysis) ceiling(h Hypothetical, idle map[string]bool) Ceiling {
+	c := Ceiling{Resource: math.Inf(1), Sequential: math.Inf(1)}
+	var ioPerMB float64
+	for _, n := range a.Nodes {
+		if idle[n.Name] {
+			continue // served from the cache in steady state
+		}
+		if n.Measurable() {
+			c.CPUPerMinibatch += 1 / n.Rate
+			if cap := float64(n.Parallelism) * n.Rate; !n.Parallelizable && cap < c.Sequential {
+				c.Sequential, c.SequentialNode = cap, n.Name
+			}
+		}
+		if n.IOBytesPerMinibatch > 0 {
+			ioPerMB += n.IOBytesPerMinibatch
+			if v, ok := h.SourceBandwidth[n.Name]; ok && v > 0 {
+				c.Resource = math.Min(c.Resource, v/n.IOBytesPerMinibatch)
+			}
+		}
+	}
+	if h.DiskBandwidth > 0 && ioPerMB > 0 {
+		// One shared device: the global bandwidth bounds the active nodes'
+		// aggregate demand, so a DAG's two sources cannot each claim the
+		// full budget.
+		c.Resource = math.Min(c.Resource, h.DiskBandwidth/ioPerMB)
+	}
+	if h.Cores > 0 && c.CPUPerMinibatch > 0 {
+		c.Resource = math.Min(c.Resource, float64(h.Cores)/c.CPUPerMinibatch)
+	}
+	return c
+}
+
 // PredictRate returns the modeled throughput ceiling, in root
 // minibatches/second, of the hypothetical shape: the minimum of every
 // active node's capacity (parallelism × resource-accounted rate, times
@@ -50,53 +120,22 @@ type Hypothetical struct {
 // This is the paper's LP objective evaluated at one candidate allocation:
 // rates come from a single trace, so no re-run is needed to score a shape.
 func (a *Analysis) PredictRate(h Hypothetical) float64 {
-	outer := h.OuterParallelism
+	outer := float64(h.OuterParallelism)
 	if outer < 1 {
 		outer = 1
 	}
-	var cached map[string]bool
-	if h.WarmCache && h.CacheAbove != "" {
-		// Membership, not chain position: on a DAG only the branch feeding
-		// the cache goes idle, not every node that happens to sort earlier.
-		cached, _ = a.AtOrBelow(h.CacheAbove)
-	}
-	bound := math.Inf(1)
-	var cpuPerMB, ioPerMB float64
+	idle := a.idle(h)
+	c := a.ceiling(h, idle)
+	bound := math.Min(c.Resource, c.Sequential*outer)
 	for _, n := range a.Nodes {
-		if cached[n.Name] {
-			continue // served from the cache in steady state
+		if idle[n.Name] || !n.Parallelizable || !n.Measurable() {
+			continue
 		}
 		p := n.Parallelism
-		if v, ok := h.Parallelism[n.Name]; ok && v > 0 && n.Parallelizable {
+		if v, ok := h.Parallelism[n.Name]; ok && v > 0 {
 			p = v
 		}
-		if !math.IsInf(n.Rate, 1) && n.Rate > 0 {
-			cpuPerMB += 1 / n.Rate
-			if cap := float64(p) * n.Rate * float64(outer); cap < bound {
-				bound = cap
-			}
-		}
-		if n.IOBytesPerMinibatch > 0 {
-			ioPerMB += n.IOBytesPerMinibatch
-			if v, ok := h.SourceBandwidth[n.Name]; ok && v > 0 {
-				if db := v / n.IOBytesPerMinibatch; db < bound {
-					bound = db
-				}
-			}
-		}
-	}
-	if h.DiskBandwidth > 0 && ioPerMB > 0 {
-		// One shared device: the global bandwidth bounds the active nodes'
-		// aggregate demand, so a DAG's two sources cannot each claim the
-		// full budget.
-		if db := h.DiskBandwidth / ioPerMB; db < bound {
-			bound = db
-		}
-	}
-	if h.Cores > 0 && cpuPerMB > 0 {
-		if cb := float64(h.Cores) / cpuPerMB; cb < bound {
-			bound = cb
-		}
+		bound = math.Min(bound, float64(p)*n.Rate*outer)
 	}
 	return bound
 }

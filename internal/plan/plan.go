@@ -5,18 +5,17 @@
 // memory, prefetching, and outer parallelism across every Dataset at once
 // — with a predicted end-to-end rate, so no re-trace is needed per step.
 //
-// The solver is a water-filling relaxation of the paper's LP, solved
-// jointly with cache placement: for every legal cache candidate (including
-// none) it re-derives the post-cache rate curves — a warm cache idles the
-// whole sub-graph it covers — water-fills the core budget over the Datasets
-// that remain active, and keeps the (cache, core-assignment) pair with the
-// best predicted steady-state rate under the combined memory+core budget.
-// Within one candidate the fractional optimum equalizes scaled capacity
-// across parallelizable Datasets at the resource ceiling (cores are split
-// in proportion to 1/R_i), and the integral plan is recovered by granting
-// whole cores one at a time to the node with the lowest resulting
-// capacity. Outer parallelism is raised only when a fundamentally
-// sequential Dataset caps the pipeline below the resource ceiling.
+// The solver is the paper's LP in closed form, solved jointly with cache
+// placement: for every legal cache candidate (including none) it re-derives
+// the post-cache rate curves — a warm cache idles the whole sub-graph it
+// covers — sizes the knobs of the Datasets that remain active, and keeps the
+// (cache, knobs) pair with the best predicted steady-state rate under the
+// combined memory+core budget. Within one candidate the fractional optimum
+// runs every Dataset at the resource ceiling X, where Dataset i claims
+// θ_i = X/R_i of a core and Σ θ_i is at most the core budget; the integral
+// plan rounds each claim up to whole workers (solveForCache). Outer
+// parallelism is raised only when a fundamentally sequential Dataset caps
+// the pipeline below the resource ceiling.
 package plan
 
 import (
@@ -32,10 +31,10 @@ import (
 // package rewrite aliases this type) allocates against: the paper's nc
 // cores, memory for caches, and disk bandwidth.
 type Budget struct {
-	// Cores bounds total intra-operator parallelism (and, multiplied by the
-	// per-replica cost, outer parallelism). Zero allocates against the
-	// traced machine's core count instead — like the paper's nc-core tuner
-	// — falling back to a 64-core safety cap when that is unknown too.
+	// Cores bounds the planned CPU demand, Σ X/R_i over every replica's
+	// Datasets (the paper's Σ θ_i <= nc). Zero allocates against the traced
+	// machine's core count instead — like the paper's nc-core tuner —
+	// falling back to a 64-core safety cap when that is unknown too.
 	Cores int `json:"cores"`
 	// MemoryBytes bounds cache materialization; zero disables caching.
 	MemoryBytes int64 `json:"memory_bytes"`
@@ -55,8 +54,8 @@ type Budget struct {
 // 0, since JSON cannot carry +Inf.
 type Plan struct {
 	// Parallelism is the planned knob value for every parallelizable
-	// Dataset with a measurable rate (absent nodes keep their current
-	// value).
+	// Dataset: the ceiling of its CPU claim at the planned rate, at least 1
+	// (absent nodes keep their current value).
 	Parallelism map[string]int `json:"parallelism"`
 	// CacheAbove names the Dataset whose output the plan materializes in a
 	// new cache; empty means no cache is planned.
@@ -70,11 +69,12 @@ type Plan struct {
 	// both mean a single instance).
 	OuterParallelism int `json:"outer_parallelism,omitempty"`
 
-	// CoresPlanned is the total core claim of the planned knobs: the sum of
-	// planned parallelism over parallelizable Datasets times the replica
-	// count. It never exceeds the budget's core count — when the budget is
-	// below one core per parallel stage (the knob floor), the stages
-	// time-share and CoresPlanned reports the budget itself.
+	// CoresPlanned is the ceiling of the planned CPU demand: the planned
+	// rate times the core-seconds a minibatch costs (ops.Ceiling), over all
+	// replicas, in the busier of the steady state and the fill epoch. It
+	// never exceeds the budget's core count. The knob total can — each knob
+	// rounds a fractional claim up — by at most (parallel stages − 1) per
+	// replica among the stages sized together.
 	CoresPlanned int `json:"cores_planned"`
 	// Efficiency is the observed/modeled calibration factor measured on the
 	// planning trace; predictions below are already scaled by it.
@@ -130,24 +130,36 @@ const (
 )
 
 // alloc is one candidate joint solution: a cache choice (possibly none)
-// with the core assignment water-filled over the Datasets that stay active
-// under it, and the uncalibrated steady-state rate the pair predicts.
+// with the knobs sized for the rate it plans, and the uncalibrated
+// steady-state rate the pair predicts.
 type alloc struct {
 	cacheAbove  string
 	cacheBytes  float64
 	parallelism map[string]int
 	outer       int
-	coresUsed   int // per-replica steady-state core claim
-	stages      int // parallel stages that claimed the per-stage core floor
+	demand      float64 // planned CPU claim in cores, all replicas, at its busiest phase
 	rate        float64
 	notes       []string
 }
 
-// solveForCache water-fills the core budget assuming a warm cache above
-// cacheAbove (empty = no cache): every Dataset the cache covers drops out
-// of the rate curves, so the freed cores re-concentrate on the stages that
-// still run in steady state. Returns nil when the candidate cache does not
-// fit the memory budget at the replica count the allocation needs.
+// solveForCache plans the knobs assuming a cache above cacheAbove (empty =
+// no cache). Returns nil when the candidate cache does not fit the memory
+// budget at any replica count.
+//
+// Cores are accounted by CPU demand, as in the paper's LP (§4.4): a stage
+// whose replica delivers x minibatches/s claims x/R_i of a core, the budget
+// bounds the sum of the claims (ops.Ceiling's work-conservation bound), and
+// each knob is the ceiling of its stage's claim with a floor of one worker.
+// The planned rate is therefore the ceiling itself — the knobs are sized to
+// reach it, not granted until a whole-core count runs out — and the knob
+// total of the stages sized together exceeds the per-replica budget by at
+// most (stages − 1), the rounding.
+//
+// A warm cache idles the whole sub-graph it covers, so the job has two
+// phases that never overlap and each may claim the whole budget: the
+// Datasets that stay active are sized for the steady state, the covered
+// ones for the fill epoch (all Datasets running, once), whose rate the
+// active ones — sized for the faster steady state — already clear.
 func solveForCache(a *ops.Analysis, b Budget, cores int, cacheAbove string) *alloc {
 	var cached map[string]bool
 	var cacheBytes float64
@@ -157,91 +169,47 @@ func solveForCache(a *ops.Analysis, b Budget, cores int, cacheAbove string) *all
 			cacheBytes = n.MaterializedBytes
 		}
 	}
-	active := func(n ops.NodeAnalysis) bool { return !cached[n.Name] }
-
-	// Hard bounds no core assignment can beat, on the post-cache curves:
-	// the disk ceiling (a warm cache over the source does no I/O), the
-	// aggregate CPU work-conservation ceiling, and (before replication) the
-	// slowest fundamentally sequential Dataset still active.
-	diskBound := math.Inf(1)
-	if b.DiskBandwidth > 0 || len(b.SourceBandwidth) > 0 {
-		for _, n := range a.Nodes {
-			if !active(n) || n.IOBytesPerMinibatch <= 0 {
-				continue
-			}
-			bw := b.DiskBandwidth
-			if v, ok := b.SourceBandwidth[n.Name]; ok && v > 0 && (bw <= 0 || v < bw) {
-				bw = v
-			}
-			if bw <= 0 {
-				diskBound = 0
-				break
-			}
-			diskBound = math.Min(diskBound, bw/n.IOBytesPerMinibatch)
-		}
+	hyp := ops.Hypothetical{
+		CacheAbove:      cacheAbove,
+		Cores:           cores,
+		DiskBandwidth:   b.DiskBandwidth,
+		SourceBandwidth: b.SourceBandwidth,
 	}
-	var cpuPerMB float64
-	seqBound := math.Inf(1)
-	seqName := ""
-	for _, n := range a.Nodes {
-		if !active(n) {
-			continue
-		}
-		if !math.IsInf(n.Rate, 1) && n.Rate > 0 {
-			cpuPerMB += 1 / n.Rate
-		}
-		if !n.Parallelizable && !math.IsInf(n.ScaledCapacity, 1) && n.ScaledCapacity < seqBound {
-			seqBound = n.ScaledCapacity
-			seqName = n.Name
-		}
+	fill := a.Ceiling(hyp)
+	steady := fill
+	if cacheAbove != "" {
+		hyp.WarmCache = true
+		steady = a.Ceiling(hyp)
 	}
-	cpuBound := math.Inf(1)
-	if cpuPerMB > 0 {
-		cpuBound = float64(cores) / cpuPerMB
-	}
-	resourceCeiling := math.Min(diskBound, cpuBound)
 
 	// Outer parallelism: replication is the only remedy for a sequential
 	// bound (§5.1's NLP pipelines). maxNeed is the replica count that would
-	// lift the sequential capacity to the resource ceiling, within the core
-	// budget — the top of the search range, not a commitment: each replica
-	// also multiplies the per-stage core claim and the cache's memory
-	// footprint, so e.g. a 9-core budget may feed an expensive decode stage
-	// better at one replica than at two. The joint pass below scores every
-	// count and keeps the best.
+	// lift the sequential capacity to the resource ceiling — the top of the
+	// search range, not a commitment: each replica also multiplies the
+	// cache's memory footprint and divides the rate (and so the knob) each
+	// stage is sized for. The pass below scores every count and keeps the
+	// best.
 	baseOuter := a.Snapshot.Graph.OuterParallelism
 	if baseOuter < 1 {
 		baseOuter = 1
 	}
 	maxNeed := baseOuter
-	if seqBound < resourceCeiling && !math.IsInf(resourceCeiling, 1) {
-		need := int(math.Ceil(resourceCeiling / seqBound))
-		perReplica := 0
-		for _, n := range a.Nodes {
-			if active(n) && n.Parallelizable {
-				perReplica++ // each replica runs every active parallel stage at >= 1 core
-			}
-		}
-		if perReplica < 1 {
-			perReplica = 1
-		}
-		if max := cores / perReplica; need > max {
-			need = max
-		}
-		if need > maxOuter {
-			need = maxOuter
-		}
-		if need > maxNeed {
-			maxNeed = need
+	if steady.Sequential < steady.Resource && !math.IsInf(steady.Resource, 1) {
+		// A sequential Dataset running flat out is one busy core per replica
+		// and the resource ceiling counts it, so need never exceeds the core
+		// budget; the caps only guard a degenerate (zero-capacity) trace.
+		need := math.Min(math.Ceil(steady.Resource/steady.Sequential), math.Min(float64(cores), maxOuter))
+		if int(need) > maxNeed {
+			maxNeed = int(need)
 		}
 	}
 
 	allocAt := func(outer int) *alloc {
-		s := &alloc{cacheAbove: cacheAbove, cacheBytes: cacheBytes, parallelism: make(map[string]int)}
+		s := &alloc{cacheAbove: cacheAbove, cacheBytes: cacheBytes, outer: outer, parallelism: make(map[string]int)}
 		if outer > baseOuter {
 			s.notes = append(s.notes, fmt.Sprintf(
 				"outer parallelism %d: sequential %q (%.1f minibatches/s) caps the pipeline below the resource ceiling (%.1f)",
-				outer, seqName, seqBound, resourceCeiling))
+				outer, steady.SequentialNode, steady.Sequential, steady.Resource))
 		}
 
 		// Every replica fills its own cache copy; a candidate that cannot fit
@@ -253,168 +221,54 @@ func solveForCache(a *ops.Analysis, b Budget, cores int, cacheAbove string) *all
 			}
 		}
 
-		// Water-filling core assignment across the active parallelizable
-		// Datasets with a measurable rate. Fractionally the optimum equalizes
-		// p_i·R_i at the ceiling (p_i ∝ 1/R_i); integrally, grant one core at a
-		// time to the lowest-capacity node until the budget binds or every node
-		// clears the target (raising past the ceiling cannot improve rate).
-		type cand struct {
-			name string
-			rate float64
-			p    int
-		}
-		var cands []cand
-		var kept []cand // unmeasurable knobs kept at their current value
-		coresUsed := 0
-		for _, n := range a.Nodes {
-			if !active(n) || !n.Parallelizable {
-				continue
+		// size sets the knob of every parallelizable Dataset of one phase
+		// (covered by the cache, or not) for the rate that phase's ceiling
+		// allows. A Dataset with no measurable cost claims nothing the model
+		// can see: its knob keeps the traced value rather than churn, unless
+		// that breaks the bound the measured knobs hold by construction —
+		// knob total <= per-replica budget + stages - 1 — and is then degraded.
+		size := func(c ops.Ceiling, covered bool, phase string) {
+			x := math.Min(c.Resource, c.Sequential*float64(outer))
+			if !math.IsInf(x, 1) {
+				s.demand = math.Max(s.demand, x*c.CPUPerMinibatch)
 			}
-			if math.IsInf(n.Rate, 1) || n.Rate <= 0 {
-				// No measurable cost: the model cannot rank this knob, so keep
-				// the current value rather than churn it (degraded below only
-				// when the budget cannot cover the seeded claim).
-				cur := n.Parallelism
-				if cur < 1 {
-					cur = 1
-				}
-				kept = append(kept, cand{name: n.Name, p: cur})
-				coresUsed += cur
-				continue
-			}
-			coresUsed++ // every measurable parallel stage starts at one core per replica
-			cands = append(cands, cand{name: n.Name, rate: n.Rate, p: 1})
-		}
-
-		// The seeded claim must already fit the budget, or the grant loop below
-		// never runs and the plan overcommits: degrade kept knobs toward 1, and
-		// drop any multi-replica candidate that still cannot fit (the
-		// single-replica allocation always exists and carries the core-floor
-		// case, where CoresPlanned is capped by the caller).
-		for i := range kept {
-			prev := kept[i].p
-			for kept[i].p > 1 && coresUsed*outer > cores {
-				kept[i].p--
-				coresUsed--
-			}
-			if kept[i].p != prev {
-				s.notes = append(s.notes, fmt.Sprintf(
-					"parallelism %q degraded %d -> %d (unmeasured knob, %d-core budget binds)",
-					kept[i].name, prev, kept[i].p, cores))
-			}
-		}
-		if outer > 1 && coresUsed*outer > cores {
-			return nil
-		}
-		for _, k := range kept {
-			s.parallelism[k.name] = k.p
-		}
-
-		target := math.Min(resourceCeiling, seqBound*float64(outer))
-		for (coresUsed+1)*outer <= cores { // each grant costs one core in every replica
-			best := -1
-			for i, c := range cands {
-				if float64(c.p)*c.rate*float64(outer) >= target {
-					continue // already clears the ceiling
-				}
-				if best < 0 || float64(c.p)*c.rate < float64(cands[best].p)*cands[best].rate {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			cands[best].p++
-			coresUsed++
-		}
-		for _, c := range cands {
-			s.parallelism[c.name] = c.p
-			if cur, err := a.Snapshot.Graph.Node(c.name); err == nil && cur.EffectiveParallelism() != c.p {
-				s.notes = append(s.notes, fmt.Sprintf(
-					"parallelism %q: %d -> %d (rate %.1f minibatches/s/core, water-filled toward ceiling %.1f)",
-					c.name, cur.EffectiveParallelism(), c.p, c.rate, target))
-			}
-		}
-		s.outer = outer
-		s.coresUsed = coresUsed
-		s.stages = len(cands) + len(kept)
-
-		// Fill-epoch knobs for the covered sub-graph: the Datasets below the
-		// cache run exactly once, while it fills, and the steady state claims
-		// none of their cores — so whatever the active stages left unclaimed
-		// water-fills the fill epoch's own bottlenecks (and oversized traced
-		// knobs are degraded so the fill claim also fits the budget). These
-		// knobs shape PredictedFillMinibatchesPerSec; CoresPlanned stays the
-		// steady-state claim.
-		if cacheAbove != "" {
-			var fillCands []cand
-			fillUsed := coresUsed
+			var unmeasured []string
+			spare := (cores+outer-1)/outer - 1 // workers beyond one per stage the bound still allows
 			for _, n := range a.Nodes {
-				if !cached[n.Name] || !n.Parallelizable {
+				if !n.Parallelizable || cached[n.Name] != covered {
 					continue
 				}
-				cur := n.Parallelism
-				if cur < 1 {
-					cur = 1
-				}
-				fillCands = append(fillCands, cand{name: n.Name, rate: n.Rate, p: cur})
-				fillUsed += cur
-			}
-			for i := range fillCands {
-				for fillCands[i].p > 1 && fillUsed*outer > cores {
-					fillCands[i].p--
-					fillUsed--
-				}
-			}
-			fillDisk := math.Inf(1)
-			if b.DiskBandwidth > 0 || len(b.SourceBandwidth) > 0 {
-				fillDisk = a.DiskBoundWithSources(b.DiskBandwidth, b.SourceBandwidth)
-			}
-			fillCPU := a.CPUBoundMinibatchesPerSec(cores)
-			fillSeq := math.Inf(1)
-			for _, n := range a.Nodes {
-				if !n.Parallelizable && !math.IsInf(n.ScaledCapacity, 1) && n.ScaledCapacity < fillSeq {
-					fillSeq = n.ScaledCapacity
-				}
-			}
-			fillTarget := math.Min(math.Min(fillDisk, fillCPU), fillSeq*float64(outer))
-			for (fillUsed+1)*outer <= cores {
-				best := -1
-				for i, c := range fillCands {
-					if math.IsInf(c.rate, 1) || c.rate <= 0 {
-						continue // unmeasurable: keep the traced knob
-					}
-					if float64(c.p)*c.rate*float64(outer) >= fillTarget {
-						continue
-					}
-					if best < 0 || float64(c.p)*c.rate < float64(fillCands[best].p)*fillCands[best].rate {
-						best = i
+				p := max(1, n.Parallelism)
+				if !n.Measurable() || math.IsInf(x, 1) {
+					unmeasured = append(unmeasured, n.Name)
+				} else {
+					claim := x / float64(outer) / n.Rate
+					p = max(1, int(math.Ceil(claim-1e-9)))
+					if cur, err := a.Snapshot.Graph.Node(n.Name); err == nil && cur.EffectiveParallelism() != p {
+						s.notes = append(s.notes, fmt.Sprintf(
+							"parallelism %q: %d -> %d (%.1f minibatches/s/core claims %.2f cores at the %s ceiling, %.1f)",
+							n.Name, cur.EffectiveParallelism(), p, n.Rate, claim, phase, x))
 					}
 				}
-				if best < 0 {
-					break
-				}
-				fillCands[best].p++
-				fillUsed++
+				s.parallelism[n.Name] = p
+				spare -= p - 1
 			}
-			for _, c := range fillCands {
-				s.parallelism[c.name] = c.p
-				if cur, err := a.Snapshot.Graph.Node(c.name); err == nil && cur.EffectiveParallelism() != c.p {
+			for _, name := range unmeasured {
+				if prev := s.parallelism[name]; spare < 0 && prev > 1 {
+					p := max(1, prev+spare)
+					s.parallelism[name], spare = p, spare+prev-p
 					s.notes = append(s.notes, fmt.Sprintf(
-						"parallelism %q: %d -> %d (below the cache; fill-epoch cores from the steady state's leftover budget)",
-						c.name, cur.EffectiveParallelism(), c.p))
+						"parallelism %q degraded %d -> %d (unmeasured knob, %d-core budget binds)", name, prev, p, cores))
 				}
 			}
 		}
-		s.rate = a.PredictRate(ops.Hypothetical{
-			Parallelism:      s.parallelism,
-			CacheAbove:       cacheAbove,
-			WarmCache:        cacheAbove != "",
-			OuterParallelism: outer,
-			Cores:            cores,
-			DiskBandwidth:    b.DiskBandwidth,
-			SourceBandwidth:  b.SourceBandwidth,
-		})
+		size(steady, false, "steady-state")
+		if cacheAbove != "" {
+			size(fill, true, "fill-epoch")
+		}
+
+		hyp.Parallelism, hyp.OuterParallelism = s.parallelism, outer
+		s.rate = a.PredictRate(hyp)
 		return s
 	}
 
@@ -492,16 +346,9 @@ func Solve(a *ops.Analysis, b Budget) (*Plan, error) {
 			"cache above %q: %.0f bytes/replica within the %d-byte budget; joint solve predicts %.1f minibatches/s warm vs %.1f without a cache",
 			p.CacheAbove, p.CacheBytes, b.MemoryBytes, best.rate, base.rate))
 	}
-	p.CoresPlanned = best.coresUsed * best.outer
-	if p.CoresPlanned > cores {
-		// One core per parallel stage is the knob floor; when the budget is
-		// below even that, the stages time-share cores and the plan claims
-		// exactly the budget, never more.
-		p.Notes = append(p.Notes, fmt.Sprintf(
-			"core floor: %d parallel stages need %d cores at parallelism 1 against a %d-core budget; stages time-share",
-			best.stages, p.CoresPlanned, cores))
-		p.CoresPlanned = cores
-	}
+	// The claim is at most the budget by construction (the planned rate
+	// never exceeds the work-conservation bound); min guards the rounding.
+	p.CoresPlanned = int(math.Min(float64(cores), math.Ceil(best.demand-1e-9)))
 
 	// Prefetch: always decouple the consumer at the root, once.
 	if root, err := g.Node(g.Output); err == nil && root.Kind != pipeline.KindPrefetch {

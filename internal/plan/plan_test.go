@@ -39,16 +39,17 @@ func TestSolveWaterFillsCoresTowardTheSlowNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Joint allocation: the 10x-slower map gets every spare core in one
-	// shot, the cheap interleave stays at 1.
-	if got := p.Parallelism["map_1"]; got != 3 {
-		t.Fatalf("map cores = %d, want 3 (water-filled)", got)
+	// Cores are split by CPU demand: at the 4-core work-conservation
+	// ceiling (4 / (1/1000 + 1/100) = 363.6/s) the map claims 3.64 cores
+	// and rounds up to 4 workers, the interleave claims 0.36 and keeps 1.
+	if got := p.Parallelism["map_1"]; got != 4 {
+		t.Fatalf("map knob = %d, want 4 (ceil of a 3.64-core claim)", got)
 	}
 	if got := p.Parallelism["interleave_1"]; got != 1 {
-		t.Fatalf("interleave cores = %d, want 1", got)
+		t.Fatalf("interleave knob = %d, want 1 (a 0.36-core claim)", got)
 	}
-	if p.CoresPlanned > 4 {
-		t.Fatalf("plan claims %d cores, budget 4", p.CoresPlanned)
+	if p.CoresPlanned != 4 {
+		t.Fatalf("plan claims %d cores, want the whole 4-core budget", p.CoresPlanned)
 	}
 	if p.PrefetchBuffer <= 0 {
 		t.Fatal("no root prefetch planned")
@@ -205,7 +206,7 @@ func TestSolveHonorsIndivisibleCoreBudgetUnderReplication(t *testing.T) {
 
 func TestSolvePredictionsAreCalibrated(t *testing.T) {
 	// Observed 50 against the traced bound 100 -> efficiency 0.5; the fill
-	// prediction for map@3 must be 0.5 * min(300, ...) = 150.
+	// prediction for map@4 must be 0.5 * min(400, 4/0.011) = 181.8.
 	a := testAnalysis(50)
 	p, err := Solve(a, Budget{Cores: 4})
 	if err != nil {
@@ -214,19 +215,21 @@ func TestSolvePredictionsAreCalibrated(t *testing.T) {
 	if p.Efficiency != 0.5 {
 		t.Fatalf("efficiency = %v, want 0.5", p.Efficiency)
 	}
-	if p.PredictedFillMinibatchesPerSec != 150 {
-		t.Fatalf("fill prediction = %v, want 150", p.PredictedFillMinibatchesPerSec)
+	if want := 0.5 * 4 / 0.011; math.Abs(p.PredictedFillMinibatchesPerSec-want) > 1e-9 {
+		t.Fatalf("fill prediction = %v, want %v", p.PredictedFillMinibatchesPerSec, want)
 	}
 }
 
-// TestSolveNeverOvercommitsSeededCores pins the core-budget overcommit bug:
-// every measurable parallel stage is seeded at one core before any budget
-// check, so a budget below (#stages × outer) used to yield CoresPlanned >
-// Budget.Cores. The plan must instead degrade outer parallelism and kept
-// knobs, and below the one-core-per-stage floor report at most the budget.
-func TestSolveNeverOvercommitsSeededCores(t *testing.T) {
-	// Three measurable parallel stages against a 2-core budget: even the
-	// seeded minimum (3 cores) exceeds the envelope.
+// TestSolveNeverOvercommitsCores pins the accounting at the edges where
+// whole-core counting used to overcommit or give up: more parallel stages
+// than cores, a sequential bottleneck that wants replicas on an odd budget,
+// and an unmeasured knob traced far above the budget. CoresPlanned is the
+// ceiling of the planned CPU demand and never exceeds the budget; the knob
+// total may, by the rounding only (stages - 1 per replica).
+func TestSolveNeverOvercommitsCores(t *testing.T) {
+	// Three measurable parallel stages against a 2-core budget: at the
+	// 125/s ceiling they claim 0.125 + 1.25 + 0.625 = 2 cores, and only the
+	// map's claim rounds above one worker.
 	a := testAnalysis(90)
 	a.Nodes[2].Parallelizable = true
 	a.Nodes[2].Rate = 200
@@ -235,18 +238,16 @@ func TestSolveNeverOvercommitsSeededCores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.CoresPlanned > 2 {
-		t.Fatalf("plan claims %d cores, budget 2 (knobs %v, outer %d)", p.CoresPlanned, p.Parallelism, p.OuterParallelism)
+	if p.CoresPlanned != 2 {
+		t.Fatalf("plan claims %d cores, want 2 (knobs %v, outer %d)", p.CoresPlanned, p.Parallelism, p.OuterParallelism)
 	}
-	for name, v := range p.Parallelism {
-		if v != 1 {
-			t.Fatalf("knob %q = %d under a sub-floor budget, want 1", name, v)
-		}
+	if got := p.Parallelism; got["interleave_1"] != 1 || got["map_1"] != 2 || got["batch_1"] != 1 {
+		t.Fatalf("knobs %v, want interleave 1, map 2, batch 1", got)
 	}
 
 	// A sequential bottleneck that wants replicas: with 2 measurable stages
-	// and a 3-core budget, outer parallelism must degrade to 1 rather than
-	// claim 2 stages x 2 replicas = 4 cores.
+	// and a 3-core budget, two replicas fit — each runs its stages at half
+	// the rate, so the claim is still the 3-core work-conservation bound.
 	a = testAnalysis(40)
 	a.Nodes[2].Rate = 50 // sequential batch at 50/s drives replication
 	a.Nodes[2].ScaledCapacity = 50
@@ -258,8 +259,8 @@ func TestSolveNeverOvercommitsSeededCores(t *testing.T) {
 		t.Fatalf("plan claims %d cores, budget 3 (outer %d)", p.CoresPlanned, p.OuterParallelism)
 	}
 
-	// An unmeasured knob kept at 8 must be degraded when the budget cannot
-	// cover it alongside the measurable stage's seed.
+	// An unmeasured knob kept at 8 must be degraded when, next to the
+	// measured map's 4 workers, it breaks the budget + stages - 1 bound.
 	a = testAnalysis(90)
 	a.Snapshot.Graph.Nodes[0].Parallelism = 8
 	a.Nodes[0].Parallelism = 8
@@ -272,8 +273,8 @@ func TestSolveNeverOvercommitsSeededCores(t *testing.T) {
 	if p.CoresPlanned > 4 {
 		t.Fatalf("plan claims %d cores, budget 4 (knobs %v)", p.CoresPlanned, p.Parallelism)
 	}
-	if got := p.Parallelism["interleave_1"]; got > 3 {
-		t.Fatalf("unmeasured interleave kept at %d cores under a 4-core budget", got)
+	if got := p.Parallelism; got["interleave_1"] != 1 || got["map_1"] != 4 {
+		t.Fatalf("knobs %v under a 4-core budget, want the measured map at 4 and the unmeasured interleave degraded to 1", got)
 	}
 }
 
@@ -308,23 +309,84 @@ func TestSolveCoresPlannedWithinBudgetSweep(t *testing.T) {
 				t.Fatalf("shape %d budget %d: CoresPlanned %d exceeds budget (knobs %v, outer %d)",
 					si, cores, p.CoresPlanned, p.Parallelism, p.OuterParallelism)
 			}
+			knobs := 0
+			for _, v := range p.Parallelism {
+				knobs += v
+			}
+			outer := p.OuterParallelism
+			if limit := (cores+outer-1)/outer + len(p.Parallelism) - 1; knobs > limit {
+				t.Fatalf("shape %d budget %d: %d knobs per replica exceed budget + stages - 1 = %d (knobs %v, outer %d)",
+					si, cores, knobs, limit, p.Parallelism, outer)
+			}
 		}
 	}
 }
 
 func TestSolveKeepsUnmeasuredKnobs(t *testing.T) {
 	// A parallelizable node with no measurable rate keeps its current knob
-	// instead of being churned to 1.
+	// instead of being churned to 1 — here the disk ceiling stops the map at
+	// 2 workers, so 2 + 2 knobs fit the 4-core budget's bound of 5.
 	a := testAnalysis(90)
 	a.Snapshot.Graph.Nodes[0].Parallelism = 2
 	a.Nodes[0].Parallelism = 2
 	a.Nodes[0].Rate = math.Inf(1)
 	a.Nodes[0].ScaledCapacity = math.Inf(1)
-	p, err := Solve(a, Budget{Cores: 4})
+	a.Nodes[0].IOBytesPerMinibatch = 1 << 20
+	p, err := Solve(a, Budget{Cores: 4, DiskBandwidth: 200 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := p.Parallelism["interleave_1"]; got != 2 {
-		t.Fatalf("unmeasured interleave planned to %d, want kept at 2", got)
+	if got := p.Parallelism; got["interleave_1"] != 2 || got["map_1"] != 2 {
+		t.Fatalf("knobs %v, want the unmeasured interleave kept at 2 beside the map at 2", got)
+	}
+}
+
+// TestSolveSizesKnobsByCPUDemand is the paper's headline shape under the
+// benchmark's budget: a source that costs microseconds and a 16 ms/minibatch
+// decode. Whole-core counting charged the source one of the two cores and
+// left the decode at 1; by demand the source claims 0.004 of a core and the
+// decode both — with the decode running in steady state, and with a cache
+// above it, where it runs only while the cache fills.
+func TestSolveSizesKnobsByCPUDemand(t *testing.T) {
+	mk := func() *ops.Analysis {
+		a := testAnalysis(61)
+		a.Nodes[0].Rate, a.Nodes[0].ScaledCapacity = 30000, 30000
+		a.Nodes[1].Rate, a.Nodes[1].ScaledCapacity = 62.5, 62.5
+		a.Nodes[2].Rate, a.Nodes[2].ScaledCapacity = 50000, 50000 // sequential batch
+		return a
+	}
+	for _, mem := range []int64{0, 64 << 20} {
+		p, err := Solve(mk(), Budget{Cores: 2, MemoryBytes: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (p.CacheAbove != "") != (mem > 0) {
+			t.Fatalf("memory %d: cache above %q", mem, p.CacheAbove)
+		}
+		if got := p.Parallelism; got["map_1"] != 2 || got["interleave_1"] != 1 {
+			t.Fatalf("memory %d: knobs %v, want decode 2 and source 1", mem, got)
+		}
+		if p.CoresPlanned != 2 {
+			t.Fatalf("memory %d: plan claims %d cores, want 2", mem, p.CoresPlanned)
+		}
+		// The fill prediction is the 2-core ceiling, calibrated by the
+		// planning trace (61 observed against the decode's 62.5).
+		want := 61 / 62.5 * 2 / (1/30000.0 + 1/62.5 + 1/50000.0)
+		if got := p.PredictedFillMinibatchesPerSec; math.Abs(got-want) > 1e-6 {
+			t.Fatalf("memory %d: fill prediction %v, want %v", mem, got, want)
+		}
+		// One core: every claim is below one, every knob stays 1.
+		p, err = Solve(mk(), Budget{Cores: 1, MemoryBytes: mem})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, v := range p.Parallelism {
+			if v != 1 {
+				t.Fatalf("memory %d: knob %q = %d under a 1-core budget, want 1", mem, name, v)
+			}
+		}
+		if p.CoresPlanned != 1 {
+			t.Fatalf("memory %d: 1-core plan claims %d cores", mem, p.CoresPlanned)
+		}
 	}
 }

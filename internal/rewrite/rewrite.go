@@ -85,10 +85,11 @@ func DefaultRewrites(b Budget) []Rewrite {
 	}
 }
 
-// ParallelCoresInUse counts the cores the program's knobs currently claim:
-// the sum of parallelism over parallelizable Datasets, multiplied by outer
-// parallelism. Sequential plumbing nodes are not charged — they time-share
-// the consumer's core.
+// ParallelCoresInUse counts the workers the program's knobs start: the sum
+// of parallelism over parallelizable Datasets, multiplied by outer
+// parallelism. A worker is not a core — a stage running at rate X keeps
+// X/R_i of one busy — so under a plan sized by CPU demand this total can
+// exceed the core budget by the rounding, (stages − 1) per replica.
 func ParallelCoresInUse(g *pipeline.Graph) int {
 	cores := 0
 	for _, n := range g.Nodes {
@@ -148,9 +149,11 @@ func uniqueName(g *pipeline.Graph, base string) string {
 
 // RaiseParallelism steps the parallelism knob of the lowest-capacity
 // parallelizable Dataset — the sequential tuner's move (§5.1). It stops
-// when the core budget binds, when no parallelizable Dataset exists, or
-// when the target's capacity already meets the pipeline's ceiling (raising
-// it further cannot improve end-to-end throughput).
+// when no parallelizable Dataset exists or when the target's capacity
+// already meets the pipeline's ceiling (raising it further cannot improve
+// end-to-end throughput). The core budget binds through that ceiling — its
+// work-conservation bound — so a knob ends at the ceiling of its stage's
+// CPU claim, where plan.Solve puts it in one shot.
 type RaiseParallelism struct {
 	// MaxPerNode caps any single Dataset's knob; 0 means uncapped.
 	MaxPerNode int
@@ -162,9 +165,6 @@ func (RaiseParallelism) Name() string { return NameRaiseParallelism }
 // Apply implements Rewrite.
 func (r RaiseParallelism) Apply(a *ops.Analysis, b Budget) (*pipeline.Graph, Step, bool, error) {
 	g := a.Snapshot.Graph
-	if b.Cores > 0 && ParallelCoresInUse(g) >= b.Cores {
-		return nil, Step{}, false, nil
-	}
 	target, ok := a.NextParallelizableBottleneck()
 	if !ok {
 		return nil, Step{}, false, nil

@@ -98,9 +98,19 @@ func TestRaiseParallelismStepsTheBottleneck(t *testing.T) {
 func TestRaiseParallelismStopsWhenCoresBind(t *testing.T) {
 	inf := math.Inf(1)
 	a := testAnalysis(t, 400, 50, inf)
-	// interleave(1) + map(1) already claim the 2-core budget.
-	if _, _, applied := applyChecked(t, RaiseParallelism{}, a, Budget{Cores: 2}); applied {
+	// One core's work-conservation ceiling, 1/(1/400+1/50) = 44.4/s, is
+	// below the map's single-worker capacity: nothing to raise.
+	if _, _, applied := applyChecked(t, RaiseParallelism{}, a, Budget{Cores: 1}); applied {
 		t.Fatal("raise-parallelism should not apply when the core budget binds")
+	}
+	// Two cores lift the ceiling to 88.9/s: the map claims 1.78 cores and
+	// takes a second worker, although the two knobs then total 3.
+	g, _, applied := applyChecked(t, RaiseParallelism{}, a, Budget{Cores: 2})
+	if !applied {
+		t.Fatal("raise-parallelism should size the map by its CPU claim, not by the knob count")
+	}
+	if n, _ := g.Node("map_1"); n.Parallelism != 2 {
+		t.Fatalf("map parallelism = %d, want 2", n.Parallelism)
 	}
 }
 

@@ -48,7 +48,9 @@ type StepReport struct {
 	// CapacityCeiling is the budget-constrained end-to-end ceiling
 	// (0 encodes an unbounded ceiling: no budget or sequential cap binds).
 	CapacityCeiling float64 `json:"capacity_ceiling"`
-	// ParallelCores is the core claim of the program's knobs at this step.
+	// ParallelCores is the worker total of the program's knobs at this step
+	// (rewrite.ParallelCoresInUse). Workers are not cores: the CPU the plan
+	// claims is Plan.CoresPlanned.
 	ParallelCores int `json:"parallel_cores"`
 	// Applied is the rewrite this step fired, nil on the converged step.
 	Applied *rewrite.Step `json:"applied,omitempty"`
