@@ -1,0 +1,332 @@
+package plumber
+
+import (
+	"encoding/json"
+	"io"
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"plumber/internal/data"
+	"plumber/internal/engine"
+	"plumber/internal/ops"
+	"plumber/internal/pipeline"
+	"plumber/internal/rewrite"
+	"plumber/internal/scenario"
+	"plumber/internal/simfs"
+	"plumber/internal/udf"
+)
+
+// The vision shape of the benchmark: 6 shards of 80 records of 8 000 bytes,
+// a decode that costs 1 ms a record and quadruples it, minibatches of 16 —
+// 30 minibatches, 16 ms each untuned. The auxiliary catalog pairs each
+// record with a second view of the same size: §A rescales the bytes of the
+// files seen by one global m/n, which holds only among files of like size,
+// and a cut trace sees a different number of files on each branch.
+var (
+	boundedCatalog = data.Catalog{
+		Name: "bounded-vision", NumFiles: 6, RecordsPerFile: 80, MeanRecordBytes: 8000,
+		RecordBytesStddevFrac: 0.004, DecodeAmplification: 4,
+	}
+	boundedAuxCatalog = data.Catalog{
+		Name: "bounded-vision-aux", NumFiles: 6, RecordsPerFile: 80, MeanRecordBytes: 8000,
+		RecordBytesStddevFrac: 0.004, DecodeAmplification: 1,
+	}
+	boundedOnce sync.Once
+)
+
+func boundedOptions(t *testing.T) Options {
+	t.Helper()
+	boundedOnce.Do(func() {
+		for _, c := range []data.Catalog{boundedCatalog, boundedAuxCatalog} {
+			if err := data.RegisterCatalog(c); err != nil {
+				panic(err)
+			}
+		}
+	})
+	fs := simfs.New(simfs.Device{Name: "bounded-mem"}, false)
+	fs.AddCatalog(boundedCatalog, 1)
+	fs.AddCatalog(boundedAuxCatalog, 1)
+	reg := udf.NewRegistry()
+	if err := reg.Register(udf.UDF{Name: "bounded_decode", Cost: udf.Cost{CPUPerByte: 1.25e-7, SizeFactor: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	return Options{FS: fs, UDFs: reg, Seed: 1, WorkScale: 1, Spin: true}
+}
+
+// boundedMain is src -> decode, the branch every graph below is built on.
+func boundedMain() *pipeline.Builder {
+	return pipeline.NewBuilder().
+		Named("src").Interleave(boundedCatalog.Name, 1).
+		Named("decode").Map("bounded_decode", 1)
+}
+
+func boundedGraph(t *testing.T, shape string) *pipeline.Graph {
+	t.Helper()
+	b := boundedMain()
+	switch shape {
+	case "chain":
+	case "repeat": // the retune shape: a Repeat below the batch
+		b = b.Named("epochs").Repeat(2)
+	case "zip", "concat":
+		aux := pipeline.NewBuilder().Named("aux").Interleave(boundedAuxCatalog.Name, 1).MustBuild()
+		if shape == "zip" {
+			b = pipeline.ZipOf(b.MustBuild(), aux)
+		} else {
+			b = pipeline.ConcatOf(b.MustBuild(), aux)
+		}
+	default:
+		t.Fatalf("unknown shape %q", shape)
+	}
+	g, err := b.Named("batch").Batch(16).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func traceAnalysis(t *testing.T, g *pipeline.Graph, opts Options) *ops.Analysis {
+	t.Helper()
+	snap, err := Trace(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	an, err := Analyze(snap, opts.UDFs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return an
+}
+
+// within reports |got - want| <= tol * |want|, with two infinities equal.
+func within(got, want, tol float64) bool {
+	if math.IsInf(want, 1) || math.IsInf(got, 1) {
+		return math.IsInf(want, 1) && math.IsInf(got, 1)
+	}
+	return math.Abs(got-want) <= tol*math.Abs(want)
+}
+
+// TestBoundedTraceAgreesWithWholePass: a trace cut after 5 of 30 minibatches
+// must analyze to the whole pass's numbers. Every parallel stage runs ahead
+// of the root by its edge's depth, and at the parent commit all of that
+// counted as demand: the chain's source read V = 49 for 16, a disk cost
+// three times too high and a dataset a quarter too small.
+func TestBoundedTraceAgreesWithWholePass(t *testing.T) {
+	for _, shape := range []string{"chain", "zip", "repeat"} {
+		opts := boundedOptions(t)
+		g := boundedGraph(t, shape)
+		whole := traceAnalysis(t, g, opts)
+		opts.MaxMinibatches = 5
+		cut := traceAnalysis(t, g, opts)
+		if got := cut.Nodes[len(cut.Nodes)-1].Completions; got != 5 {
+			t.Fatalf("%s: the bounded trace completed %d minibatches, want 5", shape, got)
+		}
+		if !within(cut.DatasetBytes, whole.DatasetBytes, 0.05) {
+			t.Errorf("%s: DatasetBytes %.0f, whole pass %.0f", shape, cut.DatasetBytes, whole.DatasetBytes)
+		}
+		for i, w := range whole.Nodes {
+			c := cut.Nodes[i]
+			for _, f := range []struct {
+				name      string
+				got, want float64
+				tol       float64
+			}{
+				{"VisitRatio", c.VisitRatio, w.VisitRatio, 0.02},
+				{"Rate", c.Rate, w.Rate, 0.02},
+				{"IOBytesPerMinibatch", c.IOBytesPerMinibatch, w.IOBytesPerMinibatch, 0.02},
+				{"MaterializedBytes", c.MaterializedBytes, w.MaterializedBytes, 0.05},
+			} {
+				if !within(f.got, f.want, f.tol) {
+					t.Errorf("%s: %s %s = %.6g, whole pass %.6g", shape, w.Name, f.name, f.got, f.want)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundedTraceOfConcatReadsTheBranchItSaw: a Concat is not stationary —
+// a prefix inside its first branch says nothing of the second — so the bar
+// is that the branch it did see is charged one element per element the
+// Concat passed on, however far its source had run ahead, at the whole
+// pass's cost per element.
+func TestBoundedTraceOfConcatReadsTheBranchItSaw(t *testing.T) {
+	opts := boundedOptions(t)
+	g := boundedGraph(t, "concat")
+	whole := traceAnalysis(t, g, opts)
+	opts.MaxMinibatches = 5
+	cut := traceAnalysis(t, g, opts)
+	for _, name := range []string{"src", "decode"} {
+		c, err := cut.Node(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, _ := whole.Node(name)
+		if !within(c.VisitRatio, 16, 0.02) {
+			t.Errorf("%s VisitRatio = %.4g inside the first branch, want the batch's 16", name, c.VisitRatio)
+		}
+		if !within(c.LocalRate, w.LocalRate, 0.02) {
+			t.Errorf("%s LocalRate = %.6g, whole pass %.6g", name, c.LocalRate, w.LocalRate)
+		}
+	}
+}
+
+// planFirst runs ModePlanFirst the way Optimize does, with the given stop
+// rule on its two traces.
+func planFirst(t *testing.T, g *pipeline.Graph, budget Budget, opts Options, stop engine.StopRule) *Result {
+	t.Helper()
+	opts = opts.withDefaults()
+	opts.Machine.Cores = budget.Cores
+	if opts.Caches == nil {
+		opts.Caches = engine.NewCacheStore()
+	}
+	res := &Result{Mode: ModePlanFirst, Initial: g.Clone(), Budget: budget}
+	if err := optimizePlanFirst(res, g.Clone(), budget, opts, stop); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// countingSettled is engine.Settled, counting in *cut the traces it stopped.
+func countingSettled(cut *int) engine.StopRule {
+	return func(done []time.Duration) (float64, bool) {
+		rate, ok := engine.Settled(done)
+		if ok {
+			*cut++
+		}
+		return rate, ok
+	}
+}
+
+// TestBoundedOptimizeMatchesWholePass: on the six canonical scenarios the
+// program planned from traces that stop when the rate has settled is the one
+// planned from whole passes — every knob, cache point and prefetch — and the
+// two predictions are within 5 % (where the shards are alike: a prefix of
+// skewed ones reads their rate, not the pass's). The modeled CPU is burned,
+// twice over, so the traces take real time and those of the scenarios
+// with 100 ms of work or more do settle.
+func TestBoundedOptimizeMatchesWholePass(t *testing.T) {
+	cut := 0
+	counting := countingSettled(&cut)
+	for _, spec := range scenario.Suite(false) {
+		w, err := scenario.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No refinement: it re-plans from how far the verifying trace's
+		// wall-clock rate fell short, which on a loaded host is anything.
+		opts := Options{Source: w.Source, UDFs: w.Registry, Seed: spec.Seed, WorkScale: 2, Spin: true, RefineTolerance: -1}
+		budget := Budget{Cores: 4, MemoryBytes: 64 << 20, DiskBandwidth: w.DiskBandwidth}
+		// The predictions scale with the planning trace's wall-clock rate,
+		// which other load on the host only ever lowers: compare the best of
+		// a few attempts on each side. If the whole passes do not repeat
+		// within the 5 % themselves, the host cannot resolve the question.
+		var bounded, whole float64
+		lowest := math.Inf(1)
+		for attempt := 0; attempt < 4 && (attempt == 0 || !within(bounded, whole, 0.05)); attempt++ {
+			b := planFirst(t, w.Graph, budget, opts, counting)
+			f := planFirst(t, w.Graph, budget, opts, nil)
+			bj, _ := json.Marshal(b.Final)
+			fj, _ := json.Marshal(f.Final)
+			if string(bj) != string(fj) {
+				t.Fatalf("%s: bounded traces planned\n%s\nwhole passes planned\n%s", spec.Name, bj, fj)
+			}
+			if b.TracesUsed != f.TracesUsed {
+				t.Fatalf("%s: %d traces bounded, %d whole", spec.Name, b.TracesUsed, f.TracesUsed)
+			}
+			bounded = math.Max(bounded, b.PredictedMinibatchesPerSec)
+			whole = math.Max(whole, f.PredictedMinibatchesPerSec)
+			lowest = math.Min(lowest, f.PredictedMinibatchesPerSec)
+		}
+		switch {
+		case within(bounded, whole, 0.05):
+		case spec.FileSizeSkew > 0:
+			// Shards of different record sizes, read one after another: the
+			// rate of the first few is not the rate of the pass, and no
+			// prefix can know. The plan, above, still has to be the same.
+			t.Logf("%s: predicted %.1f mb/s from the shards a bounded trace saw, %.1f from all of them", spec.Name, bounded, whole)
+		case !within(lowest, whole, 0.05):
+			t.Logf("%s: unresolved — whole passes alone predicted %.1f to %.1f mb/s (bounded: %.1f)", spec.Name, lowest, whole, bounded)
+		default:
+			t.Errorf("%s: predicted %.1f mb/s from bounded traces, %.1f from whole passes", spec.Name, bounded, whole)
+		}
+	}
+	if cut < 2 {
+		t.Fatalf("only %d traces stopped before EOF: the comparison tested nothing", cut)
+	}
+}
+
+// delivered is what one drain handed the consumer, in terms that do not
+// depend on the order a parallel map finished its elements in.
+type delivered struct {
+	minibatches, examples int
+	bytes, byteSum        uint64
+}
+
+// drain drains g to EOF through the store.
+func drain(t *testing.T, g *pipeline.Graph, opts Options, store *engine.CacheStore) delivered {
+	t.Helper()
+	p, err := engine.New(g, engine.Options{FS: opts.source(), UDFs: opts.UDFs, Seed: opts.Seed, Caches: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var d delivered
+	for {
+		e, err := p.Next()
+		if err == io.EOF {
+			return d
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.minibatches++
+		d.examples += e.Count
+		d.bytes += uint64(len(e.Payload))
+		for _, b := range e.Payload {
+			d.byteSum += uint64(b)
+		}
+	}
+}
+
+// TestBoundedOptimizeLeavesNoPartialCache: plan-first plans a cache above the
+// batch and cuts its verifying trace after a dozen of the thirty minibatches.
+// What that trace recorded must not be in the caller's store as an epoch: the
+// next pass through the store has to fill the cache from the source and
+// deliver everything, and only the pass after that is served from memory.
+func TestBoundedOptimizeLeavesNoPartialCache(t *testing.T) {
+	opts := boundedOptions(t)
+	g := boundedGraph(t, "chain")
+	var res *Result
+	// On a host too loaded for a steady rate the verifying trace runs to
+	// EOF and fills the cache for good: that attempt shows nothing.
+	for attempt, cut := 0, 0; cut < 2; attempt++ {
+		if attempt == 3 {
+			t.Skip("the verifying trace never settled in 3 attempts")
+		}
+		cut = 0
+		opts.Caches = engine.NewCacheStore() // the caller's store, as Options.Caches
+		res = planFirst(t, g, Budget{Cores: 2, MemoryBytes: 256 << 20}, opts, countingSettled(&cut))
+	}
+	if !res.Trail.Has(rewrite.NameInsertCache) || res.TracesUsed != 2 {
+		t.Fatalf("want a cache planned and verified in 2 traces, got trail %v and %d traces", res.Trail, res.TracesUsed)
+	}
+	records := int64(boundedCatalog.NumFiles * boundedCatalog.RecordsPerFile)
+	for pass, fromSource := range []int64{records, 0} {
+		snap, err := Trace(res.Final, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := snap.Nodes["src"].ElementsProduced; got != fromSource {
+			t.Fatalf("pass %d after Optimize read %d records from the source, want %d", pass+1, got, fromSource)
+		}
+		if got := snap.Nodes["batch"].ElementsProduced; pass == 0 && got != records/16 {
+			t.Fatalf("pass 1 after Optimize batched %d minibatches, want %d", got, records/16)
+		}
+	}
+	plain := opts
+	plain.Spin, plain.WorkScale = false, 0
+	if got, want := drain(t, res.Final, plain, opts.Caches), drain(t, g, plain, nil); got != want {
+		t.Fatalf("the cache the first pass filled serves %+v, the untuned program delivers %+v", got, want)
+	}
+}

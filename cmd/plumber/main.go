@@ -104,7 +104,7 @@ func (w *workload) register(fs *flag.FlagSet) {
 	fs.Float64Var(&w.workScale, "workscale", 1, "scale factor on modeled CPU time (0 disables CPU modeling)")
 	fs.BoolVar(&w.spin, "spin", false, "burn modeled CPU for real so wallclock reflects the cost model")
 	fs.Uint64Var(&w.seed, "seed", 42, "seed for shard content and shuffles")
-	fs.Int64Var(&w.minibatches, "minibatches", 0, "bound each trace drain to N minibatches (0 = one full pass)")
+	fs.Int64Var(&w.minibatches, "minibatches", 0, "hard cap on each trace drain, in minibatches (0 = none)")
 }
 
 func (w *workload) catalog() data.Catalog {

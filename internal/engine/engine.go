@@ -111,7 +111,7 @@ type Pipeline struct {
 	opts   Options
 	caches *CacheStore
 	mu     sync.Mutex
-	closed bool
+	closed atomic.Bool // set under mu as Close begins; stopping reads it without
 
 	// graph is the live program: the (cloned) graph the current tree was
 	// built from, updated by Reconfigure. graphMu guards it because the
@@ -426,6 +426,12 @@ func (p *Pipeline) cancelWith(cause error) {
 	})
 }
 
+// stopping reports whether an io.EOF from below may be a cut stream, not an
+// exhausted one: a quiesce barrier, a Cancel, or a Close winding stages down.
+func (p *Pipeline) stopping() bool {
+	return p.quiesce.Load() || p.closed.Load() || p.CancelCause() != nil
+}
+
 // iterLatch returns a registered done latch for a parallel iterator. Latches
 // created after cancellation come pre-closed, so subtrees the Repeat
 // operator builds mid-cancel never start real work.
@@ -471,10 +477,10 @@ func (p *Pipeline) ErrorStats() ErrorStats {
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		return nil
 	}
-	p.closed = true
+	p.closed.Store(true)
 	close(p.closedCh) // unblock any Reconfigure waiting for a barrier
 	if p.watchStop != nil {
 		close(p.watchStop)

@@ -40,6 +40,16 @@ type item struct {
 // below a minibatch's time wherever the stage's cost matters at all.
 const handoffQuantum = time.Millisecond
 
+// The settle rule's thresholds (Settled, tracerun.go), a time where it can
+// be in quanta: a trace settles on no less than settleMinSpan of completions
+// whose last two thirds each hold settleMinPerThird and agree in rate within
+// settleTolerance, once that rate is known to a quarter of the tolerance.
+const (
+	settleMinSpan     = 50 * handoffQuantum
+	settleMinPerThird = 4
+	settleTolerance   = 0.10
+)
+
 var chunkPool sync.Pool
 
 func getChunk(capacity int) []item {
@@ -70,9 +80,14 @@ func putChunk(c []item) {
 // chunks: ready starts a clock at the chunk's first element (after any wait
 // for a pool slot), flush stops it before sending (so a blocked send is not
 // counted either) and sets the next chunk to handoffQuantum of work at the
-// rate just measured. That is two clock reads per chunk, none per element.
-// An emitter whose owner never calls ready keeps size fixed.
+// rate just measured. That rate can go stale — a source sized inside its
+// device's burst, then throttled — so add re-reads the clock whenever the
+// fill reaches a power of two (six reads at most for 64 elements, none at a
+// cap of one) and sends a chunk a quantum old as it is: at a steady pace
+// nothing is held past two quanta. An emitter whose owner never calls ready
+// keeps size fixed and reads no clock.
 type chunkEmitter struct {
+	p     *Pipeline // retires a chunk nobody will take
 	h     handoff
 	w     int // producer index: which ring shard this emitter owns
 	done  <-chan struct{}
@@ -80,7 +95,8 @@ type chunkEmitter struct {
 	max   int // Options.ChunkSize
 	sl    *slot
 	buf   []item
-	since time.Time // when the chunk in hand began filling; zero until ready runs
+	since time.Time        // when the chunk in hand began filling; zero until ready runs
+	clock func() time.Time // time.Now outside tests
 }
 
 // emitter returns a time-sized emitter for worker w of a parallel stage. It
@@ -88,44 +104,55 @@ type chunkEmitter struct {
 // been timed, and guessing high would hold the first ChunkSize elements of
 // an expensive stage back from the consumer.
 func (p *Pipeline) emitter(h handoff, w int, done <-chan struct{}, sl *slot) chunkEmitter {
-	return chunkEmitter{h: h, w: w, done: done, size: 1, max: p.chunkSize(), sl: sl}
+	return chunkEmitter{p: p, h: h, w: w, done: done, size: 1, max: p.chunkSize(), sl: sl, clock: time.Now}
 }
 
 // ready is called by a worker before it produces each element. It takes the
 // worker's pool slot — a no-op re-check while the slot is held; it re-arms
-// after a flush released the slot to make a blocking send — and starts the
-// chunk's clock. It returns false when the pipeline is shutting down.
+// after a flush released the slot to make a blocking send — and at a chunk's
+// first element looks at the stage's latch and starts the chunk's clock. It
+// returns false when the pipeline is shutting down: a worker whose sends
+// never block (room on the edge, no pool) learns it nowhere else.
 func (ce *chunkEmitter) ready() bool {
 	if !ce.sl.acquire() {
 		return false
 	}
+	if len(ce.buf) == 0 {
+		select {
+		case <-ce.done:
+			return false
+		default:
+		}
+	}
 	if ce.max > 1 && ce.since.IsZero() { // at a cap of one there is nothing to size
-		ce.since = time.Now()
+		ce.since = ce.clock()
 	}
 	return true
 }
 
-// add appends one item, flushing when the chunk is full. It returns false
-// when the consumer has gone away.
+// add appends one item, flushing when the chunk is full or has aged a
+// quantum. It returns false when the consumer has gone away.
 func (ce *chunkEmitter) add(it item) bool {
 	if ce.buf == nil {
 		ce.buf = getChunk(ce.max)
 	}
 	ce.buf = append(ce.buf, it)
-	if len(ce.buf) >= ce.size {
+	n := len(ce.buf)
+	if n >= ce.size || n&(n-1) == 0 && !ce.since.IsZero() && ce.clock().Sub(ce.since) >= handoffQuantum {
 		return ce.flush()
 	}
 	return true
 }
 
-// flush sends any buffered items. Safe to call multiple times.
+// flush sends any buffered items. Safe to call multiple times. A chunk the
+// edge refuses (the stage is shutting down) is retired.
 func (ce *chunkEmitter) flush() bool {
 	if len(ce.buf) == 0 {
 		return true
 	}
 	if !ce.since.IsZero() {
 		n := int64(ce.max)
-		if took := time.Since(ce.since); took > 0 {
+		if took := ce.clock().Sub(ce.since); took > 0 {
 			n = min(n, max(1, int64(len(ce.buf))*int64(handoffQuantum)/int64(took)))
 		}
 		ce.size, ce.since = int(n), time.Time{}
@@ -142,7 +169,17 @@ func (ce *chunkEmitter) flush() bool {
 		ce.buf = nil
 		return true
 	}
+	ce.p.retire(ce.buf)
+	ce.buf = nil
 	return false
+}
+
+// retire releases the payloads of items no consumer will take, so an arena
+// block never waits on a view nobody holds.
+func (p *Pipeline) retire(items []item) {
+	for _, it := range items {
+		p.releasePayload(it.elem)
+	}
 }
 
 // chunkReceiver drains chunks on the consumer side, yielding one item at a
@@ -185,6 +222,17 @@ func (cr *chunkReceiver) next(h handoff, cancel <-chan struct{}, g *seqGate) (da
 			return data.Element{}, io.EOF
 		}
 		cr.pending, cr.pos = c, 0
+	}
+}
+
+// discard retires what the consumer never took: the rest of the chunk in
+// hand and every chunk left on the edge. Called from the stage's Close once
+// its workers have exited.
+func (cr *chunkReceiver) discard(p *Pipeline, h handoff) {
+	p.retire(cr.pending[cr.pos:])
+	cr.pending, cr.pos = nil, 0
+	for c, ok := h.tryRecv(&cr.prefer); ok; c, ok = h.tryRecv(&cr.prefer) {
+		p.retire(c)
 	}
 }
 
@@ -462,6 +510,7 @@ func (s *sourceIter) Close() error {
 			s.p.opts.Pool.Interrupt() // wake workers blocked in Acquire or parked on the ring
 		}
 		s.wg.Wait()
+		s.recv.discard(s.p, s.out)
 		s.out.detach()
 		if s.handle != nil {
 			parks, steals := s.out.stats()
@@ -531,6 +580,8 @@ func (m *mapIter) worker(w int) {
 	traced := tr.traced()
 	sm := trace.NewSampler(m.p.sampleEvery())
 	in := make([]item, 0, m.p.chunkSize())
+	next := 0                                // the first of in not yet handed to the UDF
+	defer func() { m.p.retire(in[next:]) }() // pulled, never applied: shutting down
 	for {
 		if m.eof.Load() {
 			return
@@ -543,8 +594,9 @@ func (m *mapIter) worker(w int) {
 		for i := range in {
 			in[i] = item{}
 		}
-		in = in[:0]
+		in, next = in[:0], 0
 		m.childMu.Lock()
+		var first time.Time // when this pull had its first input in hand
 		for len(in) < em.size {
 			e, err := m.child.Next()
 			if err == io.EOF {
@@ -554,6 +606,16 @@ func (m *mapIter) worker(w int) {
 			in = append(in, item{elem: e, err: err})
 			if err != nil {
 				break
+			}
+			// The pull was sized by this worker's own work: a slower child
+			// must not keep the inputs in hand from the UDF while the rest
+			// trickle in. The clock is read when the count doubles, as in add.
+			if n := len(in); n < em.size && n&(n-1) == 0 {
+				if now := em.clock(); n == 1 {
+					first = now
+				} else if now.Sub(first) >= handoffQuantum {
+					break
+				}
 			}
 		}
 		// Gated sequential stages below this map keep their segment's slot
@@ -565,10 +627,12 @@ func (m *mapIter) worker(w int) {
 		// Apply the UDF to the chunk under a pool slot, returned before the
 		// next pull so shares enforce per chunk. The pull above holds no
 		// slot — it is mostly a channel receive.
-		for _, it := range in {
+		for next < len(in) {
 			if !em.ready() {
 				return
 			}
+			it := in[next]
+			next++
 			if it.err != nil {
 				em.add(item{err: it.err})
 				return
@@ -659,6 +723,7 @@ func (m *mapIter) Close() error {
 			m.p.opts.Pool.Interrupt() // wake workers blocked in Acquire or parked on the ring
 		}
 		m.wg.Wait()
+		m.recv.discard(m.p, m.out)
 		m.out.detach()
 		if m.handle != nil {
 			parks, steals := m.out.stats()
@@ -1082,7 +1147,7 @@ func (p *prefetchIter) start() {
 		defer p.wg.Done()
 		defer p.out.close()
 		defer p.childGate.close()
-		em := chunkEmitter{h: p.out, w: 0, done: p.latch.ch, size: cs, max: cs}
+		em := chunkEmitter{p: p.p, h: p.out, w: 0, done: p.latch.ch, size: cs, max: cs}
 		if p.childGate != nil {
 			// A blocking flush must not sit on the sequential segment's
 			// admission slot (same invariant as the worker emitters).
@@ -1140,6 +1205,7 @@ func (p *prefetchIter) Close() error {
 			p.p.opts.Pool.Interrupt() // wake a producer parked on the ring
 		}
 		p.wg.Wait()
+		p.recv.discard(p.p, p.out)
 		p.out.detach()
 		if p.handle != nil {
 			parks, steals := p.out.stats()
@@ -1296,10 +1362,11 @@ func (c *cacheIter) Next() (data.Element, error) {
 	}
 	e, err := c.child.Next()
 	if err == io.EOF {
-		// A quiesce-cut EOF is not epoch exhaustion: the entry holds only
-		// a prefix, so it must not be marked complete. Same for a
-		// passthrough cache, which recorded nothing.
-		if !c.passthrough && (c.p == nil || !c.p.quiesce.Load()) {
+		// An EOF cut by a quiesce barrier, a Cancel or a Close is not epoch
+		// exhaustion: the entry holds only a prefix, so it must not be
+		// marked complete. Same for a passthrough cache, which recorded
+		// nothing.
+		if !c.passthrough && (c.p == nil || !c.p.stopping()) {
 			c.entry.mu.Lock()
 			c.entry.complete = true
 			c.entry.mu.Unlock()

@@ -111,10 +111,7 @@ type pendingReconfig struct {
 func (p *Pipeline) Reconfigure(patch Patch) (ReconfigReport, error) {
 	p.reconfMu.Lock()
 	defer p.reconfMu.Unlock()
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	if closed {
+	if p.closed.Load() {
 		return ReconfigReport{}, errors.New("engine: Reconfigure on closed pipeline")
 	}
 	if cause := p.CancelCause(); cause != nil {
@@ -212,7 +209,7 @@ func (p *Pipeline) applyReconfig(pr *pendingReconfig) error {
 	applyStart := time.Now()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.closed {
+	if p.closed.Load() {
 		p.finishReconfig(pr, errors.New("engine: pipeline closed during reconfiguration"))
 		return io.EOF
 	}

@@ -1,0 +1,367 @@
+package engine
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"sync"
+	"testing"
+	"time"
+
+	"plumber/internal/connector"
+	"plumber/internal/data"
+	"plumber/internal/pipeline"
+	"plumber/internal/simfs"
+	"plumber/internal/trace"
+)
+
+// stream builds completion times: each gap(k) after the one before.
+func stream(n int, gap func(k int) time.Duration) []time.Duration {
+	out := make([]time.Duration, n)
+	t := 7 * time.Millisecond // start-up: the rule must not care
+	for k := range out {
+		t += gap(k)
+		out[k] = t
+	}
+	return out
+}
+
+// firstSettled returns the shortest prefix of done the rule settles on.
+func firstSettled(done []time.Duration) (n int, rate float64) {
+	for n = 1; n <= len(done); n++ {
+		if r, ok := Settled(done[:n]); ok {
+			return n, r
+		}
+	}
+	return 0, 0
+}
+
+// TestSettleRule pins the stop rule as a function of completion times alone.
+func TestSettleRule(t *testing.T) {
+	const ms = time.Millisecond
+	steady := func(gap time.Duration) func(int) time.Duration {
+		return func(int) time.Duration { return gap }
+	}
+	for _, tc := range []struct {
+		name string
+		done []time.Duration
+		// at is the prefix length the rule must first settle on (0: never),
+		// or with atLeast set a lower bound on it; rate is X_0, within 5 %.
+		at      int
+		atLeast bool
+		rate    float64
+	}{
+		// 4 + 4 + 4 completions are the fewest whose thirds hold four each.
+		{name: "16 ms apart settles at the minimum count", done: stream(60, steady(16*ms)), at: 3 * settleMinPerThird, rate: 62.5},
+		// 2 ms apart the count is there long before the 50 ms are.
+		{name: "2 ms apart settles at the minimum span", done: stream(200, steady(2*ms)), at: int(settleMinSpan/(2*ms)) + 1, rate: 500},
+		{name: "a fifth of jitter still settles", done: stream(60, func(k int) time.Duration { return 16*ms + time.Duration(k%3-1)*3*ms }), at: 12, atLeast: true, rate: 62.5},
+		// 100 free completions (a token bucket's burst), then the device's
+		// pace: no estimate may come from a window the burst is still in.
+		{name: "burst then steady", done: stream(300, func(k int) time.Duration {
+			if k < 100 {
+				return 50 * time.Microsecond
+			}
+			return 16 * ms
+		}), at: 100 + 8, atLeast: true, rate: 62.5},
+		// A 64-element handoff of a 1 ms source under batches of 16: a rate
+		// read off two or three lumps is whatever the window's edges make
+		// it. Over ten of them the slope is the rate.
+		{name: "lumps of four settle late", done: stream(400, func(k int) time.Duration {
+			if k%4 == 0 {
+				return 64 * ms
+			}
+			return 10 * time.Microsecond
+		}), at: 40, atLeast: true, rate: 62.5},
+		{name: "a stream that keeps slowing never settles", done: stream(600, func(k int) time.Duration {
+			return time.Duration(float64(ms) * math.Pow(1.02, float64(k)))
+		})},
+		{name: "seven completions are too few", done: stream(7, steady(200*ms))},
+		{name: "40 ms are too short", done: stream(4000, steady(10*time.Microsecond))},
+	} {
+		n, rate := firstSettled(tc.done)
+		switch {
+		case tc.at == 0 && n != 0:
+			t.Errorf("%s: settled after %d completions on %.1f/s, want never (the trace runs to EOF)", tc.name, n, rate)
+		case tc.at != 0 && (n == 0 || n < tc.at || !tc.atLeast && n != tc.at):
+			t.Errorf("%s: settled after %d completions, want %d (at least: %v)", tc.name, n, tc.at, tc.atLeast)
+		case tc.at != 0 && math.Abs(rate-tc.rate) > 0.05*tc.rate:
+			t.Errorf("%s: settled on %.2f/s, want %.2f within 5 %%", tc.name, rate, tc.rate)
+		}
+	}
+}
+
+// slowCatalog is read at 1 ms a record through slowFS: 1 000-byte records
+// behind a 1 MB/s device. Its 512 records are half a second of reading.
+var slowCatalog = data.Catalog{
+	Name: "engine-test-slow", NumFiles: 4, RecordsPerFile: 128, MeanRecordBytes: 984,
+	RecordBytesStddevFrac: 0.01, DecodeAmplification: 1,
+}
+
+var registerSlowOnce sync.Once
+
+// slowFS serves slowCatalog from a throttled device whose token bucket has
+// already handed out its burst, so the first record costs what the last does.
+func slowFS(t *testing.T) connector.Connector {
+	t.Helper()
+	testSetup(t)
+	registerSlowOnce.Do(func() {
+		if err := data.RegisterCatalog(slowCatalog); err != nil {
+			panic(err)
+		}
+	})
+	fs := simfs.New(simfs.Device{Name: "slow", TotalBandwidth: 1e6, PerStreamBandwidth: 1e6}, true)
+	fs.AddCatalog(slowCatalog, 7)
+	// The bucket starts with a quarter second of bandwidth: two shards' worth.
+	for _, path := range fs.List()[:2] {
+		r, err := fs.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, r); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	}
+	return connector.FromSimFS(fs)
+}
+
+// TestCloseLatencyWithRoomOnEveryEdge: a pipeline whose sends never block —
+// deep edges, no shared pool — must still stop when it is closed. Workers
+// used to learn of a closed latch only from a blocked send, so Close after
+// the third minibatch waited for the source to read the rest of the epoch
+// (here ~460 ms). Every view the canceled stages held must be back in its
+// arena block, which only the arena_debug build counts.
+func TestCloseLatencyWithRoomOnEveryEdge(t *testing.T) {
+	_, reg := testSetup(t)
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(slowCatalog.Name, 1).
+		Named("work").Map("noop", 1).
+		Batch(16).
+		MustBuild()
+	for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
+		base := arenaLive()
+		ok, detail := bestOf(func() (bool, string) {
+			p, err := New(g, Options{FS: slowFS(t), UDFs: reg, Handoff: kind, ChannelSlack: 1024})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, _, err := p.Drain(3); err != nil || n != 3 {
+				t.Fatalf("%s: drained %d minibatches: %v", kind, n, err)
+			}
+			start := time.Now()
+			if err := p.Close(); err != nil {
+				t.Fatal(err)
+			}
+			took := time.Since(start)
+			return took < 20*time.Millisecond, took.String()
+		})
+		if !ok {
+			t.Errorf("%s: Close after the third minibatch took %s, want < 20ms", kind, detail)
+		}
+		if live := arenaLive(); live != base {
+			t.Errorf("%s: %d arena blocks still live after the closed drains", kind, live-base)
+		}
+	}
+}
+
+// TestCanceledFillCommitsNoCache: a cache whose fill is cut — by Cancel, or
+// by a Close that winds the stages below it down through their latches —
+// holds a prefix, and must not be left in a shared store as a whole epoch.
+func TestCanceledFillCommitsNoCache(t *testing.T) {
+	fs, reg := testSetup(t)
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(testCatalog.Name, 2).
+		Named("work").Map("noop", 2).
+		Batch(8).
+		Named("hot").Cache().
+		Prefetch(4).
+		MustBuild()
+	records := int64(testCatalog.NumFiles * testCatalog.RecordsPerFile)
+	for _, how := range []string{"cancel", "close", "close pooled"} {
+		store := NewCacheStore()
+		opts := Options{FS: fs, UDFs: reg, Caches: store, ChunkSize: 4}
+		if how == "close pooled" {
+			opts.Pool, opts.PoolTenant = NewSharedPool(2), "t"
+			if err := opts.Pool.Admit("t", 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := New(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.Drain(2); err != nil {
+			t.Fatal(err)
+		}
+		if how == "cancel" {
+			p.Cancel()
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		store.mu.Lock()
+		for key, e := range store.entries {
+			if e.complete {
+				t.Errorf("%s: entry %q holds %d of %d minibatches and is marked complete", how, key, len(e.elems), records/8)
+			}
+		}
+		store.mu.Unlock()
+		// The next pipeline on the store fills from scratch and delivers all.
+		opts.Pool = nil
+		again, err := New(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, examples, err := again.Drain(0); err != nil || examples != records {
+			t.Errorf("%s: the next drain through the store delivered %d examples (%v), want %d", how, examples, err, records)
+		}
+		again.Close()
+	}
+}
+
+// fakeClock is a chunkEmitter clock the test advances by hand.
+type fakeClock struct{ now time.Time }
+
+func (c *fakeClock) read() time.Time { return c.now }
+
+// heldLog is a stage edge that records, for every element sent, how long the
+// emitter held it: the fake clock at the send minus the clock when the
+// element was added.
+type heldLog struct {
+	handoff
+	clock *fakeClock
+	born  []time.Time
+	held  []time.Duration
+	sizes []int
+}
+
+func (l *heldLog) trySend(w int, c []item) bool {
+	for range c {
+		l.held = append(l.held, l.clock.now.Sub(l.born[len(l.held)]))
+	}
+	l.sizes = append(l.sizes, len(c))
+	return true
+}
+
+// emitPaced runs n elements through a time-sized emitter on a fake clock;
+// element k takes cost(k) to produce. It returns the edge's log.
+func emitPaced(n int, cost func(k int) time.Duration) *heldLog {
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	l := &heldLog{clock: clk}
+	p := &Pipeline{opts: Options{ChunkSize: 64}}
+	em := p.emitter(l, 0, nil, &slot{})
+	em.clock = clk.read
+	for k := 0; k < n; k++ {
+		em.ready()
+		clk.now = clk.now.Add(cost(k))
+		l.born = append(l.born, clk.now)
+		em.add(item{})
+	}
+	em.flush()
+	return l
+}
+
+func longest(ds []time.Duration) time.Duration {
+	var m time.Duration
+	for _, d := range ds {
+		m = max(m, d)
+	}
+	return m
+}
+
+// TestChunkAgeBound: a chunk is sized by the pace it was measured at and
+// re-examined whenever its fill doubles, so an emitter never sits on an
+// element for long after the pace drops. At a steady pace no element waits
+// more than two quanta and the element being produced; when the pace drops
+// mid-chunk, the wait is bounded by the chunk's fill at that moment — what a
+// doubling schedule can promise — and the chunk after it is sized right.
+// Before, a chunk was only looked at when full: a source sized to 64 in its
+// device's burst held its first throttled records for 63 ms.
+func TestChunkAgeBound(t *testing.T) {
+	const q = handoffQuantum
+	for _, per := range []time.Duration{q / 200, q / 20, q / 3, q, 3 * q} {
+		l := emitPaced(400, func(int) time.Duration { return per })
+		if got, bound := longest(l.held), 2*q+per; got > bound {
+			t.Errorf("%v a element: an element was held %v, want <= %v (chunks %v)", per, got, bound, l.sizes)
+		}
+	}
+	// A fast stage keeps full-size chunks: the age check must not cut them.
+	if l := emitPaced(1+10*64, func(int) time.Duration { return q / 200 }); fmt.Sprint(l.sizes[1:]) != fmt.Sprint([]int{64, 64, 64, 64, 64, 64, 64, 64, 64, 64}) {
+		t.Errorf("5 µs an element: chunks %v, want one probe and ten of 64", l.sizes)
+	}
+	// free elements of a burst, then 1 ms each. The chunk in hand when the
+	// burst ends holds fill elements; every later one is sized to the pace.
+	for _, tc := range []struct{ free, fill int }{{1, 0}, {2, 1}, {3, 2}, {9, 8}, {100, 35}} {
+		l := emitPaced(tc.free+200, func(k int) time.Duration {
+			if k < tc.free {
+				return 0
+			}
+			return q
+		})
+		bound := max(2*q, time.Duration(tc.fill)*q) + q
+		if got := longest(l.held); got > bound {
+			t.Errorf("%d free elements then 1 ms each: an element was held %v, want <= %v (chunks %v)", tc.free, got, bound, l.sizes)
+		}
+		if got := longest(l.held[tc.free+64:]); got > 3*q {
+			t.Errorf("%d free elements then 1 ms each: %v held long after the pace dropped (chunks %v)", tc.free, got, l.sizes)
+		}
+	}
+}
+
+// TestBoundedTraceRun drives TraceRun itself on the throttled source. With
+// the settle rule it stops well short of the epoch, reads the device's pace
+// and closes within a few records' time — on a host loaded enough to stall
+// the consumer for tens of milliseconds the rule holds out longer, so that
+// case gets three attempts. A rule that never fires leaves a whole pass, and
+// max stays a hard cap under a rule. Every file is recorded at its size.
+func TestBoundedTraceRun(t *testing.T) {
+	_, reg := testSetup(t)
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(slowCatalog.Name, 1).
+		Named("work").Map("noop", 1).
+		Named("batch").Batch(16).
+		MustBuild()
+	total := int64(slowCatalog.NumFiles * slowCatalog.RecordsPerFile / 16)
+	run := func(max int64, stop StopRule) (*trace.Snapshot, int64, time.Duration) {
+		start := time.Now()
+		snap, err := TraceRun(g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, max, stop)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Files) == 0 || snap.TotalFiles != slowCatalog.NumFiles || snap.SourceFiles["src"] != slowCatalog.NumFiles {
+			t.Errorf("snapshot files %v of %d (%v)", snap.Files, snap.TotalFiles, snap.SourceFiles)
+		}
+		for path, size := range snap.Files {
+			if want, _ := slowFSSize(t, path); size != want {
+				t.Errorf("%s recorded as %d bytes, the file has %d", path, size, want)
+			}
+		}
+		return snap, snap.Nodes["batch"].ElementsProduced, time.Since(start)
+	}
+	if _, root, _ := run(6, Settled); root != 6 {
+		t.Errorf("settle rule under a cap of 6: %d root completions", root)
+	}
+	if _, root, _ := run(0, func([]time.Duration) (float64, bool) { return 0, false }); root != total {
+		t.Errorf("a rule that never fires: %d root completions, want the epoch's %d", root, total)
+	}
+	ok, detail := bestOf(func() (bool, string) {
+		snap, root, took := run(0, Settled)
+		// 16 records of 1 000 framed bytes at 1 MB/s: 62.5 minibatches/s.
+		rate := float64(root) / snap.Duration.Seconds()
+		limit := time.Duration(root)*16*time.Millisecond + 100*time.Millisecond
+		return root >= 3*settleMinPerThird && root <= 2*total/3 && math.Abs(rate-62.5) <= 6.25 && took <= limit,
+			fmt.Sprintf("%d of %d minibatches in %v, X_0 = %.1f/s", root, total, took, rate)
+	})
+	if !ok {
+		t.Errorf("settle rule: %s; want a prefix of the epoch at the device's 62.5/s, dropped and not drained", detail)
+	}
+}
+
+// slowFSSize stats a slowCatalog shard on a fresh filesystem.
+func slowFSSize(t *testing.T, path string) (int64, error) {
+	t.Helper()
+	fs := simfs.New(simfs.Device{Name: "slow-stat"}, false)
+	fs.AddCatalog(slowCatalog, 7)
+	return fs.Stat(path)
+}

@@ -40,7 +40,6 @@ import (
 	"sync"
 
 	"plumber/internal/connector"
-	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
@@ -78,7 +77,8 @@ type Tenant struct {
 	WorkScale float64
 	// Spin makes trace workers burn modeled CPU for real.
 	Spin bool
-	// MaxMinibatches bounds the planning trace; 0 drains one full pass.
+	// MaxMinibatches is a hard cap on the planning trace's root elements;
+	// 0 means none (the trace still stops once its rate has settled).
 	MaxMinibatches int64
 	// DiskBandwidth is the tenant's own storage ceiling in bytes/second
 	// (e.g. the simulated device's total bandwidth); 0 means unbounded.
@@ -571,49 +571,23 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 	return dec, nil
 }
 
-// traceTenant runs the tenant's one planning trace and operationalizes it,
-// mirroring the façade's Trace + Analyze without importing it. All reads go
-// through the tenant's storage connector.
+// traceTenant runs the tenant's one planning trace — the shared traced
+// drain, stopped once the tenant's rate has settled — and operationalizes
+// it. All reads go through the tenant's storage connector. Tenants are
+// traced one after another, as they are admitted: a trace measures what the
+// pipeline does with the host to itself, and two spinning tenants sharing a
+// few cores would each read the other's load into its rates.
 func (a *Arbiter) traceTenant(t Tenant, src connector.Connector) (*ops.Analysis, error) {
-	if err := t.Graph.Validate(); err != nil {
-		return nil, err
-	}
-	col, err := trace.NewCollector(t.Graph, trace.Machine{Name: "host", Cores: a.budget.Cores})
-	if err != nil {
-		return nil, err
-	}
-	src.AddObserver(col)
-	defer src.RemoveObserver(col)
-	p, err := engine.New(t.Graph, engine.Options{
+	snap, err := engine.TraceRun(t.Graph, engine.Options{
 		FS:        src,
 		UDFs:      t.UDFs,
-		Collector: col,
 		WorkScale: t.WorkScale,
 		Spin:      t.Spin,
 		Seed:      t.Seed,
-	})
+	}, trace.Machine{Name: "host", Cores: a.budget.Cores}, t.MaxMinibatches, engine.Settled)
 	if err != nil {
 		return nil, err
-	}
-	if _, _, err := p.Drain(t.MaxMinibatches); err != nil {
-		p.Close()
-		return nil, err
-	}
-	if err := p.Close(); err != nil {
-		return nil, err
-	}
-	srcs, err := t.Graph.Sources()
-	if err != nil {
-		return nil, err
-	}
-	totalFiles := 0
-	for _, sn := range srcs {
-		cat, err := data.CatalogByName(sn.Catalog)
-		if err != nil {
-			return nil, err
-		}
-		totalFiles += cat.NumFiles
 	}
 	a.traces++
-	return ops.Analyze(col.Snapshot(0, totalFiles), t.UDFs)
+	return ops.Analyze(snap, t.UDFs)
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 
 	"plumber/internal/pipeline"
 	"plumber/internal/trace"
@@ -114,16 +115,23 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 	}
 
 	// Dataset size: rescale the observed file-byte subsample to the full
-	// catalog (§A "to deal with large datasets ... rescale by m/n").
+	// catalog (§A "to deal with large datasets ... rescale by m/n") — source
+	// by source when the trace counted each one's shards.
+	bySource := sourceBytes(snap, chain)
 	observed := float64(snap.ObservedFileBytes())
-	if a.ObservedFiles > 0 && a.TotalFiles > a.ObservedFiles {
+	switch {
+	case bySource != nil:
+		for _, b := range bySource {
+			a.DatasetBytes += b
+		}
+	case a.ObservedFiles > 0 && a.TotalFiles > a.ObservedFiles:
 		a.DatasetBytes = observed * float64(a.TotalFiles) / float64(a.ObservedFiles)
-	} else {
+	default:
 		a.DatasetBytes = observed
 	}
 
-	// Pass 1 (root -> source direction conceptually, but computable in one
-	// sweep): visit ratios and rates.
+	// Pass 1: visit ratios and rates.
+	visit := visitRatios(chain, statsChain)
 	nodes := make([]NodeAnalysis, len(chain))
 	for i, n := range chain {
 		ns := statsChain[i]
@@ -134,8 +142,8 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			Parallelizable: n.Parallelizable(),
 			Completions:    ns.ElementsProduced,
 			CPUSeconds:     ns.CPUSeconds(),
+			VisitRatio:     visit[n.Name],
 		}
-		na.VisitRatio = float64(ns.ElementsProduced) / rootCompletions
 		if na.CPUSeconds > 0 {
 			na.LocalRate = float64(ns.ElementsProduced) / na.CPUSeconds
 		} else {
@@ -147,11 +155,11 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			na.Rate = math.Inf(1)
 		}
 		na.ScaledCapacity = float64(na.Parallelism) * na.Rate
-		if n.IsSource() && rootCompletions > 0 {
-			na.IOBytesPerMinibatch = float64(ns.BytesRead) / rootCompletions
-		}
 		if ns.ElementsProduced > 0 {
 			na.BytesPerElement = float64(ns.BytesProduced) / float64(ns.ElementsProduced)
+			if n.IsSource() { // bytes per record x records per minibatch: read-ahead is not demand
+				na.IOBytesPerMinibatch = float64(ns.BytesRead) / float64(ns.ElementsProduced) * na.VisitRatio
+			}
 		}
 		nodes[i] = na
 	}
@@ -178,7 +186,9 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 		case n.IsSource():
 			// share of DatasetBytes × records-per-byte; the BytesRead
 			// terms cancel into produced_i / totalRead.
-			if totalRead > 0 {
+			if b, ok := bySource[n.Name]; ok && ns.BytesRead > 0 {
+				c = b * float64(ns.ElementsProduced) / float64(ns.BytesRead)
+			} else if totalRead > 0 {
 				c = a.DatasetBytes * float64(ns.ElementsProduced) / totalRead
 			}
 		case n.Kind == pipeline.KindRepeat && n.Count < 0:
@@ -198,8 +208,8 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			}
 		default:
 			c = card[n.Input]
-			if ns.ElementsConsumed > 0 {
-				c *= float64(ns.ElementsProduced) / float64(ns.ElementsConsumed)
+			if consumed, produced, ok := pulled(n, ns); ok {
+				c *= produced / consumed
 			}
 		}
 		card[n.Name] = c
@@ -257,6 +267,94 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 
 	a.Nodes = nodes
 	return a, nil
+}
+
+// sourceBytes estimates the stored bytes behind every source (§A): the sizes
+// of its files the trace saw, rescaled by its own m/n. A file belongs to the
+// source whose catalog names a directory of its path, as in the collector's
+// attribution of reads. Nil when the snapshot has no per-source shard counts.
+func sourceBytes(snap *trace.Snapshot, chain []pipeline.Node) map[string]float64 {
+	if len(snap.SourceFiles) == 0 {
+		return nil
+	}
+	out := make(map[string]float64, len(snap.SourceFiles))
+	for _, n := range chain {
+		m, ok := snap.SourceFiles[n.Name]
+		if !ok {
+			continue
+		}
+		seen, files := 0.0, 0
+		for path, size := range snap.Files {
+			if len(snap.SourceFiles) == 1 || strings.Contains(path, "/"+n.Catalog+"/") {
+				seen, files = seen+float64(size), files+1
+			}
+		}
+		if files > 0 && m > files {
+			seen = seen * float64(m) / float64(files)
+		}
+		out[n.Name] = seen
+	}
+	return out
+}
+
+// pulled returns what the stage took from its inputs and what it made of it:
+// the local ratio visit ratios and cardinalities both chain through. A trace
+// stopped mid-stream catches a stage with elements pulled and not yet turned
+// into output (a partial batch, a shuffle buffer); a stage that cannot drop
+// elements never needs more per output than its shape says, so that excess
+// is cut off. ok is false for a stage that counted no pulls or no output.
+func pulled(n pipeline.Node, ns *trace.NodeStats) (consumed, produced float64, ok bool) {
+	if ns.ElementsConsumed <= 0 || ns.ElementsProduced <= 0 {
+		return 0, 0, false
+	}
+	consumed, produced = float64(ns.ElementsConsumed), float64(ns.ElementsProduced)
+	most := produced
+	switch n.Kind {
+	case pipeline.KindMap, pipeline.KindFilter:
+		most = consumed // may drop: whatever it pulled, it needed
+	case pipeline.KindBatch:
+		most *= float64(n.BatchSize)
+	case pipeline.KindZip:
+		most *= float64(len(n.Inputs))
+	}
+	return math.Min(consumed, most), produced, true
+}
+
+// visitRatios returns V_i by node name. The root's is 1; an input's is its
+// consumer's times what the consumer pulled from it per element produced, so
+// a stage that ran ahead of the root — every parallel stage does, by its
+// edge's depth — is charged what was asked of it, not what it has in flight.
+// A Zip pulls from each input equally; a Concat's pulls split by what each
+// input produced. Below a consumer that counted no pulls (a cache serving
+// from memory) the ratio falls back to completions per root completion.
+func visitRatios(chain []pipeline.Node, st []*trace.NodeStats) map[string]float64 {
+	made := make(map[string]float64, len(chain))
+	for i, n := range chain {
+		made[n.Name] = float64(st[i].ElementsProduced)
+	}
+	root := chain[len(chain)-1].Name
+	v := map[string]float64{root: 1}
+	for j := len(chain) - 1; j >= 0; j-- { // topological order reversed: consumers first
+		n := chain[j]
+		consumed, produced, ok := pulled(n, st[j])
+		var all float64
+		for _, in := range n.InputNames() {
+			all += made[in]
+		}
+		for _, in := range n.InputNames() {
+			switch {
+			case !ok:
+				v[in] = made[in] / made[root]
+			case n.Kind == pipeline.KindZip:
+				v[in] = v[n.Name] * consumed / produced / float64(len(n.Inputs))
+			case n.Kind == pipeline.KindConcat && all > 0:
+				v[in] = v[n.Name] * consumed / produced * made[in] / all
+			default:
+				v[in] = v[n.Name] * consumed / produced
+			}
+		}
+	}
+	return v
 }
 
 // AtOrBelow returns the set of node names at or below the named node — the

@@ -106,11 +106,17 @@ type Snapshot struct {
 	Duration time.Duration `json:"duration"`
 	// Nodes holds per-node counters keyed by node name.
 	Nodes map[string]*NodeStats `json:"nodes"`
-	// Files maps observed filename -> framed bytes consumed to EOF.
+	// Files maps observed filename -> framed bytes consumed to EOF. A
+	// tracer that can Stat the backend (engine.TraceRun) puts the file's
+	// size here, so a file read half-way, or twice, still counts once whole.
 	Files map[string]int64 `json:"files"`
 	// TotalFiles is the catalog's total shard count (known from the
 	// serialized program), used to rescale subsampled size estimates.
 	TotalFiles int `json:"total_files"`
+	// SourceFiles is the same count per source Dataset, by name, when the
+	// tracer knows it: a graph's catalogs are not samples of one population,
+	// and the rescale then runs source by source.
+	SourceFiles map[string]int `json:"source_files,omitempty"`
 	// DiskProfile is the fitted parallelism->bandwidth curve, if profiled.
 	DiskProfile *simfs.BandwidthProfile `json:"disk_profile,omitempty"`
 }
@@ -133,6 +139,7 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		Nodes:       make(map[string]*NodeStats, len(s.Nodes)),
 		Files:       make(map[string]int64, len(s.Files)),
 		TotalFiles:  s.TotalFiles,
+		SourceFiles: s.SourceFiles,
 		DiskProfile: s.DiskProfile,
 	}
 	for name, ns := range s.Nodes {

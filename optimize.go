@@ -25,10 +25,16 @@ const (
 	// trace, a one-shot LP-style joint allocation (internal/plan), one
 	// rewrite materializing the whole plan, one verifying trace, and
 	// bounded greedy refinement only if the observed rate misses the
-	// prediction by more than Options.RefineTolerance.
+	// prediction by more than Options.RefineTolerance. Both traces are
+	// bounded: each stops as soon as the root's rate has settled
+	// (engine.Settled) and drops what is in flight, so neither fills a
+	// cache; a stream that never settles is traced for its whole pass.
 	ModePlanFirst Mode = "plan-first"
 	// ModeGreedy is the sequential closed loop (trace -> analyze -> apply
 	// the first applicable remedy -> re-trace) kept for A/B comparison.
+	// Its traces — and those of plan-first's refinement, which runs the
+	// same loop — are whole passes: the step after a cache insertion reads
+	// the cache warm, and only a completed pass fills it.
 	ModeGreedy Mode = "greedy"
 )
 
@@ -95,8 +101,9 @@ type Result struct {
 	// PredictionError is |observed - predicted| / predicted between the
 	// verifying trace and PredictedMinibatchesPerSec (plan-first only).
 	PredictionError float64 `json:"prediction_error,omitempty"`
-	// TracesUsed counts full pipeline drains this run consumed — the cost
-	// the predictive planner exists to minimize.
+	// TracesUsed counts the traced runs this call consumed — the cost the
+	// predictive planner exists to minimize. Plan-first's two stop when the
+	// rate has settled; every greedy step's is a whole pass.
 	TracesUsed int `json:"traces_used"`
 }
 
@@ -146,9 +153,9 @@ func Optimize(g *pipeline.Graph, budget Budget, opts Options) (*Result, error) {
 	var err error
 	switch opts.Mode {
 	case ModePlanFirst:
-		err = optimizePlanFirst(res, g.Clone(), budget, opts)
+		err = optimizePlanFirst(res, g.Clone(), budget, opts, engine.Settled)
 	case ModeGreedy:
-		err = optimizeGreedy(res, g.Clone(), budget, opts)
+		res.Final, err = greedyLoop(res, g.Clone(), budget, opts, opts.MaxSteps, nil)
 	default:
 		err = fmt.Errorf("plumber: unknown optimize mode %q", opts.Mode)
 	}
@@ -160,8 +167,10 @@ func Optimize(g *pipeline.Graph, budget Budget, opts Options) (*Result, error) {
 
 // optimizePlanFirst implements ModePlanFirst: 1 trace -> plan -> apply ->
 // 1 verifying trace -> bounded greedy refinement only on a prediction miss.
-func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Options) error {
-	an, err := traceAnalyze(res, cur, opts)
+// stop bounds the two traces; nil makes them whole passes, which is what the
+// tests compare the bounded ones against.
+func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Options, stop engine.StopRule) error {
+	an, err := traceAnalyze(res, cur, opts, stop)
 	if err != nil {
 		return fmt.Errorf("plumber: plan trace: %w", err)
 	}
@@ -186,9 +195,10 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 	// spuriously trigger refinement. Without Spin the modeled CPU is
 	// virtual (only accounted), real work is the per-element engine
 	// overhead that parallelizes with the knobs, and the budget's cores
-	// are the honest predictor. The verify trace is a fill epoch (any
-	// planned cache starts cold, and — sharing the run's CacheStore — is
-	// warm afterwards).
+	// are the honest predictor. The verify trace is the start of a fill
+	// epoch: any planned cache starts cold, and stays cold — the trace is
+	// canceled once its rate has settled, and a canceled fill commits
+	// nothing to the CacheStore.
 	verifyCores := budget.Cores
 	if opts.Spin {
 		if n := runtime.NumCPU(); n > 0 && n < verifyCores {
@@ -214,7 +224,7 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 		res.Final = cur
 		return nil
 	}
-	an2, err := traceAnalyze(res, cur, opts)
+	an2, err := traceAnalyze(res, cur, opts, stop)
 	if err != nil {
 		return fmt.Errorf("plumber: plan verify trace: %w", err)
 	}
@@ -242,16 +252,6 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 	return nil
 }
 
-// optimizeGreedy implements ModeGreedy, the sequential closed loop.
-func optimizeGreedy(res *Result, cur *pipeline.Graph, budget Budget, opts Options) error {
-	cur, err := greedyLoop(res, cur, budget, opts, opts.MaxSteps, nil)
-	if err != nil {
-		return err
-	}
-	res.Final = cur
-	return nil
-}
-
 // greedyLoop runs up to maxSteps trace -> analyze -> first-applicable-
 // rewrite iterations starting from cur, appending to res.Steps/res.Trail.
 // A non-nil initial analysis (from a trace the caller already ran on cur)
@@ -268,7 +268,7 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 		step := len(res.Steps)
 		if an == nil {
 			var err error
-			an, err = traceAnalyze(res, cur, opts)
+			an, err = traceAnalyze(res, cur, opts, nil)
 			if err != nil {
 				return nil, fmt.Errorf("plumber: optimize step %d: %w", step, err)
 			}
@@ -300,7 +300,7 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 	}
 	// Step budget exhausted with the last rewrite unmeasured: one final
 	// trace so the reported rate matches the returned program.
-	an, err := traceAnalyze(res, cur, opts)
+	an, err := traceAnalyze(res, cur, opts, nil)
 	if err != nil {
 		return nil, fmt.Errorf("plumber: optimize final trace: %w", err)
 	}
@@ -310,9 +310,10 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 	return cur, nil
 }
 
-// traceAnalyze runs one accounted trace of cur and operationalizes it.
-func traceAnalyze(res *Result, cur *pipeline.Graph, opts Options) (*ops.Analysis, error) {
-	snap, err := Trace(cur, opts)
+// traceAnalyze runs one accounted trace of cur — a whole pass, or with a
+// stop rule until it fires — and operationalizes it.
+func traceAnalyze(res *Result, cur *pipeline.Graph, opts Options, stop engine.StopRule) (*ops.Analysis, error) {
+	snap, err := traceUntil(cur, opts, stop)
 	if err != nil {
 		return nil, err
 	}

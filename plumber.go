@@ -19,7 +19,6 @@ import (
 	"runtime"
 
 	"plumber/internal/connector"
-	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
@@ -137,52 +136,33 @@ const defaultMaxSteps = 32
 // Trace instantiates the graph on the engine with tracing attached, drains
 // it (to EOF, or MaxMinibatches root elements if set), and returns the
 // joined snapshot of the serialized program and every Dataset's counters.
+// A drain cut short by MaxMinibatches analyzes to the rates of the whole
+// pass: the analyzer charges each Dataset for what the root asked of it,
+// not for what it had produced ahead (internal/ops).
 func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
+	return traceUntil(g, opts, nil)
+}
+
+// traceUntil is Trace with a stop rule (engine.TraceRun): nil drains the
+// whole pass, engine.Settled stops once the root's rate has settled.
+func traceUntil(g *pipeline.Graph, opts Options, stop engine.StopRule) (*trace.Snapshot, error) {
 	src := opts.source()
 	if src == nil {
 		return nil, errors.New("plumber: Options.FS or Options.Source is required")
 	}
 	opts = opts.withDefaults()
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	col, err := trace.NewCollector(g, opts.Machine)
-	if err != nil {
-		return nil, err
-	}
-	src.AddObserver(col)
-	defer src.RemoveObserver(col)
-	p, err := engine.New(g, engine.Options{
+	snap, err := engine.TraceRun(g, engine.Options{
 		FS:        src,
 		UDFs:      opts.UDFs,
-		Collector: col,
 		WorkScale: opts.WorkScale,
 		Spin:      opts.Spin,
 		Seed:      opts.Seed,
 		Caches:    opts.Caches,
-	})
+	}, opts.Machine, opts.MaxMinibatches, stop)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("plumber: %w", err)
 	}
-	if _, _, err := p.Drain(opts.MaxMinibatches); err != nil {
-		p.Close() // Close is idempotent and error-swallowing here is fine: the drain error wins
-		return nil, fmt.Errorf("plumber: trace drain: %w", err)
-	}
-	// Close before snapshotting: sequential iterators flush their buffered
-	// counter shards on Close, and a snapshot taken earlier would undercount
-	// every node by up to one flush interval.
-	if err := p.Close(); err != nil {
-		return nil, fmt.Errorf("plumber: trace close: %w", err)
-	}
-	// A missing catalog would leave TotalFiles at 0 and silently skew the
-	// §A dataset-size rescale — propagate instead. (engine.New resolved the
-	// same catalog already, so this fails only if it was unregistered
-	// mid-trace.)
-	totalFiles, err := totalSourceFiles(g)
-	if err != nil {
-		return nil, fmt.Errorf("plumber: trace source catalog: %w", err)
-	}
-	return col.Snapshot(0, totalFiles), nil
+	return snap, nil
 }
 
 // Analyze operationalizes a snapshot: visit ratios, per-core rates, scaled
@@ -190,23 +170,4 @@ func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
 // nil, in which case all UDFs are treated as deterministic.
 func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*ops.Analysis, error) {
 	return ops.Analyze(snap, reg)
-}
-
-// totalSourceFiles sums NumFiles over every source catalog in the graph —
-// the denominator of the §A dataset-size rescale. Branch catalogs of a
-// DAG-shaped pipeline all count: the tracer attributes reads per source.
-func totalSourceFiles(g *pipeline.Graph) (int, error) {
-	srcs, err := g.Sources()
-	if err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, n := range srcs {
-		cat, err := data.CatalogByName(n.Catalog)
-		if err != nil {
-			return 0, err
-		}
-		total += cat.NumFiles
-	}
-	return total, nil
 }
