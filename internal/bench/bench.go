@@ -67,7 +67,7 @@ type Spec struct {
 	// 1 = per-element baseline.
 	ChunkSize int `json:"chunk_size"`
 	// Handoff selects the stage-edge implementation: "ring" (sharded SPMC
-	// rings + arena payload views) or "channel" (the buffered-Go-channel
+	// rings + borrowed payload views) or "channel" (the buffered-Go-channel
 	// A/B baseline). Empty means the engine default (ring).
 	Handoff string `json:"handoff,omitempty"`
 	// DisablePool turns off pooled record buffers and payload recycling.

@@ -6,7 +6,10 @@
 // a cold-start ramp.
 //
 // The interface is deliberately small — Open/Stat/List plus the three
-// contracts the rest of the system depends on:
+// contracts the rest of the system depends on (a Reader may also implement
+// two optional extensions: Skipper, a forward seek that serves nothing, and
+// Viewer, a read that hands out the backend's own bytes instead of copying
+// them; both keep the contracts below):
 //
 //   - Rewind: a reader repositions to a recorded offset so a framed-record
 //     read that failed mid-record replays the exact same byte range under
@@ -72,6 +75,29 @@ type Reader interface {
 // previous reader already consumed.
 type Skipper interface {
 	SkipTo(off int64) error
+}
+
+// Viewer is the optional zero-copy extension of Reader, for backends whose
+// bytes are already in memory: View serves the next n bytes as a slice of
+// the backend's own storage instead of copying them into the caller's
+// buffer. One View call is one Read call in every other respect — the fault
+// plan is consulted once before any byte is served (a faulted View consumes
+// no offset), the bytes and the call reach ReadObservers and the backend's
+// counters through the same batched flush, throttling and modeled latency
+// apply, and Offset/Rewind/SkipTo see the bytes as served. With fewer than n
+// bytes left View serves the remainder and returns io.ErrUnexpectedEOF; at
+// end of file it returns io.EOF.
+//
+// The slice is read-only: it aliases the dataset every other reader of the
+// connector is served from, so a write through it corrupts the catalog for
+// the rest of the process. It is capped at its length (an append
+// reallocates) and stays valid after Close. The simfs adapter and the
+// object store implement Viewer; LocalFS, which has nothing in memory to
+// alias, does not. The engine reads through it only on chains where it can
+// prove that no operator writes a record before the first copy (see
+// engine/arena.go).
+type Viewer interface {
+	View(n int) ([]byte, error)
 }
 
 // SkipTo positions r at off from either direction. Forward skips use the

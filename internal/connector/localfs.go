@@ -2,12 +2,14 @@ package connector
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"plumber/internal/data"
@@ -28,8 +30,11 @@ type LocalFS struct {
 	observers []ReadObserver
 	bytesRead int64
 	readCalls int64
-	faults    *simfs.Injector
 	hint      float64
+
+	// faults is the installed plan's injector, nil when none; every read
+	// call consults it, so it is an atomic load rather than a trip through mu.
+	faults atomic.Pointer[simfs.Injector]
 }
 
 type localFile struct {
@@ -146,30 +151,20 @@ func (l *LocalFS) BandwidthHint() float64 {
 
 // SetFaults implements Connector, reusing the simfs injector verbatim.
 func (l *LocalFS) SetFaults(plan *FaultPlan) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	if plan == nil {
-		l.faults = nil
+		l.faults.Store(nil)
 		return
 	}
-	l.faults = simfs.NewInjector(*plan)
+	l.faults.Store(simfs.NewInjector(*plan))
 }
 
 // FaultStats implements Connector.
 func (l *LocalFS) FaultStats() FaultStats {
-	l.mu.Lock()
-	fi := l.faults
-	l.mu.Unlock()
+	fi := l.faults.Load()
 	if fi == nil {
 		return FaultStats{}
 	}
 	return fi.Stats()
-}
-
-func (l *LocalFS) injector() *simfs.Injector {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.faults
 }
 
 // TotalBytesRead reports aggregate bytes served since creation.
@@ -205,14 +200,31 @@ func (l *LocalFS) Open(path string) (Reader, error) {
 	return &localReader{fs: l, path: path, f: file}, nil
 }
 
+// readAheadPool recycles localReader read-ahead buffers (observeFlushBytes
+// each), so reopening shards every epoch does not allocate one per open.
+var readAheadPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, observeFlushBytes)
+		return &b
+	},
+}
+
 // localReader streams one real file with fault injection, offset tracking
-// for retry replay, and batched read observation.
+// for retry replay, and batched read observation. The file is read through
+// one read-ahead buffer: a record reader's three small reads per record
+// (header, payload, footer) become one read(2) per observeFlushBytes, while
+// faults, read-call counts and offsets stay per logical Read.
 type localReader struct {
 	fs     *LocalFS
 	path   string
 	f      *os.File
-	off    int64
+	off    int64 // logical offset: the next byte Read serves
 	closed bool
+
+	// ahead holds file bytes read but not yet served; the file's own offset
+	// is off+len(ahead). ra is the pooled buffer ahead is a window of.
+	ahead []byte
+	ra    *[]byte
 
 	pendingBytes int64
 	pendingCalls int64
@@ -220,12 +232,13 @@ type localReader struct {
 }
 
 // Read implements io.Reader. Faults fire before any byte is served, so a
-// failed read consumes no offset and retries replay the same range.
+// failed read consumes no offset and retries replay the same range. Like a
+// read(2) on a regular file, it fills p unless the file ends first.
 func (r *localReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, fmt.Errorf("localfs: read %s: closed", r.path)
 	}
-	if fi := r.fs.injector(); fi != nil {
+	if fi := r.fs.faults.Load(); fi != nil {
 		delay, err := fi.Inject(r.path, r.off, &r.stalled)
 		if delay > 0 {
 			time.Sleep(delay)
@@ -234,16 +247,49 @@ func (r *localReader) Read(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	n, err := r.f.Read(p)
+	n, err := r.fill(p)
 	if n > 0 {
 		r.off += int64(n)
 		r.pendingBytes += int64(n)
 		r.pendingCalls++
-		if r.pendingBytes >= observeFlushBytes || err != nil {
+		if r.pendingBytes >= observeFlushBytes {
 			r.flushObservation()
 		}
+		return n, nil // an error behind served bytes resurfaces on the next call
 	}
-	return n, err
+	return 0, err
+}
+
+// fill copies buffered bytes into p, refilling the read-ahead buffer from
+// the file until p is full or the file ends (or fails).
+func (r *localReader) fill(p []byte) (int, error) {
+	n := 0
+	for {
+		c := copy(p[n:], r.ahead)
+		r.ahead = r.ahead[c:]
+		n += c
+		if n == len(p) {
+			return n, nil
+		}
+		if r.ra == nil {
+			r.ra = readAheadPool.Get().(*[]byte)
+		}
+		m, err := r.f.Read(*r.ra)
+		r.ahead = (*r.ra)[:m]
+		if m == 0 {
+			return n, err
+		}
+	}
+}
+
+// reposition seeks the file to off and drops the read-ahead buffer.
+func (r *localReader) reposition(off int64) error {
+	if _, err := r.f.Seek(off, io.SeekStart); err != nil {
+		return err
+	}
+	r.ahead = nil
+	r.off = off
+	return nil
 }
 
 func (r *localReader) flushObservation() {
@@ -262,6 +308,10 @@ func (r *localReader) Close() error {
 	}
 	r.closed = true
 	r.flushObservation()
+	if r.ra != nil {
+		readAheadPool.Put(r.ra)
+		r.ra, r.ahead = nil, nil
+	}
 	return r.f.Close()
 }
 
@@ -281,10 +331,9 @@ func (r *localReader) SkipTo(off int64) error {
 	if off < r.off {
 		return fmt.Errorf("localfs: skip %s: offset %d before current %d", r.path, off, r.off)
 	}
-	if _, err := r.f.Seek(off, 0); err != nil {
+	if err := r.reposition(off); err != nil {
 		return fmt.Errorf("localfs: skip %s: %w", r.path, err)
 	}
-	r.off = off
 	return nil
 }
 
@@ -297,9 +346,8 @@ func (r *localReader) Rewind(off int64) error {
 	if off < 0 || off > r.off {
 		return fmt.Errorf("localfs: rewind %s: offset %d out of range [0, %d]", r.path, off, r.off)
 	}
-	if _, err := r.f.Seek(off, 0); err != nil {
+	if err := r.reposition(off); err != nil {
 		return fmt.Errorf("localfs: rewind %s: %w", r.path, err)
 	}
-	r.off = off
 	return nil
 }

@@ -152,28 +152,53 @@ type objectReader struct {
 
 // Read implements io.Reader.
 func (r *objectReader) Read(p []byte) (int, error) {
-	cfg := r.store.cfg
-	if off := r.inner.Offset(); off >= r.paidThrough && cfg.RequestLatency > 0 {
-		lat := float64(cfg.RequestLatency)
-		if cfg.TailSigma > 0 {
-			lat *= r.rng.LogNormal(0, cfg.TailSigma)
-		}
-		lat *= r.store.coldFactor()
-		lat /= float64(cfg.ParallelRanges)
-		time.Sleep(time.Duration(lat))
-		r.paidThrough = off + cfg.RangeBytes
-	}
+	r.request()
 	n, err := r.inner.Read(p)
-	if n > 0 {
-		r.served += int64(n)
-		if bw := cfg.PerStreamBandwidth; bw > 0 {
-			expected := time.Duration(float64(r.served) / bw * float64(time.Second))
-			if ahead := expected - time.Since(r.start); ahead > 0 {
-				time.Sleep(ahead)
-			}
-		}
-	}
+	r.pace(n)
 	return n, err
+}
+
+// View implements Viewer: the same request latency and stream pacing as
+// Read, around the inner reader's view of the object's bytes.
+func (r *objectReader) View(n int) ([]byte, error) {
+	r.request()
+	v, err := r.inner.View(n)
+	r.pace(len(v))
+	return v, err
+}
+
+// request pays one range request's latency when the next byte lies past the
+// ranges already fetched.
+func (r *objectReader) request() {
+	cfg := &r.store.cfg
+	off := r.inner.Offset()
+	if off < r.paidThrough || cfg.RequestLatency <= 0 {
+		return
+	}
+	lat := float64(cfg.RequestLatency)
+	if cfg.TailSigma > 0 {
+		lat *= r.rng.LogNormal(0, cfg.TailSigma)
+	}
+	lat *= r.store.coldFactor()
+	lat /= float64(cfg.ParallelRanges)
+	time.Sleep(time.Duration(lat))
+	r.paidThrough = off + cfg.RangeBytes
+}
+
+// pace holds the stream to its per-stream bandwidth after n served bytes.
+func (r *objectReader) pace(n int) {
+	if n <= 0 {
+		return
+	}
+	r.served += int64(n)
+	bw := r.store.cfg.PerStreamBandwidth
+	if bw <= 0 {
+		return
+	}
+	expected := time.Duration(float64(r.served) / bw * float64(time.Second))
+	if ahead := expected - time.Since(r.start); ahead > 0 {
+		time.Sleep(ahead)
+	}
 }
 
 // Close implements io.Closer (flushes inner observation).

@@ -33,17 +33,26 @@ package data
 //   - UDF bodies must not retain the input payload after returning when
 //     buffer pooling is enabled; the returned element may alias the input.
 //   - A payload with a non-nil Owner is a borrowed view (a sub-slice of an
-//     arena block, not a pooled buffer): it must be released through
-//     Owner.ReleasePayload, never through PutBuf — its capacity is not a
-//     pool size class, and returning a view to the pool while its arena
-//     block is still live would hand the same bytes to two owners.
+//     arena block or of a connector's storage, not a pooled buffer): it must
+//     be released through Owner.ReleasePayload, never through PutBuf — its
+//     capacity is not a pool size class, and returning a view to the pool
+//     while its backing bytes are still live would hand them to two owners.
+//   - A storage view — a borrowed view whose backing bytes are the
+//     connector's own copy of the dataset — is additionally read-only: a
+//     write through it would corrupt the catalog for every later reader. No
+//     operator has to know which kind it holds, because the engine only
+//     emits a storage view where no operator writes before the first copy:
+//     every stage between the source and the first Batch passes payloads
+//     through untouched, and a UDF Body (which may mutate its input, per the
+//     first rule) anywhere in that stretch makes the source copy instead.
 type Element struct {
 	// Payload is the materialized content, possibly nil in simulation.
 	Payload []byte
 	// Owner, when non-nil, owns Payload's backing storage (an engine arena
-	// block). The element holds one reference; whoever retires the element
-	// releases it exactly once via ReleasePayload. Nil means Payload is
-	// pool-allocated (PutBuf) or garbage-collected.
+	// block, or the connector's storage behind a no-op owner). The element
+	// holds one reference; whoever retires the element releases it exactly
+	// once via ReleasePayload. Nil means Payload is pool-allocated (PutBuf)
+	// or garbage-collected.
 	Owner PayloadOwner
 	// Size is the logical size in bytes. Invariant: if Payload != nil then
 	// Size == int64(len(Payload)).

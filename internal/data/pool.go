@@ -3,6 +3,7 @@ package data
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // Payload buffers are recycled through power-of-two size classes, so a
@@ -15,6 +16,11 @@ const (
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
+// bufClasses[c] holds buffers of capacity exactly 2^(minClassBits+c), each as
+// the pointer to its first byte: the class says how long it is, and a pointer
+// fits in the pool's interface value as it is, where a slice header would be
+// copied to the heap — one object per recycled buffer. It is the module's
+// only use of unsafe.
 var bufClasses [numClasses]sync.Pool
 
 // classFor returns the size-class index whose capacity (2^(minClassBits+i))
@@ -35,7 +41,7 @@ func GetBuf(n int) []byte {
 		return make([]byte, n)
 	}
 	if v := bufClasses[c].Get(); v != nil {
-		return (*v.(*[]byte))[:n]
+		return unsafe.Slice(v.(*byte), 1<<(minClassBits+c))[:n]
 	}
 	return make([]byte, n, 1<<(minClassBits+c))
 }
@@ -53,6 +59,5 @@ func PutBuf(b []byte) {
 	if c < 0 || c >= numClasses || n != 1<<(minClassBits+c) {
 		return
 	}
-	b = b[:0]
-	bufClasses[c].Put(&b)
+	bufClasses[c].Put(unsafe.SliceData(b))
 }

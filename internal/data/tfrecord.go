@@ -79,11 +79,25 @@ func (rw *RecordWriter) BytesWritten() int64 { return rw.written }
 
 // RecordReader reads TFRecord-framed records from an io.Reader.
 type RecordReader struct {
-	r       io.Reader
+	r io.Reader
+	// scratch and footer receive the framing around each payload. They are
+	// fields, not locals of Next: a local handed to the io.Reader interface
+	// escapes, which would cost one heap object per record.
 	scratch [RecordHeaderBytes]byte
+	footer  [RecordFooterBytes]byte
 	pooled  bool
 	alloc   func(n int) []byte
 	unalloc func(p []byte)
+	view    viewSource
+}
+
+// viewSource is a stream that can serve its next n bytes as a slice of
+// storage it owns instead of copying them into the caller's buffer;
+// connector.Viewer is the storage-side contract. It returns io.EOF at end
+// of stream and the remaining bytes with io.ErrUnexpectedEOF when fewer than
+// n are left. The slice is read-only to the caller.
+type viewSource interface {
+	View(n int) ([]byte, error)
 }
 
 // NewRecordReader returns a reader consuming framed records from r.
@@ -107,33 +121,47 @@ func (rr *RecordReader) SetAlloc(alloc func(n int) []byte, unalloc func(p []byte
 	rr.unalloc = unalloc
 }
 
+// UseViews switches Next to reading without copying, if the underlying
+// reader can serve views of its own storage (a connector.Viewer), and
+// reports whether it did. Header, payload and footer are then each one View
+// call where the copying path makes one Read call, both checksums are
+// verified in place, and the returned record is a sub-slice of the reader's
+// storage. Such a record is read-only and is never recycled: no allocator
+// or pool is involved, and it must not reach PutBuf. Never on unless called.
+func (rr *RecordReader) UseViews() bool {
+	rr.view, _ = rr.r.(viewSource)
+	return rr.view != nil
+}
+
+// maxRecord bounds the length a header may claim, so a corrupt length that
+// happens to pass its checksum cannot ask for an absurd buffer.
+const maxRecord = 1 << 30
+
 // Next reads the next record. It returns io.EOF cleanly at end of stream and
 // io.ErrUnexpectedEOF or a checksum error on corruption.
 func (rr *RecordReader) Next() ([]byte, error) {
+	if rr.view != nil {
+		return rr.nextView()
+	}
 	if _, err := io.ReadFull(rr.r, rr.scratch[:]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}
 		return nil, fmt.Errorf("tfrecord: reading header: %w", err)
 	}
-	length := binary.LittleEndian.Uint64(rr.scratch[:8])
-	wantLenCRC := binary.LittleEndian.Uint32(rr.scratch[8:12])
-	if got := MaskedCRC(rr.scratch[:8]); got != wantLenCRC {
-		return nil, fmt.Errorf("tfrecord: length checksum mismatch: got %#x want %#x", got, wantLenCRC)
-	}
-	const maxRecord = 1 << 30
-	if length > maxRecord {
-		return nil, fmt.Errorf("tfrecord: record length %d exceeds limit", length)
+	length, err := recordLength(rr.scratch[:])
+	if err != nil {
+		return nil, err
 	}
 	var payload []byte
 	fromAlloc := false
 	if rr.alloc != nil {
-		payload = rr.alloc(int(length))
+		payload = rr.alloc(length)
 		fromAlloc = payload != nil
 	}
 	if payload == nil {
 		if rr.pooled {
-			payload = GetBuf(int(length))
+			payload = GetBuf(length)
 		} else {
 			payload = make([]byte, length)
 		}
@@ -142,17 +170,68 @@ func (rr *RecordReader) Next() ([]byte, error) {
 		rr.discard(payload, fromAlloc)
 		return nil, fmt.Errorf("tfrecord: reading payload: %w", err)
 	}
-	var footer [RecordFooterBytes]byte
-	if _, err := io.ReadFull(rr.r, footer[:]); err != nil {
+	if _, err := io.ReadFull(rr.r, rr.footer[:]); err != nil {
 		rr.discard(payload, fromAlloc)
 		return nil, fmt.Errorf("tfrecord: reading footer: %w", err)
 	}
-	wantCRC := binary.LittleEndian.Uint32(footer[:])
-	if got := MaskedCRC(payload); got != wantCRC {
+	if err := checkPayload(payload, rr.footer[:]); err != nil {
 		rr.discard(payload, fromAlloc)
-		return nil, fmt.Errorf("tfrecord: payload checksum mismatch: got %#x want %#x", got, wantCRC)
+		return nil, err
 	}
 	return payload, nil
+}
+
+// nextView is Next over a viewSource: the same three reads and the same two
+// checksums, with nothing copied and nothing to give back on failure.
+func (rr *RecordReader) nextView() ([]byte, error) {
+	header, err := rr.view.View(RecordHeaderBytes)
+	if err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("tfrecord: reading header: %w", err)
+	}
+	length, err := recordLength(header)
+	if err != nil {
+		return nil, err
+	}
+	var payload []byte
+	if length > 0 { // io.ReadFull issues no read for an empty payload either
+		if payload, err = rr.view.View(length); err != nil {
+			return nil, fmt.Errorf("tfrecord: reading payload: %w", err)
+		}
+	}
+	footer, err := rr.view.View(RecordFooterBytes)
+	if err != nil {
+		return nil, fmt.Errorf("tfrecord: reading footer: %w", err)
+	}
+	if err := checkPayload(payload, footer); err != nil {
+		return nil, err
+	}
+	return payload, nil
+}
+
+// recordLength validates a record header's length checksum and returns the
+// payload length it declares.
+func recordLength(header []byte) (int, error) {
+	length := binary.LittleEndian.Uint64(header[:8])
+	wantLenCRC := binary.LittleEndian.Uint32(header[8:12])
+	if got := MaskedCRC(header[:8]); got != wantLenCRC {
+		return 0, fmt.Errorf("tfrecord: length checksum mismatch: got %#x want %#x", got, wantLenCRC)
+	}
+	if length > maxRecord {
+		return 0, fmt.Errorf("tfrecord: record length %d exceeds limit", length)
+	}
+	return int(length), nil
+}
+
+// checkPayload validates a payload against the masked CRC in its footer.
+func checkPayload(payload, footer []byte) error {
+	wantCRC := binary.LittleEndian.Uint32(footer)
+	if got := MaskedCRC(payload); got != wantCRC {
+		return fmt.Errorf("tfrecord: payload checksum mismatch: got %#x want %#x", got, wantCRC)
+	}
+	return nil
 }
 
 // discard takes back a payload abandoned by a failed read — to the custom

@@ -134,3 +134,219 @@ func TestBufPoolClasses(t *testing.T) {
 		t.Fatalf("class capacity for 100 = %d, want 128", cap(b))
 	}
 }
+
+// memStream serves framed bytes held in memory through both Read and View,
+// standing in for a connector reader whose storage can be aliased.
+type memStream struct {
+	b   []byte
+	off int
+}
+
+func (m *memStream) Read(p []byte) (int, error) {
+	if m.off >= len(m.b) {
+		return 0, io.EOF
+	}
+	n := copy(p, m.b[m.off:])
+	m.off += n
+	return n, nil
+}
+
+func (m *memStream) View(n int) ([]byte, error) {
+	if m.off >= len(m.b) {
+		return nil, io.EOF
+	}
+	end := m.off + n
+	if end > len(m.b) {
+		v := m.b[m.off:]
+		m.off = len(m.b)
+		return v, io.ErrUnexpectedEOF
+	}
+	v := m.b[m.off:end:end]
+	m.off = end
+	return v, nil
+}
+
+// TestViewRoundTrip: in view mode every record is a sub-slice of the
+// stream's own bytes (nothing copied), capped at its length, equal to what
+// the copying path returns; an empty record and the clean EOF behave alike.
+func TestViewRoundTrip(t *testing.T) {
+	records := append(makeRecords(16), []byte{})
+	framed := writeRecords(t, records).Bytes()
+	if NewRecordReader(bytes.NewReader(framed)).UseViews() {
+		t.Fatal("UseViews turned on over a reader that has no View")
+	}
+	rr := NewRecordReader(&memStream{b: framed})
+	if !rr.UseViews() {
+		t.Fatal("UseViews declined a reader that has View")
+	}
+	off := 0
+	for i, want := range records {
+		got, err := rr.Next()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("record %d: payload mismatch", i)
+		}
+		if len(want) > 0 {
+			if &got[0] != &framed[off+RecordHeaderBytes] {
+				t.Fatalf("record %d: not a view of the stream's storage", i)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("record %d: view cap %d exceeds len %d", i, cap(got), len(got))
+			}
+		}
+		off += RecordOverheadBytes + len(want)
+	}
+	if _, err := rr.Next(); err != io.EOF {
+		t.Fatalf("expected EOF, got %v", err)
+	}
+}
+
+// TestViewCorruptionAndTruncation: the view path runs both checksums and
+// reports the same framing errors as the copying path, byte for byte.
+func TestViewCorruptionAndTruncation(t *testing.T) {
+	records := makeRecords(3)
+	clean := writeRecords(t, records).Bytes()
+	second := RecordOverheadBytes + len(records[0])
+	cases := map[string]func(b []byte) []byte{
+		"payload byte":  func(b []byte) []byte { b[second+RecordHeaderBytes+5] ^= 0xff; return b },
+		"length byte":   func(b []byte) []byte { b[second+1] ^= 0x01; return b },
+		"footer byte":   func(b []byte) []byte { b[second+RecordHeaderBytes+len(records[1])] ^= 0x80; return b },
+		"cut in header": func(b []byte) []byte { return b[:second+5] },
+		"cut in body":   func(b []byte) []byte { return b[:second+RecordHeaderBytes+9] },
+		"cut in footer": func(b []byte) []byte { return b[:second+RecordHeaderBytes+len(records[1])+2] },
+		"cut at body":   func(b []byte) []byte { return b[:second+RecordHeaderBytes] },
+	}
+	for name, damage := range cases {
+		b := damage(append([]byte(nil), clean...))
+		drain := func(rr *RecordReader) (int, error) {
+			for n := 0; ; n++ {
+				if _, err := rr.Next(); err != nil {
+					return n, err
+				}
+			}
+		}
+		copyN, copyErr := drain(NewRecordReader(bytes.NewReader(b)))
+		vr := NewRecordReader(&memStream{b: b})
+		vr.UseViews()
+		viewN, viewErr := drain(vr)
+		if copyErr == io.EOF || copyN != 1 {
+			t.Fatalf("%s: copying path read %d records, err %v; want 1 and a framing error", name, copyN, copyErr)
+		}
+		if viewN != copyN || viewErr.Error() != copyErr.Error() {
+			t.Fatalf("%s: view path read %d records, err %q; copying path %d, %q", name, viewN, viewErr, copyN, copyErr)
+		}
+	}
+}
+
+// TestNextAllocatesNothing pins the per-record allocation count of every
+// read path in steady state. The header and footer scratch are fields of
+// the reader: as locals they escape through the io.Reader interface, one
+// heap object per record.
+func TestNextAllocatesNothing(t *testing.T) {
+	records := makeRecords(8)
+	framed := writeRecords(t, records).Bytes()
+	const passes = 50
+	// perRecord replays the stream and returns Next+retire's allocations per
+	// record.
+	perRecord := func(src *memStream, rr *RecordReader, retire func([]byte)) float64 {
+		pass := func() {
+			src.off = 0
+			for range records {
+				rec, err := rr.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				retire(rec)
+			}
+		}
+		return testing.AllocsPerRun(passes, pass) / float64(len(records))
+	}
+
+	t.Run("view", func(t *testing.T) {
+		src := &memStream{b: framed}
+		rr := NewRecordReader(src)
+		rr.UseViews()
+		if got := perRecord(src, rr, func([]byte) {}); got != 0 {
+			t.Fatalf("view path: %.2f allocations per record, want 0", got)
+		}
+	})
+	t.Run("alloc", func(t *testing.T) {
+		// A bump allocator like the engine's arena, rewound per record.
+		block := make([]byte, 1<<10)
+		src := &memStream{b: framed}
+		rr := NewRecordReader(src)
+		rr.SetAlloc(func(n int) []byte { return block[:n:n] }, func([]byte) {})
+		if got := perRecord(src, rr, func([]byte) {}); got != 0 {
+			t.Fatalf("SetAlloc path: %.2f allocations per record, want 0", got)
+		}
+	})
+	t.Run("pooled", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+		}
+		src := &memStream{b: framed}
+		rr := NewRecordReader(src)
+		rr.SetPooling(true)
+		if got := perRecord(src, rr, PutBuf); got != 0 {
+			t.Fatalf("pooled path: %.2f allocations per record, want 0", got)
+		}
+	})
+}
+
+// benchFramed builds a framed stream of 1000-byte records well past any L2
+// (16 MiB), so the benchmarks below read their records from memory, as a
+// source worker does, rather than from a cache the previous pass warmed.
+func benchFramed(b *testing.B) (framed []byte, records int) {
+	b.Helper()
+	const recordBytes, total = 1000, 16 << 20
+	var buf bytes.Buffer
+	buf.Grow(total)
+	w := NewRecordWriter(&buf)
+	rec := make([]byte, recordBytes)
+	for buf.Len()+RecordOverheadBytes+recordBytes <= total {
+		rec[records%recordBytes]++
+		if err := w.Write(rec); err != nil {
+			b.Fatal(err)
+		}
+		records++
+	}
+	return buf.Bytes(), records
+}
+
+// benchSink keeps the compiler from discarding the records read.
+var benchSink int
+
+func benchRecordReader(b *testing.B, views bool) {
+	framed, records := benchFramed(b)
+	src := &memStream{b: framed}
+	block := make([]byte, 1<<10)
+	b.SetBytes(int64(len(framed)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		src.off = 0
+		rr := NewRecordReader(src)
+		if views {
+			rr.UseViews()
+		} else {
+			rr.SetAlloc(func(n int) []byte { return block[:n:n] }, func([]byte) {})
+		}
+		for r := 0; r < records; r++ {
+			rec, err := rr.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchSink += len(rec)
+		}
+	}
+}
+
+// BenchmarkRecordReaderCopy is one pass over the stream on the copying path
+// (into a reused block, as into an arena): read, copy, two checksums.
+func BenchmarkRecordReaderCopy(b *testing.B) { benchRecordReader(b, false) }
+
+// BenchmarkRecordReaderView is the same pass on the view path: the checksums
+// run over the stream's own bytes and nothing is copied.
+func BenchmarkRecordReaderView(b *testing.B) { benchRecordReader(b, true) }

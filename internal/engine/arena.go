@@ -6,31 +6,106 @@ import (
 	"sync/atomic"
 
 	"plumber/internal/data"
+	"plumber/internal/pipeline"
 )
 
-// Zero-copy payload views.
+// Borrowed payload views.
 //
 // With the ring handoff, source workers stop drawing one pooled buffer per
-// record; each worker bump-allocates record payloads out of its private
-// arena block and hands elements downstream as borrowed views
-// (data.Element.Owner = the block). The block is the reclamation epoch:
-// it holds one fill reference while the worker is still carving views out
-// of it, plus one reference per live view. A view is released when its
-// element retires — dropped by a filter or map predicate, copied out by
-// Batch, or recycled by the root consumer — which under chunked execution
-// happens at chunk granularity. When the worker seals the block (it rolled
-// over to a new epoch, or the worker exited) and the last view is released,
-// the whole block returns to a pool in one operation: per-record GetBuf and
-// PutBuf disappear from the hot path, and consecutive records land
+// record and hand elements downstream as borrowed views (data.Element.Owner
+// set). There are two kinds, chosen per source when the tree is installed:
+//
+// Storage views. A connector whose bytes are already in memory (simfs, the
+// object store: connector.Viewer) can serve a record as a slice of its own
+// storage, so the record is read exactly once — its checksums are verified
+// in place and Batch's concatenation is the first and only copy. Such a view
+// is read-only: it aliases the dataset every other reader is served from. The
+// engine therefore hands one out only when storageViewSources can prove,
+// from the graph alone, that no operator writes a record before that copy.
+// Its Owner is the no-op storageView: nothing is ever reclaimed, and the
+// release sites below never hand storage to data.PutBuf.
+//
+// Arena views. Everything else under the ring handoff still copies each
+// record once, into the worker's arena: backends with nothing in memory to
+// alias (LocalFS), and chains that may write — a UDF Body anywhere before
+// the first Batch, a Zip or Concat, or no Batch at all, where the consumer
+// receives the records themselves and owns what it is given. Each worker
+// bump-allocates record payloads out of its private arena block. The block
+// is the reclamation epoch: it holds one fill reference while the worker is
+// still carving views out of it, plus one reference per live view. A view is
+// released when its element retires — dropped by a filter or map predicate,
+// copied out by Batch, or recycled by the root consumer — which under chunked
+// execution happens at chunk granularity. When the worker seals the block (it
+// rolled over to a new epoch, or the worker exited) and the last view is
+// released, the whole block returns to a pool in one operation: per-record
+// GetBuf and PutBuf disappear from the hot path, and consecutive records land
 // physically adjacent for the downstream scan.
 //
 // Views must NEVER be handed to data.PutBuf: their capacities are not pool
 // size classes, and a view entering the buffer pool while its block is live
 // would alias two owners onto the same bytes. Every engine recycle site
 // therefore goes through Pipeline.releasePayload, which routes owned views
-// to their block and only pool-owned buffers to PutBuf. Views are built
+// to their owner and only pool-owned buffers to PutBuf. Views are built
 // with three-index slices, so even an append cannot scribble past a view's
 // end into its neighbor.
+
+// storageView is the Owner of a record served as a view of the connector's
+// own storage: releasing it is a no-op, because the storage is the dataset
+// and outlives the pipeline. It exists so that releasePayload sees an owned
+// view and keeps the slice out of the buffer pool.
+type storageView struct{}
+
+// ReleasePayload implements data.PayloadOwner.
+func (storageView) ReleasePayload([]byte) {}
+
+// storageViewSources returns the sources (by node name) whose records may be
+// served as storage views: walking up from the source, every operator before
+// the first Batch only passes records along. Shuffle, Prefetch, Repeat and
+// Take hold or forward elements; a Map or Filter without a Body is the cost
+// model only (an amplifying Map copies into a pooled buffer, it never grows a
+// record in place). A Body is caller code that owns its input and may write
+// it, Zip and Concat are not walked through, and a chain that reaches the
+// root without a Batch delivers the records themselves to a consumer that
+// owns them. order is the validated graph, an in-tree: one consumer per node.
+// Without viewArena no source qualifies: a tree that does not retire every
+// element it drops, or the channel baseline, hands out no borrowed views.
+func (p *Pipeline) storageViewSources(order []pipeline.Node) map[string]bool {
+	if !p.viewArena {
+		return nil
+	}
+	consumer := make(map[string]pipeline.Node, len(order))
+	for _, n := range order {
+		for _, in := range n.InputNames() {
+			consumer[in] = n
+		}
+	}
+	safe := make(map[string]bool)
+	for _, src := range order {
+		if src.IsSource() && p.readOnlyUntilBatch(src.Name, consumer) {
+			safe[src.Name] = true
+		}
+	}
+	return safe
+}
+
+// readOnlyUntilBatch walks the consumers above the named node and reports
+// whether a Batch is reached through pass-through operators only.
+func (p *Pipeline) readOnlyUntilBatch(name string, consumer map[string]pipeline.Node) bool {
+	for n, ok := consumer[name]; ok; n, ok = consumer[n.Name] {
+		switch n.Kind {
+		case pipeline.KindBatch:
+			return true
+		case pipeline.KindShuffle, pipeline.KindPrefetch, pipeline.KindRepeat, pipeline.KindTake:
+		case pipeline.KindMap, pipeline.KindFilter:
+			if u, err := p.lookupUDF(n.UDF); err != nil || u.Body != nil {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return false // the root: the consumer gets the records themselves
+}
 
 const (
 	// arenaBlockBytes is one epoch's capacity. 256 KiB keeps a block well

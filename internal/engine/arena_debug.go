@@ -25,9 +25,12 @@ func poisonArena(buf []byte) {
 // pipeline, Close it, release every held view, and assert the counter is
 // back to zero — a leaked view (or a lost fill reference) shows up as a
 // nonzero residue.
-var arenaLiveBlocks atomic.Int64
+//
+// arenaActivations counts checkouts alone and never falls: a chain that
+// reads storage views must finish a drain without moving it.
+var arenaLiveBlocks, arenaActivations atomic.Int64
 
-func arenaBlockActivated() { arenaLiveBlocks.Add(1) }
+func arenaBlockActivated() { arenaLiveBlocks.Add(1); arenaActivations.Add(1) }
 func arenaBlockRecycled()  { arenaLiveBlocks.Add(-1) }
 
 // arenaLive reports the number of arena blocks currently checked out.

@@ -139,14 +139,18 @@ type Pipeline struct {
 	// assembly; recycle additionally allows operators that copy payloads
 	// (Batch) and the root consumer to return buffers to the pool. recycle
 	// implies pool; recycle is off when the chain contains a Cache node.
-	// viewArena additionally serves source records as zero-copy views into
+	// viewArena additionally serves source records as borrowed views of
 	// per-worker arena blocks (see arena.go); it requires recycle — views
 	// only reclaim if every stage retires the elements it drops — and the
 	// ring handoff, so the channel baseline measures the PR-1 engine
-	// unchanged.
-	pool      bool
-	recycle   bool
-	viewArena bool
+	// unchanged. storageViews names the sources of a viewArena tree that skip
+	// the arena copy too: their records are views of the connector's own
+	// storage, because nothing on their chain writes a record before Batch
+	// copies it (see arena.go).
+	pool         bool
+	recycle      bool
+	viewArena    bool
+	storageViews map[string]bool
 
 	// rootGate admits the root consumer's sequential stages (filter,
 	// shuffle, batch driven by Next callers) to the shared pool; nil
@@ -278,6 +282,7 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 	p.pool = !p.opts.DisableBufferPool
 	p.recycle = p.pool && !hasCache
 	p.viewArena = p.recycle && p.opts.Handoff == HandoffRing
+	p.storageViews = p.storageViewSources(order)
 	outer := g.OuterParallelism
 	if outer < 1 {
 		outer = 1

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,8 +85,9 @@ func putChunk(c []item) {
 // device's burst, then throttled — so add re-reads the clock whenever the
 // fill reaches a power of two (six reads at most for 64 elements, none at a
 // cap of one) and sends a chunk a quantum old as it is: at a steady pace
-// nothing is held past two quanta. An emitter whose owner never calls ready
-// keeps size fixed and reads no clock.
+// nothing is held past two quanta. A chunk that took a quantum or more also
+// ends with the worker yielding its P once (see flush). An emitter whose
+// owner never calls ready keeps size fixed and reads no clock.
 type chunkEmitter struct {
 	p     *Pipeline // retires a chunk nobody will take
 	h     handoff
@@ -150,16 +152,26 @@ func (ce *chunkEmitter) flush() bool {
 	if len(ce.buf) == 0 {
 		return true
 	}
+	yield := false
 	if !ce.since.IsZero() {
 		n := int64(ce.max)
 		if took := ce.clock().Sub(ce.since); took > 0 {
 			n = min(n, max(1, int64(len(ce.buf))*int64(handoffQuantum)/int64(took)))
+			yield = took >= handoffQuantum
 		}
 		ce.size, ce.since = int(n), time.Time{}
 	}
 	// Fast path: room on the edge, the slot (if any) stays held.
 	if ce.h.trySend(ce.w, ce.buf) {
 		ce.buf = nil
+		if yield {
+			// A quantum of work without blocking: let the consumer just
+			// fed run now. As many busy workers as Ps, with input and edge
+			// room to spare, otherwise leave every other stage waiting for
+			// sysmon to preempt one (10-20 ms), and the root delivers in
+			// lumps of that size.
+			runtime.Gosched()
+		}
 		return true
 	}
 	if ce.sl != nil {
@@ -254,6 +266,9 @@ type sourceIter struct {
 	handle  *trace.NodeStats
 	seed    uint64
 	gate    *seqGate // the consuming segment's admission gate
+	// views: records are read-only views of the connector's own storage
+	// where the reader can serve them (Pipeline.storageViews), not copies.
+	views bool
 	// init is the resume entry consumed at build time after a live
 	// reconfiguration: the files (and mid-file offsets) the predecessor
 	// tree's workers had not finished, replacing the full catalog.
@@ -277,7 +292,7 @@ type sourceIter struct {
 }
 
 func newSource(p *Pipeline, name string, cat data.Catalog, par int, handle *trace.NodeStats, seed uint64, gate *seqGate, replica int) *sourceIter {
-	s := &sourceIter{p: p, name: name, replica: replica, cat: cat, par: par, handle: handle, seed: seed, gate: gate, latch: p.iterLatch()}
+	s := &sourceIter{p: p, name: name, replica: replica, cat: cat, par: par, handle: handle, seed: seed, gate: gate, views: p.storageViews[name], latch: p.iterLatch()}
 	if sr := p.takeSourceResume(name, replica); sr != nil {
 		s.init = sr
 		s.nextIdx = sr.nextIdx
@@ -354,10 +369,12 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 	defer sl.release()
 	em := s.p.emitter(s.out, w, s.latch.ch, &sl)
 	defer em.flush()
-	// Zero-copy payload views: this worker's records are carved out of its
-	// private arena and handed downstream as borrowed views (Element.Owner).
-	// The deferred seal drops the final epoch's fill reference so it can
-	// reclaim once downstream releases its views.
+	// Borrowed payload views (Element.Owner): on a chain that only reads its
+	// records before batching them, from a reader that can serve them, they
+	// are slices of the connector's own storage (s.views). Otherwise this
+	// worker's records are copied into its private arena; the deferred seal
+	// drops the final epoch's fill reference so it can reclaim once
+	// downstream releases its views.
 	var ar *arena
 	if s.p.viewArena {
 		ar = newArena()
@@ -407,9 +424,12 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 		}
 		defer r.Close()
 		rr := data.NewRecordReader(r)
-		rr.SetPooling(s.p.pool)
-		if ar != nil {
-			rr.SetAlloc(ar.alloc, ar.unalloc)
+		viewing := s.views && rr.UseViews()
+		if !viewing {
+			rr.SetPooling(s.p.pool)
+			if ar != nil {
+				rr.SetAlloc(ar.alloc, ar.unalloc)
+			}
 		}
 		for {
 			if s.p.quiesce.Load() {
@@ -463,7 +483,9 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 				Count:   1,
 				Index:   idxNext,
 			}
-			if ar != nil {
+			if viewing {
+				e.Owner = storageView{}
+			} else if ar != nil {
 				e.Owner = ar.owner() // nil when the arena declined this size
 			}
 			idxNext++

@@ -597,14 +597,23 @@ func tortureFlat(t *testing.T, kind HandoffKind, mixed bool) {
 // TestReconfigureTortureStaged runs the torture loop on the full staged
 // chain (interleave -> map -> batch -> prefetch), asserting exact example
 // accounting (batch boundaries may legally shift at a barrier, so element
-// counts are range-checked rather than exact).
+// counts are range-checked rather than exact). With the no-op map the source
+// serves storage views across every barrier; with a Body in its place it
+// copies into its arena, so both read paths are quiesced and resumed.
 func TestReconfigureTortureStaged(t *testing.T) {
+	for _, decode := range []string{"noop", "costly"} {
+		tortureStaged(t, decode)
+	}
+}
+
+func tortureStaged(t *testing.T, decode string) {
 	const epochs = 2
 	const rounds = 5
-	fs, reg := testSetup(t)
+	fs, _ := testSetup(t)
+	reg := costedRegistry(t, 0, false)
 	g := pipeline.NewBuilder().
 		Named("src").Interleave(testCatalog.Name, 2).
-		Named("decode").Map("noop", 2).
+		Named("decode").Map(decode, 2).
 		Repeat(epochs).
 		Batch(8).
 		Prefetch(4).
@@ -612,6 +621,9 @@ func TestReconfigureTortureStaged(t *testing.T) {
 	p, err := New(g, Options{FS: fs, UDFs: reg, ChunkSize: 8})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if views := p.storageViews["src"]; views != (decode == "noop") {
+		t.Fatalf("decode=%s: source serves storage views = %v", decode, views)
 	}
 	rng := stats.NewRNG(0xfeed)
 	var elements int64
@@ -669,11 +681,11 @@ func TestReconfigureTortureStaged(t *testing.T) {
 	p.Close()
 	total := int64(testCatalog.NumFiles*testCatalog.RecordsPerFile) * epochs
 	if gotExamples != total {
-		t.Fatalf("drained %d examples, want %d", gotExamples, total)
+		t.Fatalf("decode=%s: drained %d examples, want %d", decode, gotExamples, total)
 	}
 	minBatches := total / 8
 	if elements < minBatches || elements > minBatches+rounds+epochs {
-		t.Fatalf("drained %d batch elements, want within [%d, %d]", elements, minBatches, minBatches+rounds+epochs)
+		t.Fatalf("decode=%s: drained %d batch elements, want within [%d, %d]", decode, elements, minBatches, minBatches+rounds+epochs)
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -320,5 +321,46 @@ func TestFirstMinibatchTakesOneBatchOfWork(t *testing.T) {
 	})
 	if !ok {
 		t.Fatalf("first minibatch after %s", detail)
+	}
+}
+
+// TestBusyWorkerYieldsAfterAQuantum: on one P, a worker that burns 1 ms an
+// element with its whole input in hand and room on its edge never blocks. It
+// gives the P up after each handoff all the same, so the consumer takes an
+// element about every millisecond. Left to the scheduler's own preemption
+// (sysmon, after 10-20 ms) the consumer took them a dozen at a time — and a
+// trace's settle rule read those lumps as a rate still moving.
+func TestBusyWorkerYieldsAfterAQuantum(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	reg := costedRegistry(t, time.Millisecond, false)
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(testCatalog.Name, 1).
+		Named("work").Map("costly", 1).
+		MustBuild()
+	ok, detail := bestOf(func() (bool, string) {
+		fs, _ := testSetup(t)
+		p, err := New(g, Options{FS: fs, UDFs: reg, ChannelSlack: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		var last time.Time
+		var worst time.Duration
+		for k := 0; k < 60; k++ {
+			e, err := p.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Recycle(e)
+			now := time.Now()
+			if k > 0 {
+				worst = max(worst, now.Sub(last))
+			}
+			last = now
+		}
+		return worst < 5*time.Millisecond, worst.String()
+	})
+	if !ok {
+		t.Errorf("the consumer waited %s for an element of a 1 ms stage, want < 5ms", detail)
 	}
 }

@@ -130,37 +130,42 @@ func slowFS(t *testing.T) connector.Connector {
 // deep edges, no shared pool — must still stop when it is closed. Workers
 // used to learn of a closed latch only from a blocked send, so Close after
 // the third minibatch waited for the source to read the rest of the epoch
-// (here ~460 ms). Every view the canceled stages held must be back in its
-// arena block, which only the arena_debug build counts.
+// (here ~460 ms). The chain reads storage views with the no-op map; with a
+// Body in its place the source copies into its arena, and every view the
+// canceled stages held must be back in its block, which only the arena_debug
+// build counts.
 func TestCloseLatencyWithRoomOnEveryEdge(t *testing.T) {
-	_, reg := testSetup(t)
-	g := pipeline.NewBuilder().
-		Named("src").Interleave(slowCatalog.Name, 1).
-		Named("work").Map("noop", 1).
-		Batch(16).
-		MustBuild()
-	for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
-		base := arenaLive()
-		ok, detail := bestOf(func() (bool, string) {
-			p, err := New(g, Options{FS: slowFS(t), UDFs: reg, Handoff: kind, ChannelSlack: 1024})
-			if err != nil {
-				t.Fatal(err)
+	reg := costedRegistry(t, 0, false)
+	for _, work := range []string{"noop", "costly"} {
+		g := pipeline.NewBuilder().
+			Named("src").Interleave(slowCatalog.Name, 1).
+			Named("work").Map(work, 1).
+			Batch(16).
+			MustBuild()
+		for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
+			label := fmt.Sprintf("%s/%s", work, kind)
+			base := arenaLive()
+			ok, detail := bestOf(func() (bool, string) {
+				p, err := New(g, Options{FS: slowFS(t), UDFs: reg, Handoff: kind, ChannelSlack: 1024})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n, _, err := p.Drain(3); err != nil || n != 3 {
+					t.Fatalf("%s: drained %d minibatches: %v", label, n, err)
+				}
+				start := time.Now()
+				if err := p.Close(); err != nil {
+					t.Fatal(err)
+				}
+				took := time.Since(start)
+				return took < 20*time.Millisecond, took.String()
+			})
+			if !ok {
+				t.Errorf("%s: Close after the third minibatch took %s, want < 20ms", label, detail)
 			}
-			if n, _, err := p.Drain(3); err != nil || n != 3 {
-				t.Fatalf("%s: drained %d minibatches: %v", kind, n, err)
+			if live := arenaLive(); live != base {
+				t.Errorf("%s: %d arena blocks still live after the closed drains", label, live-base)
 			}
-			start := time.Now()
-			if err := p.Close(); err != nil {
-				t.Fatal(err)
-			}
-			took := time.Since(start)
-			return took < 20*time.Millisecond, took.String()
-		})
-		if !ok {
-			t.Errorf("%s: Close after the third minibatch took %s, want < 20ms", kind, detail)
-		}
-		if live := arenaLive(); live != base {
-			t.Errorf("%s: %d arena blocks still live after the closed drains", kind, live-base)
 		}
 	}
 }

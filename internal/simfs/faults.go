@@ -206,29 +206,19 @@ func (fi *Injector) Stats() FaultStats {
 // plan applies to reads issued after installation, so tracing can run
 // fault-free and chaos can be switched on for the measured run.
 func (fs *FS) SetFaults(plan *FaultPlan) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if plan == nil {
-		fs.faults = nil
+		fs.faults.Store(nil)
 		return
 	}
-	fs.faults = NewInjector(*plan)
+	fs.faults.Store(NewInjector(*plan))
 }
 
 // FaultStats reports what the installed plan has injected so far; zero
 // when no plan is installed.
 func (fs *FS) FaultStats() FaultStats {
-	fs.mu.Lock()
-	fi := fs.faults
-	fs.mu.Unlock()
+	fi := fs.faults.Load()
 	if fi == nil {
 		return FaultStats{}
 	}
 	return fi.Stats()
-}
-
-func (fs *FS) injector() *Injector {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.faults
 }

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"plumber/internal/data"
@@ -43,7 +44,10 @@ type FS struct {
 	observers []ReadObserver
 	bytesRead int64
 	readCalls int64
-	faults    *Injector
+
+	// faults is the installed plan's injector, nil when none. Every read
+	// call consults it, so it is an atomic load rather than a trip through mu.
+	faults atomic.Pointer[Injector]
 }
 
 type fileEntry struct {
@@ -291,24 +295,61 @@ func (fs *FS) Open(path string) (*Reader, error) {
 
 // Read implements io.Reader with read accounting and optional throttling.
 func (r *Reader) Read(p []byte) (int, error) {
+	if err := r.begin(); err != nil {
+		return 0, err
+	}
+	n := copy(p, r.buf[r.off:])
+	r.served(n)
+	return n, nil
+}
+
+// View serves the next n bytes as a read-only slice of the shard's own
+// storage instead of copying them out: one call is one Read call in every
+// other respect (fault injection before any byte is served, read accounting
+// and observer flushes, throttling, offset). With fewer than n bytes left it
+// serves what remains and returns io.ErrUnexpectedEOF, as io.ReadFull would;
+// at end of file it returns io.EOF. The slice is capped at its length, so an
+// append reallocates, but the bytes are the filesystem's: callers must never
+// write through it.
+func (r *Reader) View(n int) ([]byte, error) {
+	if err := r.begin(); err != nil {
+		return nil, err
+	}
+	end := r.off + n
+	short := end > len(r.buf)
+	if short {
+		end = len(r.buf)
+	}
+	v := r.buf[r.off:end:end]
+	r.served(len(v))
+	if short {
+		return v, io.ErrUnexpectedEOF
+	}
+	return v, nil
+}
+
+// begin is the part of a read call that runs before any byte is served.
+// Faults fire here: a failed read consumes no offset, so retries replay the
+// exact same range.
+func (r *Reader) begin() error {
 	if r.closed {
-		return 0, fmt.Errorf("simfs: read %s: closed", r.path)
+		return fmt.Errorf("simfs: read %s: closed", r.path)
 	}
 	if r.off >= len(r.buf) {
-		return 0, io.EOF
+		return io.EOF
 	}
-	if fi := r.fs.injector(); fi != nil {
-		// Faults fire before any byte is served: a failed read consumes no
-		// offset, so retries replay the exact same range.
+	if fi := r.fs.faults.Load(); fi != nil {
 		delay, err := fi.Inject(r.path, int64(r.off), &r.stalled)
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		if err != nil {
-			return 0, err
-		}
+		return err
 	}
-	n := copy(p, r.buf[r.off:])
+	return nil
+}
+
+// served accounts one read call that handed out the next n bytes.
+func (r *Reader) served(n int) {
 	r.off += n
 	r.pendingBytes += int64(n)
 	r.pendingCalls++
@@ -321,7 +362,6 @@ func (r *Reader) Read(p []byte) (int, error) {
 			time.Sleep(wait)
 		}
 	}
-	return n, nil
 }
 
 // flushObservation publishes accumulated read accounting.
