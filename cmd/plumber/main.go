@@ -521,6 +521,7 @@ func runOptimize(args []string) error {
 			line += " -> converged"
 		}
 		fmt.Println(line)
+		fmt.Printf("         its trace: %s\n", traceCost(s.Run))
 	}
 	if res.Mode == plumber.ModePlanFirst && res.PredictedMinibatchesPerSec > 0 {
 		fmt.Printf("predicted %.1f minibatches/s, verifying trace observed %.1f (error %.1f%%)\n",
@@ -542,6 +543,15 @@ func runOptimize(args []string) error {
 	}
 	fmt.Printf("mode %s: applied %d rewrites over %d traces; wrote %s\n", res.Mode, len(res.Trail), res.TracesUsed, *out)
 	return nil
+}
+
+// traceCost says what one trace cost and how it ended.
+func traceCost(r trace.Run) string {
+	end := "ran to the end of the pass (or its cap)"
+	if r.Settled {
+		end = "settled"
+	}
+	return fmt.Sprintf("%.3f s, %d minibatches, %d samples, %s", r.Seconds, r.RootCompletions, r.Samples, end)
 }
 
 // runArbitrate admits the named canonical scenarios as tenants of one
@@ -623,11 +633,11 @@ func runArbitrate(args []string) error {
 	fmt.Printf("arbitrated %d tenants under %d cores, %d MiB (%d planning traces):\n",
 		len(dec.Shares), budget.Cores, *memoryMB, dec.TracesUsed)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "tenant\tweight\tcores\tmemory MiB\tobserved mb/s\tpredicted mb/s\trewrites")
+	fmt.Fprintln(tw, "tenant\tweight\tcores\tmemory MiB\tobserved mb/s\tpredicted mb/s\trewrites\tits trace")
 	for _, s := range dec.Shares {
-		fmt.Fprintf(tw, "%s\t%.1f\t%d\t%d\t%.1f\t%.1f\t%d\n",
+		fmt.Fprintf(tw, "%s\t%.1f\t%d\t%d\t%.1f\t%.1f\t%d\t%s\n",
 			s.Tenant, s.Weight, s.Budget.Cores, s.Budget.MemoryBytes>>20,
-			s.ObservedMinibatchesPerSec, s.PredictedMinibatchesPerSec, len(s.Trail))
+			s.ObservedMinibatchesPerSec, s.PredictedMinibatchesPerSec, len(s.Trail), traceCost(s.Run))
 	}
 	tw.Flush()
 	if dec.EvenSplitPredictedAggregate > 0 {

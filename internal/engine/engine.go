@@ -152,6 +152,10 @@ type Pipeline struct {
 	viewArena    bool
 	storageViews map[string]bool
 
+	// progress is the stream a stop rule reads (tracerun.go); nil outside a
+	// trace run under a rule, and then no stage records anything.
+	progress *progress
+
 	// rootGate admits the root consumer's sequential stages (filter,
 	// shuffle, batch driven by Next callers) to the shared pool; nil
 	// without a pool. Segments driven by other goroutines (prefetch, map
@@ -192,10 +196,17 @@ type iterator interface {
 // no file is opened and no worker goroutine starts until the first Next
 // call. Reconfigure re-runs the install phase against a live pipeline.
 func New(g *pipeline.Graph, opts Options) (*Pipeline, error) {
+	return newPipeline(g, opts, nil)
+}
+
+// newPipeline is New for a pipeline that keeps pr, a progress stream for a
+// stop rule (TraceRun); nil keeps none.
+func newPipeline(g *pipeline.Graph, opts Options, pr *progress) (*Pipeline, error) {
 	p, err := prepare(opts)
 	if err != nil {
 		return nil, err
 	}
+	p.progress = pr
 	if err := p.install(g); err != nil {
 		return nil, err
 	}
@@ -283,6 +294,9 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 	p.recycle = p.pool && !hasCache
 	p.viewArena = p.recycle && p.opts.Handoff == HandoffRing
 	p.storageViews = p.storageViewSources(order)
+	if p.progress != nil {
+		p.progress.locate(g, byName)
+	}
 	outer := g.OuterParallelism
 	if outer < 1 {
 		outer = 1
@@ -291,7 +305,7 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 	// goroutine (round-robin), so they share the root segment's gate.
 	p.rootGate = p.gate(p.cancelCh)
 	build := func(replica int, seedShift uint64) (iterator, error) {
-		return p.buildNode(g, byName, g.Output, replica, p.opts.Seed^seedShift, p.rootGate)
+		return p.buildNode(g, byName, g.Output, replica, p.opts.Seed^seedShift, p.rootGate, nil)
 	}
 	if outer == 1 {
 		root, err := build(0, 0)
@@ -574,7 +588,12 @@ func (p *Pipeline) releasePayload(e data.Element) {
 // the parallel stage's latch. Sequential stages and pass-throughs inherit g
 // (Repeat's factory captures it, so epoch rebuilds stay in the segment);
 // combiners inherit it too — the consumer goroutine drives every branch.
-func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node, name string, replica int, seed uint64, g *seqGate) (iterator, error) {
+//
+// lump belongs to the segment as g does: the flag its receivers raise when
+// they take a chunk off their edge, for the progress tap at the head of the
+// segment (tracerun.go). It is nil everywhere but below the recording stage
+// of a pipeline that keeps a progress stream.
+func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node, name string, replica int, seed uint64, g *seqGate, lump *bool) (iterator, error) {
 	n, ok := byName[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: missing node %q", name)
@@ -584,7 +603,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		if n.Input == "" {
 			return nil, fmt.Errorf("engine: node %q has no child", n.Name)
 		}
-		return p.buildNode(gr, byName, n.Input, replica, seed, g)
+		return p.buildNode(gr, byName, n.Input, replica, seed, g, lump)
 	}
 	switch n.Kind {
 	case pipeline.KindSource, pipeline.KindInterleave:
@@ -596,11 +615,13 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		if n.Kind == pipeline.KindInterleave {
 			par = n.EffectiveParallelism()
 		}
-		return newSource(p, n.Name, cat, par, handle, seed, g, replica), nil
+		s := newSource(p, n.Name, cat, par, handle, seed, g, replica)
+		s.recv.lump = lump
+		return s, nil
 	case pipeline.KindMap:
 		latch := p.iterLatch()
 		childGate := p.gate(latch.ch)
-		child, err := p.buildNode(gr, byName, n.Input, replica, seed, childGate)
+		child, err := p.buildNode(gr, byName, n.Input, replica, seed, childGate, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -608,7 +629,9 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		if err != nil {
 			return nil, err
 		}
-		return newMapIter(p, n.Name, child, u, n.EffectiveParallelism(), handle, seed, latch, g, childGate), nil
+		m := newMapIter(p, n.Name, child, u, n.EffectiveParallelism(), handle, seed, latch, g, childGate)
+		m.recv.lump = lump
+		return m, nil
 	case pipeline.KindFilter:
 		child, err := childFactory()
 		if err != nil {
@@ -628,19 +651,29 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 	case pipeline.KindRepeat:
 		return newRepeatIter(p, n.Name, childFactory, n.Count, handle, replica), nil
 	case pipeline.KindBatch:
+		var tap *progressTap
+		if p.progress != nil && n.Name == p.progress.stage {
+			tap = &progressTap{pr: p.progress}
+			lump = &tap.lump // what childFactory hands the segment below
+		}
 		child, err := childFactory()
 		if err != nil {
 			return nil, err
+		}
+		if tap != nil {
+			tap.child, child = child, tap
 		}
 		return newBatchIter(p, child, n.BatchSize, handle, g), nil
 	case pipeline.KindPrefetch:
 		latch := p.iterLatch()
 		childGate := p.gate(latch.ch)
-		child, err := p.buildNode(gr, byName, n.Input, replica, seed, childGate)
+		child, err := p.buildNode(gr, byName, n.Input, replica, seed, childGate, nil)
 		if err != nil {
 			return nil, err
 		}
-		return newPrefetchIter(p, child, n.BufferSize, handle, latch, g, childGate), nil
+		pf := newPrefetchIter(p, child, n.BufferSize, handle, latch, g, childGate)
+		pf.recv.lump = lump
+		return pf, nil
 	case pipeline.KindCache:
 		key := n.Name
 		if replica > 0 {
@@ -668,7 +701,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 	case pipeline.KindZip, pipeline.KindConcat:
 		children := make([]iterator, len(n.Inputs))
 		for i, in := range n.Inputs {
-			c, err := p.buildNode(gr, byName, in, replica, seed, g)
+			c, err := p.buildNode(gr, byName, in, replica, seed, g, lump)
 			if err != nil {
 				for _, built := range children[:i] {
 					built.Close()

@@ -207,6 +207,18 @@ type chunkReceiver struct {
 	pending []item
 	pos     int
 	prefer  int // shard affinity cursor for ring stealing
+	// lump, when set, is raised for every chunk taken off the edge: the
+	// progress tap of the consuming segment samples arrivals, not elements
+	// (tracerun.go). Nil outside a trace run under a stop rule.
+	lump *bool
+}
+
+// take makes c the chunk in hand.
+func (cr *chunkReceiver) take(c []item) {
+	cr.pending, cr.pos = c, 0
+	if cr.lump != nil {
+		*cr.lump = true
+	}
 }
 
 func (cr *chunkReceiver) next(h handoff, cancel <-chan struct{}, g *seqGate) (data.Element, error) {
@@ -222,7 +234,7 @@ func (cr *chunkReceiver) next(h handoff, cancel <-chan struct{}, g *seqGate) (da
 			return it.elem, it.err
 		}
 		if c, ok := h.tryRecv(&cr.prefer); ok {
-			cr.pending, cr.pos = c, 0
+			cr.take(c)
 			continue
 		}
 		g.unblock()
@@ -233,7 +245,7 @@ func (cr *chunkReceiver) next(h handoff, cancel <-chan struct{}, g *seqGate) (da
 		if !ok {
 			return data.Element{}, io.EOF
 		}
-		cr.pending, cr.pos = c, 0
+		cr.take(c)
 	}
 }
 

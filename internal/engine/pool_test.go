@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -501,9 +502,9 @@ func TestSharedPoolEvictAndGrow(t *testing.T) {
 
 // TestSharedPoolTenantAbort is the -race integration: one tenant's pipeline
 // dies on a permanent fault mid-contention, the host-style eviction and
-// regrant run while the survivor keeps draining, and the survivor ends up
-// with the (previously contended) capacity — its peak worker count exceeds
-// its original guarantee.
+// regrant run while the survivor still has two thirds of its drain to do,
+// and the survivor ends up with the (previously contended) capacity — its
+// peak worker count exceeds its original guarantee.
 func TestSharedPoolTenantAbort(t *testing.T) {
 	const capacity = 4
 	pool := NewSharedPool(capacity)
@@ -534,6 +535,13 @@ func TestSharedPoolTenantAbort(t *testing.T) {
 		p.Close()
 		victimErr <- derr
 	}()
+	// The survivor's consumer stops a third of the way in (5 of 15
+	// minibatches) until the victim's slots have been re-granted, so the
+	// re-grant lands mid-drain however the scheduler orders the two tenants:
+	// on one P under -race the whole 120-record drain could finish first.
+	regranted := make(chan struct{})
+	regrant := sync.OnceFunc(func() { close(regranted) })
+	defer regrant() // a failed assertion below must not strand the survivor
 	survErr := make(chan error, 1)
 	go func() {
 		p, err := New(survGraph, survOpts)
@@ -541,7 +549,12 @@ func TestSharedPoolTenantAbort(t *testing.T) {
 			survErr <- err
 			return
 		}
-		if _, _, err := p.Drain(0); err != nil {
+		_, _, err = p.Drain(5)
+		<-regranted
+		if err == nil {
+			_, _, err = p.Drain(0)
+		}
+		if err != nil {
 			p.Close()
 			survErr <- err
 			return
@@ -563,6 +576,7 @@ func TestSharedPoolTenantAbort(t *testing.T) {
 	if err := pool.Grow("survivor", 3); err != nil {
 		t.Fatal(err)
 	}
+	regrant()
 	if err := <-survErr; err != nil {
 		t.Fatalf("survivor drain: %v", err)
 	}

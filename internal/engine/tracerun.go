@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"plumber/internal/data"
@@ -13,23 +14,141 @@ import (
 	"plumber/internal/trace"
 )
 
-// StopRule looks at when the root completed each element so far — times
-// since the trace began, ascending — and says whether the trace has seen
-// enough, and if so the rate X_0 (root completions per second) it read.
-type StopRule func(completions []time.Duration) (rate float64, ok bool)
+// Sample is one point of a progress stream: N units had arrived At after the
+// trace began. A lump of k units that arrives at one instant is one sample,
+// not k, so a stream is as long as its arrivals are many.
+type Sample struct {
+	At time.Duration
+	N  int64
+}
+
+// StopRule looks at a trace's progress stream so far — samples in the order
+// they were taken, At ascending — and says whether the trace has seen enough,
+// and if so the rate (units per second) it read.
+type StopRule func(progress []Sample) (rate float64, ok bool)
+
+// progress is the stream a traced pipeline keeps for its stop rule; a
+// pipeline without a rule has none. Root completions are the coarsest thing
+// a pipeline does: sixteen examples 1 ms apart make one 16 ms minibatch, and
+// a rule shown only the minibatches waits sixteen times longer than the rate
+// takes to show. So the stage that makes the stream coarse records it before
+// it does: install walks down from the root through the stages that hand on
+// every element they pull (prefetch, cache, repeat, take, shuffle) to the
+// first that does not — a Batch, or there is no such stage (a Zip, a Concat,
+// a bare chain) and the rule reads root completions as it always did.
+//
+// The stage records once per lump it is handed, not per element: receivers
+// feeding its segment raise a flag when they take a chunk off their edge (one
+// nil check per chunk in a pipeline without a rule), and a tap at the stage's
+// input, seeing the flag, appends (now, elements pulled before this lump).
+// What is counted is the stage's own input, so a Filter below it is already
+// in the rate, and X_0 is that rate over the elements the stage pulls per
+// output. Outer-parallel replicas each have a tap and pool their samples
+// here, under mu, taken once per lump; the clock is read inside it, so At
+// ascends whichever replica records.
+type progress struct {
+	begin time.Time // the trace's: At counts from it
+	stage string    // the recording stage's name; "" when the walk found none
+	pulls int       // elements it pulls per element it produces
+	check int       // the rule is next asked when its stream is this long (the asker's alone)
+
+	mu      sync.Mutex
+	samples []Sample
+	n       int64 // elements the stage's replicas have pulled, as of their last lumps
+}
+
+// locate names the recording stage of g, if it has one.
+func (pr *progress) locate(g *pipeline.Graph, byName map[string]pipeline.Node) {
+	pr.stage, pr.pulls = "", 0
+	for n := byName[g.Output]; ; n = byName[n.Input] {
+		switch n.Kind {
+		case pipeline.KindPrefetch, pipeline.KindCache, pipeline.KindRepeat, pipeline.KindTake, pipeline.KindShuffle:
+		case pipeline.KindBatch:
+			pr.stage, pr.pulls = n.Name, n.BatchSize
+			return
+		default:
+			return
+		}
+	}
+}
+
+// lump records that a replica of the stage was handed a lump, having pulled
+// pulled elements since its last.
+func (pr *progress) lump(pulled int64) {
+	pr.mu.Lock()
+	pr.n += pulled
+	pr.samples = append(pr.samples, Sample{At: time.Since(pr.begin), N: pr.n})
+	pr.mu.Unlock()
+}
+
+// settled asks the rule about the stage's stream, or about the root's
+// completions while the stage has recorded nothing (there is none, or a warm
+// cache above it serves the root). The rule scans its stream, so asking at
+// every root completion of one that never settles is quadratic: it is asked
+// again when the stream is 1/16 longer, and settles at most 6 % late. It runs
+// on the caller's goroutine over the samples in place — they are only ever
+// appended to — and rate is root completions per second either way.
+func (pr *progress) settled(rule StopRule, root []Sample) (rate float64, samples int, ok bool) {
+	pr.mu.Lock()
+	s, per := pr.samples, float64(pr.pulls)
+	pr.mu.Unlock()
+	if len(s) == 0 {
+		s, per = root, 1
+	}
+	if len(s) < pr.check {
+		return 0, len(s), false
+	}
+	if rate, ok = rule(s); !ok {
+		pr.check = len(s) + 1 + len(s)/16
+	}
+	return rate / per, len(s), ok
+}
+
+// progressTap sits at the recording stage's input, one per replica. lump is
+// raised by the receivers of its segment, which run on the goroutine that
+// calls Next.
+type progressTap struct {
+	pr     *progress
+	child  iterator
+	lump   bool
+	pulled int64
+}
+
+func (t *progressTap) Next() (data.Element, error) {
+	e, err := t.child.Next()
+	if err != nil {
+		return e, err
+	}
+	if t.lump {
+		t.lump = false
+		t.pr.lump(t.pulled)
+		t.pulled = 0
+	}
+	t.pulled++
+	return e, nil
+}
+
+func (t *progressTap) Close() error { return t.child.Close() }
 
 // TraceRun is the traced drain behind every planner entry point: it
 // instantiates g with a fresh collector (replacing opts.Collector) that
-// observes opts.FS, drains it, closes it and returns the joined snapshot.
+// observes opts.FS, drains it, closes it and returns the joined snapshot,
+// whose Run says what the drain cost.
 //
 // With a nil rule the drain runs to EOF, or to max root elements when max
 // is positive, and the snapshot's duration is the run's wall time. With a
-// rule (max stays a hard cap), the pipeline is canceled when the rule fires
-// — what is in flight in a throw-away trace is dropped, not drained to the
-// consumer — and the duration is the time the root's counted completions
-// take at the rate the rule read: ops.Analyze's X_0 = C_0/T is then that
-// rate, whatever start-up cost and however far a root prefetch ran ahead.
+// rule (max stays a hard cap) the pipeline keeps a progress stream, the rule
+// is asked about it after each root completion — on this goroutine: the
+// consumer's pace is X_0, and a poller beside spinning workers would take a
+// core from them — and when it fires the pipeline is canceled: what is in
+// flight in a throw-away trace is dropped, not drained to the consumer. The
+// duration is then the time the root's counted completions take at the rate
+// the rule read: ops.Analyze's X_0 = C_0/T is that rate, whatever start-up
+// cost and however far a root prefetch ran ahead. Such a trace costs its
+// start-up plus what the rule needs to see (Settled: settleMinSpan), rounded
+// up to a root completion.
 func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64, stop StopRule) (*trace.Snapshot, error) {
+	begin := time.Now()
 	if opts.FS == nil {
 		return nil, errors.New("engine: Options.FS is required")
 	}
@@ -58,15 +177,22 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 	opts.FS.AddObserver(col)
 	defer opts.FS.RemoveObserver(col)
 	opts.Collector = col
-	p, err := New(g, opts)
+	var pr *progress
+	if stop != nil {
+		pr = &progress{begin: begin, samples: make([]Sample, 0, 1024)}
+	}
+	p, err := newPipeline(g, opts, pr)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close() // idempotent: covers the error returns below
 
-	var done []time.Duration
-	begin, check, rate := time.Now(), 0, 0.0
-	for n := int64(0); max <= 0 || n < max; n++ {
+	var (
+		done []Sample // root completions: the stream of a pipeline with no recording stage
+		run  trace.Run
+		rate float64
+	)
+	for max <= 0 || run.RootCompletions < max {
 		e, err := p.Next()
 		if err == io.EOF {
 			break
@@ -75,69 +201,65 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 			return nil, fmt.Errorf("trace drain: %w", err)
 		}
 		p.Recycle(e)
+		run.RootCompletions++
 		if stop == nil {
 			continue
 		}
-		if done = append(done, time.Since(begin)); len(done) < check {
-			continue
-		}
-		if r, ok := stop(done); ok {
-			rate = r
+		done = append(done, Sample{At: time.Since(begin), N: run.RootCompletions})
+		if rate, run.Samples, run.Settled = pr.settled(stop, done); run.Settled {
 			p.Cancel()
 			break
 		}
-		// A rule scans a window of the completions: asking it at every one
-		// of a stream that never settles is quadratic. Asking 1/16 further
-		// along each time settles at most 6 % late.
-		check = len(done) + 1 + len(done)/16
 	}
 	// Close before snapshotting: iterators flush their buffered counter
 	// shards on Close.
 	if err := p.Close(); err != nil {
 		return nil, fmt.Errorf("trace close: %w", err)
 	}
+	run.Seconds = time.Since(begin).Seconds()
 	snap := col.Snapshot(0, totalFiles)
 	snap.SourceFiles = sourceFiles
+	snap.Run = &run
 	for path := range snap.Files { // §A samples files, not the bytes read of them so far
 		if size, err := opts.FS.Stat(path); err == nil {
 			snap.Files[path] = size
 		}
 	}
-	if root, err := snap.RootStats(); rate > 0 && err == nil {
+	if root, err := snap.RootStats(); run.Settled && err == nil {
 		snap.Duration = time.Duration(float64(root.ElementsProduced) / rate * float64(time.Second))
 	}
 	return snap, nil
 }
 
 // Settled is the stop rule of the planning and verifying traces: stop when
-// the root's completion rate has stopped moving. Time since the first
-// completion is cut in three. The first third is ignored — worker start-up,
-// chunk sizes still finding their level, what a throttled device hands out
-// free before its token bucket runs dry. X_0 is the least-squares slope of
-// completions against time over the other two (no single late completion
-// decides it, as it would a count over the window's length), and it must be
-// known to settleTolerance/4 standard error, which a stream that comes in
-// lumps reaches only over many of them. Each of the two thirds must hold
-// settleMinPerThird completions, and their own slopes agree within
+// the rate of the progress stream has stopped moving. Time since the first
+// sample is cut in three. The first third is ignored — worker start-up, chunk
+// sizes still finding their level, what a throttled device hands out free
+// before its token bucket runs dry. The rate is the least-squares slope of
+// the count against time over the other two (no single late sample decides
+// it, as it would a count over the window's length), and it must be known to
+// settleTolerance/4 standard error, which a stream that comes in lumps
+// reaches only over many of them. Each of the two thirds must hold
+// settleMinPerThird samples, and their own slopes agree within
 // settleTolerance plus twice their standard errors. A stream that keeps
 // slowing, or ends before settleMinSpan, never settles: its trace runs to EOF.
-func Settled(done []time.Duration) (rate float64, ok bool) {
-	n := len(done)
-	if n == 0 || done[n-1]-done[0] < settleMinSpan {
+func Settled(s []Sample) (rate float64, ok bool) {
+	n := len(s)
+	if n == 0 || s[n-1].At-s[0].At < settleMinSpan {
 		return 0, false
 	}
-	first, span := done[0], done[n-1]-done[0]
+	first, span := s[0].At, s[n-1].At-s[0].At
 	from := func(t time.Duration) int {
-		return sort.Search(n, func(k int) bool { return done[k] >= t })
+		return sort.Search(n, func(k int) bool { return s[k].At >= t })
 	}
 	i, j := from(first+span/3), from(first+2*span/3)
 	if j-i < settleMinPerThird || n-j < settleMinPerThird {
 		return 0, false
 	}
-	rate, se := slope(done, i, n)
-	mid, seMid := slope(done, i, j+1)
-	end, seEnd := slope(done, j, n)
-	// Written so that a NaN (a third whose completions share one instant)
+	rate, se := slope(s[i:])
+	mid, seMid := slope(s[i : j+1])
+	end, seEnd := slope(s[j:])
+	// Written so that a NaN (a third whose samples share one instant)
 	// settles nothing.
 	if !(se <= settleTolerance/4 && math.Abs(mid-end) <= (settleTolerance+2*(seMid+seEnd))*math.Max(mid, end)) {
 		return 0, false
@@ -145,17 +267,16 @@ func Settled(done []time.Duration) (rate float64, ok bool) {
 	return rate, true
 }
 
-// slope fits the completion count against time by least squares over
-// done[lo:hi] and returns the rate, per second, and its relative standard
-// error.
-func slope(done []time.Duration, lo, hi int) (rate, relErr float64) {
-	n := float64(hi - lo)
+// slope fits the samples' count against their time by least squares and
+// returns the rate, per second, and its relative standard error.
+func slope(s []Sample) (rate, relErr float64) {
+	n := float64(len(s))
 	var mt, mk, stt, stk, skk float64
-	for k := lo; k < hi; k++ {
-		mt, mk = mt+done[k].Seconds()/n, mk+float64(k)/n
+	for _, x := range s {
+		mt, mk = mt+x.At.Seconds()/n, mk+float64(x.N)/n
 	}
-	for k := lo; k < hi; k++ {
-		dt, dk := done[k].Seconds()-mt, float64(k)-mk
+	for _, x := range s {
+		dt, dk := x.At.Seconds()-mt, float64(x.N)-mk
 		stt, stk, skk = stt+dt*dt, stk+dt*dk, skk+dk*dk
 	}
 	rate = stk / stt

@@ -15,28 +15,39 @@ import (
 	"plumber/internal/trace"
 )
 
-// stream builds completion times: each gap(k) after the one before.
-func stream(n int, gap func(k int) time.Duration) []time.Duration {
-	out := make([]time.Duration, n)
-	t := 7 * time.Millisecond // start-up: the rule must not care
+// stream builds a progress stream of unit arrivals — root completions, or
+// examples handed over one at a time: each gap(k) after the one before.
+func stream(n int, gap func(k int) time.Duration) []Sample {
+	return lumps(n, func(k int) (time.Duration, int64) { return gap(k), 1 })
+}
+
+// lumps builds a progress stream of n arrivals: arrival k comes gap after the
+// one before and brings size units. As the tap does, a sample counts what had
+// arrived before it.
+func lumps(n int, arrival func(k int) (gap time.Duration, size int64)) []Sample {
+	out := make([]Sample, n)
+	t, total := 7*time.Millisecond, int64(0) // start-up: the rule must not care
 	for k := range out {
-		t += gap(k)
-		out[k] = t
+		gap, size := arrival(k)
+		t += gap
+		out[k] = Sample{At: t, N: total}
+		total += size
 	}
 	return out
 }
 
-// firstSettled returns the shortest prefix of done the rule settles on.
-func firstSettled(done []time.Duration) (n int, rate float64) {
-	for n = 1; n <= len(done); n++ {
-		if r, ok := Settled(done[:n]); ok {
+// firstSettled returns the shortest prefix of s the rule settles on.
+func firstSettled(s []Sample) (n int, rate float64) {
+	for n = 1; n <= len(s); n++ {
+		if r, ok := Settled(s[:n]); ok {
 			return n, r
 		}
 	}
 	return 0, 0
 }
 
-// TestSettleRule pins the stop rule as a function of completion times alone.
+// TestSettleRule pins the stop rule as a function of the stream alone: no
+// clock is read and nothing sleeps.
 func TestSettleRule(t *testing.T) {
 	const ms = time.Millisecond
 	steady := func(gap time.Duration) func(int) time.Duration {
@@ -44,47 +55,81 @@ func TestSettleRule(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		done []time.Duration
+		s    []Sample
 		// at is the prefix length the rule must first settle on (0: never),
-		// or with atLeast set a lower bound on it; rate is X_0, within 5 %.
+		// or with atLeast set a lower bound on it; rate is what it must read,
+		// within 5 %.
 		at      int
 		atLeast bool
 		rate    float64
 	}{
-		// 4 + 4 + 4 completions are the fewest whose thirds hold four each.
-		{name: "16 ms apart settles at the minimum count", done: stream(60, steady(16*ms)), at: 3 * settleMinPerThird, rate: 62.5},
+		// 4 + 4 + 4 samples are the fewest whose thirds hold four each.
+		{name: "16 ms apart settles at the minimum count", s: stream(60, steady(16*ms)), at: 3 * settleMinPerThird, rate: 62.5},
 		// 2 ms apart the count is there long before the 50 ms are.
-		{name: "2 ms apart settles at the minimum span", done: stream(200, steady(2*ms)), at: int(settleMinSpan/(2*ms)) + 1, rate: 500},
-		{name: "a fifth of jitter still settles", done: stream(60, func(k int) time.Duration { return 16*ms + time.Duration(k%3-1)*3*ms }), at: 12, atLeast: true, rate: 62.5},
+		{name: "2 ms apart settles at the minimum span", s: stream(200, steady(2*ms)), at: int(settleMinSpan/(2*ms)) + 1, rate: 500},
+		// What the batch of a 1 ms decode is handed: the span decides, three
+		// and a bit minibatches in, where their completions needed twelve.
+		{name: "examples 1 ms apart settle at the minimum span", s: stream(400, steady(ms)), at: int(settleMinSpan/ms) + 1, rate: 1000},
+		// A cheap stage hands over full chunks: the sample is the chunk.
+		{name: "lumps of 64 every 1 ms", s: lumps(400, func(int) (time.Duration, int64) { return ms, 64 }), at: int(settleMinSpan/ms) + 1, rate: 64000},
+		{name: "a fifth of jitter still settles", s: stream(60, func(k int) time.Duration { return 16*ms + time.Duration(k%3-1)*3*ms }), at: 12, atLeast: true, rate: 62.5},
 		// 100 free completions (a token bucket's burst), then the device's
 		// pace: no estimate may come from a window the burst is still in.
-		{name: "burst then steady", done: stream(300, func(k int) time.Duration {
+		{name: "burst then steady", s: stream(300, func(k int) time.Duration {
 			if k < 100 {
 				return 50 * time.Microsecond
 			}
 			return 16 * ms
 		}), at: 100 + 8, atLeast: true, rate: 62.5},
+		// The same bucket seen from the batch: twenty full chunks free, 100 µs
+		// apart, then a record a millisecond.
+		{name: "a burst of chunks, then the throttled pace", s: lumps(600, func(k int) (time.Duration, int64) {
+			if k < 20 {
+				return 100 * time.Microsecond, 64
+			}
+			return ms, 1
+		}), at: 20 + 2*settleMinPerThird, atLeast: true, rate: 1000},
 		// A 64-element handoff of a 1 ms source under batches of 16: a rate
 		// read off two or three lumps is whatever the window's edges make
 		// it. Over ten of them the slope is the rate.
-		{name: "lumps of four settle late", done: stream(400, func(k int) time.Duration {
+		{name: "lumps of four settle late", s: stream(400, func(k int) time.Duration {
 			if k%4 == 0 {
 				return 64 * ms
 			}
 			return 10 * time.Microsecond
 		}), at: 40, atLeast: true, rate: 62.5},
-		{name: "a stream that keeps slowing never settles", done: stream(600, func(k int) time.Duration {
+		// Two outer-parallel replicas, each handed 8 examples every 8 ms, the
+		// second 3 ms after the first: one pooled stream, gaps 3, 5, 3, 5.
+		{name: "two replicas' interleaved lumps", s: lumps(400, func(k int) (time.Duration, int64) {
+			if k%2 == 0 {
+				return 5 * ms, 8
+			}
+			return 3 * ms, 8
+		}), at: 3 * settleMinPerThird, atLeast: true, rate: 2000},
+		{name: "a stream that keeps slowing never settles", s: stream(600, func(k int) time.Duration {
 			return time.Duration(float64(ms) * math.Pow(1.02, float64(k)))
 		})},
-		{name: "seven completions are too few", done: stream(7, steady(200*ms))},
-		{name: "40 ms are too short", done: stream(4000, steady(10*time.Microsecond))},
+		{name: "seven completions are too few", s: stream(7, steady(200*ms))},
+		{name: "40 ms are too short", s: stream(4000, steady(10*time.Microsecond))},
+		// Thirty samples over 30 ms, then eight that share the instant 30 ms
+		// later: the last third has no extent in time, its slope is 0/0, and
+		// every comparison with it must come out "not yet".
+		{name: "a third at one instant settles nothing", s: lumps(38, func(k int) (time.Duration, int64) {
+			switch {
+			case k < 30:
+				return ms, 1
+			case k == 30:
+				return 30 * ms, 1
+			}
+			return 0, 1
+		})},
 	} {
-		n, rate := firstSettled(tc.done)
+		n, rate := firstSettled(tc.s)
 		switch {
 		case tc.at == 0 && n != 0:
-			t.Errorf("%s: settled after %d completions on %.1f/s, want never (the trace runs to EOF)", tc.name, n, rate)
+			t.Errorf("%s: settled after %d samples on %.1f/s, want never (the trace runs to EOF)", tc.name, n, rate)
 		case tc.at != 0 && (n == 0 || n < tc.at || !tc.atLeast && n != tc.at):
-			t.Errorf("%s: settled after %d completions, want %d (at least: %v)", tc.name, n, tc.at, tc.atLeast)
+			t.Errorf("%s: settled after %d samples, want %d (at least: %v)", tc.name, n, tc.at, tc.atLeast)
 		case tc.at != 0 && math.Abs(rate-tc.rate) > 0.05*tc.rate:
 			t.Errorf("%s: settled on %.2f/s, want %.2f within 5 %%", tc.name, rate, tc.rate)
 		}
@@ -344,22 +389,53 @@ func TestBoundedTraceRun(t *testing.T) {
 		}
 		return snap, snap.Nodes["batch"].ElementsProduced, time.Since(start)
 	}
-	if _, root, _ := run(6, Settled); root != 6 {
-		t.Errorf("settle rule under a cap of 6: %d root completions", root)
+	// Three minibatches end before settleMinSpan of them has been seen.
+	if snap, root, _ := run(3, Settled); root != 3 || snap.Run.Settled || snap.Run.RootCompletions != 3 {
+		t.Errorf("settle rule under a cap of 3: %d root completions, run %+v", root, *snap.Run)
 	}
-	if _, root, _ := run(0, func([]time.Duration) (float64, bool) { return 0, false }); root != total {
-		t.Errorf("a rule that never fires: %d root completions, want the epoch's %d", root, total)
+	if snap, root, _ := run(0, func([]Sample) (float64, bool) { return 0, false }); root != total || snap.Run.Settled || snap.Run.Samples < int(total) {
+		t.Errorf("a rule that never fires: %d root completions, want the epoch's %d (run %+v)", root, total, *snap.Run)
+	}
+	if snap, _, _ := run(0, nil); snap.Run.Samples != 0 || snap.Run.Settled || snap.Run.RootCompletions != total {
+		t.Errorf("no rule: run %+v, want no samples and the epoch's %d completions", *snap.Run, total)
 	}
 	ok, detail := bestOf(func() (bool, string) {
 		snap, root, took := run(0, Settled)
-		// 16 records of 1 000 framed bytes at 1 MB/s: 62.5 minibatches/s.
+		// 16 records of 1 000 framed bytes at 1 MB/s: 62.5 minibatches/s. The
+		// rule read it off the records the batch was handed — at least the
+		// twelve samples its thirds need, and more of them than minibatches.
 		rate := float64(root) / snap.Duration.Seconds()
 		limit := time.Duration(root)*16*time.Millisecond + 100*time.Millisecond
-		return root >= 3*settleMinPerThird && root <= 2*total/3 && math.Abs(rate-62.5) <= 6.25 && took <= limit,
-			fmt.Sprintf("%d of %d minibatches in %v, X_0 = %.1f/s", root, total, took, rate)
+		r := snap.Run
+		return r.Settled && r.Samples >= 3*settleMinPerThird && int64(r.Samples) > r.RootCompletions && r.RootCompletions <= root &&
+				root <= 2*total/3 && math.Abs(rate-62.5) <= 6.25 && took <= limit,
+			fmt.Sprintf("%d of %d minibatches in %v, X_0 = %.1f/s, run %+v", root, total, took, rate, *r)
 	})
 	if !ok {
 		t.Errorf("settle rule: %s; want a prefix of the epoch at the device's 62.5/s, dropped and not drained", detail)
+	}
+	// Two outer-parallel replicas, each batching on its own prefetch goroutine:
+	// their taps append to one stream from two goroutines while this one asks
+	// the rule (-race), and the device's one megabyte a second is what the
+	// pooled stream must read, whichever replica got which share of it.
+	g = pipeline.NewBuilder().
+		Named("src").Interleave(slowCatalog.Name, 1).
+		Named("batch").Batch(16).
+		Named("ahead").Prefetch(4).
+		MustBuild()
+	g.OuterParallelism = 2
+	ok, detail = bestOf(func() (bool, string) {
+		snap, err := TraceRun(g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, 0, Settled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, root := snap.Run, snap.Nodes["ahead"].ElementsProduced
+		rate := float64(root) / snap.Duration.Seconds()
+		return r.Settled && int64(r.Samples) > r.RootCompletions && root < 2*total && math.Abs(rate-62.5) <= 6.25,
+			fmt.Sprintf("%d of %d minibatches, X_0 = %.1f/s, run %+v", root, 2*total, rate, *r)
+	})
+	if !ok {
+		t.Errorf("two replicas: %s; want one pooled stream at the device's 62.5/s", detail)
 	}
 }
 

@@ -14,7 +14,8 @@ import (
 )
 
 // TestBoundedTraceTenant: admitting a tenant costs the arbiter a settled
-// prefix of the tenant's job, not an epoch, and reads the same rate. The
+// prefix of the tenant's job, not an epoch, and reads the same rate — off the
+// records its batch is handed, not off the minibatches the batch makes. The
 // tenant is paced by a throttled device (1 000 framed bytes a record at
 // 1 MB/s: 62.5 minibatches of 16 a second, 0.77 s an epoch), so the numbers
 // hold on a loaded host.
@@ -51,5 +52,11 @@ func TestBoundedTraceTenant(t *testing.T) {
 	}
 	if epoch := 768 * time.Millisecond; took > epoch/2 {
 		t.Errorf("admission took %v of a %v epoch: the planning trace did not stop when its rate settled", took, epoch)
+	}
+	// The share says what that trace cost, and that it settled on the records
+	// into the tenant's batch: more samples than minibatches.
+	run := dec.Shares[0].Run
+	if !run.Settled || int64(run.Samples) <= run.RootCompletions || run.Seconds <= 0 || run.Seconds > took.Seconds() {
+		t.Errorf("the planning trace cost %+v of an admission of %v; want it settled on samples of the batch's input", run, took)
 	}
 }

@@ -78,7 +78,7 @@ type Tenant struct {
 	// Spin makes trace workers burn modeled CPU for real.
 	Spin bool
 	// MaxMinibatches is a hard cap on the planning trace's root elements;
-	// 0 means none (the trace still stops once its rate has settled).
+	// 0 means none (the trace still stops once its example rate has settled).
 	MaxMinibatches int64
 	// DiskBandwidth is the tenant's own storage ceiling in bytes/second
 	// (e.g. the simulated device's total bandwidth); 0 means unbounded.
@@ -109,6 +109,11 @@ type Share struct {
 	// The fill epoch is the arbitration currency: a warm-cache steady state
 	// is unbounded whenever a cache is planned and cannot price a share.
 	PredictedMinibatchesPerSec float64 `json:"predicted_minibatches_per_sec"`
+	// Run is what that one trace cost: trace_seconds of wall time,
+	// trace_root_completions, the trace_samples its stop rule read, and
+	// whether the rule ended it (settled; false = ran to EOF or to
+	// MaxMinibatches).
+	trace.Run
 }
 
 // Decision is one arbitration outcome over the current tenant set.
@@ -538,6 +543,7 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 			Trail:                      trail,
 			ObservedMinibatchesPerSec:  stats.FiniteOrZero(t.analysis.ObservedRate),
 			PredictedMinibatchesPerSec: predicted,
+			Run:                        t.analysis.Snapshot.RunCost(),
 		})
 		dec.PredictedAggregateMinibatchesPerSec += predicted
 		dec.PredictedWeightedAggregate += t.weight() * predicted
@@ -572,8 +578,9 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 }
 
 // traceTenant runs the tenant's one planning trace — the shared traced
-// drain, stopped once the tenant's rate has settled — and operationalizes
-// it. All reads go through the tenant's storage connector. Tenants are
+// drain, stopped at the first minibatch after the rate of examples into the
+// tenant's batch has settled — and operationalizes it. All reads go through
+// the tenant's storage connector. Tenants are
 // traced one after another, as they are admitted: a trace measures what the
 // pipeline does with the host to itself, and two spinning tenants sharing a
 // few cores would each read the other's load into its rates.

@@ -119,6 +119,25 @@ type Snapshot struct {
 	SourceFiles map[string]int `json:"source_files,omitempty"`
 	// DiskProfile is the fitted parallelism->bandwidth curve, if profiled.
 	DiskProfile *simfs.BandwidthProfile `json:"disk_profile,omitempty"`
+	// Run says what the traced drain behind this snapshot cost, when one
+	// drain was (engine.TraceRun); nil for interval and simulated snapshots.
+	Run *Run `json:"run,omitempty"`
+}
+
+// Run is the cost of one traced drain, from instantiation to the end of
+// Close. Duration is not it: a drain stopped by a rule reports the time its
+// root completions take at the settled rate.
+type Run struct {
+	// Seconds is the drain's wall time.
+	Seconds float64 `json:"trace_seconds"`
+	// RootCompletions counts the root elements the consumer took.
+	RootCompletions int64 `json:"trace_root_completions"`
+	// Samples is the length of the progress stream the stop rule last read
+	// (0 without a rule).
+	Samples int `json:"trace_samples"`
+	// Settled is true when the rule stopped the drain; false means it ran
+	// to EOF or to its cap.
+	Settled bool `json:"settled"`
 }
 
 // Delta returns the activity between prev and s as a new snapshot: every
@@ -163,6 +182,15 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		out.Files[p] = b
 	}
 	return out
+}
+
+// RunCost returns what the drain behind s cost; zero when s is not one
+// drain's snapshot.
+func (s *Snapshot) RunCost() Run {
+	if s.Run == nil {
+		return Run{}
+	}
+	return *s.Run
 }
 
 // RootStats returns the counters of the root node.

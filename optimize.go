@@ -10,6 +10,7 @@ import (
 	"plumber/internal/plan"
 	"plumber/internal/rewrite"
 	"plumber/internal/stats"
+	"plumber/internal/trace"
 )
 
 // Budget is the resource envelope the tuner allocates against; it aliases
@@ -26,9 +27,10 @@ const (
 	// rewrite materializing the whole plan, one verifying trace, and
 	// bounded greedy refinement only if the observed rate misses the
 	// prediction by more than Options.RefineTolerance. Both traces are
-	// bounded: each stops as soon as the root's rate has settled
-	// (engine.Settled) and drops what is in flight, so neither fills a
-	// cache; a stream that never settles is traced for its whole pass.
+	// bounded: each stops at the first minibatch after the rate of examples
+	// into the batch has settled (engine.Settled) and drops what is in
+	// flight, so neither fills a cache; a stream that never settles is
+	// traced for its whole pass.
 	ModePlanFirst Mode = "plan-first"
 	// ModeGreedy is the sequential closed loop (trace -> analyze -> apply
 	// the first applicable remedy -> re-trace) kept for A/B comparison.
@@ -60,6 +62,11 @@ type StepReport struct {
 	ParallelCores int `json:"parallel_cores"`
 	// Applied is the rewrite this step fired, nil on the converged step.
 	Applied *rewrite.Step `json:"applied,omitempty"`
+	// Run is what this step's trace cost: trace_seconds of wall time,
+	// trace_root_completions, the trace_samples its stop rule read, and
+	// whether the rule ended it (settled; false = ran to EOF or to
+	// MaxMinibatches).
+	trace.Run
 }
 
 // Result is the outcome of one Optimize run: the rewritten program, the
@@ -333,5 +340,6 @@ func stepReport(step int, an *ops.Analysis, budget Budget) StepReport {
 		BottleneckCapacity:        stats.FiniteOrZero(bn.ScaledCapacity),
 		CapacityCeiling:           stats.FiniteOrZero(rewrite.CapacityCeiling(an, budget)),
 		ParallelCores:             rewrite.ParallelCoresInUse(an.Snapshot.Graph),
+		Run:                       an.Snapshot.RunCost(),
 	}
 }

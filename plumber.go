@@ -144,7 +144,8 @@ func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
 }
 
 // traceUntil is Trace with a stop rule (engine.TraceRun): nil drains the
-// whole pass, engine.Settled stops once the root's rate has settled.
+// whole pass, engine.Settled stops once the rate of the pipeline's progress
+// stream — examples into its batch — has settled.
 func traceUntil(g *pipeline.Graph, opts Options, stop engine.StopRule) (*trace.Snapshot, error) {
 	src := opts.source()
 	if src == nil {
