@@ -13,7 +13,6 @@ import (
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
-	"plumber/internal/rewrite"
 	"plumber/internal/scenario"
 	"plumber/internal/simfs"
 	"plumber/internal/udf"
@@ -121,6 +120,49 @@ func traceAnalysis(t *testing.T, g *pipeline.Graph, opts Options) *ops.Analysis 
 		t.Fatal(err)
 	}
 	return an
+}
+
+// settledRate is X_0 as bounded traces of g read it, from cold caches unless
+// opts carries a store: what a test holds a prediction against, now that
+// Optimize traces nothing it plans. Other load on the host only ever lowers
+// a wall-clock rate, so it is the best of up to three traces, stopping at the
+// first to reach want.
+func settledRate(t *testing.T, g *pipeline.Graph, opts Options, want float64) float64 {
+	t.Helper()
+	best := 0.0
+	for trace := 0; trace < 3 && best < want; trace++ {
+		snap, err := traceUntil(g, opts, engine.Settled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		best = math.Max(best, float64(snap.Nodes[g.Output].ElementsProduced)/snap.Duration.Seconds())
+	}
+	return best
+}
+
+// missUnlessHostBusy fails the test with a predicted-against-measured miss,
+// unless the host explains it. A plan for two cores is traced on one worker
+// and measured on two, so a neighbour holding the second core — this host's
+// do, for seconds at a time — reads as a prediction twice too high, and no
+// retry outlasts it. The control: two goroutines spin side by side for 30 ms,
+// then one alone; the work ratio is the cores the host runs at once right now.
+func missUnlessHostBusy(t *testing.T, format string, args ...any) {
+	t.Helper()
+	spin := func() (n float64) {
+		for end := time.Now().Add(30 * time.Millisecond); time.Now().Before(end); n++ {
+		}
+		return n
+	}
+	var a, b float64
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); a = spin() }()
+	go func() { defer wg.Done(); b = spin() }()
+	wg.Wait()
+	if cores := (a + b) / spin(); cores < 1.5 {
+		t.Skipf("unresolved, the host runs %.1f spinning goroutines at once: "+format, append([]any{cores}, args...)...)
+	}
+	t.Fatalf(format, args...)
 }
 
 // within reports |got - want| <= tol * |want|, with two infinities equal.
@@ -243,6 +285,9 @@ func TestSettledTraceCostsASpanNotTwelveMinibatches(t *testing.T) {
 				t.Fatalf("batch %d: settled traces planned (%d cores)\n%s\nwhole passes planned (%d cores)\n%s",
 					tc.batch, b.Plan.CoresPlanned, final, whole.Plan.CoresPlanned, wholeFinal)
 			}
+			if b.TracesUsed != 1 || len(b.Steps) != 1 {
+				t.Fatalf("batch %d: plan-first took %d traces over %d steps, want one planning trace", tc.batch, b.TracesUsed, len(b.Steps))
+			}
 			run := b.Steps[0].Run
 			if run.Settled && run.RootCompletions >= 1 && run.RootCompletions <= tc.maxRoot &&
 				run.Seconds <= limit.Seconds() && within(b.PredictedMinibatchesPerSec, whole.PredictedMinibatchesPerSec, 0.05) {
@@ -254,6 +299,125 @@ func TestSettledTraceCostsASpanNotTwelveMinibatches(t *testing.T) {
 		if detail != "" {
 			t.Errorf("batch %d: the planning trace cost %s; want it settled within %v and %d minibatches, and the prediction within 5 %%", tc.batch, detail, limit, tc.maxRoot)
 		}
+	}
+}
+
+// TestOptimizeTracesOnce: on the vision shape plan-first is one settled
+// trace and the arithmetic on it — Optimize returns within a few milliseconds
+// of the trace ending, having built no second pipeline — and the program it
+// returns is the one it returned when it traced that program before handing
+// it over: decode at 2, a cache above the batch, prefetch(8) at the root, one
+// replica. The rate it predicts for it is the rate a trace of it then reads.
+func TestOptimizeTracesOnce(t *testing.T) {
+	opts := boundedOptions(t)
+	g := boundedGraph(t, "chain")
+	want, _ := json.Marshal(pipeline.NewBuilder().
+		Named("src").Interleave(boundedCatalog.Name, 1).
+		Named("decode").Map("bounded_decode", 2).
+		Named("batch").Batch(16).
+		Named("plumber_cache").Cache().
+		Named("plumber_prefetch").Prefetch(8).MustBuild())
+	// Wall time and wall-clock rates, beside other spinning packages: a miss
+	// is retried.
+	var detail string
+	for attempt := 0; attempt < 3; attempt++ {
+		start := time.Now()
+		res, err := Optimize(g, Budget{Cores: 2, MemoryBytes: 256 << 20}, opts)
+		wall := time.Since(start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TracesUsed != 1 || len(res.Steps) != 1 {
+			t.Fatalf("plan-first took %d traces over %d steps, want 1 and 1", res.TracesUsed, len(res.Steps))
+		}
+		if got, _ := json.Marshal(res.Final); string(got) != string(want) {
+			t.Fatalf("one trace planned\n%s\nwant\n%s", got, want)
+		}
+		measured := settledRate(t, res.Final, opts, res.PredictedMinibatchesPerSec)
+		run := res.Steps[0].Run
+		if run.Settled && wall.Seconds() <= run.Seconds+0.015 && within(measured, res.PredictedMinibatchesPerSec, 0.25) {
+			detail = ""
+			break
+		}
+		detail = fmt.Sprintf("took %v around a trace of %+v and predicted %.1f mb/s for a program then traced at %.1f",
+			wall, run, res.PredictedMinibatchesPerSec, measured)
+	}
+	if detail != "" {
+		missUnlessHostBusy(t, "Optimize %s; want it back within 15 ms of a settled trace, and the prediction within 25 %%", detail)
+	}
+}
+
+// TestBurstTracePrediction: the retune shape of the benchmark on a device
+// nobody has read from yet — 16 MB/s, and simfs's bucket starts with a
+// quarter second of that, 4 MB, to give away. The planning trace settles in
+// 55 ms having read at four times the bandwidth the budget declares, and at
+// the parent commit that factor was the calibration: 2 300 minibatches/s
+// predicted of a device good for 500. The prediction must stay at the
+// declared disk bound, and be what the planned program sustains once the
+// allowance is spent: its second epoch, the first being 4.1 MB.
+func TestBurstTracePrediction(t *testing.T) {
+	cat := data.Catalog{
+		Name: "bounded-burst", NumFiles: 8, RecordsPerFile: 256, MeanRecordBytes: 2000,
+		RecordBytesStddevFrac: 0.004, DecodeAmplification: 1,
+	}
+	if err := data.RegisterCatalog(cat); err != nil {
+		t.Fatal(err)
+	}
+	reg := udf.NewRegistry()
+	if err := reg.Register(udf.UDF{Name: "burst_decode", Cost: udf.Cost{CPUPerElement: 20e-6, SizeFactor: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(cat.Name, 1).
+		Named("decode").Map("burst_decode", 1).
+		Named("epochs").Repeat(2).
+		Named("batch").Batch(16).MustBuild()
+	dev := simfs.Device{Name: "bounded-burst", TotalBandwidth: 16e6, PerStreamBandwidth: 4e6}
+	budget := Budget{Cores: 2, MemoryBytes: 1 << 20, DiskBandwidth: dev.TotalBandwidth}
+
+	// What the declared bandwidth is worth, from a pass that never waits.
+	twin := simfs.New(simfs.Device{Name: "bounded-burst-twin"}, false)
+	twin.AddCatalog(cat, 1)
+	diskBound := traceAnalysis(t, g, Options{FS: twin, UDFs: reg, Seed: 1}).DiskBoundMinibatchesPerSec(dev.TotalBandwidth)
+
+	fs := simfs.New(dev, true)
+	fs.AddCatalog(cat, 1)
+	opts := Options{FS: fs, UDFs: reg, Seed: 1, WorkScale: 1, Spin: true}
+	res, err := Optimize(g, budget, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if traced := res.Steps[0].ObservedMinibatchesPerSec; traced < 2*diskBound {
+		t.Skipf("the planning trace read %.0f minibatches/s of a device good for %.0f: no burst, nothing to show", traced, diskBound)
+	}
+	if res.PredictedMinibatchesPerSec > 1.05*diskBound {
+		t.Fatalf("predicted %.0f minibatches/s under a declared bandwidth worth %.0f (the trace read %.0f, inside the device's burst)",
+			res.PredictedMinibatchesPerSec, diskBound, res.Steps[0].ObservedMinibatchesPerSec)
+	}
+
+	// Other load on the host only ever lowers the rate, and the bucket keeps
+	// it from rising: the best of a few drains, stopping at the first that
+	// agrees.
+	epoch := int64(cat.NumFiles*cat.RecordsPerFile) / 16
+	sustained := 0.0
+	for attempt := 0; attempt < 3 && !within(res.PredictedMinibatchesPerSec, sustained, 0.12); attempt++ {
+		p, err := engine.New(res.Final, engine.Options{FS: opts.source(), UDFs: reg, Seed: 1, WorkScale: 1, Spin: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, _, err := p.Drain(epoch); err != nil || n != epoch {
+			t.Fatalf("first epoch: %d minibatches, %v", n, err)
+		}
+		start := time.Now()
+		n, _, err := p.Drain(0)
+		sustained = math.Max(sustained, float64(n)/time.Since(start).Seconds())
+		p.Close()
+		if err != nil || n != epoch {
+			t.Fatalf("second epoch: %d minibatches, %v", n, err)
+		}
+	}
+	if !within(res.PredictedMinibatchesPerSec, sustained, 0.12) {
+		t.Fatalf("predicted %.0f minibatches/s, the planned program sustains %.0f", res.PredictedMinibatchesPerSec, sustained)
 	}
 }
 
@@ -284,7 +448,7 @@ func TestBoundedTraceOfConcatReadsTheBranchItSaw(t *testing.T) {
 }
 
 // planFirst runs ModePlanFirst the way Optimize does, with the given stop
-// rule on its two traces.
+// rule on its trace.
 func planFirst(t *testing.T, g *pipeline.Graph, budget Budget, opts Options, stop engine.StopRule) *Result {
 	t.Helper()
 	opts = opts.withDefaults()
@@ -317,6 +481,13 @@ func countingSettled(cut *int) engine.StopRule {
 // skewed ones reads their rate, not the pass's). The modeled CPU is burned,
 // twice over, so the traces take real time and those of the scenarios
 // with 100 ms of work or more do settle.
+//
+// What each prediction is worth is read off a bounded trace of the planned
+// program, taken here since Optimize takes none, and logged, not asserted:
+// the budget is 4 cores and cold-storage declares a bandwidth its in-memory
+// device does not enforce, so on a smaller host the miss says what the host
+// lacks, not what the model does (TestOptimizeTracesOnce and
+// TestOptimizePlanFirst assert it, on budgets the host can deliver).
 func TestBoundedOptimizeMatchesWholePass(t *testing.T) {
 	cut := 0
 	counting := countingSettled(&cut)
@@ -325,15 +496,15 @@ func TestBoundedOptimizeMatchesWholePass(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// No refinement: it re-plans from how far the verifying trace's
-		// wall-clock rate fell short, which on a loaded host is anything.
-		opts := Options{Source: w.Source, UDFs: w.Registry, Seed: spec.Seed, WorkScale: 2, Spin: true, RefineTolerance: -1}
+		opts := Options{Source: w.Source, UDFs: w.Registry, Seed: spec.Seed, WorkScale: 2, Spin: true}
 		budget := Budget{Cores: 4, MemoryBytes: 64 << 20, DiskBandwidth: w.DiskBandwidth}
 		// The predictions scale with the planning trace's wall-clock rate,
 		// which other load on the host only ever lowers: compare the best of
 		// a few attempts on each side. If the whole passes do not repeat
 		// within the 5 % themselves, the host cannot resolve the question.
 		var bounded, whole float64
+		var final *pipeline.Graph
+		settled := false
 		lowest := math.Inf(1)
 		for attempt := 0; attempt < 4 && (attempt == 0 || !within(bounded, whole, 0.05)); attempt++ {
 			b := planFirst(t, w.Graph, budget, opts, counting)
@@ -343,13 +514,16 @@ func TestBoundedOptimizeMatchesWholePass(t *testing.T) {
 			if string(bj) != string(fj) {
 				t.Fatalf("%s: bounded traces planned\n%s\nwhole passes planned\n%s", spec.Name, bj, fj)
 			}
-			if b.TracesUsed != f.TracesUsed {
-				t.Fatalf("%s: %d traces bounded, %d whole", spec.Name, b.TracesUsed, f.TracesUsed)
+			if b.TracesUsed != 1 || f.TracesUsed != 1 {
+				t.Fatalf("%s: %d traces bounded, %d whole, want one each", spec.Name, b.TracesUsed, f.TracesUsed)
 			}
 			bounded = math.Max(bounded, b.PredictedMinibatchesPerSec)
 			whole = math.Max(whole, f.PredictedMinibatchesPerSec)
 			lowest = math.Min(lowest, f.PredictedMinibatchesPerSec)
+			final, settled = b.Final, settled || b.Steps[0].Run.Settled
 		}
+		t.Logf("%s: predicted %.1f mb/s, a bounded trace of the planned program read %.1f", spec.Name, bounded,
+			settledRate(t, final, opts, bounded))
 		switch {
 		case within(bounded, whole, 0.05):
 		case spec.FileSizeSkew > 0:
@@ -357,6 +531,10 @@ func TestBoundedOptimizeMatchesWholePass(t *testing.T) {
 			// rate of the first few is not the rate of the pass, and no
 			// prefix can know. The plan, above, still has to be the same.
 			t.Logf("%s: predicted %.1f mb/s from the shards a bounded trace saw, %.1f from all of them", spec.Name, bounded, whole)
+		case !settled:
+			// A pass too short for the rule to fire was traced whole on both
+			// sides: two samples of one thing, and 12 ms of it is noise.
+			t.Logf("%s: never settled — whole passes on both sides predicted %.1f and %.1f mb/s", spec.Name, bounded, whole)
 		case !within(lowest, whole, 0.05):
 			t.Logf("%s: unresolved — whole passes alone predicted %.1f to %.1f mb/s (bounded: %.1f)", spec.Name, lowest, whole, bounded)
 		default:
@@ -401,27 +579,28 @@ func drain(t *testing.T, g *pipeline.Graph, opts Options, store *engine.CacheSto
 	}
 }
 
-// TestBoundedOptimizeLeavesNoPartialCache: plan-first plans a cache above the
-// batch and cuts its verifying trace after a dozen of the thirty minibatches.
-// What that trace recorded must not be in the caller's store as an epoch: the
-// next pass through the store has to fill the cache from the source and
-// deliver everything, and only the pass after that is served from memory.
+// TestBoundedOptimizeLeavesNoPartialCache: plan-first traces a program that
+// caches above the batch and cuts the trace a few of the thirty minibatches
+// into the cache's fill. What that trace recorded must not be in the caller's
+// store as an epoch — and with one core budgeted the chain below the cache is
+// planned as it was traced, so an entry left there would be served: the next
+// pass through the store has to fill the cache from the source and deliver
+// everything, and only the pass after that is served from memory.
 func TestBoundedOptimizeLeavesNoPartialCache(t *testing.T) {
 	opts := boundedOptions(t)
-	g := boundedGraph(t, "chain")
+	g := boundedGraph(t, "cached")
 	var res *Result
-	// On a host too loaded for a steady rate the verifying trace runs to
-	// EOF and fills the cache for good: that attempt shows nothing.
-	for attempt, cut := 0, 0; cut < 2; attempt++ {
+	// On a host too loaded for a steady rate the trace runs to EOF and fills
+	// the cache for good: that attempt shows nothing.
+	for attempt, cut := 0, 0; cut < 1; attempt++ {
 		if attempt == 3 {
-			t.Skip("the verifying trace never settled in 3 attempts")
+			t.Skip("the planning trace never settled in 3 attempts")
 		}
-		cut = 0
 		opts.Caches = engine.NewCacheStore() // the caller's store, as Options.Caches
-		res = planFirst(t, g, Budget{Cores: 2, MemoryBytes: 256 << 20}, opts, countingSettled(&cut))
+		res = planFirst(t, g, Budget{Cores: 1, MemoryBytes: 256 << 20}, opts, countingSettled(&cut))
 	}
-	if !res.Trail.Has(rewrite.NameInsertCache) || res.TracesUsed != 2 {
-		t.Fatalf("want a cache planned and verified in 2 traces, got trail %v and %d traces", res.Trail, res.TracesUsed)
+	if decode, err := res.Final.Node("decode"); err != nil || decode.EffectiveParallelism() != 1 || res.TracesUsed != 1 {
+		t.Fatalf("want the chain below the cache left as traced, in 1 trace; got decode %+v (%v) and %d traces", decode, err, res.TracesUsed)
 	}
 	records := int64(boundedCatalog.NumFiles * boundedCatalog.RecordsPerFile)
 	for pass, fromSource := range []int64{records, 0} {

@@ -515,20 +515,20 @@ func runOptimize(args []string) error {
 
 	for _, s := range res.Steps {
 		line := fmt.Sprintf("step %2d: %8.1f minibatches/s observed, bottleneck %-18s", s.Step, s.ObservedMinibatchesPerSec, s.Bottleneck)
-		if s.Applied != nil {
+		switch {
+		case s.Applied != nil:
 			line += " -> " + s.Applied.Detail
-		} else {
+		case res.Mode == plumber.ModePlanFirst:
+			line += fmt.Sprintf(" -> planned %d knob changes", len(res.Trail))
+		default:
 			line += " -> converged"
 		}
 		fmt.Println(line)
 		fmt.Printf("         its trace: %s\n", traceCost(s.Run))
 	}
 	if res.Mode == plumber.ModePlanFirst && res.PredictedMinibatchesPerSec > 0 {
-		fmt.Printf("predicted %.1f minibatches/s, verifying trace observed %.1f (error %.1f%%)\n",
-			res.PredictedMinibatchesPerSec, res.VerifyObservedMinibatchesPerSec, 100*res.PredictionError)
-		if res.FinalObservedMinibatchesPerSec != res.VerifyObservedMinibatchesPerSec {
-			fmt.Printf("after refinement: %.1f minibatches/s observed\n", res.FinalObservedMinibatchesPerSec)
-		}
+		fmt.Printf("predicted %.1f minibatches/s for the planned program's first epoch; nothing here ran it — `plumber watch` (the doctor) holds a running job against its prediction\n",
+			res.PredictedMinibatchesPerSec)
 	}
 	if !res.Converged {
 		fmt.Println("stopped: step budget exhausted before convergence")

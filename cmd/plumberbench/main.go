@@ -37,7 +37,7 @@
 // measured rate, and the what-if prediction error:
 //
 //   - planner_fraction_of_greedy_capacity: >= 0.95 is the target,
-//     with planner_traces_used <= 3
+//     with planner_traces_used == 1
 //
 // With -scenarios it runs the planner-vs-greedy head-to-head across the
 // whole canonical scenario suite (vision, nlp, tiny-files, skewed,
@@ -379,8 +379,8 @@ func runPlanner(quick bool, out string) {
 			m.Mode, m.TracesUsed, m.WallClockMS, m.MeasuredExamplesPerSec)
 	}
 	if rep.Planner.PredictedMinibatchesPerSec > 0 {
-		fmt.Printf("planner predicted %.1f minibatches/s, verifying trace observed %.1f (error %.1f%%)\n",
-			rep.Planner.PredictedMinibatchesPerSec, rep.Planner.VerifyObservedMinibatchesPerSec,
+		fmt.Printf("planner predicted %.1f minibatches/s, a cold fill epoch of its program measured %.1f (error %.1f%%)\n",
+			rep.Planner.PredictedMinibatchesPerSec, rep.Planner.FillMinibatchesPerSec,
 			100*rep.Planner.PredictionError)
 	}
 	for k, v := range rep.Comparisons {

@@ -10,6 +10,7 @@ import (
 	"plumber/internal/pipeline"
 	"plumber/internal/plan"
 	"plumber/internal/rewrite"
+	"plumber/internal/stats"
 	"plumber/internal/udf"
 )
 
@@ -18,27 +19,29 @@ import (
 type ModeRun struct {
 	// Mode names the strategy ("plan-first" or "greedy").
 	Mode string `json:"mode"`
-	// TracesUsed counts full pipeline drains the tuner consumed — the cost
-	// the predictive planner exists to minimize.
+	// TracesUsed counts the traced runs the tuner consumed — the cost the
+	// predictive planner exists to minimize.
 	TracesUsed int `json:"traces_used"`
 	// WallClockMS is the wall-clock cost of the whole Optimize call:
 	// time-to-capacity, including every trace.
 	WallClockMS float64 `json:"wall_clock_ms"`
 	// Converged reports whether tuning ended because no remedy applied.
 	Converged bool `json:"converged"`
-	// FinalObservedMinibatchesPerSec is the tuner's own last-trace rate.
-	FinalObservedMinibatchesPerSec float64 `json:"final_observed_minibatches_per_sec"`
+	// FinalObservedMinibatchesPerSec is the tuner's own last-trace rate
+	// (greedy only: plan-first never runs the program it returns).
+	FinalObservedMinibatchesPerSec float64 `json:"final_observed_minibatches_per_sec,omitempty"`
 	// MeasuredExamplesPerSec is the tuned program's throughput measured
 	// independently (Spin on, epochs passes, best of reps) — the
 	// "converged capacity" the comparison is scored on.
 	MeasuredExamplesPerSec float64 `json:"measured_examples_per_sec"`
-	// PredictedMinibatchesPerSec, VerifyObservedMinibatchesPerSec, and
-	// PredictionError carry the plan-first what-if validation: the
-	// prediction, the verifying trace's observation it was scored against,
-	// and their relative error (absent for greedy).
-	PredictedMinibatchesPerSec      float64 `json:"predicted_minibatches_per_sec,omitempty"`
-	VerifyObservedMinibatchesPerSec float64 `json:"verify_observed_minibatches_per_sec,omitempty"`
-	PredictionError                 float64 `json:"prediction_error,omitempty"`
+	// PredictedMinibatchesPerSec, FillMinibatchesPerSec, and PredictionError
+	// carry the plan-first what-if validation: the tuner's fill-epoch
+	// prediction, an independent one-epoch drain of the planned program
+	// from cold caches (best of reps), and their relative error (absent for
+	// greedy).
+	PredictedMinibatchesPerSec float64 `json:"predicted_minibatches_per_sec,omitempty"`
+	FillMinibatchesPerSec      float64 `json:"fill_minibatches_per_sec,omitempty"`
+	PredictionError            float64 `json:"prediction_error,omitempty"`
 	// Trail and Final document what the strategy did.
 	Trail rewrite.Trail   `json:"trail"`
 	Final *pipeline.Graph `json:"final"`
@@ -67,7 +70,7 @@ type PlannerReport struct {
 
 	// Comparisons holds the acceptance ratios:
 	//   planner_fraction_of_greedy_capacity >= 0.95 is the target,
-	//   with planner_traces_used <= 3.
+	//   with planner_traces_used == 1.
 	Comparisons map[string]float64 `json:"comparisons"`
 }
 
@@ -83,19 +86,23 @@ func runMode(mode plumber.Mode, g *pipeline.Graph, budget plumber.Budget, src co
 	}
 	elapsed := time.Since(start)
 	mr := ModeRun{
-		Mode:                            string(res.Mode),
-		TracesUsed:                      res.TracesUsed,
-		WallClockMS:                     float64(elapsed.Microseconds()) / 1e3,
-		Converged:                       res.Converged,
-		FinalObservedMinibatchesPerSec:  res.FinalObservedMinibatchesPerSec,
-		PredictedMinibatchesPerSec:      res.PredictedMinibatchesPerSec,
-		VerifyObservedMinibatchesPerSec: res.VerifyObservedMinibatchesPerSec,
-		PredictionError:                 res.PredictionError,
-		Trail:                           res.Trail,
-		Final:                           res.Final,
+		Mode:                           string(res.Mode),
+		TracesUsed:                     res.TracesUsed,
+		WallClockMS:                    float64(elapsed.Microseconds()) / 1e3,
+		Converged:                      res.Converged,
+		FinalObservedMinibatchesPerSec: res.FinalObservedMinibatchesPerSec,
+		PredictedMinibatchesPerSec:     res.PredictedMinibatchesPerSec,
+		Trail:                          res.Trail,
+		Final:                          res.Final,
 	}
 	if mr.MeasuredExamplesPerSec, err = measureThroughput(res.Final, src, reg, epochs, reps); err != nil {
 		return ModeRun{}, nil, err
+	}
+	if mr.PredictedMinibatchesPerSec > 0 {
+		if mr.FillMinibatchesPerSec, _, err = measureDrain(res.Final, src, reg, 1, reps); err != nil {
+			return ModeRun{}, nil, err
+		}
+		mr.PredictionError = stats.FiniteOrZero(stats.RelErr(mr.FillMinibatchesPerSec, mr.PredictedMinibatchesPerSec))
 	}
 	return mr, res.Plan, nil
 }

@@ -243,7 +243,6 @@ func runMultiTenant(quick bool, epochs, reps int) (*MultiTenantRun, error) {
 		// static 1/N slice of every resource.
 		res, err := plumber.Optimize(w.Graph, even, plumber.Options{
 			Source: w.Source, UDFs: w.Registry, Seed: w.Spec.Seed, WorkScale: 1,
-			RefineTolerance: -1, // one plan, one verify: keep the baseline cheap
 		})
 		if err != nil {
 			return nil, fmt.Errorf("bench multi-tenant %s even-split: %w", share.Tenant, err)

@@ -132,38 +132,45 @@ func handTunedGraph(catalog string, cores int) (*pipeline.Graph, error) {
 // Repeat through the transactional primitives, so a Cache inserted by the
 // tuner serves epochs after the first from memory exactly as in training.
 func measureThroughput(g *pipeline.Graph, src connector.Connector, reg *udf.Registry, epochs, reps int) (float64, error) {
+	_, examples, err := measureDrain(g, src, reg, epochs, reps)
+	return examples, err
+}
+
+// measureDrain is measureThroughput that also returns the best run's
+// minibatches/second. Every run starts with cold caches, so one epoch is a
+// fill epoch — what a plan's PredictedMinibatchesPerSec predicts.
+func measureDrain(g *pipeline.Graph, src connector.Connector, reg *udf.Registry, epochs, reps int) (minibatchesPerSec, examplesPerSec float64, err error) {
 	wrapped, err := g.InsertAbove(g.Output, pipeline.Node{
 		Name: "bench_epochs", Kind: pipeline.KindRepeat, Count: int64(epochs),
 	})
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	best := 0.0
 	for rep := 0; rep < reps; rep++ {
 		p, err := engine.New(wrapped, engine.Options{
 			FS: src, UDFs: reg, Seed: 42, WorkScale: 1, Spin: true,
 		})
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		// Collect before timing: a preceding Optimize can leave tens of MB
 		// of dead cache stores whose collection would otherwise land in
 		// (and skew) the first measured drains.
 		runtime.GC()
 		start := time.Now()
-		_, examples, err := p.Drain(0)
+		minibatches, examples, err := p.Drain(0)
 		elapsed := time.Since(start)
 		p.Close()
 		if err != nil {
-			return 0, fmt.Errorf("bench tuner drain: %w", err)
+			return 0, 0, fmt.Errorf("bench tuner drain: %w", err)
 		}
 		if elapsed > 0 {
-			if rate := float64(examples) / elapsed.Seconds(); rate > best {
-				best = rate
+			if rate := float64(examples) / elapsed.Seconds(); rate > examplesPerSec {
+				minibatchesPerSec, examplesPerSec = float64(minibatches)/elapsed.Seconds(), rate
 			}
 		}
 	}
-	return best, nil
+	return minibatchesPerSec, examplesPerSec, nil
 }
 
 // RunTuner runs the closed loop end to end on the synthetic catalog and

@@ -231,7 +231,7 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 	return snap, nil
 }
 
-// Settled is the stop rule of the planning and verifying traces: stop when
+// Settled is the stop rule of the planning traces: stop when
 // the rate of the progress stream has stopped moving. Time since the first
 // sample is cut in three. The first third is ignored — worker start-up, chunk
 // sizes still finding their level, what a throttled device hands out free

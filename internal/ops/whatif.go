@@ -24,7 +24,7 @@ type Hypothetical struct {
 	// (0 and 1 both mean a single instance).
 	OuterParallelism int
 	// Cores bounds the aggregate CPU work-conservation ceiling; 0 means
-	// unbounded. For predictions that a trace on this host will verify,
+	// unbounded. For predictions that a run on this host is held against,
 	// pass the cores the host can actually deliver, not the deployment
 	// budget.
 	Cores int
@@ -47,6 +47,9 @@ type Ceiling struct {
 	// CPU work-conservation bound, in root minibatches/second: fixed by the
 	// budget. +Inf when neither binds.
 	Resource float64
+	// Storage is the disk-bandwidth part of Resource alone (global and
+	// per-source): what the declared devices can feed, whatever the CPU.
+	Storage float64
 	// Sequential is the capacity of the slowest active non-parallelizable
 	// Dataset at one pipeline replica (+Inf when none has a measurable
 	// cost); only outer parallelism lifts it. SequentialNode names it.
@@ -78,7 +81,7 @@ func (n NodeAnalysis) Measurable() bool { return n.Rate > 0 && !math.IsInf(n.Rat
 func (a *Analysis) Ceiling(h Hypothetical) Ceiling { return a.ceiling(h, a.idle(h)) }
 
 func (a *Analysis) ceiling(h Hypothetical, idle map[string]bool) Ceiling {
-	c := Ceiling{Resource: math.Inf(1), Sequential: math.Inf(1)}
+	c := Ceiling{Storage: math.Inf(1), Sequential: math.Inf(1)}
 	var ioPerMB float64
 	for _, n := range a.Nodes {
 		if idle[n.Name] {
@@ -93,7 +96,7 @@ func (a *Analysis) ceiling(h Hypothetical, idle map[string]bool) Ceiling {
 		if n.IOBytesPerMinibatch > 0 {
 			ioPerMB += n.IOBytesPerMinibatch
 			if v, ok := h.SourceBandwidth[n.Name]; ok && v > 0 {
-				c.Resource = math.Min(c.Resource, v/n.IOBytesPerMinibatch)
+				c.Storage = math.Min(c.Storage, v/n.IOBytesPerMinibatch)
 			}
 		}
 	}
@@ -101,8 +104,9 @@ func (a *Analysis) ceiling(h Hypothetical, idle map[string]bool) Ceiling {
 		// One shared device: the global bandwidth bounds the active nodes'
 		// aggregate demand, so a DAG's two sources cannot each claim the
 		// full budget.
-		c.Resource = math.Min(c.Resource, h.DiskBandwidth/ioPerMB)
+		c.Storage = math.Min(c.Storage, h.DiskBandwidth/ioPerMB)
 	}
+	c.Resource = c.Storage
 	if h.Cores > 0 && c.CPUPerMinibatch > 0 {
 		c.Resource = math.Min(c.Resource, float64(h.Cores)/c.CPUPerMinibatch)
 	}
@@ -166,13 +170,19 @@ func (a *Analysis) EfficiencyWithSources(cores int, diskBandwidth float64, src m
 	return a.ObservedRate / base
 }
 
-// PredictObservedRate is the what-if prediction a verifying trace should
-// reproduce: PredictRate scaled by the Efficiency calibration. +Inf (an
-// unbounded model) passes through unscaled.
+// PredictObservedRate is the what-if prediction a run of the hypothetical
+// shape on this host should reproduce: PredictRate scaled by the Efficiency
+// calibration. +Inf (an unbounded model) passes through unscaled.
+//
+// Calibration may discount a storage bound, never lift it: a trace short
+// enough to be served from a throttled device's burst allowance observes
+// several times the declared bandwidth, and that factor over a disk-bound
+// ceiling is a rate the device cannot sustain.
 func (a *Analysis) PredictObservedRate(h Hypothetical) float64 {
 	r := a.PredictRate(h)
 	if math.IsInf(r, 1) {
 		return r
 	}
-	return a.EfficiencyWithSources(h.Cores, h.DiskBandwidth, h.SourceBandwidth) * r
+	r *= a.EfficiencyWithSources(h.Cores, h.DiskBandwidth, h.SourceBandwidth)
+	return math.Min(r, a.Ceiling(h).Storage)
 }

@@ -122,3 +122,36 @@ func TestEfficiencyCalibratesPredictions(t *testing.T) {
 		t.Fatalf("unbounded prediction = %v, want +Inf", got)
 	}
 }
+
+// TestPredictObservedRateHeldToStorageBound: calibration discounts a storage
+// bound and never lifts it. A trace served from a throttled device's burst
+// allowance observes several times what the declared bandwidth is worth;
+// that factor over a disk-bound shape is a rate the device cannot sustain.
+func TestPredictObservedRateHeldToStorageBound(t *testing.T) {
+	a := whatifAnalysis()
+	disk := 10e6 / float64(1<<20) // 10 MB/s over 1 MiB a minibatch
+	planned := Hypothetical{Parallelism: map[string]int{"map_1": 4}, DiskBandwidth: 10e6}
+
+	// Read inside the burst: 40 minibatches/s observed of a device good for
+	// 9.5, an efficiency of 4.2.
+	a.ObservedRate = 40
+	if got := a.PredictObservedRate(planned); math.Abs(got-disk) > 1e-9 {
+		t.Fatalf("burst-calibrated prediction = %v, want the disk bound %v", got, disk)
+	}
+	// The same hint on one source alone holds it the same way.
+	perSource := Hypothetical{Parallelism: planned.Parallelism, SourceBandwidth: map[string]float64{"interleave_1": 10e6}}
+	if got := a.PredictObservedRate(perSource); math.Abs(got-disk) > 1e-9 {
+		t.Fatalf("burst-calibrated per-source prediction = %v, want %v", got, disk)
+	}
+	// A device that delivered less than declared is still discounted.
+	a.ObservedRate = disk / 2
+	if got := a.PredictObservedRate(planned); math.Abs(got-disk/2) > 1e-9 {
+		t.Fatalf("discounted prediction = %v, want %v", got, disk/2)
+	}
+	// A warm cache takes the source out of the model, and its bound with it.
+	a.ObservedRate = 40
+	warm := Hypothetical{CacheAbove: "interleave_1", WarmCache: true, Parallelism: planned.Parallelism, DiskBandwidth: 10e6}
+	if got, eff := a.PredictObservedRate(warm), a.Efficiency(0, 10e6); math.Abs(got-400*eff) > 1e-6 {
+		t.Fatalf("warm prediction = %v, want map@4 x efficiency = %v", got, 400*eff)
+	}
+}

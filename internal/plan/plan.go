@@ -85,8 +85,8 @@ type Plan struct {
 	// predicted to limit the consumer.
 	PredictedMinibatchesPerSec float64 `json:"predicted_minibatches_per_sec,omitempty"`
 	// PredictedFillMinibatchesPerSec is the calibrated first-epoch
-	// prediction (cache still filling) — what a single verifying trace of
-	// the planned shape should observe.
+	// prediction (cache still filling) — what the first epoch of a job
+	// running the planned shape should show.
 	PredictedFillMinibatchesPerSec float64 `json:"predicted_fill_minibatches_per_sec,omitempty"`
 	// SourceBandwidth echoes the budget's per-source bandwidth hints the
 	// plan was solved under, so Hypothetical predictions reuse them.
@@ -107,8 +107,8 @@ func (p *Plan) ParallelismFor(name string, def int) int {
 
 // Hypothetical converts the plan into the ops what-if shape it predicts,
 // bounded by cores physical CPU cores (pass the deployment budget for a
-// deployment prediction, or the verifying host's core count for a
-// prediction a local trace should reproduce).
+// deployment prediction, or this host's core count for a prediction a
+// local run should reproduce).
 func (p *Plan) Hypothetical(warm bool, cores int, diskBandwidth float64) ops.Hypothetical {
 	return ops.Hypothetical{
 		Parallelism:      p.Parallelism,
@@ -292,7 +292,7 @@ func solveForCache(a *ops.Analysis, b Budget, cores int, cacheAbove string) *all
 
 // Solve computes the joint allocation for the analyzed pipeline under the
 // budget in one shot. The returned plan is advisory: materialize it with
-// rewrite.ApplyPlan and verify with one trace.
+// rewrite.ApplyPlan and hold the job that runs it against its predictions.
 func Solve(a *ops.Analysis, b Budget) (*Plan, error) {
 	if len(a.Nodes) == 0 {
 		return nil, fmt.Errorf("plan: analysis has no nodes")

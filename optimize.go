@@ -23,19 +23,17 @@ type Mode string
 
 const (
 	// ModePlanFirst is the paper's predictive path and the default: one
-	// trace, a one-shot LP-style joint allocation (internal/plan), one
-	// rewrite materializing the whole plan, one verifying trace, and
-	// bounded greedy refinement only if the observed rate misses the
-	// prediction by more than Options.RefineTolerance. Both traces are
-	// bounded: each stops at the first minibatch after the rate of examples
-	// into the batch has settled (engine.Settled) and drops what is in
-	// flight, so neither fills a cache; a stream that never settles is
-	// traced for its whole pass.
+	// trace, a one-shot LP-style joint allocation (internal/plan), and one
+	// rewrite materializing the whole plan. The trace is bounded: it stops
+	// at the first minibatch after the rate of examples into the batch has
+	// settled (engine.Settled) and drops what is in flight, so it fills no
+	// cache; a stream that never settles is traced for its whole pass. The
+	// planned program is not traced again: its prediction is held against
+	// the job that runs it (doctor.Config.Predicted).
 	ModePlanFirst Mode = "plan-first"
 	// ModeGreedy is the sequential closed loop (trace -> analyze -> apply
 	// the first applicable remedy -> re-trace) kept for A/B comparison.
-	// Its traces — and those of plan-first's refinement, which runs the
-	// same loop — are whole passes: the step after a cache insertion reads
+	// Its traces are whole passes: the step after a cache insertion reads
 	// the cache warm, and only a completed pass fills it.
 	ModeGreedy Mode = "greedy"
 )
@@ -84,42 +82,38 @@ type Result struct {
 	// mode every knob change the plan materialized appears here too, under
 	// the same canonical rewrite names the greedy loop uses.
 	Trail rewrite.Trail `json:"trail"`
-	// Steps is the per-trace capacity trajectory; the last entry with
-	// Applied == nil describes the converged program.
+	// Steps is the per-trace capacity trajectory. Greedy mode's last entry
+	// with Applied == nil describes the converged program; plan-first's one
+	// entry describes the program it traced, before the plan.
 	Steps []StepReport `json:"steps"`
 	// Converged is true when no remedy applied (capacity converged or the
-	// budget bound); false means the step budget was exhausted first.
+	// budget bound) — always, for a one-shot plan; false means greedy mode's
+	// step budget was exhausted first.
 	Converged bool `json:"converged"`
-	// FinalObservedMinibatchesPerSec is the last trace's observed rate.
-	FinalObservedMinibatchesPerSec float64 `json:"final_observed_minibatches_per_sec"`
+	// FinalObservedMinibatchesPerSec is the observed rate of greedy mode's
+	// last trace, which ran Final. Plan-first never runs Final and leaves
+	// it 0.
+	FinalObservedMinibatchesPerSec float64 `json:"final_observed_minibatches_per_sec,omitempty"`
 
 	// Plan is the one-shot joint allocation (plan-first mode only).
 	Plan *plan.Plan `json:"plan,omitempty"`
 	// PredictedMinibatchesPerSec is the calibrated what-if prediction for
-	// the verifying trace of the planned shape (plan-first mode only; the
-	// plan's fill-epoch prediction evaluated with the cores this host can
-	// actually deliver). 0 encodes an unbounded model.
+	// Final's first (cache-filling) epoch on this host (plan-first mode
+	// only; the plan's fill-epoch prediction evaluated with the cores this
+	// host can actually deliver). Nothing here measures it: seed
+	// doctor.Config.Predicted with it and the running job is held against
+	// it. 0 encodes an unbounded model.
 	PredictedMinibatchesPerSec float64 `json:"predicted_minibatches_per_sec,omitempty"`
-	// VerifyObservedMinibatchesPerSec is the verifying trace's observed
-	// rate (plan-first only) — the observation PredictionError is computed
-	// against. It equals FinalObservedMinibatchesPerSec unless greedy
-	// refinement ran afterwards.
-	VerifyObservedMinibatchesPerSec float64 `json:"verify_observed_minibatches_per_sec,omitempty"`
-	// PredictionError is |observed - predicted| / predicted between the
-	// verifying trace and PredictedMinibatchesPerSec (plan-first only).
-	PredictionError float64 `json:"prediction_error,omitempty"`
 	// TracesUsed counts the traced runs this call consumed — the cost the
-	// predictive planner exists to minimize. Plan-first's two stop when the
-	// rate has settled; every greedy step's is a whole pass.
+	// predictive planner exists to minimize. Plan-first's one stops when
+	// the rate has settled; every greedy step's is a whole pass.
 	TracesUsed int `json:"traces_used"`
 }
 
 // Optimize tunes the graph under the budget. The default ModePlanFirst
 // runs the paper's predictive path: trace once, solve the LP-style joint
 // allocation of cores, cache memory, prefetching, and outer parallelism in
-// one shot, materialize it as a single validated rewrite, and verify with
-// one more trace — falling back to a bounded greedy refinement only when
-// the observation misses the prediction by more than RefineTolerance.
+// one shot, and materialize it as a single validated rewrite.
 // ModeGreedy is the sequential closed loop (up to MaxSteps re-traces) kept
 // for A/B comparison. A zero Budget.Cores allocates against the machine's
 // core count, like the paper's nc-core tuner. The caller's graph is never
@@ -162,7 +156,7 @@ func Optimize(g *pipeline.Graph, budget Budget, opts Options) (*Result, error) {
 	case ModePlanFirst:
 		err = optimizePlanFirst(res, g.Clone(), budget, opts, engine.Settled)
 	case ModeGreedy:
-		res.Final, err = greedyLoop(res, g.Clone(), budget, opts, opts.MaxSteps, nil)
+		res.Final, err = greedyLoop(res, g.Clone(), budget, opts)
 	default:
 		err = fmt.Errorf("plumber: unknown optimize mode %q", opts.Mode)
 	}
@@ -172,113 +166,60 @@ func Optimize(g *pipeline.Graph, budget Budget, opts Options) (*Result, error) {
 	return res, nil
 }
 
-// optimizePlanFirst implements ModePlanFirst: 1 trace -> plan -> apply ->
-// 1 verifying trace -> bounded greedy refinement only on a prediction miss.
-// stop bounds the two traces; nil makes them whole passes, which is what the
-// tests compare the bounded ones against.
+// optimizePlanFirst implements ModePlanFirst: 1 trace -> plan -> apply.
+// stop bounds the trace; nil makes it a whole pass, which is what the tests
+// compare the bounded one against.
 func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Options, stop engine.StopRule) error {
 	an, err := traceAnalyze(res, cur, opts, stop)
 	if err != nil {
 		return fmt.Errorf("plumber: plan trace: %w", err)
 	}
 	res.Steps = append(res.Steps, stepReport(0, an, budget))
-	res.FinalObservedMinibatchesPerSec = stats.FiniteOrZero(an.ObservedRate)
 
 	pl, err := plan.Solve(an, budget)
 	if err != nil {
 		return fmt.Errorf("plumber: plan solve: %w", err)
 	}
 	res.Plan = pl
-	next, trail, err := rewrite.ApplyPlan(cur, pl)
+	res.Final, res.Trail, err = rewrite.ApplyPlan(cur, pl)
 	if err != nil {
 		return fmt.Errorf("plumber: plan apply: %w", err)
 	}
-	res.Trail = append(res.Trail, trail...)
-	cur = next
-
-	// The verifying trace runs on THIS host. With Spin the modeled CPU is
-	// actually burned, so predict with the cores the host can deliver, not
-	// the deployment budget — a laptop verifying a 64-core plan must not
-	// spuriously trigger refinement. Without Spin the modeled CPU is
-	// virtual (only accounted), real work is the per-element engine
-	// overhead that parallelizes with the knobs, and the budget's cores
-	// are the honest predictor. The verify trace is the start of a fill
-	// epoch: any planned cache starts cold, and stays cold — the trace is
-	// canceled once its rate has settled, and a canceled fill commits
-	// nothing to the CacheStore.
-	verifyCores := budget.Cores
-	if opts.Spin {
-		if n := runtime.NumCPU(); n > 0 && n < verifyCores {
-			verifyCores = n
-		}
-	}
-	// FiniteOrZero also covers the unbounded (+Inf) model: nothing to
-	// verify against, encoded as 0.
-	predicted := stats.FiniteOrZero(
-		an.PredictObservedRate(pl.Hypothetical(false, verifyCores, budget.DiskBandwidth)))
-	res.PredictedMinibatchesPerSec = predicted
-
-	if len(trail) == 0 {
-		// Nothing to apply: the traced shape already is the plan, so the
-		// planning trace doubles as the verifying observation — leaving the
-		// verify fields at 0 would read as "prediction unverified" to JSON
-		// consumers even though a prediction was published.
-		res.VerifyObservedMinibatchesPerSec = stats.FiniteOrZero(an.ObservedRate)
-		if predicted > 0 {
-			res.PredictionError = stats.FiniteOrZero(stats.RelErr(an.ObservedRate, predicted))
-		}
-		res.Converged = true
-		res.Final = cur
-		return nil
-	}
-	an2, err := traceAnalyze(res, cur, opts, stop)
-	if err != nil {
-		return fmt.Errorf("plumber: plan verify trace: %w", err)
-	}
-	res.VerifyObservedMinibatchesPerSec = stats.FiniteOrZero(an2.ObservedRate)
-	if predicted > 0 {
-		res.PredictionError = stats.FiniteOrZero(stats.RelErr(an2.ObservedRate, predicted))
-	}
-	if predicted > 0 && opts.RefineTolerance > 0 && opts.MaxRefineSteps > 0 &&
-		res.PredictionError > opts.RefineTolerance {
-		// Observation missed the prediction: fall back to the greedy loop
-		// for a bounded number of steps, reusing the verify trace's
-		// analysis as its first step.
-		cur, err = greedyLoop(res, cur, budget, opts, opts.MaxRefineSteps, an2)
-		if err != nil {
-			return fmt.Errorf("plumber: plan refine: %w", err)
-		}
-		res.Final = cur
-		return nil
-	}
-	report := stepReport(len(res.Steps), an2, budget)
-	res.FinalObservedMinibatchesPerSec = report.ObservedMinibatchesPerSec
-	res.Steps = append(res.Steps, report)
 	res.Converged = true
-	res.Final = cur
+
+	// The prediction is for the job that runs Final on THIS host. With Spin
+	// the modeled CPU is actually burned, so predict with the cores the host
+	// can deliver, not the deployment budget — a laptop running a 64-core
+	// plan must not read as drifted. Without Spin the modeled CPU is virtual
+	// (only accounted), real work is the per-element engine overhead that
+	// parallelizes with the knobs, and the budget's cores are the honest
+	// predictor. The job starts with a fill epoch: any planned cache is cold.
+	hostCores := budget.Cores
+	if opts.Spin {
+		if n := runtime.NumCPU(); n > 0 && n < hostCores {
+			hostCores = n
+		}
+	}
+	// FiniteOrZero also covers the unbounded (+Inf) model: nothing to hold
+	// the job against, encoded as 0.
+	res.PredictedMinibatchesPerSec = stats.FiniteOrZero(
+		an.PredictObservedRate(pl.Hypothetical(false, hostCores, budget.DiskBandwidth)))
 	return nil
 }
 
-// greedyLoop runs up to maxSteps trace -> analyze -> first-applicable-
+// greedyLoop runs up to opts.MaxSteps trace -> analyze -> first-applicable-
 // rewrite iterations starting from cur, appending to res.Steps/res.Trail.
-// A non-nil initial analysis (from a trace the caller already ran on cur)
-// is consumed as the first iteration's input without re-tracing. When the
-// step budget is exhausted with the last rewrite unmeasured, one final
-// trace reports the returned program's rate.
-func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, maxSteps int, initial *ops.Analysis) (*pipeline.Graph, error) {
+// When the step budget is exhausted with the last rewrite unmeasured, one
+// final trace reports the returned program's rate.
+func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options) (*pipeline.Graph, error) {
 	rewrites := opts.Rewrites
 	if rewrites == nil {
 		rewrites = rewrite.DefaultRewrites(budget)
 	}
-	an := initial
-	for i := 0; i < maxSteps; i++ {
-		step := len(res.Steps)
-		if an == nil {
-			var err error
-			an, err = traceAnalyze(res, cur, opts, nil)
-			if err != nil {
-				return nil, fmt.Errorf("plumber: optimize step %d: %w", step, err)
-			}
+	for step := 0; step < opts.MaxSteps; step++ {
+		an, err := traceAnalyze(res, cur, opts, nil)
+		if err != nil {
+			return nil, fmt.Errorf("plumber: optimize step %d: %w", step, err)
 		}
 		report := stepReport(step, an, budget)
 		res.FinalObservedMinibatchesPerSec = report.ObservedMinibatchesPerSec
@@ -299,7 +240,6 @@ func greedyLoop(res *Result, cur *pipeline.Graph, budget Budget, opts Options, m
 			break
 		}
 		res.Steps = append(res.Steps, report)
-		an = nil
 		if !applied {
 			res.Converged = true
 			return cur, nil

@@ -2,10 +2,10 @@
 // wires the engine, tracer, analyzer, and rewriter into the paper's
 // five-lines-of-code interface. Trace runs an instrumented pipeline and
 // returns a Snapshot; Analyze turns a Snapshot into resource-accounted
-// rates; Optimize closes the loop — trace, analyze, rewrite,
-// re-instantiate — until capacity converges or the resource budget binds,
-// returning the rewritten program together with the audit trail of every
-// remedy applied.
+// rates; Optimize plans from one trace — analyze, solve the joint
+// allocation, rewrite (ModeGreedy instead re-traces after every remedy
+// until capacity converges or the resource budget binds) — returning the
+// rewritten program together with the audit trail of every remedy applied.
 //
 //	snap, _ := plumber.Trace(graph, opts)
 //	analysis, _ := plumber.Analyze(snap, opts.UDFs)
@@ -58,24 +58,14 @@ type Options struct {
 	// over a finite pipeline).
 	MaxMinibatches int64
 	// Mode selects Optimize's strategy; the zero value means ModePlanFirst
-	// (one trace, one-shot joint allocation, one verifying trace).
-	// ModeGreedy is the sequential per-step re-trace loop, kept for A/B.
+	// (one trace, one-shot joint allocation). ModeGreedy is the sequential
+	// per-step re-trace loop, kept for A/B.
 	Mode Mode
-	// RefineTolerance is the relative prediction miss that makes
-	// ModePlanFirst fall back to greedy refinement: refinement runs only
-	// when |observed - predicted| / predicted exceeds it. Zero means the
-	// default (0.25); any negative value disables refinement entirely, so
-	// plan-first is strictly one plan trace plus one verifying trace.
-	RefineTolerance float64
-	// MaxRefineSteps caps ModePlanFirst's post-verification greedy
-	// refinement. Zero means the default (4); any negative value disables
-	// refinement, equivalent to a negative RefineTolerance.
-	MaxRefineSteps int
 	// MaxSteps caps ModeGreedy's rewrite iterations (default 32, raised to
 	// cover the parallelism ramp implied by the core budget).
 	MaxSteps int
-	// Rewrites overrides the greedy remedy sequence (ModeGreedy and
-	// plan-first refinement); nil uses rewrite.DefaultRewrites(budget).
+	// Rewrites overrides ModeGreedy's remedy sequence; nil uses
+	// rewrite.DefaultRewrites(budget).
 	Rewrites []rewrite.Rewrite
 	// Caches, when non-nil, carries warm cache contents across Optimize's
 	// re-instantiations (and across separate Trace calls). Optimize
@@ -110,24 +100,8 @@ func (o Options) withDefaults() Options {
 	if o.Mode == "" {
 		o.Mode = ModePlanFirst
 	}
-	// Zero means "use the default"; negative is the explicit "never refine"
-	// sentinel and must survive defaulting, or disabling plan-first
-	// refinement would be inexpressible.
-	if o.RefineTolerance == 0 {
-		o.RefineTolerance = defaultRefineTolerance
-	}
-	if o.MaxRefineSteps == 0 {
-		o.MaxRefineSteps = defaultMaxRefineSteps
-	}
 	return o
 }
-
-// defaultRefineTolerance is the prediction-miss fraction beyond which
-// plan-first falls back to greedy refinement.
-const defaultRefineTolerance = 0.25
-
-// defaultMaxRefineSteps caps that refinement.
-const defaultMaxRefineSteps = 4
 
 // defaultMaxSteps is the baseline Optimize iteration cap; Optimize raises
 // it when the core budget implies a longer parallelism ramp.

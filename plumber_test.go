@@ -239,19 +239,52 @@ func TestOptimizeRespectsZeroMemoryBudget(t *testing.T) {
 	}
 }
 
+// facadeSpin burns the façade fixture's modeled CPU, twenty times over:
+// 400 µs a record, 100 ms a pass untuned. A prediction is a wall-clock rate
+// on this host, and only burned CPU gives a trace a rate that means anything.
+func facadeSpin(fs *simfs.FS, reg *udf.Registry) Options {
+	return Options{FS: fs, UDFs: reg, WorkScale: 20, Spin: true}
+}
+
+// planHolds runs Optimize and then does what Optimize no longer does: it
+// traces res.Final itself, bounded and from cold caches like the first epoch
+// of the job that would run it, and holds the rate against
+// res.PredictedMinibatchesPerSec at 25 % — the miss that used to send
+// plan-first into refinement. Both are wall-clock rates beside other spinning
+// packages, which only ever lower them: the measurement is the best of a few
+// traces, and a plan that still misses is retried anew.
+func planHolds(t *testing.T, g *pipeline.Graph, budget Budget, opts Options) *Result {
+	t.Helper()
+	var res *Result
+	var measured float64
+	for attempt := 0; attempt < 3; attempt++ {
+		var err error
+		if res, err = Optimize(g, budget, opts); err != nil {
+			t.Fatal(err)
+		}
+		if res.PredictedMinibatchesPerSec <= 0 {
+			t.Fatal("plan-first published no prediction to hold a job against")
+		}
+		measured = settledRate(t, res.Final, opts, res.PredictedMinibatchesPerSec)
+		if within(measured, res.PredictedMinibatchesPerSec, 0.25) {
+			return res
+		}
+	}
+	missUnlessHostBusy(t, "predicted %.1f minibatches/s, bounded traces of the planned program read %.1f",
+		res.PredictedMinibatchesPerSec, measured)
+	return nil
+}
+
 // TestOptimizePlanFirst pins the predictive path end to end: the default
 // mode solves one joint allocation from a single trace, materializes it as
-// one audited rewrite, verifies with one more trace, and — when the
-// prediction holds — stops at two traces total, reaching the same shape
-// the greedy loop needs a re-trace per step for.
+// one audited rewrite and stops there — one trace, reaching the same shape
+// the greedy loop needs a re-trace per step for — and the rate it predicts
+// is the rate the planned program then shows.
 func TestOptimizePlanFirst(t *testing.T) {
 	fs, reg := facadeSetup(t)
 	g := sequentialGraph(t)
 	budget := Budget{Cores: 4, MemoryBytes: 64 << 20}
-	res, err := Optimize(g, budget, Options{FS: fs, UDFs: reg, WorkScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := planHolds(t, g, budget, facadeSpin(fs, reg))
 	if res.Mode != ModePlanFirst {
 		t.Fatalf("default mode = %q, want %q", res.Mode, ModePlanFirst)
 	}
@@ -261,9 +294,12 @@ func TestOptimizePlanFirst(t *testing.T) {
 	if err := res.Final.Validate(); err != nil {
 		t.Fatalf("final graph invalid: %v", err)
 	}
-	if res.TracesUsed > 3 {
-		t.Fatalf("plan-first used %d traces, want <= 3 (prediction error %.3f)",
-			res.TracesUsed, res.PredictionError)
+	if res.TracesUsed != 1 || len(res.Steps) != 1 || !res.Converged {
+		t.Fatalf("plan-first used %d traces over %d steps (converged: %v), want one trace, one step, converged",
+			res.TracesUsed, len(res.Steps), res.Converged)
+	}
+	if res.FinalObservedMinibatchesPerSec != 0 {
+		t.Fatalf("plan-first reports %.1f minibatches/s observed of a program it never ran", res.FinalObservedMinibatchesPerSec)
 	}
 
 	// The joint allocation must reach the same shape the greedy loop finds:
@@ -303,79 +339,34 @@ func TestOptimizePlanFirst(t *testing.T) {
 			t.Fatalf("audit trail missing %s", name)
 		}
 	}
-	if res.PredictedMinibatchesPerSec <= 0 {
-		t.Fatal("plan-first reported no verifiable prediction")
-	}
 	if _, err := json.Marshal(res); err != nil {
 		t.Fatalf("result not serializable: %v", err)
 	}
 }
 
-// TestOptimizeRefinementCanBeDisabled pins the "never refine" sentinel:
-// negative RefineTolerance (or MaxRefineSteps) must survive defaulting and
-// cap plan-first at its two traces no matter how the prediction lands.
-func TestOptimizeRefinementCanBeDisabled(t *testing.T) {
-	if got := (Options{RefineTolerance: -1}).withDefaults().RefineTolerance; got != -1 {
-		t.Fatalf("withDefaults reset RefineTolerance -1 to %v", got)
-	}
-	if got := (Options{MaxRefineSteps: -1}).withDefaults().MaxRefineSteps; got != -1 {
-		t.Fatalf("withDefaults reset MaxRefineSteps -1 to %v", got)
-	}
-	if got := (Options{}).withDefaults().RefineTolerance; got != defaultRefineTolerance {
-		t.Fatalf("withDefaults left zero RefineTolerance at %v", got)
-	}
-
-	fs, reg := facadeSetup(t)
-	// A tolerance of -1 makes any finite prediction error a "miss", so only
-	// the sentinel keeps the trace count at two.
-	res, err := Optimize(sequentialGraph(t), Budget{Cores: 4}, Options{
-		FS: fs, UDFs: reg, WorkScale: 1, RefineTolerance: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TracesUsed > 2 {
-		t.Fatalf("refinement disabled but %d traces used (error %.3f)", res.TracesUsed, res.PredictionError)
-	}
-	res, err = Optimize(sequentialGraph(t), Budget{Cores: 4}, Options{
-		FS: fs, UDFs: reg, WorkScale: 1, MaxRefineSteps: -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TracesUsed > 2 {
-		t.Fatalf("MaxRefineSteps -1 but %d traces used", res.TracesUsed)
-	}
-}
-
 // TestOptimizePlanFirstNoOpReportsVerification pins the empty-trail path:
-// when the traced shape already is the plan, the planning trace doubles as
-// the verifying observation, so the verify fields must not read as
-// "unverified" zeros next to a published prediction.
+// when the traced shape already is the plan, the planning trace is a run of
+// the planned program, so the prediction must be the rate that trace
+// observed — and a second trace of the same program must agree with it.
 func TestOptimizePlanFirstNoOpReportsVerification(t *testing.T) {
 	fs, reg := facadeSetup(t)
 	budget := Budget{Cores: 4, MemoryBytes: 64 << 20}
-	first, err := Optimize(sequentialGraph(t), budget, Options{FS: fs, UDFs: reg, WorkScale: 1})
+	opts := facadeSpin(fs, reg)
+	first, err := Optimize(sequentialGraph(t), budget, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Re-optimizing the tuned program has nothing left to apply.
-	second, err := Optimize(first.Final, budget, Options{FS: fs, UDFs: reg, WorkScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	second := planHolds(t, first.Final, budget, opts)
 	if len(second.Trail) != 0 {
 		t.Skipf("second pass still applied %d rewrites; no-op path not reached", len(second.Trail))
 	}
-	if !second.Converged {
-		t.Fatal("no-op plan did not converge")
+	if !second.Converged || second.TracesUsed != 1 {
+		t.Fatalf("no-op plan: converged %v after %d traces, want converged after one", second.Converged, second.TracesUsed)
 	}
-	if second.VerifyObservedMinibatchesPerSec <= 0 {
-		t.Fatal("no-op plan left VerifyObservedMinibatchesPerSec at 0 despite a published prediction")
-	}
-	if second.PredictedMinibatchesPerSec > 0 && second.PredictionError == 0 &&
-		second.VerifyObservedMinibatchesPerSec != second.PredictedMinibatchesPerSec {
-		t.Fatal("no-op plan left PredictionError at 0 with a nonzero miss")
+	if observed := second.Steps[0].ObservedMinibatchesPerSec; !within(second.PredictedMinibatchesPerSec, observed, 1e-9) {
+		t.Fatalf("no-op plan predicted %.3f minibatches/s for the program it had just traced at %.3f",
+			second.PredictedMinibatchesPerSec, observed)
 	}
 }
 
