@@ -35,3 +35,7 @@ func arenaBlockRecycled()  { arenaLiveBlocks.Add(-1) }
 
 // arenaLive reports the number of arena blocks currently checked out.
 func arenaLive() int64 { return arenaLiveBlocks.Load() }
+
+// LiveArenaBlocks is arenaLive for leak checks outside this package; it
+// exists in debug builds only.
+func LiveArenaBlocks() int64 { return arenaLive() }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"runtime"
+	"sync"
 	"testing"
 
 	"plumber/internal/connector"
@@ -101,6 +102,44 @@ func BenchmarkTracedVsUntraced(b *testing.B) {
 			drainOnce(b, fs, reg, g, Options{Collector: col, SampleEvery: 16})
 		}
 	})
+}
+
+// hopCatalog is the shape of the benchmark's hotpath workload, a quarter of
+// its size: 16 384 records of 1 000 bytes.
+var (
+	hopCatalog = data.Catalog{Name: "engine-bench-hop", NumFiles: 4, RecordsPerFile: 4096,
+		MeanRecordBytes: 1000, RecordBytesStddevFrac: 0.004, DecodeAmplification: 1}
+	registerHopOnce sync.Once
+)
+
+// BenchmarkMapHop measures what the engine costs an example on the path
+// every pipeline runs: records served from memory, a map with no Body (the
+// cost model alone, which changes nothing here) and a Batch of 64, on one P
+// so that wall time is the chain's CPU time. It reports ns and heap objects
+// per example over whole drains, start-up and teardown included.
+func BenchmarkMapHop(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	_, reg := benchSetup(b)
+	registerHopOnce.Do(func() {
+		if err := data.RegisterCatalog(hopCatalog); err != nil {
+			panic(err)
+		}
+	})
+	fs := connector.NewMem("bench-hop")
+	fs.AddCatalog(hopCatalog, 7)
+	g := pipeline.NewBuilder().Interleave(hopCatalog.Name, 1).Map("noop", 1).Batch(64).MustBuild()
+	drainOnce(b, fs, reg, g, Options{}) // materializes the shards
+	examples := float64(b.N) * float64(hopCatalog.NumFiles*hopCatalog.RecordsPerFile)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainOnce(b, fs, reg, g, Options{})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/examples, "ns/example")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/examples, "allocs/example")
 }
 
 // BenchmarkChunkedVsPerElement compares the chunked/pooled hot path against

@@ -69,8 +69,11 @@ type Options struct {
 	ChunkSize int
 	// SampleEvery samples per-element wall timers every Nth element (scaling
 	// the recorded duration by N), so traced runs pay the time.Now cost only
-	// 1/N of the time. 0 uses trace.SampleEvery; 1 times every element.
-	// Element and byte counters are never sampled — only wall timers.
+	// 1/N of the time. 0 uses trace.SampleEvery (16); 1 times every element.
+	// Element and byte counters are never sampled — only wall timers, which
+	// nothing in the model reads: ops costs a stage from CPUNanos and the
+	// counters, so a smaller period buys diagnostics, not a better plan, and
+	// slows the traced pipeline whose rate the plan is calibrated on.
 	SampleEvery int
 	// DisableBufferPool turns off pooled record buffers and downstream
 	// payload recycling, making every record a fresh allocation (the
@@ -548,22 +551,26 @@ func (p *Pipeline) DrainCtx(ctx context.Context, max int64) (elements, examples 
 // Callers that consume root elements and do not keep their payloads should
 // call it to close the recycling loop.
 func (p *Pipeline) Recycle(e data.Element) {
-	p.releasePayload(e)
+	p.releasePayload(&e)
 }
 
 // releasePayload retires an element this stage solely owns. Arena views go
 // back to their block (never to the buffer pool — a view's capacity is not
 // a pool size class, and its block may have other live views); pooled
 // buffers go back to the pool. Every engine-side recycle site must come
-// through here rather than calling data.PutBuf directly.
-func (p *Pipeline) releasePayload(e data.Element) {
+// through here rather than calling data.PutBuf directly. It takes e by
+// pointer: a Batch retires every example it copies, and passing the 64-byte
+// element by value was 14 % of an in-memory chain's profile, more than the
+// payload copy.
+func (p *Pipeline) releasePayload(e *data.Element) {
 	// Arena views release regardless of the current recycle mode: views are
 	// only ever produced by trees built with the arena on (which implies
 	// recycling), but a live reconfiguration can switch recycle off — by
 	// inserting a Cache node — while the consumer still holds views drained
 	// from the pre-barrier tree. Dropping those references would pin their
-	// arena blocks forever.
-	if e.Release() {
+	// arena blocks forever. (This is Element.Release, which would copy e.)
+	if e.Owner != nil {
+		e.Owner.ReleasePayload(e.Payload)
 		return
 	}
 	if !p.recycle {
@@ -660,10 +667,11 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		if err != nil {
 			return nil, err
 		}
+		b := newBatchIter(p, child, n.BatchSize, handle, g)
 		if tap != nil {
-			tap.child, child = child, tap
+			tap.child, b.in = b.in, tap
 		}
-		return newBatchIter(p, child, n.BatchSize, handle, g), nil
+		return b, nil
 	case pipeline.KindPrefetch:
 		latch := p.iterLatch()
 		childGate := p.gate(latch.ch)
@@ -850,15 +858,17 @@ func (t *tracker) produced(e data.Element) {
 		return
 	}
 	t.ls.AddProduced(e.Size)
-	t.maybeFlush()
+	t.maybeFlush(1)
 }
 
-func (t *tracker) consumed() {
+// consumed counts n elements pulled from the child: one, or a run, which
+// counts toward the flush interval as its elements would.
+func (t *tracker) consumed(n int) {
 	if t.h == nil {
 		return
 	}
-	t.ls.AddConsumed(1)
-	t.maybeFlush()
+	t.ls.AddConsumed(int64(n))
+	t.maybeFlush(n)
 }
 
 func (t *tracker) wall(d time.Duration) {
@@ -873,7 +883,7 @@ func (t *tracker) retried() {
 		return
 	}
 	t.ls.AddRetry()
-	t.maybeFlush()
+	t.maybeFlush(1)
 }
 
 func (t *tracker) errored(gaveUp bool) {
@@ -881,12 +891,12 @@ func (t *tracker) errored(gaveUp bool) {
 		return
 	}
 	t.ls.AddError(gaveUp)
-	t.maybeFlush()
+	t.maybeFlush(1)
 }
 
-func (t *tracker) maybeFlush() {
-	t.n++
-	if t.n >= flushInterval {
+// maybeFlush counts n events and publishes every flushInterval of them.
+func (t *tracker) maybeFlush(n int) {
+	if t.n += n; t.n >= flushInterval {
 		t.n = 0
 		t.ls.Flush(t.h)
 	}
@@ -1006,14 +1016,14 @@ func (g *seqGate) exit() {
 	}
 }
 
-// tick marks one consumed element; every `every` elements it yields the
-// slot (release + blocking re-acquire), the sequential stages' chunk-
-// boundary preemption point.
-func (g *seqGate) tick() bool {
+// tick marks n consumed elements — one, or a run; every `every` elements it
+// yields the slot (release + blocking re-acquire), the sequential stages'
+// chunk-boundary preemption point.
+func (g *seqGate) tick(n int) bool {
 	if g == nil || g.sl.pool == nil {
 		return true
 	}
-	if g.n++; g.n < g.every {
+	if g.n += n; g.n < g.every {
 		return true
 	}
 	g.n = 0

@@ -24,6 +24,26 @@ func TestRingHandoffGeometry(t *testing.T) {
 	}
 }
 
+// TestChunkRecycleAllocatesNothing: a drained chunk goes back to the pool
+// and out to the next producer without a heap object. Boxing the slice
+// header for the pool's interface value cost one per chunk handed off — on
+// an in-memory chain, nearly every object a whole drain allocated.
+func TestChunkRecycleAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	putChunk(getChunk(64)) // the first round trip makes the chunk and its box
+	if n := testing.AllocsPerRun(100, func() {
+		c := getChunk(64)
+		for i := range 64 {
+			c = append(c, item{elem: data.Element{Count: 1, Index: int64(i)}})
+		}
+		putChunk(c)
+	}); n != 0 {
+		t.Fatalf("a chunk's get/fill/put round trip allocates %.2f objects, want 0", n)
+	}
+}
+
 // TestRingHandoffDepthOne is the workout for the shallowest edge — what
 // ChannelSlack 1, or a Prefetch of three elements or fewer, builds. With a
 // single slot the cell's "occupied at lap L" and "free for lap L+1" sequence

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -31,9 +32,17 @@ type item struct {
 // Options.ChunkSize elements. A 60 ns/element stage therefore hands off
 // full-size chunks, while a 1 ms/element stage hands off every element — so
 // its workers share the input evenly and the consumer sees the first
-// element after one element's time, not after ChunkSize of them. Chunk
-// slices are recycled through a pool: the consumer returns a drained chunk,
-// the next producer reuses it.
+// element after one element's time, not after ChunkSize of them.
+//
+// A consumer takes a chunk the way it was handed off: a stage fed by an edge
+// (source, map, prefetch) is chunked, and its consumer pulls a run of items
+// out of the chunk in hand with one call instead of one Next per element. A
+// map worker pulls what its next chunk has room for, applies a cost-model UDF
+// in place and emits the run with one add; a Batch fills its minibatch from
+// runs. Counters, admission ticks and the progress tap count a run with one
+// add. Every other stage is pulled one Next at a time. Chunk slices are
+// recycled through a pool: the consumer returns a drained chunk, the next
+// producer reuses it.
 
 // handoffQuantum is the amount of a worker's work one handoff carries. It
 // is far above an edge operation's cost (tens of ns uncontended, a few µs
@@ -51,21 +60,34 @@ const (
 	settleTolerance   = 0.10
 )
 
-var chunkPool sync.Pool
+// chunkPool holds drained chunks, each in a box: a *[]item fits in the pool's
+// interface value as it is, where a []item would be copied to the heap — one
+// object per recycled chunk. boxPool keeps the boxes getChunk emptied for the
+// next putChunk, so a steady get/put cycle allocates nothing.
+var chunkPool, boxPool sync.Pool
 
+// getChunk returns an empty chunk of at least the given capacity.
 func getChunk(capacity int) []item {
 	if v := chunkPool.Get(); v != nil {
-		return (*v.(*[]item))[:0]
+		box := v.(*[]item)
+		c := *box
+		*box = nil
+		boxPool.Put(box)
+		if cap(c) >= capacity { // a smaller one would regrow as it fills
+			return c
+		}
 	}
 	return make([]item, 0, capacity)
 }
 
 func putChunk(c []item) {
-	for i := range c {
-		c[i] = item{} // drop element references so payloads can be collected
+	clear(c) // drop element references so payloads can be collected
+	box, _ := boxPool.Get().(*[]item)
+	if box == nil {
+		box = new([]item)
 	}
-	c = c[:0]
-	chunkPool.Put(&c)
+	*box = c[:0]
+	chunkPool.Put(box)
 }
 
 // chunkEmitter accumulates items on the producer side and flushes full
@@ -82,12 +104,13 @@ func putChunk(c []item) {
 // for a pool slot), flush stops it before sending (so a blocked send is not
 // counted either) and sets the next chunk to handoffQuantum of work at the
 // rate just measured. That rate can go stale — a source sized inside its
-// device's burst, then throttled — so add re-reads the clock whenever the
-// fill reaches a power of two (six reads at most for 64 elements, none at a
-// cap of one) and sends a chunk a quantum old as it is: at a steady pace
-// nothing is held past two quanta. A chunk that took a quantum or more also
-// ends with the worker yielding its P once (see flush). An emitter whose
-// owner never calls ready keeps size fixed and reads no clock.
+// device's burst, then throttled — so add re-reads the clock whenever it
+// carries the fill to or past a power of two (six reads at most for 64
+// elements added one at a time, none at a cap of one) and sends a chunk a
+// quantum old as it is: at a steady pace nothing is held past two quanta. A
+// chunk that took a quantum or more also ends with the worker yielding its P
+// once (see flush). An emitter whose owner never calls ready keeps size
+// fixed and reads no clock.
 type chunkEmitter struct {
 	p     *Pipeline // retires a chunk nobody will take
 	h     handoff
@@ -132,15 +155,17 @@ func (ce *chunkEmitter) ready() bool {
 	return true
 }
 
-// add appends one item, flushing when the chunk is full or has aged a
-// quantum. It returns false when the consumer has gone away.
-func (ce *chunkEmitter) add(it item) bool {
+// add appends items — one, or a run that fits the chunk — flushing when the
+// chunk is full or has aged a quantum. It returns false when the consumer
+// has gone away.
+func (ce *chunkEmitter) add(items ...item) bool {
 	if ce.buf == nil {
 		ce.buf = getChunk(ce.max)
 	}
-	ce.buf = append(ce.buf, it)
+	had := len(ce.buf)
+	ce.buf = append(ce.buf, items...)
 	n := len(ce.buf)
-	if n >= ce.size || n&(n-1) == 0 && !ce.since.IsZero() && ce.clock().Sub(ce.since) >= handoffQuantum {
+	if n >= ce.size || bits.Len(uint(had)) < bits.Len(uint(n)) && !ce.since.IsZero() && ce.clock().Sub(ce.since) >= handoffQuantum {
 		return ce.flush()
 	}
 	return true
@@ -186,23 +211,32 @@ func (ce *chunkEmitter) flush() bool {
 	return false
 }
 
+// assembly returns an empty buffer of capacity n for a payload a stage
+// assembles by copying (Batch, Zip): pooled when the pipeline pools.
+func (p *Pipeline) assembly(n int) []byte {
+	if p.pool {
+		return data.GetBuf(n)[:0]
+	}
+	return make([]byte, 0, n)
+}
+
 // retire releases the payloads of items no consumer will take, so an arena
 // block never waits on a view nobody holds.
 func (p *Pipeline) retire(items []item) {
-	for _, it := range items {
-		p.releasePayload(it.elem)
+	for i := range items {
+		p.releasePayload(&items[i].elem)
 	}
 }
 
-// chunkReceiver drains chunks on the consumer side, yielding one item at a
-// time and recycling emptied chunk slices. A blocked receive also wakes on
-// the pipeline's cancel channel, so a consumer never hangs on workers that
-// were canceled (or are wedged and will never close the edge); the
-// resulting io.EOF is translated to the cancellation cause at the pipeline
-// root. A receive that has to block first releases the consuming segment's
-// sequential-admission slot (g.unblock) — the consumer-side half of the
-// "never hold a slot across a blocking handoff" invariant — and takes it
-// back once data arrives.
+// chunkReceiver drains chunks on the consumer side, handing out runs of the
+// chunk in hand and recycling emptied chunk slices. A blocked receive also
+// wakes on the pipeline's cancel channel, so a consumer never hangs on
+// workers that were canceled (or are wedged and will never close the edge);
+// the resulting io.EOF is translated to the cancellation cause at the
+// pipeline root. A receive that has to block first releases the consuming
+// segment's sequential-admission slot (g.unblock) — the consumer-side half
+// of the "never hold a slot across a blocking handoff" invariant — and takes
+// it back once data arrives.
 type chunkReceiver struct {
 	pending []item
 	pos     int
@@ -221,32 +255,28 @@ func (cr *chunkReceiver) take(c []item) {
 	}
 }
 
-func (cr *chunkReceiver) next(h handoff, cancel <-chan struct{}, g *seqGate) (data.Element, error) {
-	for {
-		if cr.pos < len(cr.pending) {
-			it := cr.pending[cr.pos]
-			cr.pos++
-			if cr.pos == len(cr.pending) {
-				putChunk(cr.pending)
-				cr.pending = nil
-				cr.pos = 0
-			}
-			return it.elem, it.err
-		}
-		if c, ok := h.tryRecv(&cr.prefer); ok {
-			cr.take(c)
-			continue
-		}
-		g.unblock()
-		c, ok := h.recv(&cr.prefer, cancel)
-		if !g.reacquire() {
-			return data.Element{}, io.EOF // shutting down; the chunk, if any, is abandoned
-		}
+// pull moves up to len(dst) items from the chunk in hand into dst and
+// returns how many. Only an empty hand fetches the next chunk, so a pull
+// never spans two chunks and never waits for more once it has something. A
+// drained chunk is recycled at once.
+func (cr *chunkReceiver) pull(dst []item, h handoff, cancel <-chan struct{}, g *seqGate) (int, error) {
+	for cr.pos == len(cr.pending) {
+		c, ok := h.tryRecv(&cr.prefer)
 		if !ok {
-			return data.Element{}, io.EOF
+			g.unblock()
+			c, ok = h.recv(&cr.prefer, cancel)
+			if !g.reacquire() || !ok {
+				return 0, io.EOF // drained, or shutting down (a chunk taken then is abandoned)
+			}
 		}
 		cr.take(c)
 	}
+	n := copy(dst, cr.pending[cr.pos:])
+	if cr.pos += n; cr.pos == len(cr.pending) {
+		putChunk(cr.pending)
+		cr.pending, cr.pos = nil, 0
+	}
+	return n, nil
 }
 
 // discard retires what the consumer never took: the rest of the chunk in
@@ -260,6 +290,110 @@ func (cr *chunkReceiver) discard(p *Pipeline, h handoff) {
 	}
 }
 
+// chunked is a stage whose consumer takes its output a run at a time: one
+// fed by a stage edge (source, map, prefetch) hands out runs of the chunk in
+// hand, and any other stage is pulled one Next at a time (oneAtATime).
+type chunked interface {
+	// pull moves up to len(dst) items, at least one, into dst and returns
+	// how many. At the end of the stream it returns io.EOF and no other
+	// error: a failure travels as an item, the last its producer sends.
+	pull(dst []item) (int, error)
+	Close() error
+}
+
+// oneAtATime is a stage that is not chunked, pulled one Next at a time.
+type oneAtATime struct{ iterator }
+
+func (o oneAtATime) pull(dst []item) (int, error) {
+	e, err := o.Next()
+	if err == io.EOF {
+		return 0, io.EOF
+	}
+	dst[0] = item{elem: e, err: err}
+	return 1, nil
+}
+
+// chunksOf returns the stage it as its consumer pulls it.
+func chunksOf(it iterator) chunked {
+	if c, ok := it.(chunked); ok {
+		return c
+	}
+	return oneAtATime{it}
+}
+
+// edge is the consumer end of a stage whose workers hand off over a stage
+// edge — source, map, prefetch. It starts the workers on the first pull,
+// hands out runs of the chunk in hand, and on Close winds the workers down
+// and retires what the consumer never took.
+type edge struct {
+	p       *Pipeline
+	handle  *trace.NodeStats
+	gate    *seqGate   // the consuming segment's admission gate
+	latch   *doneLatch // closed to stop the workers
+	startup func()     // the stage's start: calls launch
+
+	once    sync.Once
+	started bool
+	out     handoff
+	wg      sync.WaitGroup
+	recv    chunkReceiver
+}
+
+// Next is a pull of one.
+func (e *edge) Next() (data.Element, error) {
+	var one [1]item
+	if _, err := e.pull(one[:]); err != nil {
+		return data.Element{}, err
+	}
+	return one[0].elem, one[0].err
+}
+
+func (e *edge) pull(dst []item) (int, error) {
+	e.once.Do(e.startup)
+	if !e.started {
+		return 0, io.EOF // closed before it was ever pulled
+	}
+	return e.recv.pull(dst, e.out, e.p.cancelCh, e.gate)
+}
+
+// launch opens the edge to n producers, depth chunks each, and runs work(w)
+// for each on its own goroutine; the edge closes once all have returned.
+func (e *edge) launch(n, depth int, work func(w int)) {
+	e.started = true
+	e.out = e.p.newHandoff(n, depth)
+	e.wg.Add(n)
+	for w := range n {
+		go func() {
+			defer e.wg.Done()
+			work(w)
+		}()
+	}
+	go func() {
+		e.wg.Wait()
+		e.out.close()
+	}()
+}
+
+// stop closes the latch, wakes workers blocked in Acquire or parked on the
+// ring, waits for them, and retires what the consumer never took.
+func (e *edge) stop() {
+	e.once.Do(func() {}) // never started: it never will
+	e.latch.close()
+	if !e.started {
+		return
+	}
+	if e.p.opts.Pool != nil {
+		e.p.opts.Pool.Interrupt()
+	}
+	e.wg.Wait()
+	e.recv.discard(e.p, e.out)
+	e.out.detach()
+	if e.handle != nil {
+		parks, steals := e.out.stats()
+		trace.AddHandoff(e.handle, parks, steals)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Source / Interleave
 
@@ -270,14 +404,12 @@ func (cr *chunkReceiver) discard(p *Pipeline, h handoff) {
 // per-record path has no channel operation, no atomic, and (untraced) no
 // clock read.
 type sourceIter struct {
-	p       *Pipeline
+	edge
 	name    string
 	replica int
 	cat     data.Catalog
 	par     int
-	handle  *trace.NodeStats
 	seed    uint64
-	gate    *seqGate // the consuming segment's admission gate
 	// views: records are read-only views of the connector's own storage
 	// where the reader can serve them (Pipeline.storageViews), not copies.
 	views bool
@@ -286,15 +418,8 @@ type sourceIter struct {
 	// tree's workers had not finished, replacing the full catalog.
 	init *sourceResume
 
-	once    sync.Once
-	started bool
 	fileCh  chan fileTask
-	out     handoff
-	latch   *doneLatch
-	wg      sync.WaitGroup
 	nextIdx int64
-	initErr error
-	recv    chunkReceiver
 
 	// parked collects the tasks quiescing workers abandoned: the in-flight
 	// file with its exact record-boundary offset, or a task pulled but
@@ -304,7 +429,9 @@ type sourceIter struct {
 }
 
 func newSource(p *Pipeline, name string, cat data.Catalog, par int, handle *trace.NodeStats, seed uint64, gate *seqGate, replica int) *sourceIter {
-	s := &sourceIter{p: p, name: name, replica: replica, cat: cat, par: par, handle: handle, seed: seed, gate: gate, views: p.storageViews[name], latch: p.iterLatch()}
+	s := &sourceIter{edge: edge{p: p, handle: handle, gate: gate, latch: p.iterLatch()},
+		name: name, replica: replica, cat: cat, par: par, seed: seed, views: p.storageViews[name]}
+	s.startup = s.start
 	if sr := p.takeSourceResume(name, replica); sr != nil {
 		s.init = sr
 		s.nextIdx = sr.nextIdx
@@ -313,32 +440,28 @@ func newSource(p *Pipeline, name string, cat data.Catalog, par int, handle *trac
 	return s
 }
 
-func (s *sourceIter) start() {
-	s.started = true
-	var tasks []fileTask
+// tasks is the stream the source was built to read: its resume entry, or
+// else the whole catalog.
+func (s *sourceIter) tasks() []fileTask {
 	if s.init != nil {
-		tasks = s.init.tasks
-	} else {
-		files := s.cat.FileNames()
-		tasks = make([]fileTask, len(files))
-		for i, f := range files {
-			tasks[i] = fileTask{path: f}
-		}
+		return s.init.tasks
 	}
+	files := s.cat.FileNames()
+	tasks := make([]fileTask, len(files))
+	for i, f := range files {
+		tasks[i] = fileTask{path: f}
+	}
+	return tasks
+}
+
+func (s *sourceIter) start() {
+	tasks := s.tasks()
 	s.fileCh = make(chan fileTask, len(tasks))
 	for _, t := range tasks {
 		s.fileCh <- t
 	}
 	close(s.fileCh)
-	s.out = s.p.newHandoff(s.par, s.p.opts.ChannelSlack)
-	s.wg.Add(s.par)
-	for w := 0; w < s.par; w++ {
-		go s.worker(w, s.fileCh)
-	}
-	go func() {
-		s.wg.Wait()
-		s.out.close()
-	}()
+	s.launch(s.par, s.p.opts.ChannelSlack, s.worker)
 }
 
 // park records a task a quiescing worker abandoned, for capture.
@@ -357,26 +480,19 @@ func (s *sourceIter) capture(rs *resumeState) {
 	s.capMu.Lock()
 	sr.tasks = append(sr.tasks, s.parked...)
 	s.capMu.Unlock()
-	switch {
-	case s.started:
+	if s.started {
 		for t := range s.fileCh {
 			sr.tasks = append(sr.tasks, t)
 		}
-	case s.init != nil:
-		// Never pulled this round: the resume entry it was built with is
-		// still the full remaining stream.
-		sr.tasks = append(sr.tasks, s.init.tasks...)
-	default:
-		for _, f := range s.cat.FileNames() {
-			sr.tasks = append(sr.tasks, fileTask{path: f})
-		}
-		sr.fromStart = true
+	} else {
+		// Never pulled this round: what it was built to read is still the
+		// full remaining stream.
+		sr.tasks, sr.fromStart = append(sr.tasks, s.tasks()...), s.init == nil
 	}
 	rs.sources[resumeKey{s.name, s.replica}] = sr
 }
 
-func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
-	defer s.wg.Done()
+func (s *sourceIter) worker(w int) {
 	sl := s.p.slot(s.latch.ch)
 	defer sl.release()
 	em := s.p.emitter(s.out, w, s.latch.ch, &sl)
@@ -516,7 +632,7 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 			}
 		}
 	}
-	for task := range fileCh {
+	for task := range s.fileCh {
 		if s.p.quiesce.Load() {
 			s.park(task)
 			return
@@ -527,30 +643,9 @@ func (s *sourceIter) worker(w int, fileCh <-chan fileTask) {
 	}
 }
 
-func (s *sourceIter) Next() (data.Element, error) {
-	s.once.Do(s.start)
-	if s.initErr != nil {
-		return data.Element{}, s.initErr
-	}
-	return s.recv.next(s.out, s.p.cancelCh, s.gate)
-}
-
 func (s *sourceIter) Close() error {
 	s.p.untrack(s)
-	s.once.Do(func() { s.initErr = io.EOF }) // never started: mark terminal
-	s.latch.close()
-	if s.started {
-		if s.p.opts.Pool != nil {
-			s.p.opts.Pool.Interrupt() // wake workers blocked in Acquire or parked on the ring
-		}
-		s.wg.Wait()
-		s.recv.discard(s.p, s.out)
-		s.out.detach()
-		if s.handle != nil {
-			parks, steals := s.out.stats()
-			trace.AddHandoff(s.handle, parks, steals)
-		}
-	}
+	s.stop()
 	return nil
 }
 
@@ -559,51 +654,30 @@ func (s *sourceIter) Close() error {
 
 // mapIter applies a UDF with a worker pool. Child access is serialized;
 // output order is the workers' completion order (tf.data's non-deterministic
-// parallel map). Workers pull a chunk of inputs under one child-lock
-// acquisition, process them lock-free, and emit a chunk of outputs.
+// parallel map). Workers pull a run of inputs with one call under the child
+// lock, process them lock-free, and emit a chunk of outputs.
 type mapIter struct {
-	p      *Pipeline
-	name   string
-	child  iterator
-	u      udf.UDF
-	par    int
-	handle *trace.NodeStats
-	seed   uint64
-	// gate is the consuming segment's admission gate (for blocked receives
-	// on m.out); childGate covers the below-map sequential segment, whose
-	// stages run on worker goroutines under childMu.
-	gate      *seqGate
+	edge
+	name  string
+	child chunked
+	u     udf.UDF
+	par   int
+	seed  uint64
+	// childGate covers the below-map sequential segment, whose stages run
+	// on worker goroutines under childMu.
 	childGate *seqGate
-
-	once    sync.Once
-	started bool
-	out     handoff
-	latch   *doneLatch
-	wg      sync.WaitGroup
-	childMu sync.Mutex
-	eof     atomic.Bool
-	recv    chunkReceiver
+	childMu   sync.Mutex
+	eof       atomic.Bool
 }
 
 func newMapIter(p *Pipeline, name string, child iterator, u udf.UDF, par int, handle *trace.NodeStats, seed uint64, latch *doneLatch, gate, childGate *seqGate) *mapIter {
-	return &mapIter{p: p, name: name, child: child, u: u, par: par, handle: handle, seed: seed, latch: latch, gate: gate, childGate: childGate}
-}
-
-func (m *mapIter) start() {
-	m.started = true
-	m.out = m.p.newHandoff(m.par, m.p.opts.ChannelSlack)
-	m.wg.Add(m.par)
-	for w := 0; w < m.par; w++ {
-		go m.worker(w)
-	}
-	go func() {
-		m.wg.Wait()
-		m.out.close()
-	}()
+	m := &mapIter{edge: edge{p: p, handle: handle, gate: gate, latch: latch},
+		name: name, child: chunksOf(child), u: u, par: par, seed: seed, childGate: childGate}
+	m.startup = func() { m.launch(m.par, m.p.opts.ChannelSlack, m.worker) }
+	return m
 }
 
 func (m *mapIter) worker(w int) {
-	defer m.wg.Done()
 	sl := m.p.slot(m.latch.ch)
 	defer sl.release()
 	em := m.p.emitter(m.out, w, m.latch.ch, &sl)
@@ -611,46 +685,20 @@ func (m *mapIter) worker(w int) {
 	tr := tracker{h: m.handle}
 	defer tr.flush()
 	rt := m.p.retrier(m.name, &tr, m.latch.ch, m.seed^uint64(w+1)*0xbf58476d1ce4e5b9)
-	traced := tr.traced()
 	sm := trace.NewSampler(m.p.sampleEvery())
-	in := make([]item, 0, m.p.chunkSize())
-	next := 0                                // the first of in not yet handed to the UDF
-	defer func() { m.p.retire(in[next:]) }() // pulled, never applied: shutting down
-	for {
-		if m.eof.Load() {
-			return
-		}
-		// Pull as many inputs as the next handoff will carry — about
-		// handoffQuantum of this worker's work, so an expensive UDF's inputs
-		// spread evenly over the workers — under one lock acquisition. Clear
-		// the reused buffer first so stale payload references from the
-		// previous chunk don't pin their buffers against collection.
-		for i := range in {
-			in[i] = item{}
-		}
-		in, next = in[:0], 0
+	in := make([]item, m.p.chunkSize())
+	var run []item                     // pulled, not yet handed to the emitter
+	defer func() { m.p.retire(run) }() // shutting down
+	for !m.eof.Load() {
+		// Pull what the chunk in hand has room for — about handoffQuantum of
+		// this worker's work, so an expensive UDF's inputs spread evenly over
+		// the workers — with one call under the lock. It takes what the child
+		// has in hand and never waits for more: a slower child does not keep
+		// the inputs from the UDF while the rest trickle in.
 		m.childMu.Lock()
-		var first time.Time // when this pull had its first input in hand
-		for len(in) < em.size {
-			e, err := m.child.Next()
-			if err == io.EOF {
-				m.eof.Store(true)
-				break
-			}
-			in = append(in, item{elem: e, err: err})
-			if err != nil {
-				break
-			}
-			// The pull was sized by this worker's own work: a slower child
-			// must not keep the inputs in hand from the UDF while the rest
-			// trickle in. The clock is read when the count doubles, as in add.
-			if n := len(in); n < em.size && n&(n-1) == 0 {
-				if now := em.clock(); n == 1 {
-					first = now
-				} else if now.Sub(first) >= handoffQuantum {
-					break
-				}
-			}
+		n, err := m.child.pull(in[:em.size-len(em.buf)])
+		if err != nil {
+			m.eof.Store(true)
 		}
 		// Gated sequential stages below this map keep their segment's slot
 		// warm between pulls; return it before this worker goes off to apply
@@ -658,21 +706,34 @@ func (m *mapIter) worker(w int) {
 		// against itself (UDF acquire waiting on the idle childGate hold).
 		m.childGate.unblock()
 		m.childMu.Unlock()
-		// Apply the UDF to the chunk under a pool slot, returned before the
+		run = in[:n]
+		var failed error // a failure is the last item its producer sends, so the run's last
+		if n > 0 && run[n-1].err != nil {
+			failed, run = run[n-1].err, run[:n-1]
+		}
+		// Apply the UDF to the run under a pool slot, returned before the
 		// next pull so shares enforce per chunk. The pull above holds no
 		// slot — it is mostly a channel receive.
-		for next < len(in) {
+		if m.u.Body == nil && len(run) > 0 {
+			// The cost model alone: applied in place, emitted with one add.
 			if !em.ready() {
 				return
 			}
-			it := in[next]
-			next++
-			if it.err != nil {
-				em.add(item{err: it.err})
+			tr.consumed(len(run)) // an input counts once it is applied: a cut trace reads produced/consumed
+			m.reshape(run, &tr)
+			ok := em.add(run...)
+			if run = nil; !ok {
 				return
 			}
-			tr.consumed()
-			out, keep, err := m.apply(it.elem, &tr.ls, &sm, traced, &rt)
+		}
+		for len(run) > 0 {
+			if !em.ready() {
+				return
+			}
+			it := run[0]
+			run = run[1:]
+			tr.consumed(1)
+			out, keep, err := m.apply(it.elem, &tr, &sm, &rt)
 			if err != nil {
 				if err != errInterrupted {
 					em.add(item{err: err})
@@ -682,7 +743,7 @@ func (m *mapIter) worker(w int) {
 			if !keep {
 				// The dropped element's sole owner is this worker (UDF
 				// bodies must not retain inputs); retire its payload.
-				m.p.releasePayload(it.elem)
+				m.p.releasePayload(&it.elem)
 				continue
 			}
 			tr.produced(out)
@@ -690,80 +751,76 @@ func (m *mapIter) worker(w int) {
 				return
 			}
 		}
+		if failed != nil {
+			em.add(item{err: failed})
+			return
+		}
+		clear(in[:n]) // stale payload references must not pin their buffers
 		sl.release()
 	}
 }
 
-// apply runs the UDF body (or the pure cost model when no body is present)
-// with CPU accounting into the worker's shard and sampled wall timing.
-// Bodies run under the retry policy (panics are contained as errors, and
-// transiently failing bodies — errors implementing Transient() true — are
-// retried with backoff); retried bodies must therefore be idempotent with
-// respect to their input element.
-func (m *mapIter) apply(in data.Element, ls *trace.LocalStats, sm *trace.Sampler, traced bool, rt *retrier) (data.Element, bool, error) {
+// reshape applies the cost-model UDF — CPU accounting and size factor — to
+// run in place, timing the whole run when traced.
+func (m *mapIter) reshape(run []item, tr *tracker) {
 	var start time.Time
-	sampled := traced && sm.Tick()
+	if tr.traced() {
+		start = time.Now()
+	}
+	for i := range run {
+		e := &run[i].elem
+		if m.p.opts.WorkScale > 0 {
+			m.p.accountCPU(&tr.ls, m.u.Cost.CPUSeconds(e.Size))
+		}
+		switch size := int64(float64(e.Size) * m.u.Cost.SizeFactor); {
+		case size == e.Size:
+		case e.Payload != nil && size > int64(len(e.Payload)) && m.p.pool:
+			// Amplifying UDF (decode-style): grow through the pool and
+			// retire the input — back to its arena block if it is a view,
+			// else to the pool — which WithSize's plain make would strand.
+			buf := data.GetBuf(int(size))
+			clear(buf[copy(buf, e.Payload):])
+			m.p.releasePayload(e)
+			*e = data.Element{Payload: buf, Size: size, Count: e.Count, Index: e.Index}
+		default:
+			*e = e.WithSize(size)
+		}
+		tr.produced(*e)
+	}
+	if tr.traced() {
+		tr.wall(time.Since(start))
+	}
+}
+
+// apply runs the UDF body with CPU accounting into the worker's shard and
+// sampled wall timing. Bodies run under the retry policy (panics are
+// contained as errors, and transiently failing bodies — errors implementing
+// Transient() true — are retried with backoff); retried bodies must
+// therefore be idempotent with respect to their input element.
+func (m *mapIter) apply(in data.Element, tr *tracker, sm *trace.Sampler, rt *retrier) (out data.Element, keep bool, err error) {
+	var start time.Time
+	sampled := tr.traced() && sm.Tick()
 	if sampled {
 		start = time.Now()
 	}
 	if m.p.opts.WorkScale > 0 {
-		m.p.accountCPU(ls, m.u.Cost.CPUSeconds(in.Size))
+		m.p.accountCPU(&tr.ls, m.u.Cost.CPUSeconds(in.Size))
 	}
-	var (
-		out  data.Element
-		keep bool
-		err  error
-	)
-	if m.u.Body != nil {
-		err = rt.do("udf", func() error {
-			return safeCall(func() error {
-				var uerr error
-				out, keep, uerr = m.u.Body(in)
-				return uerr
-			})
+	err = rt.do("udf", func() error {
+		return safeCall(func() error {
+			var uerr error
+			out, keep, uerr = m.u.Body(in)
+			return uerr
 		})
-	} else {
-		// Pure cost-model UDF: apply size factor and keep fraction.
-		newSize := int64(float64(in.Size) * m.u.Cost.SizeFactor)
-		if grow := in.Payload != nil && newSize > int64(len(in.Payload)); grow && m.p.pool {
-			// Amplifying UDF (decode-style): grow through the pool and
-			// retire the input — back to its arena block if it is a view,
-			// else to the pool — which WithSize's plain make would strand.
-			buf := data.GetBuf(int(newSize))
-			n := copy(buf, in.Payload)
-			clear(buf[n:])
-			m.p.releasePayload(in)
-			out = data.Element{Payload: buf, Size: newSize, Count: in.Count, Index: in.Index}
-		} else {
-			out = in.WithSize(newSize)
-		}
-		keep = true
-	}
+	})
 	if sampled {
-		ls.AddWall(sm.Scale(time.Since(start)))
+		tr.wall(sm.Scale(time.Since(start)))
 	}
 	return out, keep, err
 }
 
-func (m *mapIter) Next() (data.Element, error) {
-	m.once.Do(m.start)
-	return m.recv.next(m.out, m.p.cancelCh, m.gate)
-}
-
 func (m *mapIter) Close() error {
-	m.latch.close()
-	if m.started {
-		if m.p.opts.Pool != nil {
-			m.p.opts.Pool.Interrupt() // wake workers blocked in Acquire or parked on the ring
-		}
-		m.wg.Wait()
-		m.recv.discard(m.p, m.out)
-		m.out.detach()
-		if m.handle != nil {
-			parks, steals := m.out.stats()
-			trace.AddHandoff(m.handle, parks, steals)
-		}
-	}
+	m.stop()
 	m.childGate.close()
 	return m.child.Close()
 }
@@ -803,8 +860,8 @@ func (f *filterIter) Next() (data.Element, error) {
 		if err != nil {
 			return data.Element{}, err
 		}
-		f.tr.consumed()
-		if !f.g.tick() {
+		f.tr.consumed(1)
+		if !f.g.tick(1) {
 			return data.Element{}, io.EOF
 		}
 		var start time.Time
@@ -839,7 +896,7 @@ func (f *filterIter) Next() (data.Element, error) {
 			return out, nil
 		}
 		// Dropped: this iterator is the payload's sole owner; retire it.
-		f.p.releasePayload(in)
+		f.p.releasePayload(&in)
 	}
 }
 
@@ -887,8 +944,8 @@ func (s *shuffleIter) Next() (data.Element, error) {
 			if err != nil {
 				return data.Element{}, err
 			}
-			s.tr.consumed()
-			if !s.g.tick() {
+			s.tr.consumed(1)
+			if !s.g.tick(1) {
 				return data.Element{}, io.EOF
 			}
 			s.buf = append(s.buf, e)
@@ -912,8 +969,8 @@ func (s *shuffleIter) Next() (data.Element, error) {
 		} else if err != nil {
 			return data.Element{}, err
 		} else {
-			s.tr.consumed()
-			if !s.g.tick() {
+			s.tr.consumed(1)
+			if !s.g.tick(1) {
 				return data.Element{}, io.EOF
 			}
 			s.buf[i] = e
@@ -998,7 +1055,7 @@ func (r *repeatIter) Next() (data.Element, error) {
 		if err != nil {
 			return data.Element{}, err
 		}
-		r.tr.consumed()
+		r.tr.consumed(1)
 		r.tr.produced(e)
 		return e, nil
 	}
@@ -1028,12 +1085,13 @@ func (r *repeatIter) Close() error {
 // permits recycling — the child payloads it copied out of are returned to
 // the pool, closing the per-record allocation loop.
 type batchIter struct {
-	p     *Pipeline
-	child iterator
-	size  int
-	g     *seqGate
-	tr    tracker
-	eof   bool
+	p    *Pipeline
+	in   chunked
+	run  []item // where a pull of in lands: a run is never longer than a chunk
+	size int
+	g    *seqGate
+	tr   tracker
+	eof  bool
 	// lastCap remembers the previous batch payload's final capacity so the
 	// next batch's buffer request covers it up front: after the first few
 	// batches the assembly stops regrowing (a regrown buffer strands the
@@ -1042,7 +1100,7 @@ type batchIter struct {
 }
 
 func newBatchIter(p *Pipeline, child iterator, size int, handle *trace.NodeStats, g *seqGate) *batchIter {
-	return &batchIter{p: p, child: child, size: size, g: g, tr: tracker{h: handle}}
+	return &batchIter{p: p, in: chunksOf(child), run: make([]item, min(size, p.chunkSize())), size: size, g: g, tr: tracker{h: handle}}
 }
 
 func (b *batchIter) Next() (data.Element, error) {
@@ -1063,43 +1121,42 @@ func (b *batchIter) Next() (data.Element, error) {
 	}
 	var out data.Element
 	var payload []byte
-	for i := 0; i < b.size; i++ {
-		e, err := b.child.Next()
-		if err == io.EOF {
+	for filled := 0; filled < b.size; {
+		n, err := b.in.pull(b.run[:min(len(b.run), b.size-filled)])
+		if err != nil {
 			b.eof = true
 			break
 		}
-		if err != nil {
-			return data.Element{}, err
-		}
-		b.tr.consumed()
-		if !b.g.tick() {
+		run := b.run[:n]
+		if !b.g.tick(n) {
+			b.p.retire(run)
 			return data.Element{}, io.EOF
 		}
-		out.Size += e.Size
-		out.Count += e.Count
-		if e.Payload != nil {
-			if payload == nil {
-				// Headroom above size*first-element avoids an append
-				// regrowth when later records run larger than the first.
-				guess := b.size * len(e.Payload) * 9 / 8
-				if b.lastCap > guess {
-					guess = b.lastCap
-				}
-				if b.p.pool {
-					payload = data.GetBuf(guess)[:0]
-				} else {
-					payload = make([]byte, 0, guess)
-				}
+		b.tr.consumed(n)
+		for i := range run {
+			if run[i].err != nil {
+				return data.Element{}, run[i].err // the run's last item
 			}
-			payload = append(payload, e.Payload...)
-			// Copied out: retire the child payload — an arena view back to
-			// its block, a pooled buffer back to the pool.
-			b.p.releasePayload(e)
+			e := &run[i].elem
+			if filled+i == 0 {
+				out.Index = e.Index
+			}
+			out.Size += e.Size
+			out.Count += e.Count
+			if e.Payload != nil {
+				if payload == nil {
+					// Headroom above size*first-element avoids an append
+					// regrowth when later records run larger than the first.
+					payload = b.p.assembly(max(b.lastCap, b.size*len(e.Payload)*9/8))
+				}
+				payload = append(payload, e.Payload...)
+				// Copied out: retire the child payload — an arena view back
+				// to its block, a pooled buffer back to the pool.
+				b.p.releasePayload(e)
+			}
 		}
-		if i == 0 {
-			out.Index = e.Index
-		}
+		clear(run)
+		filled += n
 	}
 	if traced {
 		b.tr.wall(time.Since(start))
@@ -1120,7 +1177,7 @@ func (b *batchIter) Next() (data.Element, error) {
 
 func (b *batchIter) Close() error {
 	b.tr.flush()
-	return b.child.Close()
+	return b.in.Close()
 }
 
 // ---------------------------------------------------------------------------
@@ -1137,25 +1194,18 @@ func (b *batchIter) Close() error {
 // the consumer is starving, so chunking never delays time-to-first-element
 // the way a full-chunk wait would.
 type prefetchIter struct {
-	p      *Pipeline
-	child  iterator
-	size   int
-	handle *trace.NodeStats
-	// gate is the consuming segment's gate; childGate covers the
-	// sequential stages the prefetch goroutine drives below this point.
-	gate      *seqGate
+	edge
+	child iterator
+	size  int
+	// childGate covers the sequential stages the prefetch goroutine drives
+	// below this point.
 	childGate *seqGate
-
-	once    sync.Once
-	started bool
-	out     handoff
-	latch   *doneLatch
-	wg      sync.WaitGroup
-	recv    chunkReceiver
 }
 
 func newPrefetchIter(p *Pipeline, child iterator, size int, handle *trace.NodeStats, latch *doneLatch, gate, childGate *seqGate) *prefetchIter {
-	return &prefetchIter{p: p, child: child, size: size, handle: handle, latch: latch, gate: gate, childGate: childGate}
+	pf := &prefetchIter{edge: edge{p: p, handle: handle, gate: gate, latch: latch}, child: child, size: size, childGate: childGate}
+	pf.startup = pf.start
+	return pf
 }
 
 func (p *prefetchIter) start() {
@@ -1163,89 +1213,59 @@ func (p *prefetchIter) start() {
 	// chunk, and the receiver's pending chunk: chunk at most size/4 so at
 	// least a couple of chunks fit, and reserve two chunk slots (emitter +
 	// receiver) out of the channel depth.
-	cs := p.p.chunkSize()
-	if limit := p.size / 4; cs > limit {
-		cs = limit
-	}
-	if cs < 1 {
-		cs = 1
-	}
-	depth := p.size/cs - 2
-	if depth < 1 {
-		depth = 1
-	}
-	p.started = true
-	p.out = p.p.newHandoff(1, depth)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		defer p.out.close()
-		defer p.childGate.close()
-		em := chunkEmitter{p: p.p, h: p.out, w: 0, done: p.latch.ch, size: cs, max: cs}
-		if p.childGate != nil {
-			// A blocking flush must not sit on the sequential segment's
-			// admission slot (same invariant as the worker emitters).
-			em.sl = &p.childGate.sl
-		}
-		defer em.flush()
-		tr := tracker{h: p.handle}
-		defer tr.flush()
-		// The prefetch stage is often the pipeline root, so live interval
-		// samplers read its counters; publish far more often than the
-		// sequential flush interval — this goroutine is already decoupled
-		// from the consumer, so the extra flushes are off the serving path.
-		const flushEvery = 16
-		flushIn := flushEvery
-		for {
-			e, err := p.child.Next()
-			if err == io.EOF {
-				return
-			}
-			if err != nil {
-				em.add(item{err: err})
-				em.flush()
-				return
-			}
-			tr.consumed()
-			tr.produced(e)
-			if flushIn--; flushIn <= 0 {
-				flushIn = flushEvery
-				tr.flush()
-			}
-			if !em.add(item{elem: e}) {
-				return
-			}
-			// Consumer starving (edge drained): hand over the partial
-			// chunk now instead of waiting for it to fill. Only this
-			// goroutine sends, so the observed room cannot vanish.
-			if len(em.buf) > 0 && p.out.empty() {
-				if !em.flush() {
-					return
-				}
-			}
-		}
-	}()
+	cs := max(1, min(p.p.chunkSize(), p.size/4))
+	p.launch(1, max(1, p.size/cs-2), func(int) { p.produce(cs) })
 }
 
-func (p *prefetchIter) Next() (data.Element, error) {
-	p.once.Do(p.start)
-	return p.recv.next(p.out, p.p.cancelCh, p.gate)
+// produce is the prefetch goroutine: it drives the stages below and hands
+// their elements on in chunks of cs.
+func (p *prefetchIter) produce(cs int) {
+	defer p.childGate.close()
+	em := chunkEmitter{p: p.p, h: p.out, w: 0, done: p.latch.ch, size: cs, max: cs}
+	if p.childGate != nil {
+		// A blocking flush must not sit on the sequential segment's
+		// admission slot (same invariant as the worker emitters).
+		em.sl = &p.childGate.sl
+	}
+	defer em.flush()
+	tr := tracker{h: p.handle}
+	defer tr.flush()
+	// The prefetch stage is often the pipeline root, so live interval
+	// samplers read its counters; publish far more often than the
+	// sequential flush interval — this goroutine is already decoupled
+	// from the consumer, so the extra flushes are off the serving path.
+	const flushEvery = 16
+	flushIn := flushEvery
+	for {
+		e, err := p.child.Next()
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			em.add(item{err: err})
+			em.flush()
+			return
+		}
+		tr.consumed(1)
+		tr.produced(e)
+		if flushIn--; flushIn <= 0 {
+			flushIn = flushEvery
+			tr.flush()
+		}
+		if !em.add(item{elem: e}) {
+			return
+		}
+		// Consumer starving (edge drained): hand over the partial chunk now
+		// instead of waiting for it to fill. Only this goroutine sends, so
+		// the observed room cannot vanish.
+		if len(em.buf) > 0 && p.out.empty() && !em.flush() {
+			return
+		}
+	}
 }
 
 func (p *prefetchIter) Close() error {
-	p.latch.close()
-	if p.started {
-		if p.p.opts.Pool != nil {
-			p.p.opts.Pool.Interrupt() // wake a producer parked on the ring
-		}
-		p.wg.Wait()
-		p.recv.discard(p.p, p.out)
-		p.out.detach()
-		if p.handle != nil {
-			parks, steals := p.out.stats()
-			trace.AddHandoff(p.handle, parks, steals)
-		}
-	}
+	p.stop()
 	return p.child.Close()
 }
 
@@ -1410,7 +1430,7 @@ func (c *cacheIter) Next() (data.Element, error) {
 	if err != nil {
 		return data.Element{}, err
 	}
-	c.tr.consumed()
+	c.tr.consumed(1)
 	if !c.passthrough {
 		c.entry.mu.Lock()
 		c.entry.elems = append(c.entry.elems, e)
@@ -1467,7 +1487,7 @@ func (t *takeIter) Next() (data.Element, error) {
 	if err != nil {
 		return data.Element{}, err
 	}
-	t.tr.consumed()
+	t.tr.consumed(1)
 	t.served++
 	t.tr.produced(e)
 	return e, nil
@@ -1521,13 +1541,11 @@ func (z *zipIter) Next() (data.Element, error) {
 	}
 	// Drop references from the previous tuple before reuse, then abandon the
 	// partial tuple on any non-nil exit path.
-	for i := range z.pulled {
-		z.pulled[i] = data.Element{}
-	}
+	clear(z.pulled)
 	z.pulled = z.pulled[:0]
 	abandon := func() {
 		for _, e := range z.pulled {
-			z.p.releasePayload(e)
+			z.p.releasePayload(&e)
 		}
 	}
 	for _, c := range z.children {
@@ -1541,8 +1559,8 @@ func (z *zipIter) Next() (data.Element, error) {
 			abandon()
 			return data.Element{}, err
 		}
-		z.tr.consumed()
-		if !z.g.tick() {
+		z.tr.consumed(1)
+		if !z.g.tick(1) {
 			abandon()
 			return data.Element{}, io.EOF
 		}
@@ -1557,15 +1575,10 @@ func (z *zipIter) Next() (data.Element, error) {
 	if total > 0 {
 		// The exact total is known up front, so the buffer never regrows
 		// (a regrown buffer would strand the pooled one).
-		var payload []byte
-		if z.p.pool {
-			payload = data.GetBuf(total)[:0]
-		} else {
-			payload = make([]byte, 0, total)
-		}
+		payload := z.p.assembly(total)
 		for _, e := range z.pulled {
 			payload = append(payload, e.Payload...)
-			z.p.releasePayload(e)
+			z.p.releasePayload(&e)
 		}
 		out.Payload = payload
 	} else {
@@ -1580,13 +1593,7 @@ func (z *zipIter) Next() (data.Element, error) {
 
 func (z *zipIter) Close() error {
 	z.tr.flush()
-	var first error
-	for _, c := range z.children {
-		if err := c.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return closeAll(z.children)
 }
 
 // concatIter drains its input branches in declared order, passing elements
@@ -1618,8 +1625,8 @@ func (c *concatIter) Next() (data.Element, error) {
 		if err != nil {
 			return data.Element{}, err
 		}
-		c.tr.consumed()
-		if !c.g.tick() {
+		c.tr.consumed(1)
+		if !c.g.tick(1) {
 			return data.Element{}, io.EOF
 		}
 		c.tr.produced(e)
@@ -1630,54 +1637,44 @@ func (c *concatIter) Next() (data.Element, error) {
 
 func (c *concatIter) Close() error {
 	c.tr.flush()
-	var first error
-	for _, it := range c.children {
-		if err := it.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return closeAll(c.children)
 }
 
 // ---------------------------------------------------------------------------
 // Round-robin (outer parallelism)
 
+// roundRobin takes one element from each live replica in turn; a replica
+// leaves the rotation at its EOF.
 type roundRobin struct {
 	replicas []iterator
-	next     int
-	live     []bool
-	liveN    int
+	live     []iterator
+	next     int // index into live
 }
 
 func newRoundRobin(replicas []iterator) *roundRobin {
-	live := make([]bool, len(replicas))
-	for i := range live {
-		live[i] = true
-	}
-	return &roundRobin{replicas: replicas, live: live, liveN: len(replicas)}
+	return &roundRobin{replicas: replicas, live: append([]iterator(nil), replicas...)}
 }
 
 func (r *roundRobin) Next() (data.Element, error) {
-	for r.liveN > 0 {
-		i := r.next
-		r.next = (r.next + 1) % len(r.replicas)
-		if !r.live[i] {
-			continue
-		}
-		e, err := r.replicas[i].Next()
+	for len(r.live) > 0 {
+		i := r.next % len(r.live)
+		e, err := r.live[i].Next()
 		if err == io.EOF {
-			r.live[i] = false
-			r.liveN--
+			r.live, r.next = append(r.live[:i], r.live[i+1:]...), i
 			continue
 		}
+		r.next = i + 1
 		return e, err
 	}
 	return data.Element{}, io.EOF
 }
 
-func (r *roundRobin) Close() error {
+func (r *roundRobin) Close() error { return closeAll(r.replicas) }
+
+// closeAll closes every iterator and returns the first error.
+func closeAll(its []iterator) error {
 	var first error
-	for _, it := range r.replicas {
+	for _, it := range its {
 		if err := it.Close(); err != nil && first == nil {
 			first = err
 		}

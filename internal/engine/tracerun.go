@@ -106,26 +106,24 @@ func (pr *progress) settled(rule StopRule, root []Sample) (rate float64, samples
 
 // progressTap sits at the recording stage's input, one per replica. lump is
 // raised by the receivers of its segment, which run on the goroutine that
-// calls Next.
+// pulls. A pull never spans two chunks, so a run the lump came with belongs
+// to it whole, and a run is counted with one add.
 type progressTap struct {
 	pr     *progress
-	child  iterator
+	child  chunked
 	lump   bool
 	pulled int64
 }
 
-func (t *progressTap) Next() (data.Element, error) {
-	e, err := t.child.Next()
-	if err != nil {
-		return e, err
-	}
-	if t.lump {
+func (t *progressTap) pull(dst []item) (int, error) {
+	n, err := t.child.pull(dst)
+	if n > 0 && t.lump {
 		t.lump = false
 		t.pr.lump(t.pulled)
 		t.pulled = 0
 	}
-	t.pulled++
-	return e, nil
+	t.pulled += int64(n)
+	return n, err
 }
 
 func (t *progressTap) Close() error { return t.child.Close() }

@@ -1,0 +1,158 @@
+package fuzz
+
+import (
+	"io"
+	"sync"
+	"testing"
+	"time"
+
+	"plumber/internal/engine"
+	"plumber/internal/pipeline"
+	"plumber/internal/scenario"
+	"plumber/internal/simfs"
+	"plumber/internal/stats"
+)
+
+// TestEngineMatchesReference is the engine's differential oracle: every
+// configuration must deliver what the simplest one does. For 24 generated
+// workloads (Gen, built by scenario.Build: chains, zips and concats, filters,
+// amplifying and shrinking maps, batches of 4 to 32) the reference drain
+// hands off one element at a time over the channel edge with no buffer pool
+// — so no arena and no storage views. Against it run the default engine with
+// source and map parallelism drawn from 1 to 4, and the same engine again
+// with every edge one chunk deep, transient read faults absorbed by Retry,
+// and a shared pool a competing tenant keeps drawing on. Each must deliver
+// the reference's minibatch, example and byte counts and its multiset of
+// payload bytes, and leave no arena block live (counted under
+// -tags=arena_debug). A zip's branches are made as long as each other: of a
+// longer branch, a zip keeps the records that arrive first, and which those
+// are is a parallel stage's to decide.
+func TestEngineMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		spec, _ := Gen(seed)
+		if spec.Shape == "zip" {
+			spec.AuxFiles, spec.AuxRecordsPerFile = 0, 0 // derived from the main branch
+		}
+		w, err := scenario.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := engine.Options{FS: w.Source, UDFs: w.Registry, Seed: spec.Seed}
+		ref := base
+		ref.ChunkSize, ref.Handoff, ref.DisableBufferPool = 1, engine.HandoffChannel, true
+		want := deliver(t, w.Graph, ref)
+
+		g := w.Graph.Clone()
+		rng := stats.NewRNG(seed)
+		for i, n := range g.Nodes {
+			if n.Kind == pipeline.KindInterleave || n.Kind == pipeline.KindMap {
+				g.Nodes[i].Parallelism = 1 + rng.Intn(4)
+			}
+		}
+		live := arenaLive()
+		check := func(config string, got delivered) {
+			t.Helper()
+			if got != want {
+				t.Errorf("seed %d (%s shape %q), %s: delivered %+v, the reference %+v", seed, spec.Name, spec.Shape, config, got, want)
+			}
+			if n := arenaLive() - live; n != 0 {
+				t.Errorf("seed %d, %s: %d arena blocks live after the closed drain", seed, config, n)
+			}
+		}
+		check("defaults", deliver(t, g, base))
+
+		stressed := base
+		stressed.ChannelSlack = 1
+		stressed.Retry = engine.Retry{MaxAttempts: 8, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}
+		w.FS.SetFaults(&simfs.FaultPlan{Seed: seed, Rules: []simfs.FaultRule{{Name: "flaky", ErrorRate: 0.05}}})
+		pool, stop := contendedPool(t)
+		stressed.Pool, stressed.PoolTenant = pool, "tenant"
+		check("one-chunk edges, faults and a contended pool", deliver(t, g, stressed))
+		stop()
+		w.FS.SetFaults(nil)
+	}
+}
+
+// delivered is what a drain handed its consumer, in terms no reordering of
+// records changes: counts, and the multiset of payload bytes as a sum of
+// per-byte weights — the same however records are regrouped into
+// minibatches, moved by a record lost, repeated or altered.
+type delivered struct {
+	minibatches, examples, bytes int64
+	weight                       uint64
+}
+
+// byteWeight is splitmix64 of each byte value.
+var byteWeight = func() (w [256]uint64) {
+	for i := range w {
+		z := uint64(i+1) * 0x9e3779b97f4a7c15
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		w[i] = z ^ z>>31
+	}
+	return w
+}()
+
+// deliver drains g to EOF under opts and closes it.
+func deliver(t *testing.T, g *pipeline.Graph, opts engine.Options) delivered {
+	t.Helper()
+	p, err := engine.New(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var d delivered
+	for {
+		e, err := p.Next()
+		if err == io.EOF {
+			return d
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.minibatches++
+		d.examples += int64(e.Count)
+		d.bytes += int64(len(e.Payload))
+		for _, b := range e.Payload {
+			d.weight += byteWeight[b]
+		}
+		p.Recycle(e)
+	}
+}
+
+// contendedPool returns a two-slot pool that admits "tenant" with one slot
+// and a rival with the other, which takes it in short bursts until stop.
+func contendedPool(t *testing.T) (pool *engine.SharedPool, stop func()) {
+	t.Helper()
+	pool = engine.NewSharedPool(2)
+	for _, name := range []string{"tenant", "rival"} {
+		if err := pool.Admit(name, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			release, ok := pool.Acquire("rival", done)
+			if !ok {
+				return
+			}
+			for end := time.Now().Add(50 * time.Microsecond); time.Now().Before(end); {
+			}
+			release()
+			select {
+			case <-done:
+				return
+			case <-time.After(50 * time.Microsecond):
+			}
+		}
+	}()
+	return pool, func() {
+		close(done)
+		pool.Interrupt()
+		wg.Wait()
+	}
+}

@@ -9,8 +9,12 @@ import (
 // timers fire on every SampleEvery-th element and the measured duration is
 // scaled back up by the period, so the expected totals are unchanged while
 // the time.Now cost is paid 1/SampleEvery of the time (§4.1's low-overhead
-// tracing discipline). Engines may override it per run.
-var SampleEvery int64 = 1
+// tracing discipline). Engines may override it per run. Wall time is a
+// diagnostic only: the model (ops, and the planner and doctor above it)
+// reads CPUNanos and the element and byte counters, none of which is ever
+// sampled. Timing every element would only slow the traced pipeline, and a
+// plan reads the rate that trace observed.
+var SampleEvery int64 = 16
 
 // cacheLine is the assumed cache-line size used to pad per-worker shards so
 // neighbouring shards in an array never share a line.

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"math"
 	"testing"
+	"time"
 
 	"plumber/internal/data"
+	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
 	"plumber/internal/rewrite"
@@ -95,6 +97,51 @@ func TestTraceAndAnalyze(t *testing.T) {
 	bn := an.Bottleneck()
 	if bn.Name != "map_1" {
 		t.Fatalf("bottleneck = %q, want the costly map_1", bn.Name)
+	}
+}
+
+// TestTraceKeepsUntracedPace: a plan is calibrated on the rate its trace
+// observes, so the trace must watch the pipeline, not slow it. On a chain
+// with no modeled CPU — the engine's own per-element work is all there is —
+// a whole-pass Trace must read at least 0.8 of the rate an untraced drain of
+// the same graph reaches; timing every element (a sampling period of 1)
+// reads about 0.6 of it. Other load only ever lowers a wall-clock rate, so
+// each side is the best of up to five drains, stopping once they agree.
+func TestTraceKeepsUntracedPace(t *testing.T) {
+	cat := data.Catalog{Name: "trace-pace", NumFiles: 4, RecordsPerFile: 8192, MeanRecordBytes: 500,
+		RecordBytesStddevFrac: 0.004, DecodeAmplification: 1}
+	if err := data.RegisterCatalog(cat); err != nil {
+		t.Fatal(err)
+	}
+	fs := simfs.New(simfs.Device{Name: "trace-pace-mem"}, false)
+	fs.AddCatalog(cat, 1)
+	reg := udf.NewRegistry()
+	if err := reg.Register(udf.UDF{Name: "pace_noop", Cost: udf.Cost{SizeFactor: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	g := pipeline.NewBuilder().Interleave(cat.Name, 1).Map("pace_noop", 1).Batch(64).MustBuild()
+	opts := Options{FS: fs, UDFs: reg}
+	var traced, untraced float64
+	for attempt := 0; attempt < 5 && (attempt == 0 || traced < 0.8*untraced); attempt++ {
+		snap, err := Trace(g, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traced = math.Max(traced, float64(snap.Nodes[g.Output].ElementsProduced)/snap.Duration.Seconds())
+		start := time.Now()
+		p, err := engine.New(g, engine.Options{FS: opts.source(), UDFs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, _, err := p.Drain(0)
+		p.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		untraced = math.Max(untraced, float64(n)/time.Since(start).Seconds())
+	}
+	if traced < 0.8*untraced {
+		t.Fatalf("a trace read %.0f minibatches/s of a pipeline that runs %.0f untraced (%.2f), want at least 0.8", traced, untraced, traced/untraced)
 	}
 }
 
