@@ -7,8 +7,11 @@
 // operational model, allocated against §5.2's resource ceilings) one level
 // up.
 // Each tenant is traced exactly once (the planner's whole point is that one
-// trace suffices); the cross-tenant core split is then solved by
-// water-filling on every tenant's predicted rate curve — the marginal value
+// trace suffices). Tenants admitted together are traced at once, in waves
+// on equal shares of one engine.SharedPool, so each trace reads its rates
+// under the contention its share will run under, and arbitrated once. The
+// cross-tenant core split is solved by water-filling on every tenant's
+// predicted rate curve — the marginal value
 // of one more core for tenant t at share c is w_t·(X_t(c+1) − X_t(c)),
 // where X_t is ops.PredictObservedRate evaluated on the plan that
 // plan.Solve produces for that share — and cores are granted one at a time
@@ -33,11 +36,13 @@
 package host
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
 	"sync"
+	"time"
 
 	"plumber/internal/connector"
 	"plumber/internal/engine"
@@ -191,8 +196,18 @@ func (t *tenantState) diskCap() float64 {
 	return c
 }
 
-// NewArbiter returns an arbiter over the global envelope. A non-positive
-// core budget allocates against this machine's core count.
+// store identifies the storage the tenant reads: a nil Source wraps FS in a
+// fresh adapter, so an FS is compared by itself, not by its adapter.
+func (t *tenantState) store() any {
+	if s, ok := t.src.(*connector.SimFS); ok {
+		return s.FS
+	}
+	return t.src
+}
+
+// NewArbiter returns an arbiter over the global envelope, with no tenants:
+// Add admits them, one at a time or several together. A non-positive core
+// budget allocates against this machine's core count.
 func NewArbiter(budget plan.Budget) *Arbiter {
 	if budget.Cores <= 0 {
 		budget.Cores = runtime.NumCPU()
@@ -207,35 +222,120 @@ func (a *Arbiter) Budget() plan.Budget {
 	return a.budget
 }
 
-// Add traces the new tenant once, admits it, and re-arbitrates the whole
-// set. Incumbent tenants are not re-traced. It fails when the name is
-// taken, the trace fails, or admission would leave fewer than one core per
-// tenant.
-func (a *Arbiter) Add(t Tenant) (*Decision, error) {
-	if t.Name == "" {
-		return nil, fmt.Errorf("host: tenant needs a name")
-	}
-	if t.Graph == nil || (t.FS == nil && t.Source == nil) {
-		return nil, fmt.Errorf("host: tenant %q needs a graph and a storage source", t.Name)
+// Add traces the new tenants once each, admits them together, and
+// re-arbitrates the whole set once; incumbents are not re-traced. It admits
+// nobody when a name is missing or taken (within the batch too), the set
+// would have fewer than one core per tenant, or any trace fails.
+func (a *Arbiter) Add(ts ...Tenant) (*Decision, error) {
+	if len(ts) == 0 {
+		return nil, fmt.Errorf("host: Add needs at least one tenant")
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, ts := range a.tenants {
-		if ts.Name == t.Name {
-			return nil, fmt.Errorf("host: tenant %q already admitted", t.Name)
+	taken := make(map[string]bool, len(a.tenants)+len(ts))
+	for _, t := range a.tenants {
+		taken[t.Name] = true
+	}
+	batch := make([]*tenantState, len(ts))
+	for i, t := range ts {
+		if t.Name == "" {
+			return nil, fmt.Errorf("host: tenant needs a name")
+		}
+		if t.Graph == nil || (t.FS == nil && t.Source == nil) {
+			return nil, fmt.Errorf("host: tenant %q needs a graph and a storage source", t.Name)
+		}
+		if taken[t.Name] {
+			return nil, fmt.Errorf("host: tenant name %q is not unique", t.Name)
+		}
+		taken[t.Name] = true
+		batch[i] = &tenantState{Tenant: t, src: t.source()}
+	}
+	if len(taken) > a.budget.Cores {
+		return nil, fmt.Errorf("host: %d tenants need at least one core each, budget has %d",
+			len(taken), a.budget.Cores)
+	}
+	// A wave has one tenant per core at most, and no two readers of a store.
+	width := min(a.budget.Cores, runtime.GOMAXPROCS(0))
+	for pending := batch; len(pending) > 0; {
+		var wave, rest []*tenantState
+		stores := make(map[any]bool)
+		for _, t := range pending {
+			if s := t.store(); len(wave) < width && !stores[s] {
+				stores[s] = true
+				wave = append(wave, t)
+			} else {
+				rest = append(rest, t)
+			}
+		}
+		if err := a.traceWave(wave, width); err != nil {
+			return nil, err
+		}
+		pending = rest
+	}
+	a.tenants = append(a.tenants, batch...)
+	a.traces += len(batch)
+	return a.arbitrateLocked()
+}
+
+// traceWave traces the wave's tenants concurrently. Two or more share one
+// engine.SharedPool of width slots, the cores the traces can run on, at
+// equal shares, so each trace sees the contention RunConcurrent will run it
+// under; a wave of one runs alone. The first trace to fail cancels the rest.
+func (a *Arbiter) traceWave(wave []*tenantState, width int) error {
+	var pool *engine.SharedPool
+	if len(wave) > 1 {
+		pool = engine.NewSharedPool(width)
+		for i, t := range wave {
+			if err := pool.Admit(t.Name, evenShare(width, len(wave), i)); err != nil {
+				return err
+			}
 		}
 	}
-	if len(a.tenants)+1 > a.budget.Cores {
-		return nil, fmt.Errorf("host: %d tenants need at least one core each, budget has %d",
-			len(a.tenants)+1, a.budget.Cores)
+	ctx := make(waveCtx)
+	var wg sync.WaitGroup
+	var once sync.Once
+	var first error
+	for _, t := range wave {
+		wg.Add(1)
+		go func(t *tenantState) {
+			defer wg.Done()
+			var err error
+			if t.analysis, err = a.traceTenant(ctx, t, pool); err != nil {
+				once.Do(func() {
+					first = fmt.Errorf("host: trace tenant %q: %w", t.Name, err)
+					close(ctx)
+				})
+			}
+		}(t)
 	}
-	src := t.source()
-	an, err := a.traceTenant(t, src)
-	if err != nil {
-		return nil, fmt.Errorf("host: trace tenant %q: %w", t.Name, err)
+	wg.Wait()
+	return first
+}
+
+// waveCtx is the context a wave's traces share, closed when the first fails:
+// a context.WithCancel would link all of package context's cancel tree.
+type waveCtx chan struct{}
+
+func (c waveCtx) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (c waveCtx) Done() <-chan struct{}       { return c }
+func (c waveCtx) Value(any) any               { return nil }
+func (c waveCtx) Err() error {
+	select {
+	case <-c:
+		return context.Canceled
+	default:
+		return nil
 	}
-	a.tenants = append(a.tenants, &tenantState{Tenant: t, analysis: an, src: src})
-	return a.arbitrateLocked()
+}
+
+// evenShare is tenant i's core count when total cores split evenly n ways:
+// the remainder goes one core each to the first tenants, so the split uses
+// every core.
+func evenShare(total, n, i int) int {
+	if i < total%n {
+		return total/n + 1
+	}
+	return total / n
 }
 
 // Remove evicts the named tenant and re-arbitrates the remainder. Removing
@@ -549,17 +649,13 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 		dec.PredictedWeightedAggregate += t.weight() * predicted
 	}
 
-	// Baseline: a static even split of every resource dimension. Remainder
-	// cores are handed out one per tenant in registration order, so the
-	// baseline uses the whole budget — a baseline idling Cores%N cores
-	// would flatter the arbitration for free.
+	// Baseline: a static even split of every resource dimension. Cores
+	// split by evenShare, in registration order, so the baseline uses the
+	// whole budget — a baseline idling Cores%N cores would flatter the
+	// arbitration for free.
 	for i, t := range a.tenants {
-		evenCores := a.budget.Cores / n
-		if i < a.budget.Cores%n {
-			evenCores++
-		}
 		even := plan.Budget{
-			Cores:           evenCores,
+			Cores:           evenShare(a.budget.Cores, n, i),
 			MemoryBytes:     a.budget.MemoryBytes / int64(n),
 			DiskBandwidth:   a.budget.DiskBandwidth / float64(n),
 			SourceBandwidth: t.sourceHints(),
@@ -580,21 +676,21 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 // traceTenant runs the tenant's one planning trace — the shared traced
 // drain, stopped at the first minibatch after the rate of examples into the
 // tenant's batch has settled — and operationalizes it. All reads go through
-// the tenant's storage connector. Tenants are
-// traced one after another, as they are admitted: a trace measures what the
-// pipeline does with the host to itself, and two spinning tenants sharing a
-// few cores would each read the other's load into its rates.
-func (a *Arbiter) traceTenant(t Tenant, src connector.Connector) (*ops.Analysis, error) {
+// the tenant's storage connector; its workers hold slots of pool, when
+// there is one, and ctx cancels it.
+func (a *Arbiter) traceTenant(ctx context.Context, t *tenantState, pool *engine.SharedPool) (*ops.Analysis, error) {
 	snap, err := engine.TraceRun(t.Graph, engine.Options{
-		FS:        src,
-		UDFs:      t.UDFs,
-		WorkScale: t.WorkScale,
-		Spin:      t.Spin,
-		Seed:      t.Seed,
+		FS:         t.src,
+		UDFs:       t.UDFs,
+		WorkScale:  t.WorkScale,
+		Spin:       t.Spin,
+		Seed:       t.Seed,
+		Pool:       pool,
+		PoolTenant: t.Name,
+		Context:    ctx,
 	}, trace.Machine{Name: "host", Cores: a.budget.Cores}, t.MaxMinibatches, engine.Settled)
 	if err != nil {
 		return nil, err
 	}
-	a.traces++
 	return ops.Analyze(snap, t.UDFs)
 }

@@ -238,10 +238,8 @@ type Collector struct {
 	start   time.Time
 	profile *simfs.BandwidthProfile
 
-	// sourceName attributes filesystem reads on a single-source graph;
-	// sourceOfCatalog disambiguates multi-branch graphs by matching the
-	// catalog directory component in the file path.
-	sourceName      string
+	// sourceOfCatalog names the source reading each catalog; a catalog's
+	// shards live under ".../<catalog>/...".
 	sourceOfCatalog map[string]string
 }
 
@@ -262,7 +260,6 @@ func NewCollector(graph *pipeline.Graph, machine Machine) (*Collector, error) {
 	for _, n := range order {
 		c.nodes[n.Name] = &NodeStats{Name: n.Name, Kind: n.Kind, Parallelism: n.EffectiveParallelism()}
 		if n.IsSource() {
-			c.sourceName = n.Name
 			c.sourceOfCatalog[n.Catalog] = n.Name
 		}
 	}
@@ -296,7 +293,6 @@ func (c *Collector) SetGraph(g *pipeline.Graph) error {
 	c.graph = g.Clone()
 	for _, n := range order {
 		if n.IsSource() {
-			c.sourceName = n.Name
 			c.sourceOfCatalog[n.Catalog] = n.Name
 		}
 		if ns, ok := c.nodes[n.Name]; ok {
@@ -319,24 +315,19 @@ func (c *Collector) Node(name string) (*NodeStats, error) {
 	return ns, nil
 }
 
-// ObserveRead implements simfs.ReadObserver: reads are recorded in the
-// filename map and attributed to a source node. With multiple sources the
-// read is matched to the source whose catalog names a directory component
-// of the path (catalog files live under ".../<catalog>/..."); unmatched
-// paths fall back to the last source, preserving single-source behavior.
+// ObserveRead implements simfs.ReadObserver: a read of one of the graph's
+// catalogs is recorded in the filename map and credited to its source. Any
+// other read is another pipeline's on the same connector, and is dropped.
 func (c *Collector) ObserveRead(path string, n int64) {
 	c.mu.Lock()
-	c.files[path] += n
-	src := c.sourceName
-	if len(c.sourceOfCatalog) > 1 {
-		for cat, name := range c.sourceOfCatalog {
-			if strings.Contains(path, "/"+cat+"/") {
-				src = name
-				break
-			}
+	var ns *NodeStats
+	for cat, name := range c.sourceOfCatalog {
+		if strings.Contains(path, "/"+cat+"/") {
+			c.files[path] += n
+			ns = c.nodes[name]
+			break
 		}
 	}
-	ns := c.nodes[src]
 	c.mu.Unlock()
 	if ns != nil {
 		atomic.AddInt64(&ns.BytesRead, n)

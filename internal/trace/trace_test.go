@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"io"
 	"reflect"
 	"testing"
 	"time"
 
+	"plumber/internal/data"
 	"plumber/internal/pipeline"
 	"plumber/internal/simfs"
 )
@@ -144,5 +146,52 @@ func TestSnapshotRoundTripOmitsEmpty(t *testing.T) {
 func TestUnmarshalSnapshotRejectsGarbage(t *testing.T) {
 	if _, err := UnmarshalSnapshot([]byte(`{"graph": 42`)); err == nil {
 		t.Fatal("expected error on malformed snapshot JSON")
+	}
+}
+
+// TestCollectorIgnoresForeignReads puts two catalogs on one filesystem and
+// one collector per catalog on it: each collector must credit its source
+// with its own catalog's bytes and files only, not with every read the
+// shared connector serves.
+func TestCollectorIgnoresForeignReads(t *testing.T) {
+	fs := simfs.New(simfs.Device{Name: "shared"}, false)
+	cats := []data.Catalog{
+		{Name: "foreign-a", NumFiles: 2, RecordsPerFile: 8, MeanRecordBytes: 100, DecodeAmplification: 1},
+		{Name: "foreign-b", NumFiles: 3, RecordsPerFile: 8, MeanRecordBytes: 300, DecodeAmplification: 1},
+	}
+	cols := make([]*Collector, len(cats))
+	for i, cat := range cats {
+		fs.AddCatalog(cat, 1)
+		g := pipeline.NewBuilder().Named("src").Interleave(cat.Name, 1).Batch(4).MustBuild()
+		col, err := NewCollector(g, Machine{Cores: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.AddObserver(col)
+		cols[i] = col
+	}
+	for _, file := range fs.List() {
+		r, err := fs.Open(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, r); err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	}
+	for i, cat := range cats {
+		var want int64
+		for _, spec := range cat.GenerateFileSpecs(1) {
+			want += spec.TotalBytes
+		}
+		snap := cols[i].Snapshot(time.Second, cat.NumFiles)
+		if got := snap.Nodes["src"].BytesRead; got != want {
+			t.Errorf("collector of %s credits its source with %d bytes, its catalog holds %d", cat.Name, got, want)
+		}
+		if got := snap.ObservedFileBytes(); got != want || len(snap.Files) != cat.NumFiles {
+			t.Errorf("collector of %s observed %d files, %d bytes; want its own %d files, %d bytes",
+				cat.Name, len(snap.Files), got, cat.NumFiles, want)
+		}
 	}
 }
