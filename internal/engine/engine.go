@@ -946,10 +946,13 @@ func (s *slot) release() {
 	}
 }
 
-// yield is a chunk-boundary preemption point: release the slot so waiting
-// guaranteed tenants can be admitted, then re-acquire.
+// yield is a chunk-boundary preemption point. A borrower — its tenant holds
+// more slots than its guarantee — releases the slot so a waiting guaranteed
+// tenant can be admitted, then re-acquires at once; a holder within its
+// tenant's share keeps the slot, because it keeps no guaranteed waiter out.
+// A slot not held stays not held: the next acquire takes it.
 func (s *slot) yield() bool {
-	if s.pool == nil {
+	if s.rel == nil || !s.pool.mustYield(s.tenant) {
 		return true
 	}
 	s.release()
@@ -970,9 +973,9 @@ func (s *slot) yield() bool {
 // edge releases the gate's slot first (unblock/reacquire), and a prefetch
 // emitter about to block on its full downstream edge releases it the same
 // way workers do (chunkEmitter.sl). At chunk boundaries — every `every`
-// consumed elements — tick yields the slot so waiting guaranteed tenants
-// get in; preemption latency for sequential work is therefore bounded by
-// one chunk, same as for workers.
+// consumed elements — tick yields a borrowed slot so waiting guaranteed
+// tenants get in; preemption latency for sequential work is therefore
+// bounded by one chunk, same as for workers.
 type seqGate struct {
 	sl    slot
 	every int
@@ -1017,8 +1020,8 @@ func (g *seqGate) exit() {
 }
 
 // tick marks n consumed elements — one, or a run; every `every` elements it
-// yields the slot (release + blocking re-acquire), the sequential stages'
-// chunk-boundary preemption point.
+// yields the slot (a borrower's release + blocking re-acquire), the
+// sequential stages' chunk-boundary preemption point.
 func (g *seqGate) tick(n int) bool {
 	if g == nil || g.sl.pool == nil {
 		return true

@@ -13,15 +13,19 @@ import (
 //
 // Every admitted tenant has a guaranteed share of worker slots. A
 // parallel-stage worker must hold a slot while it processes a chunk of
-// elements, so a tenant's in-flight worker count — and therefore the CPU it
-// can occupy — is capped at its share. Admission is work-conserving:
-// when the pool has free capacity (another tenant is idle, finished, or
-// stalled on a full downstream channel), a tenant may borrow beyond its
-// share, but borrowed slots
-// are returned at the next chunk boundary whenever a tenant that is still
-// within its guarantee is waiting. Guaranteed acquisitions therefore have
-// strict priority over borrowing, which is what makes the shares hold up
-// under contention instead of devolving into a free-for-all.
+// elements, so under contention a tenant's in-flight worker count — and
+// therefore the CPU it can occupy — is held to its share. Admission is
+// work-conserving: when the pool has free capacity (another tenant is idle,
+// finished, or stalled on a full downstream channel), a tenant may borrow
+// beyond its share. Guaranteed acquisitions have strict priority, decided
+// when a slot frees: a borrow is refused while any tenant with a worker
+// blocked in Acquire holds fewer slots than its guarantee, so the freed slot
+// goes to that tenant, not to whichever woken waiter locks first. A borrower
+// gives its slot back at the next chunk boundary (slot.yield); a tenant
+// within its share keeps its slot, because guarantees sum to at most the
+// capacity and only a borrower can keep a guaranteed waiter out. That is
+// what makes the shares hold up under contention instead of devolving into
+// a free-for-all.
 //
 // Slots are acquired and released at chunk granularity (Options.ChunkSize
 // elements), so enforcement costs one mutex acquisition per chunk — noise
@@ -40,11 +44,8 @@ type SharedPool struct {
 	capacity int
 	inflight int
 	reserved int
-	// guarWaiting counts tenants' workers blocked while still inside their
-	// guarantee; borrowing is suspended while it is non-zero.
-	guarWaiting int
-	tenants     map[string]*poolTenant
-	order       []string
+	tenants  map[string]*poolTenant
+	order    []*poolTenant // admission order
 	// hooks are interrupt listeners (parked ring-handoff waiters) invoked by
 	// Interrupt and Evict: a waiter parked on a full or empty ring is not
 	// blocked in Acquire, so the cond broadcast alone cannot reach it.
@@ -54,9 +55,14 @@ type SharedPool struct {
 
 // poolTenant is one tenant's admission state and accounting.
 type poolTenant struct {
+	name     string
 	share    int
 	inflight int
 	peak     int
+	// waiting counts the tenant's workers blocked in Acquire. While it is
+	// non-zero and inflight is below share, the tenant's guarantee is owed
+	// and nobody may borrow.
+	waiting int
 	// heldNanos is total slot-hold time; heldSeqNanos is the part accrued by
 	// sequential consumer-side stages (filter/shuffle/batch), a subset.
 	heldNanos    int64
@@ -108,8 +114,9 @@ func (p *SharedPool) Admit(tenant string, share int) error {
 			p.reserved, share, p.capacity)
 	}
 	p.reserved += share
-	p.tenants[tenant] = &poolTenant{share: share}
-	p.order = append(p.order, tenant)
+	t := &poolTenant{name: tenant, share: share}
+	p.tenants[tenant] = t
+	p.order = append(p.order, t)
 	return nil
 }
 
@@ -124,7 +131,7 @@ func (p *SharedPool) Admitted(tenant string) bool {
 // Acquire blocks until the tenant may run one more worker, returning a
 // release function for the held slot. A tenant inside its guarantee is
 // admitted as soon as a slot frees; beyond it, admission requires free
-// capacity and no guaranteed waiter anywhere (work-conserving borrowing
+// capacity and no tenant owed its guarantee (work-conserving borrowing
 // with strict guarantee priority). Acquire aborts and returns ok == false
 // when done closes; a closer must call Interrupt afterwards so blocked
 // waiters re-check it. Acquiring for an unadmitted tenant panics — the
@@ -146,57 +153,31 @@ func (p *SharedPool) acquireSlot(tenant string, done <-chan struct{}, sequential
 		p.mu.Unlock()
 		panic(fmt.Sprintf("engine: pool Acquire for unadmitted tenant %q", tenant))
 	}
-	// unwait clears this goroutine's guaranteed-waiter mark; when the last
-	// such mark drops, blocked borrowers are woken — they gate on
-	// guarWaiting == 0 and no release broadcast may be coming.
-	waiting := false
-	unwait := func() {
-		if !waiting {
-			return
-		}
-		waiting = false
-		if p.guarWaiting--; p.guarWaiting == 0 {
-			p.cond.Broadcast()
-		}
-	}
+	// Both sides of the decision — this tenant below its guarantee, some
+	// tenant owed one — are read under the lock at every wake: a worker that
+	// blocked while a sibling held its tenant's share is inside the
+	// guarantee once that sibling releases.
 	for {
-		if t.evicted {
-			unwait()
+		if t.evicted || closed(done) {
+			// A departing waiter may have been all that kept borrowers out.
+			p.cond.Broadcast()
 			p.mu.Unlock()
 			return nil, false
 		}
-		if done != nil {
-			select {
-			case <-done:
-				unwait()
-				p.mu.Unlock()
-				return nil, false
-			default:
-			}
+		if p.inflight < p.capacity && (t.inflight < t.share || !p.owed()) {
+			break
 		}
-		if t.inflight < t.share {
-			if p.inflight < p.capacity {
-				break
-			}
-			// The pool is full of borrowers; wait with guarantee priority.
-			if !waiting {
-				waiting = true
-				p.guarWaiting++
-			}
-		} else {
-			// No longer inside the guarantee (a same-tenant worker may have
-			// filled the share while this one was blocked): drop the waiter
-			// mark, or it would veto all borrowing — including its own.
-			unwait()
-			if p.inflight < p.capacity && p.guarWaiting == 0 {
-				break // borrow: free capacity and nobody's guarantee is starved
-			}
-		}
+		t.waiting++
 		p.cond.Wait()
+		t.waiting--
 	}
-	unwait()
 	p.inflight++
 	t.inflight++
+	if p.inflight < p.capacity {
+		// Room is left, and borrowers kept out while this tenant was owed its
+		// guarantee get no release broadcast to wake them.
+		p.cond.Broadcast()
+	}
 	if t.inflight > t.peak {
 		t.peak = t.inflight
 	}
@@ -227,6 +208,41 @@ func (p *SharedPool) acquireSlot(tenant string, done <-chan struct{}, sequential
 			p.cond.Broadcast()
 		})
 	}, true
+}
+
+// owed reports whether some tenant has a worker blocked in Acquire while it
+// holds fewer slots than its guarantee: the next free slot is that tenant's,
+// and nobody may borrow it. Caller holds p.mu.
+func (p *SharedPool) owed() bool {
+	for _, t := range p.order {
+		if t.waiting > 0 && t.inflight < t.share {
+			return true
+		}
+	}
+	return false
+}
+
+// mustYield reports whether a worker holding one of tenant's slots gives it
+// back at a chunk boundary: only when the tenant holds more slots than its
+// guarantee — guarantees sum to at most the capacity, so only a borrower can
+// keep a guaranteed waiter out — or its admission was reclaimed, which the
+// re-acquire then reports.
+func (p *SharedPool) mustYield(tenant string) bool {
+	p.mu.Lock()
+	t := p.tenants[tenant]
+	yield := t.evicted || t.inflight > t.share
+	p.mu.Unlock()
+	return yield
+}
+
+// closed reports whether done is closed; a nil done never closes.
+func closed(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Evicted reports whether the tenant's admission has been reclaimed. Parked
@@ -376,10 +392,9 @@ func (p *SharedPool) Stats() []PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]PoolStats, 0, len(p.order))
-	for _, name := range p.order {
-		t := p.tenants[name]
+	for _, t := range p.order {
 		out = append(out, PoolStats{
-			Tenant:                name,
+			Tenant:                t.name,
 			ShareCores:            t.share,
 			InFlight:              t.inflight,
 			PeakWorkers:           t.peak,

@@ -76,21 +76,9 @@ func TestSharedPoolBorrowAndGuaranteePriority(t *testing.T) {
 		}
 		got <- r
 	}()
-	// Wait until small's waiter is registered, so big's release below races
+	// Wait until small's waiter is blocked, so big's release below races
 	// nothing.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		p.mu.Lock()
-		waiting := p.guarWaiting
-		p.mu.Unlock()
-		if waiting == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("small's guaranteed waiter never registered")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitBlocked(t, p, "small", 1)
 	rel[3]() // big returns the borrowed slot
 	select {
 	case r := <-got:
@@ -116,6 +104,167 @@ func TestSharedPoolBorrowAndGuaranteePriority(t *testing.T) {
 	for _, r := range rel[:3] {
 		r()
 	}
+}
+
+// poolCounts reads a tenant's blocked and in-flight worker counts.
+func poolCounts(p *SharedPool, tenant string) (waiting, inflight int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	t := p.tenants[tenant]
+	return t.waiting, t.inflight
+}
+
+// waitBlocked waits until n of the tenant's workers are blocked in Acquire.
+func waitBlocked(t *testing.T, p *SharedPool, tenant string, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		if w, _ := poolCounts(p, tenant); w == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of tenant %s's workers never blocked in Acquire", n, tenant)
+		}
+	}
+}
+
+// acquireAsync starts an Acquire for tenant and returns where its release
+// arrives once it is admitted.
+func acquireAsync(p *SharedPool, tenant string) <-chan func() {
+	got := make(chan func(), 1)
+	go func() {
+		if r, ok := p.Acquire(tenant, nil); ok {
+			got <- r
+		}
+	}()
+	return got
+}
+
+// TestSharedPoolFreedSlotGoesToItsGuarantee: a and b each hold their one
+// guaranteed slot of two. A second a worker blocked while a was at its
+// share, and a second b worker blocked wanting to borrow. When a's slot
+// frees, a is below its guarantee with a worker waiting, so that worker is
+// admitted and b's borrower stays blocked, whichever of the two the release
+// wakes first. The blocking order alternates, so each is first half the time.
+func TestSharedPoolFreedSlotGoesToItsGuarantee(t *testing.T) {
+	for rep := 0; rep < 200; rep++ {
+		p := NewSharedPool(2)
+		if err := p.Admit("a", 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Admit("b", 1); err != nil {
+			t.Fatal(err)
+		}
+		relA, _ := p.Acquire("a", nil)
+		relB, _ := p.Acquire("b", nil)
+		var gotA, gotB <-chan func()
+		if rep%2 == 0 {
+			gotA = acquireAsync(p, "a")
+			waitBlocked(t, p, "a", 1)
+			gotB = acquireAsync(p, "b")
+			waitBlocked(t, p, "b", 1)
+		} else {
+			gotB = acquireAsync(p, "b")
+			waitBlocked(t, p, "b", 1)
+			gotA = acquireAsync(p, "a")
+			waitBlocked(t, p, "a", 1)
+		}
+		relA()
+		var relA2 func()
+		select {
+		case relA2 = <-gotA:
+		case r := <-gotB:
+			r()
+			<-gotA
+			t.Fatalf("rep %d: b's borrower took the slot a's guarantee was owed", rep)
+		case <-time.After(5 * time.Second):
+			t.Fatalf("rep %d: nobody was admitted to the freed slot", rep)
+		}
+		if w, in := poolCounts(p, "b"); w != 1 || in != 1 {
+			t.Fatalf("rep %d: b has %d blocked and %d in flight, want 1 and 1", rep, w, in)
+		}
+		relA2() // a is idle now: b's borrower gets the slot
+		(<-gotB)()
+		relB()
+	}
+}
+
+// TestSlotYieldOnlyWhenBorrowing: a chunk-boundary yield gives the slot back
+// only when its tenant holds more slots than its guarantee. Within its
+// share, the yield lets no borrower in, even with the window a release
+// would open held wide; over its share, the yield hands the slot to a
+// guaranteed waiter and waits for room again.
+func TestSlotYieldOnlyWhenBorrowing(t *testing.T) {
+	p := NewSharedPool(2)
+	if err := p.Admit("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Admit("b", 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// a holds its one guaranteed slot, b holds its own, and a second b
+	// worker waits to borrow.
+	sa := slot{pool: p, tenant: "a"}
+	if !sa.acquire() {
+		t.Fatal("a's acquire aborted")
+	}
+	relB, _ := p.Acquire("b", nil)
+	gotB := acquireAsync(p, "b")
+	waitBlocked(t, p, "b", 1)
+	rel := sa.rel
+	sa.rel = func() {
+		rel()
+		// Hold the released slot open until the borrower takes it.
+		for deadline := time.Now().Add(100 * time.Millisecond); time.Now().Before(deadline); time.Sleep(50 * time.Microsecond) {
+			if _, in := poolCounts(p, "b"); in == 2 {
+				return
+			}
+		}
+	}
+	yielded := make(chan bool, 1)
+	for i := 0; i < 3; i++ {
+		go func() { yielded <- sa.yield() }()
+		select {
+		case ok := <-yielded:
+			if !ok {
+				t.Fatal("a's yield within its share aborted")
+			}
+		case r := <-gotB:
+			r() // let a's re-acquire through before failing
+			<-yielded
+			t.Fatal("a yielded its guaranteed slot to b's borrower")
+		}
+	}
+	if w, in := poolCounts(p, "b"); w != 1 || in != 1 {
+		t.Fatalf("b has %d blocked and %d in flight, want 1 and 1", w, in)
+	}
+	sa.rel = rel
+	sa.release() // b's borrower takes a's slot
+	relB2 := <-gotB
+	relB()
+	relB2()
+
+	// a borrows b's slot too; then b resumes, and its worker blocks owed its
+	// guarantee. A yield of a's borrowed slot must hand it over.
+	if !sa.acquire() {
+		t.Fatal("a's acquire aborted")
+	}
+	relA2, _ := p.Acquire("a", nil)
+	gotB = acquireAsync(p, "b")
+	waitBlocked(t, p, "b", 1)
+	go func() { yielded <- sa.yield() }()
+	select {
+	case relB = <-gotB:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a's yield over its share did not let b's guaranteed waiter in")
+	}
+	waitBlocked(t, p, "a", 1) // the yield's re-acquire waits for room
+	relB()
+	if !<-yielded {
+		t.Fatal("a's yield aborted")
+	}
+	sa.release()
+	relA2()
 }
 
 // poolWorkload builds a spin-heavy two-stage pipeline whose map UDF costs

@@ -24,9 +24,12 @@
 // by weighted water-filling on each tenant's storage ceiling — the tighter
 // of its declared bandwidth and its connector's BandwidthHint — so a
 // tenant on slow cold storage takes only what its backend can draw and the
-// rest flows to tenants that can use it. Every tenant's final share is
-// materialized with rewrite.SolveShare into a validated program, and adding
-// or removing a tenant re-arbitrates without re-tracing incumbents.
+// rest flows to tenants that can use it. Every tenant's program is
+// materialized with rewrite.SolveShare under its memory and disk slices at
+// the pool's full core width — the pool, not the program, holds a tenant to
+// its guaranteed cores, and only while others contend — and is predicted at
+// its guarantee. Adding or removing a tenant re-arbitrates without
+// re-tracing incumbents.
 //
 // Arbitration alone is a calibrated prediction; RunConcurrent (run.go) is
 // its validation: all tenant programs execute simultaneously on one
@@ -98,9 +101,13 @@ type Share struct {
 	// Tenant and Weight echo the tenant this share belongs to.
 	Tenant string  `json:"tenant"`
 	Weight float64 `json:"weight"`
-	// Budget is the tenant's slice of the global envelope.
+	// Budget is the tenant's slice of the global envelope; Budget.Cores is
+	// its guaranteed worker-slot share of the pool.
 	Budget plan.Budget `json:"budget"`
-	// Plan is the one-shot allocation solved under that slice.
+	// Plan is the one-shot allocation the program materializes: solved
+	// under the slice's memory and disk, but at the pool's full core width,
+	// so the program can use cores other tenants leave idle. Its predictions
+	// are therefore for a pool the tenant has to itself.
 	Plan *plan.Plan `json:"plan"`
 	// Program is the ApplyPlan-materialized tenant pipeline.
 	Program *pipeline.Graph `json:"program"`
@@ -109,10 +116,11 @@ type Share struct {
 	// ObservedMinibatchesPerSec is the tenant's rate from its one planning
 	// trace (the pre-arbitration baseline shape).
 	ObservedMinibatchesPerSec float64 `json:"observed_minibatches_per_sec"`
-	// PredictedMinibatchesPerSec is the calibrated fill-epoch prediction
-	// for the materialized program under the share (0 = not pipeline-bound).
-	// The fill epoch is the arbitration currency: a warm-cache steady state
-	// is unbounded whenever a cache is planned and cannot price a share.
+	// PredictedMinibatchesPerSec is the calibrated fill-epoch prediction of
+	// the plan solved at the guaranteed cores (0 = not pipeline-bound): the
+	// floor under full contention, which borrowing only adds to. The fill
+	// epoch is the arbitration currency: a warm-cache steady state is
+	// unbounded whenever a cache is planned and cannot price a share.
 	PredictedMinibatchesPerSec float64 `json:"predicted_minibatches_per_sec"`
 	// Run is what that one trace cost: trace_seconds of wall time,
 	// trace_root_completions, the trace_samples its stop rule read, and
@@ -626,14 +634,23 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 		return nil, err
 	}
 
+	// A program sized to its guarantee could not use the cores a finished or
+	// idle tenant leaves, so each is sized for the whole pool; the pool holds
+	// it to its guarantee while others contend, and that is what is predicted.
 	dec := &Decision{Budget: a.budget, TracesUsed: a.traces}
 	for i, t := range a.tenants {
 		share := a.shareBudget(t, cores[i], disk[i], mem[i])
-		program, trail, p, err := rewrite.SolveShare(t.analysis, share)
+		guarantee, err := plan.Solve(t.analysis, share)
 		if err != nil {
 			return nil, fmt.Errorf("host: solve share for tenant %q: %w", t.Name, err)
 		}
-		predicted := stats.FiniteOrZero(p.PredictedFillMinibatchesPerSec)
+		wide := share
+		wide.Cores = a.budget.Cores
+		program, trail, p, err := rewrite.SolveShare(t.analysis, wide)
+		if err != nil {
+			return nil, fmt.Errorf("host: solve share for tenant %q: %w", t.Name, err)
+		}
+		predicted := stats.FiniteOrZero(guarantee.PredictedFillMinibatchesPerSec)
 		dec.Shares = append(dec.Shares, Share{
 			Tenant:                     t.Name,
 			Weight:                     t.weight(),

@@ -55,8 +55,9 @@ func TestArbiterSplitsCoresByMarginalValue(t *testing.T) {
 	var vision, tiny host.Share
 	for _, s := range dec.Shares {
 		total += s.Budget.Cores
-		if s.Plan.CoresPlanned > s.Budget.Cores {
-			t.Fatalf("tenant %q plan claims %d cores, share is %d", s.Tenant, s.Plan.CoresPlanned, s.Budget.Cores)
+		// A program is sized for the whole pool; the pool holds it to its share.
+		if s.Plan.CoresPlanned > dec.Budget.Cores {
+			t.Fatalf("tenant %q plan claims %d cores, the pool has %d", s.Tenant, s.Plan.CoresPlanned, dec.Budget.Cores)
 		}
 		if err := s.Program.Validate(); err != nil {
 			t.Fatalf("tenant %q program invalid: %v", s.Tenant, err)

@@ -368,11 +368,11 @@ func (c *runCtl) watch(interval time.Duration, stallIntervals int, stop <-chan s
 // RunConcurrent executes every tenant's arbitrated program simultaneously
 // on one shared engine worker pool and measures what each tenant received
 // under real contention. The pool's capacity is the global core budget;
-// each tenant's in-flight workers are capped at its arbitrated core share,
-// with work-conserving borrowing when another tenant idles (and strict
-// guarantee priority when it resumes). dec is the decision to validate; nil
-// re-arbitrates the current tenant set first. The run holds the arbiter's
-// lock, so admissions serialize behind it.
+// each tenant is guaranteed its arbitrated core share, and its program,
+// sized for the whole pool, borrows beyond it when another tenant idles
+// (with strict guarantee priority when it resumes). dec is the decision to
+// validate; nil re-arbitrates the current tenant set first. The run holds
+// the arbiter's lock, so admissions serialize behind it.
 //
 // Failure isolation: a tenant whose drain errors, whose program panics, or
 // that the watchdog declares stalled is reported with that status in the

@@ -514,8 +514,8 @@ func TestOptimizeAllFacade(t *testing.T) {
 		if err := s.Program.Validate(); err != nil {
 			t.Fatalf("tenant %q program invalid: %v", s.Tenant, err)
 		}
-		if s.Plan.CoresPlanned > s.Budget.Cores {
-			t.Fatalf("tenant %q plan claims %d cores of a %d-core share", s.Tenant, s.Plan.CoresPlanned, s.Budget.Cores)
+		if s.Plan.CoresPlanned > dec.Budget.Cores {
+			t.Fatalf("tenant %q plan claims %d cores of the %d-core pool", s.Tenant, s.Plan.CoresPlanned, dec.Budget.Cores)
 		}
 	}
 	if total > 8 {
