@@ -447,8 +447,8 @@ func TestBoundedTraceOfConcatReadsTheBranchItSaw(t *testing.T) {
 	}
 }
 
-// planFirst runs ModePlanFirst the way Optimize does, with the given stop
-// rule on its trace.
+// planFirst runs Optimize's body as Optimize does, with the given stop rule
+// on its trace.
 func planFirst(t *testing.T, g *pipeline.Graph, budget Budget, opts Options, stop engine.StopRule) *Result {
 	t.Helper()
 	opts = opts.withDefaults()
@@ -456,7 +456,7 @@ func planFirst(t *testing.T, g *pipeline.Graph, budget Budget, opts Options, sto
 	if opts.Caches == nil {
 		opts.Caches = engine.NewCacheStore()
 	}
-	res := &Result{Mode: ModePlanFirst, Initial: g.Clone(), Budget: budget}
+	res := &Result{Initial: g.Clone(), Budget: budget}
 	if err := optimizePlanFirst(res, g.Clone(), budget, opts, stop); err != nil {
 		t.Fatal(err)
 	}

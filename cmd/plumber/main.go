@@ -7,7 +7,7 @@
 //	plumber trace    [-graph graph.json] [-out snapshot.json] [workload flags]
 //	plumber analyze  -snap snapshot.json [-out analysis.json]
 //	plumber plan     [-graph graph.json] [-out plan.json] [-apply planned-graph.json] [budget flags] [workload flags]
-//	plumber optimize [-graph graph.json] [-out tuner.json] [-mode plan-first|greedy] [budget flags] [workload flags]
+//	plumber optimize [-graph graph.json] [-out tuner.json] [budget flags] [workload flags]
 //	plumber arbitrate [-tenants vision,tiny-files] [-weights 1,1] [-run] [-out arbiter.json] [budget flags]
 //	plumber watch    [-duration 6s] [-ramp-after 2s] [-ramp-mbps 8] [-min-replans N] [budget flags]
 //
@@ -43,7 +43,7 @@
 //	plumber trace -out snap.json            # run instrumented, dump counters + program
 //	plumber analyze -snap snap.json         # rates, capacities, cache legality
 //	plumber plan -out plan.json             # 1 trace -> one-shot joint allocation + prediction
-//	plumber optimize -out tuner.json        # plan-first tuning (or -mode greedy for the loop)
+//	plumber optimize -out tuner.json        # 1 trace -> plan -> one audited rewrite
 //
 // UDF names in a loaded graph that the demo registry does not know are
 // registered automatically as cost-model UDFs costing -udf-cpu-us
@@ -272,7 +272,7 @@ func usage() {
   plumber trace    [-graph graph.json] [-out snapshot.json] [workload flags]
   plumber analyze  -snap snapshot.json [-out analysis.json]
   plumber plan     [-graph graph.json] [-out plan.json] [-apply planned-graph.json] [-cores N] [-memory-mb M] [-bw-mbps B] [workload flags]
-  plumber optimize [-graph graph.json] [-out tuner.json] [-mode plan-first|greedy] [-cores N] [-memory-mb M] [-bw-mbps B] [workload flags]
+  plumber optimize [-graph graph.json] [-out tuner.json] [-cores N] [-memory-mb M] [-bw-mbps B] [workload flags]
   plumber arbitrate [-tenants vision,tiny-files] [-weights 1,1] [-run] [-out arbiter.json] [-quick] [-cores N] [-memory-mb M] [-bw-mbps B]
   plumber watch    [-duration 6s] [-interval 500ms] [-drift 0.3] [-ramp-after 2s] [-ramp-mbps 8] [-min-replans N] [-out watch.json] [budget flags]
 
@@ -493,7 +493,6 @@ func runOptimize(args []string) error {
 	var w workload
 	w.register(fs)
 	out := fs.String("out", "tuner.json", "output path for the tuner report JSON")
-	mode := fs.String("mode", string(plumber.ModePlanFirst), "tuning strategy: plan-first or greedy")
 	cores, memoryMB, bwMBps := budgetFlags(fs)
 	fs.Parse(args)
 
@@ -502,7 +501,6 @@ func runOptimize(args []string) error {
 		return err
 	}
 	defer cleanup()
-	opts.Mode = plumber.Mode(*mode)
 	budget := plumber.Budget{
 		Cores:         *cores,
 		MemoryBytes:   *memoryMB << 20,
@@ -514,24 +512,13 @@ func runOptimize(args []string) error {
 	}
 
 	for _, s := range res.Steps {
-		line := fmt.Sprintf("step %2d: %8.1f minibatches/s observed, bottleneck %-18s", s.Step, s.ObservedMinibatchesPerSec, s.Bottleneck)
-		switch {
-		case s.Applied != nil:
-			line += " -> " + s.Applied.Detail
-		case res.Mode == plumber.ModePlanFirst:
-			line += fmt.Sprintf(" -> planned %d knob changes", len(res.Trail))
-		default:
-			line += " -> converged"
-		}
-		fmt.Println(line)
+		fmt.Printf("step %2d: %8.1f minibatches/s observed, bottleneck %-18s -> planned %d knob changes\n",
+			s.Step, s.ObservedMinibatchesPerSec, s.Bottleneck, len(res.Trail))
 		fmt.Printf("         its trace: %s\n", traceCost(s.Run))
 	}
-	if res.Mode == plumber.ModePlanFirst && res.PredictedMinibatchesPerSec > 0 {
+	if res.PredictedMinibatchesPerSec > 0 {
 		fmt.Printf("predicted %.1f minibatches/s for the planned program's first epoch; nothing here ran it — `plumber watch` (the doctor) holds a running job against its prediction\n",
 			res.PredictedMinibatchesPerSec)
-	}
-	if !res.Converged {
-		fmt.Println("stopped: step budget exhausted before convergence")
 	}
 
 	j, err := json.MarshalIndent(res, "", "  ")
@@ -541,7 +528,7 @@ func runOptimize(args []string) error {
 	if err := writeFile(*out, j); err != nil {
 		return err
 	}
-	fmt.Printf("mode %s: applied %d rewrites over %d traces; wrote %s\n", res.Mode, len(res.Trail), res.TracesUsed, *out)
+	fmt.Printf("applied %d rewrites over %d traces; wrote %s\n", len(res.Trail), res.TracesUsed, *out)
 	return nil
 }
 

@@ -52,27 +52,3 @@ func TestDocsInternalLinksResolve(t *testing.T) {
 		}
 	}
 }
-
-// TestDocsBenchReferencesExist checks that every BENCH_*.json name
-// mentioned anywhere in the docs corresponds to a file checked into the
-// repo root — stale references would send a reader to a document that was
-// renamed or never regenerated.
-func TestDocsBenchReferencesExist(t *testing.T) {
-	bench := regexp.MustCompile(`BENCH_[A-Za-z0-9_]+\.json`)
-	for _, doc := range docFiles(t) {
-		b, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		seen := map[string]bool{}
-		for _, name := range bench.FindAllString(string(b), -1) {
-			if seen[name] {
-				continue
-			}
-			seen[name] = true
-			if _, err := os.Stat(name); err != nil {
-				t.Errorf("%s references %s, which is not checked in at the repo root", doc, name)
-			}
-		}
-	}
-}

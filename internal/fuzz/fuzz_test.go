@@ -120,9 +120,9 @@ func FuzzSolve(f *testing.F) {
 
 // FuzzSpecRoundTrip checks that every generated spec survives a JSON
 // round trip with its identity intact: the re-read spec must normalize to
-// the same shape and register the same catalog name, or a recorded matrix
-// (BENCH_fuzzer.json counterexamples included) would rebuild a different
-// workload than it measured.
+// the same shape and register the same catalog name, or a recorded spec (a
+// minimized counterexample included) would rebuild a different workload
+// than it measured.
 func FuzzSpecRoundTrip(f *testing.F) {
 	for _, seed := range []uint64{1, 7, 42, 0xdeadbeef, 0x706c756d626572} {
 		f.Add(seed)

@@ -1,9 +1,10 @@
 // Package plan implements Plumber's predictive one-shot planner: the
 // LP-style extension (§4.4's operational model driven to an allocation,
-// rather than the greedy sequential tuner) that turns a single traced
-// analysis plus a resource budget into a joint assignment of cores, cache
-// memory, prefetching, and outer parallelism across every Dataset at once
-// — with a predicted end-to-end rate, so no re-trace is needed per step.
+// rather than a sequential tuner that re-traces after every remedy) that
+// turns a single traced analysis plus a resource budget into a joint
+// assignment of cores, cache memory, prefetching, and outer parallelism
+// across every Dataset at once — with a predicted end-to-end rate, so no
+// re-trace is needed per step.
 //
 // The solver is the paper's LP in closed form, solved jointly with cache
 // placement: for every legal cache candidate (including none) it re-derives
@@ -27,9 +28,9 @@ import (
 	"plumber/internal/stats"
 )
 
-// Budget is the resource envelope the planner (and the greedy tuner —
-// package rewrite aliases this type) allocates against: the paper's nc
-// cores, memory for caches, and disk bandwidth.
+// Budget is the resource envelope the planner allocates against (the
+// plumber façade aliases this type): the paper's nc cores, memory for
+// caches, and disk bandwidth.
 type Budget struct {
 	// Cores bounds the planned CPU demand, Σ X/R_i over every replica's
 	// Datasets (the paper's Σ θ_i <= nc). Zero allocates against the traced
@@ -122,7 +123,7 @@ func (p *Plan) Hypothetical(warm bool, cores int, diskBandwidth float64) ops.Hyp
 }
 
 // solveCaps bounds the solver's search when the budget leaves a dimension
-// unbounded, mirroring rewrite.DefaultRewrites' safety caps.
+// unbounded.
 const (
 	unboundedCores = 64
 	maxOuter       = 16

@@ -9,11 +9,10 @@ import (
 
 // ApplyPlan materializes a solved plan into one validated rewritten clone
 // of g, recording every knob change in the returned audit Trail under the
-// same canonical rewrite names the greedy tuner uses. All surgery goes
-// through the pipeline package's transactional primitives, so the result
-// either passes Validate or ApplyPlan errors with the input graph intact.
-// A plan that changes nothing yields an unmodified clone and an empty
-// trail.
+// canonical rewrite names. All surgery goes through the pipeline package's
+// transactional primitives, so the result either passes Validate or
+// ApplyPlan errors with the input graph intact. A plan that changes nothing
+// yields an unmodified clone and an empty trail.
 func ApplyPlan(g *pipeline.Graph, p *plan.Plan) (*pipeline.Graph, Trail, error) {
 	if p == nil {
 		return nil, nil, fmt.Errorf("rewrite: ApplyPlan: nil plan")
@@ -48,7 +47,7 @@ func ApplyPlan(g *pipeline.Graph, p *plan.Plan) (*pipeline.Graph, Trail, error) 
 	}
 
 	// Cache before prefetch, so a planned root prefetch ends up above the
-	// cache (the greedy loop converges to the same shape).
+	// cache.
 	if p.CacheAbove != "" {
 		for _, n := range cur.Nodes {
 			if n.Kind == pipeline.KindCache {

@@ -13,7 +13,7 @@ import (
 // every knob change under the canonical rewrite names, exactly as a
 // single-tenant plan-first Optimize would; the solved plan rides along so
 // the caller can read the share's predicted rate without re-deriving it.
-func SolveShare(a *ops.Analysis, share Budget) (*pipeline.Graph, Trail, *plan.Plan, error) {
+func SolveShare(a *ops.Analysis, share plan.Budget) (*pipeline.Graph, Trail, *plan.Plan, error) {
 	p, err := plan.Solve(a, share)
 	if err != nil {
 		return nil, nil, nil, err

@@ -4,14 +4,20 @@ import (
 	"errors"
 	"os"
 	"testing"
+	"time"
 
 	"plumber"
+	"plumber/internal/engine"
 	"plumber/internal/scenario"
 )
 
 // TestBuildBackends builds the same spec on every backend and traces each
 // to EOF: the backend switch must be behavior-preserving at the
 // minibatch-count level, and each workload must report the right connector.
+// Each backend then drains again under a 2 % transient read-error plan with
+// the engine's retry policy on: the retries absorb every fault, so the same
+// minibatches arrive and no error reaches the caller. (The mixed-backend
+// disk split is TestDiskSplitWaterFillsOnConnectorHints, in internal/host.)
 func TestBuildBackends(t *testing.T) {
 	base := scenario.Spec{
 		Name:                "backend-probe",
@@ -68,6 +74,27 @@ func TestBuildBackends(t *testing.T) {
 			wantBatches := w.Catalog.TotalExamples() / int64(w.Spec.BatchSize)
 			if root.ElementsProduced < wantBatches {
 				t.Fatalf("drained %d minibatches, want >= %d (full pass)", root.ElementsProduced, wantBatches)
+			}
+
+			w.Source.SetFaults(&plumber.FaultPlan{Seed: 29, Rules: []plumber.FaultRule{{Name: "flaky-reads", ErrorRate: 0.02}}})
+			p, err := engine.New(w.Graph, engine.Options{
+				FS: w.Source, UDFs: w.Registry, Seed: w.Spec.Seed, WorkScale: 1,
+				Retry: engine.Retry{MaxAttempts: 4, BaseBackoff: 200 * time.Microsecond, MaxBackoff: 5 * time.Millisecond},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			faulted, _, err := p.Drain(0)
+			es := p.ErrorStats()
+			p.Close()
+			if err != nil || es.Errors != 0 {
+				t.Fatalf("faulted drain: %d errors reached the caller, last %v", es.Errors, err)
+			}
+			if faulted != root.ElementsProduced {
+				t.Fatalf("faulted drain delivered %d minibatches, the clean one %d", faulted, root.ElementsProduced)
+			}
+			if es.Retries == 0 {
+				t.Fatalf("no retries under a 2%% error rate (%+v injected)", w.Source.FaultStats())
 			}
 		})
 	}

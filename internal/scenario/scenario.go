@@ -108,8 +108,8 @@ type Spec struct {
 	// Device models the storage the shards live on; a zero Device is an
 	// unthrottled in-memory store. The device's TotalBandwidth doubles as
 	// the scenario's disk-bandwidth budget hint. It serializes with the
-	// rest of the spec so a recorded matrix (BENCH_scenarios.json) rebuilds
-	// the same workload, device model included.
+	// rest of the spec so a recorded spec rebuilds the same workload,
+	// device model included.
 	Device simfs.Device `json:"device"`
 
 	// Backend selects the storage connector serving the shards: "simfs"

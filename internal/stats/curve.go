@@ -66,29 +66,3 @@ func (p *PiecewiseLinear) Max(tol float64) (x, y float64) {
 	}
 	return p.xs[len(p.xs)-1], best
 }
-
-// Knots returns copies of the knot coordinates.
-func (p *PiecewiseLinear) Knots() (xs, ys []float64) {
-	return append([]float64(nil), p.xs...), append([]float64(nil), p.ys...)
-}
-
-// LinearFit returns the least-squares slope and intercept of y = a*x + b.
-// It returns a==0, b==mean(y) when x has no variance or fewer than 2 points.
-func LinearFit(xs, ys []float64) (a, b float64) {
-	n := len(xs)
-	if n != len(ys) || n < 2 {
-		return 0, Mean(ys)
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy float64
-	for i := 0; i < n; i++ {
-		dx := xs[i] - mx
-		sxx += dx * dx
-		sxy += dx * (ys[i] - my)
-	}
-	if sxx == 0 {
-		return 0, my
-	}
-	a = sxy / sxx
-	return a, my - a*mx
-}

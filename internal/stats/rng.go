@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit used throughout the
 // Plumber reproduction: deterministic random streams, summary statistics,
-// confidence intervals, percentiles, empirical CDFs, and curve fitting (the
-// machinery behind §A's subsampled size estimation and the §5 measurement
-// methodology).
+// percentiles, and piecewise-linear curves (the machinery behind §A's
+// subsampled size estimation and §4.3's bandwidth curves).
 //
 // Everything is seeded explicitly so experiments are reproducible; no global
 // random state is used anywhere in the repository.
@@ -87,15 +86,6 @@ func (r *RNG) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(r.Normal(mu, sigma))
 }
 
-// Exp returns an exponentially distributed value with the given rate.
-func (r *RNG) Exp(rate float64) float64 {
-	u := r.Float64()
-	for u == 0 {
-		u = r.Float64()
-	}
-	return -math.Log(u) / rate
-}
-
 // Perm returns a random permutation of [0, n).
 func (r *RNG) Perm(n int) []int {
 	p := make([]int, n)
@@ -107,14 +97,6 @@ func (r *RNG) Perm(n int) []int {
 		p[i], p[j] = p[j], p[i]
 	}
 	return p
-}
-
-// Shuffle permutes the n elements addressed by swap in place.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Jitter returns x scaled by a multiplicative noise factor uniform in

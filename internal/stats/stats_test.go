@@ -83,18 +83,6 @@ func TestSummaryQuantiles(t *testing.T) {
 	}
 }
 
-func TestRelErr(t *testing.T) {
-	if got := RelErr(110, 100); math.Abs(got-0.1) > 1e-12 {
-		t.Errorf("RelErr(110,100) = %v, want 0.1", got)
-	}
-	if got := RelErr(0, 0); got != 0 {
-		t.Errorf("RelErr(0,0) = %v, want 0", got)
-	}
-	if got := RelErr(1, 0); !math.IsInf(got, 1) {
-		t.Errorf("RelErr(1,0) = %v, want +Inf", got)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(1234), NewRNG(1234)
 	for i := 0; i < 1000; i++ {

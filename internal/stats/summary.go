@@ -32,15 +32,6 @@ func Stddev(xs []float64) float64 {
 	return math.Sqrt(ss / float64(len(xs)-1))
 }
 
-// CI95 returns the half-width of a 95% confidence interval on the mean of
-// xs, using the normal approximation (1.96 sigma / sqrt(n)).
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Stddev(xs) / math.Sqrt(float64(len(xs)))
-}
-
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using linear
 // interpolation between closest ranks. It returns 0 for an empty slice.
 func Percentile(xs []float64, p float64) float64 {
@@ -65,42 +56,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// FracAbove returns the fraction of xs strictly greater than threshold.
-func FracAbove(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, x := range xs {
-		if x > threshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// CDFPoint is one point of an empirical CDF: the fraction of samples <= X.
-type CDFPoint struct {
-	X    float64
-	Frac float64
-}
-
-// CDF returns the empirical CDF of xs evaluated at the given thresholds.
-func CDF(xs []float64, thresholds []float64) []CDFPoint {
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, 0, len(thresholds))
-	for _, t := range thresholds {
-		idx := sort.SearchFloat64s(sorted, math.Nextafter(t, math.Inf(1)))
-		frac := 0.0
-		if len(sorted) > 0 {
-			frac = float64(idx) / float64(len(sorted))
-		}
-		out = append(out, CDFPoint{X: t, Frac: frac})
-	}
-	return out
-}
-
 // FiniteOrZero maps a non-finite value (±Inf or NaN) to 0, the repo-wide
 // JSON encoding for "no finite model bound": encoding/json refuses to
 // marshal non-finite floats, so every rate field that can carry an
@@ -111,16 +66,4 @@ func FiniteOrZero(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-// RelErr returns |got-want| / |want|. A zero want with nonzero got returns
-// +Inf; zero/zero returns 0.
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }

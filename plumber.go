@@ -3,9 +3,8 @@
 // five-lines-of-code interface. Trace runs an instrumented pipeline and
 // returns a Snapshot; Analyze turns a Snapshot into resource-accounted
 // rates; Optimize plans from one trace — analyze, solve the joint
-// allocation, rewrite (ModeGreedy instead re-traces after every remedy
-// until capacity converges or the resource budget binds) — returning the
-// rewritten program together with the audit trail of every remedy applied.
+// allocation, rewrite — returning the rewritten program together with the
+// audit trail of every knob change.
 //
 //	snap, _ := plumber.Trace(graph, opts)
 //	analysis, _ := plumber.Analyze(snap, opts.UDFs)
@@ -22,7 +21,6 @@ import (
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
-	"plumber/internal/rewrite"
 	"plumber/internal/simfs"
 	"plumber/internal/trace"
 	"plumber/internal/udf"
@@ -57,21 +55,10 @@ type Options struct {
 	// MaxMinibatches bounds each trace drain; 0 drains to EOF (one pass
 	// over a finite pipeline).
 	MaxMinibatches int64
-	// Mode selects Optimize's strategy; the zero value means ModePlanFirst
-	// (one trace, one-shot joint allocation). ModeGreedy is the sequential
-	// per-step re-trace loop, kept for A/B.
-	Mode Mode
-	// MaxSteps caps ModeGreedy's rewrite iterations (default 32, raised to
-	// cover the parallelism ramp implied by the core budget).
-	MaxSteps int
-	// Rewrites overrides ModeGreedy's remedy sequence; nil uses
-	// rewrite.DefaultRewrites(budget).
-	Rewrites []rewrite.Rewrite
-	// Caches, when non-nil, carries warm cache contents across Optimize's
-	// re-instantiations (and across separate Trace calls). Optimize
-	// defaults to one shared store per call, so a cache inserted at step k
-	// is warm when step k+1 traces; stale entries are invalidated by the
-	// engine when a rewrite touches the chain below them.
+	// Caches, when non-nil, carries warm cache contents across separate
+	// Trace and Optimize calls; stale entries are invalidated by the engine
+	// when a rewrite touches the chain below them. Nil gives every run a
+	// fresh store.
 	Caches *engine.CacheStore
 }
 
@@ -94,18 +81,8 @@ func (o Options) withDefaults() Options {
 	if o.Machine.Cores == 0 {
 		o.Machine.Cores = runtime.NumCPU()
 	}
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = defaultMaxSteps
-	}
-	if o.Mode == "" {
-		o.Mode = ModePlanFirst
-	}
 	return o
 }
-
-// defaultMaxSteps is the baseline Optimize iteration cap; Optimize raises
-// it when the core budget implies a longer parallelism ramp.
-const defaultMaxSteps = 32
 
 // Trace instantiates the graph on the engine with tracing attached, drains
 // it (to EOF, or MaxMinibatches root elements if set), and returns the
