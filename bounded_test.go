@@ -205,9 +205,13 @@ func TestBoundedTraceAgreesWithWholePass(t *testing.T) {
 		}
 		whole := traceAnalysis(t, ref, opts)
 		// X_0 is a wall-clock rate on both sides, which other load on the host
-		// only ever lowers: compare the best of a few attempts on each side.
+		// only ever lowers: compare the best of up to eight attempts on each
+		// side. A whole pass runs ten times as long as a settled trace, so a
+		// neighbour that spins for seconds lowers every one of the first few
+		// while a settled trace still finds a quiet 60 ms; more attempts
+		// cannot make a rate read high, so a rule that overshoots still fails.
 		bounded, pass := 0.0, whole.ObservedRate
-		for attempt := 0; attempt < 3 && !within(bounded, pass, 0.10); attempt++ {
+		for attempt := 0; attempt < 8 && !within(bounded, pass, 0.10); attempt++ {
 			if attempt > 0 {
 				whole = traceAnalysis(t, ref, opts)
 				pass = math.Max(pass, whole.ObservedRate)
@@ -500,13 +504,15 @@ func TestBoundedOptimizeMatchesWholePass(t *testing.T) {
 		budget := Budget{Cores: 4, MemoryBytes: 64 << 20, DiskBandwidth: w.DiskBandwidth}
 		// The predictions scale with the planning trace's wall-clock rate,
 		// which other load on the host only ever lowers: compare the best of
-		// a few attempts on each side. If the whole passes do not repeat
-		// within the 5 % themselves, the host cannot resolve the question.
+		// up to eight attempts on each side, as many as a neighbour spinning
+		// for seconds takes to leave the longer whole passes a quiet window.
+		// If the whole passes do not repeat within the 5 % themselves, the
+		// host cannot resolve the question.
 		var bounded, whole float64
 		var final *pipeline.Graph
 		settled := false
 		lowest := math.Inf(1)
-		for attempt := 0; attempt < 4 && (attempt == 0 || !within(bounded, whole, 0.05)); attempt++ {
+		for attempt := 0; attempt < 8 && (attempt == 0 || !within(bounded, whole, 0.05)); attempt++ {
 			b := planFirst(t, w.Graph, budget, opts, counting)
 			f := planFirst(t, w.Graph, budget, opts, nil)
 			bj, _ := json.Marshal(b.Final)

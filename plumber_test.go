@@ -224,22 +224,24 @@ func TestOptimizeUnboundedBudgetConverges(t *testing.T) {
 	}
 }
 
-// TestOptimizeRespectsZeroMemoryBudget pins the budget-binding path: with no
-// cache memory, the tuner must not insert a cache.
+// TestOptimizeRespectsZeroMemoryBudget pins the budget-binding path of the
+// plan-first tuner: with no cache memory, it must not insert a cache.
 func TestOptimizeRespectsZeroMemoryBudget(t *testing.T) {
-	fs, reg := facadeSetup(t)
-	res, err := Optimize(sequentialGraph(t), Budget{Cores: 2}, Options{FS: fs, UDFs: reg, WorkScale: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trail.Has(rewrite.NameInsertCache) {
-		t.Fatal("cache inserted despite a zero memory budget")
-	}
-	for _, n := range res.Final.Nodes {
-		if n.Kind == pipeline.KindCache {
-			t.Fatal("final graph contains a cache despite a zero memory budget")
+	t.Run("plan-first", func(t *testing.T) {
+		fs, reg := facadeSetup(t)
+		res, err := Optimize(sequentialGraph(t), Budget{Cores: 2}, Options{FS: fs, UDFs: reg, WorkScale: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		if res.Trail.Has(rewrite.NameInsertCache) {
+			t.Fatal("cache inserted despite a zero memory budget")
+		}
+		for _, n := range res.Final.Nodes {
+			if n.Kind == pipeline.KindCache {
+				t.Fatal("final graph contains a cache despite a zero memory budget")
+			}
+		}
+	})
 }
 
 // facadeSpin burns the façade fixture's modeled CPU, twenty times over:
