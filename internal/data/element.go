@@ -25,31 +25,37 @@ package data
 //     payloads into a fresh buffer) may return the child's buffer to the
 //     pool with PutBuf once the copy is complete.
 //   - An operator that retains an element beyond the current Next call
-//     while also passing it downstream (Cache) must either Clone it or the
-//     pipeline must disable recycling; the engine disables payload
-//     recycling automatically when the chain contains a Cache node.
+//     while also passing it downstream (Cache) keeps a Clone and passes the
+//     original on, to be recycled like any other. What it later serves from
+//     its copy is read-only and carries a no-op Owner (next rules): the same
+//     bytes are served again every epoch.
 //   - Holding elements and later releasing each exactly once (Shuffle,
 //     Prefetch buffers) is pass-through and needs no copy.
 //   - UDF bodies must not retain the input payload after returning when
 //     buffer pooling is enabled; the returned element may alias the input.
 //   - A payload with a non-nil Owner is a borrowed view (a sub-slice of an
-//     arena block or of a connector's storage, not a pooled buffer): it must
-//     be released through Owner.ReleasePayload, never through PutBuf — its
-//     capacity is not a pool size class, and returning a view to the pool
-//     while its backing bytes are still live would hand them to two owners.
-//   - A storage view — a borrowed view whose backing bytes are the
-//     connector's own copy of the dataset — is additionally read-only: a
-//     write through it would corrupt the catalog for every later reader. No
-//     operator has to know which kind it holds, because the engine only
-//     emits a storage view where no operator writes before the first copy:
-//     every stage between the source and the first Batch passes payloads
-//     through untouched, and a UDF Body (which may mutate its input, per the
-//     first rule) anywhere in that stretch makes the source copy instead.
+//     arena block, of a connector's storage, or a cache's copy — not a
+//     pooled buffer): it must be released through Owner.ReleasePayload,
+//     never through PutBuf — an arena view's capacity is not a pool size
+//     class, and returning a view to the pool while its backing bytes are
+//     still live would hand them to two owners.
+//   - A storage view (whose backing bytes are the connector's own copy of
+//     the dataset) and a cache-served payload are additionally read-only: a
+//     write through one would corrupt the catalog, or the cache, for every
+//     later reader. No operator has to know which kind it holds, because the
+//     engine only emits one where no operator writes before the first copy:
+//     every stage between it and the next Batch passes payloads through
+//     untouched, and a UDF Body (which may mutate its input, per the first
+//     rule) anywhere in that stretch makes the source or cache copy instead.
+//     The pipeline's consumer is the one reader the engine cannot see: a
+//     root element a cache served is read-only to it too, so a consumer that
+//     writes what it is given must Clone it first.
 type Element struct {
 	// Payload is the materialized content, possibly nil in simulation.
 	Payload []byte
 	// Owner, when non-nil, owns Payload's backing storage (an engine arena
-	// block, or the connector's storage behind a no-op owner). The element
+	// block, or the connector's storage or a cache's copy behind a no-op
+	// owner). The element
 	// holds one reference; whoever retires the element releases it exactly
 	// once via ReleasePayload. Nil means Payload is pool-allocated (PutBuf)
 	// or garbage-collected.

@@ -20,10 +20,10 @@ import (
 // storage, so the record is read exactly once — its checksums are verified
 // in place and Batch's concatenation is the first and only copy. Such a view
 // is read-only: it aliases the dataset every other reader is served from. The
-// engine therefore hands one out only when storageViewSources can prove,
-// from the graph alone, that no operator writes a record before that copy.
-// Its Owner is the no-op storageView: nothing is ever reclaimed, and the
-// release sites below never hand storage to data.PutBuf.
+// engine therefore hands one out only when viewPlan can prove, from the graph
+// alone, that no operator writes a record before that copy. Its Owner is the
+// no-op readOnlyView: nothing is ever reclaimed, and the release sites below
+// never hand storage to data.PutBuf.
 //
 // Arena views. Everything else under the ring handoff still copies each
 // record once, into the worker's arena: backends with nothing in memory to
@@ -49,62 +49,70 @@ import (
 // with three-index slices, so even an append cannot scribble past a view's
 // end into its neighbor.
 
-// storageView is the Owner of a record served as a view of the connector's
-// own storage: releasing it is a no-op, because the storage is the dataset
-// and outlives the pipeline. It exists so that releasePayload sees an owned
-// view and keeps the slice out of the buffer pool.
-type storageView struct{}
+// readOnlyView is the Owner of a payload nobody downstream may recycle or
+// write: a record served as a view of the connector's own storage, which is
+// the dataset and outlives the pipeline, or an element a Cache serves, whose
+// bytes the cache keeps for every later epoch. Releasing it is a no-op. It
+// exists so that releasePayload sees an owned view and keeps the slice out of
+// the buffer pool — a cached copy's capacity can be a pool size class.
+type readOnlyView struct{}
 
 // ReleasePayload implements data.PayloadOwner.
-func (storageView) ReleasePayload([]byte) {}
+func (readOnlyView) ReleasePayload([]byte) {}
 
-// storageViewSources returns the sources (by node name) whose records may be
-// served as storage views: walking up from the source, every operator before
-// the first Batch only passes records along. Shuffle, Prefetch, Repeat and
-// Take hold or forward elements; a Map or Filter without a Body is the cost
-// model only (an amplifying Map copies into a pooled buffer, it never grows a
-// record in place). A Body is caller code that owns its input and may write
-// it, Zip and Concat are not walked through, and a chain that reaches the
-// root without a Batch delivers the records themselves to a consumer that
-// owns them. order is the validated graph, an in-tree: one consumer per node.
-// Without viewArena no source qualifies: a tree that does not retire every
-// element it drops, or the channel baseline, hands out no borrowed views.
-func (p *Pipeline) storageViewSources(order []pipeline.Node) map[string]bool {
-	if !p.viewArena {
-		return nil
-	}
+// viewPlan decides, from the graph alone, where a payload that must not be
+// written may travel. storage names the sources whose records may be served
+// as storage views: the walk up from the source reaches a Batch, the first
+// copy. copies names the caches whose served elements must be copies: the
+// walk up from the cache stops before any Batch, at an operator that may
+// write what it is handed. A cache whose walk reaches the root serves its
+// own bytes, read-only (Pipeline.Next). order is the validated graph, an
+// in-tree: one consumer per node. Without viewArena no source qualifies: a
+// tree that does not retire every element it drops, or the channel baseline,
+// hands out no borrowed views.
+func (p *Pipeline) viewPlan(order []pipeline.Node) (storage, copies map[string]bool) {
 	consumer := make(map[string]pipeline.Node, len(order))
 	for _, n := range order {
 		for _, in := range n.InputNames() {
 			consumer[in] = n
 		}
 	}
-	safe := make(map[string]bool)
-	for _, src := range order {
-		if src.IsSource() && p.readOnlyUntilBatch(src.Name, consumer) {
-			safe[src.Name] = true
+	storage, copies = make(map[string]bool), make(map[string]bool)
+	for _, n := range order {
+		stop, ok := p.stopAbove(n.Name, consumer)
+		switch {
+		case n.IsSource() && p.viewArena && ok && stop.Kind == pipeline.KindBatch:
+			storage[n.Name] = true
+		case n.Kind == pipeline.KindCache && ok && stop.Kind != pipeline.KindBatch:
+			copies[n.Name] = true
 		}
 	}
-	return safe
+	return storage, copies
 }
 
-// readOnlyUntilBatch walks the consumers above the named node and reports
-// whether a Batch is reached through pass-through operators only.
-func (p *Pipeline) readOnlyUntilBatch(name string, consumer map[string]pipeline.Node) bool {
+// stopAbove walks the consumers above the named node through the operators
+// that leave payloads unwritten and returns the one it stops at: the first
+// Batch, which copies them, or the first operator that may write them or
+// that the walk does not see through. Shuffle, Prefetch, Repeat and Take hold
+// or forward elements; a Cache only reads what it copies; a Map or Filter
+// without a Body is the cost model only (an amplifying Map copies into a
+// fresh buffer, it never grows a payload in place). A Body is caller code
+// that owns its input and may write it, and Zip and Concat are not walked
+// through. ok is false when the walk reaches the root: the consumer gets the
+// payloads themselves.
+func (p *Pipeline) stopAbove(name string, consumer map[string]pipeline.Node) (stop pipeline.Node, ok bool) {
 	for n, ok := consumer[name]; ok; n, ok = consumer[n.Name] {
 		switch n.Kind {
-		case pipeline.KindBatch:
-			return true
-		case pipeline.KindShuffle, pipeline.KindPrefetch, pipeline.KindRepeat, pipeline.KindTake:
+		case pipeline.KindShuffle, pipeline.KindPrefetch, pipeline.KindRepeat, pipeline.KindTake, pipeline.KindCache:
 		case pipeline.KindMap, pipeline.KindFilter:
 			if u, err := p.lookupUDF(n.UDF); err != nil || u.Body != nil {
-				return false
+				return n, true
 			}
 		default:
-			return false
+			return n, true
 		}
 	}
-	return false // the root: the consumer gets the records themselves
+	return pipeline.Node{}, false
 }
 
 const (

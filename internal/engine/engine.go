@@ -77,9 +77,8 @@ type Options struct {
 	SampleEvery int
 	// DisableBufferPool turns off pooled record buffers and downstream
 	// payload recycling, making every record a fresh allocation (the
-	// per-element baseline). Pooling is on by default; it is also
-	// automatically restricted (no recycling) when the chain contains a
-	// Cache node, which retains elements across epochs.
+	// per-element baseline). Pooling is on by default, Cache nodes
+	// included: a cache keeps its own copy of what it records.
 	DisableBufferPool bool
 	// Caches, when non-nil, is a cache store shared across pipeline
 	// re-instantiations: a rewrite loop that repeatedly rebuilds the
@@ -139,21 +138,21 @@ type Pipeline struct {
 	live     []resumable
 
 	// pool enables pooled record buffers at sources and pooled batch
-	// assembly; recycle additionally allows operators that copy payloads
-	// (Batch) and the root consumer to return buffers to the pool. recycle
-	// implies pool; recycle is off when the chain contains a Cache node.
-	// viewArena additionally serves source records as borrowed views of
-	// per-worker arena blocks (see arena.go); it requires recycle — views
-	// only reclaim if every stage retires the elements it drops — and the
-	// ring handoff, so the channel baseline measures the PR-1 engine
-	// unchanged. storageViews names the sources of a viewArena tree that skip
-	// the arena copy too: their records are views of the connector's own
-	// storage, because nothing on their chain writes a record before Batch
-	// copies it (see arena.go).
+	// assembly, and lets operators that copy payloads (Batch) and the root
+	// consumer return buffers to the pool. viewArena additionally serves
+	// source records as borrowed views of per-worker arena blocks (see
+	// arena.go); it requires pool — views only reclaim if every stage retires
+	// the elements it drops — and the ring handoff, so the channel baseline
+	// measures the PR-1 engine unchanged. storageViews names the sources of a
+	// viewArena tree that skip the arena copy too: their records are views of
+	// the connector's own storage, because nothing on their chain writes a
+	// record before Batch copies it. servedCopies names the caches that serve
+	// copies of what they keep, because an operator above them may write its
+	// input before the next Batch (see arena.go).
 	pool         bool
-	recycle      bool
 	viewArena    bool
 	storageViews map[string]bool
+	servedCopies map[string]bool
 
 	// progress is the stream a stop rule reads (tracerun.go); nil outside a
 	// trace run under a rule, and then no stage records anything.
@@ -285,18 +284,13 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 	if err != nil {
 		return err
 	}
-	hasCache := false
 	byName := make(map[string]pipeline.Node, len(order))
 	for _, n := range order {
 		byName[n.Name] = n
-		if n.Kind == pipeline.KindCache {
-			hasCache = true
-		}
 	}
 	p.pool = !p.opts.DisableBufferPool
-	p.recycle = p.pool && !hasCache
-	p.viewArena = p.recycle && p.opts.Handoff == HandoffRing
-	p.storageViews = p.storageViewSources(order)
+	p.viewArena = p.pool && p.opts.Handoff == HandoffRing
+	p.storageViews, p.servedCopies = p.viewPlan(order)
 	if p.progress != nil {
 		p.progress.locate(g, byName)
 	}
@@ -346,6 +340,12 @@ func (p *Pipeline) Graph() *pipeline.Graph {
 // Next yields the next root element. After cancellation, Next returns the
 // cancellation cause instead of a bare io.EOF, so consumers can tell an
 // aborted stream from an exhausted one.
+//
+// The consumer owns what it is given, with one exception: an element a
+// Cache serves (a later epoch of a chain with a Cache and no Batch above
+// it) carries the cache's own bytes, which it serves again every epoch.
+// Such a payload is read-only: Clone the element to write it. Recycle
+// knows which kind it is handed.
 //
 // Next is also where a pending Reconfigure lands: when the quiesce barrier
 // drains the old tree to io.EOF, the swap runs here — on the consumer's
@@ -546,37 +546,30 @@ func (p *Pipeline) DrainCtx(ctx context.Context, max int64) (elements, examples 
 }
 
 // Recycle returns a root element's payload to its owner — the arena block
-// it is a view into, or the buffer pool — if the pipeline's configuration
-// makes that safe (pooling enabled and no Cache node retaining elements).
-// Callers that consume root elements and do not keep their payloads should
-// call it to close the recycling loop.
+// it is a view into, or the buffer pool when the pipeline pools. A
+// read-only payload (a storage view, or an element a Cache serves) has a
+// no-op owner and is left where it is. Callers that consume root elements
+// and do not keep their payloads should call it to close the recycling
+// loop.
 func (p *Pipeline) Recycle(e data.Element) {
 	p.releasePayload(&e)
 }
 
-// releasePayload retires an element this stage solely owns. Arena views go
-// back to their block (never to the buffer pool — a view's capacity is not
-// a pool size class, and its block may have other live views); pooled
+// releasePayload retires an element this stage solely owns. Owned payloads
+// go back to their owner (never to the buffer pool — an arena view's
+// capacity is not a pool size class and its block may have other live
+// views; a read-only view's bytes are not the pool's to reuse); pooled
 // buffers go back to the pool. Every engine-side recycle site must come
 // through here rather than calling data.PutBuf directly. It takes e by
 // pointer: a Batch retires every example it copies, and passing the 64-byte
 // element by value was 14 % of an in-memory chain's profile, more than the
 // payload copy.
 func (p *Pipeline) releasePayload(e *data.Element) {
-	// Arena views release regardless of the current recycle mode: views are
-	// only ever produced by trees built with the arena on (which implies
-	// recycling), but a live reconfiguration can switch recycle off — by
-	// inserting a Cache node — while the consumer still holds views drained
-	// from the pre-barrier tree. Dropping those references would pin their
-	// arena blocks forever. (This is Element.Release, which would copy e.)
 	if e.Owner != nil {
-		e.Owner.ReleasePayload(e.Payload)
+		e.Owner.ReleasePayload(e.Payload) // Element.Release, which would copy e
 		return
 	}
-	if !p.recycle {
-		return
-	}
-	if e.Payload != nil {
+	if p.pool && e.Payload != nil {
 		data.PutBuf(e.Payload)
 	}
 }
@@ -699,7 +692,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 			}
 		}
 		entry := p.caches.entry(key, chainSignature(below, seed))
-		return newCacheIter(p, key, entry, childFactory, handle, srcName, replica, seed)
+		return newCacheIter(p, key, entry, childFactory, handle, srcName, replica, seed, p.servedCopies[n.Name])
 	case pipeline.KindTake:
 		child, err := childFactory()
 		if err != nil {

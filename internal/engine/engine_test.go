@@ -203,8 +203,9 @@ func TestUntracedZeroWall(t *testing.T) {
 	}
 }
 
-// TestRepeatWithCache exercises the pooling guard: chains containing a
-// Cache node disable payload recycling, so cached elements served on later
+// TestRepeatWithCache drains a cached chain whose every stage recycles —
+// the source serves storage views, Batch retires what it copies, the
+// consumer recycles each minibatch — so elements the cache serves on later
 // epochs must still be intact.
 func TestRepeatWithCache(t *testing.T) {
 	fs, reg := testSetup(t)
@@ -238,6 +239,10 @@ func TestRepeatWithCache(t *testing.T) {
 		}
 		elements++
 		examples += int64(e.Count)
+		p.Recycle(e)
+	}
+	if !p.storageViews[g.Nodes[0].Name] {
+		t.Fatal("the source of a cached chain does not serve storage views")
 	}
 	if examples != 3*total {
 		t.Fatalf("got %d examples over 3 epochs, want %d", examples, 3*total)

@@ -612,7 +612,7 @@ func (s *sourceIter) worker(w int) {
 				Index:   idxNext,
 			}
 			if viewing {
-				e.Owner = storageView{}
+				e.Owner = readOnlyView{}
 			} else if ar != nil {
 				e.Owner = ar.owner() // nil when the arena declined this size
 			}
@@ -1081,9 +1081,9 @@ func (r *repeatIter) Close() error {
 // Batch
 
 // batchIter groups size child elements into one minibatch element. The
-// output payload is assembled in a pooled buffer, and — when the pipeline
-// permits recycling — the child payloads it copied out of are returned to
-// the pool, closing the per-record allocation loop.
+// output payload is assembled in a pooled buffer, and the child payloads it
+// copied out of are retired to their owners or the pool, closing the
+// per-record allocation loop.
 type batchIter struct {
 	p    *Pipeline
 	in   chunked
@@ -1162,7 +1162,7 @@ func (b *batchIter) Next() (data.Element, error) {
 		b.tr.wall(time.Since(start))
 	}
 	if out.Count == 0 {
-		if payload != nil && b.p.recycle {
+		if payload != nil && b.p.pool {
 			data.PutBuf(payload)
 		}
 		return data.Element{}, io.EOF
@@ -1293,9 +1293,8 @@ type CacheStore struct {
 type cacheEntry struct {
 	mu       sync.Mutex
 	sig      string
-	elems    []data.Element
+	elems    []data.Element // the cache's own copies, each owned by readOnlyView
 	complete bool
-	bytes    int64
 }
 
 // NewCacheStore returns an empty cache store for sharing across pipeline
@@ -1320,8 +1319,14 @@ func (cs *CacheStore) entry(name, sig string) *cacheEntry {
 // cacheIter passes elements through on the first epoch while recording
 // them; once the child reports EOF the entry is complete and subsequent
 // instantiations serve from memory without touching the child (or disk).
-// Cached elements are retained across epochs, which is why the engine
-// disables payload recycling for chains containing a Cache node.
+// The entry holds a copy of each element it records, sized to the payload
+// (Element.Clone), and the element itself goes on downstream to be recycled
+// like any other: the cache pins the bytes the plan budgeted for it, not
+// the buffers they arrived in, and nothing else in the pipeline changes
+// mode. A served element carries the no-op readOnlyView owner, so no
+// release site hands the cache's bytes to the pool. Where an operator above
+// may write its input before the next Batch (copies; see viewPlan), the
+// cache serves a copy of its copy instead.
 type cacheIter struct {
 	p       *Pipeline
 	key     string // cache store key (name, replica-suffixed)
@@ -1330,6 +1335,7 @@ type cacheIter struct {
 	entry   *cacheEntry
 	factory func() (iterator, error)
 	tr      tracker
+	copies  bool
 
 	child   iterator
 	serving bool
@@ -1341,8 +1347,8 @@ type cacheIter struct {
 	pos         int
 }
 
-func newCacheIter(p *Pipeline, key string, entry *cacheEntry, factory func() (iterator, error), handle *trace.NodeStats, srcName string, replica int, seed uint64) (*cacheIter, error) {
-	c := &cacheIter{p: p, key: key, replica: replica, seed: seed, entry: entry, factory: factory, tr: tracker{h: handle}}
+func newCacheIter(p *Pipeline, key string, entry *cacheEntry, factory func() (iterator, error), handle *trace.NodeStats, srcName string, replica int, seed uint64, copies bool) (*cacheIter, error) {
+	c := &cacheIter{p: p, key: key, replica: replica, seed: seed, entry: entry, factory: factory, tr: tracker{h: handle}, copies: copies}
 	entry.mu.Lock()
 	c.serving = entry.complete
 	entry.mu.Unlock()
@@ -1361,7 +1367,6 @@ func newCacheIter(p *Pipeline, key string, entry *cacheEntry, factory func() (it
 		// duplicated.
 		entry.mu.Lock()
 		entry.elems = nil
-		entry.bytes = 0
 		entry.mu.Unlock()
 	}
 	p.track(c)
@@ -1392,7 +1397,7 @@ func (c *cacheIter) capture(rs *resumeState) {
 
 func (c *cacheIter) Next() (data.Element, error) {
 	if c.serving {
-		if c.p != nil && c.p.quiesce.Load() {
+		if c.p.quiesce.Load() {
 			// Barrier cut: stop serving here; capture records pos and the
 			// successor tree's cache resumes at it.
 			return data.Element{}, io.EOF
@@ -1404,6 +1409,9 @@ func (c *cacheIter) Next() (data.Element, error) {
 		}
 		e := c.entry.elems[c.pos]
 		c.pos++
+		if c.copies && e.Payload != nil {
+			e.Payload, e.Owner = append(c.p.assembly(len(e.Payload)), e.Payload...), nil
+		}
 		c.tr.produced(e)
 		return e, nil
 	}
@@ -1420,7 +1428,7 @@ func (c *cacheIter) Next() (data.Element, error) {
 		// exhaustion: the entry holds only a prefix, so it must not be
 		// marked complete. Same for a passthrough cache, which recorded
 		// nothing.
-		if !c.passthrough && (c.p == nil || !c.p.stopping()) {
+		if !c.passthrough && !c.p.stopping() {
 			c.entry.mu.Lock()
 			c.entry.complete = true
 			c.entry.mu.Unlock()
@@ -1432,9 +1440,10 @@ func (c *cacheIter) Next() (data.Element, error) {
 	}
 	c.tr.consumed(1)
 	if !c.passthrough {
+		kept := e.Clone()
+		kept.Owner = readOnlyView{}
 		c.entry.mu.Lock()
-		c.entry.elems = append(c.entry.elems, e)
-		c.entry.bytes += e.Size
+		c.entry.elems = append(c.entry.elems, kept)
 		c.entry.mu.Unlock()
 	}
 	c.tr.produced(e)
@@ -1442,9 +1451,7 @@ func (c *cacheIter) Next() (data.Element, error) {
 }
 
 func (c *cacheIter) Close() error {
-	if c.p != nil {
-		c.p.untrack(c)
-	}
+	c.p.untrack(c)
 	c.tr.flush()
 	if c.child != nil {
 		return c.child.Close()

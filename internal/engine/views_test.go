@@ -43,13 +43,17 @@ func viewRegistry(t *testing.T) (*connector.SimFS, *udf.Registry) {
 	return fs, reg
 }
 
+// TestStorageViewSelection pins viewPlan: whether the source "src" serves
+// storage views (want), and whether the cache "c", where there is one,
+// serves copies of what it keeps (copies).
 func TestStorageViewSelection(t *testing.T) {
 	src := func() *pipeline.Builder { return pipeline.NewBuilder().Named("src").Interleave(testCatalog.Name, 2) }
 	for _, tc := range []struct {
-		name  string
-		graph *pipeline.Builder
-		opts  Options
-		want  bool
+		name   string
+		graph  *pipeline.Builder
+		opts   Options
+		want   bool
+		copies bool
 	}{
 		{name: "canonical", graph: src().Map("noop", 2).Batch(8).Prefetch(4), want: true},
 		{name: "every pass-through before the batch", want: true,
@@ -61,7 +65,12 @@ func TestStorageViewSelection(t *testing.T) {
 		{name: "bare source", graph: src()},
 		{name: "zip below the batch", graph: pipeline.ZipOf(src().MustBuild(),
 			pipeline.NewBuilder().Named("other").Interleave(testCatalog.Name, 1).MustBuild()).Batch(8)},
-		{name: "cache in the chain", graph: src().Map("noop", 1).Cache().Batch(8)},
+		{name: "cache in the chain", graph: src().Map("noop", 1).Named("c").Cache().Batch(8), want: true},
+		{name: "cache above the batch", graph: src().Map("noop", 2).Batch(8).Named("c").Cache().Prefetch(4).Repeat(2), want: true},
+		{name: "cache with no batch", graph: src().Named("c").Cache().Repeat(2)},
+		{name: "body above the batch above a cache", graph: src().Named("c").Cache().Batch(8).Map("scribble", 1), want: true},
+		{name: "map body above a cache", graph: src().Named("c").Cache().Repeat(2).Map("scribble", 2).Batch(8), copies: true},
+		{name: "filter body above a cache", graph: src().Named("c").Cache().Filter("keep-all").Batch(8), copies: true},
 		{name: "channel handoff", graph: src().Map("noop", 2).Batch(8), opts: Options{Handoff: HandoffChannel}},
 		{name: "no buffer pool", graph: src().Map("noop", 2).Batch(8), opts: Options{DisableBufferPool: true}},
 	} {
@@ -73,6 +82,9 @@ func TestStorageViewSelection(t *testing.T) {
 		}
 		if got := p.storageViews["src"]; got != tc.want {
 			t.Errorf("%s: source serves storage views = %v, want %v", tc.name, got, tc.want)
+		}
+		if got := p.servedCopies["c"]; got != tc.copies {
+			t.Errorf("%s: cache serves copies = %v, want %v", tc.name, got, tc.copies)
 		}
 		p.Close()
 	}
@@ -172,7 +184,7 @@ func TestWritersGetCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := drainRecords(t, "overwriting drain", p, func(e data.Element) {
-			if _, view := e.Owner.(storageView); view {
+			if _, view := e.Owner.(readOnlyView); view {
 				t.Fatal("a root element is a view of the connector's storage")
 			}
 			for i := range e.Payload {

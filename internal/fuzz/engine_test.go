@@ -24,9 +24,13 @@ import (
 // and a shared pool a competing tenant keeps drawing on. Each must deliver
 // the reference's minibatch, example and byte counts and its multiset of
 // payload bytes, and leave no arena block live (counted under
-// -tags=arena_debug). A zip's branches are made as long as each other: of a
-// longer branch, a zip keeps the records that arrive first, and which those
-// are is a parallel stage's to decide.
+// -tags=arena_debug). A third run caches: the same engine over the graph
+// with a Cache above its output (the Batch) and Repeat(3) on top must deliver three times
+// the reference's counts and weight — one fill, two epochs served from the
+// cache's own copies while the consumer recycles everything it is handed. A
+// zip's branches are made as long as each other: of a longer branch, a zip
+// keeps the records that arrive first, and which those are is a parallel
+// stage's to decide.
 func TestEngineMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		spec, _ := Gen(seed)
@@ -50,16 +54,26 @@ func TestEngineMatchesReference(t *testing.T) {
 			}
 		}
 		live := arenaLive()
-		check := func(config string, got delivered) {
+		check := func(config string, got, want delivered) {
 			t.Helper()
 			if got != want {
-				t.Errorf("seed %d (%s shape %q), %s: delivered %+v, the reference %+v", seed, spec.Name, spec.Shape, config, got, want)
+				t.Errorf("seed %d (%s shape %q), %s: delivered %+v, want %+v", seed, spec.Name, spec.Shape, config, got, want)
 			}
 			if n := arenaLive() - live; n != 0 {
 				t.Errorf("seed %d, %s: %d arena blocks live after the closed drain", seed, config, n)
 			}
 		}
-		check("defaults", deliver(t, g, base))
+		check("defaults", deliver(t, g, base), want)
+
+		cached, err := g.InsertAbove(g.Output, pipeline.Node{Name: "oracle_cache", Kind: pipeline.KindCache})
+		if err == nil {
+			cached, err = cached.InsertAbove(cached.Output, pipeline.Node{Name: "oracle_repeat", Kind: pipeline.KindRepeat, Count: 3})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		thrice := delivered{3 * want.minibatches, 3 * want.examples, 3 * want.bytes, 3 * want.weight}
+		check("cached above the batch, three epochs", deliver(t, cached, base), thrice)
 
 		stressed := base
 		stressed.ChannelSlack = 1
@@ -67,7 +81,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		w.FS.SetFaults(&simfs.FaultPlan{Seed: seed, Rules: []simfs.FaultRule{{Name: "flaky", ErrorRate: 0.05}}})
 		pool, stop := contendedPool(t)
 		stressed.Pool, stressed.PoolTenant = pool, "tenant"
-		check("one-chunk edges, faults and a contended pool", deliver(t, g, stressed))
+		check("one-chunk edges, faults and a contended pool", deliver(t, g, stressed), want)
 		stop()
 		w.FS.SetFaults(nil)
 	}
