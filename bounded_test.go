@@ -135,7 +135,8 @@ func settledRate(t *testing.T, g *pipeline.Graph, opts Options, want float64) fl
 		if err != nil {
 			t.Fatal(err)
 		}
-		best = math.Max(best, float64(snap.Nodes[g.Output].ElementsProduced)/snap.Duration.Seconds())
+		c0, _ := snap.Completions()
+		best = math.Max(best, c0/snap.Duration.Seconds())
 	}
 	return best
 }
@@ -224,7 +225,8 @@ func TestBoundedTraceAgreesWithWholePass(t *testing.T) {
 			if !run.Settled || tc.stage != (int64(run.Samples) > run.RootCompletions) {
 				t.Errorf("%s: the trace cost %+v; want it settled, on the batch's stream: %v", shape, run, tc.stage)
 			}
-			bounded = math.Max(bounded, float64(snap.Nodes[g.Output].ElementsProduced)/snap.Duration.Seconds())
+			c0, _ := snap.Completions()
+			bounded = math.Max(bounded, c0/snap.Duration.Seconds())
 		}
 		if !within(bounded, pass, 0.10) {
 			t.Errorf("%s: settled traces read X_0 = %.2f, whole passes %.2f", shape, bounded, pass)
@@ -260,48 +262,106 @@ func TestBoundedTraceAgreesWithWholePass(t *testing.T) {
 	}
 }
 
+// TestSettledTraceAnalyzesAtTheCut: the settle rule cuts the vision shape's
+// trace a few examples into its fourth minibatch, and the canceled batch
+// then flushes what it holds. Read from the counters that leaves behind —
+// four minibatches for some fifty examples — decode would be visited 12.5
+// times a minibatch, not 16, and look a quarter cheaper than it is. Read at
+// the cut, every stage's visit ratio and rate are the whole pass's.
+func TestSettledTraceAnalyzesAtTheCut(t *testing.T) {
+	opts := boundedOptions(t)
+	g := boundedGraph(t, "chain")
+	whole := traceAnalysis(t, g, opts)
+	var detail string
+	for attempt := 0; attempt < 3; attempt++ {
+		snap, err := traceUntil(g, opts, engine.Settled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run := snap.RunCost(); !run.Settled || run.Cut%16 == 0 {
+			detail = fmt.Sprintf("the trace was not cut inside a minibatch: %+v", run)
+			continue
+		}
+		an, err := Analyze(snap, opts.UDFs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		detail = ""
+		for i, w := range whole.Nodes {
+			c := an.Nodes[i]
+			if !within(c.VisitRatio, w.VisitRatio, 0.02) || !within(c.Rate, w.Rate, 0.02) {
+				detail += fmt.Sprintf("; %s VisitRatio %.4g and Rate %.4g, whole pass %.4g and %.4g", w.Name, c.VisitRatio, c.Rate, w.VisitRatio, w.Rate)
+			}
+		}
+		if detail == "" {
+			return
+		}
+		t.Fatalf("a trace cut at %+v%s", snap.RunCost(), detail)
+	}
+	t.Skipf("unresolved: %s", detail)
+}
+
 // TestSettledTraceCostsASpanNotTwelveMinibatches: the vision shape's 1 ms
 // examples show their rate in settleMinSpan; a rule shown only minibatches
 // needed twelve of them (192 ms at 16 an output, and with 80 an output the
-// epoch's six were never enough). Plan-first on traces that short still plans
+// epoch's six were never enough), and a rule asked only at root completions
+// ran on to the next one: at 240 an output, the epoch's second. Asked as the
+// batch is handed its examples, the trace is cut where the rate settles,
+// inside the first minibatch when it is large, so it costs start-up plus the
+// span whatever the batch size. Plan-first on traces that short still plans
 // what whole passes plan. (80, not 64: a whole pass counts the epoch's last,
 // partial minibatch as a completion, which reads 7 % high when there are
 // seven and a half of them, and it is the reference here.)
 func TestSettledTraceCostsASpanNotTwelveMinibatches(t *testing.T) {
-	const settleMinSpan = 50 * time.Millisecond // engine's
+	const (
+		settleMinSpan = 50 * time.Millisecond // engine's
+		startup       = 5 * time.Millisecond  // to the first example into the batch
+	)
 	budget := Budget{Cores: 2, MemoryBytes: 256 << 20}
 	for _, tc := range []struct {
 		batch   int
 		maxRoot int64
-	}{{16, 6}, {80, 2}} {
+		limit   time.Duration
+	}{
+		{16, 6, settleMinSpan + 25*time.Millisecond + startup},
+		{80, 1, settleMinSpan + 25*time.Millisecond + startup},
+		{240, 0, 80 * time.Millisecond}, // two minibatches an epoch: asked at completions, a trace took ≥ 240 ms
+	} {
 		g := boundedMain().Named("batch").Batch(tc.batch).MustBuild()
-		limit := settleMinSpan + 2*time.Duration(tc.batch)*time.Millisecond + 30*time.Millisecond
 		opts := boundedOptions(t)
-		// Wall time and wall-clock rates, beside other spinning packages: a
-		// miss is retried, both sides anew.
-		var detail string
-		for attempt := 0; attempt < 3; attempt++ {
-			whole := planFirst(t, g, budget, opts, nil)
+		// Wall time and wall-clock rates, beside other spinning packages,
+		// which only ever lower a rate: a trace that costs too much is
+		// retried, and the predictions compared are the best of the attempts
+		// on each side — a neighbour's burst inside a 35 ms window lowers a
+		// settled trace's reading more than a whole pass's.
+		var bounded, whole float64
+		var cost string
+		costs := false
+		for attempt := 0; attempt < 5 && !(costs && within(bounded, whole, 0.05)); attempt++ {
+			w := planFirst(t, g, budget, opts, nil)
 			b := planFirst(t, g, budget, opts, engine.Settled)
 			final, _ := json.Marshal(b.Final)
-			wholeFinal, _ := json.Marshal(whole.Final)
-			if string(final) != string(wholeFinal) || b.Plan.CoresPlanned != whole.Plan.CoresPlanned {
+			wholeFinal, _ := json.Marshal(w.Final)
+			if string(final) != string(wholeFinal) || b.Plan.CoresPlanned != w.Plan.CoresPlanned {
 				t.Fatalf("batch %d: settled traces planned (%d cores)\n%s\nwhole passes planned (%d cores)\n%s",
-					tc.batch, b.Plan.CoresPlanned, final, whole.Plan.CoresPlanned, wholeFinal)
+					tc.batch, b.Plan.CoresPlanned, final, w.Plan.CoresPlanned, wholeFinal)
 			}
 			if b.TracesUsed != 1 || len(b.Steps) != 1 {
 				t.Fatalf("batch %d: plan-first took %d traces over %d steps, want one planning trace", tc.batch, b.TracesUsed, len(b.Steps))
 			}
-			run := b.Steps[0].Run
-			if run.Settled && run.RootCompletions >= 1 && run.RootCompletions <= tc.maxRoot &&
-				run.Seconds <= limit.Seconds() && within(b.PredictedMinibatchesPerSec, whole.PredictedMinibatchesPerSec, 0.05) {
-				detail = ""
-				break
+			bounded = math.Max(bounded, b.PredictedMinibatchesPerSec)
+			whole = math.Max(whole, w.PredictedMinibatchesPerSec)
+			if run := b.Steps[0].Run; run.Settled && run.RootCompletions <= tc.maxRoot && run.Seconds <= tc.limit.Seconds() {
+				costs = true
+			} else if !costs {
+				cost = fmt.Sprintf("%+v", run)
 			}
-			detail = fmt.Sprintf("%+v, predicted %.1f mb/s against %.1f", run, b.PredictedMinibatchesPerSec, whole.PredictedMinibatchesPerSec)
 		}
-		if detail != "" {
-			t.Errorf("batch %d: the planning trace cost %s; want it settled within %v and %d minibatches, and the prediction within 5 %%", tc.batch, detail, limit, tc.maxRoot)
+		if !costs {
+			t.Errorf("batch %d: the planning trace cost %s; want it settled within %v and %d minibatches", tc.batch, cost, tc.limit, tc.maxRoot)
+		}
+		if !within(bounded, whole, 0.05) {
+			t.Errorf("batch %d: settled traces predicted %.1f mb/s, whole passes %.1f; want them within 5 %%", tc.batch, bounded, whole)
 		}
 	}
 }

@@ -532,10 +532,14 @@ func runOptimize(args []string) error {
 	return nil
 }
 
-// traceCost says what one trace cost and how it ended.
+// traceCost says what one trace cost and how it ended. A trace cut on its
+// batch's stream ends between two minibatches: its cut is in examples.
 func traceCost(r trace.Run) string {
 	end := "ran to the end of the pass (or its cap)"
-	if r.Settled {
+	switch {
+	case r.Settled && r.Stage != "":
+		end = fmt.Sprintf("settled, cut after %d examples into %s", r.Cut, r.Stage)
+	case r.Settled:
 		end = "settled"
 	}
 	return fmt.Sprintf("%.3f s, %d minibatches, %d samples, %s", r.Seconds, r.RootCompletions, r.Samples, end)

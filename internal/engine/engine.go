@@ -339,7 +339,9 @@ func (p *Pipeline) Graph() *pipeline.Graph {
 
 // Next yields the next root element. After cancellation, Next returns the
 // cancellation cause instead of a bare io.EOF, so consumers can tell an
-// aborted stream from an exhausted one.
+// aborted stream from an exhausted one — once it has handed over what was
+// already on its way: a Batch canceled mid-fill delivers the partial
+// minibatch it holds before the cause.
 //
 // The consumer owns what it is given, with one exception: an element a
 // Cache serves (a later epoch of a chain with a Cache and no Batch above
@@ -412,7 +414,11 @@ func (p *Pipeline) watchContext(ctx context.Context) (stop func()) {
 
 // Cancel aborts the pipeline: workers blocked on handoffs or pool admission
 // wind down, blocked Next calls wake, and subsequent Next calls return the
-// cancellation cause. Cancel is safe from any goroutine and idempotent.
+// cancellation cause. Cancellation drops no completed work: what a stage
+// had already handed off is still delivered, and a Batch canceled mid-fill
+// delivers its partial minibatch — fewer examples than its batch size —
+// before the cause, so a consumer counting minibatches must not count that
+// one as whole. Cancel is safe from any goroutine and idempotent.
 // Close after Cancel remains safe and idempotent; note that Close still
 // waits for in-flight worker elements, so a worker wedged inside a UDF can
 // make Close block (callers isolating wedged pipelines should cancel and

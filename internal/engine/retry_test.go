@@ -269,7 +269,8 @@ func mapGraph(t *testing.T, udfName string) *pipeline.Graph {
 
 // TestCancelUnblocksAndSurfacesCause pins the cancellation contract: Cancel
 // from another goroutine unblocks a draining consumer with the cancel
-// cause, and Close after Cancel stays safe and idempotent.
+// cause, and Close after Cancel stays safe and idempotent. A Batch canceled
+// mid-fill hands the consumer its partial minibatch first, then the cause.
 func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
 	fs, reg := testSetup(t)
 	// A UDF slow enough that the drain is mid-flight when Cancel lands.
@@ -306,6 +307,37 @@ func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
 		if err := p.Close(); err != nil {
 			t.Fatalf("Close %d after Cancel: %v", i+1, err)
 		}
+	}
+
+	// The map cancels its own pipeline as it starts on the fifth record, 2 ms
+	// a record into a minibatch of eight: the four before it are on the edge
+	// or in the batch, which the consumer is blocked filling.
+	var mid *Pipeline
+	calls := 0
+	if err := reg.Register(udf.UDF{
+		Name: "cancel_fifth",
+		Body: func(e data.Element) (data.Element, bool, error) {
+			if calls++; calls == 5 {
+				mid.Cancel()
+			}
+			time.Sleep(2 * time.Millisecond)
+			return e, true, nil
+		},
+		Cost: udf.Cost{SizeFactor: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	g := pipeline.NewBuilder().Interleave(testCatalog.Name, 1).Map("cancel_fifth", 1).Batch(8).MustBuild()
+	if mid, err = New(g, Options{FS: fs, UDFs: reg}); err != nil {
+		t.Fatal(err)
+	}
+	defer mid.Close()
+	e, err := mid.Next()
+	if err != nil || e.Count < 1 || e.Count >= 8 {
+		t.Fatalf("a batch canceled mid-fill delivered %d examples (%v), want its partial minibatch", e.Count, err)
+	}
+	if _, err := mid.Next(); !errors.Is(err, context.Canceled) {
+		t.Fatalf("after the partial minibatch: %v, want context.Canceled", err)
 	}
 }
 

@@ -34,8 +34,10 @@ type StopRule func(progress []Sample) (rate float64, ok bool)
 // takes to show. So the stage that makes the stream coarse records it before
 // it does: install walks down from the root through the stages that hand on
 // every element they pull (prefetch, cache, repeat, take, shuffle) to the
-// first that does not — a Batch, or there is no such stage (a Zip, a Concat,
-// a bare chain) and the rule reads root completions as it always did.
+// first that does not — a Batch. Where there is no such stage (a Zip, a
+// Concat, a bare chain), or a warm cache above it serves the root so it
+// records nothing, TraceRun feeds the root's completions into the same
+// stream, one element each.
 //
 // The stage records once per lump it is handed, not per element: receivers
 // feeding its segment raise a flag when they take a chunk off their edge (one
@@ -46,25 +48,36 @@ type StopRule func(progress []Sample) (rate float64, ok bool)
 // output. Outer-parallel replicas each have a tap and pool their samples
 // here, under mu, taken once per lump; the clock is read inside it, so At
 // ascends whichever replica records.
+//
+// The rule is asked in one place, lump, on whichever goroutine records, over
+// the samples in place. It scans its stream, so asking at every lump of one
+// that never settles is quadratic: it is asked again when the stream is 1/16
+// longer, and settles at most 6 % late. When it fires, lump cuts the trace
+// there: the pipeline is canceled, the stream stops, and what the stage had
+// pulled before that lump is the cut the analysis reads (TraceRun).
 type progress struct {
-	begin time.Time // the trace's: At counts from it
-	stage string    // the recording stage's name; "" when the walk found none
-	pulls int       // elements it pulls per element it produces
-	check int       // the rule is next asked when its stream is this long (the asker's alone)
+	begin  time.Time // the trace's: At counts from it
+	stop   StopRule
+	cancel func() // the pipeline's Cancel
 
 	mu      sync.Mutex
+	stage   string // the recording stage's name; "" when root completions feed the stream
 	samples []Sample
-	n       int64 // elements the stage's replicas have pulled, as of their last lumps
+	n       int64   // elements the stage's replicas have pulled, as of their last lumps
+	check   int     // the rule is next asked when the stream is this long
+	rate    float64 // what the rule read when it fired, elements per second
+	cut     bool    // the rule fired: the stream is frozen at its cut
+	ended   bool    // the drain is over: nothing more is recorded or asked
 }
 
 // locate names the recording stage of g, if it has one.
 func (pr *progress) locate(g *pipeline.Graph, byName map[string]pipeline.Node) {
-	pr.stage, pr.pulls = "", 0
+	pr.stage = ""
 	for n := byName[g.Output]; ; n = byName[n.Input] {
 		switch n.Kind {
 		case pipeline.KindPrefetch, pipeline.KindCache, pipeline.KindRepeat, pipeline.KindTake, pipeline.KindShuffle:
 		case pipeline.KindBatch:
-			pr.stage, pr.pulls = n.Name, n.BatchSize
+			pr.stage = n.Name
 			return
 		default:
 			return
@@ -73,35 +86,73 @@ func (pr *progress) locate(g *pipeline.Graph, byName map[string]pipeline.Node) {
 }
 
 // lump records that a replica of the stage was handed a lump, having pulled
-// pulled elements since its last.
+// pulled elements since its last, asks the rule, and cuts the trace when it
+// fires.
 func (pr *progress) lump(pulled int64) {
 	pr.mu.Lock()
-	pr.n += pulled
-	pr.samples = append(pr.samples, Sample{At: time.Since(pr.begin), N: pr.n})
+	fired := pr.stage != "" && pr.record(pulled)
 	pr.mu.Unlock()
+	if fired {
+		pr.cancel()
+	}
 }
 
-// settled asks the rule about the stage's stream, or about the root's
-// completions while the stage has recorded nothing (there is none, or a warm
-// cache above it serves the root). The rule scans its stream, so asking at
-// every root completion of one that never settles is quadratic: it is asked
-// again when the stream is 1/16 longer, and settles at most 6 % late. It runs
-// on the caller's goroutine over the samples in place — they are only ever
-// appended to — and rate is root completions per second either way.
-func (pr *progress) settled(rule StopRule, root []Sample) (rate float64, samples int, ok bool) {
+// completed records one root completion, when root completions are the
+// stream: the graph has no recording stage, or it had recorded nothing by
+// the first completion. It reports whether the trace is cut.
+func (pr *progress) completed() bool {
 	pr.mu.Lock()
-	s, per := pr.samples, float64(pr.pulls)
+	if len(pr.samples) == 0 {
+		pr.stage = ""
+	}
+	fired := pr.stage == "" && pr.record(1)
+	cut := pr.cut
 	pr.mu.Unlock()
-	if len(s) == 0 {
-		s, per = root, 1
+	if fired {
+		pr.cancel()
 	}
-	if len(s) < pr.check {
-		return 0, len(s), false
+	return cut
+}
+
+// record appends a sample and asks the rule if it is due; it reports whether
+// this sample cut the trace. pr.mu is held.
+func (pr *progress) record(pulled int64) bool {
+	if pr.cut || pr.ended {
+		return false
 	}
-	if rate, ok = rule(s); !ok {
-		pr.check = len(s) + 1 + len(s)/16
+	pr.n += pulled
+	pr.samples = append(pr.samples, Sample{At: time.Since(pr.begin), N: pr.n})
+	if len(pr.samples) < pr.check {
+		return false
 	}
-	return rate / per, len(s), ok
+	if pr.rate, pr.cut = pr.stop(pr.samples); !pr.cut {
+		pr.check = len(pr.samples) + 1 + len(pr.samples)/16
+	}
+	return pr.cut
+}
+
+// isCut reports whether the rule has cut the trace.
+func (pr *progress) isCut() bool {
+	pr.mu.Lock()
+	cut := pr.cut
+	pr.mu.Unlock()
+	return cut
+}
+
+// end stops the stream — a replica still running until Close records
+// nothing more — and says in run how the drain ended. When the rule cut it,
+// that is the recording stage, and the elements it had pulled before the
+// cutting lump; end returns the rate the rule read, in those per second.
+func (pr *progress) end(run *trace.Run) (rate float64) {
+	pr.mu.Lock()
+	pr.ended = true
+	run.Samples, run.Settled = len(pr.samples), pr.cut
+	if pr.cut {
+		run.Stage, run.Cut = pr.stage, pr.samples[len(pr.samples)-1].N
+	}
+	rate = pr.rate
+	pr.mu.Unlock()
+	return rate
 }
 
 // progressTap sits at the recording stage's input, one per replica. lump is
@@ -135,16 +186,20 @@ func (t *progressTap) Close() error { return t.child.Close() }
 //
 // With a nil rule the drain runs to EOF, or to max root elements when max
 // is positive, and the snapshot's duration is the run's wall time. With a
-// rule (max stays a hard cap) the pipeline keeps a progress stream, the rule
-// is asked about it after each root completion — on this goroutine: the
-// consumer's pace is X_0, and a poller beside spinning workers would take a
-// core from them — and when it fires the pipeline is canceled: what is in
-// flight in a throw-away trace is dropped, not drained to the consumer. The
-// duration is then the time the root's counted completions take at the rate
-// the rule read: ops.Analyze's X_0 = C_0/T is that rate, whatever start-up
-// cost and however far a root prefetch ran ahead. Such a trace costs its
-// start-up plus what the rule needs to see (Settled: settleMinSpan), rounded
-// up to a root completion.
+// rule (max stays a hard cap) the pipeline keeps a progress stream and the
+// rule is asked as it grows (progress). When it fires the trace is cut at
+// that lump: the pipeline is canceled — what is in flight in a throw-away
+// trace is dropped, not drained to the consumer — and nothing the consumer
+// is handed after the cut counts, not even the partial minibatch a Batch
+// canceled mid-fill delivers. Run then records the cut: the elements the
+// recording stage had pulled before the cutting lump (root completions when
+// the root's completions were the stream). The duration is the time the
+// cut's C_0 = cut ÷ batch size root completions (trace.Snapshot.Completions)
+// take at the rate the rule read, so ops.Analyze's X_0 = C_0/T is that rate,
+// whatever start-up cost, however far a root prefetch ran ahead and however
+// many minibatches the cut fell between. Such a trace costs its start-up
+// plus what the rule needs to see (Settled: settleMinSpan), whatever the
+// batch size.
 func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64, stop StopRule) (*trace.Snapshot, error) {
 	begin := time.Now()
 	if opts.FS == nil {
@@ -177,21 +232,26 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 	opts.Collector = col
 	var pr *progress
 	if stop != nil {
-		pr = &progress{begin: begin, samples: make([]Sample, 0, 1024)}
+		pr = &progress{begin: begin, stop: stop, samples: make([]Sample, 0, 1024)}
 	}
 	p, err := newPipeline(g, opts, pr)
 	if err != nil {
 		return nil, err
 	}
 	defer p.Close() // idempotent: covers the error returns below
+	if pr != nil {
+		pr.cancel = p.Cancel
+	}
 
-	var (
-		done []Sample // root completions: the stream of a pipeline with no recording stage
-		run  trace.Run
-		rate float64
-	)
+	var run trace.Run
 	for max <= 0 || run.RootCompletions < max {
 		e, err := p.Next()
+		if pr != nil && pr.isCut() { // the element, if any, came after the cut
+			if err == nil {
+				p.Recycle(e)
+			}
+			break
+		}
 		if err == io.EOF {
 			break
 		}
@@ -200,14 +260,13 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 		}
 		p.Recycle(e)
 		run.RootCompletions++
-		if stop == nil {
-			continue
-		}
-		done = append(done, Sample{At: time.Since(begin), N: run.RootCompletions})
-		if rate, run.Samples, run.Settled = pr.settled(stop, done); run.Settled {
-			p.Cancel()
+		if pr != nil && pr.completed() {
 			break
 		}
+	}
+	var rate float64
+	if pr != nil {
+		rate = pr.end(&run)
 	}
 	// Close before snapshotting: iterators flush their buffered counter
 	// shards on Close.
@@ -223,8 +282,8 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 			snap.Files[path] = size
 		}
 	}
-	if root, err := snap.RootStats(); run.Settled && err == nil {
-		snap.Duration = time.Duration(float64(root.ElementsProduced) / rate * float64(time.Second))
+	if run.Settled {
+		snap.Duration = time.Duration(float64(run.Cut) / rate * float64(time.Second))
 	}
 	return snap, nil
 }

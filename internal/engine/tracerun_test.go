@@ -404,7 +404,8 @@ func TestBoundedTraceRun(t *testing.T) {
 		// 16 records of 1 000 framed bytes at 1 MB/s: 62.5 minibatches/s. The
 		// rule read it off the records the batch was handed — at least the
 		// twelve samples its thirds need, and more of them than minibatches.
-		rate := float64(root) / snap.Duration.Seconds()
+		c0, _ := snap.Completions()
+		rate := c0 / snap.Duration.Seconds()
 		limit := time.Duration(root)*16*time.Millisecond + 100*time.Millisecond
 		r := snap.Run
 		return r.Settled && r.Samples >= 3*settleMinPerThird && int64(r.Samples) > r.RootCompletions && r.RootCompletions <= root &&
@@ -430,7 +431,8 @@ func TestBoundedTraceRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		r, root := snap.Run, snap.Nodes["ahead"].ElementsProduced
-		rate := float64(root) / snap.Duration.Seconds()
+		c0, _ := snap.Completions()
+		rate := c0 / snap.Duration.Seconds()
 		return r.Settled && int64(r.Samples) > r.RootCompletions && root < 2*total && math.Abs(rate-62.5) <= 6.25,
 			fmt.Sprintf("%d of %d minibatches, X_0 = %.1f/s, run %+v", root, 2*total, rate, *r)
 	})
@@ -445,4 +447,86 @@ func slowFSSize(t *testing.T, path string) (int64, error) {
 	fs := simfs.New(simfs.Device{Name: "slow-stat"}, false)
 	fs.AddCatalog(slowCatalog, 7)
 	return fs.Stat(path)
+}
+
+// TestCutAtTheFiringLump: the rule is asked as the batch is handed its
+// lumps, not after root completions, so a rule that fires between two of
+// them ends the drain there. The cut is what the batch had pulled before
+// the firing lump; the consumer counted the minibatches it took before it,
+// not the partial one the canceled batch then delivers (which the collector
+// does see); the stream is as long as it was at the fire; and the duration
+// is the cut at the rule's rate.
+func TestCutAtTheFiringLump(t *testing.T) {
+	_, reg := testSetup(t)
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(slowCatalog.Name, 1).
+		Named("work").Map("noop", 1).
+		Named("batch").Batch(16).
+		MustBuild()
+	var firedAt int
+	var firedN int64
+	// Past two and a half minibatches, at the first lump the rule is asked
+	// about; it reads a round 1 000 examples a second.
+	rule := func(s []Sample) (float64, bool) {
+		if last := s[len(s)-1]; last.N >= 40 && firedAt == 0 {
+			firedAt, firedN = len(s), last.N
+		}
+		return 1000, firedAt != 0
+	}
+	snap, err := TraceRun(g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, 0, rule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := snap.Run
+	if !r.Settled || r.Stage != "batch" || r.Cut != firedN || r.Samples != firedAt {
+		t.Fatalf("run %+v; want it cut at the batch's sample %d, after %d examples", *r, firedAt, firedN)
+	}
+	if r.RootCompletions != firedN/16 {
+		t.Errorf("the consumer counted %d minibatches, want the %d completed before %d examples", r.RootCompletions, firedN/16, firedN)
+	}
+	if got := snap.Nodes["batch"].ElementsProduced; got != r.RootCompletions+1 {
+		t.Errorf("the batch produced %d minibatches, want the %d counted and the partial one it flushed", got, r.RootCompletions)
+	}
+	if c0, cut := snap.Completions(); !cut || c0 != float64(firedN)/16 {
+		t.Errorf("C_0 = %v (cut %v), want %v", c0, cut, float64(firedN)/16)
+	}
+	if want := time.Duration(firedN) * time.Millisecond; snap.Duration != want {
+		t.Errorf("duration %v, want the cut's %d examples at 1 000/s: %v", snap.Duration, firedN, want)
+	}
+}
+
+// TestRootCompletionsFeedTheStream: with no batch on the walk down from the
+// root — a bare chain, a Zip at the root — the root's completions are the
+// stream, fed to the same place the tap feeds, pulls 1: the trace still
+// settles on the throttled device's pace, and its cut is the completions the
+// consumer counted.
+func TestRootCompletionsFeedTheStream(t *testing.T) {
+	_, reg := testSetup(t)
+	chain := func(src string) *pipeline.Builder {
+		return pipeline.NewBuilder().Named(src).Interleave(slowCatalog.Name, 1).Named(src+"_work").Map("noop", 1)
+	}
+	for _, tc := range []struct {
+		name string
+		g    *pipeline.Graph
+		rate float64 // root completions a second off the 1 MB/s device
+	}{
+		{"bare", chain("src").MustBuild(), 1000},
+		{"zip", pipeline.ZipOf(chain("a").MustBuild(), chain("b").MustBuild()).MustBuild(), 500},
+	} {
+		ok, detail := bestOf(func() (bool, string) {
+			snap, err := TraceRun(tc.g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, 0, Settled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := snap.Run
+			c0, _ := snap.Completions()
+			rate := c0 / snap.Duration.Seconds()
+			return r.Settled && r.Stage == "" && r.Cut == r.RootCompletions && int64(r.Samples) == r.RootCompletions &&
+					math.Abs(rate-tc.rate) <= 0.1*tc.rate,
+				fmt.Sprintf("run %+v, X_0 = %.1f/s", *r, rate)
+		})
+		if !ok {
+			t.Errorf("%s: %s; want it settled on its root completions at %.0f/s", tc.name, detail, tc.rate)
+		}
+	}
 }

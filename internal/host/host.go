@@ -122,10 +122,10 @@ type Share struct {
 	// epoch is the arbitration currency: a warm-cache steady state is
 	// unbounded whenever a cache is planned and cannot price a share.
 	PredictedMinibatchesPerSec float64 `json:"predicted_minibatches_per_sec"`
-	// Run is what that one trace cost: trace_seconds of wall time,
-	// trace_root_completions, the trace_samples its stop rule read, and
-	// whether the rule ended it (settled; false = ran to EOF or to
-	// MaxMinibatches).
+	// Run is what that one trace cost: trace_seconds of wall time, the
+	// trace_root_completions before the cut, the trace_samples its stop rule
+	// read, whether the rule cut it (settled; false = ran to EOF or to
+	// MaxMinibatches), and where: trace_cut elements into trace_stage.
 	trace.Run
 }
 
@@ -691,8 +691,8 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 }
 
 // traceTenant runs the tenant's one planning trace — the shared traced
-// drain, stopped at the first minibatch after the rate of examples into the
-// tenant's batch has settled — and operationalizes it. All reads go through
+// drain, cut where the rate of examples into the tenant's batch has
+// settled — and operationalizes it at the cut. All reads go through
 // the tenant's storage connector; its workers hold slots of pool, when
 // there is one, and ctx cancels it.
 func (a *Arbiter) traceTenant(ctx context.Context, t *tenantState, pool *engine.SharedPool) (*ops.Analysis, error) {

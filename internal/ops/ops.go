@@ -75,7 +75,10 @@ type Analysis struct {
 	Snapshot *trace.Snapshot
 	// Nodes are ordered source -> root.
 	Nodes []NodeAnalysis
-	// ObservedRate is X_0 = C_0/T in minibatches/second.
+	// ObservedRate is X_0 = C_0/T in minibatches/second. C_0 is the root's
+	// completions, or for a trace its rule cut the root completions at the
+	// cut (trace.Snapshot.Completions): fractional, and below one when the
+	// rate settled inside the first minibatch.
 	ObservedRate float64
 	// DatasetBytes is the estimated stored dataset size, rescaled from the
 	// observed file subsample (§A: (m/n)·E[Σ s]).
@@ -88,6 +91,12 @@ type Analysis struct {
 // Analyze operationalizes a trace snapshot. reg resolves UDF randomness for
 // cache legality; it may be nil, in which case all UDFs are treated as
 // deterministic.
+//
+// A trace cut by its stop rule is read at the cut, not from the counters the
+// cancel left behind: C_0 is the cut, and the recording stage — the Batch
+// whose input the rule read — made what it pulled over its batch size, so
+// the partial minibatch it flushed when canceled mid-fill is no completion,
+// and its visit ratio is its shape's.
 func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 	chain, err := snap.Graph.Topo()
 	if err != nil {
@@ -98,9 +107,17 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 		return nil, err
 	}
 	root := statsChain[len(statsChain)-1]
-	rootCompletions := float64(root.ElementsProduced)
-	if rootCompletions == 0 {
+	rootCompletions, cut := snap.Completions()
+	if rootCompletions <= 0 {
 		return nil, fmt.Errorf("ops: snapshot has no completed minibatches at root %q", root.Name)
+	}
+	// made is C_i, what each node completed in the trace's window.
+	made := make([]float64, len(chain))
+	for i, n := range chain {
+		made[i] = float64(statsChain[i].ElementsProduced)
+		if cut && n.Name == snap.Run.Stage {
+			made[i] = float64(statsChain[i].ElementsConsumed) / float64(n.BatchSize)
+		}
 	}
 	T := snap.Duration.Seconds()
 	if T <= 0 {
@@ -131,7 +148,7 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 	}
 
 	// Pass 1: visit ratios and rates.
-	visit := visitRatios(chain, statsChain)
+	visit := visitRatios(chain, statsChain, made, rootCompletions)
 	nodes := make([]NodeAnalysis, len(chain))
 	for i, n := range chain {
 		ns := statsChain[i]
@@ -145,7 +162,7 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			VisitRatio:     visit[n.Name],
 		}
 		if na.CPUSeconds > 0 {
-			na.LocalRate = float64(ns.ElementsProduced) / na.CPUSeconds
+			na.LocalRate = made[i] / na.CPUSeconds
 		} else {
 			na.LocalRate = math.Inf(1)
 		}
@@ -155,10 +172,10 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			na.Rate = math.Inf(1)
 		}
 		na.ScaledCapacity = float64(na.Parallelism) * na.Rate
-		if ns.ElementsProduced > 0 {
-			na.BytesPerElement = float64(ns.BytesProduced) / float64(ns.ElementsProduced)
+		if made[i] > 0 {
+			na.BytesPerElement = float64(ns.BytesProduced) / made[i]
 			if n.IsSource() { // bytes per record x records per minibatch: read-ahead is not demand
-				na.IOBytesPerMinibatch = float64(ns.BytesRead) / float64(ns.ElementsProduced) * na.VisitRatio
+				na.IOBytesPerMinibatch = float64(ns.BytesRead) / made[i] * na.VisitRatio
 			}
 		}
 		nodes[i] = na
@@ -208,7 +225,7 @@ func Analyze(snap *trace.Snapshot, reg *udf.Registry) (*Analysis, error) {
 			}
 		default:
 			c = card[n.Input]
-			if consumed, produced, ok := pulled(n, ns); ok {
+			if consumed, produced, ok := pulled(n, ns.ElementsConsumed, made[i]); ok {
 				c *= produced / consumed
 			}
 		}
@@ -297,17 +314,18 @@ func sourceBytes(snap *trace.Snapshot, chain []pipeline.Node) map[string]float64
 	return out
 }
 
-// pulled returns what the stage took from its inputs and what it made of it:
-// the local ratio visit ratios and cardinalities both chain through. A trace
-// stopped mid-stream catches a stage with elements pulled and not yet turned
-// into output (a partial batch, a shuffle buffer); a stage that cannot drop
-// elements never needs more per output than its shape says, so that excess
-// is cut off. ok is false for a stage that counted no pulls or no output.
-func pulled(n pipeline.Node, ns *trace.NodeStats) (consumed, produced float64, ok bool) {
-	if ns.ElementsConsumed <= 0 || ns.ElementsProduced <= 0 {
+// pulled returns what the stage took from its inputs and what it made of it
+// (made, its C_i): the local ratio visit ratios and cardinalities both chain
+// through. A trace stopped mid-stream catches a stage with elements pulled
+// and not yet turned into output (a partial batch, a shuffle buffer); a
+// stage that cannot drop elements never needs more per output than its
+// shape says, so that excess is cut off. ok is false for a stage that
+// counted no pulls or no output.
+func pulled(n pipeline.Node, took int64, made float64) (consumed, produced float64, ok bool) {
+	if took <= 0 || made <= 0 {
 		return 0, 0, false
 	}
-	consumed, produced = float64(ns.ElementsConsumed), float64(ns.ElementsProduced)
+	consumed, produced = float64(took), made
 	most := produced
 	switch n.Kind {
 	case pipeline.KindMap, pipeline.KindFilter:
@@ -320,35 +338,35 @@ func pulled(n pipeline.Node, ns *trace.NodeStats) (consumed, produced float64, o
 	return math.Min(consumed, most), produced, true
 }
 
-// visitRatios returns V_i by node name. The root's is 1; an input's is its
-// consumer's times what the consumer pulled from it per element produced, so
-// a stage that ran ahead of the root — every parallel stage does, by its
-// edge's depth — is charged what was asked of it, not what it has in flight.
-// A Zip pulls from each input equally; a Concat's pulls split by what each
-// input produced. Below a consumer that counted no pulls (a cache serving
-// from memory) the ratio falls back to completions per root completion.
-func visitRatios(chain []pipeline.Node, st []*trace.NodeStats) map[string]float64 {
-	made := make(map[string]float64, len(chain))
+// visitRatios returns V_i by node name, from made (C_i, by chain index) and
+// the root's c0. The root's is 1; an input's is its consumer's times what
+// the consumer pulled from it per element produced, so a stage that ran
+// ahead of the root — every parallel stage does, by its edge's depth — is
+// charged what was asked of it, not what it has in flight. A Zip pulls from
+// each input equally; a Concat's pulls split by what each input produced.
+// Below a consumer that counted no pulls (a cache serving from memory) the
+// ratio falls back to completions per root completion.
+func visitRatios(chain []pipeline.Node, st []*trace.NodeStats, made []float64, c0 float64) map[string]float64 {
+	byName := make(map[string]float64, len(chain))
 	for i, n := range chain {
-		made[n.Name] = float64(st[i].ElementsProduced)
+		byName[n.Name] = made[i]
 	}
-	root := chain[len(chain)-1].Name
-	v := map[string]float64{root: 1}
+	v := map[string]float64{chain[len(chain)-1].Name: 1}
 	for j := len(chain) - 1; j >= 0; j-- { // topological order reversed: consumers first
 		n := chain[j]
-		consumed, produced, ok := pulled(n, st[j])
+		consumed, produced, ok := pulled(n, st[j].ElementsConsumed, made[j])
 		var all float64
 		for _, in := range n.InputNames() {
-			all += made[in]
+			all += byName[in]
 		}
 		for _, in := range n.InputNames() {
 			switch {
 			case !ok:
-				v[in] = made[in] / made[root]
+				v[in] = byName[in] / c0
 			case n.Kind == pipeline.KindZip:
 				v[in] = v[n.Name] * consumed / produced / float64(len(n.Inputs))
 			case n.Kind == pipeline.KindConcat && all > 0:
-				v[in] = v[n.Name] * consumed / produced * made[in] / all
+				v[in] = v[n.Name] * consumed / produced * byName[in] / all
 			default:
 				v[in] = v[n.Name] * consumed / produced
 			}

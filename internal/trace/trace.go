@@ -125,19 +125,51 @@ type Snapshot struct {
 }
 
 // Run is the cost of one traced drain, from instantiation to the end of
-// Close. Duration is not it: a drain stopped by a rule reports the time its
-// root completions take at the settled rate.
+// Close. Duration is not it: a drain cut by a rule reports the time its cut
+// takes at the settled rate.
 type Run struct {
 	// Seconds is the drain's wall time.
 	Seconds float64 `json:"trace_seconds"`
-	// RootCompletions counts the root elements the consumer took.
+	// RootCompletions counts the root elements the consumer took before the
+	// cut. What it is handed after — the partial minibatch a Batch canceled
+	// mid-fill delivers, what a root prefetch had ready — is not counted.
 	RootCompletions int64 `json:"trace_root_completions"`
-	// Samples is the length of the progress stream the stop rule last read
-	// (0 without a rule).
+	// Samples is the length of the progress stream: at the cut, or when the
+	// drain ended (0 without a rule).
 	Samples int `json:"trace_samples"`
-	// Settled is true when the rule stopped the drain; false means it ran
-	// to EOF or to its cap.
+	// Settled is true when the rule cut the drain; false means it ran to
+	// EOF or to its cap.
 	Settled bool `json:"settled"`
+	// Stage names the recording stage whose stream the rule cut: the Batch
+	// the walk down from the root found. Empty when the stream was the
+	// root's own completions, or the drain was not cut.
+	Stage string `json:"trace_stage,omitempty"`
+	// Cut counts the elements Stage had pulled before the lump the rule
+	// fired at — root completions when Stage is empty. It is where the
+	// trace's window ends: C_0, the root completions the analysis reads, is
+	// Cut over the elements Stage pulls per output (Snapshot.Completions).
+	Cut int64 `json:"trace_cut,omitempty"`
+}
+
+// Completions returns C_0, the root completions in the trace's window. For
+// a drain its rule cut (cut true) that is Run.Cut over the elements the
+// recording stage pulls per output: fractional, and below one when the rate
+// settled inside the first minibatch. For any other snapshot — a whole or
+// capped drain, an interval, a simulation — it is the root's
+// ElementsProduced.
+func (s *Snapshot) Completions() (c0 float64, cut bool) {
+	if r := s.Run; r != nil && r.Settled {
+		if r.Stage == "" {
+			return float64(r.Cut), true
+		}
+		if n, err := s.Graph.Node(r.Stage); err == nil && n.BatchSize > 0 {
+			return float64(r.Cut) / float64(n.BatchSize), true
+		}
+	}
+	if root, err := s.RootStats(); err == nil {
+		return float64(root.ElementsProduced), false
+	}
+	return 0, false
 }
 
 // Delta returns the activity between prev and s as a new snapshot: every

@@ -37,9 +37,9 @@ type StepReport struct {
 	// claims is Plan.CoresPlanned.
 	ParallelCores int `json:"parallel_cores"`
 	// Run is what this step's trace cost: trace_seconds of wall time,
-	// trace_root_completions, the trace_samples its stop rule read, and
-	// whether the rule ended it (settled; false = ran to EOF or to
-	// MaxMinibatches).
+	// the trace_root_completions before the cut, the trace_samples its stop
+	// rule read, whether the rule cut it (settled; false = ran to EOF or to
+	// MaxMinibatches), and where: trace_cut elements into trace_stage.
 	trace.Run
 }
 
