@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/ops"
@@ -45,7 +46,7 @@ func boundedOptions(t *testing.T) Options {
 			}
 		}
 	})
-	fs := simfs.New(simfs.Device{Name: "bounded-mem"}, false)
+	fs := connector.NewMem("bounded-mem")
 	fs.AddCatalog(boundedCatalog, 1)
 	fs.AddCatalog(boundedAuxCatalog, 1)
 	reg := udf.NewRegistry()
@@ -55,7 +56,7 @@ func boundedOptions(t *testing.T) Options {
 	if err := reg.Register(udf.UDF{Name: "bounded_half", Cost: udf.Cost{KeepFraction: 0.5}}); err != nil {
 		t.Fatal(err)
 	}
-	return Options{FS: fs, UDFs: reg, Seed: 1, WorkScale: 1, Spin: true}
+	return Options{Source: fs, UDFs: reg, Seed: 1, WorkScale: 1, Spin: true}
 }
 
 // boundedMain is src -> decode, the branch every graph below is built on.
@@ -440,13 +441,13 @@ func TestBurstTracePrediction(t *testing.T) {
 	budget := Budget{Cores: 2, MemoryBytes: 1 << 20, DiskBandwidth: dev.TotalBandwidth}
 
 	// What the declared bandwidth is worth, from a pass that never waits.
-	twin := simfs.New(simfs.Device{Name: "bounded-burst-twin"}, false)
+	twin := connector.NewMem("bounded-burst-twin")
 	twin.AddCatalog(cat, 1)
-	diskBound := traceAnalysis(t, g, Options{FS: twin, UDFs: reg, Seed: 1}).DiskBoundMinibatchesPerSec(dev.TotalBandwidth)
+	diskBound := traceAnalysis(t, g, Options{Source: twin, UDFs: reg, Seed: 1}).Ceiling(ops.Hypothetical{DiskBandwidth: dev.TotalBandwidth}).Storage
 
-	fs := simfs.New(dev, true)
+	fs := connector.FromSimFS(simfs.New(dev, true))
 	fs.AddCatalog(cat, 1)
-	opts := Options{FS: fs, UDFs: reg, Seed: 1, WorkScale: 1, Spin: true}
+	opts := Options{Source: fs, UDFs: reg, Seed: 1, WorkScale: 1, Spin: true}
 	res, err := Optimize(g, budget, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -465,7 +466,7 @@ func TestBurstTracePrediction(t *testing.T) {
 	epoch := int64(cat.NumFiles*cat.RecordsPerFile) / 16
 	sustained := 0.0
 	for attempt := 0; attempt < 3 && !within(res.PredictedMinibatchesPerSec, sustained, 0.12); attempt++ {
-		p, err := engine.New(res.Final, engine.Options{FS: opts.source(), UDFs: reg, Seed: 1, WorkScale: 1, Spin: true})
+		p, err := engine.New(res.Final, engine.Options{FS: opts.Source, UDFs: reg, Seed: 1, WorkScale: 1, Spin: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,7 +623,7 @@ type delivered struct {
 // drain drains g to EOF through the store.
 func drain(t *testing.T, g *pipeline.Graph, opts Options, store *engine.CacheStore) delivered {
 	t.Helper()
-	p, err := engine.New(g, engine.Options{FS: opts.source(), UDFs: opts.UDFs, Seed: opts.Seed, Caches: store})
+	p, err := engine.New(g, engine.Options{FS: opts.Source, UDFs: opts.UDFs, Seed: opts.Seed, Caches: store})
 	if err != nil {
 		t.Fatal(err)
 	}

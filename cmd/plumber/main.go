@@ -603,7 +603,7 @@ func runArbitrate(args []string) error {
 			Name:          name,
 			Weight:        weight,
 			Graph:         w.Graph,
-			FS:            w.FS,
+			Source:        w.Source,
 			UDFs:          w.Registry,
 			Seed:          w.Spec.Seed,
 			WorkScale:     1,

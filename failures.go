@@ -1,15 +1,15 @@
 package plumber
 
 import (
+	"plumber/internal/connector"
 	"plumber/internal/engine"
 	"plumber/internal/host"
-	"plumber/internal/simfs"
 )
 
 // Robustness types, re-exported so fault-injection experiments and
 // failure-isolated runs can stay entirely within the façade.
 //
-// A FaultPlan installed on a simulated filesystem (FS.SetFaults) injects
+// A FaultPlan installed on a storage connector (Connector.SetFaults) injects
 // deterministic, seeded faults at the read path: error rates, scripted
 // first-read failures, latency spikes, mid-read stalls, and bandwidth
 // ramps. Retry is the engine's absorption policy for those (and any other
@@ -21,10 +21,10 @@ import (
 // reported, evicted from the shared pool, and its share re-water-filled
 // across the survivors.
 type (
-	FaultPlan    = simfs.FaultPlan
-	FaultRule    = simfs.FaultRule
-	FaultError   = simfs.FaultError
-	FaultStats   = simfs.FaultStats
+	FaultPlan    = connector.FaultPlan
+	FaultRule    = connector.FaultRule
+	FaultError   = connector.FaultError
+	FaultStats   = connector.FaultStats
 	Retry        = engine.Retry
 	StageError   = engine.StageError
 	ErrorStats   = engine.ErrorStats

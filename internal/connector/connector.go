@@ -7,9 +7,8 @@
 //
 // The interface is deliberately small — Open/Stat/List plus the three
 // contracts the rest of the system depends on (a Reader may also implement
-// two optional extensions: Skipper, a forward seek that serves nothing, and
-// Viewer, a read that hands out the backend's own bytes instead of copying
-// them; both keep the contracts below):
+// one optional extension, Viewer, a read that hands out the backend's own
+// bytes instead of copying them; it keeps the contracts below):
 //
 //   - Rewind: a reader repositions to a recorded offset so a framed-record
 //     read that failed mid-record replays the exact same byte range under
@@ -65,15 +64,11 @@ type Reader interface {
 	Offset() int64
 	// Rewind repositions to an earlier offset (0 <= off <= Offset()).
 	Rewind(off int64) error
-}
-
-// Skipper is the optional forward-seek extension of Reader: SkipTo
-// repositions to a later offset without serving (or re-observing) the
-// skipped bytes. All three built-in backends implement it; the engine's
-// live-reconfiguration resume relies on it to reopen a partially-read
-// shard at the quiesce barrier without double-counting the prefix a
-// previous reader already consumed.
-type Skipper interface {
+	// SkipTo repositions to a later offset (off >= Offset()) without
+	// serving, re-observing or paying for the skipped bytes. The engine's
+	// live-reconfiguration resume uses it to reopen a partially-read shard
+	// at the quiesce barrier without double-counting the prefix a previous
+	// reader already consumed.
 	SkipTo(off int64) error
 }
 
@@ -98,25 +93,6 @@ type Skipper interface {
 // engine/arena.go).
 type Viewer interface {
 	View(n int) ([]byte, error)
-}
-
-// SkipTo positions r at off from either direction. Forward skips use the
-// backend's Skipper fast path when available and otherwise fall back to
-// reading and discarding the prefix (which re-observes it, like a real
-// re-fetch); backward skips are Rewind.
-func SkipTo(r Reader, off int64) error {
-	cur := r.Offset()
-	switch {
-	case off == cur:
-		return nil
-	case off < cur:
-		return r.Rewind(off)
-	}
-	if s, ok := r.(Skipper); ok {
-		return s.SkipTo(off)
-	}
-	_, err := io.CopyN(io.Discard, r, off-cur)
-	return err
 }
 
 // Connector is a storage backend serving one catalog's shards.

@@ -28,8 +28,6 @@ type LocalFS struct {
 	mu        sync.Mutex
 	files     map[string]localFile // catalog path -> on-disk location
 	observers []ReadObserver
-	bytesRead int64
-	readCalls int64
 	hint      float64
 
 	// faults is the installed plan's injector, nil when none; every read
@@ -167,17 +165,8 @@ func (l *LocalFS) FaultStats() FaultStats {
 	return fi.Stats()
 }
 
-// TotalBytesRead reports aggregate bytes served since creation.
-func (l *LocalFS) TotalBytesRead() int64 {
+func (l *LocalFS) observe(path string, n int64) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.bytesRead
-}
-
-func (l *LocalFS) observe(path string, n, calls int64) {
-	l.mu.Lock()
-	l.bytesRead += n
-	l.readCalls += calls
 	obs := append([]ReadObserver(nil), l.observers...)
 	l.mu.Unlock()
 	for _, o := range obs {
@@ -296,7 +285,7 @@ func (r *localReader) flushObservation() {
 	if r.pendingCalls == 0 {
 		return
 	}
-	r.fs.observe(r.path, r.pendingBytes, r.pendingCalls)
+	r.fs.observe(r.path, r.pendingBytes)
 	r.pendingBytes, r.pendingCalls = 0, 0
 }
 

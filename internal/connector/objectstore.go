@@ -78,9 +78,6 @@ func NewMemObjectStore(c data.Catalog, seed uint64, cfg ObjectStoreConfig) *Obje
 	return NewObjectStore(fs, cfg)
 }
 
-// Config returns the store's effective (defaulted) configuration.
-func (s *ObjectStore) Config() ObjectStoreConfig { return s.cfg }
-
 // Backend implements Connector.
 func (s *ObjectStore) Backend() string { return "objectstore" }
 

@@ -217,7 +217,7 @@ func TestViewerFaultRewindSkipEOF(t *testing.T) {
 
 			// 128+256+256+128 bytes served so far, replays included.
 			tail := int64(len(want)) - 5
-			if err := connector.SkipTo(r, tail); err != nil {
+			if err := r.SkipTo(tail); err != nil {
 				t.Fatal(err)
 			}
 			short, err := v.View(10)

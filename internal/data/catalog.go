@@ -50,13 +50,6 @@ func (c Catalog) MaterializedFiles() int {
 	return c.NumFiles
 }
 
-// TotalBytes returns the expected stored size of the dataset including
-// TFRecord framing overhead.
-func (c Catalog) TotalBytes() int64 {
-	perRecord := c.MeanRecordBytes + RecordOverheadBytes
-	return int64(c.NumFiles) * int64(c.RecordsPerFile) * perRecord
-}
-
 // TotalExamples returns the nominal dataset cardinality.
 func (c Catalog) TotalExamples() int64 {
 	return int64(c.NumFiles) * int64(c.RecordsPerFile)

@@ -78,17 +78,6 @@ type PayloadOwner interface {
 	ReleasePayload(p []byte)
 }
 
-// Release returns the payload to its owner, if it has one, and reports
-// whether it did. Callers that would otherwise PutBuf a payload must try
-// Release first — a borrowed view must never enter the buffer pool.
-func (e Element) Release() bool {
-	if e.Owner == nil {
-		return false
-	}
-	e.Owner.ReleasePayload(e.Payload)
-	return true
-}
-
 // Clone returns a deep copy of the element. The copy owns its own storage:
 // it drops any Owner, and the original's reference stays with the original.
 func (e Element) Clone() Element {

@@ -37,17 +37,10 @@ func MaskedCRC(data []byte) uint32 {
 	return ((c >> 15) | (c << 17)) + crcMaskDelta
 }
 
-// unmaskCRC inverts MaskedCRC's masking step.
-func unmaskCRC(masked uint32) uint32 {
-	rot := masked - crcMaskDelta
-	return (rot << 15) | (rot >> 17)
-}
-
 // RecordWriter writes TFRecord-framed records to an io.Writer.
 type RecordWriter struct {
 	w       io.Writer
 	scratch [RecordHeaderBytes]byte
-	written int64
 }
 
 // NewRecordWriter returns a writer framing records onto w.
@@ -70,12 +63,8 @@ func (rw *RecordWriter) Write(record []byte) error {
 	if _, err := rw.w.Write(footer[:]); err != nil {
 		return fmt.Errorf("tfrecord: writing footer: %w", err)
 	}
-	rw.written += int64(RecordOverheadBytes + len(record))
 	return nil
 }
-
-// BytesWritten reports the total framed bytes written so far.
-func (rw *RecordWriter) BytesWritten() int64 { return rw.written }
 
 // RecordReader reads TFRecord-framed records from an io.Reader.
 type RecordReader struct {

@@ -6,10 +6,9 @@
 // CPU timers stop when an iterator calls into its child, and statistics
 // about each yielded element are attributed to its producer.
 //
-// The engine is the "real" substrate: unit tests, integration tests, and the
-// runnable examples use it with small synthetic catalogs. The large Setup
-// A/B/C experiments run on the discrete-event simulator (internal/sim),
-// which consumes the same graph spec and emits the same trace.Snapshot.
+// It is the only executor: the tracer, the planner's one trace, the doctor
+// and the benchmark all drain pipelines through it, over synthetic catalogs
+// served by a storage connector.
 package engine
 
 import (
@@ -133,7 +132,7 @@ type Pipeline struct {
 	reconfMu sync.Mutex
 	closedCh chan struct{}
 	resMu    sync.Mutex
-	resume   *resumeState
+	resume   resumeState
 	liveMu   sync.Mutex
 	live     []resumable
 
@@ -572,7 +571,7 @@ func (p *Pipeline) Recycle(e data.Element) {
 // payload copy.
 func (p *Pipeline) releasePayload(e *data.Element) {
 	if e.Owner != nil {
-		e.Owner.ReleasePayload(e.Payload) // Element.Release, which would copy e
+		e.Owner.ReleasePayload(e.Payload)
 		return
 	}
 	if p.pool && e.Payload != nil {
@@ -621,7 +620,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		if n.Kind == pipeline.KindInterleave {
 			par = n.EffectiveParallelism()
 		}
-		s := newSource(p, n.Name, cat, par, handle, seed, g, replica)
+		s := newSource(p, resumeKey{n.Name, replica}, cat, par, handle, seed, g)
 		s.recv.lump = lump
 		return s, nil
 	case pipeline.KindMap:
@@ -655,7 +654,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		}
 		return newShuffleIter(child, n.BufferSize, handle, stats.NewRNG(seed^hashName(n.Name)), g), nil
 	case pipeline.KindRepeat:
-		return newRepeatIter(p, n.Name, childFactory, n.Count, handle, replica), nil
+		return newRepeatIter(p, resumeKey{n.Name, replica}, childFactory, n.Count, handle), nil
 	case pipeline.KindBatch:
 		var tap *progressTap
 		if p.progress != nil && n.Name == p.progress.stage {
@@ -682,10 +681,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		pf.recv.lump = lump
 		return pf, nil
 	case pipeline.KindCache:
-		key := n.Name
-		if replica > 0 {
-			key = fmt.Sprintf("%s#%d", n.Name, replica)
-		}
+		key := resumeKey{n.Name, replica}
 		below, err := gr.Below(n.Name)
 		if err != nil {
 			return nil, err
@@ -697,14 +693,14 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 				break
 			}
 		}
-		entry := p.caches.entry(key, chainSignature(below, seed))
-		return newCacheIter(p, key, entry, childFactory, handle, srcName, replica, seed, p.servedCopies[n.Name])
+		entry := p.caches.entry(key.storeKey(), chainSignature(below, seed))
+		return newCacheIter(p, key, entry, childFactory, handle, srcName, seed, p.servedCopies[n.Name])
 	case pipeline.KindTake:
 		child, err := childFactory()
 		if err != nil {
 			return nil, err
 		}
-		return newTakeIter(p, n.Name, child, n.Count, handle, replica), nil
+		return newTakeIter(p, resumeKey{n.Name, replica}, child, n.Count, handle), nil
 	case pipeline.KindZip, pipeline.KindConcat:
 		children := make([]iterator, len(n.Inputs))
 		for i, in := range n.Inputs {
@@ -815,9 +811,9 @@ func chainSignature(below []pipeline.Node, seed uint64) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "seed=%d", seed)
 	for _, n := range below {
-		fmt.Fprintf(&b, "|%s/%s/%s/%s/%d/%d/%d/%d/%s/%t",
+		fmt.Fprintf(&b, "|%s/%s/%s/%s/%d/%d/%d/%d/%s",
 			n.Name, n.Kind, n.Input, n.UDF, n.Parallelism, n.BufferSize,
-			n.BatchSize, n.Count, n.Catalog, n.ParallelizableBatch)
+			n.BatchSize, n.Count, n.Catalog)
 		if len(n.Inputs) > 0 {
 			fmt.Fprintf(&b, "/%s", strings.Join(n.Inputs, "+"))
 		}

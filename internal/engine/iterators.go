@@ -405,11 +405,10 @@ func (e *edge) stop() {
 // clock read.
 type sourceIter struct {
 	edge
-	name    string
-	replica int
-	cat     data.Catalog
-	par     int
-	seed    uint64
+	key  resumeKey
+	cat  data.Catalog
+	par  int
+	seed uint64
 	// views: records are read-only views of the connector's own storage
 	// where the reader can serve them (Pipeline.storageViews), not copies.
 	views bool
@@ -428,11 +427,11 @@ type sourceIter struct {
 	parked []fileTask
 }
 
-func newSource(p *Pipeline, name string, cat data.Catalog, par int, handle *trace.NodeStats, seed uint64, gate *seqGate, replica int) *sourceIter {
+func newSource(p *Pipeline, key resumeKey, cat data.Catalog, par int, handle *trace.NodeStats, seed uint64, gate *seqGate) *sourceIter {
 	s := &sourceIter{edge: edge{p: p, handle: handle, gate: gate, latch: p.iterLatch()},
-		name: name, replica: replica, cat: cat, par: par, seed: seed, views: p.storageViews[name]}
+		key: key, cat: cat, par: par, seed: seed, views: p.storageViews[key.name]}
 	s.startup = s.start
-	if sr := p.takeSourceResume(name, replica); sr != nil {
+	if sr, ok := takeResume[*sourceResume](p, key); ok {
 		s.init = sr
 		s.nextIdx = sr.nextIdx
 	}
@@ -475,7 +474,7 @@ func (s *sourceIter) park(t fileTask) {
 // workers have exited (root EOF means every edge closed and drained, which
 // happens only after wg.Wait), so the parked list is final and the
 // undistributed remainder of fileCh can be drained without contention.
-func (s *sourceIter) capture(rs *resumeState) {
+func (s *sourceIter) capture(rs resumeState) {
 	sr := &sourceResume{nextIdx: atomic.LoadInt64(&s.nextIdx)}
 	s.capMu.Lock()
 	sr.tasks = append(sr.tasks, s.parked...)
@@ -489,7 +488,7 @@ func (s *sourceIter) capture(rs *resumeState) {
 		// full remaining stream.
 		sr.tasks, sr.fromStart = append(sr.tasks, s.tasks()...), s.init == nil
 	}
-	rs.sources[resumeKey{s.name, s.replica}] = sr
+	rs[s.key] = sr
 }
 
 func (s *sourceIter) worker(w int) {
@@ -510,7 +509,7 @@ func (s *sourceIter) worker(w int) {
 	}
 	tr := tracker{h: s.handle}
 	defer tr.flush()
-	rt := s.p.retrier(s.name, &tr, s.latch.ch, s.seed^uint64(w+1)*0x9e3779b97f4a7c15)
+	rt := s.p.retrier(s.key.name, &tr, s.latch.ch, s.seed^uint64(w+1)*0x9e3779b97f4a7c15)
 	traced := tr.traced()
 	sm := trace.NewSampler(s.p.sampleEvery())
 	modelCPU := s.p.opts.WorkScale > 0
@@ -537,7 +536,7 @@ func (s *sourceIter) worker(w int) {
 				// Resuming a file a quiesce barrier interrupted: skip to
 				// the recorded record boundary without re-observing (or
 				// re-serving) the prefix the predecessor already consumed.
-				if e = connector.SkipTo(r, task.offset); e != nil {
+				if e = r.SkipTo(task.offset); e != nil {
 					r.Close()
 					r = nil
 				}
@@ -997,8 +996,7 @@ func (s *shuffleIter) Close() error {
 // from memory.
 type repeatIter struct {
 	p       *Pipeline
-	name    string
-	replica int
+	key     resumeKey
 	factory func() (iterator, error)
 	count   int64
 	tr      tracker
@@ -1007,9 +1005,9 @@ type repeatIter struct {
 	epoch int64 // number of epochs started
 }
 
-func newRepeatIter(p *Pipeline, name string, factory func() (iterator, error), count int64, handle *trace.NodeStats, replica int) *repeatIter {
-	r := &repeatIter{p: p, name: name, replica: replica, factory: factory, count: count, tr: tracker{h: handle}}
-	if rr, ok := p.takeRepeatResume(name, replica); ok {
+func newRepeatIter(p *Pipeline, key resumeKey, factory func() (iterator, error), count int64, handle *trace.NodeStats) *repeatIter {
+	r := &repeatIter{p: p, key: key, factory: factory, count: count, tr: tracker{h: handle}}
+	if rr, ok := takeResume[repeatResume](p, key); ok {
 		if rr.inProgress {
 			// The barrier interrupted epoch N: start one epoch back so the
 			// first Next rebuilds the child — which consumes the source's
@@ -1062,8 +1060,8 @@ func (r *repeatIter) Next() (data.Element, error) {
 }
 
 // capture implements resumable.
-func (r *repeatIter) capture(rs *resumeState) {
-	rs.repeats[resumeKey{r.name, r.replica}] = repeatResume{epoch: r.epoch, inProgress: r.child != nil}
+func (r *repeatIter) capture(rs resumeState) {
+	rs[r.key] = repeatResume{epoch: r.epoch, inProgress: r.child != nil}
 }
 
 func (r *repeatIter) Close() error {
@@ -1329,8 +1327,7 @@ func (cs *CacheStore) entry(name, sig string) *cacheEntry {
 // cache serves a copy of its copy instead.
 type cacheIter struct {
 	p       *Pipeline
-	key     string // cache store key (name, replica-suffixed)
-	replica int
+	key     resumeKey
 	seed    uint64
 	entry   *cacheEntry
 	factory func() (iterator, error)
@@ -1347,17 +1344,19 @@ type cacheIter struct {
 	pos         int
 }
 
-func newCacheIter(p *Pipeline, key string, entry *cacheEntry, factory func() (iterator, error), handle *trace.NodeStats, srcName string, replica int, seed uint64, copies bool) (*cacheIter, error) {
-	c := &cacheIter{p: p, key: key, replica: replica, seed: seed, entry: entry, factory: factory, tr: tracker{h: handle}, copies: copies}
+func newCacheIter(p *Pipeline, key resumeKey, entry *cacheEntry, factory func() (iterator, error), handle *trace.NodeStats, srcName string, seed uint64, copies bool) (*cacheIter, error) {
+	c := &cacheIter{p: p, key: key, seed: seed, entry: entry, factory: factory, tr: tracker{h: handle}, copies: copies}
 	entry.mu.Lock()
 	c.serving = entry.complete
 	entry.mu.Unlock()
-	if cr, ok := p.takeCacheResume(key); ok && c.serving {
+	if cr, ok := takeResume[cacheResume](p, key); ok && c.serving {
 		// Resuming a serving cache: continue at the captured position.
 		// (applyReconfig guarantees the entry survived the patch — a patch
 		// invalidating a mid-serve entry is rejected at the barrier.)
 		c.pos = cr.pos
-	} else if !c.serving && p.sourceResumePending(srcName, replica) {
+	} else if sr, ok := peekResume[*sourceResume](p, resumeKey{srcName, key.replica}); ok && !c.serving && !sr.fromStart {
+		// The stream below resumes mid-epoch: filling from it would
+		// materialize only the epoch's tail.
 		c.passthrough = true
 	}
 	if !c.serving && !c.passthrough {
@@ -1381,8 +1380,8 @@ func newCacheIter(p *Pipeline, key string, entry *cacheEntry, factory func() (it
 // the epoch from element 0. An interrupted fill leaves no state — the
 // rebuilt cache passes through for the rest of the epoch (driven by the
 // source resume entry below it).
-func (c *cacheIter) capture(rs *resumeState) {
-	cr := cacheResume{pos: c.pos, replica: c.replica, seed: c.seed}
+func (c *cacheIter) capture(rs resumeState) {
+	cr := cacheResume{pos: c.pos, seed: c.seed}
 	if !c.serving {
 		c.entry.mu.Lock()
 		complete, n := c.entry.complete, len(c.entry.elems)
@@ -1392,7 +1391,7 @@ func (c *cacheIter) capture(rs *resumeState) {
 		}
 		cr.pos, cr.filled = n, true
 	}
-	rs.caches[c.key] = cr
+	rs[c.key] = cr
 }
 
 func (c *cacheIter) Next() (data.Element, error) {
@@ -1463,18 +1462,17 @@ func (c *cacheIter) Close() error {
 // Take
 
 type takeIter struct {
-	p       *Pipeline
-	name    string
-	replica int
-	child   iterator
-	count   int64
-	tr      tracker
-	served  int64
+	p      *Pipeline
+	key    resumeKey
+	child  iterator
+	count  int64
+	tr     tracker
+	served int64
 }
 
-func newTakeIter(p *Pipeline, name string, child iterator, count int64, handle *trace.NodeStats, replica int) *takeIter {
-	t := &takeIter{p: p, name: name, replica: replica, child: child, count: count, tr: tracker{h: handle}}
-	if served, ok := p.takeTakeResume(name, replica); ok {
+func newTakeIter(p *Pipeline, key resumeKey, child iterator, count int64, handle *trace.NodeStats) *takeIter {
+	t := &takeIter{p: p, key: key, child: child, count: count, tr: tracker{h: handle}}
+	if served, ok := takeResume[int64](p, key); ok {
 		t.served = served
 	}
 	p.track(t)
@@ -1482,8 +1480,8 @@ func newTakeIter(p *Pipeline, name string, child iterator, count int64, handle *
 }
 
 // capture implements resumable.
-func (t *takeIter) capture(rs *resumeState) {
-	rs.takes[resumeKey{t.name, t.replica}] = t.served
+func (t *takeIter) capture(rs resumeState) {
+	rs[t.key] = t.served
 }
 
 func (t *takeIter) Next() (data.Element, error) {

@@ -90,9 +90,6 @@ func NewSharedPool(capacity int) *SharedPool {
 	return p
 }
 
-// Capacity returns the pool's total worker-slot count.
-func (p *SharedPool) Capacity() int { return p.capacity }
-
 // Admit registers a tenant with a guaranteed share of worker slots. The sum
 // of guarantees may not exceed the pool capacity — a guarantee that cannot
 // be honored is a lie, not an admission policy. Shares below 1 are raised to

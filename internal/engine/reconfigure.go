@@ -30,10 +30,10 @@ import (
 //
 //   - Patch. On the consumer's goroutine (Next), the captured stream
 //     positions are collected from the old tree's stateful iterators, the
-//     old tree is torn down (flushing its counters), and the knobs are
-//     swapped: the new graph (per-stage parallelism, prefetch, cache
-//     insertion/removal from rewrite.ApplyPlan), ChannelSlack (ring/channel
-//     edge depth), ChunkSize (the handoff cap).
+//     old tree is torn down (flushing its counters), and the new graph
+//     (per-stage parallelism, prefetch, cache insertion/removal from
+//     rewrite.ApplyPlan) replaces the old one; the stage edges are rebuilt
+//     with it.
 //
 //   - Resume. install rebuilds the tree; sources reopen their partial
 //     files and SkipTo the recorded offsets, repeat/take/cache iterators
@@ -48,22 +48,14 @@ import (
 // that would invalidate a cache entry the stream is mid-way through
 // serving is rejected at the barrier and the pipeline resumes unchanged.
 
-// Patch is a live-reconfiguration request. Zero fields keep the current
-// configuration.
+// Patch is a live-reconfiguration request.
 type Patch struct {
 	// Graph, when non-nil, is the rewritten program to hot-apply (for
 	// example rewrite.ApplyPlan output against Pipeline.Graph()). It must
 	// keep the same source node, outer parallelism, and Repeat/Take
 	// structure; parallelism, prefetch, cache, and shuffle changes are the
-	// hot-patchable surface. Nil keeps the current graph (knob-only patch).
+	// hot-patchable surface. Nil rebuilds the current graph.
 	Graph *pipeline.Graph
-	// ChannelSlack, when non-zero, replaces Options.ChannelSlack for the
-	// rebuilt stage edges (values below MinChannelSlack normalize to
-	// DefaultChannelSlack, as in New).
-	ChannelSlack int
-	// ChunkSize, when positive, replaces Options.ChunkSize (the cap on a
-	// handoff's element count).
-	ChunkSize int
 }
 
 // ReconfigReport describes what one Reconfigure did.
@@ -215,14 +207,18 @@ func (p *Pipeline) applyReconfig(pr *pendingReconfig) error {
 	}
 
 	// 1. Capture resume state from the live stateful iterators.
-	rs := newResumeState()
+	rs := make(resumeState)
 	p.liveMu.Lock()
 	live := append([]resumable(nil), p.live...)
 	p.liveMu.Unlock()
 	for _, r := range live {
 		r.capture(rs)
 	}
-	for _, sr := range rs.sources {
+	for _, v := range rs {
+		sr, _ := v.(*sourceResume)
+		if sr == nil {
+			continue
+		}
 		for _, t := range sr.tasks {
 			if t.offset > 0 {
 				pr.report.ResumedPartialFiles++
@@ -262,16 +258,7 @@ func (p *Pipeline) applyReconfig(pr *pendingReconfig) error {
 		return err
 	}
 
-	// 3. Patch the knobs.
-	if patch.ChannelSlack != 0 {
-		p.opts.ChannelSlack = patch.ChannelSlack
-		if p.opts.ChannelSlack < MinChannelSlack {
-			p.opts.ChannelSlack = DefaultChannelSlack
-		}
-	}
-	if patch.ChunkSize > 0 {
-		p.opts.ChunkSize = patch.ChunkSize
-	}
+	// 3. Patch the graph.
 	g := patch.Graph
 	if g == nil {
 		p.graphMu.Lock()
@@ -306,48 +293,24 @@ func (p *Pipeline) applyReconfig(pr *pendingReconfig) error {
 // entry the stream is mid-way through serving: the elements already served
 // this epoch came from the entry, so any tree without that exact entry
 // would re-deliver them (no source position exists to resume from).
-func (p *Pipeline) checkServingCaches(rs *resumeState, g *pipeline.Graph) error {
-	serving := false
-	for _, cr := range rs.caches {
-		if cr.pos > 0 && !cr.filled {
-			serving = true
-		}
-	}
-	if !serving {
-		return nil
-	}
-	chain, err := g.Chain()
-	if err != nil {
-		return err
-	}
-	for key, cr := range rs.caches {
-		if cr.pos == 0 || cr.filled {
+func (p *Pipeline) checkServingCaches(rs resumeState, g *pipeline.Graph) error {
+	for k, v := range rs {
+		cr, ok := v.(cacheResume)
+		if !ok || cr.pos == 0 || cr.filled {
 			continue
 		}
-		found := false
-		for _, n := range chain {
-			if n.Kind != pipeline.KindCache {
-				continue
-			}
-			k := n.Name
-			if cr.replica > 0 {
-				k = fmt.Sprintf("%s#%d", n.Name, cr.replica)
-			}
-			if k != key {
-				continue
-			}
-			below, berr := g.Below(n.Name)
+		n, err := g.Node(k.name)
+		if err == nil && n.Kind == pipeline.KindCache {
+			below, berr := g.Below(k.name)
 			if berr != nil {
 				return berr
 			}
-			sig, complete, ok := p.caches.peek(key)
+			sig, complete, ok := p.caches.peek(k.storeKey())
 			if ok && complete && sig == chainSignature(below, cr.seed) {
-				found = true
+				continue
 			}
 		}
-		if !found {
-			return fmt.Errorf("engine: Reconfigure would invalidate cache %q mid-serve (position %d); patch rejected, pipeline resumed unchanged", key, cr.pos)
-		}
+		return fmt.Errorf("engine: Reconfigure would invalidate cache %q mid-serve (position %d); patch rejected, pipeline resumed unchanged", k.storeKey(), cr.pos)
 	}
 	return nil
 }
@@ -375,7 +338,7 @@ func (p *Pipeline) failPending(pr *pendingReconfig, err error) {
 // deregister on Close (untrack), so subtrees torn down at epoch boundaries
 // do not pollute the capture.
 type resumable interface {
-	capture(rs *resumeState)
+	capture(rs resumeState)
 }
 
 // resumeKey identifies one stateful iterator: node name plus the
@@ -383,6 +346,15 @@ type resumable interface {
 type resumeKey struct {
 	name    string
 	replica int
+}
+
+// storeKey is a cache's key in the CacheStore: its name, suffixed with the
+// replica index under outer parallelism, so replicas never share a fill.
+func (k resumeKey) storeKey() string {
+	if k.replica == 0 {
+		return k.name
+	}
+	return fmt.Sprintf("%s#%d", k.name, k.replica)
 }
 
 // fileTask is one unit of source work: a shard path and the byte offset to
@@ -408,34 +380,22 @@ type repeatResume struct {
 	inProgress bool
 }
 
-// cacheResume is a serving cache's position; keyed by the cache store key
-// (name, replica-suffixed). replica and the replica's effective seed
-// reproduce the entry signature check at apply time. filled marks a cache
-// that completed its fill in the interrupted epoch: the sources below it are
-// tracked and captured as exhausted, so — unlike a cache that was serving —
-// a patch may drop or invalidate its entry and the epoch still ends there.
+// cacheResume is a serving cache's position. seed, the replica's effective
+// seed, reproduces the entry signature check at apply time. filled marks a
+// cache that completed its fill in the interrupted epoch: the sources below
+// it are tracked and captured as exhausted, so — unlike a cache that was
+// serving — a patch may drop or invalidate its entry and the epoch still
+// ends there.
 type cacheResume struct {
-	pos     int
-	replica int
-	seed    uint64
-	filled  bool
+	pos    int
+	seed   uint64
+	filled bool
 }
 
-type resumeState struct {
-	sources map[resumeKey]*sourceResume
-	repeats map[resumeKey]repeatResume
-	takes   map[resumeKey]int64
-	caches  map[string]cacheResume
-}
-
-func newResumeState() *resumeState {
-	return &resumeState{
-		sources: make(map[resumeKey]*sourceResume),
-		repeats: make(map[resumeKey]repeatResume),
-		takes:   make(map[resumeKey]int64),
-		caches:  make(map[string]cacheResume),
-	}
-}
+// resumeState holds what each stateful iterator captured at the barrier: a
+// *sourceResume, a repeatResume, a Take's served count (int64), or a
+// cacheResume.
+type resumeState map[resumeKey]any
 
 // track registers a stateful iterator in the live registry.
 func (p *Pipeline) track(r resumable) {
@@ -456,78 +416,25 @@ func (p *Pipeline) untrack(r resumable) {
 	p.liveMu.Unlock()
 }
 
-// takeSourceResume consumes the resume entry for a source node, if one
+// takeResume consumes the resume entry of type T captured for k, if one
 // exists. Entries are consumed on first build so that a later epoch rebuild
-// (Repeat's factory) starts from the full catalog again.
-func (p *Pipeline) takeSourceResume(name string, replica int) *sourceResume {
+// (Repeat's factory) starts from the beginning again.
+func takeResume[T any](p *Pipeline, k resumeKey) (T, bool) {
 	p.resMu.Lock()
 	defer p.resMu.Unlock()
-	if p.resume == nil {
-		return nil
-	}
-	k := resumeKey{name, replica}
-	sr, ok := p.resume.sources[k]
-	if !ok {
-		return nil
-	}
-	delete(p.resume.sources, k)
-	return sr
-}
-
-// sourceResumePending reports whether the stream below a cache node would
-// resume mid-epoch: an unconsumed resume entry exists for the source and it
-// does not represent a full from-the-start catalog. A cache built above a
-// mid-epoch stream must pass through rather than fill — it would otherwise
-// materialize only the epoch's tail.
-func (p *Pipeline) sourceResumePending(name string, replica int) bool {
-	p.resMu.Lock()
-	defer p.resMu.Unlock()
-	if p.resume == nil {
-		return false
-	}
-	sr, ok := p.resume.sources[resumeKey{name, replica}]
-	return ok && !sr.fromStart
-}
-
-func (p *Pipeline) takeRepeatResume(name string, replica int) (repeatResume, bool) {
-	p.resMu.Lock()
-	defer p.resMu.Unlock()
-	if p.resume == nil {
-		return repeatResume{}, false
-	}
-	k := resumeKey{name, replica}
-	rr, ok := p.resume.repeats[k]
+	v, ok := p.resume[k].(T)
 	if ok {
-		delete(p.resume.repeats, k)
-	}
-	return rr, ok
-}
-
-func (p *Pipeline) takeTakeResume(name string, replica int) (int64, bool) {
-	p.resMu.Lock()
-	defer p.resMu.Unlock()
-	if p.resume == nil {
-		return 0, false
-	}
-	k := resumeKey{name, replica}
-	v, ok := p.resume.takes[k]
-	if ok {
-		delete(p.resume.takes, k)
+		delete(p.resume, k)
 	}
 	return v, ok
 }
 
-func (p *Pipeline) takeCacheResume(key string) (cacheResume, bool) {
+// peekResume is takeResume without consuming the entry.
+func peekResume[T any](p *Pipeline, k resumeKey) (T, bool) {
 	p.resMu.Lock()
 	defer p.resMu.Unlock()
-	if p.resume == nil {
-		return cacheResume{}, false
-	}
-	cr, ok := p.resume.caches[key]
-	if ok {
-		delete(p.resume.caches, key)
-	}
-	return cr, ok
+	v, ok := p.resume[k].(T)
+	return v, ok
 }
 
 // peek reports an entry's signature and completeness without creating or

@@ -191,31 +191,6 @@ func TestReconfigureParallelismExact(t *testing.T) {
 	}
 }
 
-// TestReconfigureKnobs patches ChannelSlack and ChunkSize on a running
-// pipeline (edge rebuild only, same graph) and checks exact delivery.
-func TestReconfigureKnobs(t *testing.T) {
-	want := wantPayloads(t, 1)
-	fs, reg := testSetup(t)
-	g := pipeline.NewBuilder().
-		Named("src").Interleave(testCatalog.Name, 2).
-		Named("decode").Map("noop", 2).
-		MustBuild()
-	p, err := New(g, Options{FS: fs, UDFs: reg, ChunkSize: 4, ChannelSlack: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, examples := drainWithReconfigs(t, p, func() {
-		if _, err := p.Reconfigure(Patch{ChannelSlack: 8, ChunkSize: 16}); err != nil {
-			t.Errorf("Reconfigure: %v", err)
-		}
-	})
-	p.Close()
-	if total := int64(testCatalog.NumFiles * testCatalog.RecordsPerFile); examples != total {
-		t.Fatalf("drained %d examples, want %d", examples, total)
-	}
-	comparePayloadMultisets(t, "knobs", got, want)
-}
-
 // TestReconfigureCacheInsertMidEpoch inserts a Cache node into a running
 // repeated pipeline. The interrupted epoch passes through (a mid-stream
 // fill would materialize only the tail); the next full epoch fills the
@@ -492,7 +467,7 @@ func TestReconfigureValidation(t *testing.T) {
 
 // TestReconfigureTortureFlat is the -race torture test on the flat chain:
 // random Reconfigure calls — parallelism up/down, cache insert/remove,
-// slack and chunk changes — against a draining repeated pipeline, on both
+// same-graph rebuilds — against a draining repeated pipeline, on both
 // handoff kinds, with byte-exact delivery asserted and (under
 // -tags=arena_debug) zero arena blocks leaked across all the transitions.
 // It runs on the free chain and on a mixed-cost one — a 200 µs/element map
@@ -545,19 +520,14 @@ func tortureFlat(t *testing.T, kind HandoffKind, mixed bool) {
 				} else {
 					ng, err = ng.InsertAbove("decode", pipeline.Node{Name: "hotcache", Kind: pipeline.KindCache})
 				}
-			case 3: // edge knobs only
+			case 3: // same graph, edges rebuilt
 				ng = nil
 			}
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			patch := Patch{Graph: ng}
-			if rng.Intn(2) == 0 {
-				patch.ChannelSlack = 1 + rng.Intn(4)
-				patch.ChunkSize = 1 + rng.Intn(32)
-			}
-			_, rerr := p.Reconfigure(patch)
+			_, rerr := p.Reconfigure(Patch{Graph: ng})
 			switch {
 			case rerr == nil:
 				applied.Add(1)
@@ -775,5 +745,104 @@ func TestReconfigureWithSharedPool(t *testing.T) {
 	p.Close()
 	if total := int64(testCatalog.NumFiles * testCatalog.RecordsPerFile); examples != total {
 		t.Fatalf("drained %d examples, want %d", examples, total)
+	}
+}
+
+// TestReconfigureOuterReplicas reconfigures a pipeline of two outer replicas,
+// each with its own cache entry and resume state: src -> decode -> Cache ->
+// Repeat(3) -> Batch. The first patch raises decode's parallelism while the
+// caches fill, which changes their entries' signature: the rebuilt caches
+// pass the rest of epoch 1 through and epoch 2 fills them again. The second
+// inserts a Prefetch above the caches while they serve epoch 3: each replica
+// resumes at its own position. The delivered examples and bytes must equal an
+// unpatched drain's, and no arena block may stay live.
+func TestReconfigureOuterReplicas(t *testing.T) {
+	const epochs, perEpoch = 3, 4 * 50 // testCatalog: 4 files of 50 records
+	arenaBase := arenaLive()
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(testCatalog.Name, 1).
+		Named("decode").Map("noop", 1).
+		Named("hotcache").Cache().
+		Repeat(epochs).
+		Batch(8).
+		MustBuild()
+	g.OuterParallelism = 2
+	patches := []struct {
+		at    int64 // examples delivered before the patch is asked for
+		apply func(*pipeline.Graph) (*pipeline.Graph, error)
+	}{
+		{perEpoch / 2, func(g *pipeline.Graph) (*pipeline.Graph, error) { return g.WithParallelism("decode", 2) }},
+		{5 * perEpoch, func(g *pipeline.Graph) (*pipeline.Graph, error) {
+			return g.InsertAbove("hotcache", pipeline.Node{Name: "ahead", Kind: pipeline.KindPrefetch, BufferSize: 4})
+		}},
+	}
+	drain := func(patched bool) (examples int64, bytes [256]int64) {
+		fs, reg := testSetup(t)
+		p, err := New(g, Options{FS: fs, UDFs: reg, ChunkSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		next := 0
+		for {
+			if patched && next < len(patches) && examples >= patches[next].at {
+				_, complete, _ := p.caches.peek("hotcache#1")
+				if serving := next == 1; complete != serving {
+					t.Fatalf("patch %d asked for with replica 1's cache complete=%v", next, complete)
+				}
+				ng, err := patches[next].apply(p.Graph())
+				if err != nil {
+					t.Fatal(err)
+				}
+				done := make(chan error, 1)
+				go func() { _, err := p.Reconfigure(Patch{Graph: ng}); done <- err }()
+				for !p.quiesce.Load() && len(done) == 0 {
+					runtime.Gosched()
+				}
+				defer func(i int) {
+					if err := <-done; err != nil {
+						t.Errorf("patch %d: %v", i, err)
+					}
+				}(next)
+				next++
+			}
+			e, err := p.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			examples += int64(e.Count)
+			for _, b := range e.Payload {
+				bytes[b]++
+			}
+			p.Recycle(e)
+		}
+		if patched {
+			for _, key := range []string{"hotcache", "hotcache#1"} {
+				if _, complete, ok := p.caches.peek(key); !ok || !complete {
+					t.Fatalf("cache %s after the run: ok=%v complete=%v, want epoch 2's refill", key, ok, complete)
+				}
+			}
+		}
+		return examples, bytes
+	}
+	wantExamples, wantBytes := drain(false)
+	if wantExamples != 2*epochs*perEpoch {
+		t.Fatalf("unpatched drain delivered %d examples, want %d", wantExamples, 2*epochs*perEpoch)
+	}
+	gotExamples, gotBytes := drain(true)
+	if gotExamples != wantExamples || gotBytes != wantBytes {
+		t.Fatalf("patched drain delivered %d examples (bytes equal: %v), want %d", gotExamples, gotBytes == wantBytes, wantExamples)
+	}
+	if arenaDebug {
+		deadline := time.Now().Add(2 * time.Second)
+		for arenaLive() != arenaBase && time.Now().Before(deadline) {
+			runtime.Gosched()
+		}
+		if live := arenaLive(); live != arenaBase {
+			t.Fatalf("%d arena blocks left live", live-arenaBase)
+		}
 	}
 }

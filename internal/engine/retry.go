@@ -36,8 +36,6 @@ type Retry struct {
 	PerElementDeadline time.Duration
 }
 
-func (r Retry) enabled() bool { return r.MaxAttempts > 1 }
-
 // Backoff returns the delay before retry number `attempt` (1-based: the
 // delay after the attempt-th failure). rng supplies jitter and may be nil
 // when JitterFrac is zero.

@@ -215,7 +215,7 @@ func TestViewPathVerifiesChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := connector.SkipTo(r, off); err != nil {
+	if err := r.SkipTo(off); err != nil {
 		t.Fatal(err)
 	}
 	b, err := r.(connector.Viewer).View(1)

@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"plumber/internal/connector"
 	"plumber/internal/engine"
 	"plumber/internal/pipeline"
 	"plumber/internal/scenario"
-	"plumber/internal/simfs"
 	"plumber/internal/stats"
 )
 
@@ -78,12 +78,12 @@ func TestEngineMatchesReference(t *testing.T) {
 		stressed := base
 		stressed.ChannelSlack = 1
 		stressed.Retry = engine.Retry{MaxAttempts: 8, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}
-		w.FS.SetFaults(&simfs.FaultPlan{Seed: seed, Rules: []simfs.FaultRule{{Name: "flaky", ErrorRate: 0.05}}})
+		w.Source.SetFaults(&connector.FaultPlan{Seed: seed, Rules: []connector.FaultRule{{Name: "flaky", ErrorRate: 0.05}}})
 		pool, stop := contendedPool(t)
 		stressed.Pool, stressed.PoolTenant = pool, "tenant"
 		check("one-chunk edges, faults and a contended pool", deliver(t, g, stressed), want)
 		stop()
-		w.FS.SetFaults(nil)
+		w.Source.SetFaults(nil)
 	}
 }
 

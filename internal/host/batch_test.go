@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/host"
 	"plumber/internal/pipeline"
@@ -88,7 +89,7 @@ func decisionDiff(got, want *host.Decision) string {
 // same cache as each does admitted alone. Both run a UDF that records how
 // many of its calls overlap.
 func TestAddBatchSharedStore(t *testing.T) {
-	fs := simfs.New(simfs.Device{Name: "batch-shared"}, false)
+	fs := connector.FromSimFS(simfs.New(simfs.Device{Name: "batch-shared"}, false))
 	for _, name := range []string{"batch-shared-a", "batch-shared-b"} {
 		cat := data.Catalog{Name: name, NumFiles: 2, RecordsPerFile: 16, MeanRecordBytes: 512, DecodeAmplification: 1}
 		if err := data.RegisterCatalog(cat); err != nil {
@@ -114,7 +115,7 @@ func TestAddBatchSharedStore(t *testing.T) {
 	}
 	tenant := func(name, catalog string) host.Tenant {
 		g := pipeline.NewBuilder().Interleave(catalog, 1).Map("overlap", 1).Batch(8).MustBuild()
-		return host.Tenant{Name: name, Weight: 1, Graph: g, FS: fs, UDFs: reg, Seed: 5, WorkScale: 1}
+		return host.Tenant{Name: name, Weight: 1, Graph: g, Source: fs, UDFs: reg, Seed: 5, WorkScale: 1}
 	}
 	for _, cats := range [][2]string{{"batch-shared-a", "batch-shared-b"}, {"batch-shared-a", "batch-shared-a"}} {
 		ts := []host.Tenant{tenant("a", cats[0]), tenant("b", cats[1])}
@@ -170,10 +171,10 @@ func TestAddBatchFailingTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	tenant := func(name, fn string) host.Tenant {
-		fs := simfs.New(simfs.Device{Name: name}, false)
+		fs := connector.NewMem(name)
 		fs.AddCatalog(cat, 7)
 		g := pipeline.NewBuilder().Interleave(cat.Name, 1).Map(fn, 1).Batch(4).MustBuild()
-		return host.Tenant{Name: name, Weight: 1, Graph: g, FS: fs, UDFs: reg, Seed: 7, WorkScale: 1}
+		return host.Tenant{Name: name, Weight: 1, Graph: g, Source: fs, UDFs: reg, Seed: 7, WorkScale: 1}
 	}
 
 	baseline := runtime.NumGoroutine()

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/host"
 	"plumber/internal/pipeline"
@@ -25,7 +26,7 @@ func TestBoundedTraceTenant(t *testing.T) {
 	if err := data.RegisterCatalog(cat); err != nil {
 		t.Fatal(err)
 	}
-	fs := simfs.New(simfs.Device{Name: "host-slow", TotalBandwidth: 1e6, PerStreamBandwidth: 1e6}, true)
+	fs := connector.FromSimFS(simfs.New(simfs.Device{Name: "host-slow", TotalBandwidth: 1e6, PerStreamBandwidth: 1e6}, true))
 	fs.AddCatalog(cat, 3)
 	// The device's bucket starts with a quarter second of bandwidth.
 	for _, path := range fs.List()[:2] {
@@ -39,7 +40,7 @@ func TestBoundedTraceTenant(t *testing.T) {
 	g := pipeline.NewBuilder().Named("src").Interleave(cat.Name, 1).Named("batch").Batch(16).MustBuild()
 	arb := host.NewArbiter(plan.Budget{Cores: 2})
 	start := time.Now()
-	dec, err := arb.Add(host.Tenant{Name: "slow", Graph: g, FS: fs, DiskBandwidth: 1e6})
+	dec, err := arb.Add(host.Tenant{Name: "slow", Graph: g, Source: fs, DiskBandwidth: 1e6})
 	took := time.Since(start)
 	if err != nil {
 		t.Fatal(err)

@@ -53,7 +53,6 @@ import (
 	"plumber/internal/pipeline"
 	"plumber/internal/plan"
 	"plumber/internal/rewrite"
-	"plumber/internal/simfs"
 	"plumber/internal/stats"
 	"plumber/internal/trace"
 	"plumber/internal/udf"
@@ -69,12 +68,8 @@ type Tenant struct {
 	Weight float64
 	// Graph is the tenant's pipeline program.
 	Graph *pipeline.Graph
-	// FS serves the tenant's source shards from the simulated filesystem.
-	// Leave nil when Source is set.
-	FS *simfs.FS
-	// Source is the tenant's storage connector; when nil, FS is wrapped in
-	// the simfs adapter. Setting Source lets tenants read from any backend
-	// (local files, the modeled object store), and the backend's
+	// Source is the tenant's storage connector. Required. Any backend works
+	// (the simfs adapter, local files, the modeled object store), and its
 	// BandwidthHint participates in the arbiter's disk water-filling.
 	Source connector.Connector
 	// UDFs resolves the tenant's UDF names and randomness closure.
@@ -162,15 +157,6 @@ type Arbiter struct {
 type tenantState struct {
 	Tenant
 	analysis *ops.Analysis
-	src      connector.Connector
-}
-
-// source resolves the tenant's connector, defaulting to the simfs adapter.
-func (t *Tenant) source() connector.Connector {
-	if t.Source != nil {
-		return t.Source
-	}
-	return connector.FromSimFS(t.FS)
 }
 
 // sourceHints maps the tenant's source Datasets to the connector's
@@ -178,7 +164,7 @@ func (t *Tenant) source() connector.Connector {
 // Nil when the backend reports no hint (unbounded), preserving the
 // single-scalar model.
 func (t *tenantState) sourceHints() map[string]float64 {
-	hint := t.src.BandwidthHint()
+	hint := t.Source.BandwidthHint()
 	if hint <= 0 || t.analysis == nil {
 		return nil
 	}
@@ -198,19 +184,19 @@ func (t *tenantState) sourceHints() map[string]float64 {
 // DiskBandwidth and the connector's bandwidth hint (0 = unbounded).
 func (t *tenantState) diskCap() float64 {
 	c := t.DiskBandwidth
-	if h := t.src.BandwidthHint(); h > 0 && (c <= 0 || h < c) {
+	if h := t.Source.BandwidthHint(); h > 0 && (c <= 0 || h < c) {
 		c = h
 	}
 	return c
 }
 
-// store identifies the storage the tenant reads: a nil Source wraps FS in a
-// fresh adapter, so an FS is compared by itself, not by its adapter.
+// store identifies the storage the tenant reads: two simfs adapters over one
+// filesystem are one store.
 func (t *tenantState) store() any {
-	if s, ok := t.src.(*connector.SimFS); ok {
+	if s, ok := t.Source.(*connector.SimFS); ok {
 		return s.FS
 	}
-	return t.src
+	return t.Source
 }
 
 // NewArbiter returns an arbiter over the global envelope, with no tenants:
@@ -221,13 +207,6 @@ func NewArbiter(budget plan.Budget) *Arbiter {
 		budget.Cores = runtime.NumCPU()
 	}
 	return &Arbiter{budget: budget}
-}
-
-// Budget returns the global envelope the arbiter partitions.
-func (a *Arbiter) Budget() plan.Budget {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.budget
 }
 
 // Add traces the new tenants once each, admits them together, and
@@ -249,14 +228,14 @@ func (a *Arbiter) Add(ts ...Tenant) (*Decision, error) {
 		if t.Name == "" {
 			return nil, fmt.Errorf("host: tenant needs a name")
 		}
-		if t.Graph == nil || (t.FS == nil && t.Source == nil) {
+		if t.Graph == nil || t.Source == nil {
 			return nil, fmt.Errorf("host: tenant %q needs a graph and a storage source", t.Name)
 		}
 		if taken[t.Name] {
 			return nil, fmt.Errorf("host: tenant name %q is not unique", t.Name)
 		}
 		taken[t.Name] = true
-		batch[i] = &tenantState{Tenant: t, src: t.source()}
+		batch[i] = &tenantState{Tenant: t}
 	}
 	if len(taken) > a.budget.Cores {
 		return nil, fmt.Errorf("host: %d tenants need at least one core each, budget has %d",
@@ -366,17 +345,6 @@ func (a *Arbiter) Remove(name string) (*Decision, error) {
 	a.tenants = kept
 	if len(a.tenants) == 0 {
 		return &Decision{Budget: a.budget, TracesUsed: a.traces}, nil
-	}
-	return a.arbitrateLocked()
-}
-
-// Arbitrate re-solves the cross-tenant split for the current tenant set
-// without tracing anything.
-func (a *Arbiter) Arbitrate() (*Decision, error) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if len(a.tenants) == 0 {
-		return nil, fmt.Errorf("host: no tenants admitted")
 	}
 	return a.arbitrateLocked()
 }
@@ -697,7 +665,7 @@ func (a *Arbiter) arbitrateLocked() (*Decision, error) {
 // there is one, and ctx cancels it.
 func (a *Arbiter) traceTenant(ctx context.Context, t *tenantState, pool *engine.SharedPool) (*ops.Analysis, error) {
 	snap, err := engine.TraceRun(t.Graph, engine.Options{
-		FS:         t.src,
+		FS:         t.Source,
 		UDFs:       t.UDFs,
 		WorkScale:  t.WorkScale,
 		Spin:       t.Spin,

@@ -24,7 +24,7 @@ func tenantFor(t *testing.T, specName, tenantName string, weight float64) host.T
 			Name:          tenantName,
 			Weight:        weight,
 			Graph:         w.Graph,
-			FS:            w.FS,
+			Source:        w.Source,
 			UDFs:          w.Registry,
 			Seed:          s.Seed,
 			WorkScale:     1,

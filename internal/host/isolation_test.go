@@ -5,12 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/host"
 	"plumber/internal/pipeline"
 	"plumber/internal/plan"
-	"plumber/internal/simfs"
 	"plumber/internal/udf"
 )
 
@@ -37,7 +37,7 @@ func TestRunConcurrentIsolatesFailedTenant(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Faults go in only after arbitration, so planning traced a healthy FS.
-	victim.FS.SetFaults(&simfs.FaultPlan{Rules: []simfs.FaultRule{
+	victim.Source.SetFaults(&connector.FaultPlan{Rules: []connector.FaultRule{
 		{Name: "dead-device", ErrorRate: 1, Permanent: true},
 	}})
 
@@ -132,7 +132,7 @@ func TestRunConcurrentAbsorbsTransientFaults(t *testing.T) {
 		}
 	}
 	for i, tn := range tenants {
-		tn.FS.SetFaults(&simfs.FaultPlan{Seed: uint64(i + 1), Rules: []simfs.FaultRule{
+		tn.Source.SetFaults(&connector.FaultPlan{Seed: uint64(i + 1), Rules: []connector.FaultRule{
 			{Name: "flaky", ErrorRate: 0.05},
 		}})
 	}
@@ -178,7 +178,7 @@ func TestRunConcurrentWatchdogReclaimsStalledTenant(t *testing.T) {
 	if err := data.RegisterCatalog(cat); err != nil {
 		t.Fatal(err)
 	}
-	fs := simfs.New(simfs.Device{Name: "watchdog-mem"}, false)
+	fs := connector.NewMem("watchdog-mem")
 	fs.AddCatalog(cat, 3)
 
 	// The wedge arms only after arbitration, so the planning trace runs
@@ -210,7 +210,7 @@ func TestRunConcurrentWatchdogReclaimsStalledTenant(t *testing.T) {
 
 	arb := host.NewArbiter(plan.Budget{Cores: 4, MemoryBytes: 32 << 20})
 	if _, err := arb.Add(host.Tenant{
-		Name: "wedged", Weight: 1, Graph: g, FS: fs, UDFs: reg, Seed: 3, WorkScale: 1,
+		Name: "wedged", Weight: 1, Graph: g, Source: fs, UDFs: reg, Seed: 3, WorkScale: 1,
 	}); err != nil {
 		t.Fatal(err)
 	}

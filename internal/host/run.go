@@ -418,7 +418,7 @@ func (a *Arbiter) RunConcurrent(dec *Decision, opts RunOptions) (*RunReport, err
 		}
 		r := &runner{share: share}
 		eopts := engine.Options{
-			FS:         t.src,
+			FS:         t.Source,
 			UDFs:       t.UDFs,
 			WorkScale:  t.WorkScale,
 			Spin:       opts.Spin || t.Spin,
@@ -436,8 +436,8 @@ func (a *Arbiter) RunConcurrent(dec *Decision, opts RunOptions) (*RunReport, err
 				return nil, err
 			}
 			col.SetTenant(share.Tenant)
-			t.src.AddObserver(col)
-			defer t.src.RemoveObserver(col)
+			t.Source.AddObserver(col)
+			defer t.Source.RemoveObserver(col)
 			r.col = col
 			eopts.Collector = col
 		}

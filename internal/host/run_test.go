@@ -102,7 +102,7 @@ func TestArbiterMemorySplitFollowsCacheBenefit(t *testing.T) {
 			t.Fatal(err)
 		}
 		return host.Tenant{
-			Name: spec.Name, Weight: 1, Graph: w.Graph, FS: w.FS, UDFs: w.Registry,
+			Name: spec.Name, Weight: 1, Graph: w.Graph, Source: w.Source, UDFs: w.Registry,
 			Seed: spec.Seed, WorkScale: 1,
 		}
 	}

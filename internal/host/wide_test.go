@@ -5,10 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/pipeline"
 	"plumber/internal/plan"
-	"plumber/internal/simfs"
 	"plumber/internal/stats"
 	"plumber/internal/udf"
 )
@@ -57,7 +57,7 @@ func spinTenant(t *testing.T, name string, records int, o *overlap, after func(n
 	if err := data.RegisterCatalog(cat); err != nil {
 		t.Fatal(err)
 	}
-	fs := simfs.New(simfs.Device{Name: "wide-" + name}, false)
+	fs := connector.NewMem("wide-" + name)
 	fs.AddCatalog(cat, 5)
 	reg := udf.NewRegistry()
 	if err := reg.Register(udf.UDF{
@@ -74,7 +74,7 @@ func spinTenant(t *testing.T, name string, records int, o *overlap, after func(n
 		t.Fatal(err)
 	}
 	g := pipeline.NewBuilder().Interleave(cat.Name, 1).Map("decode", 1).Batch(8).MustBuild()
-	return Tenant{Name: name, Weight: 1, Graph: g, FS: fs, UDFs: reg, Seed: 5, WorkScale: 1, Spin: true}
+	return Tenant{Name: name, Weight: 1, Graph: g, Source: fs, UDFs: reg, Seed: 5, WorkScale: 1, Spin: true}
 }
 
 // TestSharesRunPoolWidePrograms: two spin tenants on a 2-core pool are each
@@ -153,7 +153,7 @@ func TestRunConcurrentSurvivorUsesReclaimedCores(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Faults go in only after arbitration, so planning traced a healthy FS.
-	victimTenant.FS.SetFaults(&simfs.FaultPlan{Rules: []simfs.FaultRule{
+	victimTenant.Source.SetFaults(&connector.FaultPlan{Rules: []connector.FaultRule{
 		{Name: "dead-device", ErrorRate: 1, Permanent: true},
 	}})
 	survivor.reset()

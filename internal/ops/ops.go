@@ -16,7 +16,6 @@ package ops
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"plumber/internal/pipeline"
@@ -47,8 +46,8 @@ type NodeAnalysis struct {
 	// per core attributable to this node (LocalRate / VisitRatio).
 	Rate float64
 	// ScaledCapacity is Parallelism × Rate: the node's current throughput
-	// ceiling in minibatches/second. Plumber's sequential tuner ranks
-	// nodes by this value.
+	// ceiling in minibatches/second; Bottleneck is the node where it is
+	// lowest.
 	ScaledCapacity float64
 
 	// IOBytesPerMinibatch is filesystem bytes needed per root minibatch
@@ -422,92 +421,4 @@ func (a *Analysis) Bottleneck() NodeAnalysis {
 		return a.Nodes[0]
 	}
 	return a.Nodes[best]
-}
-
-// RankedByCapacity returns nodes sorted ascending by ScaledCapacity — the
-// "focus the practitioner's attention on the most underperforming subset"
-// ranking (§1). Ties preserve source-to-root order.
-func (a *Analysis) RankedByCapacity() []NodeAnalysis {
-	out := append([]NodeAnalysis(nil), a.Nodes...)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].ScaledCapacity < out[j].ScaledCapacity
-	})
-	return out
-}
-
-// NextParallelizableBottleneck returns the lowest-capacity node whose
-// parallelism knob Plumber may raise, which is what the sequential tuner
-// steps on (§5.1). ok is false when no parallelizable node exists or the
-// bottleneck is fundamentally sequential and dominates everything else by
-// margin (the "gave up upon seeing the non-optimizable Dataset" case is
-// reported via Bottleneck).
-func (a *Analysis) NextParallelizableBottleneck() (NodeAnalysis, bool) {
-	var best NodeAnalysis
-	found := false
-	for _, n := range a.Nodes {
-		if !n.Parallelizable {
-			continue
-		}
-		if !found || n.ScaledCapacity < best.ScaledCapacity {
-			best = n
-			found = true
-		}
-	}
-	return best, found
-}
-
-// DiskBoundMinibatchesPerSec converts available bandwidth (bytes/second)
-// into a root-throughput ceiling using the source's I/O cost: the §5.2
-// arithmetic (e.g. ImageNet: 128×110KB per minibatch → 6.9 minibatches per
-// 100MB/s). A pipeline that performs no I/O is never disk-bound (+Inf); a
-// pipeline that does perform I/O has ceiling 0 when bandwidth <= 0, since
-// no bytes can be served.
-func (a *Analysis) DiskBoundMinibatchesPerSec(bandwidth float64) float64 {
-	return a.DiskBoundWithSources(bandwidth, nil)
-}
-
-// DiskBoundWithSources is DiskBoundMinibatchesPerSec with per-source
-// bandwidth hints (by Dataset name): each I/O node is individually bounded
-// by its own hint, and the global bandwidth bounds the nodes' aggregate
-// demand — on a DAG every source draws from the same device, so the global
-// ceiling divides by total I/O bytes per minibatch, not per node. A nil
-// map reproduces DiskBoundMinibatchesPerSec exactly.
-func (a *Analysis) DiskBoundWithSources(bandwidth float64, src map[string]float64) float64 {
-	bound := math.Inf(1)
-	var totalIO float64
-	for _, n := range a.Nodes {
-		if n.IOBytesPerMinibatch <= 0 {
-			continue
-		}
-		totalIO += n.IOBytesPerMinibatch
-		if v, ok := src[n.Name]; ok && v > 0 {
-			if db := v / n.IOBytesPerMinibatch; db < bound {
-				bound = db
-			}
-		} else if bandwidth <= 0 {
-			return 0
-		}
-	}
-	if bandwidth > 0 && totalIO > 0 {
-		if db := bandwidth / totalIO; db < bound {
-			bound = db
-		}
-	}
-	return bound
-}
-
-// CPUBoundMinibatchesPerSec is the aggregate work-conservation ceiling:
-// with nc cores and total CPU cost Σ_i (1/R_i) core-seconds per minibatch,
-// throughput cannot exceed nc / Σ(1/R_i).
-func (a *Analysis) CPUBoundMinibatchesPerSec(cores int) float64 {
-	var perMB float64
-	for _, n := range a.Nodes {
-		if n.Measurable() {
-			perMB += 1 / n.Rate
-		}
-	}
-	if perMB == 0 {
-		return math.Inf(1)
-	}
-	return float64(cores) / perMB
 }

@@ -55,24 +55,3 @@ func TestBottleneckAllInfiniteFallsBackToSource(t *testing.T) {
 		}
 	}
 }
-
-func TestDiskBoundGuardsNonPositiveBandwidth(t *testing.T) {
-	a := analysisFromCapacities([]float64{100, 50}, 1<<20)
-	if got := a.DiskBoundMinibatchesPerSec(100 << 20); got != 100 {
-		t.Fatalf("positive bandwidth: got %v minibatches/sec, want 100", got)
-	}
-	for _, bw := range []float64{0, -1, -1e9} {
-		if got := a.DiskBoundMinibatchesPerSec(bw); got != 0 {
-			t.Fatalf("bandwidth %v: got %v, want 0 (was the nonsense negative ceiling)", bw, got)
-		}
-	}
-}
-
-func TestDiskBoundNoIOIsUnbounded(t *testing.T) {
-	a := analysisFromCapacities([]float64{100, 50}, 0)
-	for _, bw := range []float64{0, 100 << 20} {
-		if got := a.DiskBoundMinibatchesPerSec(bw); !math.IsInf(got, 1) {
-			t.Fatalf("no-I/O pipeline at bandwidth %v: got %v, want +Inf", bw, got)
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package ops
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -116,5 +117,31 @@ func TestAnalyzeWholePassVisitRatiosUnchanged(t *testing.T) {
 		if want := float64(counts[n.Name][1]) / 94; math.Abs(n.VisitRatio-want) > 1e-12 {
 			t.Errorf("%s VisitRatio = %v, want %v", n.Name, n.VisitRatio, want)
 		}
+	}
+}
+
+// TestParallelizableBatchIsSequential: a serialized graph that still marks
+// its Batch "parallelizable_batch", a knob the engine never honoured,
+// unmarshals, and its Batch is analyzed as the sequential stage the engine
+// runs: no plan can price cores for it.
+func TestParallelizableBatchIsSequential(t *testing.T) {
+	snap := prefixSnapshot(t)
+	b, err := snap.Graph.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b = bytes.Replace(b, []byte(`"batch_size": 16`), []byte(`"batch_size": 16, "parallelizable_batch": true`), 1)
+	if snap.Graph, err = pipeline.Unmarshal(b); err != nil {
+		t.Fatal(err)
+	}
+	a, err := Analyze(snap, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch, err := a.Node("batch"); err != nil || batch.Parallelizable {
+		t.Fatalf("batch analyzed as parallelizable (err %v)", err)
+	}
+	if wide, as := a.PredictRate(Hypothetical{Parallelism: map[string]int{"batch": 4}}), a.PredictRate(Hypothetical{}); wide != as {
+		t.Fatalf("4 batch workers predict %v minibatches/s, the traced shape %v", wide, as)
 	}
 }

@@ -63,47 +63,34 @@ func TestPredictRatePerSourceBandwidth(t *testing.T) {
 	}
 }
 
-// TestDiskBoundWithSources checks the analysis-level bound: nil map
-// reproduces the scalar version, per-source hints take the min, and a
-// non-positive effective bandwidth is guarded to zero.
-func TestDiskBoundWithSources(t *testing.T) {
-	a := analysisFromCapacities([]float64{100, 50}, 1<<20)
-
-	scalar := a.DiskBoundMinibatchesPerSec(100 << 20)
-	if got := a.DiskBoundWithSources(100<<20, nil); got != scalar {
-		t.Fatalf("nil sources: got %v, want scalar bound %v", got, scalar)
-	}
-
-	src := map[string]float64{a.Nodes[0].Name: 10e6}
-	want := 10e6 / float64(1<<20)
-	if got := a.DiskBoundWithSources(100<<20, src); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("tight hint: got %v, want %v", got, want)
-	}
-	// Hint only, no global budget.
-	if got := a.DiskBoundWithSources(0, src); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("hint without global: got %v, want %v", got, want)
-	}
-	// Neither binds: zero, as the scalar version guards.
-	if got := a.DiskBoundWithSources(0, map[string]float64{}); got != 0 {
-		t.Fatalf("no bandwidth anywhere: got %v, want 0", got)
-	}
-	// No IO stays unbounded regardless of hints.
+// TestCeilingStorage checks the storage bound every consumer of the model
+// reads: the global bandwidth bounds the I/O nodes' aggregate demand, a
+// source hint bounds its own node, the tighter of the two wins, and a
+// pipeline with no I/O — or no bandwidth declared anywhere — is unbounded.
+func TestCeilingStorage(t *testing.T) {
+	io := analysisFromCapacities([]float64{100, 50}, 1<<20)
 	noIO := analysisFromCapacities([]float64{100, 50}, 0)
-	if got := noIO.DiskBoundWithSources(10e6, src); !math.IsInf(got, 1) {
-		t.Fatalf("no-IO pipeline: got %v, want +Inf", got)
-	}
-}
-
-// TestEfficiencyWithSourcesMatchesScalar pins the regression contract: with
-// no per-source hints the calibrated efficiency is identical to the
-// original single-scalar path.
-func TestEfficiencyWithSourcesMatchesScalar(t *testing.T) {
-	a := whatifAnalysis()
-	for _, bw := range []float64{0, 10e6, 1e9} {
-		scalar := a.Efficiency(4, bw)
-		withNil := a.EfficiencyWithSources(4, bw, nil)
-		if scalar != withNil {
-			t.Fatalf("bw %v: EfficiencyWithSources(nil) = %v, want %v", bw, withNil, scalar)
-		}
+	src := io.Nodes[0].Name
+	hinted := 10e6 / float64(1<<20)
+	inf := math.Inf(1)
+	for _, c := range []struct {
+		name string
+		a    *Analysis
+		h    Hypothetical
+		want float64
+	}{
+		{"global_only", io, Hypothetical{DiskBandwidth: 100 << 20}, 100},
+		{"tight_hint", io, Hypothetical{DiskBandwidth: 100 << 20, SourceBandwidth: map[string]float64{src: 10e6}}, hinted},
+		{"loose_hint", io, Hypothetical{DiskBandwidth: 5 << 20, SourceBandwidth: map[string]float64{src: 10e6}}, 5},
+		{"hint_only", io, Hypothetical{SourceBandwidth: map[string]float64{src: 10e6}}, hinted},
+		{"no_io", noIO, Hypothetical{DiskBandwidth: 10e6, SourceBandwidth: map[string]float64{src: 10e6}}, inf},
+		{"zero_bandwidth", io, Hypothetical{}, inf},
+		{"negative_bandwidth", io, Hypothetical{DiskBandwidth: -1e9, SourceBandwidth: map[string]float64{src: -1}}, inf},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.a.Ceiling(c.h).Storage; math.Abs(got-c.want) > 1e-9 && got != c.want {
+				t.Fatalf("Storage = %v, want %v", got, c.want)
+			}
+		})
 	}
 }

@@ -146,18 +146,13 @@ func (a *Analysis) PredictRate(h Hypothetical) float64 {
 
 // Efficiency is the calibration factor relating the model to this host:
 // ObservedRate divided by PredictRate of the as-traced shape under the
-// given resource bounds. Engine overhead, scheduling, and cores the host
-// cannot actually deliver all land in this single scalar, which
-// PredictObservedRate multiplies back in. Returns 1 when the as-traced
-// shape has no finite modeled bound to calibrate against.
-func (a *Analysis) Efficiency(cores int, diskBandwidth float64) float64 {
-	return a.EfficiencyWithSources(cores, diskBandwidth, nil)
-}
-
-// EfficiencyWithSources is Efficiency with per-source bandwidth hints
-// applied to the as-traced baseline, so calibration and prediction see the
-// same storage model. A nil map reproduces Efficiency exactly.
-func (a *Analysis) EfficiencyWithSources(cores int, diskBandwidth float64, src map[string]float64) float64 {
+// given resource bounds, with src the per-source bandwidth hints (nil for
+// none), so calibration and prediction see the same storage model. Engine
+// overhead, scheduling, and cores the host cannot actually deliver all land
+// in this single scalar, which PredictObservedRate multiplies back in.
+// Returns 1 when the as-traced shape has no finite modeled bound to
+// calibrate against.
+func (a *Analysis) Efficiency(cores int, diskBandwidth float64, src map[string]float64) float64 {
 	base := a.PredictRate(Hypothetical{
 		OuterParallelism: a.Snapshot.Graph.OuterParallelism,
 		Cores:            cores,
@@ -183,6 +178,6 @@ func (a *Analysis) PredictObservedRate(h Hypothetical) float64 {
 	if math.IsInf(r, 1) {
 		return r
 	}
-	r *= a.EfficiencyWithSources(h.Cores, h.DiskBandwidth, h.SourceBandwidth)
+	r *= a.Efficiency(h.Cores, h.DiskBandwidth, h.SourceBandwidth)
 	return math.Min(r, a.Ceiling(h).Storage)
 }

@@ -108,7 +108,7 @@ func TestPredictRateOuterParallelism(t *testing.T) {
 func TestEfficiencyCalibratesPredictions(t *testing.T) {
 	a := whatifAnalysis()
 	// ObservedRate 50 against the as-traced bound 100 -> efficiency 0.5.
-	if got := a.Efficiency(0, 0); got != 0.5 {
+	if got := a.Efficiency(0, 0, nil); got != 0.5 {
 		t.Fatalf("efficiency = %v, want 0.5", got)
 	}
 	// The calibrated what-if prediction scales the raw bound by it.
@@ -151,7 +151,7 @@ func TestPredictObservedRateHeldToStorageBound(t *testing.T) {
 	// A warm cache takes the source out of the model, and its bound with it.
 	a.ObservedRate = 40
 	warm := Hypothetical{CacheAbove: "interleave_1", WarmCache: true, Parallelism: planned.Parallelism, DiskBandwidth: 10e6}
-	if got, eff := a.PredictObservedRate(warm), a.Efficiency(0, 10e6); math.Abs(got-400*eff) > 1e-6 {
+	if got, eff := a.PredictObservedRate(warm), a.Efficiency(0, 10e6, nil); math.Abs(got-400*eff) > 1e-6 {
 		t.Fatalf("warm prediction = %v, want map@4 x efficiency = %v", got, 400*eff)
 	}
 }

@@ -79,11 +79,6 @@ func (b *Builder) Batch(size int) *Builder {
 	return b.add(Node{Kind: KindBatch, BatchSize: size})
 }
 
-// ParallelBatch appends a batch whose grouping may be parallelized.
-func (b *Builder) ParallelBatch(size, parallelism int) *Builder {
-	return b.add(Node{Kind: KindBatch, BatchSize: size, ParallelizableBatch: true, Parallelism: parallelism})
-}
-
 // Prefetch appends a prefetch buffer.
 func (b *Builder) Prefetch(bufferSize int) *Builder {
 	return b.add(Node{Kind: KindPrefetch, BufferSize: bufferSize})

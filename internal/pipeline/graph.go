@@ -12,8 +12,7 @@
 // InsertAbove, Remove, WithParallelism, WithOuterParallelism — each of
 // which returns a validated clone and leaves the receiver untouched, so
 // analyses and snapshots keyed on node names never observe a half-edited
-// program. Raw SetNode remains for in-place parameter edits by code that
-// manages its own validation.
+// program.
 package pipeline
 
 import (
@@ -69,9 +68,6 @@ type Node struct {
 	Count int64 `json:"count,omitempty"`
 	// Catalog names the dataset read by a source node.
 	Catalog string `json:"catalog,omitempty"`
-	// ParallelizableBatch marks a Batch node whose grouping may be
-	// parallelized ("introducing inner-parallelism for Batching", §5.1).
-	ParallelizableBatch bool `json:"parallelizable_batch,omitempty"`
 }
 
 // EffectiveParallelism returns the node's parallelism, defaulting to 1.
@@ -90,8 +86,6 @@ func (n Node) Parallelizable() bool {
 	switch n.Kind {
 	case KindMap, KindInterleave, KindSource:
 		return true
-	case KindBatch:
-		return n.ParallelizableBatch
 	default:
 		return false
 	}
@@ -164,16 +158,6 @@ func (g *Graph) NodeIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// SetNode replaces the named node in place.
-func (g *Graph) SetNode(n Node) error {
-	i := g.NodeIndex(n.Name)
-	if i < 0 {
-		return fmt.Errorf("pipeline: no node %q", n.Name)
-	}
-	g.Nodes[i] = n
-	return nil
 }
 
 // InsertAbove returns a validated clone with n inserted directly above the
@@ -548,30 +532,4 @@ func Unmarshal(b []byte) (*Graph, error) {
 		return nil, err
 	}
 	return &g, nil
-}
-
-// BatchSizeAtRoot returns the product of batch sizes along the root path
-// (the number of examples per root element), defaulting to 1 with no Batch
-// node. The walk stops below a combining operator: batching inside a branch
-// does not multiply the root's element size.
-func (g *Graph) BatchSizeAtRoot() (int, error) {
-	order, err := g.Topo()
-	if err != nil {
-		return 0, err
-	}
-	byName := make(map[string]Node, len(order))
-	for _, n := range order {
-		byName[n.Name] = n
-	}
-	size := 1
-	for cur := byName[g.Output]; ; {
-		if cur.Kind == KindBatch {
-			size *= cur.BatchSize
-		}
-		if cur.Input == "" {
-			break
-		}
-		cur = byName[cur.Input]
-	}
-	return size, nil
 }

@@ -359,7 +359,7 @@ func Solve(a *ops.Analysis, b Budget) (*Plan, error) {
 	}
 
 	// Predictions, calibrated by the planning trace's observed efficiency.
-	p.Efficiency = stats.FiniteOrZero(a.EfficiencyWithSources(cores, b.DiskBandwidth, b.SourceBandwidth))
+	p.Efficiency = stats.FiniteOrZero(a.Efficiency(cores, b.DiskBandwidth, b.SourceBandwidth))
 	p.PredictedMinibatchesPerSec = stats.FiniteOrZero(
 		a.PredictObservedRate(p.Hypothetical(true, cores, b.DiskBandwidth)))
 	p.PredictedFillMinibatchesPerSec = stats.FiniteOrZero(

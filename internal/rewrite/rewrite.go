@@ -70,24 +70,13 @@ func ParallelCoresInUse(g *pipeline.Graph) int {
 }
 
 // CapacityCeiling is the best end-to-end throughput (minibatches/second)
-// this pipeline shape can reach under the budget: the minimum of the disk
-// ceiling, the aggregate CPU work-conservation ceiling, and every
-// non-parallelizable Dataset's current capacity (a sequential node cannot
-// be raised past its single-core rate, only bypassed by outer parallelism).
+// this pipeline shape can reach under the budget: ops.Ceiling's resource
+// bound (disk and aggregate CPU) or its slowest non-parallelizable Dataset,
+// whichever is lower (a sequential node cannot be raised past its
+// single-core rate, only bypassed by outer parallelism).
 func CapacityCeiling(a *ops.Analysis, b plan.Budget) float64 {
-	c := math.Inf(1)
-	if b.DiskBandwidth > 0 {
-		c = math.Min(c, a.DiskBoundMinibatchesPerSec(b.DiskBandwidth))
-	}
-	if b.Cores > 0 {
-		c = math.Min(c, a.CPUBoundMinibatchesPerSec(b.Cores))
-	}
-	for _, n := range a.Nodes {
-		if !n.Parallelizable && !math.IsInf(n.ScaledCapacity, 1) {
-			c = math.Min(c, n.ScaledCapacity)
-		}
-	}
-	return c
+	c := a.Ceiling(ops.Hypothetical{Cores: b.Cores, DiskBandwidth: b.DiskBandwidth})
+	return math.Min(c.Resource, c.Sequential)
 }
 
 // uniqueName returns base, or base_2, base_3, ... — the first name not

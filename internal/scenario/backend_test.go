@@ -54,13 +54,6 @@ func TestBuildBackends(t *testing.T) {
 			if got := w.Source.Backend(); got != wantBackend {
 				t.Fatalf("Source.Backend() = %q, want %q", got, wantBackend)
 			}
-			if backend == "" || backend == "simfs" {
-				if w.FS == nil {
-					t.Fatal("simfs workload must keep the raw FS for legacy callers")
-				}
-			} else if w.FS != nil {
-				t.Fatalf("%s workload leaked a raw simfs FS", backend)
-			}
 			snap, err := plumber.Trace(w.Graph, plumber.Options{
 				Source: w.Source, UDFs: w.Registry, Seed: w.Spec.Seed, WorkScale: 1,
 			})

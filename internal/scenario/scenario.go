@@ -131,9 +131,6 @@ type Workload struct {
 	// AuxCatalog is the auxiliary branch's catalog when Spec.Shape is set
 	// (zero otherwise).
 	AuxCatalog data.Catalog
-	// FS is the simulated filesystem backing the workload; nil for the
-	// localfs and objectstore backends. Prefer Source, which is always set.
-	FS *simfs.FS
 	// Source is the storage connector every read goes through.
 	Source   connector.Connector
 	Graph    *pipeline.Graph
@@ -343,7 +340,6 @@ func Build(spec Spec) (*Workload, error) {
 		if s.Shape != "" {
 			fs.AddCatalog(auxCat, s.Seed)
 		}
-		w.FS = fs
 		w.Source = connector.FromSimFS(fs)
 	case "localfs":
 		dir, err := os.MkdirTemp("", "plumber-localfs-")

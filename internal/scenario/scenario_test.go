@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"plumber"
+	"plumber/internal/ops"
 	"plumber/internal/scenario"
 )
 
@@ -19,7 +20,7 @@ func TestSuiteTracesToEOF(t *testing.T) {
 				t.Fatal(err)
 			}
 			snap, err := plumber.Trace(w.Graph, plumber.Options{
-				FS: w.FS, UDFs: w.Registry, Seed: w.Spec.Seed, WorkScale: 1,
+				Source: w.Source, UDFs: w.Registry, Seed: w.Spec.Seed, WorkScale: 1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -71,9 +72,8 @@ func TestSuiteTracesToEOF(t *testing.T) {
 				if w.DiskBandwidth <= 0 {
 					t.Fatal("cold-storage scenario carries no disk-bandwidth hint")
 				}
-				disk := an.DiskBoundMinibatchesPerSec(w.DiskBandwidth)
-				cpu := an.CPUBoundMinibatchesPerSec(8)
-				if disk >= cpu {
+				c := an.Ceiling(ops.Hypothetical{DiskBandwidth: w.DiskBandwidth})
+				if disk, cpu := c.Storage, 8/c.CPUPerMinibatch; disk >= cpu {
 					t.Fatalf("disk bound %.1f not below CPU bound %.1f; scenario is not disk-bound", disk, cpu)
 				}
 			case "skewed":

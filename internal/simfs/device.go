@@ -1,14 +1,12 @@
 // Package simfs provides the storage substrate for the Plumber reproduction
 // (§5.2's disk-bound setups): an in-memory filesystem holding synthetic
-// TFRecord shards, device models with bandwidth limits (token bucket) and
-// per-stream ceilings, read instrumentation for the tracer (§4.1's
-// filename-to-bytes map), and a fio-like profiler that measures the
-// read-parallelism-versus-bandwidth curve of a directory.
+// TFRecord shards, a device model whose total bandwidth a token bucket
+// enforces, read instrumentation for the tracer (§4.1's filename-to-bytes
+// map), and seeded fault injection on the read path. The connector package
+// serves it as one storage backend; nothing else reads it directly.
 //
-// The paper's disk microbenchmarks (§5.2) simulate bandwidths with a
-// token-bucket limiter inside TensorFlow's filesystem layer and validate on a
-// real HDD (Seagate, 180MB/s) and NVMe SSD (Intel P3600, 2GB/s); the device
-// profiles here mirror those numbers.
+// The paper's disk microbenchmarks (§5.2) simulate bandwidths the same way,
+// with a token-bucket limiter inside TensorFlow's filesystem layer.
 package simfs
 
 import (
@@ -27,55 +25,14 @@ type Device struct {
 	// TotalBandwidth is the aggregate read bandwidth in bytes/second.
 	TotalBandwidth float64
 	// PerStreamBandwidth is the bandwidth one sequential reader achieves in
-	// bytes/second; parallel readers are needed to saturate TotalBandwidth.
+	// bytes/second. The token bucket enforces only the total; a scenario's
+	// object store paces each stream to this.
 	PerStreamBandwidth float64
 	// ReadLatency is the fixed latency added to each read call.
 	ReadLatency time.Duration
 }
 
-// SaturatingParallelism returns the minimum number of concurrent streams
-// needed to reach the device's total bandwidth. Degenerate devices —
-// non-positive or infinite bandwidths, as on the Unlimited profile —
-// saturate with a single stream (the Inf/Inf ratio would otherwise
-// overflow the int conversion).
-func (d Device) SaturatingParallelism() int {
-	if d.PerStreamBandwidth <= 0 || d.TotalBandwidth <= 0 ||
-		math.IsInf(d.PerStreamBandwidth, 1) || math.IsInf(d.TotalBandwidth, 1) {
-		return 1
-	}
-	return int(math.Ceil(d.TotalBandwidth / d.PerStreamBandwidth))
-}
-
-// EffectiveBandwidth returns the aggregate bandwidth achieved by p
-// concurrent sequential streams: min(TotalBandwidth, p*PerStreamBandwidth).
-func (d Device) EffectiveBandwidth(p int) float64 {
-	if p < 1 {
-		p = 1
-	}
-	bw := float64(p) * d.PerStreamBandwidth
-	if bw > d.TotalBandwidth || d.PerStreamBandwidth <= 0 {
-		bw = d.TotalBandwidth
-	}
-	return bw
-}
-
 const mb = 1e6
-
-// Built-in device profiles matching the paper's hardware (§5.2) plus the
-// cloud-storage source implied by the end-to-end ResNet bottleneck of ~11k
-// images/second at ~110KB/image (§5.4).
-var (
-	// HDD matches the Seagate ST4000NM0023: 180MB/s sequential read.
-	HDD = Device{Name: "hdd", TotalBandwidth: 180 * mb, PerStreamBandwidth: 90 * mb, ReadLatency: 4 * time.Millisecond}
-	// NVMe matches the 400GB Intel P3600: 2GB/s read.
-	NVMe = Device{Name: "nvme", TotalBandwidth: 2000 * mb, PerStreamBandwidth: 400 * mb, ReadLatency: 90 * time.Microsecond}
-	// CloudStorage models the distributed-filesystem source in Setup C;
-	// ~1.25GB/s aggregate (11k images/s * ~113KB) reachable only with
-	// high read parallelism.
-	CloudStorage = Device{Name: "cloud", TotalBandwidth: 1250 * mb, PerStreamBandwidth: 85 * mb, ReadLatency: 30 * time.Millisecond}
-	// Unlimited is used by unit tests and CPU-only experiments.
-	Unlimited = Device{Name: "unlimited", TotalBandwidth: math.Inf(1), PerStreamBandwidth: math.Inf(1)}
-)
 
 // TokenBucket enforces a byte-rate limit in virtual time. It is pure
 // arithmetic: Take reports how long the caller must wait, and the caller

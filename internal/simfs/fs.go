@@ -159,17 +159,6 @@ func (fs *FS) List() []string {
 	return out
 }
 
-// Spec returns the generation spec for a path.
-func (fs *FS) Spec(path string) (data.FileSpec, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	f, ok := fs.files[path]
-	if !ok {
-		return data.FileSpec{}, fmt.Errorf("simfs: spec %s: no such file", path)
-	}
-	return f.spec, nil
-}
-
 // TotalBytesRead reports aggregate bytes served since creation.
 func (fs *FS) TotalBytesRead() int64 {
 	fs.mu.Lock()

@@ -2,41 +2,12 @@ package simfs
 
 import (
 	"io"
-	"math"
 	"sync"
 	"testing"
 	"time"
 
 	"plumber/internal/data"
 )
-
-func TestDeviceBandwidthAccounting(t *testing.T) {
-	d := Device{Name: "test", TotalBandwidth: 200 * mb, PerStreamBandwidth: 50 * mb}
-	// One stream is per-stream bound; enough streams saturate the device.
-	cases := []struct {
-		p    int
-		want float64
-	}{
-		{0, 50 * mb}, // clamped to 1 stream
-		{1, 50 * mb},
-		{2, 100 * mb},
-		{4, 200 * mb},
-		{8, 200 * mb}, // capped by the device total
-	}
-	for _, c := range cases {
-		if got := d.EffectiveBandwidth(c.p); got != c.want {
-			t.Errorf("EffectiveBandwidth(%d) = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if got := d.SaturatingParallelism(); got != 4 {
-		t.Errorf("SaturatingParallelism = %d, want 4", got)
-	}
-	// Degenerate devices saturate with one stream and serve at the total.
-	unl := Device{Name: "u", TotalBandwidth: math.Inf(1), PerStreamBandwidth: math.Inf(1)}
-	if got := unl.SaturatingParallelism(); got != 1 {
-		t.Errorf("unlimited SaturatingParallelism = %d, want 1", got)
-	}
-}
 
 func TestTokenBucketDelaysDeficit(t *testing.T) {
 	tb := NewTokenBucket(100, 100) // 100 bytes/s, 100-byte burst

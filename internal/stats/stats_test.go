@@ -5,58 +5,6 @@ import (
 	"testing"
 )
 
-func TestPiecewiseInterpolation(t *testing.T) {
-	// The §4.3 shape: bandwidth grows with read parallelism, then plateaus.
-	curve, err := FitPiecewise(map[float64]float64{1: 100, 2: 180, 4: 200, 8: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct{ x, want float64 }{
-		{0.5, 100}, // clamped below the first knot
-		{1, 100},   // exact knot
-		{1.5, 140}, // midpoint of 100..180
-		{3, 190},   // midpoint of 180..200
-		{8, 200},   // last knot
-		{100, 200}, // clamped above
-	}
-	for _, c := range cases {
-		if got := curve.At(c.x); math.Abs(got-c.want) > 1e-9 {
-			t.Errorf("At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	// Monotone between knots.
-	prev := curve.At(1)
-	for x := 1.0; x <= 8; x += 0.25 {
-		if y := curve.At(x); y < prev-1e-9 {
-			t.Fatalf("curve decreases at %v: %v < %v", x, y, prev)
-		} else {
-			prev = y
-		}
-	}
-}
-
-func TestPiecewiseMaxFindsMinimalSaturatingX(t *testing.T) {
-	curve, err := FitPiecewise(map[float64]float64{1: 100, 2: 180, 4: 198, 8: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within 2% of the 200 plateau, x=4 (198) already qualifies.
-	x, y := curve.Max(0.02)
-	if x != 4 || y != 200 {
-		t.Fatalf("Max(0.02) = (%v, %v), want (4, 200)", x, y)
-	}
-	// Exact maximum requires x=8.
-	if x, _ := curve.Max(0); x != 8 {
-		t.Fatalf("Max(0) x = %v, want 8", x)
-	}
-}
-
-func TestFitPiecewiseRejectsEmpty(t *testing.T) {
-	if _, err := FitPiecewise(nil); err == nil {
-		t.Fatal("FitPiecewise accepted zero points")
-	}
-}
-
 func TestSummaryQuantiles(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3} // unsorted on purpose
 	cases := []struct{ p, want float64 }{

@@ -173,8 +173,10 @@ func TestSnapshotDeltaAcrossSetGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	AddProduced(mapStats, 100)
-	AddProduced(mapStats, 100)
+	var ls LocalStats // a worker's shard, flushed as the engine does
+	ls.AddProduced(100)
+	ls.AddProduced(100)
+	ls.Flush(mapStats)
 	before := col.Snapshot(time.Second, 8)
 
 	ng, err := g.InsertAbove("map_1", pipeline.Node{Name: "hotcache", Kind: pipeline.KindCache})
@@ -192,8 +194,10 @@ func TestSnapshotDeltaAcrossSetGraph(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inserted node has no counters: %v", err)
 	}
-	AddProduced(cacheStats, 50)
-	AddProduced(mapStats, 100)
+	ls.AddProduced(50)
+	ls.Flush(cacheStats)
+	ls.AddProduced(100)
+	ls.Flush(mapStats)
 	after := col.Snapshot(2*time.Second, 8)
 
 	d := after.Delta(before)

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"plumber/internal/pipeline"
-	"plumber/internal/simfs"
 )
 
 // Machine describes the host executing the pipeline: the resource budget
@@ -38,11 +37,6 @@ type Machine struct {
 	Cores int `json:"cores"`
 	// MemoryBytes is usable RAM for caches.
 	MemoryBytes int64 `json:"memory_bytes"`
-	// Disk is the storage device serving the training data.
-	Disk simfs.Device `json:"-"`
-	// MemoryBandwidth is host memory bandwidth in bytes/second (used by
-	// the fleet analysis utilization axes).
-	MemoryBandwidth float64 `json:"memory_bandwidth,omitempty"`
 }
 
 // NodeStats is the per-Dataset counter block.
@@ -89,9 +83,6 @@ type NodeStats struct {
 // CPUSeconds returns accumulated active CPU time in seconds.
 func (s *NodeStats) CPUSeconds() float64 { return float64(s.CPUNanos) / 1e9 }
 
-// WallSeconds returns accumulated wallclock Next time in seconds.
-func (s *NodeStats) WallSeconds() float64 { return float64(s.WallNanos) / 1e9 }
-
 // Snapshot is one periodic dump: the serialized program joined with every
 // node's counters, the observed file-size map, and the machine description.
 type Snapshot struct {
@@ -117,8 +108,6 @@ type Snapshot struct {
 	// tracer knows it: a graph's catalogs are not samples of one population,
 	// and the rescale then runs source by source.
 	SourceFiles map[string]int `json:"source_files,omitempty"`
-	// DiskProfile is the fitted parallelism->bandwidth curve, if profiled.
-	DiskProfile *simfs.BandwidthProfile `json:"disk_profile,omitempty"`
 	// Run says what the traced drain behind this snapshot cost, when one
 	// drain was (engine.TraceRun); nil for interval and simulated snapshots.
 	Run *Run `json:"run,omitempty"`
@@ -191,7 +180,6 @@ func (s *Snapshot) Delta(prev *Snapshot) *Snapshot {
 		Files:       make(map[string]int64, len(s.Files)),
 		TotalFiles:  s.TotalFiles,
 		SourceFiles: s.SourceFiles,
-		DiskProfile: s.DiskProfile,
 	}
 	for name, ns := range s.Nodes {
 		cp := *ns
@@ -264,11 +252,10 @@ type Collector struct {
 	machine Machine
 	tenant  string
 
-	mu      sync.Mutex
-	nodes   map[string]*NodeStats
-	files   map[string]int64
-	start   time.Time
-	profile *simfs.BandwidthProfile
+	mu    sync.Mutex
+	nodes map[string]*NodeStats
+	files map[string]int64
+	start time.Time
 
 	// sourceOfCatalog names the source reading each catalog; a catalog's
 	// shards live under ".../<catalog>/...".
@@ -347,7 +334,7 @@ func (c *Collector) Node(name string) (*NodeStats, error) {
 	return ns, nil
 }
 
-// ObserveRead implements simfs.ReadObserver: a read of one of the graph's
+// ObserveRead implements connector.ReadObserver: a read of one of the graph's
 // catalogs is recorded in the filename map and credited to its source. Any
 // other read is another pipeline's on the same connector, and is dropped.
 func (c *Collector) ObserveRead(path string, n int64) {
@@ -364,34 +351,6 @@ func (c *Collector) ObserveRead(path string, n int64) {
 	if ns != nil {
 		atomic.AddInt64(&ns.BytesRead, n)
 	}
-}
-
-// SetDiskProfile attaches a fitted bandwidth curve to future snapshots.
-func (c *Collector) SetDiskProfile(p *simfs.BandwidthProfile) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.profile = p
-}
-
-// AddProduced records one produced element of the given size.
-func AddProduced(ns *NodeStats, size int64) {
-	atomic.AddInt64(&ns.ElementsProduced, 1)
-	atomic.AddInt64(&ns.BytesProduced, size)
-}
-
-// AddConsumed records n elements pulled from the child.
-func AddConsumed(ns *NodeStats, n int64) {
-	atomic.AddInt64(&ns.ElementsConsumed, n)
-}
-
-// AddCPU records active CPU time.
-func AddCPU(ns *NodeStats, d time.Duration) {
-	atomic.AddInt64(&ns.CPUNanos, int64(d))
-}
-
-// AddWall records wallclock Next time (including blocking).
-func AddWall(ns *NodeStats, d time.Duration) {
-	atomic.AddInt64(&ns.WallNanos, int64(d))
 }
 
 // AddHandoff records stage-handoff waiter parks and cross-shard steals.
@@ -423,9 +382,6 @@ func (c *Collector) Snapshot(duration time.Duration, totalFiles int) *Snapshot {
 		Nodes:      make(map[string]*NodeStats, len(c.nodes)),
 		Files:      make(map[string]int64, len(c.files)),
 		TotalFiles: totalFiles,
-		DiskProfile: func() *simfs.BandwidthProfile {
-			return c.profile
-		}(),
 	}
 	for name, ns := range c.nodes {
 		cp := NodeStats{

@@ -24,10 +24,9 @@ func testSnapshot(t *testing.T) *Snapshot {
 	return &Snapshot{
 		Graph: g,
 		Machine: Machine{
-			Name:            "setup-a",
-			Cores:           16,
-			MemoryBytes:     32 << 30,
-			MemoryBandwidth: 12e9,
+			Name:        "setup-a",
+			Cores:       16,
+			MemoryBytes: 32 << 30,
 		},
 		Duration: 1500 * time.Millisecond,
 		Nodes: map[string]*NodeStats{
@@ -52,11 +51,6 @@ func testSnapshot(t *testing.T) *Snapshot {
 			"/data/cat/cat-00003-of-00008.tfrecord": 2600000,
 		},
 		TotalFiles: 8,
-		DiskProfile: &simfs.BandwidthProfile{
-			Device:      "hdd",
-			Parallelism: []int{1, 2, 4},
-			Bandwidth:   []float64{60e6, 120e6, 180e6},
-		},
 	}
 }
 
@@ -77,8 +71,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Graph, snap.Graph) {
 		t.Fatalf("graph mismatch:\n got %+v\nwant %+v", got.Graph, snap.Graph)
 	}
-	// Machine.Disk is deliberately not serialized (json:"-"); the rest must
-	// survive.
 	if got.Machine != snap.Machine {
 		t.Fatalf("machine mismatch: got %+v want %+v", got.Machine, snap.Machine)
 	}
@@ -96,11 +88,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got.ObservedFileBytes() != snap.ObservedFileBytes() {
 		t.Fatalf("ObservedFileBytes = %d, want %d", got.ObservedFileBytes(), snap.ObservedFileBytes())
-	}
-	if !reflect.DeepEqual(got.DiskProfile.Parallelism, snap.DiskProfile.Parallelism) ||
-		!reflect.DeepEqual(got.DiskProfile.Bandwidth, snap.DiskProfile.Bandwidth) ||
-		got.DiskProfile.Device != snap.DiskProfile.Device {
-		t.Fatalf("disk profile mismatch: got %+v want %+v", got.DiskProfile, snap.DiskProfile)
 	}
 
 	// Chain-ordered access must work identically on the decoded copy.
@@ -120,11 +107,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTripOmitsEmpty checks a minimal snapshot (no disk
-// profile, no files) round-trips without sprouting spurious fields.
+// TestSnapshotRoundTripOmitsEmpty checks a minimal snapshot (no files, no
+// run) round-trips without sprouting spurious fields.
 func TestSnapshotRoundTripOmitsEmpty(t *testing.T) {
 	snap := testSnapshot(t)
-	snap.DiskProfile = nil
 	snap.Files = map[string]int64{}
 	snap.TotalFiles = 0
 	b, err := snap.Marshal()
@@ -135,8 +121,8 @@ func TestSnapshotRoundTripOmitsEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.DiskProfile != nil {
-		t.Fatalf("DiskProfile = %+v, want nil", got.DiskProfile)
+	if got.Run != nil {
+		t.Fatalf("Run = %+v, want nil", got.Run)
 	}
 	if len(got.Files) != 0 || got.TotalFiles != 0 {
 		t.Fatalf("subsample fields not empty: %d files, TotalFiles %d", len(got.Files), got.TotalFiles)

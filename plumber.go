@@ -21,7 +21,6 @@ import (
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
-	"plumber/internal/simfs"
 	"plumber/internal/trace"
 	"plumber/internal/udf"
 )
@@ -32,11 +31,7 @@ type Connector = connector.Connector
 
 // Options configures the façade's engine runs.
 type Options struct {
-	// FS serves the source shards from the simulated filesystem. One of FS
-	// or Source is required; when both are set, Source wins.
-	FS *simfs.FS
-	// Source is the storage connector serving the source shards; when nil,
-	// FS is wrapped in the simfs adapter (behavior-preserving).
+	// Source is the storage connector serving the source shards. Required.
 	Source Connector
 	// UDFs resolves Map/Filter function names and the randomness closure
 	// that gates caching. Optional when the graph uses no UDF nodes.
@@ -60,18 +55,6 @@ type Options struct {
 	// when a rewrite touches the chain below them. Nil gives every run a
 	// fresh store.
 	Caches *engine.CacheStore
-}
-
-// source resolves the configured storage connector (nil when neither FS
-// nor Source is set).
-func (o Options) source() Connector {
-	if o.Source != nil {
-		return o.Source
-	}
-	if o.FS != nil {
-		return connector.FromSimFS(o.FS)
-	}
-	return nil
 }
 
 func (o Options) withDefaults() Options {
@@ -98,13 +81,12 @@ func Trace(g *pipeline.Graph, opts Options) (*trace.Snapshot, error) {
 // whole pass, engine.Settled stops once the rate of the pipeline's progress
 // stream — examples into its batch — has settled.
 func traceUntil(g *pipeline.Graph, opts Options, stop engine.StopRule) (*trace.Snapshot, error) {
-	src := opts.source()
-	if src == nil {
-		return nil, errors.New("plumber: Options.FS or Options.Source is required")
+	if opts.Source == nil {
+		return nil, errors.New("plumber: Options.Source is required")
 	}
 	opts = opts.withDefaults()
 	snap, err := engine.TraceRun(g, engine.Options{
-		FS:        src,
+		FS:        opts.Source,
 		UDFs:      opts.UDFs,
 		WorkScale: opts.WorkScale,
 		Spin:      opts.Spin,

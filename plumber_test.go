@@ -6,13 +6,13 @@ import (
 	"testing"
 	"time"
 
+	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
 	"plumber/internal/rewrite"
 	"plumber/internal/scenario"
-	"plumber/internal/simfs"
 	"plumber/internal/trace"
 	"plumber/internal/udf"
 )
@@ -26,12 +26,12 @@ var facadeCatalog = data.Catalog{
 	DecodeAmplification:   1,
 }
 
-func facadeSetup(t *testing.T) (*simfs.FS, *udf.Registry) {
+func facadeSetup(t *testing.T) (Connector, *udf.Registry) {
 	t.Helper()
 	if err := data.RegisterCatalog(facadeCatalog); err != nil {
 		t.Fatal(err)
 	}
-	fs := simfs.New(simfs.Device{Name: "facade-mem"}, false)
+	fs := connector.NewMem("facade-mem")
 	fs.AddCatalog(facadeCatalog, 11)
 	reg := udf.NewRegistry()
 	if err := reg.Register(udf.UDF{
@@ -59,7 +59,7 @@ func sequentialGraph(t *testing.T) *pipeline.Graph {
 func TestTraceAndAnalyze(t *testing.T) {
 	fs, reg := facadeSetup(t)
 	g := sequentialGraph(t)
-	snap, err := Trace(g, Options{FS: fs, UDFs: reg, WorkScale: 1})
+	snap, err := Trace(g, Options{Source: fs, UDFs: reg, WorkScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,14 +113,14 @@ func TestTraceKeepsUntracedPace(t *testing.T) {
 	if err := data.RegisterCatalog(cat); err != nil {
 		t.Fatal(err)
 	}
-	fs := simfs.New(simfs.Device{Name: "trace-pace-mem"}, false)
+	fs := connector.NewMem("trace-pace-mem")
 	fs.AddCatalog(cat, 1)
 	reg := udf.NewRegistry()
 	if err := reg.Register(udf.UDF{Name: "pace_noop", Cost: udf.Cost{SizeFactor: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	g := pipeline.NewBuilder().Interleave(cat.Name, 1).Map("pace_noop", 1).Batch(64).MustBuild()
-	opts := Options{FS: fs, UDFs: reg}
+	opts := Options{Source: fs, UDFs: reg}
 	var traced, untraced float64
 	for attempt := 0; attempt < 5 && (attempt == 0 || traced < 0.8*untraced); attempt++ {
 		snap, err := Trace(g, opts)
@@ -129,7 +129,7 @@ func TestTraceKeepsUntracedPace(t *testing.T) {
 		}
 		traced = math.Max(traced, float64(snap.Nodes[g.Output].ElementsProduced)/snap.Duration.Seconds())
 		start := time.Now()
-		p, err := engine.New(g, engine.Options{FS: opts.source(), UDFs: reg})
+		p, err := engine.New(g, engine.Options{FS: opts.Source, UDFs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ func TestOptimizeClosesTheLoop(t *testing.T) {
 	}
 
 	budget := Budget{Cores: 4, MemoryBytes: 64 << 20}
-	res, err := Optimize(g, budget, Options{FS: fs, UDFs: reg, WorkScale: 1})
+	res, err := Optimize(g, budget, Options{Source: fs, UDFs: reg, WorkScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestOptimizeClosesTheLoop(t *testing.T) {
 // core budget given, the tuner allocates against the machine.
 func TestOptimizeUnboundedBudgetConverges(t *testing.T) {
 	fs, reg := facadeSetup(t)
-	res, err := Optimize(sequentialGraph(t), Budget{}, Options{FS: fs, UDFs: reg, WorkScale: 1})
+	res, err := Optimize(sequentialGraph(t), Budget{}, Options{Source: fs, UDFs: reg, WorkScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestOptimizeUnboundedBudgetConverges(t *testing.T) {
 func TestOptimizeRespectsZeroMemoryBudget(t *testing.T) {
 	t.Run("plan-first", func(t *testing.T) {
 		fs, reg := facadeSetup(t)
-		res, err := Optimize(sequentialGraph(t), Budget{Cores: 2}, Options{FS: fs, UDFs: reg, WorkScale: 1})
+		res, err := Optimize(sequentialGraph(t), Budget{Cores: 2}, Options{Source: fs, UDFs: reg, WorkScale: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -247,8 +247,8 @@ func TestOptimizeRespectsZeroMemoryBudget(t *testing.T) {
 // facadeSpin burns the façade fixture's modeled CPU, twenty times over:
 // 400 µs a record, 100 ms a pass untuned. A prediction is a wall-clock rate
 // on this host, and only burned CPU gives a trace a rate that means anything.
-func facadeSpin(fs *simfs.FS, reg *udf.Registry) Options {
-	return Options{FS: fs, UDFs: reg, WorkScale: 20, Spin: true}
+func facadeSpin(fs Connector, reg *udf.Registry) Options {
+	return Options{Source: fs, UDFs: reg, WorkScale: 20, Spin: true}
 }
 
 // planHolds runs Optimize and then does what Optimize no longer does: it
@@ -403,7 +403,7 @@ func TestStepReportSurvivesDegenerateAnalysis(t *testing.T) {
 func TestOptimizePlanFirstMatchesGreedyShape(t *testing.T) {
 	fs, reg := facadeSetup(t)
 	budget := Budget{Cores: 4, MemoryBytes: 64 << 20}
-	planned, err := Optimize(sequentialGraph(t), budget, Options{FS: fs, UDFs: reg, WorkScale: 1})
+	planned, err := Optimize(sequentialGraph(t), budget, Options{Source: fs, UDFs: reg, WorkScale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +434,7 @@ func TestOptimizeAllFacade(t *testing.T) {
 				t.Fatal(err)
 			}
 			tenants = append(tenants, Tenant{
-				Name: name, Weight: 1, Graph: w.Graph, FS: w.FS, UDFs: w.Registry,
+				Name: name, Weight: 1, Graph: w.Graph, Source: w.Source, UDFs: w.Registry,
 				Seed: s.Seed, WorkScale: 1,
 			})
 		}
