@@ -5,6 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -303,29 +307,27 @@ func TestSettledTraceAnalyzesAtTheCut(t *testing.T) {
 }
 
 // TestSettledTraceCostsASpanNotTwelveMinibatches: the vision shape's 1 ms
-// examples show their rate in settleMinSpan; a rule shown only minibatches
-// needed twelve of them (192 ms at 16 an output, and with 80 an output the
-// epoch's six were never enough), and a rule asked only at root completions
-// ran on to the next one: at 240 an output, the epoch's second. Asked as the
-// batch is handed its examples, the trace is cut where the rate settles,
-// inside the first minibatch when it is large, so it costs start-up plus the
-// span whatever the batch size. Plan-first on traces that short still plans
-// what whole passes plan. (80, not 64: a whole pass counts the epoch's last,
+// examples show their rate after a few milliseconds of warm-up and two 17 ms
+// halves; a rule shown only minibatches needed twelve of them (192 ms at 16
+// an output, and with 80 an output the epoch's six were never enough), and a
+// rule asked only at root completions ran on to the next one: at 240 an
+// output, the epoch's second. Asked as the batch is handed its examples, the
+// trace is cut where the rate settles, inside the first minibatch when it is
+// large, so it costs start-up plus warm-up and window whatever the batch
+// size — under 50 ms, which a rule that always drops the first third of a
+// 50 ms span cannot be. Plan-first on traces that short still plans what
+// whole passes plan. (80, not 64: a whole pass counts the epoch's last,
 // partial minibatch as a completion, which reads 7 % high when there are
 // seven and a half of them, and it is the reference here.)
 func TestSettledTraceCostsASpanNotTwelveMinibatches(t *testing.T) {
-	const (
-		settleMinSpan = 50 * time.Millisecond // engine's
-		startup       = 5 * time.Millisecond  // to the first example into the batch
-	)
 	budget := Budget{Cores: 2, MemoryBytes: 256 << 20}
 	for _, tc := range []struct {
 		batch   int
 		maxRoot int64
 		limit   time.Duration
 	}{
-		{16, 6, settleMinSpan + 25*time.Millisecond + startup},
-		{80, 1, settleMinSpan + 25*time.Millisecond + startup},
+		{16, 6, 50 * time.Millisecond},
+		{80, 1, 50 * time.Millisecond},
 		{240, 0, 80 * time.Millisecond}, // two minibatches an epoch: asked at completions, a trace took ≥ 240 ms
 	} {
 		g := boundedMain().Named("batch").Batch(tc.batch).MustBuild()
@@ -333,7 +335,7 @@ func TestSettledTraceCostsASpanNotTwelveMinibatches(t *testing.T) {
 		// Wall time and wall-clock rates, beside other spinning packages,
 		// which only ever lower a rate: a trace that costs too much is
 		// retried, and the predictions compared are the best of the attempts
-		// on each side — a neighbour's burst inside a 35 ms window lowers a
+		// on each side — a neighbour's burst inside a 34 ms window lowers a
 		// settled trace's reading more than a whole pass's.
 		var bounded, whole float64
 		var cost string
@@ -363,6 +365,40 @@ func TestSettledTraceCostsASpanNotTwelveMinibatches(t *testing.T) {
 		}
 		if !within(bounded, whole, 0.05) {
 			t.Errorf("batch %d: settled traces predicted %.1f mb/s, whole passes %.1f; want them within 5 %%", tc.batch, bounded, whole)
+		}
+	}
+}
+
+// TestRecordProgressStreams writes two recordings of the progress stream of
+// a whole traced pass of each of the bounded shapes below when
+// PLUMBER_RECORD_PROGRESS is set, into the engine's testdata, where
+// TestSettleRuleOnRecordedStreams replays them. A rule that never fires is
+// shown the stream as it grows; what it was last shown is the recording —
+// the whole pass, but for at most the last seventeenth the ask throttle
+// leaves unseen.
+func TestRecordProgressStreams(t *testing.T) {
+	if os.Getenv("PLUMBER_RECORD_PROGRESS") == "" {
+		t.Skip("set PLUMBER_RECORD_PROGRESS=1 to record")
+	}
+	for _, shape := range []string{"chain", "replicas", "filter", "zip", "repeat"} {
+		for k := 1; k <= 2; k++ {
+			var seen []engine.Sample
+			record := func(s []engine.Sample) (float64, bool) {
+				seen = append(seen[:0], s...)
+				return 0, false
+			}
+			if _, err := traceUntil(boundedGraph(t, shape), boundedOptions(t), record); err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			for _, x := range seen {
+				fmt.Fprintf(&b, "%d %d\n", x.At.Nanoseconds(), x.N)
+			}
+			path := filepath.Join("internal", "engine", "testdata", "progress", fmt.Sprintf("%s-%d.txt", shape, k))
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("%s: %d samples over %v", path, len(seen), seen[len(seen)-1].At-seen[0].At)
 		}
 	}
 }
@@ -409,6 +445,32 @@ func TestOptimizeTracesOnce(t *testing.T) {
 	}
 	if detail != "" {
 		missUnlessHostBusy(t, "Optimize %s; want it back within 15 ms of a settled trace, and the prediction within 25 %%", detail)
+	}
+}
+
+// TestPredictionUsesSchedulableCores: with Spin the modeled CPU is burned by
+// goroutines, and only GOMAXPROCS of them run at once. At GOMAXPROCS 1 a
+// two-core budget buys nothing a one-core budget does not, so the vision
+// chain's prediction must be the one-core one. Capped at the host's cores
+// alone, it read 123 minibatches/s where one P delivers 62.
+func TestPredictionUsesSchedulableCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	opts := boundedOptions(t)
+	g := boundedGraph(t, "chain")
+	predict := func(cores int) float64 {
+		res, err := Optimize(g, Budget{Cores: cores, MemoryBytes: 256 << 20}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.PredictedMinibatchesPerSec
+	}
+	// Each prediction rests on its own wall-clock trace: a miss is retried.
+	var one, two float64
+	for attempt := 0; attempt < 3 && (attempt == 0 || !within(two, one, 0.10)); attempt++ {
+		one, two = predict(1), predict(2)
+	}
+	if !within(two, one, 0.10) {
+		t.Errorf("at GOMAXPROCS 1 a two-core budget predicted %.1f mb/s, a one-core budget %.1f; want them within 10 %%", two, one)
 	}
 }
 

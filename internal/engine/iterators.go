@@ -51,13 +51,15 @@ type item struct {
 const handoffQuantum = time.Millisecond
 
 // The settle rule's thresholds (Settled, tracerun.go), a time where it can
-// be in quanta: a trace settles on no less than settleMinSpan of completions
-// whose last two thirds each hold settleMinPerThird and agree in rate within
-// settleTolerance, once that rate is known to a quarter of the tolerance.
+// be in quanta: a trace settles on a window of completions, after a warm-up
+// of at least settleWarmup, whose two halves each span settleMinHalf, hold
+// settleMinPerHalf samples and agree in rate within settleTolerance, once
+// that rate is known to a quarter of the tolerance.
 const (
-	settleMinSpan     = 50 * handoffQuantum
-	settleMinPerThird = 4
-	settleTolerance   = 0.10
+	settleWarmup     = 3 * handoffQuantum
+	settleMinHalf    = 17 * handoffQuantum
+	settleMinPerHalf = 4
+	settleTolerance  = 0.10
 )
 
 // chunkPool holds drained chunks, each in a box: a *[]item fits in the pool's

@@ -198,8 +198,8 @@ func (t *progressTap) Close() error { return t.child.Close() }
 // take at the rate the rule read, so ops.Analyze's X_0 = C_0/T is that rate,
 // whatever start-up cost, however far a root prefetch ran ahead and however
 // many minibatches the cut fell between. Such a trace costs its start-up
-// plus what the rule needs to see (Settled: settleMinSpan), whatever the
-// batch size.
+// plus what the rule needs to see (Settled: settleWarmup and two
+// settleMinHalf for a steady stream), whatever the batch size.
 func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64, stop StopRule) (*trace.Snapshot, error) {
 	begin := time.Now()
 	if opts.FS == nil {
@@ -288,37 +288,61 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 	return snap, nil
 }
 
-// Settled is the stop rule of the planning traces: stop when
-// the rate of the progress stream has stopped moving. Time since the first
-// sample is cut in three. The first third is ignored — worker start-up, chunk
-// sizes still finding their level, what a throttled device hands out free
-// before its token bucket runs dry. The rate is the least-squares slope of
-// the count against time over the other two (no single late sample decides
-// it, as it would a count over the window's length), and it must be known to
+// Settled is the stop rule of the planning traces: stop when the rate of the
+// progress stream has stopped moving. The samples before the window are
+// ignored — worker start-up, chunk sizes still finding their level, what a
+// throttled device hands out free before its token bucket runs dry. The
+// window is cut in two halves in time, each at least settleMinHalf long and
+// holding settleMinPerHalf samples. The rate is the least-squares slope of
+// the count against time over the window (no single late sample decides it,
+// as it would a count over the window's length), and it must be known to
 // settleTolerance/4 standard error, which a stream that comes in lumps
-// reaches only over many of them. Each of the two thirds must hold
-// settleMinPerThird samples, and their own slopes agree within
+// reaches only over many of them.
+//
+// Two windows are tried. The early one starts at the first sample
+// settleWarmup in, so a stream that is steady from its first milliseconds is
+// cut as soon as its halves agree; it skips so little that a slow start may
+// still be in it, so its halves must agree within settleTolerance/2
+// outright. Failing that, the window is the last two thirds of the time
+// since the first sample, and its halves' slopes must agree within
 // settleTolerance plus twice their standard errors. A stream that keeps
-// slowing, or ends before settleMinSpan, never settles: its trace runs to EOF.
+// slowing, or ends before warm-up and window have passed, never settles: its
+// trace runs to EOF.
 func Settled(s []Sample) (rate float64, ok bool) {
 	n := len(s)
-	if n == 0 || s[n-1].At-s[0].At < settleMinSpan {
+	if n == 0 {
 		return 0, false
 	}
 	first, span := s[0].At, s[n-1].At-s[0].At
-	from := func(t time.Duration) int {
+	if i := sort.Search(n, func(k int) bool { return s[k].At >= first+settleWarmup }); i < n {
+		if rate, ok := settledOver(s, s[i].At, settleTolerance/2, 0); ok {
+			return rate, true
+		}
+	}
+	return settledOver(s, first+span/3, settleTolerance, 2)
+}
+
+// settledOver tests the window of s from time from on, halved in time: its
+// halves' slopes must agree within tol plus widen times their standard errors.
+func settledOver(s []Sample, from time.Duration, tol, widen float64) (rate float64, ok bool) {
+	n := len(s)
+	half := (s[n-1].At - from) / 2
+	if half < settleMinHalf {
+		return 0, false
+	}
+	at := func(t time.Duration) int {
 		return sort.Search(n, func(k int) bool { return s[k].At >= t })
 	}
-	i, j := from(first+span/3), from(first+2*span/3)
-	if j-i < settleMinPerThird || n-j < settleMinPerThird {
+	i, j := at(from), at(from+half)
+	if j-i < settleMinPerHalf || n-j < settleMinPerHalf {
 		return 0, false
 	}
 	rate, se := slope(s[i:])
 	mid, seMid := slope(s[i : j+1])
 	end, seEnd := slope(s[j:])
-	// Written so that a NaN (a third whose samples share one instant)
+	// Written so that a NaN (a half whose samples share one instant)
 	// settles nothing.
-	if !(se <= settleTolerance/4 && math.Abs(mid-end) <= (settleTolerance+2*(seMid+seEnd))*math.Max(mid, end)) {
+	if !(se <= settleTolerance/4 && math.Abs(mid-end) <= (tol+widen*(seMid+seEnd))*math.Max(mid, end)) {
 		return 0, false
 	}
 	return rate, true

@@ -134,17 +134,17 @@ func optimizePlanFirst(res *Result, cur *pipeline.Graph, budget Budget, opts Opt
 	}
 
 	// The prediction is for the job that runs Final on THIS host. With Spin
-	// the modeled CPU is actually burned, so predict with the cores the host
-	// can deliver, not the deployment budget — a laptop running a 64-core
-	// plan must not read as drifted. Without Spin the modeled CPU is virtual
-	// (only accounted), real work is the per-element engine overhead that
-	// parallelizes with the knobs, and the budget's cores are the honest
-	// predictor. The job starts with a fill epoch: any planned cache is cold.
+	// the modeled CPU is actually burned, so predict with the cores the
+	// process can deliver, not the deployment budget — a laptop running a
+	// 64-core plan must not read as drifted. That is the host's cores, and
+	// no more than GOMAXPROCS of them: only that many goroutines spin at
+	// once. Without Spin the modeled CPU is virtual (only accounted), real
+	// work is the per-element engine overhead that parallelizes with the
+	// knobs, and the budget's cores are the honest predictor. The job starts
+	// with a fill epoch: any planned cache is cold.
 	hostCores := budget.Cores
 	if opts.Spin {
-		if n := runtime.NumCPU(); n > 0 && n < hostCores {
-			hostCores = n
-		}
+		hostCores = min(hostCores, runtime.NumCPU(), runtime.GOMAXPROCS(0))
 	}
 	// FiniteOrZero also covers the unbounded (+Inf) model: nothing to hold
 	// the job against, encoded as 0.
