@@ -34,8 +34,8 @@ import (
 // is the reclamation epoch: it holds one fill reference while the worker is
 // still carving views out of it, plus one reference per live view. A view is
 // released when its element retires — dropped by a filter or map predicate,
-// copied out by Batch, or recycled by the root consumer — which under chunked
-// execution happens at chunk granularity. When the worker seals the block (it
+// copied out by Batch, or recycled by the root consumer — which, runs being
+// pulled out of chunks, happens at chunk granularity. When the worker seals the block (it
 // rolled over to a new epoch, or the worker exited) and the last view is
 // released, the whole block returns to a pool in one operation: per-record
 // GetBuf and PutBuf disappear from the hot path, and consecutive records land

@@ -108,7 +108,8 @@ type Options struct {
 
 // Pipeline is an instantiated, runnable iterator tree.
 type Pipeline struct {
-	root   iterator
+	root   stage
+	one    [1]item // where Next's pull of one lands
 	opts   Options
 	caches *CacheStore
 	mu     sync.Mutex
@@ -180,15 +181,6 @@ type Pipeline struct {
 	nRetries atomic.Int64
 	nErrors  atomic.Int64
 	nGaveUp  atomic.Int64
-}
-
-// iterator is the internal Iterator model: Next yields an element or io.EOF;
-// Close releases resources. reset is handled by rebuilding subtrees via
-// factories (Repeat) while cache contents persist in the pipeline-level
-// cacheStore.
-type iterator interface {
-	Next() (data.Element, error)
-	Close() error
 }
 
 // New instantiates the graph. Construction runs in three phases — validate
@@ -300,7 +292,7 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 	// All outer-parallelism replicas are driven by the same consumer
 	// goroutine (round-robin), so they share the root segment's gate.
 	p.rootGate = p.gate(p.cancelCh)
-	build := func(replica int, seedShift uint64) (iterator, error) {
+	build := func(replica int, seedShift uint64) (stage, error) {
 		return p.buildNode(g, byName, g.Output, replica, p.opts.Seed^seedShift, p.rootGate, nil)
 	}
 	if outer == 1 {
@@ -312,7 +304,7 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 	} else {
 		// Outer parallelism: run `outer` replicas of the whole chain and
 		// round-robin their outputs (§5.1's remedy for NLP pipelines).
-		replicas := make([]iterator, outer)
+		replicas := make([]stage, outer)
 		for i := range replicas {
 			it, err := build(i, uint64(i+1)*0x9e3779b97f4a7c15)
 			if err != nil {
@@ -350,17 +342,21 @@ func (p *Pipeline) Graph() *pipeline.Graph {
 //
 // Next is also where a pending Reconfigure lands: when the quiesce barrier
 // drains the old tree to io.EOF, the swap runs here — on the consumer's
-// goroutine, where every iterator Next already serializes — and the loop
-// continues pulling from the resumed tree, so the consumer never observes
-// the barrier.
+// goroutine, where every pull already serializes — and the loop continues
+// pulling from the resumed tree, so the consumer never observes the barrier.
 func (p *Pipeline) Next() (data.Element, error) {
 	for {
-		e, err := p.root.Next()
+		_, err := p.root.pull(p.one[:])
+		it := p.one[0]
+		p.one[0] = item{}
+		if err == nil {
+			err = it.err
+		}
 		if err == nil {
 			if pr := p.pending.Load(); pr != nil {
 				pr.report.DrainedInFlight++
 			}
-			return e, nil
+			return it.elem, nil
 		}
 		if pr := p.pending.Load(); pr != nil {
 			if err == io.EOF && p.CancelCause() == nil {
@@ -377,7 +373,7 @@ func (p *Pipeline) Next() (data.Element, error) {
 		if cause := p.CancelCause(); cause != nil {
 			return data.Element{}, cause
 		}
-		return e, err
+		return data.Element{}, err
 	}
 }
 
@@ -587,7 +583,7 @@ func (p *Pipeline) releasePayload(e *data.Element) {
 // index; each replica materializes its own cache entries, since replicas are
 // independent pipeline instances whose fills must not interleave.
 //
-// g is the admission gate of the sequential segment this node's Next runs
+// g is the admission gate of the sequential segment this node's pull runs
 // in. Parallel stages (map, prefetch) end the segment: the stages below
 // them run on their worker/prefetch goroutines, under a fresh gate bound to
 // the parallel stage's latch. Sequential stages and pass-throughs inherit g
@@ -598,13 +594,13 @@ func (p *Pipeline) releasePayload(e *data.Element) {
 // they take a chunk off their edge, for the progress tap at the head of the
 // segment (tracerun.go). It is nil everywhere but below the recording stage
 // of a pipeline that keeps a progress stream.
-func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node, name string, replica int, seed uint64, g *seqGate, lump *bool) (iterator, error) {
+func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node, name string, replica int, seed uint64, g *seqGate, lump *bool) (stage, error) {
 	n, ok := byName[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: missing node %q", name)
 	}
 	handle := p.handle(n.Name)
-	childFactory := func() (iterator, error) {
+	childFactory := func() (stage, error) {
 		if n.Input == "" {
 			return nil, fmt.Errorf("engine: node %q has no child", n.Name)
 		}
@@ -652,7 +648,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		if err != nil {
 			return nil, err
 		}
-		return newShuffleIter(child, n.BufferSize, handle, stats.NewRNG(seed^hashName(n.Name)), g), nil
+		return newShuffleIter(p, child, n.BufferSize, handle, stats.NewRNG(seed^hashName(n.Name)), g), nil
 	case pipeline.KindRepeat:
 		return newRepeatIter(p, resumeKey{n.Name, replica}, childFactory, n.Count, handle), nil
 	case pipeline.KindBatch:
@@ -702,7 +698,7 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		}
 		return newTakeIter(p, resumeKey{n.Name, replica}, child, n.Count, handle), nil
 	case pipeline.KindZip, pipeline.KindConcat:
-		children := make([]iterator, len(n.Inputs))
+		children := make([]stage, len(n.Inputs))
 		for i, in := range n.Inputs {
 			c, err := p.buildNode(gr, byName, in, replica, seed, g, lump)
 			if err != nil {
@@ -836,7 +832,7 @@ func hashName(s string) uint64 {
 const flushInterval = 256
 
 // tracker couples a LocalStats shard with periodic flushing for iterators
-// whose Next runs in (at most) one goroutine at a time. It keeps the hot
+// whose pull runs in (at most) one goroutine at a time. It keeps the hot
 // path free of atomics: plain local adds, one atomic flush per
 // flushInterval events plus a final flush on Close.
 type tracker struct {
@@ -894,6 +890,21 @@ func (t *tracker) maybeFlush(n int) {
 	if t.n += n; t.n >= flushInterval {
 		t.n = 0
 		t.ls.Flush(t.h)
+	}
+}
+
+// passed counts a run a stage hands on as it pulled it; handed counts only
+// what it hands on. A failure, the run's last item, is no element.
+func (t *tracker) passed(run []item) { t.consumed(len(run)); t.handed(run) }
+
+func (t *tracker) handed(run []item) {
+	if t.h == nil {
+		return
+	}
+	for i := range run {
+		if run[i].err == nil {
+			t.produced(run[i].elem)
+		}
 	}
 }
 
@@ -1004,10 +1015,10 @@ func (g *seqGate) enter() bool {
 	return g.sl.acquire()
 }
 
-// exit undoes enter. The slot deliberately stays held across Next calls —
+// exit undoes enter. The slot deliberately stays held across pulls —
 // tick yields it at chunk boundaries, blocking edges release it, and close
 // frees it when the segment's driver finishes — so back-to-back sequential
-// Nexts don't pay an admission round-trip each.
+// pulls don't pay an admission round-trip each.
 func (g *seqGate) exit() {
 	if g != nil {
 		g.depth--

@@ -583,3 +583,85 @@ func TestEarlyClose(t *testing.T) {
 		}
 	}
 }
+
+// allocCatalog is long enough for a warm-up and 3 000 minibatches of 8 in
+// one epoch, with records small enough that a stray heap object per pull
+// would outweigh everything else a pull costs.
+var allocCatalog = data.Catalog{
+	Name:                  "engine-test-alloc",
+	NumFiles:              2,
+	RecordsPerFile:        20000,
+	MeanRecordBytes:       64,
+	RecordBytesStddevFrac: 0.2,
+	DecodeAmplification:   1,
+}
+
+var registerAllocOnce sync.Once
+
+// TestStagesAllocateNothingPerPull: once warm, pulling a minibatch through
+// each sequential stage allocates nothing on the heap. A stage's scratch run
+// lives in a struct that already exists; a one-item buffer made per call
+// and handed to a child's pull escapes, one object per pull.
+func TestStagesAllocateNothingPerPull(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates, and sync.Pool drops a quarter of its Puts under it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	registerAllocOnce.Do(func() {
+		if err := data.RegisterCatalog(allocCatalog); err != nil {
+			panic(err)
+		}
+	})
+	fs, reg := testSetup(t)
+	fs.AddCatalog(allocCatalog, 7)
+	if err := reg.Register(udf.UDF{Name: "most", Cost: udf.Cost{KeepFraction: 0.9}}); err != nil {
+		t.Fatal(err)
+	}
+	src := func() *pipeline.Builder { return pipeline.NewBuilder().Named("src").Interleave(allocCatalog.Name, 1) }
+	store := NewCacheStore()
+	cached := src().Named("cache").Cache().Batch(8).MustBuild()
+	if err := drainAll(cached, Options{FS: fs, Caches: store}); err != nil { // the fill
+		t.Fatal(err)
+	}
+	const warm, measured = 500, 3000
+	for _, tc := range []struct {
+		name string
+		g    *pipeline.Graph
+	}{
+		{"edge→batch", src().Batch(8).MustBuild()},
+		{"filter→take→batch", src().Filter("most").Take(8 * (warm + measured + 100)).Batch(8).MustBuild()},
+		{"repeat→batch", src().Repeat(2).Batch(8).MustBuild()},
+		{"shuffle→batch", src().Shuffle(64).Batch(8).MustBuild()},
+		{"serving cache→batch", cached},
+	} {
+		p, err := New(tc.g, Options{FS: fs, UDFs: reg, Caches: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := p.Drain(warm); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, _, err := p.Drain(measured)
+		runtime.ReadMemStats(&after)
+		p.Close()
+		if err != nil || n != measured {
+			t.Fatalf("%s: drained %d minibatches, want %d: %v", tc.name, n, measured, err)
+		}
+		if per := float64(after.Mallocs-before.Mallocs) / measured; per >= 0.05 {
+			t.Errorf("%s: %.3f heap objects per minibatch, want < 0.05", tc.name, per)
+		}
+	}
+}
+
+// drainAll drains g to EOF under opts and closes it.
+func drainAll(g *pipeline.Graph, opts Options) error {
+	p, err := New(g, opts)
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	_, _, err = p.Drain(0)
+	return err
+}

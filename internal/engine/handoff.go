@@ -25,7 +25,7 @@ const (
 // handoff is one stage edge: parallel-stage workers publish []item chunk
 // descriptors, the downstream consumer drains them. Implementations must
 // support one producer per worker index and a single logical consumer at a
-// time (the iterator Next contract serializes consumers; cursor atomics keep
+// time (a stage's pull serializes its consumers; cursor atomics keep
 // the ring safe even when the consuming goroutine identity changes).
 type handoff interface {
 	// trySend publishes a chunk from producer w without blocking; it

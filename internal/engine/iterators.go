@@ -34,15 +34,15 @@ type item struct {
 // its workers share the input evenly and the consumer sees the first
 // element after one element's time, not after ChunkSize of them.
 //
-// A consumer takes a chunk the way it was handed off: a stage fed by an edge
-// (source, map, prefetch) is chunked, and its consumer pulls a run of items
-// out of the chunk in hand with one call instead of one Next per element. A
-// map worker pulls what its next chunk has room for, applies a cost-model UDF
-// in place and emits the run with one add; a Batch fills its minibatch from
-// runs. Counters, admission ticks and the progress tap count a run with one
-// add. Every other stage is pulled one Next at a time. Chunk slices are
-// recycled through a pool: the consumer returns a drained chunk, the next
-// producer reuses it.
+// Every stage hands its consumer runs (stage.pull): a stage fed by an edge
+// (source, map, prefetch) hands out runs of the chunk in hand, and every
+// other stage pulls a run from its child and works on it in place — a map
+// worker applies a cost-model UDF to its run and emits it with one add, a
+// Filter compacts its run, a Shuffle swaps it through its buffer, a Batch
+// fills its minibatch from runs. Counters, admission ticks and the progress
+// tap count a run with one add. Per-element Next is left only at the root
+// (Pipeline.Next), a pull of one. Chunk slices are recycled through a pool:
+// the consumer returns a drained chunk, the next producer reuses it.
 
 // handoffQuantum is the amount of a worker's work one handoff carries. It
 // is far above an edge operation's cost (tens of ns uncontended, a few µs
@@ -249,29 +249,25 @@ type chunkReceiver struct {
 	lump *bool
 }
 
-// take makes c the chunk in hand.
-func (cr *chunkReceiver) take(c []item) {
-	cr.pending, cr.pos = c, 0
-	if cr.lump != nil {
-		*cr.lump = true
-	}
-}
-
 // pull moves up to len(dst) items from the chunk in hand into dst and
 // returns how many. Only an empty hand fetches the next chunk, so a pull
 // never spans two chunks and never waits for more once it has something. A
 // drained chunk is recycled at once.
-func (cr *chunkReceiver) pull(dst []item, h handoff, cancel <-chan struct{}, g *seqGate) (int, error) {
+func (cr *chunkReceiver) pull(dst []item, h handoff, p *Pipeline, g *seqGate) (int, error) {
 	for cr.pos == len(cr.pending) {
 		c, ok := h.tryRecv(&cr.prefer)
 		if !ok {
 			g.unblock()
-			c, ok = h.recv(&cr.prefer, cancel)
+			c, ok = h.recv(&cr.prefer, p.cancelCh)
 			if !g.reacquire() || !ok {
-				return 0, io.EOF // drained, or shutting down (a chunk taken then is abandoned)
+				p.retire(c) // drained, or shutting down: a chunk taken then is abandoned
+				return 0, io.EOF
 			}
 		}
-		cr.take(c)
+		cr.pending, cr.pos = c, 0
+		if cr.lump != nil {
+			*cr.lump = true
+		}
 	}
 	n := copy(dst, cr.pending[cr.pos:])
 	if cr.pos += n; cr.pos == len(cr.pending) {
@@ -292,35 +288,14 @@ func (cr *chunkReceiver) discard(p *Pipeline, h handoff) {
 	}
 }
 
-// chunked is a stage whose consumer takes its output a run at a time: one
-// fed by a stage edge (source, map, prefetch) hands out runs of the chunk in
-// hand, and any other stage is pulled one Next at a time (oneAtATime).
-type chunked interface {
+// stage is an operator as its consumer pulls it.
+type stage interface {
 	// pull moves up to len(dst) items, at least one, into dst and returns
-	// how many. At the end of the stream it returns io.EOF and no other
-	// error: a failure travels as an item, the last its producer sends.
+	// how many, as soon as it has any. At the end of the stream it returns
+	// io.EOF and no other error: a failure travels as an item, the last of
+	// its run and the last its producer sends.
 	pull(dst []item) (int, error)
 	Close() error
-}
-
-// oneAtATime is a stage that is not chunked, pulled one Next at a time.
-type oneAtATime struct{ iterator }
-
-func (o oneAtATime) pull(dst []item) (int, error) {
-	e, err := o.Next()
-	if err == io.EOF {
-		return 0, io.EOF
-	}
-	dst[0] = item{elem: e, err: err}
-	return 1, nil
-}
-
-// chunksOf returns the stage it as its consumer pulls it.
-func chunksOf(it iterator) chunked {
-	if c, ok := it.(chunked); ok {
-		return c
-	}
-	return oneAtATime{it}
 }
 
 // edge is the consumer end of a stage whose workers hand off over a stage
@@ -341,21 +316,12 @@ type edge struct {
 	recv    chunkReceiver
 }
 
-// Next is a pull of one.
-func (e *edge) Next() (data.Element, error) {
-	var one [1]item
-	if _, err := e.pull(one[:]); err != nil {
-		return data.Element{}, err
-	}
-	return one[0].elem, one[0].err
-}
-
 func (e *edge) pull(dst []item) (int, error) {
 	e.once.Do(e.startup)
 	if !e.started {
 		return 0, io.EOF // closed before it was ever pulled
 	}
-	return e.recv.pull(dst, e.out, e.p.cancelCh, e.gate)
+	return e.recv.pull(dst, e.out, e.p, e.gate)
 }
 
 // launch opens the edge to n producers, depth chunks each, and runs work(w)
@@ -660,7 +626,7 @@ func (s *sourceIter) Close() error {
 type mapIter struct {
 	edge
 	name  string
-	child chunked
+	child stage
 	u     udf.UDF
 	par   int
 	seed  uint64
@@ -671,9 +637,9 @@ type mapIter struct {
 	eof       atomic.Bool
 }
 
-func newMapIter(p *Pipeline, name string, child iterator, u udf.UDF, par int, handle *trace.NodeStats, seed uint64, latch *doneLatch, gate, childGate *seqGate) *mapIter {
+func newMapIter(p *Pipeline, name string, child stage, u udf.UDF, par int, handle *trace.NodeStats, seed uint64, latch *doneLatch, gate, childGate *seqGate) *mapIter {
 	m := &mapIter{edge: edge{p: p, handle: handle, gate: gate, latch: latch},
-		name: name, child: chunksOf(child), u: u, par: par, seed: seed, childGate: childGate}
+		name: name, child: child, u: u, par: par, seed: seed, childGate: childGate}
 	m.startup = func() { m.launch(m.par, m.p.opts.ChannelSlack, m.worker) }
 	return m
 }
@@ -831,7 +797,7 @@ func (m *mapIter) Close() error {
 
 type filterIter struct {
 	p     *Pipeline
-	child iterator
+	child stage
 	u     udf.UDF
 	g     *seqGate
 	tr    tracker
@@ -840,7 +806,7 @@ type filterIter struct {
 	rt    retrier
 }
 
-func newFilterIter(p *Pipeline, name string, child iterator, u udf.UDF, handle *trace.NodeStats, g *seqGate) *filterIter {
+func newFilterIter(p *Pipeline, name string, child stage, u udf.UDF, handle *trace.NodeStats, g *seqGate) *filterIter {
 	f := &filterIter{p: p, child: child, u: u, g: g, tr: tracker{h: handle}, sm: trace.NewSampler(p.sampleEvery()), rng: 0x2545f4914f6cdd1d}
 	// Filter runs on the consumer goroutine; its retry backoffs abort on
 	// pipeline cancellation rather than an iterator latch.
@@ -848,57 +814,81 @@ func newFilterIter(p *Pipeline, name string, child iterator, u udf.UDF, handle *
 	return f
 }
 
-func (f *filterIter) Next() (data.Element, error) {
+// pull pulls a run into dst and compacts the kept elements to its front,
+// pulling again while a run keeps nothing.
+func (f *filterIter) pull(dst []item) (int, error) {
 	// Filter is CPU work on the consumer goroutine: it runs under the
-	// segment's sequential-admission slot, ticking once per consumed
-	// element so shares enforce at chunk granularity.
+	// segment's sequential-admission slot, ticking once per consumed run so
+	// shares enforce at chunk granularity.
 	if !f.g.enter() {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	defer f.g.exit()
 	for {
-		in, err := f.child.Next()
+		n, err := f.child.pull(dst)
 		if err != nil {
-			return data.Element{}, err
+			return 0, err
 		}
-		f.tr.consumed(1)
-		if !f.g.tick(1) {
-			return data.Element{}, io.EOF
+		f.tr.consumed(n)
+		if !f.g.tick(n) {
+			f.p.retire(dst[:n])
+			return 0, io.EOF
 		}
-		var start time.Time
-		sampled := f.tr.traced() && f.sm.Tick()
-		if sampled {
-			start = time.Now()
-		}
-		f.p.accountCPU(&f.tr.ls, f.u.Cost.CPUSeconds(in.Size))
-		keep := true
-		out := in
-		if f.u.Body != nil {
-			err = f.rt.do("udf", func() error {
-				return safeCall(func() error {
-					var uerr error
-					out, keep, uerr = f.u.Body(in)
-					return uerr
-				})
-			})
-			if err != nil {
-				return data.Element{}, err
+		kept := 0
+		for i, in := range dst[:n] {
+			if in.err == nil {
+				out, keep, err := f.keep(in.elem)
+				switch {
+				case err != nil:
+					f.p.retire(dst[i+1 : n]) // a failure ends the run
+					in = item{err: err}
+				case !keep:
+					// Dropped: this stage is the payload's sole owner; retire it.
+					f.p.releasePayload(&in.elem)
+					continue
+				default:
+					in.elem = out
+					f.tr.produced(out)
+				}
 			}
-		} else if kf := f.u.Cost.KeepFraction; kf < 1 {
-			// Cost-model-only predicate: drop deterministically at rate kf.
-			f.rng = f.rng*6364136223846793005 + 1442695040888963407
-			keep = float64(f.rng>>11)/(1<<53) < kf
+			dst[kept] = in
+			if kept++; in.err != nil {
+				break
+			}
 		}
-		if sampled {
-			f.tr.wall(f.sm.Scale(time.Since(start)))
+		clear(dst[kept:n])
+		if kept > 0 {
+			return kept, nil
 		}
-		if keep {
-			f.tr.produced(out)
-			return out, nil
-		}
-		// Dropped: this iterator is the payload's sole owner; retire it.
-		f.p.releasePayload(&in)
 	}
+}
+
+// keep applies the predicate to one element.
+func (f *filterIter) keep(in data.Element) (out data.Element, keep bool, err error) {
+	var start time.Time
+	sampled := f.tr.traced() && f.sm.Tick()
+	if sampled {
+		start = time.Now()
+	}
+	f.p.accountCPU(&f.tr.ls, f.u.Cost.CPUSeconds(in.Size))
+	out, keep = in, true
+	if f.u.Body != nil {
+		err = f.rt.do("udf", func() error {
+			return safeCall(func() error {
+				var uerr error
+				out, keep, uerr = f.u.Body(in)
+				return uerr
+			})
+		})
+	} else if kf := f.u.Cost.KeepFraction; kf < 1 {
+		// Cost-model-only predicate: drop deterministically at rate kf.
+		f.rng = f.rng*6364136223846793005 + 1442695040888963407
+		keep = float64(f.rng>>11)/(1<<53) < kf
+	}
+	if sampled {
+		f.tr.wall(f.sm.Scale(time.Since(start)))
+	}
+	return out, keep, err
 }
 
 func (f *filterIter) Close() error {
@@ -909,25 +899,30 @@ func (f *filterIter) Close() error {
 // ---------------------------------------------------------------------------
 // Shuffle
 
+// shuffleIter hands out a uniformly drawn element of a buffer of size and
+// puts the next input in its place: it fills the buffer first, then swaps
+// each element of a run it pulls against one draw, and once the child is
+// done it hands out draws from what is left. So the order it delivers
+// depends on the seed alone, not on the lengths of the runs it pulls.
 type shuffleIter struct {
-	child iterator
+	p     *Pipeline
+	child stage
 	size  int
 	g     *seqGate
 	tr    tracker
 	rng   *stats.RNG
-
-	buf    []data.Element
-	filled bool
-	eof    bool
+	buf   []item
+	eof   bool
 }
 
-func newShuffleIter(child iterator, size int, handle *trace.NodeStats, rng *stats.RNG, g *seqGate) *shuffleIter {
-	return &shuffleIter{child: child, size: size, g: g, tr: tracker{h: handle}, rng: rng}
+func newShuffleIter(p *Pipeline, child stage, size int, handle *trace.NodeStats, rng *stats.RNG, g *seqGate) *shuffleIter {
+	return &shuffleIter{p: p, child: child, size: size, g: g, tr: tracker{h: handle}, rng: rng}
 }
 
-func (s *shuffleIter) Next() (data.Element, error) {
+// pull fills the buffer with dst as the fill's scratch.
+func (s *shuffleIter) pull(dst []item) (int, error) {
 	if !s.g.enter() {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	defer s.g.exit()
 	var start time.Time
@@ -935,56 +930,58 @@ func (s *shuffleIter) Next() (data.Element, error) {
 	if traced {
 		start = time.Now()
 	}
-	if !s.filled {
-		for len(s.buf) < s.size {
-			e, err := s.child.Next()
-			if err == io.EOF {
-				s.eof = true
-				break
-			}
-			if err != nil {
-				return data.Element{}, err
-			}
-			s.tr.consumed(1)
-			if !s.g.tick(1) {
-				return data.Element{}, io.EOF
-			}
-			s.buf = append(s.buf, e)
+	n := 0
+	for n == 0 && !s.eof {
+		fill, run := len(s.buf) < s.size, dst
+		if fill {
+			run = dst[:min(len(dst), s.size-len(s.buf))]
 		}
-		s.filled = true
-	}
-	if len(s.buf) == 0 {
-		return data.Element{}, io.EOF
-	}
-	i := s.rng.Intn(len(s.buf))
-	out := s.buf[i]
-	if s.eof {
-		s.buf[i] = s.buf[len(s.buf)-1]
-		s.buf = s.buf[:len(s.buf)-1]
-	} else {
-		e, err := s.child.Next()
-		if err == io.EOF {
+		k, err := s.child.pull(run)
+		if err != nil {
 			s.eof = true
-			s.buf[i] = s.buf[len(s.buf)-1]
-			s.buf = s.buf[:len(s.buf)-1]
-		} else if err != nil {
-			return data.Element{}, err
-		} else {
-			s.tr.consumed(1)
-			if !s.g.tick(1) {
-				return data.Element{}, io.EOF
-			}
-			s.buf[i] = e
+			break
 		}
+		s.tr.consumed(k)
+		if !s.g.tick(k) {
+			s.p.retire(run[:k])
+			return 0, io.EOF
+		}
+		failed := run[k-1]
+		if failed.err != nil {
+			k--
+		}
+		if fill {
+			s.buf = append(s.buf, run[:k]...)
+		}
+		for ; !fill && n < k; n++ {
+			i := s.rng.Intn(len(s.buf))
+			dst[n], s.buf[i] = s.buf[i], dst[n]
+		}
+		if failed.err != nil {
+			dst[n] = failed
+			n++
+		}
+	}
+	for ; s.eof && n < len(dst) && len(s.buf) > 0; n++ {
+		i, last := s.rng.Intn(len(s.buf)), len(s.buf)-1
+		dst[n], s.buf[i], s.buf[last] = s.buf[i], s.buf[last], item{}
+		s.buf = s.buf[:last]
+	}
+	if n == 0 {
+		return 0, io.EOF
 	}
 	if traced {
 		s.tr.wall(time.Since(start))
 	}
-	s.tr.produced(out)
-	return out, nil
+	s.tr.handed(dst[:n])
+	return n, nil
 }
 
+// Close retires what the buffer still holds: a shuffle closed mid-stream
+// owns those elements, and an arena block would wait on them forever.
 func (s *shuffleIter) Close() error {
+	s.p.retire(s.buf)
+	s.buf = nil
 	s.tr.flush()
 	return s.child.Close()
 }
@@ -999,20 +996,20 @@ func (s *shuffleIter) Close() error {
 type repeatIter struct {
 	p       *Pipeline
 	key     resumeKey
-	factory func() (iterator, error)
+	factory func() (stage, error)
 	count   int64
 	tr      tracker
 
-	child iterator
+	child stage
 	epoch int64 // number of epochs started
 }
 
-func newRepeatIter(p *Pipeline, key resumeKey, factory func() (iterator, error), count int64, handle *trace.NodeStats) *repeatIter {
+func newRepeatIter(p *Pipeline, key resumeKey, factory func() (stage, error), count int64, handle *trace.NodeStats) *repeatIter {
 	r := &repeatIter{p: p, key: key, factory: factory, count: count, tr: tracker{h: handle}}
 	if rr, ok := takeResume[repeatResume](p, key); ok {
 		if rr.inProgress {
 			// The barrier interrupted epoch N: start one epoch back so the
-			// first Next rebuilds the child — which consumes the source's
+			// first pull rebuilds the child — which consumes the source's
 			// partial resume entry and continues epoch N where it stopped.
 			r.epoch = rr.epoch - 1
 		} else {
@@ -1023,41 +1020,37 @@ func newRepeatIter(p *Pipeline, key resumeKey, factory func() (iterator, error),
 	return r
 }
 
-func (r *repeatIter) Next() (data.Element, error) {
+func (r *repeatIter) pull(dst []item) (int, error) {
 	for {
 		if r.child == nil {
 			if r.count >= 0 && r.epoch >= r.count {
-				return data.Element{}, io.EOF
+				return 0, io.EOF
 			}
 			child, err := r.factory()
 			if err != nil {
-				return data.Element{}, err
+				dst[0] = item{err: err}
+				return 1, nil
 			}
 			r.child = child
 			r.epoch++
 		}
-		e, err := r.child.Next()
-		if err == io.EOF {
-			if r.p != nil && r.p.quiesce.Load() {
-				// A quiesce barrier is draining the pipeline: this EOF may
-				// be the barrier cut, not true epoch exhaustion. Keep the
-				// child open so its sources can be captured, and let the
-				// EOF reach the root — the successor tree resumes the
-				// epoch. (If the epoch genuinely ended here, the captured
-				// source entry is empty and the resumed epoch EOFs
-				// immediately, rolling over to the next one.)
-				return data.Element{}, io.EOF
-			}
-			r.child.Close()
-			r.child = nil
-			continue
+		n, err := r.child.pull(dst)
+		if err == nil {
+			r.tr.passed(dst[:n])
+			return n, nil
 		}
-		if err != nil {
-			return data.Element{}, err
+		if r.p.quiesce.Load() {
+			// A quiesce barrier is draining the pipeline: this EOF may
+			// be the barrier cut, not true epoch exhaustion. Keep the
+			// child open so its sources can be captured, and let the
+			// EOF reach the root — the successor tree resumes the
+			// epoch. (If the epoch genuinely ended here, the captured
+			// source entry is empty and the resumed epoch EOFs
+			// immediately, rolling over to the next one.)
+			return 0, io.EOF
 		}
-		r.tr.consumed(1)
-		r.tr.produced(e)
-		return e, nil
+		r.child.Close()
+		r.child = nil
 	}
 }
 
@@ -1067,9 +1060,7 @@ func (r *repeatIter) capture(rs resumeState) {
 }
 
 func (r *repeatIter) Close() error {
-	if r.p != nil {
-		r.p.untrack(r)
-	}
+	r.p.untrack(r)
 	r.tr.flush()
 	if r.child != nil {
 		return r.child.Close()
@@ -1086,7 +1077,7 @@ func (r *repeatIter) Close() error {
 // per-record allocation loop.
 type batchIter struct {
 	p    *Pipeline
-	in   chunked
+	in   stage
 	run  []item // where a pull of in lands: a run is never longer than a chunk
 	size int
 	g    *seqGate
@@ -1099,19 +1090,20 @@ type batchIter struct {
 	lastCap int
 }
 
-func newBatchIter(p *Pipeline, child iterator, size int, handle *trace.NodeStats, g *seqGate) *batchIter {
-	return &batchIter{p: p, in: chunksOf(child), run: make([]item, min(size, p.chunkSize())), size: size, g: g, tr: tracker{h: handle}}
+func newBatchIter(p *Pipeline, child stage, size int, handle *trace.NodeStats, g *seqGate) *batchIter {
+	return &batchIter{p: p, in: child, run: make([]item, min(size, p.chunkSize())), size: size, g: g, tr: tracker{h: handle}}
 }
 
-func (b *batchIter) Next() (data.Element, error) {
+// pull hands out one minibatch.
+func (b *batchIter) pull(dst []item) (int, error) {
 	if b.eof {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	// Batch assembly (payload concatenation) is consumer-side CPU work; it
 	// runs under the segment's sequential-admission slot like filter and
 	// shuffle.
 	if !b.g.enter() {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	defer b.g.exit()
 	var start time.Time
@@ -1130,12 +1122,13 @@ func (b *batchIter) Next() (data.Element, error) {
 		run := b.run[:n]
 		if !b.g.tick(n) {
 			b.p.retire(run)
-			return data.Element{}, io.EOF
+			return 0, io.EOF
 		}
 		b.tr.consumed(n)
 		for i := range run {
 			if run[i].err != nil {
-				return data.Element{}, run[i].err // the run's last item
+				dst[0] = run[i] // the run's last item
+				return 1, nil
 			}
 			e := &run[i].elem
 			if filled+i == 0 {
@@ -1165,14 +1158,15 @@ func (b *batchIter) Next() (data.Element, error) {
 		if payload != nil && b.p.pool {
 			data.PutBuf(payload)
 		}
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	if cap(payload) > b.lastCap {
 		b.lastCap = cap(payload)
 	}
 	out.Payload = payload
 	b.tr.produced(out)
-	return out, nil
+	dst[0] = item{elem: out}
+	return 1, nil
 }
 
 func (b *batchIter) Close() error {
@@ -1186,23 +1180,21 @@ func (b *batchIter) Close() error {
 // prefetchIter decouples producer and consumer with a bounded buffer filled
 // by a background goroutine — the software-pipelining operator that overlaps
 // input processing with model steps. The buffer is chunked like the worker
-// stages, but sized so that the channel's chunk budget stays within
-// BufferSize; like the legacy per-element implementation, up to two extra
-// elements ride outside the channel (the emitter's in-hand chunk and the
-// receiver's pending chunk), so total in-flight lookahead is bounded by
-// BufferSize plus two chunk remnants. Partial chunks are flushed whenever
-// the consumer is starving, so chunking never delays time-to-first-element
-// the way a full-chunk wait would.
+// stages, but sized so that the edge's chunk budget stays within BufferSize;
+// the goroutine's chunk in hand and the receiver's pending chunk ride outside
+// it, so lookahead is bounded by BufferSize plus two chunk remnants. A
+// partial chunk is flushed whenever the consumer is starving, so chunking
+// never delays time-to-first-element the way a full-chunk wait would.
 type prefetchIter struct {
 	edge
-	child iterator
+	child stage
 	size  int
 	// childGate covers the sequential stages the prefetch goroutine drives
 	// below this point.
 	childGate *seqGate
 }
 
-func newPrefetchIter(p *Pipeline, child iterator, size int, handle *trace.NodeStats, latch *doneLatch, gate, childGate *seqGate) *prefetchIter {
+func newPrefetchIter(p *Pipeline, child stage, size int, handle *trace.NodeStats, latch *doneLatch, gate, childGate *seqGate) *prefetchIter {
 	pf := &prefetchIter{edge: edge{p: p, handle: handle, gate: gate, latch: latch}, child: child, size: size, childGate: childGate}
 	pf.startup = pf.start
 	return pf
@@ -1217,8 +1209,9 @@ func (p *prefetchIter) start() {
 	p.launch(1, max(1, p.size/cs-2), func(int) { p.produce(cs) })
 }
 
-// produce is the prefetch goroutine: it drives the stages below and hands
-// their elements on in chunks of cs.
+// produce is the prefetch goroutine: it drives the stages below, pulling
+// their runs straight into the chunk in hand, and hands the chunks on at cs
+// elements.
 func (p *prefetchIter) produce(cs int) {
 	defer p.childGate.close()
 	em := chunkEmitter{p: p.p, h: p.out, w: 0, done: p.latch.ch, size: cs, max: cs}
@@ -1237,28 +1230,32 @@ func (p *prefetchIter) produce(cs int) {
 	const flushEvery = 16
 	flushIn := flushEvery
 	for {
-		e, err := p.child.Next()
-		if err == io.EOF {
-			return
+		if em.buf == nil {
+			em.buf = getChunk(cs)
 		}
+		had := len(em.buf)
+		n, err := p.child.pull(em.buf[had:cs])
 		if err != nil {
-			em.add(item{err: err})
-			em.flush()
+			if had == 0 {
+				putChunk(em.buf)
+				em.buf = nil
+			}
 			return
 		}
-		tr.consumed(1)
-		tr.produced(e)
-		if flushIn--; flushIn <= 0 {
+		em.buf = em.buf[:had+n]
+		tr.passed(em.buf[had:])
+		if flushIn -= n; flushIn <= 0 {
 			flushIn = flushEvery
 			tr.flush()
 		}
-		if !em.add(item{elem: e}) {
+		if em.buf[had+n-1].err != nil {
+			em.flush()
 			return
 		}
-		// Consumer starving (edge drained): hand over the partial chunk now
-		// instead of waiting for it to fill. Only this goroutine sends, so
-		// the observed room cannot vanish.
-		if len(em.buf) > 0 && p.out.empty() && !em.flush() {
+		// Full, or the consumer is starving (edge drained): hand over the
+		// chunk now instead of waiting for it to fill. Only this goroutine
+		// sends, so the observed room cannot vanish.
+		if (had+n == cs || p.out.empty()) && !em.flush() {
 			return
 		}
 	}
@@ -1332,11 +1329,11 @@ type cacheIter struct {
 	key     resumeKey
 	seed    uint64
 	entry   *cacheEntry
-	factory func() (iterator, error)
+	factory func() (stage, error)
 	tr      tracker
 	copies  bool
 
-	child   iterator
+	child   stage
 	serving bool
 	// passthrough marks a cache resumed (or freshly inserted) mid-epoch by
 	// a live reconfiguration: it forwards elements without recording them —
@@ -1346,7 +1343,7 @@ type cacheIter struct {
 	pos         int
 }
 
-func newCacheIter(p *Pipeline, key resumeKey, entry *cacheEntry, factory func() (iterator, error), handle *trace.NodeStats, srcName string, seed uint64, copies bool) (*cacheIter, error) {
+func newCacheIter(p *Pipeline, key resumeKey, entry *cacheEntry, factory func() (stage, error), handle *trace.NodeStats, srcName string, seed uint64, copies bool) (*cacheIter, error) {
 	c := &cacheIter{p: p, key: key, seed: seed, entry: entry, factory: factory, tr: tracker{h: handle}, copies: copies}
 	entry.mu.Lock()
 	c.serving = entry.complete
@@ -1396,35 +1393,39 @@ func (c *cacheIter) capture(rs resumeState) {
 	rs[c.key] = cr
 }
 
-func (c *cacheIter) Next() (data.Element, error) {
+func (c *cacheIter) pull(dst []item) (int, error) {
 	if c.serving {
 		if c.p.quiesce.Load() {
 			// Barrier cut: stop serving here; capture records pos and the
 			// successor tree's cache resumes at it.
-			return data.Element{}, io.EOF
+			return 0, io.EOF
 		}
 		c.entry.mu.Lock()
-		defer c.entry.mu.Unlock()
-		if c.pos >= len(c.entry.elems) {
-			return data.Element{}, io.EOF
+		n := min(len(dst), len(c.entry.elems)-c.pos)
+		for i, e := range c.entry.elems[c.pos : c.pos+n] {
+			if c.copies && e.Payload != nil {
+				e.Payload, e.Owner = append(c.p.assembly(len(e.Payload)), e.Payload...), nil
+			}
+			dst[i] = item{elem: e}
 		}
-		e := c.entry.elems[c.pos]
-		c.pos++
-		if c.copies && e.Payload != nil {
-			e.Payload, e.Owner = append(c.p.assembly(len(e.Payload)), e.Payload...), nil
+		c.pos += n
+		c.entry.mu.Unlock()
+		if n == 0 {
+			return 0, io.EOF
 		}
-		c.tr.produced(e)
-		return e, nil
+		c.tr.handed(dst[:n])
+		return n, nil
 	}
 	if c.child == nil {
 		child, err := c.factory()
 		if err != nil {
-			return data.Element{}, err
+			dst[0] = item{err: err}
+			return 1, nil
 		}
 		c.child = child
 	}
-	e, err := c.child.Next()
-	if err == io.EOF {
+	n, err := c.child.pull(dst)
+	if err != nil {
 		// An EOF cut by a quiesce barrier, a Cancel or a Close is not epoch
 		// exhaustion: the entry holds only a prefix, so it must not be
 		// marked complete. Same for a passthrough cache, which recorded
@@ -1434,21 +1435,21 @@ func (c *cacheIter) Next() (data.Element, error) {
 			c.entry.complete = true
 			c.entry.mu.Unlock()
 		}
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
-	if err != nil {
-		return data.Element{}, err
-	}
-	c.tr.consumed(1)
 	if !c.passthrough {
-		kept := e.Clone()
-		kept.Owner = readOnlyView{}
 		c.entry.mu.Lock()
-		c.entry.elems = append(c.entry.elems, kept)
+		for _, it := range dst[:n] {
+			if it.err == nil {
+				kept := it.elem.Clone()
+				kept.Owner = readOnlyView{}
+				c.entry.elems = append(c.entry.elems, kept)
+			}
+		}
 		c.entry.mu.Unlock()
 	}
-	c.tr.produced(e)
-	return e, nil
+	c.tr.passed(dst[:n])
+	return n, nil
 }
 
 func (c *cacheIter) Close() error {
@@ -1466,13 +1467,13 @@ func (c *cacheIter) Close() error {
 type takeIter struct {
 	p      *Pipeline
 	key    resumeKey
-	child  iterator
+	child  stage
 	count  int64
 	tr     tracker
 	served int64
 }
 
-func newTakeIter(p *Pipeline, key resumeKey, child iterator, count int64, handle *trace.NodeStats) *takeIter {
+func newTakeIter(p *Pipeline, key resumeKey, child stage, count int64, handle *trace.NodeStats) *takeIter {
 	t := &takeIter{p: p, key: key, child: child, count: count, tr: tracker{h: handle}}
 	if served, ok := takeResume[int64](p, key); ok {
 		t.served = served
@@ -1486,18 +1487,17 @@ func (t *takeIter) capture(rs resumeState) {
 	rs[t.key] = t.served
 }
 
-func (t *takeIter) Next() (data.Element, error) {
+func (t *takeIter) pull(dst []item) (int, error) {
 	if t.served >= t.count {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
-	e, err := t.child.Next()
+	n, err := t.child.pull(dst[:min(int64(len(dst)), t.count-t.served)])
 	if err != nil {
-		return data.Element{}, err
+		return 0, err
 	}
-	t.tr.consumed(1)
-	t.served++
-	t.tr.produced(e)
-	return e, nil
+	t.served += int64(n)
+	t.tr.passed(dst[:n])
+	return n, nil
 }
 
 func (t *takeIter) Close() error {
@@ -1520,25 +1520,26 @@ func (t *takeIter) Close() error {
 // the other branches already delivered for the unfinished tuple.
 type zipIter struct {
 	p        *Pipeline
-	children []iterator
+	children []stage
 	g        *seqGate
 	tr       tracker
 	eof      bool
-	pulled   []data.Element
+	pulled   []item // one per branch: where its pull of one lands
 }
 
-func newZipIter(p *Pipeline, children []iterator, handle *trace.NodeStats, g *seqGate) *zipIter {
-	return &zipIter{p: p, children: children, g: g, tr: tracker{h: handle}, pulled: make([]data.Element, 0, len(children))}
+func newZipIter(p *Pipeline, children []stage, handle *trace.NodeStats, g *seqGate) *zipIter {
+	return &zipIter{p: p, children: children, g: g, tr: tracker{h: handle}, pulled: make([]item, len(children))}
 }
 
-func (z *zipIter) Next() (data.Element, error) {
+// pull hands out one tuple.
+func (z *zipIter) pull(dst []item) (int, error) {
 	if z.eof {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	// Tuple assembly (payload concatenation) is consumer-side CPU work; it
 	// runs under the segment's sequential-admission slot like batch.
 	if !z.g.enter() {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	defer z.g.exit()
 	var start time.Time
@@ -1546,56 +1547,46 @@ func (z *zipIter) Next() (data.Element, error) {
 	if traced {
 		start = time.Now()
 	}
-	// Drop references from the previous tuple before reuse, then abandon the
-	// partial tuple on any non-nil exit path.
-	clear(z.pulled)
-	z.pulled = z.pulled[:0]
-	abandon := func() {
-		for _, e := range z.pulled {
-			z.p.releasePayload(&e)
-		}
-	}
-	for _, c := range z.children {
-		e, err := c.Next()
-		if err == io.EOF {
+	for i, c := range z.children {
+		if _, err := c.pull(z.pulled[i : i+1]); err != nil {
 			z.eof = true
-			abandon()
-			return data.Element{}, io.EOF
-		}
-		if err != nil {
-			abandon()
-			return data.Element{}, err
+			z.p.retire(z.pulled[:i])
+			return 0, io.EOF
 		}
 		z.tr.consumed(1)
 		if !z.g.tick(1) {
-			abandon()
-			return data.Element{}, io.EOF
+			z.p.retire(z.pulled[:i+1])
+			return 0, io.EOF
 		}
-		z.pulled = append(z.pulled, e)
+		if failed := z.pulled[i]; failed.err != nil {
+			z.p.retire(z.pulled[:i])
+			dst[0] = failed
+			return 1, nil
+		}
 	}
-	out := data.Element{Count: z.pulled[0].Count, Index: z.pulled[0].Index}
+	out := data.Element{Count: z.pulled[0].elem.Count, Index: z.pulled[0].elem.Index}
 	total := 0
-	for _, e := range z.pulled {
-		out.Size += e.Size
-		total += len(e.Payload)
+	for i := range z.pulled {
+		out.Size += z.pulled[i].elem.Size
+		total += len(z.pulled[i].elem.Payload)
 	}
 	if total > 0 {
 		// The exact total is known up front, so the buffer never regrows
 		// (a regrown buffer would strand the pooled one).
 		payload := z.p.assembly(total)
-		for _, e := range z.pulled {
-			payload = append(payload, e.Payload...)
-			z.p.releasePayload(&e)
+		for i := range z.pulled {
+			payload = append(payload, z.pulled[i].elem.Payload...)
 		}
 		out.Payload = payload
-	} else {
-		abandon()
 	}
+	z.p.retire(z.pulled) // copied out, or nothing to copy
+	clear(z.pulled)
 	if traced {
 		z.tr.wall(time.Since(start))
 	}
 	z.tr.produced(out)
-	return out, nil
+	dst[0] = item{elem: out}
+	return 1, nil
 }
 
 func (z *zipIter) Close() error {
@@ -1608,38 +1599,35 @@ func (z *zipIter) Close() error {
 // Sequential, on the consumer goroutine, like every combining operator.
 type concatIter struct {
 	p        *Pipeline
-	children []iterator
+	children []stage
 	g        *seqGate
 	tr       tracker
 	cur      int
 }
 
-func newConcatIter(p *Pipeline, children []iterator, handle *trace.NodeStats, g *seqGate) *concatIter {
+func newConcatIter(p *Pipeline, children []stage, handle *trace.NodeStats, g *seqGate) *concatIter {
 	return &concatIter{p: p, children: children, g: g, tr: tracker{h: handle}}
 }
 
-func (c *concatIter) Next() (data.Element, error) {
+func (c *concatIter) pull(dst []item) (int, error) {
 	if !c.g.enter() {
-		return data.Element{}, io.EOF
+		return 0, io.EOF
 	}
 	defer c.g.exit()
 	for c.cur < len(c.children) {
-		e, err := c.children[c.cur].Next()
-		if err == io.EOF {
+		n, err := c.children[c.cur].pull(dst)
+		if err != nil {
 			c.cur++
 			continue
 		}
-		if err != nil {
-			return data.Element{}, err
+		if !c.g.tick(n) {
+			c.p.retire(dst[:n])
+			return 0, io.EOF
 		}
-		c.tr.consumed(1)
-		if !c.g.tick(1) {
-			return data.Element{}, io.EOF
-		}
-		c.tr.produced(e)
-		return e, nil
+		c.tr.passed(dst[:n])
+		return n, nil
 	}
-	return data.Element{}, io.EOF
+	return 0, io.EOF
 }
 
 func (c *concatIter) Close() error {
@@ -1653,36 +1641,36 @@ func (c *concatIter) Close() error {
 // roundRobin takes one element from each live replica in turn; a replica
 // leaves the rotation at its EOF.
 type roundRobin struct {
-	replicas []iterator
-	live     []iterator
+	replicas []stage
+	live     []stage
 	next     int // index into live
 }
 
-func newRoundRobin(replicas []iterator) *roundRobin {
-	return &roundRobin{replicas: replicas, live: append([]iterator(nil), replicas...)}
+func newRoundRobin(replicas []stage) *roundRobin {
+	return &roundRobin{replicas: replicas, live: append([]stage(nil), replicas...)}
 }
 
-func (r *roundRobin) Next() (data.Element, error) {
+// pull hands out one element, whatever len(dst): the rotation is per element.
+func (r *roundRobin) pull(dst []item) (int, error) {
 	for len(r.live) > 0 {
 		i := r.next % len(r.live)
-		e, err := r.live[i].Next()
-		if err == io.EOF {
+		if _, err := r.live[i].pull(dst[:1]); err != nil {
 			r.live, r.next = append(r.live[:i], r.live[i+1:]...), i
 			continue
 		}
 		r.next = i + 1
-		return e, err
+		return 1, nil
 	}
-	return data.Element{}, io.EOF
+	return 0, io.EOF
 }
 
 func (r *roundRobin) Close() error { return closeAll(r.replicas) }
 
-// closeAll closes every iterator and returns the first error.
-func closeAll(its []iterator) error {
+// closeAll closes every stage and returns the first error.
+func closeAll(stages []stage) error {
 	var first error
-	for _, it := range its {
-		if err := it.Close(); err != nil && first == nil {
+	for _, s := range stages {
+		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

@@ -161,7 +161,7 @@ func (pr *progress) end(run *trace.Run) (rate float64) {
 // to it whole, and a run is counted with one add.
 type progressTap struct {
 	pr     *progress
-	child  chunked
+	child  stage
 	lump   bool
 	pulled int64
 }

@@ -1,6 +1,8 @@
 package fuzz
 
 import (
+	"fmt"
+	"hash/fnv"
 	"io"
 	"sync"
 	"testing"
@@ -11,6 +13,7 @@ import (
 	"plumber/internal/pipeline"
 	"plumber/internal/scenario"
 	"plumber/internal/stats"
+	"plumber/internal/udf"
 )
 
 // TestEngineMatchesReference is the engine's differential oracle: every
@@ -31,6 +34,14 @@ import (
 // zip's branches are made as long as each other: of a longer branch, a zip
 // keeps the records that arrive first, and which those are is a parallel
 // stage's to decide.
+//
+// At parallelism 1 the order a drain delivers is deterministic, so an
+// ordered leg also compares it: over the generated graph with a Shuffle, a
+// Filter dropping three in ten, a Repeat(2) and a Take below the Batch, a
+// Prefetch above it and two outer-parallel replicas, the defaults must
+// deliver the reference's payloads in the reference's order. The reference
+// hands every stage runs of one element, so neither a seeded shuffle's order
+// nor the round robin's may depend on the length of the runs a stage pulls.
 func TestEngineMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 24; seed++ {
 		spec, _ := Gen(seed)
@@ -56,7 +67,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		live := arenaLive()
 		check := func(config string, got, want delivered) {
 			t.Helper()
-			if got != want {
+			if got.order, want.order = 0, 0; got != want {
 				t.Errorf("seed %d (%s shape %q), %s: delivered %+v, want %+v", seed, spec.Name, spec.Shape, config, got, want)
 			}
 			if n := arenaLive() - live; n != 0 {
@@ -72,8 +83,16 @@ func TestEngineMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		thrice := delivered{3 * want.minibatches, 3 * want.examples, 3 * want.bytes, 3 * want.weight}
+		thrice := delivered{3 * want.minibatches, 3 * want.examples, 3 * want.bytes, 3 * want.weight, 0}
 		check("cached above the batch, three epochs", deliver(t, cached, base), thrice)
+
+		if err := w.Registry.Register(udf.UDF{Name: "oracle_keep", Cost: udf.Cost{KeepFraction: 0.7}}); err != nil {
+			t.Fatal(err)
+		}
+		ordered := orderedLeg(t, w.Graph, want.examples)
+		if got, want := deliver(t, ordered, base), deliver(t, ordered, ref); got != want {
+			t.Errorf("seed %d (%s shape %q), ordered at parallelism 1: delivered %+v, want %+v", seed, spec.Name, spec.Shape, got, want)
+		}
 
 		stressed := base
 		stressed.ChannelSlack = 1
@@ -90,10 +109,40 @@ func TestEngineMatchesReference(t *testing.T) {
 // delivered is what a drain handed its consumer, in terms no reordering of
 // records changes: counts, and the multiset of payload bytes as a sum of
 // per-byte weights — the same however records are regrouped into
-// minibatches, moved by a record lost, repeated or altered.
+// minibatches, moved by a record lost, repeated or altered. order is what
+// does change: an FNV-64 hash of each minibatch's example count and payload,
+// in the order they came.
 type delivered struct {
 	minibatches, examples, bytes int64
-	weight                       uint64
+	weight, order                uint64
+}
+
+// orderedLeg is g, whose parallel stages all run at 1, with a Shuffle(16), a
+// Filter keeping seven in ten (oracle_keep), a Repeat(2) and a Take of n
+// inserted below its Batch, a Prefetch(4) above it, and two outer-parallel
+// replicas.
+func orderedLeg(t *testing.T, g *pipeline.Graph, n int64) *pipeline.Graph {
+	t.Helper()
+	below := g.Nodes[g.NodeIndex(g.Output)].Input
+	var err error
+	for _, ins := range []struct {
+		above string
+		node  pipeline.Node
+	}{
+		{below, pipeline.Node{Name: "oracle_shuffle", Kind: pipeline.KindShuffle, BufferSize: 16}},
+		{"oracle_shuffle", pipeline.Node{Name: "oracle_filter", Kind: pipeline.KindFilter, UDF: "oracle_keep"}},
+		{"oracle_filter", pipeline.Node{Name: "oracle_epochs", Kind: pipeline.KindRepeat, Count: 2}},
+		{"oracle_epochs", pipeline.Node{Name: "oracle_take", Kind: pipeline.KindTake, Count: n}},
+		{g.Output, pipeline.Node{Name: "oracle_prefetch", Kind: pipeline.KindPrefetch, BufferSize: 4}},
+	} {
+		if g, err = g.InsertAbove(ins.above, ins.node); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if g, err = g.WithOuterParallelism(2); err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 // byteWeight is splitmix64 of each byte value.
@@ -116,9 +165,11 @@ func deliver(t *testing.T, g *pipeline.Graph, opts engine.Options) delivered {
 	}
 	defer p.Close()
 	var d delivered
+	h := fnv.New64a()
 	for {
 		e, err := p.Next()
 		if err == io.EOF {
+			d.order = h.Sum64()
 			return d
 		}
 		if err != nil {
@@ -130,6 +181,8 @@ func deliver(t *testing.T, g *pipeline.Graph, opts engine.Options) delivered {
 		for _, b := range e.Payload {
 			d.weight += byteWeight[b]
 		}
+		fmt.Fprintf(h, "%d:", e.Count)
+		h.Write(e.Payload)
 		p.Recycle(e)
 	}
 }
