@@ -344,6 +344,49 @@ func TestConformanceFaultStats(t *testing.T) {
 	}
 }
 
+// TestConformanceFaultStream: one seeded plan injects one fault stream on
+// every backend. Each drains every shard to io.EOF in 256-byte reads,
+// reissuing a read that faulted, and all must end with the same FaultStats:
+// the plan is asked once per read call, after the end-of-file check, however
+// the backend holds its bytes.
+func TestConformanceFaultStream(t *testing.T) {
+	cat := confCatalog(t)
+	got := map[string]connector.FaultStats{}
+	for name, c := range backends(t, cat) {
+		c.SetFaults(&connector.FaultPlan{Seed: 5, Rules: []connector.FaultRule{{ErrorRate: 0.2}}})
+		for _, path := range c.List() {
+			r, err := c.Open(path)
+			if err != nil {
+				t.Fatalf("%s: Open(%s): %v", name, path, err)
+			}
+			buf := make([]byte, 256)
+			for {
+				_, err := r.Read(buf)
+				var fe *connector.FaultError
+				if errors.As(err, &fe) {
+					continue
+				}
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatalf("%s: read %s at %d: %v", name, path, r.Offset(), err)
+				}
+			}
+			r.Close()
+		}
+		got[name] = c.FaultStats()
+	}
+	if got["simfs"].Errors == 0 {
+		t.Fatalf("simfs: the plan injected no faults")
+	}
+	for _, name := range []string{"localfs", "objectstore"} {
+		if got[name] != got["simfs"] {
+			t.Errorf("%s injected %+v, simfs %+v", name, got[name], got["simfs"])
+		}
+	}
+}
+
 // TestObjectStoreTimingModel sanity-checks the modeled costs: per-request
 // latency makes cold sequential reads slower than a zero-latency store, and
 // a Rewind inside the paid range does not pay a new request.

@@ -1,9 +1,10 @@
 // Package connector defines the narrow storage interface the engine reads
-// training data through, with three backends behind it: an adapter over the
-// in-memory simulated filesystem (internal/simfs), a real local-FS backend
-// that materializes catalogs to actual files, and a modeled object-store
-// backend with request latency, parallel range reads, log-normal tails, and
-// a cold-start ramp.
+// training data through, with three backends behind it, all serving their
+// bytes through internal/simfs's one reader and fault path: an adapter over
+// the in-memory simulated filesystem, a local-FS backend that materializes
+// catalogs to real files and registers them with a simfs as files on disk,
+// and a modeled object-store backend over an in-memory simfs, with request
+// latency, parallel range reads, log-normal tails, and a cold-start ramp.
 //
 // The interface is deliberately small — Open/Stat/List plus the three
 // contracts the rest of the system depends on (a Reader may also implement
@@ -121,8 +122,3 @@ type Connector interface {
 	SetFaults(plan *FaultPlan)
 	FaultStats() FaultStats
 }
-
-// observeFlushBytes is how many served bytes a reader accumulates before
-// publishing them to observers; mirrors simfs so per-record hot paths stay
-// off the observer mutex. The remainder flushes at EOF and on Close.
-const observeFlushBytes = 128 << 10

@@ -126,20 +126,25 @@ func (s *ObjectStore) Open(path string) (Reader, error) {
 		return nil, err
 	}
 	return &objectReader{
-		store: s,
-		inner: inner,
-		rng:   stats.NewRNG(s.cfg.Seed ^ fnv64(path)),
-		start: time.Now(),
+		Reader: inner,
+		store:  s,
+		rng:    stats.NewRNG(s.cfg.Seed ^ fnv64(path)),
+		start:  time.Now(),
 	}, nil
 }
 
-// objectReader adds the request-latency model over an inner simfs reader:
-// crossing into each new range pays one (amortized, possibly cold, possibly
-// tail-inflated) request latency, and the per-stream bandwidth cap paces the
-// byte flow. Faults and observation ride on the inner reader unchanged.
+// objectReader adds the request-latency model over the simfs reader it
+// embeds: crossing into each new range pays one (amortized, possibly cold,
+// possibly tail-inflated) request latency, and the per-stream bandwidth cap
+// paces the byte flow. Faults, observation, Close, Path and Offset are the
+// embedded reader's. So are Rewind and SkipTo, which pay nothing: replayed
+// ranges were already fetched into the client's window, so a rewind inside
+// the paid range pays no new request latency; and a skip transfers nothing
+// (a real store would simply issue its next range request from there), so
+// it is free and the first read at the new offset pays as usual.
 type objectReader struct {
+	*simfs.Reader
 	store *ObjectStore
-	inner *simfs.Reader
 	rng   *stats.RNG
 
 	start       time.Time
@@ -150,7 +155,7 @@ type objectReader struct {
 // Read implements io.Reader.
 func (r *objectReader) Read(p []byte) (int, error) {
 	r.request()
-	n, err := r.inner.Read(p)
+	n, err := r.Reader.Read(p)
 	r.pace(n)
 	return n, err
 }
@@ -159,7 +164,7 @@ func (r *objectReader) Read(p []byte) (int, error) {
 // Read, around the inner reader's view of the object's bytes.
 func (r *objectReader) View(n int) ([]byte, error) {
 	r.request()
-	v, err := r.inner.View(n)
+	v, err := r.Reader.View(n)
 	r.pace(len(v))
 	return v, err
 }
@@ -168,7 +173,7 @@ func (r *objectReader) View(n int) ([]byte, error) {
 // ranges already fetched.
 func (r *objectReader) request() {
 	cfg := &r.store.cfg
-	off := r.inner.Offset()
+	off := r.Offset()
 	if off < r.paidThrough || cfg.RequestLatency <= 0 {
 		return
 	}
@@ -197,25 +202,6 @@ func (r *objectReader) pace(n int) {
 		time.Sleep(ahead)
 	}
 }
-
-// Close implements io.Closer (flushes inner observation).
-func (r *objectReader) Close() error { return r.inner.Close() }
-
-// Path implements Reader.
-func (r *objectReader) Path() string { return r.inner.Path() }
-
-// Offset implements Reader.
-func (r *objectReader) Offset() int64 { return r.inner.Offset() }
-
-// Rewind implements Reader. Replayed ranges were already fetched into the
-// client's window, so a rewind pays no new request latency.
-func (r *objectReader) Rewind(off int64) error { return r.inner.Rewind(off) }
-
-// SkipTo fast-forwards to a later offset without transferring the skipped
-// bytes — a real object store would simply issue its next range request
-// from there. The skip itself is free; the first read at the new offset
-// starts a fresh range and pays request latency as usual.
-func (r *objectReader) SkipTo(off int64) error { return r.inner.SkipTo(off) }
 
 func fnv64(s string) uint64 {
 	var h uint64 = 0xcbf29ce484222325

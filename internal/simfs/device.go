@@ -1,9 +1,12 @@
 // Package simfs provides the storage substrate for the Plumber reproduction
-// (§5.2's disk-bound setups): an in-memory filesystem holding synthetic
-// TFRecord shards, a device model whose total bandwidth a token bucket
-// enforces, read instrumentation for the tracer (§4.1's filename-to-bytes
-// map), and seeded fault injection on the read path. The connector package
-// serves it as one storage backend; nothing else reads it directly.
+// (§5.2's disk-bound setups): a filesystem serving synthetic TFRecord shards
+// generated in memory and files registered on disk, a device model whose
+// total bandwidth a token bucket enforces, read instrumentation for the
+// tracer (§4.1's filename-to-bytes map), and seeded fault injection on the
+// read path. Both kinds of file are read through one Reader, so every
+// storage backend observes reads, injects faults and rewinds the same way.
+// The connector package serves it behind each of its backends; nothing else
+// reads it directly.
 //
 // The paper's disk microbenchmarks (§5.2) simulate bandwidths the same way,
 // with a token-bucket limiter inside TensorFlow's filesystem layer.

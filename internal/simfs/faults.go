@@ -113,10 +113,8 @@ type FaultStats struct {
 	DelayNanos int64 `json:"delay_nanos"`
 }
 
-// Injector is the runtime state behind an installed FaultPlan. It is
-// exported so storage connectors outside this package (the local-FS backend)
-// can reuse the exact same fault machinery on their own read paths.
-type Injector struct {
+// injector is the runtime state behind an installed FaultPlan.
+type injector struct {
 	mu    sync.Mutex
 	plan  FaultPlan
 	rng   *stats.RNG
@@ -125,9 +123,9 @@ type Injector struct {
 	stats FaultStats
 }
 
-// NewInjector returns a fresh injector for a plan; the ramp clock starts now.
-func NewInjector(plan FaultPlan) *Injector {
-	return &Injector{
+// newInjector returns a fresh injector for a plan; the ramp clock starts now.
+func newInjector(plan FaultPlan) *injector {
+	return &injector{
 		plan:  plan,
 		rng:   stats.NewRNG(plan.Seed),
 		reads: make(map[string][]int64),
@@ -139,7 +137,7 @@ func NewInjector(plan FaultPlan) *Injector {
 // calling reader's per-rule stall latch (allocated here on first use). The
 // returned delay must be slept by the caller before returning the error (a
 // faulting backend is slow and broken, not just broken).
-func (fi *Injector) Inject(path string, off int64, stalled *[]bool) (time.Duration, error) {
+func (fi *injector) Inject(path string, off int64, stalled *[]bool) (time.Duration, error) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	counts := fi.reads[path]
@@ -196,7 +194,7 @@ func (fi *Injector) Inject(path string, off int64, stalled *[]bool) (time.Durati
 }
 
 // Stats snapshots what the injector has delivered so far.
-func (fi *Injector) Stats() FaultStats {
+func (fi *injector) Stats() FaultStats {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	return fi.stats
@@ -210,7 +208,7 @@ func (fs *FS) SetFaults(plan *FaultPlan) {
 		fs.faults.Store(nil)
 		return
 	}
-	fs.faults.Store(NewInjector(*plan))
+	fs.faults.Store(newInjector(*plan))
 }
 
 // FaultStats reports what the installed plan has injected so far; zero

@@ -3,6 +3,7 @@ package simfs
 import (
 	"fmt"
 	"io"
+	"os"
 	"reflect"
 	"sort"
 	"sync"
@@ -25,10 +26,13 @@ type ObserverFunc func(path string, n int64)
 // ObserveRead implements ReadObserver.
 func (f ObserverFunc) ObserveRead(path string, n int64) { f(path, n) }
 
-// FS is an in-memory filesystem of synthetic TFRecord shards backed by a
-// device model. Shard content is generated lazily and deterministically from
-// the file spec, so petabyte catalogs can be registered cheaply and only the
-// files actually read are materialized.
+// FS is a filesystem of TFRecord shards backed by a device model. Generated
+// shards live in memory: their content is generated lazily and
+// deterministically from the file spec, so petabyte catalogs can be
+// registered cheaply and only the files actually read are materialized.
+// Files registered with AddDiskFile live on disk instead and are read
+// through the same reader, so faults, observation and offsets behave the
+// same wherever the bytes are.
 type FS struct {
 	device   Device
 	bucket   *TokenBucket
@@ -47,12 +51,13 @@ type FS struct {
 
 	// faults is the installed plan's injector, nil when none. Every read
 	// call consults it, so it is an atomic load rather than a trip through mu.
-	faults atomic.Pointer[Injector]
+	faults atomic.Pointer[injector]
 }
 
 type fileEntry struct {
 	spec data.FileSpec
 	seed uint64
+	disk string // the real path of a file registered by AddDiskFile
 
 	once    sync.Once
 	content []byte
@@ -134,6 +139,15 @@ func (fs *FS) AddFile(spec data.FileSpec, seed uint64) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	fs.files[spec.Name] = &fileEntry{spec: spec, seed: seed}
+}
+
+// AddDiskFile registers the size bytes at realPath on disk as path. Readers
+// open the real file and read it through a pooled read-ahead buffer; a
+// later registration of path replaces this one.
+func (fs *FS) AddDiskFile(path, realPath string, size int64) {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	fs.files[path] = &fileEntry{spec: data.FileSpec{Name: path, TotalBytes: size}, disk: realPath}
 }
 
 // Stat returns the framed size of a file.
@@ -256,14 +270,36 @@ func hash64(s string) uint64 {
 // EOF and on Close).
 const observeFlushBytes = 128 << 10
 
+// readAheadPool recycles the read-ahead buffers of readers over disk files
+// (observeFlushBytes each), so reopening shards every epoch does not
+// allocate one per open.
+var readAheadPool = sync.Pool{
+	New: func() any {
+		b := make([]byte, observeFlushBytes)
+		return &b
+	},
+}
+
 // Reader streams one file's bytes with instrumentation and (optionally)
 // real-time throttling against the device token bucket.
 type Reader struct {
 	fs     *FS
 	path   string
-	buf    []byte
+	buf    []byte // the file's bytes; nil for a file on disk
+	size   int
 	off    int
 	closed bool
+
+	// disk is the open file behind a disk-registered path. It is read
+	// through one read-ahead buffer: a record reader's three small reads
+	// per record (header, payload, footer) become one pread(2) per
+	// observeFlushBytes, while faults, read-call counts and offsets stay per
+	// logical Read. ahead holds the file's bytes from aheadOff on, and is a
+	// window of the pooled buffer ra.
+	disk     *os.File
+	ra       *[]byte
+	ahead    []byte
+	aheadOff int
 
 	pendingBytes int64
 	pendingCalls int64
@@ -278,17 +314,56 @@ func (fs *FS) Open(path string) (*Reader, error) {
 	if !ok {
 		return nil, fmt.Errorf("simfs: open %s: no such file", path)
 	}
-	content := f.materialize()
-	return &Reader{fs: fs, path: path, buf: content}, nil
+	if f.disk == "" {
+		content := f.materialize()
+		return &Reader{fs: fs, path: path, buf: content, size: len(content)}, nil
+	}
+	file, err := os.Open(f.disk)
+	if err != nil {
+		return nil, fmt.Errorf("simfs: open %s: %w", path, err)
+	}
+	return &Reader{fs: fs, path: path, size: int(f.spec.TotalBytes), disk: file}, nil
 }
 
 // Read implements io.Reader with read accounting and optional throttling.
+// Like a read(2) on a regular file, it fills p unless the file ends first.
 func (r *Reader) Read(p []byte) (int, error) {
 	if err := r.begin(); err != nil {
 		return 0, err
 	}
-	n := copy(p, r.buf[r.off:])
+	if r.disk == nil {
+		n := copy(p, r.buf[r.off:])
+		r.served(n)
+		return n, nil
+	}
+	n, err := r.readDisk(p[:min(len(p), r.size-r.off)])
+	if n == 0 && err != nil {
+		return 0, err
+	}
 	r.served(n)
+	return n, nil // an error behind served bytes resurfaces on the next call
+}
+
+// readDisk copies the file's bytes from the reader's offset into p, through
+// the read-ahead window, refilling the window until p is full or the file
+// ends (or fails).
+func (r *Reader) readDisk(p []byte) (int, error) {
+	n := 0
+	for n < len(p) {
+		at := r.off + n
+		if i := at - r.aheadOff; i >= 0 && i < len(r.ahead) {
+			n += copy(p[n:], r.ahead[i:])
+			continue
+		}
+		if r.ra == nil {
+			r.ra = readAheadPool.Get().(*[]byte)
+		}
+		m, err := r.disk.ReadAt(*r.ra, int64(at))
+		r.ahead, r.aheadOff = (*r.ra)[:m], at
+		if m == 0 {
+			return n, err
+		}
+	}
 	return n, nil
 }
 
@@ -299,8 +374,12 @@ func (r *Reader) Read(p []byte) (int, error) {
 // serves what remains and returns io.ErrUnexpectedEOF, as io.ReadFull would;
 // at end of file it returns io.EOF. The slice is capped at its length, so an
 // append reallocates, but the bytes are the filesystem's: callers must never
-// write through it.
+// write through it. A file on disk has no bytes in memory to view: View
+// fails before the call counts as a read.
 func (r *Reader) View(n int) ([]byte, error) {
+	if r.disk != nil {
+		return nil, fmt.Errorf("simfs: view %s: the file is on disk, not in memory", r.path)
+	}
 	if err := r.begin(); err != nil {
 		return nil, err
 	}
@@ -324,7 +403,7 @@ func (r *Reader) begin() error {
 	if r.closed {
 		return fmt.Errorf("simfs: read %s: closed", r.path)
 	}
-	if r.off >= len(r.buf) {
+	if r.off >= r.size {
 		return io.EOF
 	}
 	if fi := r.fs.faults.Load(); fi != nil {
@@ -342,7 +421,7 @@ func (r *Reader) served(n int) {
 	r.off += n
 	r.pendingBytes += int64(n)
 	r.pendingCalls++
-	if r.pendingBytes >= observeFlushBytes || r.off >= len(r.buf) {
+	if r.pendingBytes >= observeFlushBytes || r.off >= r.size {
 		r.flushObservation()
 	}
 	if r.fs.throttle {
@@ -362,14 +441,22 @@ func (r *Reader) flushObservation() {
 	r.pendingBytes, r.pendingCalls = 0, 0
 }
 
-// Close releases the reader, flushing any unpublished read accounting.
+// Close releases the reader, flushing any unpublished read accounting even
+// for readers abandoned mid-file, and closes a file on disk.
 func (r *Reader) Close() error {
 	if r.closed {
 		return nil
 	}
 	r.closed = true
 	r.flushObservation()
-	return nil
+	if r.disk == nil {
+		return nil
+	}
+	if r.ra != nil {
+		readAheadPool.Put(r.ra)
+		r.ra, r.ahead = nil, nil
+	}
+	return r.disk.Close()
 }
 
 // Path returns the file path backing the reader.
@@ -388,8 +475,8 @@ func (r *Reader) SkipTo(off int64) error {
 	if r.closed {
 		return fmt.Errorf("simfs: skip %s: closed", r.path)
 	}
-	if off < int64(r.off) || off > int64(len(r.buf)) {
-		return fmt.Errorf("simfs: skip %s: offset %d out of range [%d, %d]", r.path, off, r.off, len(r.buf))
+	if off < int64(r.off) || off > int64(r.size) {
+		return fmt.Errorf("simfs: skip %s: offset %d out of range [%d, %d]", r.path, off, r.off, r.size)
 	}
 	r.off = int(off)
 	return nil

@@ -1,7 +1,10 @@
 package simfs
 
 import (
+	"bytes"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -135,5 +138,54 @@ func TestContentIsDeterministic(t *testing.T) {
 	bb, _ := io.ReadAll(rb)
 	if string(ba) != string(bb) {
 		t.Fatal("same spec and seed produced different shard content")
+	}
+}
+
+// TestDiskFileReadsThroughTheSameReader registers a shard's bytes on disk:
+// the reader serves them like the in-memory copy, with the same offsets,
+// rewinds and observation, but View fails and serves nothing, because
+// nothing is in memory to view.
+func TestDiskFileReadsThroughTheSameReader(t *testing.T) {
+	_, cat := testCatalogFS(t)
+	spec := cat.GenerateFileSpecs(5)[0]
+	path, want := spec.Name, FileContent(spec, 5)
+	real := filepath.Join(t.TempDir(), "shard")
+	if err := os.WriteFile(real, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fs := New(Device{Name: "disk"}, false)
+	fs.AddDiskFile(path, real, int64(len(want)))
+	if size, err := fs.Stat(path); err != nil || size != int64(len(want)) {
+		t.Fatalf("Stat = %d, %v; want %d", size, err, len(want))
+	}
+	obs := &countingObserver{}
+	fs.AddObserver(obs)
+
+	r, err := fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	head := make([]byte, 100)
+	if _, err := io.ReadFull(r, head); err != nil || !bytes.Equal(head, want[:100]) {
+		t.Fatalf("first 100 bytes: %v", err)
+	}
+	if v, err := r.View(16); err == nil || v != nil {
+		t.Fatalf("View on a file on disk = %d bytes, %v; want an error", len(v), err)
+	}
+	if r.Offset() != 100 {
+		t.Fatalf("offset after the failed View = %d, want 100", r.Offset())
+	}
+	if err := r.Rewind(10); err != nil {
+		t.Fatal(err)
+	}
+	rest, err := io.ReadAll(r)
+	if err != nil || !bytes.Equal(rest, want[10:]) {
+		t.Fatalf("read after Rewind(10): %v, %d bytes, want %d", err, len(rest), len(want)-10)
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, wantObs := obs.total(), int64(100+len(want)-10); got != wantObs {
+		t.Fatalf("observer saw %d bytes, want %d (replayed bytes count again)", got, wantObs)
 	}
 }
