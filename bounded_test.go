@@ -20,6 +20,8 @@ import (
 	"plumber/internal/pipeline"
 	"plumber/internal/scenario"
 	"plumber/internal/simfs"
+	"plumber/internal/stats"
+	"plumber/internal/trace"
 	"plumber/internal/udf"
 )
 
@@ -349,9 +351,6 @@ func TestSettledTraceCostsASpanNotTwelveMinibatches(t *testing.T) {
 				t.Fatalf("batch %d: settled traces planned (%d cores)\n%s\nwhole passes planned (%d cores)\n%s",
 					tc.batch, b.Plan.CoresPlanned, final, w.Plan.CoresPlanned, wholeFinal)
 			}
-			if b.TracesUsed != 1 || len(b.Steps) != 1 {
-				t.Fatalf("batch %d: plan-first took %d traces over %d steps, want one planning trace", tc.batch, b.TracesUsed, len(b.Steps))
-			}
 			bounded = math.Max(bounded, b.PredictedMinibatchesPerSec)
 			whole = math.Max(whole, w.PredictedMinibatchesPerSec)
 			if run := b.Steps[0].Run; run.Settled && run.RootCompletions <= tc.maxRoot && run.Seconds <= tc.limit.Seconds() {
@@ -449,28 +448,66 @@ func TestOptimizeTracesOnce(t *testing.T) {
 }
 
 // TestPredictionUsesSchedulableCores: with Spin the modeled CPU is burned by
-// goroutines, and only GOMAXPROCS of them run at once. At GOMAXPROCS 1 a
-// two-core budget buys nothing a one-core budget does not, so the vision
-// chain's prediction must be the one-core one. Capped at the host's cores
-// alone, it read 123 minibatches/s where one P delivers 62.
+// goroutines, and only GOMAXPROCS of them run at once. A trace at GOMAXPROCS
+// 1 records one schedulable core, and from that snapshot a two-core budget
+// buys nothing a one-core budget does not, so the vision chain's prediction
+// must be the one-core one. Capped at the host's cores alone, it read 123
+// minibatches/s where one P delivers 62. Without Spin the modeled CPU is
+// only accounted: the snapshot records no schedulable cores, and the
+// prediction is at the budget's.
 func TestPredictionUsesSchedulableCores(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts := boundedOptions(t)
 	g := boundedGraph(t, "chain")
-	predict := func(cores int) float64 {
-		res, err := Optimize(g, Budget{Cores: cores, MemoryBytes: 256 << 20}, opts)
+	prev := runtime.GOMAXPROCS(1)
+	snap, err := traceUntil(g, opts, engine.Settled)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Machine.SchedulableCores; got != 1 {
+		t.Fatalf("a trace at GOMAXPROCS 1 recorded %d schedulable cores, want 1", got)
+	}
+	planAt := func(snap *trace.Snapshot, cores int) *Result {
+		res, err := Plan(snap, opts.UDFs, Budget{Cores: cores, MemoryBytes: 256 << 20})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.PredictedMinibatchesPerSec
+		return res
 	}
-	// Each prediction rests on its own wall-clock trace: a miss is retried.
-	var one, two float64
-	for attempt := 0; attempt < 3 && (attempt == 0 || !within(two, one, 0.10)); attempt++ {
-		one, two = predict(1), predict(2)
-	}
-	if !within(two, one, 0.10) {
+	two := planAt(snap, 2).PredictedMinibatchesPerSec
+	if one := planAt(snap, 1).PredictedMinibatchesPerSec; !within(two, one, 0.10) {
 		t.Errorf("at GOMAXPROCS 1 a two-core budget predicted %.1f mb/s, a one-core budget %.1f; want them within 10 %%", two, one)
+	}
+	// The recorded core is in the snapshot's file, not only in memory.
+	saved, err := snap.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := trace.UnmarshalSnapshot(saved)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := planAt(back, 2).PredictedMinibatchesPerSec; got != two {
+		t.Errorf("the snapshot read back predicted %.1f mb/s at two cores, the one in memory %.1f", got, two)
+	}
+
+	opts.Spin = false
+	snap, err = traceUntil(g, opts, engine.Settled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snap.Machine.SchedulableCores; got != 0 {
+		t.Fatalf("a trace that burned no CPU recorded %d schedulable cores, want 0", got)
+	}
+	an, err := Analyze(snap, opts.UDFs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Four cores, more than this host may schedule: an accounted trace is
+	// no reading of the host's.
+	res := planAt(snap, 4)
+	if want := stats.FiniteOrZero(an.PredictObservedRate(res.Plan.Hypothetical(false, 4, 0))); res.PredictedMinibatchesPerSec != want {
+		t.Errorf("without Spin a four-core budget predicted %.1f mb/s, want the four-core rate %.1f", res.PredictedMinibatchesPerSec, want)
 	}
 }
 
@@ -574,17 +611,16 @@ func TestBoundedTraceOfConcatReadsTheBranchItSaw(t *testing.T) {
 	}
 }
 
-// planFirst runs Optimize's body as Optimize does, with the given stop rule
-// on its trace.
+// planFirst plans as Optimize does, from one trace cut by the given stop
+// rule.
 func planFirst(t *testing.T, g *pipeline.Graph, budget Budget, opts Options, stop engine.StopRule) *Result {
 	t.Helper()
-	opts = opts.withDefaults()
-	opts.Machine.Cores = budget.Cores
-	if opts.Caches == nil {
-		opts.Caches = engine.NewCacheStore()
+	snap, err := traceUntil(g, opts, stop)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res := &Result{Initial: g.Clone(), Budget: budget}
-	if err := optimizePlanFirst(res, g.Clone(), budget, opts, stop); err != nil {
+	res, err := Plan(snap, opts.UDFs, budget)
+	if err != nil {
 		t.Fatal(err)
 	}
 	return res
@@ -642,9 +678,6 @@ func TestBoundedOptimizeMatchesWholePass(t *testing.T) {
 			fj, _ := json.Marshal(f.Final)
 			if string(bj) != string(fj) {
 				t.Fatalf("%s: bounded traces planned\n%s\nwhole passes planned\n%s", spec.Name, bj, fj)
-			}
-			if b.TracesUsed != 1 || f.TracesUsed != 1 {
-				t.Fatalf("%s: %d traces bounded, %d whole, want one each", spec.Name, b.TracesUsed, f.TracesUsed)
 			}
 			bounded = math.Max(bounded, b.PredictedMinibatchesPerSec)
 			whole = math.Max(whole, f.PredictedMinibatchesPerSec)
@@ -728,8 +761,8 @@ func TestBoundedOptimizeLeavesNoPartialCache(t *testing.T) {
 		opts.Caches = engine.NewCacheStore() // the caller's store, as Options.Caches
 		res = planFirst(t, g, Budget{Cores: 1, MemoryBytes: 256 << 20}, opts, countingSettled(&cut))
 	}
-	if decode, err := res.Final.Node("decode"); err != nil || decode.EffectiveParallelism() != 1 || res.TracesUsed != 1 {
-		t.Fatalf("want the chain below the cache left as traced, in 1 trace; got decode %+v (%v) and %d traces", decode, err, res.TracesUsed)
+	if decode, err := res.Final.Node("decode"); err != nil || decode.EffectiveParallelism() != 1 {
+		t.Fatalf("want the chain below the cache left as traced; got decode %+v (%v)", decode, err)
 	}
 	records := int64(boundedCatalog.NumFiles * boundedCatalog.RecordsPerFile)
 	for pass, fromSource := range []int64{records, 0} {

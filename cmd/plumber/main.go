@@ -1,12 +1,12 @@
 // Command plumber is the CLI over the plumber façade: trace a pipeline into
-// a snapshot, analyze a snapshot into resource-accounted rates, or run the
-// closed-loop tuner end to end.
+// a snapshot, analyze a snapshot into resource-accounted rates, plan from a
+// snapshot (plumber.Plan), or trace and plan in one call (plumber.Optimize).
 //
 // Usage:
 //
 //	plumber trace    [-graph graph.json] [-out snapshot.json] [workload flags]
 //	plumber analyze  -snap snapshot.json [-out analysis.json]
-//	plumber plan     [-graph graph.json] [-out plan.json] [-apply planned-graph.json] [budget flags] [workload flags]
+//	plumber plan     -snap snapshot.json [-out plan.json] [-apply planned-graph.json] [budget flags]
 //	plumber optimize [-graph graph.json] [-out tuner.json] [budget flags] [workload flags]
 //	plumber arbitrate [-tenants vision,tiny-files] [-weights 1,1] [-run] [-out arbiter.json] [budget flags]
 //	plumber watch    [-duration 6s] [-ramp-after 2s] [-ramp-mbps 8] [-min-replans N] [budget flags]
@@ -31,19 +31,24 @@
 // stalled / failed), retry counters, and any share reclaims; the output
 // JSON then wraps {"decision": ..., "concurrent_run": ...}.
 //
-// Budget flags are -cores N, -memory-mb M, -bw-mbps B. Without -graph, the
-// commands build the demo program — an all-sequential interleave → map →
-// batch chain over a synthetic catalog — whose shape is controlled by the
-// workload flags (-files, -records-per-file, -record-bytes, -batch,
+// plan is the deciding half of optimize over a snapshot file: it starts no
+// trace, and from a snapshot it plans the program and prediction optimize
+// plans from the same trace. A snapshot carries no UDF registry, so plan
+// treats every UDF as deterministic for cache legality, as analyze does.
+//
+// Budget flags are -cores N, -memory-mb M, -bw-mbps B. Without -graph,
+// trace and optimize build the demo program — an all-sequential interleave
+// → map → batch chain over a synthetic catalog — whose shape is controlled
+// by the workload flags (-files, -records-per-file, -record-bytes, -batch,
 // -udf-cpu-us). -backend selects the storage connector serving the shards:
 // simfs (the default in-memory simulated filesystem), localfs (shards
 // materialized as real files in a temp dir, removed on exit), or
 // objectstore (the modeled high-latency object store). A walkthrough:
 //
-//	plumber trace -out snap.json            # run instrumented, dump counters + program
-//	plumber analyze -snap snap.json         # rates, capacities, cache legality
-//	plumber plan -out plan.json             # 1 trace -> one-shot joint allocation + prediction
-//	plumber optimize -out tuner.json        # 1 trace -> plan -> one audited rewrite
+//	plumber trace -out snap.json              # run instrumented, dump counters + program
+//	plumber analyze -snap snap.json           # rates, capacities, cache legality
+//	plumber plan -snap snap.json -out p.json  # the snapshot -> joint allocation, rewrite, prediction
+//	plumber optimize -out tuner.json          # 1 settled trace -> the same plan, in one call
 //
 // UDF names in a loaded graph that the demo registry does not know are
 // registered automatically as cost-model UDFs costing -udf-cpu-us
@@ -67,8 +72,6 @@ import (
 	"plumber/internal/data"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
-	"plumber/internal/plan"
-	"plumber/internal/rewrite"
 	"plumber/internal/scenario"
 	"plumber/internal/simfs"
 	"plumber/internal/stats"
@@ -271,7 +274,7 @@ func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   plumber trace    [-graph graph.json] [-out snapshot.json] [workload flags]
   plumber analyze  -snap snapshot.json [-out analysis.json]
-  plumber plan     [-graph graph.json] [-out plan.json] [-apply planned-graph.json] [-cores N] [-memory-mb M] [-bw-mbps B] [workload flags]
+  plumber plan     -snap snapshot.json [-out plan.json] [-apply planned-graph.json] [-cores N] [-memory-mb M] [-bw-mbps B]
   plumber optimize [-graph graph.json] [-out tuner.json] [-cores N] [-memory-mb M] [-bw-mbps B] [workload flags]
   plumber arbitrate [-tenants vision,tiny-files] [-weights 1,1] [-run] [-out arbiter.json] [-quick] [-cores N] [-memory-mb M] [-bw-mbps B]
   plumber watch    [-duration 6s] [-interval 500ms] [-drift 0.3] [-ramp-after 2s] [-ramp-mbps 8] [-min-replans N] [-out watch.json] [budget flags]
@@ -316,14 +319,7 @@ func runAnalyze(args []string) error {
 	snapPath := fs.String("snap", "", "snapshot JSON produced by plumber trace (required)")
 	out := fs.String("out", "", "optional output path for the analysis JSON")
 	fs.Parse(args)
-	if *snapPath == "" {
-		return fmt.Errorf("-snap is required")
-	}
-	b, err := os.ReadFile(*snapPath)
-	if err != nil {
-		return err
-	}
-	snap, err := trace.UnmarshalSnapshot(b)
+	snap, err := readSnapshot(*snapPath)
 	if err != nil {
 		return err
 	}
@@ -346,6 +342,18 @@ func runAnalyze(args []string) error {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	return nil
+}
+
+// readSnapshot reads the snapshot file a -snap flag names.
+func readSnapshot(path string) (*trace.Snapshot, error) {
+	if path == "" {
+		return nil, fmt.Errorf("-snap is required")
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	return trace.UnmarshalSnapshot(b)
 }
 
 // analysisNodeDoc is the JSON view of one analyzed Dataset (Inf-free).
@@ -400,21 +408,59 @@ func printAnalysis(an *ops.Analysis) {
 	tw.Flush()
 }
 
-// budgetFlags registers the shared resource-budget flags.
-func budgetFlags(fs *flag.FlagSet) (cores *int, memoryMB *int64, bwMBps *float64) {
-	cores = fs.Int("cores", 4, "core budget")
-	memoryMB = fs.Int64("memory-mb", 256, "cache memory budget in MiB (0 disables caching)")
-	bwMBps = fs.Float64("bw-mbps", 0, "disk bandwidth budget in MB/s (0 = unbounded)")
-	return
+// budgetFlags registers the shared resource-budget flags; the returned
+// func reads them after Parse.
+func budgetFlags(fs *flag.FlagSet) func() plumber.Budget {
+	cores := fs.Int("cores", 4, "core budget")
+	memoryMB := fs.Int64("memory-mb", 256, "cache memory budget in MiB (0 disables caching)")
+	bwMBps := fs.Float64("bw-mbps", 0, "disk bandwidth budget in MB/s (0 = unbounded)")
+	return func() plumber.Budget {
+		return plumber.Budget{Cores: *cores, MemoryBytes: *memoryMB << 20, DiskBandwidth: *bwMBps * 1e6}
+	}
 }
 
+// runPlan plans from a snapshot file, as Optimize plans from its own trace;
+// it starts no trace.
 func runPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+	snapPath := fs.String("snap", "", "snapshot JSON produced by plumber trace (required)")
+	out := fs.String("out", "plan.json", "output path for the plan report JSON")
+	applyOut := fs.String("apply", "", "optional output path for the planned (rewritten) graph JSON")
+	budget := budgetFlags(fs)
+	fs.Parse(args)
+
+	snap, err := readSnapshot(*snapPath)
+	if err != nil {
+		return err
+	}
+	// A standalone snapshot carries no UDF registry; UDFs are treated as
+	// deterministic for cache legality.
+	res, err := plumber.Plan(snap, nil, budget())
+	if err != nil {
+		return err
+	}
+	if err := report(res, *out); err != nil {
+		return err
+	}
+	if *applyOut != "" {
+		b, err := res.Final.Marshal()
+		if err != nil {
+			return err
+		}
+		if err := writeFile(*applyOut, b); err != nil {
+			return err
+		}
+		fmt.Printf("wrote the planned graph to %s\n", *applyOut)
+	}
+	return nil
+}
+
+func runOptimize(args []string) error {
+	fs := flag.NewFlagSet("optimize", flag.ExitOnError)
 	var w workload
 	w.register(fs)
-	out := fs.String("out", "plan.json", "output path for the plan JSON")
-	applyOut := fs.String("apply", "", "optional output path for the planned (rewritten) graph JSON")
-	cores, memoryMB, bwMBps := budgetFlags(fs)
+	out := fs.String("out", "tuner.json", "output path for the tuner report JSON")
+	budget := budgetFlags(fs)
 	fs.Parse(args)
 
 	g, opts, cleanup, err := w.setup()
@@ -422,32 +468,29 @@ func runPlan(args []string) error {
 		return err
 	}
 	defer cleanup()
-	budget := plumber.Budget{
-		Cores:         *cores,
-		MemoryBytes:   *memoryMB << 20,
-		DiskBandwidth: *bwMBps * 1e6,
-	}
-	snap, err := plumber.Trace(g, opts)
+	res, err := plumber.Optimize(g, budget(), opts)
 	if err != nil {
 		return err
 	}
-	an, err := plumber.Analyze(snap, opts.UDFs)
-	if err != nil {
-		return err
-	}
-	pl, err := plan.Solve(an, budget)
-	if err != nil {
-		return err
-	}
+	return report(res, *out)
+}
 
-	fmt.Printf("observed %.1f minibatches/s; planned allocation (budget: %d cores, %d MiB, efficiency %.2f):\n",
-		an.ObservedRate, budget.Cores, *memoryMB, pl.Efficiency)
+// report prints a plan — what its trace saw, the allocation, and the one
+// prediction for the planned program — and writes the Result as JSON to out.
+// plan and optimize both print through it.
+func report(res *plumber.Result, out string) error {
+	for _, s := range res.Steps {
+		fmt.Printf("traced %.1f minibatches/s, bottleneck %s (capacity %.1f); ceiling under the budget %.1f (0 = unbounded)\n",
+			s.ObservedMinibatchesPerSec, s.Bottleneck, s.BottleneckCapacity, s.CapacityCeiling)
+		fmt.Printf("its trace: %s\n", traceCost(s.Run))
+	}
+	b, pl := res.Budget, res.Plan
+	fmt.Printf("planned allocation (budget: %d cores, %d MiB, efficiency %.2f):\n", b.Cores, b.MemoryBytes>>20, pl.Efficiency)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "node\tkind\tparallelism\tplanned")
-	for _, n := range an.Nodes {
-		cur := n.Parallelism
-		planned := pl.ParallelismFor(n.Name, cur)
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", n.Name, n.Kind, cur, planned)
+	for _, n := range res.Initial.Nodes {
+		cur := n.EffectiveParallelism()
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\n", n.Name, n.Kind, cur, pl.ParallelismFor(n.Name, cur))
 	}
 	tw.Flush()
 	if pl.CacheAbove != "" {
@@ -459,63 +502,6 @@ func runPlan(args []string) error {
 	if pl.OuterParallelism > 1 {
 		fmt.Printf("outer parallelism %d\n", pl.OuterParallelism)
 	}
-	fmt.Printf("predicted: %.1f minibatches/s steady state, %.1f first epoch (0 = not pipeline-bound)\n",
-		pl.PredictedMinibatchesPerSec, pl.PredictedFillMinibatchesPerSec)
-
-	j, err := json.MarshalIndent(pl, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := writeFile(*out, j); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n", *out)
-
-	if *applyOut != "" {
-		planned, trail, err := rewrite.ApplyPlan(g, pl)
-		if err != nil {
-			return err
-		}
-		b, err := planned.Marshal()
-		if err != nil {
-			return err
-		}
-		if err := writeFile(*applyOut, b); err != nil {
-			return err
-		}
-		fmt.Printf("applied %d knob changes; wrote %s\n", len(trail), *applyOut)
-	}
-	return nil
-}
-
-func runOptimize(args []string) error {
-	fs := flag.NewFlagSet("optimize", flag.ExitOnError)
-	var w workload
-	w.register(fs)
-	out := fs.String("out", "tuner.json", "output path for the tuner report JSON")
-	cores, memoryMB, bwMBps := budgetFlags(fs)
-	fs.Parse(args)
-
-	g, opts, cleanup, err := w.setup()
-	if err != nil {
-		return err
-	}
-	defer cleanup()
-	budget := plumber.Budget{
-		Cores:         *cores,
-		MemoryBytes:   *memoryMB << 20,
-		DiskBandwidth: *bwMBps * 1e6,
-	}
-	res, err := plumber.Optimize(g, budget, opts)
-	if err != nil {
-		return err
-	}
-
-	for _, s := range res.Steps {
-		fmt.Printf("step %2d: %8.1f minibatches/s observed, bottleneck %-18s -> planned %d knob changes\n",
-			s.Step, s.ObservedMinibatchesPerSec, s.Bottleneck, len(res.Trail))
-		fmt.Printf("         its trace: %s\n", traceCost(s.Run))
-	}
 	if res.PredictedMinibatchesPerSec > 0 {
 		fmt.Printf("predicted %.1f minibatches/s for the planned program's first epoch; nothing here ran it — `plumber watch` (the doctor) holds a running job against its prediction\n",
 			res.PredictedMinibatchesPerSec)
@@ -525,10 +511,10 @@ func runOptimize(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFile(*out, j); err != nil {
+	if err := writeFile(out, j); err != nil {
 		return err
 	}
-	fmt.Printf("applied %d rewrites over %d traces; wrote %s\n", len(res.Trail), res.TracesUsed, *out)
+	fmt.Printf("%d rewrites planned, %d traces taken; wrote %s\n", len(res.Trail), res.TracesUsed, out)
 	return nil
 }
 
@@ -557,7 +543,7 @@ func runArbitrate(args []string) error {
 	run := fs.Bool("run", false, "execute the tenants concurrently on one shared worker pool and measure each share under contention")
 	minibatches := fs.Int64("minibatches", 0, "with -run: bound each tenant's concurrent drain to N minibatches (0 = one full pass)")
 	out := fs.String("out", "arbiter.json", "output path for the arbitration decision JSON")
-	cores, memoryMB, bwMBps := budgetFlags(fs)
+	budgetFlag := budgetFlags(fs)
 	fs.Parse(args)
 
 	names := strings.Split(*tenantsFlag, ",")
@@ -611,18 +597,14 @@ func runArbitrate(args []string) error {
 		})
 	}
 
-	budget := plumber.Budget{
-		Cores:         *cores,
-		MemoryBytes:   *memoryMB << 20,
-		DiskBandwidth: *bwMBps * 1e6,
-	}
+	budget := budgetFlag()
 	arb, dec, err := plumber.ArbitrateAll(tenants, budget)
 	if err != nil {
 		return err
 	}
 
 	fmt.Printf("arbitrated %d tenants under %d cores, %d MiB (%d planning traces):\n",
-		len(dec.Shares), budget.Cores, *memoryMB, dec.TracesUsed)
+		len(dec.Shares), budget.Cores, budget.MemoryBytes>>20, dec.TracesUsed)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "tenant\tweight\tcores\tmemory MiB\tobserved mb/s\tpredicted mb/s\trewrites\tits trace")
 	for _, s := range dec.Shares {

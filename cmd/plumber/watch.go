@@ -16,7 +16,6 @@ import (
 	"plumber/internal/doctor"
 	"plumber/internal/engine"
 	"plumber/internal/pipeline"
-	"plumber/internal/plan"
 	"plumber/internal/simfs"
 	"plumber/internal/trace"
 	"plumber/internal/udf"
@@ -51,7 +50,7 @@ func runWatch(args []string) error {
 	rampMBps := fs.Float64("ramp-mbps", 0, "delivered bandwidth after the ramp in MB/s")
 	minReplans := fs.Int("min-replans", 0, "exit non-zero unless at least N drift-triggered replans happened")
 	out := fs.String("out", "", "optional output path for the watch report JSON")
-	cores, memoryMB, bwMBps := budgetFlags(fs)
+	budget := budgetFlags(fs)
 	fs.Parse(args)
 
 	if *rampAfter > 0 && *rampMBps <= 0 {
@@ -146,14 +145,10 @@ func runWatch(args []string) error {
 		DriftFraction: *drift,
 		Cooldown:      *cooldown,
 		Replan:        *replan,
-		Budget: plan.Budget{
-			Cores:         *cores,
-			MemoryBytes:   *memoryMB << 20,
-			DiskBandwidth: *bwMBps * 1e6,
-		},
-		UDFs:       reg,
-		TotalFiles: cat.NumFiles,
-		Out:        os.Stdout,
+		Budget:        budget(),
+		UDFs:          reg,
+		TotalFiles:    cat.NumFiles,
+		Out:           os.Stdout,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)
 	defer cancel()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -199,7 +200,10 @@ func (t *progressTap) Close() error { return t.child.Close() }
 // whatever start-up cost, however far a root prefetch ran ahead and however
 // many minibatches the cut fell between. Such a trace costs its start-up
 // plus what the rule needs to see (Settled: settleWarmup and two
-// settleMinHalf for a steady stream), whatever the batch size.
+// settleMinHalf for a steady stream), whatever the batch size. With
+// opts.Spin the snapshot's Machine records the cores the modeled CPU could
+// burn on (SchedulableCores): the one fact of this process a plan's
+// prediction reads.
 func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64, stop StopRule) (*trace.Snapshot, error) {
 	begin := time.Now()
 	if opts.FS == nil {
@@ -277,6 +281,9 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 	snap := col.Snapshot(0, totalFiles)
 	snap.SourceFiles = sourceFiles
 	snap.Run = &run
+	if opts.Spin {
+		snap.Machine.SchedulableCores = SchedulableCores()
+	}
 	for path := range snap.Files { // §A samples files, not the bytes read of them so far
 		if size, err := opts.FS.Stat(path); err == nil {
 			snap.Files[path] = size
@@ -286,6 +293,12 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 		snap.Duration = time.Duration(float64(run.Cut) / rate * float64(time.Second))
 	}
 	return snap, nil
+}
+
+// SchedulableCores is how many goroutines of this process can burn CPU at
+// once: the host's cores, and no more than GOMAXPROCS of them.
+func SchedulableCores() int {
+	return min(runtime.NumCPU(), runtime.GOMAXPROCS(0))
 }
 
 // Settled is the stop rule of the planning traces: stop when the rate of the

@@ -2,9 +2,9 @@
 // from a space much wider than the canonical scenario suite — DAG shapes
 // (zip/concat branches), heavy-tailed file sizes, petabyte declared
 // catalogs traced from subsamples, random stage costs, throttled devices,
-// random budgets — runs each one through the real trace -> analyze ->
-// solve -> rewrite path, and checks the invariants the joint planner must
-// never violate:
+// random budgets — traces each one on the real engine, plans it through
+// plumber.Plan (analyze -> solve -> rewrite), and checks the invariants the
+// joint planner must never violate:
 //
 //   - no core overcommit: the planned CPU demand (planned rate x
 //     core-seconds per minibatch, all replicas, steady state and fill epoch
@@ -16,7 +16,9 @@
 //   - no bandwidth overcommit: the plan's modeled I/O demand fits the disk
 //     budget;
 //   - predictions are finite and non-negative;
-//   - ApplyPlan always yields a graph that validates;
+//   - the planned program always validates;
+//   - the snapshot is the whole contract: read back from its JSON file it
+//     plans the same plan, program, trail and prediction;
 //   - the joint solve is never worse than a model-level cores-then-cache
 //     greedy reference by more than Epsilon (the two-phase baseline the
 //     joint pass replaced).
@@ -34,7 +36,6 @@ import (
 	"plumber"
 	"plumber/internal/ops"
 	"plumber/internal/plan"
-	"plumber/internal/rewrite"
 	"plumber/internal/scenario"
 	"plumber/internal/simfs"
 	"plumber/internal/stats"
@@ -177,8 +178,8 @@ func Check(seed uint64) (*Case, error) {
 	return c, nil
 }
 
-// CheckSpec builds the spec, traces it on the real engine, solves the
-// joint plan, and records every violated invariant. The error return is
+// CheckSpec builds the spec, traces it on the real engine, plans from the
+// snapshot, and records every violated invariant. The error return is
 // for harness breakage (the workload could not be built or traced); a
 // planner bug lands in Case.Violations instead.
 func CheckSpec(s scenario.Spec, b plan.Budget) (*Case, error) {
@@ -202,17 +203,33 @@ func CheckSpec(s scenario.Spec, b plan.Budget) (*Case, error) {
 	if err != nil {
 		return nil, fmt.Errorf("fuzz %s: analyze: %w", s.Name, err)
 	}
-	p, err := plan.Solve(a, b)
+	saved, err := snap.Marshal()
 	if err != nil {
-		c.Violations = append(c.Violations, fmt.Sprintf("Solve failed: %v", err))
+		return nil, fmt.Errorf("fuzz %s: marshal snapshot: %w", s.Name, err)
+	}
+	res, err := plumber.Plan(snap, w.Registry, b)
+	if err != nil {
+		c.Violations = append(c.Violations, fmt.Sprintf("Plan failed: %v", err))
 		return c, nil
 	}
+	// The snapshot is the whole contract between the tracer and the
+	// planner: read back from its JSON, it must plan the same.
+	back, err := trace.UnmarshalSnapshot(saved)
+	if err != nil {
+		return nil, fmt.Errorf("fuzz %s: %w", s.Name, err)
+	}
+	if again, err := plumber.Plan(back, w.Registry, b); err != nil {
+		c.Violations = append(c.Violations, fmt.Sprintf("Plan of the snapshot read back failed: %v", err))
+	} else if got, want := decided(again), decided(res); got != want {
+		c.Violations = append(c.Violations, fmt.Sprintf("the snapshot read back planned\n%s\nthe one in memory\n%s", got, want))
+	}
+	p := res.Plan
 	c.CacheAbove = p.CacheAbove
 	c.Parallelism = p.Parallelism
 	c.CoresPlanned = p.CoresPlanned
 	c.OuterReplicas = p.OuterParallelism
 
-	cores := resolveCores(b)
+	cores := res.Budget.Cores
 	outer := p.OuterParallelism
 	if outer < 1 {
 		outer = 1
@@ -277,11 +294,9 @@ func CheckSpec(s scenario.Spec, b plan.Budget) (*Case, error) {
 			c.Violations = append(c.Violations, fmt.Sprintf("%s = %v not finite non-negative", name, v))
 		}
 	}
-	// ApplyPlan must always yield a valid graph.
-	if g2, _, err := rewrite.ApplyPlan(w.Graph, p); err != nil {
-		c.Violations = append(c.Violations, fmt.Sprintf("ApplyPlan failed: %v", err))
-	} else if err := g2.Validate(); err != nil {
-		c.Violations = append(c.Violations, fmt.Sprintf("ApplyPlan graph invalid: %v", err))
+	// The planned program must validate.
+	if err := res.Final.Validate(); err != nil {
+		c.Violations = append(c.Violations, fmt.Sprintf("planned graph invalid: %v", err))
 	}
 
 	// Score plan and greedy reference with the same model.
@@ -321,13 +336,11 @@ func CheckSpec(s scenario.Spec, b plan.Budget) (*Case, error) {
 	return c, nil
 }
 
-// resolveCores mirrors Solve's budget resolution against the fixed fuzz
-// machine: budget cores, else traced machine cores.
-func resolveCores(b plan.Budget) int {
-	if b.Cores > 0 {
-		return b.Cores
-	}
-	return machineCores
+// decided is what a Result decides, as JSON: the plan, the program, its
+// trail and the prediction.
+func decided(r *plumber.Result) string {
+	j, _ := json.Marshal([]any{r.Plan, r.Final, r.Trail, r.PredictedMinibatchesPerSec})
+	return string(j)
 }
 
 // greedyReference is the retired two-phase baseline, evaluated at the

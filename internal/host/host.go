@@ -242,7 +242,7 @@ func (a *Arbiter) Add(ts ...Tenant) (*Decision, error) {
 			len(taken), a.budget.Cores)
 	}
 	// A wave has one tenant per core at most, and no two readers of a store.
-	width := min(a.budget.Cores, runtime.GOMAXPROCS(0))
+	width := min(a.budget.Cores, engine.SchedulableCores())
 	for pending := batch; len(pending) > 0; {
 		var wave, rest []*tenantState
 		stores := make(map[any]bool)

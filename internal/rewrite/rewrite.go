@@ -2,8 +2,8 @@
 // Appendix B "Graph Rewrites"): ApplyPlan materializes a solved plan.Plan —
 // parallelism knobs, a cache, a root prefetch, outer parallelism — as one
 // validated rewritten program plus an audit Trail naming every change and
-// why. The top-level plumber façade runs it once per Optimize: trace →
-// analyze → solve → rewrite.
+// why. The top-level plumber façade runs it once per Plan, through
+// SolveShare: analyze → solve → rewrite.
 //
 // All rewrites go through the pipeline package's transactional mutation
 // primitives, so the analyzed graph is never observed half-edited: ApplyPlan

@@ -6,13 +6,13 @@ import (
 	"plumber/internal/plan"
 )
 
-// SolveShare is the share-constrained planning entry point the multi-tenant
-// arbiter drives: solve the one-shot joint allocation for an analyzed
-// tenant under its share of a global budget, and materialize it as one
-// validated rewritten program in the same step. The returned trail audits
-// every knob change under the canonical rewrite names, exactly as a
-// single-tenant plan-first Optimize would; the solved plan rides along so
-// the caller can read the share's predicted rate without re-deriving it.
+// SolveShare is the one planning step of both plumber.Plan and the
+// multi-tenant arbiter: solve the one-shot joint allocation for an analyzed
+// pipeline under its budget (a tenant's, its share of a global one), and
+// materialize it as one validated rewritten program in the same step. The
+// returned trail audits every knob change under the canonical rewrite
+// names; the solved plan rides along so the caller can read the predicted
+// rate without re-deriving it.
 func SolveShare(a *ops.Analysis, share plan.Budget) (*pipeline.Graph, Trail, *plan.Plan, error) {
 	p, err := plan.Solve(a, share)
 	if err != nil {

@@ -37,6 +37,11 @@ type Machine struct {
 	Cores int `json:"cores"`
 	// MemoryBytes is usable RAM for caches.
 	MemoryBytes int64 `json:"memory_bytes"`
+	// SchedulableCores is how many cores the traced process could burn
+	// modeled CPU on at once (engine.SchedulableCores) when the trace burned
+	// it (engine.Options.Spin); 0 when modeled CPU was only accounted. A
+	// prediction for the job on this host counts no more cores than these.
+	SchedulableCores int `json:"schedulable_cores,omitempty"`
 }
 
 // NodeStats is the per-Dataset counter block.
@@ -236,11 +241,15 @@ func (s *Snapshot) Marshal() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }
 
-// UnmarshalSnapshot parses a serialized snapshot.
+// UnmarshalSnapshot parses a serialized snapshot, which must carry the
+// traced program.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {
 		return nil, fmt.Errorf("trace: unmarshal snapshot: %w", err)
+	}
+	if s.Graph == nil {
+		return nil, fmt.Errorf("trace: unmarshal snapshot: no graph")
 	}
 	return &s, nil
 }

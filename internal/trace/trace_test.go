@@ -24,9 +24,10 @@ func testSnapshot(t *testing.T) *Snapshot {
 	return &Snapshot{
 		Graph: g,
 		Machine: Machine{
-			Name:        "setup-a",
-			Cores:       16,
-			MemoryBytes: 32 << 30,
+			Name:             "setup-a",
+			Cores:            16,
+			MemoryBytes:      32 << 30,
+			SchedulableCores: 2,
 		},
 		Duration: 1500 * time.Millisecond,
 		Nodes: map[string]*NodeStats{
@@ -130,8 +131,10 @@ func TestSnapshotRoundTripOmitsEmpty(t *testing.T) {
 }
 
 func TestUnmarshalSnapshotRejectsGarbage(t *testing.T) {
-	if _, err := UnmarshalSnapshot([]byte(`{"graph": 42`)); err == nil {
-		t.Fatal("expected error on malformed snapshot JSON")
+	for _, garbage := range []string{`{"graph": 42`, `{}`} {
+		if _, err := UnmarshalSnapshot([]byte(garbage)); err == nil {
+			t.Fatalf("expected error on malformed snapshot JSON %s", garbage)
+		}
 	}
 }
 

@@ -50,10 +50,3 @@ func ArbitrateAll(tenants []Tenant, budget Budget) (*Arbiter, *Decision, error) 
 	}
 	return arb, dec, nil
 }
-
-// OptimizeAll is the one-shot multi-tenant entry point: ArbitrateAll for
-// callers that only need the decision.
-func OptimizeAll(tenants []Tenant, budget Budget) (*Decision, error) {
-	_, dec, err := ArbitrateAll(tenants, budget)
-	return dec, err
-}

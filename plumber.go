@@ -2,13 +2,15 @@
 // wires the engine, tracer, analyzer, and rewriter into the paper's
 // five-lines-of-code interface. Trace runs an instrumented pipeline and
 // returns a Snapshot; Analyze turns a Snapshot into resource-accounted
-// rates; Optimize plans from one trace — analyze, solve the joint
-// allocation, rewrite — returning the rewritten program together with the
-// audit trail of every knob change.
+// rates; Plan decides from a Snapshot alone — analyze, solve the joint
+// allocation, rewrite, predict — returning the rewritten program together
+// with the audit trail of every knob change; Optimize is Plan over one
+// settled trace.
 //
 //	snap, _ := plumber.Trace(graph, opts)
 //	analysis, _ := plumber.Analyze(snap, opts.UDFs)
-//	result, _ := plumber.Optimize(graph, plumber.Budget{Cores: 16, MemoryBytes: 32 << 30}, opts)
+//	planned, _ := plumber.Plan(snap, opts.UDFs, budget)
+//	result, _ := plumber.Optimize(graph, budget, opts)
 //	run(result.Final)
 package plumber
 

@@ -383,7 +383,7 @@ func TestStepReportSurvivesDegenerateAnalysis(t *testing.T) {
 				Rate: math.Inf(1), ScaledCapacity: math.Inf(1)},
 		},
 	}
-	r := stepReport(0, an, Budget{Cores: 4})
+	r := stepReport(an, Budget{Cores: 4})
 	b, err := json.Marshal(r)
 	if err != nil {
 		t.Fatalf("degenerate step report not serializable: %v", err)
@@ -419,7 +419,7 @@ func TestOptimizePlanFirstMatchesGreedyShape(t *testing.T) {
 }
 
 // TestOptimizeAllFacade pins the multi-tenant façade wiring: two scenario
-// workloads admitted under one global budget come back with per-tenant
+// workloads admitted by ArbitrateAll under one global budget come back with per-tenant
 // shares, materialized programs, and an even-split baseline, all without
 // the caller leaving package plumber.
 func TestOptimizeAllFacade(t *testing.T) {
@@ -439,7 +439,7 @@ func TestOptimizeAllFacade(t *testing.T) {
 			})
 		}
 	}
-	dec, err := OptimizeAll(tenants, Budget{Cores: 8, MemoryBytes: 64 << 20})
+	_, dec, err := ArbitrateAll(tenants, Budget{Cores: 8, MemoryBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -463,7 +463,7 @@ func TestOptimizeAllFacade(t *testing.T) {
 		t.Fatalf("arbitrated aggregate %.1f below even split %.1f",
 			dec.PredictedAggregateMinibatchesPerSec, dec.EvenSplitPredictedAggregate)
 	}
-	if _, err := OptimizeAll(nil, Budget{Cores: 4}); err == nil {
-		t.Fatal("OptimizeAll accepted an empty tenant set")
+	if _, _, err := ArbitrateAll(nil, Budget{Cores: 4}); err == nil {
+		t.Fatal("ArbitrateAll accepted an empty tenant set")
 	}
 }
