@@ -53,12 +53,6 @@ type Options struct {
 	// buffers; HandoffChannel keeps the buffered-Go-channel edge as an A/B
 	// baseline. Any other value is rejected by New.
 	Handoff HandoffKind
-	// ChannelSlack is the per-worker edge depth, in chunks, for parallel
-	// stages: the buffered-channel capacity per worker, or the ring shard's
-	// logical depth (its slot count is ChannelSlack rounded up to a power
-	// of two, at least two). Values below MinChannelSlack are replaced by
-	// DefaultChannelSlack.
-	ChannelSlack int
 	// ChunkSize caps the number of elements a worker hands off per edge
 	// send. Chunking amortizes edge synchronization across many elements;
 	// the engine sizes each handoff to about a millisecond of the producing
@@ -112,6 +106,7 @@ type Pipeline struct {
 	one    [1]item // where Next's pull of one lands
 	opts   Options
 	caches *CacheStore
+	depth  int // edgeDepth; a test deepens it after New, before the first pull
 	mu     sync.Mutex
 	closed atomic.Bool // set under mu as Close begins; stopping reads it without
 
@@ -238,9 +233,6 @@ func prepare(opts Options) (*Pipeline, error) {
 		return nil, fmt.Errorf("engine: unknown Options.Handoff %q (want %q or %q)",
 			opts.Handoff, HandoffRing, HandoffChannel)
 	}
-	if opts.ChannelSlack < MinChannelSlack {
-		opts.ChannelSlack = DefaultChannelSlack
-	}
 	if opts.ChunkSize <= 0 {
 		opts.ChunkSize = DefaultChunkSize
 	}
@@ -252,6 +244,7 @@ func prepare(opts Options) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		opts:     opts,
+		depth:    edgeDepth,
 		caches:   opts.Caches,
 		cancelCh: make(chan struct{}),
 		closedCh: make(chan struct{}),
@@ -739,14 +732,11 @@ func (p *Pipeline) handle(name string) *trace.NodeStats {
 // DefaultChunkSize is the default cap on the elements per worker handoff.
 const DefaultChunkSize = 64
 
-// Stage-edge depth bounds: MinChannelSlack is the smallest usable per-worker
-// edge depth (one in-flight chunk — below that the edge cannot decouple
-// producer from consumer at all), and DefaultChannelSlack is what New
-// substitutes for any Options.ChannelSlack below the minimum.
-const (
-	MinChannelSlack     = 1
-	DefaultChannelSlack = 2
-)
+// edgeDepth is the per-worker edge depth, in chunks, of a parallel stage:
+// the buffered-channel capacity per worker, or the ring shard's logical
+// depth (its slot count is the depth rounded up to a power of two, at least
+// two).
+const edgeDepth = 2
 
 // chunkSize returns the normalized cap on a handoff's element count.
 func (p *Pipeline) chunkSize() int { return p.opts.ChunkSize }

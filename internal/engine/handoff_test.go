@@ -44,8 +44,8 @@ func TestChunkRecycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestRingHandoffDepthOne is the workout for the shallowest edge — what
-// ChannelSlack 1, or a Prefetch of three elements or fewer, builds. With a
+// TestRingHandoffDepthOne is the workout for the shallowest edge — what a
+// Prefetch of three elements or fewer builds. With a
 // single slot the cell's "occupied at lap L" and "free for lap L+1" sequence
 // values coincide, so a consumer's head CAS alone told the producer the cell
 // was free while the consumer was still reading it: the next chunk could be
@@ -277,33 +277,6 @@ func TestEvictionDoesNotStrandParkedConsumer(t *testing.T) {
 		t.Fatalf("close after eviction: %v", err)
 	}
 	wedged() // settles against the reclaim debt
-}
-
-// TestChannelSlackClamped pins the documented minimum: edge depths below
-// MinChannelSlack are replaced by DefaultChannelSlack (the ring derives its
-// shard capacity from the same normalized knob), while legal values pass
-// through untouched.
-func TestChannelSlackClamped(t *testing.T) {
-	fs, reg := testSetup(t)
-	for _, slack := range []int{-3, 0} {
-		p, err := New(canonicalGraph(t, 2), Options{FS: fs, UDFs: reg, ChannelSlack: slack})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if p.opts.ChannelSlack != DefaultChannelSlack {
-			t.Fatalf("ChannelSlack %d normalized to %d, want DefaultChannelSlack (%d)",
-				slack, p.opts.ChannelSlack, DefaultChannelSlack)
-		}
-		p.Close()
-	}
-	p, err := New(canonicalGraph(t, 2), Options{FS: fs, UDFs: reg, ChannelSlack: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.opts.ChannelSlack != 5 {
-		t.Fatalf("legal ChannelSlack rewritten to %d, want 5", p.opts.ChannelSlack)
-	}
-	p.Close()
 }
 
 // TestHandoffKindsAgree drains the canonical chain under both edge

@@ -428,7 +428,7 @@ func (s *sourceIter) start() {
 		s.fileCh <- t
 	}
 	close(s.fileCh)
-	s.launch(s.par, s.p.opts.ChannelSlack, s.worker)
+	s.launch(s.par, s.p.depth, s.worker)
 }
 
 // park records a task a quiescing worker abandoned, for capture.
@@ -640,7 +640,7 @@ type mapIter struct {
 func newMapIter(p *Pipeline, name string, child stage, u udf.UDF, par int, handle *trace.NodeStats, seed uint64, latch *doneLatch, gate, childGate *seqGate) *mapIter {
 	m := &mapIter{edge: edge{p: p, handle: handle, gate: gate, latch: latch},
 		name: name, child: child, u: u, par: par, seed: seed, childGate: childGate}
-	m.startup = func() { m.launch(m.par, m.p.opts.ChannelSlack, m.worker) }
+	m.startup = func() { m.launch(m.par, m.p.depth, m.worker) }
 	return m
 }
 

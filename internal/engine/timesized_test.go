@@ -342,11 +342,12 @@ func TestBusyWorkerYieldsAfterAQuantum(t *testing.T) {
 		MustBuild()
 	ok, detail := bestOf(func() (bool, string) {
 		fs, _ := testSetup(t)
-		p, err := New(g, Options{FS: fs, UDFs: reg, ChannelSlack: 1024})
+		p, err := New(g, Options{FS: fs, UDFs: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
+		p.depth = 1024 // room on every edge: nothing blocks the worker
 		const n = 60
 		var first, last time.Time
 		var worst time.Duration

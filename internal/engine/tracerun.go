@@ -15,18 +15,10 @@ import (
 	"plumber/internal/trace"
 )
 
-// Sample is one point of a progress stream: N units had arrived At after the
-// trace began. A lump of k units that arrives at one instant is one sample,
-// not k, so a stream is as long as its arrivals are many.
-type Sample struct {
-	At time.Duration
-	N  int64
-}
-
 // StopRule looks at a trace's progress stream so far — samples in the order
 // they were taken, At ascending — and says whether the trace has seen enough,
 // and if so the rate (units per second) it read.
-type StopRule func(progress []Sample) (rate float64, ok bool)
+type StopRule func(progress []trace.Sample) (rate float64, ok bool)
 
 // progress is the stream a traced pipeline keeps for its stop rule; a
 // pipeline without a rule has none. Root completions are the coarsest thing
@@ -63,7 +55,7 @@ type progress struct {
 
 	mu      sync.Mutex
 	stage   string // the recording stage's name; "" when root completions feed the stream
-	samples []Sample
+	samples []trace.Sample
 	n       int64   // elements the stage's replicas have pulled, as of their last lumps
 	check   int     // the rule is next asked when the stream is this long
 	rate    float64 // what the rule read when it fired, elements per second
@@ -122,7 +114,7 @@ func (pr *progress) record(pulled int64) bool {
 		return false
 	}
 	pr.n += pulled
-	pr.samples = append(pr.samples, Sample{At: time.Since(pr.begin), N: pr.n})
+	pr.samples = append(pr.samples, trace.Sample{At: time.Since(pr.begin), N: pr.n})
 	if len(pr.samples) < pr.check {
 		return false
 	}
@@ -143,17 +135,17 @@ func (pr *progress) isCut() bool {
 // end stops the stream — a replica still running until Close records
 // nothing more — and says in run how the drain ended. When the rule cut it,
 // that is the recording stage, and the elements it had pulled before the
-// cutting lump; end returns the rate the rule read, in those per second.
-func (pr *progress) end(run *trace.Run) (rate float64) {
+// cutting lump. end returns the rate the rule read, in those per second,
+// and the stream it was shown: to the cut, or all of it.
+func (pr *progress) end(run *trace.Run) (rate float64, stream []trace.Sample) {
 	pr.mu.Lock()
+	defer pr.mu.Unlock()
 	pr.ended = true
 	run.Samples, run.Settled = len(pr.samples), pr.cut
 	if pr.cut {
 		run.Stage, run.Cut = pr.stage, pr.samples[len(pr.samples)-1].N
 	}
-	rate = pr.rate
-	pr.mu.Unlock()
-	return rate
+	return pr.rate, pr.samples
 }
 
 // progressTap sits at the recording stage's input, one per replica. lump is
@@ -200,7 +192,9 @@ func (t *progressTap) Close() error { return t.child.Close() }
 // whatever start-up cost, however far a root prefetch ran ahead and however
 // many minibatches the cut fell between. Such a trace costs its start-up
 // plus what the rule needs to see (Settled: settleWarmup and two
-// settleMinHalf for a steady stream), whatever the batch size. With
+// settleMinHalf for a steady stream), whatever the batch size. The snapshot
+// keeps the slice the rule read (Snapshot.Progress): to the cut when it
+// fired, all of it when it never did, and the cut replays from it. With
 // opts.Spin the snapshot's Machine records the cores the modeled CPU could
 // burn on (SchedulableCores): the one fact of this process a plan's
 // prediction reads.
@@ -236,7 +230,7 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 	opts.Collector = col
 	var pr *progress
 	if stop != nil {
-		pr = &progress{begin: begin, stop: stop, samples: make([]Sample, 0, 1024)}
+		pr = &progress{begin: begin, stop: stop, samples: make([]trace.Sample, 0, 1024)}
 	}
 	p, err := newPipeline(g, opts, pr)
 	if err != nil {
@@ -269,8 +263,9 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 		}
 	}
 	var rate float64
+	var stream []trace.Sample
 	if pr != nil {
-		rate = pr.end(&run)
+		rate, stream = pr.end(&run)
 	}
 	// Close before snapshotting: iterators flush their buffered counter
 	// shards on Close.
@@ -280,7 +275,7 @@ func TraceRun(g *pipeline.Graph, opts Options, machine trace.Machine, max int64,
 	run.Seconds = time.Since(begin).Seconds()
 	snap := col.Snapshot(0, totalFiles)
 	snap.SourceFiles = sourceFiles
-	snap.Run = &run
+	snap.Run, snap.Progress = &run, stream
 	if opts.Spin {
 		snap.Machine.SchedulableCores = SchedulableCores()
 	}
@@ -321,7 +316,7 @@ func SchedulableCores() int {
 // settleTolerance plus twice their standard errors. A stream that keeps
 // slowing, or ends before warm-up and window have passed, never settles: its
 // trace runs to EOF.
-func Settled(s []Sample) (rate float64, ok bool) {
+func Settled(s []trace.Sample) (rate float64, ok bool) {
 	n := len(s)
 	if n == 0 {
 		return 0, false
@@ -337,7 +332,7 @@ func Settled(s []Sample) (rate float64, ok bool) {
 
 // settledOver tests the window of s from time from on, halved in time: its
 // halves' slopes must agree within tol plus widen times their standard errors.
-func settledOver(s []Sample, from time.Duration, tol, widen float64) (rate float64, ok bool) {
+func settledOver(s []trace.Sample, from time.Duration, tol, widen float64) (rate float64, ok bool) {
 	n := len(s)
 	half := (s[n-1].At - from) / 2
 	if half < settleMinHalf {
@@ -363,7 +358,7 @@ func settledOver(s []Sample, from time.Duration, tol, widen float64) (rate float
 
 // slope fits the samples' count against their time by least squares and
 // returns the rate, per second, and its relative standard error.
-func slope(s []Sample) (rate, relErr float64) {
+func slope(s []trace.Sample) (rate, relErr float64) {
 	n := float64(len(s))
 	var mt, mk, stt, stk, skk float64
 	for _, x := range s {

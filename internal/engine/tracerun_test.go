@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -17,27 +18,27 @@ import (
 
 // stream builds a progress stream of unit arrivals — root completions, or
 // examples handed over one at a time: each gap(k) after the one before.
-func stream(n int, gap func(k int) time.Duration) []Sample {
+func stream(n int, gap func(k int) time.Duration) []trace.Sample {
 	return lumps(n, func(k int) (time.Duration, int64) { return gap(k), 1 })
 }
 
 // lumps builds a progress stream of n arrivals: arrival k comes gap after the
 // one before and brings size units. As the tap does, a sample counts what had
 // arrived before it.
-func lumps(n int, arrival func(k int) (gap time.Duration, size int64)) []Sample {
-	out := make([]Sample, n)
+func lumps(n int, arrival func(k int) (gap time.Duration, size int64)) []trace.Sample {
+	out := make([]trace.Sample, n)
 	t, total := 7*time.Millisecond, int64(0) // start-up: the rule must not care
 	for k := range out {
 		gap, size := arrival(k)
 		t += gap
-		out[k] = Sample{At: t, N: total}
+		out[k] = trace.Sample{At: t, N: total}
 		total += size
 	}
 	return out
 }
 
 // firstSettled returns the shortest prefix of s the rule settles on.
-func firstSettled(s []Sample) (n int, rate float64) {
+func firstSettled(s []trace.Sample) (n int, rate float64) {
 	for n = 1; n <= len(s); n++ {
 		if r, ok := Settled(s[:n]); ok {
 			return n, r
@@ -59,7 +60,7 @@ func TestSettleRule(t *testing.T) {
 		return int((settleWarmup+gap-1)/gap+2*settleMinHalf/gap) + 1
 	}
 	// slowStart is k samples gap apart, then one a millisecond.
-	slowStart := func(k int, gap time.Duration) []Sample {
+	slowStart := func(k int, gap time.Duration) []trace.Sample {
 		return stream(400, func(i int) time.Duration {
 			if i < k {
 				return gap
@@ -71,7 +72,7 @@ func TestSettleRule(t *testing.T) {
 	const fewest = 1 + 2*settleMinPerHalf
 	for _, tc := range []struct {
 		name string
-		s    []Sample
+		s    []trace.Sample
 		// at is the prefix length the rule must first settle on (0: never),
 		// or with atLeast set a lower bound on it; rate is what it must read,
 		// within tol (5 % when 0).
@@ -234,10 +235,11 @@ func TestCloseLatencyWithRoomOnEveryEdge(t *testing.T) {
 			label := fmt.Sprintf("%s/%s", work, kind)
 			base := arenaLive()
 			ok, detail := bestOf(func() (bool, string) {
-				p, err := New(g, Options{FS: slowFS(t), UDFs: reg, Handoff: kind, ChannelSlack: 1024})
+				p, err := New(g, Options{FS: slowFS(t), UDFs: reg, Handoff: kind})
 				if err != nil {
 					t.Fatal(err)
 				}
+				p.depth = 1024 // workers start at the first pull
 				if n, _, err := p.Drain(3); err != nil || n != 3 {
 					t.Fatalf("%s: drained %d minibatches: %v", label, n, err)
 				}
@@ -402,25 +404,29 @@ func TestChunkAgeBound(t *testing.T) {
 	}
 }
 
-// TestBoundedTraceRun drives TraceRun itself on the throttled source. With
-// the settle rule it stops well short of the epoch, reads the device's pace
-// and closes within a few records' time — on a host loaded enough to stall
-// the consumer for tens of milliseconds the rule holds out longer, so that
-// case gets three attempts. A rule that never fires leaves a whole pass, and
-// max stays a hard cap under a rule. Every file is recorded at its size.
+// TestBoundedTraceRun drives TraceRun itself on the throttled source. Live,
+// under a cap of two minibatches: a rule that has not fired leaves the
+// stream it was shown in the snapshot, and no rule leaves none; max stays a
+// hard cap under a rule, and every file is recorded at its size. Replayed:
+// a whole pass under a rule that never fires keeps the whole stream; the
+// settle rule stops well short of the epoch, reads the device's pace and
+// closes within a few records' time; and two outer-parallel replicas pool
+// one stream at the device's pace.
 func TestBoundedTraceRun(t *testing.T) {
 	_, reg := testSetup(t)
-	g := pipeline.NewBuilder().
-		Named("src").Interleave(slowCatalog.Name, 1).
-		Named("work").Map("noop", 1).
-		Named("batch").Batch(16).
-		MustBuild()
+	g := slowChain()
 	total := int64(slowCatalog.NumFiles * slowCatalog.RecordsPerFile / 16)
-	run := func(max int64, stop StopRule) (*trace.Snapshot, int64, time.Duration) {
-		start := time.Now()
-		snap, err := TraceRun(g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, max, stop)
+	traceRun := func(g *pipeline.Graph, max int64, stop StopRule) (*trace.Snapshot, error) {
+		return TraceRun(g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, max, stop)
+	}
+	for name, stop := range map[string]StopRule{"a rule that never fires": never, "no rule": nil} {
+		snap, err := traceRun(g, 2, stop)
 		if err != nil {
 			t.Fatal(err)
+		}
+		r, root := snap.Run, snap.Nodes["batch"].ElementsProduced
+		if root != 2 || r.RootCompletions != 2 || r.Settled || r.Samples != len(snap.Progress) || (stop == nil) != (r.Samples == 0) {
+			t.Errorf("%s, capped at 2: the batch made %d minibatches, run %+v over a stream of %d samples", name, root, *r, len(snap.Progress))
 		}
 		if len(snap.Files) == 0 || snap.TotalFiles != slowCatalog.NumFiles || snap.SourceFiles["src"] != slowCatalog.NumFiles {
 			t.Errorf("snapshot files %v of %d (%v)", snap.Files, snap.TotalFiles, snap.SourceFiles)
@@ -430,59 +436,56 @@ func TestBoundedTraceRun(t *testing.T) {
 				t.Errorf("%s recorded as %d bytes, the file has %d", path, size, want)
 			}
 		}
-		return snap, snap.Nodes["batch"].ElementsProduced, time.Since(start)
 	}
-	// Two minibatches, 32 ms of records, end before warm-up and window have
-	// passed.
-	if snap, root, _ := run(2, Settled); root != 2 || snap.Run.Settled || snap.Run.RootCompletions != 2 {
-		t.Errorf("settle rule under a cap of 2: %d root completions, run %+v", root, *snap.Run)
+	for _, name := range []string{"slow-1", "slow-2"} {
+		snap := recorded(t, name, func() (*trace.Snapshot, error) { return traceRun(g, 0, never) })
+		if r := snap.Run; r.RootCompletions != total || r.Settled || r.Samples < int(total) {
+			t.Errorf("%s, a rule that never fires: run %+v, want the epoch's %d minibatches", name, *r, total)
+		}
+		// Two minibatches, 32 ms of records, end before warm-up and window have passed.
+		two := sort.Search(len(snap.Progress), func(k int) bool { return snap.Progress[k].N >= 32 })
+		if n, rate := askedAsTheTapAsks(Settled, snap.Progress[:two]); n != 0 {
+			t.Errorf("%s: the settle rule fired within two minibatches, at sample %d on %.1f/s", name, n, rate)
+		}
 	}
-	if snap, root, _ := run(0, func([]Sample) (float64, bool) { return 0, false }); root != total || snap.Run.Settled || snap.Run.Samples < int(total) {
-		t.Errorf("a rule that never fires: %d root completions, want the epoch's %d (run %+v)", root, total, *snap.Run)
-	}
-	if snap, _, _ := run(0, nil); snap.Run.Samples != 0 || snap.Run.Settled || snap.Run.RootCompletions != total {
-		t.Errorf("no rule: run %+v, want no samples and the epoch's %d completions", *snap.Run, total)
-	}
-	ok, detail := bestOf(func() (bool, string) {
-		snap, root, took := run(0, Settled)
-		// 16 records of 1 000 framed bytes at 1 MB/s: 62.5 minibatches/s. The
-		// rule read it off the records the batch was handed — more than the
-		// eight samples its halves need, and more of them than minibatches.
-		c0, _ := snap.Completions()
-		rate := c0 / snap.Duration.Seconds()
-		limit := time.Duration(root)*16*time.Millisecond + 100*time.Millisecond
-		r := snap.Run
-		return r.Settled && r.Samples > 2*settleMinPerHalf && int64(r.Samples) > r.RootCompletions && r.RootCompletions <= root &&
-				root <= 2*total/3 && math.Abs(rate-62.5) <= 6.25 && took <= limit,
-			fmt.Sprintf("%d of %d minibatches in %v, X_0 = %.1f/s, run %+v", root, total, took, rate, *r)
-	})
-	if !ok {
-		t.Errorf("settle rule: %s; want a prefix of the epoch at the device's 62.5/s, dropped and not drained", detail)
+	// 16 records of 1 000 framed bytes at 1 MB/s: 62.5 minibatches/s. The
+	// rule read it off the records the batch was handed — more than the
+	// eight samples its halves need, and more of them than minibatches.
+	snap := recorded(t, "slow-settled", func() (*trace.Snapshot, error) { return traceRun(g, 0, Settled) })
+	c0, _ := snap.Completions()
+	r, root, rate := snap.Run, snap.Nodes["batch"].ElementsProduced, c0/snap.Duration.Seconds()
+	limit := time.Duration(root)*16*time.Millisecond + 100*time.Millisecond
+	if !r.Settled || r.Samples <= 2*settleMinPerHalf || int64(r.Samples) <= r.RootCompletions || r.RootCompletions > root ||
+		root > 2*total/3 || math.Abs(rate-62.5) > 6.25 || r.Seconds > limit.Seconds() {
+		t.Errorf("settle rule: %d of %d minibatches in %.3fs, X_0 = %.1f/s, run %+v; want a prefix of the epoch at the device's 62.5/s, dropped and not drained",
+			root, total, r.Seconds, rate, *r)
 	}
 	// Two outer-parallel replicas, each batching on its own prefetch goroutine:
-	// their taps append to one stream from two goroutines while this one asks
-	// the rule (-race), and the device's one megabyte a second is what the
-	// pooled stream must read, whichever replica got which share of it.
+	// their taps append to one stream from two goroutines while they ask the
+	// rule (the root package's replicas shape does so live, under -race), and
+	// the device's one megabyte a second is what the pooled stream must read,
+	// whichever replica got which share of it.
 	g = pipeline.NewBuilder().
 		Named("src").Interleave(slowCatalog.Name, 1).
 		Named("batch").Batch(16).
 		Named("ahead").Prefetch(4).
 		MustBuild()
 	g.OuterParallelism = 2
-	ok, detail = bestOf(func() (bool, string) {
-		snap, err := TraceRun(g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, 0, Settled)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, root := snap.Run, snap.Nodes["ahead"].ElementsProduced
-		c0, _ := snap.Completions()
-		rate := c0 / snap.Duration.Seconds()
-		return r.Settled && int64(r.Samples) > r.RootCompletions && root < 2*total && math.Abs(rate-62.5) <= 6.25,
-			fmt.Sprintf("%d of %d minibatches, X_0 = %.1f/s, run %+v", root, 2*total, rate, *r)
-	})
-	if !ok {
-		t.Errorf("two replicas: %s; want one pooled stream at the device's 62.5/s", detail)
+	snap = recorded(t, "slow-replicas-settled", func() (*trace.Snapshot, error) { return traceRun(g, 0, Settled) })
+	c0, _ = snap.Completions()
+	r, root, rate = snap.Run, snap.Nodes["ahead"].ElementsProduced, c0/snap.Duration.Seconds()
+	if !r.Settled || int64(r.Samples) <= r.RootCompletions || root >= 2*total || math.Abs(rate-62.5) > 6.25 {
+		t.Errorf("two replicas: %d of %d minibatches, X_0 = %.1f/s, run %+v; want one pooled stream at the device's 62.5/s", root, 2*total, rate, *r)
 	}
+}
+
+// slowChain is the throttled chain the recorded slow streams come from.
+func slowChain() *pipeline.Graph {
+	return pipeline.NewBuilder().
+		Named("src").Interleave(slowCatalog.Name, 1).
+		Named("work").Map("noop", 1).
+		Named("batch").Batch(16).
+		MustBuild()
 }
 
 // slowFSSize stats a slowCatalog shard on a fresh filesystem.
@@ -502,16 +505,12 @@ func slowFSSize(t *testing.T, path string) (int64, error) {
 // is the cut at the rule's rate.
 func TestCutAtTheFiringLump(t *testing.T) {
 	_, reg := testSetup(t)
-	g := pipeline.NewBuilder().
-		Named("src").Interleave(slowCatalog.Name, 1).
-		Named("work").Map("noop", 1).
-		Named("batch").Batch(16).
-		MustBuild()
+	g := slowChain()
 	var firedAt int
 	var firedN int64
 	// Past two and a half minibatches, at the first lump the rule is asked
 	// about; it reads a round 1 000 examples a second.
-	rule := func(s []Sample) (float64, bool) {
+	rule := func(s []trace.Sample) (float64, bool) {
 		if last := s[len(s)-1]; last.N >= 40 && firedAt == 0 {
 			firedAt, firedN = len(s), last.N
 		}
@@ -541,9 +540,10 @@ func TestCutAtTheFiringLump(t *testing.T) {
 
 // TestRootCompletionsFeedTheStream: with no batch on the walk down from the
 // root — a bare chain, a Zip at the root — the root's completions are the
-// stream, fed to the same place the tap feeds, pulls 1: the trace still
-// settles on the throttled device's pace, and its cut is the completions the
-// consumer counted.
+// stream, fed to the same place the tap feeds, pulls 1. Live, a rule that
+// fires at the twelfth sample cuts at the twelfth completion the consumer
+// counted. Replayed, the settle rule settles on the throttled device's pace
+// there.
 func TestRootCompletionsFeedTheStream(t *testing.T) {
 	_, reg := testSetup(t)
 	chain := func(src string) *pipeline.Builder {
@@ -557,20 +557,21 @@ func TestRootCompletionsFeedTheStream(t *testing.T) {
 		{"bare", chain("src").MustBuild(), 1000},
 		{"zip", pipeline.ZipOf(chain("a").MustBuild(), chain("b").MustBuild()).MustBuild(), 500},
 	} {
-		ok, detail := bestOf(func() (bool, string) {
-			snap, err := TraceRun(tc.g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, 0, Settled)
-			if err != nil {
-				t.Fatal(err)
-			}
-			r := snap.Run
-			c0, _ := snap.Completions()
-			rate := c0 / snap.Duration.Seconds()
-			return r.Settled && r.Stage == "" && r.Cut == r.RootCompletions && int64(r.Samples) == r.RootCompletions &&
-					math.Abs(rate-tc.rate) <= 0.1*tc.rate,
-				fmt.Sprintf("run %+v, X_0 = %.1f/s", *r, rate)
-		})
-		if !ok {
-			t.Errorf("%s: %s; want it settled on its root completions at %.0f/s", tc.name, detail, tc.rate)
+		traceRun := func(stop StopRule) (*trace.Snapshot, error) {
+			return TraceRun(tc.g, Options{FS: slowFS(t), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, 0, stop)
+		}
+		snap, err := traceRun(func(s []trace.Sample) (float64, bool) { return 1000, len(s) >= 12 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := snap.Run; !r.Settled || r.Stage != "" || r.Cut != 12 || r.RootCompletions != 12 || r.Samples != 12 {
+			t.Errorf("%s: a rule firing at the twelfth sample cut at %+v; want the twelfth root completion", tc.name, *r)
+		}
+		snap = recorded(t, "slow-"+tc.name+"-settled", func() (*trace.Snapshot, error) { return traceRun(Settled) })
+		c0, _ := snap.Completions()
+		r, rate := snap.Run, c0/snap.Duration.Seconds()
+		if !r.Settled || r.Stage != "" || r.Cut != r.RootCompletions || int64(r.Samples) != r.RootCompletions || math.Abs(rate-tc.rate) > 0.1*tc.rate {
+			t.Errorf("%s: run %+v, X_0 = %.1f/s; want it settled on its root completions at %.0f/s", tc.name, *r, rate, tc.rate)
 		}
 	}
 }

@@ -95,12 +95,11 @@ func TestEngineMatchesReference(t *testing.T) {
 		}
 
 		stressed := base
-		stressed.ChannelSlack = 1
 		stressed.Retry = engine.Retry{MaxAttempts: 8, BaseBackoff: 20 * time.Microsecond, MaxBackoff: 200 * time.Microsecond}
 		w.Source.SetFaults(&connector.FaultPlan{Seed: seed, Rules: []connector.FaultRule{{Name: "flaky", ErrorRate: 0.05}}})
 		pool, stop := contendedPool(t)
 		stressed.Pool, stressed.PoolTenant = pool, "tenant"
-		check("one-chunk edges, faults and a contended pool", deliver(t, g, stressed), want)
+		check("faults and a contended pool", deliver(t, g, stressed), want)
 		stop()
 		w.Source.SetFaults(nil)
 	}

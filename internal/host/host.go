@@ -677,5 +677,8 @@ func (a *Arbiter) traceTenant(ctx context.Context, t *tenantState, pool *engine.
 	if err != nil {
 		return nil, err
 	}
+	// The analysis keeps its snapshot for the tenant's life, and nothing
+	// here replays the stream its rule read: drop it.
+	snap.Progress = nil
 	return ops.Analyze(snap, t.UDFs)
 }

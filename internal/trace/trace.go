@@ -116,6 +116,57 @@ type Snapshot struct {
 	// Run says what the traced drain behind this snapshot cost, when one
 	// drain was (engine.TraceRun); nil for interval and simulated snapshots.
 	Run *Run `json:"run,omitempty"`
+	// Progress is the stream the drain's stop rule was shown: to the cut when
+	// it fired, all of it when it never did; none without a rule, and none
+	// in an interval (Delta). Replayed to the rule it reproduces the cut.
+	Progress Progress `json:"progress,omitempty"`
+}
+
+// Sample is one point of a progress stream: N units had arrived At after the
+// trace began. A lump of k units that arrives at one instant is one sample,
+// not k, so a stream is as long as its arrivals are many.
+type Sample struct {
+	At time.Duration
+	N  int64
+}
+
+// Progress is a progress stream, At and N ascending. In JSON it is a flat
+// array of integer pairs: each sample's nanoseconds and count since the one
+// before (the first's since the trace began and zero). Deltas are short, and
+// integers read back exactly: a stream read back is the stream written,
+// sample for sample, and a rule replayed on it reads the same rate to the
+// bit.
+type Progress []Sample
+
+// MarshalJSON writes the stream delta-encoded.
+func (p Progress) MarshalJSON() ([]byte, error) {
+	d, prev := make([]int64, 0, 2*len(p)), Sample{}
+	for _, s := range p {
+		d, prev = append(d, int64(s.At-prev.At), s.N-prev.N), s
+	}
+	return json.Marshal(d)
+}
+
+// UnmarshalJSON reads a delta-encoded stream, and rejects one whose time or
+// count is negative or goes backwards.
+func (p *Progress) UnmarshalJSON(b []byte) error {
+	var d []int64
+	if err := json.Unmarshal(b, &d); err != nil {
+		return err
+	}
+	if len(d)%2 != 0 {
+		return fmt.Errorf("progress: %d integers, want pairs", len(d))
+	}
+	*p = make(Progress, 0, len(d)/2)
+	var s Sample
+	for i := 0; i < len(d); i += 2 {
+		s.At, s.N = s.At+time.Duration(d[i]), s.N+d[i+1]
+		if d[i] < 0 || d[i+1] < 0 || s.At < 0 || s.N < 0 {
+			return fmt.Errorf("progress: sample %d goes backwards or overflows", i/2)
+		}
+		*p = append(*p, s)
+	}
+	return nil
 }
 
 // Run is the cost of one traced drain, from instantiation to the end of
@@ -128,8 +179,8 @@ type Run struct {
 	// cut. What it is handed after — the partial minibatch a Batch canceled
 	// mid-fill delivers, what a root prefetch had ready — is not counted.
 	RootCompletions int64 `json:"trace_root_completions"`
-	// Samples is the length of the progress stream: at the cut, or when the
-	// drain ended (0 without a rule).
+	// Samples is the length of the progress stream, len(Snapshot.Progress):
+	// at the cut, or when the drain ended (0 without a rule).
 	Samples int `json:"trace_samples"`
 	// Settled is true when the rule cut the drain; false means it ran to
 	// EOF or to its cap.
@@ -236,13 +287,15 @@ func (s *Snapshot) ObservedFileBytes() int64 {
 	return total
 }
 
-// Marshal serializes the snapshot to JSON.
+// Marshal serializes the snapshot to compact JSON: its progress stream is
+// thousands of integers.
 func (s *Snapshot) Marshal() ([]byte, error) {
-	return json.MarshalIndent(s, "", "  ")
+	return json.Marshal(s)
 }
 
 // UnmarshalSnapshot parses a serialized snapshot, which must carry the
-// traced program.
+// traced program, a counter block for every node it names, and, when it
+// says what its drain cost, the whole stream its rule read.
 func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	var s Snapshot
 	if err := json.Unmarshal(b, &s); err != nil {
@@ -250,6 +303,14 @@ func UnmarshalSnapshot(b []byte) (*Snapshot, error) {
 	}
 	if s.Graph == nil {
 		return nil, fmt.Errorf("trace: unmarshal snapshot: no graph")
+	}
+	for name, ns := range s.Nodes {
+		if ns == nil {
+			return nil, fmt.Errorf("trace: unmarshal snapshot: node %q has no counters", name)
+		}
+	}
+	if s.Run != nil && s.Run.Samples != len(s.Progress) {
+		return nil, fmt.Errorf("trace: unmarshal snapshot: the run read %d samples, the stream holds %d", s.Run.Samples, len(s.Progress))
 	}
 	return &s, nil
 }

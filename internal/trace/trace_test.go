@@ -1,8 +1,11 @@
 package trace
 
 import (
+	"fmt"
 	"io"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -52,59 +55,47 @@ func testSnapshot(t *testing.T) *Snapshot {
 			"/data/cat/cat-00003-of-00008.tfrecord": 2600000,
 		},
 		TotalFiles: 8,
+		// Examples into the batch: a warm-up, single examples, a lump of a
+		// chunk, and two samples at one instant.
+		Progress: Progress{
+			{At: 3021043, N: 0}, {At: 4022587, N: 1}, {At: 5023001, N: 2},
+			{At: 5101774, N: 66}, {At: 5101774, N: 67}, {At: 6133890, N: 68},
+		},
 	}
 }
 
 // TestSnapshotRoundTrip marshals a fully populated snapshot — including the
-// Files/TotalFiles subsample fields the size estimator rescales by — and
-// checks every field survives the JSON round trip.
+// Files/TotalFiles subsample fields the size estimator rescales by, and
+// progress streams that stress the delta codec — and checks the whole value
+// survives the JSON round trip, the stream sample for sample.
 func TestSnapshotRoundTrip(t *testing.T) {
-	snap := testSnapshot(t)
-	b, err := snap.Marshal()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := UnmarshalSnapshot(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(got.Graph, snap.Graph) {
-		t.Fatalf("graph mismatch:\n got %+v\nwant %+v", got.Graph, snap.Graph)
-	}
-	if got.Machine != snap.Machine {
-		t.Fatalf("machine mismatch: got %+v want %+v", got.Machine, snap.Machine)
-	}
-	if got.Duration != snap.Duration {
-		t.Fatalf("duration = %v, want %v", got.Duration, snap.Duration)
-	}
-	if !reflect.DeepEqual(got.Nodes, snap.Nodes) {
-		t.Fatalf("node counters mismatch:\n got %+v\nwant %+v", got.Nodes, snap.Nodes)
-	}
-	if !reflect.DeepEqual(got.Files, snap.Files) {
-		t.Fatalf("files mismatch: got %+v want %+v", got.Files, snap.Files)
-	}
-	if got.TotalFiles != snap.TotalFiles {
-		t.Fatalf("TotalFiles = %d, want %d", got.TotalFiles, snap.TotalFiles)
-	}
-	if got.ObservedFileBytes() != snap.ObservedFileBytes() {
-		t.Fatalf("ObservedFileBytes = %d, want %d", got.ObservedFileBytes(), snap.ObservedFileBytes())
-	}
-
-	// Chain-ordered access must work identically on the decoded copy.
-	gotChain, err := got.ChainStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantChain, err := snap.ChainStats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotChain, wantChain) {
-		t.Fatal("ChainStats differs after round trip")
-	}
-	if !reflect.DeepEqual(got.SortedFileNames(), snap.SortedFileNames()) {
-		t.Fatal("SortedFileNames differs after round trip")
+	for _, progress := range []Progress{
+		nil, // testSnapshot's
+		{},  // an empty stream
+		{{At: 0, N: 0}, {At: 1, N: 1}, {At: 999, N: 64}},                                                        // a first sample at 0 ns
+		{{At: time.Millisecond, N: 7}, {At: 2 * time.Millisecond, N: 7 + 1<<33}, {At: time.Hour, N: 1<<62 + 5}}, // a count jump past 2^32
+	} {
+		snap := testSnapshot(t)
+		if progress != nil {
+			snap.Progress = progress
+		}
+		b, err := snap.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := UnmarshalSnapshot(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Progress, snap.Progress) {
+			t.Fatalf("progress mismatch:\n got %v\nwant %v", got.Progress, snap.Progress)
+		}
+		got.Progress = snap.Progress // an empty stream reads back as none
+		// Every field, so every accessor (ChainStats, ObservedFileBytes, …)
+		// reads the decoded copy as it reads the original.
+		if !reflect.DeepEqual(got, snap) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, snap)
+		}
 	}
 }
 
@@ -130,10 +121,24 @@ func TestSnapshotRoundTripOmitsEmpty(t *testing.T) {
 	}
 }
 
+// TestUnmarshalSnapshotRejectsGarbage: what a snapshot file can say that no
+// tracer writes is rejected on reading, before the analysis dereferences it.
 func TestUnmarshalSnapshotRejectsGarbage(t *testing.T) {
-	for _, garbage := range []string{`{"graph": 42`, `{}`} {
+	g, _ := testSnapshot(t).Graph.Marshal() // a built graph always marshals
+	with := func(rest string) string { return fmt.Sprintf(`{"graph": %s, %s}`, g, rest) }
+	for _, garbage := range []string{
+		`{"graph": 42`,
+		`{}`,
+		with(`"nodes": {"interleave_1": null, "map_1": null, "batch_1": null}`),
+		with(`"progress": [-5, 1]`),                                   // before the trace began
+		with(`"progress": [5, -1]`),                                   // a negative count
+		with(`"progress": [5, 1, -2, 1]`),                             // time goes backwards
+		with(`"progress": [5, 3, 1, -1]`),                             // the count goes backwards
+		with(`"run": {"trace_samples": 3}, "progress": [5, 1, 1, 1]`), // two samples, not three
+		with(`"run": {"trace_samples": 2}`),                           // no stream
+	} {
 		if _, err := UnmarshalSnapshot([]byte(garbage)); err == nil {
-			t.Fatalf("expected error on malformed snapshot JSON %s", garbage)
+			t.Errorf("expected error on malformed snapshot JSON %s", strings.ReplaceAll(garbage, string(g), "<graph>"))
 		}
 	}
 }

@@ -251,85 +251,54 @@ func facadeSpin(fs Connector, reg *udf.Registry) Options {
 	return Options{Source: fs, UDFs: reg, WorkScale: 20, Spin: true}
 }
 
-// planHolds runs Optimize and then does what Optimize no longer does: it
-// traces res.Final itself, bounded and from cold caches like the first epoch
-// of the job that would run it, and holds the rate against
-// res.PredictedMinibatchesPerSec at 25 % — the miss that used to send
-// plan-first into refinement. Both are wall-clock rates beside other spinning
-// packages, which only ever lower them: the measurement is the best of a few
-// traces, and a plan that still misses is retried anew.
-func planHolds(t *testing.T, g *pipeline.Graph, budget Budget, opts Options) *Result {
+// planHolds runs Optimize, live, and holds the plan to the corpus: the
+// program it plans is the one a recorded settled trace of g plans, and
+// that plan's prediction is within 25 % of the rate a recorded settled
+// trace of the planned program reads — the miss that used to send
+// plan-first into refinement. It returns the live result and the replayed
+// one.
+func planHolds(t *testing.T, name string, g *pipeline.Graph, budget Budget, opts Options) (live, replayed *Result) {
 	t.Helper()
-	var res *Result
-	var measured float64
-	for attempt := 0; attempt < 3; attempt++ {
-		var err error
-		if res, err = Optimize(g, budget, opts); err != nil {
-			t.Fatal(err)
-		}
-		if res.PredictedMinibatchesPerSec <= 0 {
-			t.Fatal("plan-first published no prediction to hold a job against")
-		}
-		measured = settledRate(t, res.Final, opts, res.PredictedMinibatchesPerSec)
-		if within(measured, res.PredictedMinibatchesPerSec, 0.25) {
-			return res
-		}
+	live, err := Optimize(g, budget, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	missUnlessHostBusy(t, "predicted %.1f minibatches/s, bounded traces of the planned program read %.1f",
-		res.PredictedMinibatchesPerSec, measured)
-	return nil
+	replayed = planOf(t, recorded(t, name+"-settled", g, opts, engine.Settled, nil), opts.UDFs, budget)
+	if got, want := jsonOf(live.Final), jsonOf(replayed.Final); got != want {
+		t.Fatalf("Optimize planned\n%s\nthe recorded trace planned\n%s", got, want)
+	}
+	if replayed.PredictedMinibatchesPerSec <= 0 {
+		t.Fatal("plan-first published no prediction to hold a job against")
+	}
+	measured := tracedX0(recorded(t, name+"-planned-settled", replayed.Final, opts, engine.Settled, nil))
+	if !within(measured, replayed.PredictedMinibatchesPerSec, 0.25) {
+		t.Fatalf("predicted %.1f minibatches/s, a settled trace of the planned program reads %.1f", replayed.PredictedMinibatchesPerSec, measured)
+	}
+	return live, replayed
 }
 
 // TestOptimizePlanFirst pins the predictive path end to end: Optimize
 // solves one joint allocation from a single trace, materializes it as one
 // audited rewrite and stops there, and the rate it predicts is the rate the
-// planned program then shows.
+// planned program then shows. The allocation is the tuned shape: decode
+// raised to the budget's four cores, a cache (the dataset fits the memory
+// budget) and a root prefetch.
 func TestOptimizePlanFirst(t *testing.T) {
 	fs, reg := facadeSetup(t)
-	g := sequentialGraph(t)
 	budget := Budget{Cores: 4, MemoryBytes: 64 << 20}
-	res := planHolds(t, g, budget, facadeSpin(fs, reg))
-	if res.Plan == nil {
-		t.Fatal("plan-first result carries no plan")
+	res, _ := planHolds(t, "facade", sequentialGraph(t), budget, facadeSpin(fs, reg))
+	if res.Plan == nil || res.TracesUsed != 1 || len(res.Steps) != 1 {
+		t.Fatalf("plan-first used %d traces over %d steps (plan %v), want one of each", res.TracesUsed, len(res.Steps), res.Plan)
 	}
-	if err := res.Final.Validate(); err != nil {
-		t.Fatalf("final graph invalid: %v", err)
+	want := pipeline.NewBuilder().
+		Interleave(facadeCatalog.Name, 1).
+		Map("facade_decode", 4).
+		Batch(8).
+		Named("plumber_cache").Cache().
+		Named("plumber_prefetch").Prefetch(8).MustBuild()
+	if got := jsonOf(res.Final); got != jsonOf(want) {
+		t.Fatalf("plan-first planned\n%s\nwant\n%s", got, jsonOf(want))
 	}
-	if res.TracesUsed != 1 || len(res.Steps) != 1 {
-		t.Fatalf("plan-first used %d traces over %d steps, want one of each", res.TracesUsed, len(res.Steps))
-	}
-
-	// The joint allocation must reach the tuned shape: decode raised within
-	// the core budget, a root prefetch, and a cache.
-	mp, err := res.Final.Node("map_1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mp.Parallelism < 2 {
-		t.Fatalf("map parallelism = %d, want raised above 1", mp.Parallelism)
-	}
-	// Knobs round fractional CPU claims up, so two parallel stages may
-	// start one worker more than the budget has cores.
-	if workers := rewrite.ParallelCoresInUse(res.Final); workers > budget.Cores+1 {
-		t.Fatalf("final program starts %d workers, budget %d cores + 2 stages - 1", workers, budget.Cores)
-	}
-	root, err := res.Final.Node(res.Final.Output)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if root.Kind != pipeline.KindPrefetch {
-		t.Fatalf("final root is %s, want prefetch", root.Kind)
-	}
-	hasCache := false
-	for _, n := range res.Final.Nodes {
-		if n.Kind == pipeline.KindCache {
-			hasCache = true
-		}
-	}
-	if !hasCache {
-		t.Fatal("plan-first inserted no cache although the dataset fits the memory budget")
-	}
-
 	// Every knob change must be audited under the canonical rewrite names.
 	for _, name := range []string{rewrite.NameRaiseParallelism, rewrite.NameInsertPrefetch, rewrite.NameInsertCache} {
 		if !res.Trail.Has(name) {
@@ -349,17 +318,15 @@ func TestOptimizePlanFirstNoOpReportsVerification(t *testing.T) {
 	fs, reg := facadeSetup(t)
 	budget := Budget{Cores: 4, MemoryBytes: 64 << 20}
 	opts := facadeSpin(fs, reg)
-	first, err := Optimize(sequentialGraph(t), budget, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := sequentialGraph(t)
+	first := planOf(t, recorded(t, "facade-settled", g, opts, engine.Settled, nil), reg, budget)
 	// Re-optimizing the tuned program has nothing left to apply.
-	second := planHolds(t, first.Final, budget, opts)
+	live, second := planHolds(t, "facade-planned", first.Final, budget, opts)
 	if len(second.Trail) != 0 {
-		t.Skipf("second pass still applied %d rewrites; no-op path not reached", len(second.Trail))
+		t.Fatalf("the second plan still applied %d rewrites", len(second.Trail))
 	}
-	if second.TracesUsed != 1 {
-		t.Fatalf("no-op plan took %d traces, want one", second.TracesUsed)
+	if live.TracesUsed != 1 {
+		t.Fatalf("no-op plan took %d traces, want one", live.TracesUsed)
 	}
 	if observed := second.Steps[0].ObservedMinibatchesPerSec; !within(second.PredictedMinibatchesPerSec, observed, 1e-9) {
 		t.Fatalf("no-op plan predicted %.3f minibatches/s for the program it had just traced at %.3f",
