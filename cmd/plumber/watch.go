@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"sync/atomic"
@@ -105,14 +104,18 @@ func runWatch(args []string) error {
 		return err
 	}
 
-	// The consumer pumps for the whole window — including across quiesce
-	// barriers, where a pending patch resolves inside Next. EOF before the
-	// window closes just means the Repeat budget ran out early.
+	// The consumer pumps until the window closes or the stream ends — a
+	// quiesce barrier never surfaces as io.EOF, since a pending patch
+	// resolves inside Next. EOF before the window closes means the Repeat
+	// budget ran out early; the doctor keeps sampling regardless. A stream
+	// that ended is canceled, so a Reconfigure the doctor starts later fails
+	// at once instead of waiting for a barrier no consumer will reach.
 	var delivered atomic.Int64
 	stop := make(chan struct{})
 	consumerDone := make(chan struct{})
 	go func() {
 		defer close(consumerDone)
+		defer p.Cancel()
 		for {
 			select {
 			case <-stop:
@@ -120,10 +123,6 @@ func runWatch(args []string) error {
 			default:
 			}
 			e, err := p.Next()
-			if err == io.EOF {
-				runtime.Gosched()
-				continue
-			}
 			if err != nil {
 				return
 			}

@@ -160,15 +160,15 @@ type Pipeline struct {
 	rootGate *seqGate
 
 	// Cancellation: cancelCh wakes consumers blocked on a worker handoff,
-	// interrupts (one doneLatch per parallel iterator, including those the
-	// Repeat operator builds mid-run) wake the workers themselves, and
-	// cancelErr records the cause surfaced by Next after cancellation.
+	// interrupts (the latch of every live parallel stage, including those
+	// the Repeat operator builds mid-run; a stage drops its own when it
+	// stops) wake the workers themselves, and cancelErr records the cause
+	// surfaced by Next after cancellation.
 	cancelCh   chan struct{}
 	cancelOnce sync.Once
 	cancelErr  atomic.Value // error
 	intMu      sync.Mutex
-	interrupts []*doneLatch
-	canceled   bool
+	interrupts map[*doneLatch]struct{}
 	watchStop  chan struct{} // stops the Options.Context watcher on Close
 
 	// Pipeline-wide fault-handling aggregates (see ErrorStats); trackers
@@ -199,6 +199,9 @@ func newPipeline(g *pipeline.Graph, opts Options, pr *progress) (*Pipeline, erro
 		return nil, err
 	}
 	if opts.Context != nil {
+		if opts.Context.Err() != nil {
+			p.cancelWith(context.Cause(opts.Context)) // ended already: no stage starts
+		}
 		p.watchStop = make(chan struct{})
 		go func(ctx context.Context, stop <-chan struct{}) {
 			select {
@@ -243,11 +246,12 @@ func prepare(opts Options) (*Pipeline, error) {
 		}
 	}
 	p := &Pipeline{
-		opts:     opts,
-		depth:    edgeDepth,
-		caches:   opts.Caches,
-		cancelCh: make(chan struct{}),
-		closedCh: make(chan struct{}),
+		opts:       opts,
+		depth:      edgeDepth,
+		caches:     opts.Caches,
+		cancelCh:   make(chan struct{}),
+		closedCh:   make(chan struct{}),
+		interrupts: make(map[*doneLatch]struct{}),
 	}
 	if p.caches == nil {
 		p.caches = NewCacheStore()
@@ -370,36 +374,6 @@ func (p *Pipeline) Next() (data.Element, error) {
 	}
 }
 
-// NextCtx is Next with context cancellation: if ctx ends while the call is
-// blocked, the pipeline is canceled (workers wind down) and the context's
-// cause is returned. Prefer DrainCtx or Options.Context for long drains —
-// they amortize the watcher over the whole run.
-func (p *Pipeline) NextCtx(ctx context.Context) (data.Element, error) {
-	if err := ctx.Err(); err != nil {
-		p.cancelWith(context.Cause(ctx))
-		return data.Element{}, context.Cause(ctx)
-	}
-	stop := p.watchContext(ctx)
-	defer stop()
-	return p.Next()
-}
-
-// watchContext cancels the pipeline if ctx ends before stop is called.
-func (p *Pipeline) watchContext(ctx context.Context) (stop func()) {
-	if ctx.Done() == nil {
-		return func() {}
-	}
-	ch := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			p.cancelWith(context.Cause(ctx))
-		case <-ch:
-		}
-	}()
-	return func() { close(ch) }
-}
-
 // Cancel aborts the pipeline: workers blocked on handoffs or pool admission
 // wind down, blocked Next calls wake, and subsequent Next calls return the
 // cancellation cause. Cancellation drops no completed work: what a stage
@@ -429,12 +403,10 @@ func (p *Pipeline) cancelWith(cause error) {
 		}
 		p.cancelErr.Store(cause)
 		p.intMu.Lock()
-		p.canceled = true
-		latches := append([]*doneLatch(nil), p.interrupts...)
-		p.intMu.Unlock()
-		for _, l := range latches {
+		for l := range p.interrupts {
 			l.close()
 		}
+		p.intMu.Unlock()
 		if p.opts.Pool != nil {
 			p.opts.Pool.Interrupt() // wake workers blocked in Acquire
 		}
@@ -448,18 +420,29 @@ func (p *Pipeline) stopping() bool {
 	return p.quiesce.Load() || p.closed.Load() || p.CancelCause() != nil
 }
 
-// iterLatch returns a registered done latch for a parallel iterator. Latches
-// created after cancellation come pre-closed, so subtrees the Repeat
-// operator builds mid-cancel never start real work.
+// iterLatch returns a registered done latch for a parallel iterator; the
+// stage's stop closes it and drops it again (stopLatch). Latches created
+// after cancellation come pre-closed, so subtrees the Repeat operator builds
+// mid-cancel never start real work. cancelWith stores its cause before it
+// takes intMu, so a latch registered after that walk sees the cause here.
 func (p *Pipeline) iterLatch() *doneLatch {
 	l := newLatch()
 	p.intMu.Lock()
-	if p.canceled {
+	if p.cancelErr.Load() != nil {
 		l.close()
 	}
-	p.interrupts = append(p.interrupts, l)
+	p.interrupts[l] = struct{}{}
 	p.intMu.Unlock()
 	return l
+}
+
+// stopLatch closes a stage's latch and drops it from the registry, so the
+// registry holds only live stages however many epochs Repeat rebuilds.
+func (p *Pipeline) stopLatch(l *doneLatch) {
+	l.close()
+	p.intMu.Lock()
+	delete(p.interrupts, l)
+	p.intMu.Unlock()
 }
 
 // ErrorStats is the pipeline-wide aggregate of fault-handling outcomes,
@@ -524,19 +507,6 @@ func (p *Pipeline) Drain(max int64) (elements, examples int64, err error) {
 		p.Recycle(e)
 	}
 	return elements, examples, nil
-}
-
-// DrainCtx is Drain with context cancellation: one watcher covers the whole
-// drain, so a context that ends mid-run wakes any blocked Next, winds the
-// workers down, and surfaces the context's cause.
-func (p *Pipeline) DrainCtx(ctx context.Context, max int64) (elements, examples int64, err error) {
-	if err := ctx.Err(); err != nil {
-		p.cancelWith(context.Cause(ctx))
-		return 0, 0, context.Cause(ctx)
-	}
-	stop := p.watchContext(ctx)
-	defer stop()
-	return p.Drain(max)
 }
 
 // Recycle returns a root element's payload to its owner — the arena block

@@ -32,8 +32,9 @@ type handoff interface {
 	// reports whether the chunk was accepted.
 	trySend(w int, c []item) bool
 	// send publishes a chunk from producer w, blocking while the edge is
-	// full. It returns false when done closes or the edge is aborted
-	// (tenant eviction) — the chunk was not accepted.
+	// full. It returns false when done closes — the chunk was not accepted.
+	// done is the stage's latch, the one signal that stops a parked
+	// producer: edge.stop and Pipeline.Cancel close it.
 	send(w int, c []item, done <-chan struct{}) bool
 	// tryRecv takes the next available chunk without blocking. prefer is
 	// the consumer's shard-affinity cursor, updated on steal.
@@ -48,9 +49,6 @@ type handoff interface {
 	// close marks the producer side finished: once drained, recv returns
 	// ok == false. Called after every producer has exited.
 	close()
-	// detach releases any external registrations (pool interrupt hooks);
-	// called from the iterator's Close.
-	detach()
 	// stats returns cumulative waiter parks and cross-shard steals for the
 	// trace handoff counters (zero for the channel edge, which cannot
 	// observe its own futex waits).
@@ -66,22 +64,10 @@ func (p *Pipeline) newHandoff(producers, depth int) handoff {
 	if depth < 1 {
 		depth = 1
 	}
-	switch p.opts.Handoff {
-	case HandoffChannel:
+	if p.opts.Handoff == HandoffChannel {
 		return newChannelHandoff(producers * depth)
-	default:
-		r := newRingHandoff(producers, depth)
-		if pool := p.opts.Pool; pool != nil {
-			// Parked ring waiters must wake on Pool.Interrupt/Evict —
-			// an evicted tenant's producer parked on a full shard will
-			// never call Acquire again, so the pool broadcast is its
-			// only wake-up (see the abort hook below).
-			tenant := p.opts.PoolTenant
-			r.abort = func() bool { return pool.Evicted(tenant) }
-			r.unregister = pool.OnInterrupt(r.wakeAll)
-		}
-		return r
 	}
+	return newRingHandoff(producers, depth)
 }
 
 // ---------------------------------------------------------------------------
@@ -145,8 +131,6 @@ func (h *channelHandoff) recv(_ *int, cancel <-chan struct{}) ([]item, bool) {
 func (h *channelHandoff) empty() bool { return len(h.ch) == 0 }
 
 func (h *channelHandoff) close() { close(h.ch) }
-
-func (h *channelHandoff) detach() {}
 
 func (h *channelHandoff) stats() (int64, int64) { return 0, 0 }
 
@@ -238,12 +222,6 @@ type ringHandoff struct {
 
 	parks  atomic.Int64
 	steals atomic.Int64
-
-	// abort, when set, is re-checked by parked producers on every wake:
-	// an evicted pool tenant's producer must exit rather than re-park,
-	// since no consumer will ever drain its shard again.
-	abort      func() bool
-	unregister func()
 }
 
 func newRingHandoff(producers, depth int) *ringHandoff {
@@ -302,10 +280,6 @@ func (r *ringHandoff) send(w int, c []item, done <-chan struct{}) bool {
 			r.notEmpty.wake()
 			return true
 		}
-		if r.abort != nil && r.abort() {
-			r.notFull.sleepers.Add(-1)
-			return false
-		}
 		r.parks.Add(1)
 		select {
 		case <-ch:
@@ -314,9 +288,6 @@ func (r *ringHandoff) send(w int, c []item, done <-chan struct{}) bool {
 			return false
 		}
 		r.notFull.sleepers.Add(-1)
-		if r.abort != nil && r.abort() {
-			return false
-		}
 	}
 }
 
@@ -403,24 +374,10 @@ func (r *ringHandoff) empty() bool {
 	return true
 }
 
+// close wakes parked consumers only: every producer has exited by now.
 func (r *ringHandoff) close() {
 	r.closed.Store(true)
-	r.wakeAll()
-}
-
-// wakeAll wakes every parked waiter so it re-checks its exit conditions;
-// registered with SharedPool.OnInterrupt so Evict/Interrupt reach parked
-// ring waiters, not just workers blocked in Acquire.
-func (r *ringHandoff) wakeAll() {
 	r.notEmpty.wakeForce()
-	r.notFull.wakeForce()
-}
-
-func (r *ringHandoff) detach() {
-	if r.unregister != nil {
-		r.unregister()
-		r.unregister = nil
-	}
 }
 
 func (r *ringHandoff) stats() (int64, int64) {
@@ -459,8 +416,8 @@ func (n *notifier) wake() {
 	n.wakeForce()
 }
 
-// wakeForce broadcasts unconditionally (close/interrupt paths, where a
-// sleeper may be between registering and parking).
+// wakeForce broadcasts unconditionally (the close path, where a sleeper may
+// be between registering and parking).
 func (n *notifier) wakeForce() {
 	n.mu.Lock()
 	close(n.ch)

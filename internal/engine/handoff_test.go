@@ -202,36 +202,47 @@ func TestRingHandoffCancelDuringPark(t *testing.T) {
 	}
 }
 
-// TestPoolEvictWakesParkedRingProducer pins the satellite regression: a
-// producer parked on a full shard is outside Acquire, so Pool.Evict's cond
-// broadcast alone cannot reach it — the OnInterrupt hook must. The send must
-// return false (chunk not accepted) rather than re-park forever.
-func TestPoolEvictWakesParkedRingProducer(t *testing.T) {
-	pool := NewSharedPool(1)
-	if err := pool.Admit("t", 1); err != nil {
+// TestEvictThenCancelUnwindsParkedProducers is eviction in the host's order:
+// the consumer stops pulling while map workers park on their full edge, and
+// the owner evicts the tenant, then cancels. Evict reaches only Acquire; the
+// Cancel closes the stages' latches, which wake the parked producers.
+func TestEvictThenCancelUnwindsParkedProducers(t *testing.T) {
+	pool := NewSharedPool(2)
+	if err := pool.Admit("victim", 2); err != nil {
 		t.Fatal(err)
 	}
-	r := newRingHandoff(1, 1)
-	r.abort = func() bool { return pool.Evicted("t") }
-	r.unregister = pool.OnInterrupt(r.wakeAll)
-	defer r.detach()
-
-	if !r.trySend(0, []item{{}}) {
-		t.Fatal("could not fill the depth-1 shard")
+	graph, opts := poolWorkload(t, "evict-then-cancel", 2, 1e-5, 400)
+	opts.Pool, opts.PoolTenant = pool, "victim"
+	p, err := New(graph, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sendOK := make(chan bool, 1)
-	go func() {
-		sendOK <- r.send(0, []item{{}}, nil)
-	}()
-	time.Sleep(5 * time.Millisecond) // give the producer time to park
-	pool.Evict("t")
-	select {
-	case ok := <-sendOK:
-		if ok {
-			t.Fatal("send succeeded for an evicted tenant")
+	if _, err := p.Next(); err != nil {
+		t.Fatal(err)
+	}
+	// The consumer pulls no more: wait for a map worker to park on its edge.
+	ring := p.root.(*batchIter).in.(*mapIter).out.(*ringHandoff)
+	for deadline := time.Now().Add(10 * time.Second); ring.notFull.sleepers.Load() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no map worker parked on the full edge")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("eviction stranded the parked ring producer")
+		time.Sleep(time.Millisecond)
+	}
+	pool.Evict("victim")
+	p.Cancel()
+	closed := make(chan error, 1)
+	go func() { closed <- p.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("close after evict and cancel: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close stranded the parked producers of an evicted, canceled tenant")
+	}
+	if release, ok := pool.Acquire("victim", nil); ok {
+		release()
+		t.Fatal("an evicted tenant's Acquire succeeded")
 	}
 }
 

@@ -342,11 +342,12 @@ func (e *edge) launch(n, depth int, work func(w int)) {
 	}()
 }
 
-// stop closes the latch, wakes workers blocked in Acquire or parked on the
-// ring, waits for them, and retires what the consumer never took.
+// stop closes the latch, which wakes workers parked on the edge, wakes those
+// blocked in Acquire, waits for them, and retires what the consumer never
+// took.
 func (e *edge) stop() {
 	e.once.Do(func() {}) // never started: it never will
-	e.latch.close()
+	e.p.stopLatch(e.latch)
 	if !e.started {
 		return
 	}
@@ -355,7 +356,6 @@ func (e *edge) stop() {
 	}
 	e.wg.Wait()
 	e.recv.discard(e.p, e.out)
-	e.out.detach()
 	if e.handle != nil {
 		parks, steals := e.out.stats()
 		trace.AddHandoff(e.handle, parks, steals)

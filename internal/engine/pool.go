@@ -46,11 +46,6 @@ type SharedPool struct {
 	reserved int
 	tenants  map[string]*poolTenant
 	order    []*poolTenant // admission order
-	// hooks are interrupt listeners (parked ring-handoff waiters) invoked by
-	// Interrupt and Evict: a waiter parked on a full or empty ring is not
-	// blocked in Acquire, so the cond broadcast alone cannot reach it.
-	hooks    map[int]func()
-	nextHook int
 }
 
 // poolTenant is one tenant's admission state and accounting.
@@ -242,59 +237,18 @@ func closed(done <-chan struct{}) bool {
 	}
 }
 
-// Evicted reports whether the tenant's admission has been reclaimed. Parked
-// ring-handoff waiters re-check it on every interrupt wake: an evicted
-// tenant's producers must abort rather than re-park, since no consumer will
-// drain their shards again.
-func (p *SharedPool) Evicted(tenant string) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	t, ok := p.tenants[tenant]
-	return ok && t.evicted
-}
-
-// OnInterrupt registers a hook invoked by Interrupt and Evict, returning its
-// unregister function. Pipelines register their ring-handoff wake-alls here
-// so pool-level interruption reaches waiters parked outside Acquire.
-func (p *SharedPool) OnInterrupt(f func()) (unregister func()) {
-	p.mu.Lock()
-	if p.hooks == nil {
-		p.hooks = make(map[int]func())
-	}
-	id := p.nextHook
-	p.nextHook++
-	p.hooks[id] = f
-	p.mu.Unlock()
-	return func() {
-		p.mu.Lock()
-		delete(p.hooks, id)
-		p.mu.Unlock()
-	}
-}
-
-// runHooks snapshots the hook set under the mutex and invokes it unlocked
-// (hooks touch their own notifier locks; holding the pool mutex across them
-// invites lock-order cycles). The ring waiters' register-then-recheck park
-// protocol makes the post-unlock invocation safe against lost wakeups.
-func (p *SharedPool) runHooks() {
-	p.mu.Lock()
-	hooks := make([]func(), 0, len(p.hooks))
-	for _, f := range p.hooks {
-		hooks = append(hooks, f)
-	}
-	p.mu.Unlock()
-	for _, f := range hooks {
-		f()
-	}
-}
-
 // Evict reclaims a tenant's admission for failure isolation: its guarantee
 // returns to the pool, every slot it currently holds is force-freed (a
 // wedged worker may never release; its late release settles against a
-// reclaim debt instead of the live accounting), and all its future Acquire
-// calls fail fast. Evict returns the number of guaranteed slots freed, or 0
-// for an unknown or already-evicted tenant. The freed guarantee can be
-// redistributed to survivors with Grow.
+// reclaim debt instead of the live accounting), and its pending and future
+// Acquire calls fail fast. Evict returns the number of guaranteed slots
+// freed, or 0 for an unknown or already-evicted tenant. The freed guarantee
+// can be redistributed to survivors with Grow.
+//
+// Evict reaches only workers blocked in Acquire. A worker parked on a full
+// stage edge, or a consumer waiting on one that still has producers, waits
+// for its stage's latch: the owner cancels or closes the tenant's pipeline
+// after evicting it, as host.RunConcurrent does.
 func (p *SharedPool) Evict(tenant string) int {
 	p.mu.Lock()
 	t, ok := p.tenants[tenant]
@@ -313,9 +267,6 @@ func (p *SharedPool) Evict(tenant string) int {
 	// evicted tenant's own, which now fail fast).
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	// Reach waiters parked outside Acquire (ring-handoff parks) too: the
-	// evicted tenant's producers re-check Evicted on wake and abort.
-	p.runHooks()
 	return freed
 }
 
@@ -348,14 +299,15 @@ func (p *SharedPool) Grow(tenant string, delta int) error {
 
 // Interrupt wakes every blocked Acquire so it can re-check its done channel.
 // Pipeline teardown calls it after closing the done channel; it is otherwise
-// harmless. The broadcast happens under the pool mutex: an unlocked
-// broadcast could fire between a worker's done-check and its cond.Wait
-// (both under the mutex) and be lost, hanging that worker forever.
+// harmless. Waiters parked on a stage edge are not the pool's to wake: the
+// closed done channel is their stage's latch, and it wakes them itself. The
+// broadcast happens under the pool mutex: an unlocked broadcast could fire
+// between a worker's done-check and its cond.Wait (both under the mutex) and
+// be lost, hanging that worker forever.
 func (p *SharedPool) Interrupt() {
 	p.mu.Lock()
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.runHooks() // wake ring-handoff waiters parked outside Acquire
 }
 
 // PoolStats is one tenant's admission accounting.

@@ -241,17 +241,13 @@ func (p *Pipeline) applyReconfig(pr *pendingReconfig) error {
 		}
 	}
 
-	// 2. Tear down the old tree (flushes every buffered counter shard) and
-	// drop its interrupt latches — all closed now — so the registry does
-	// not grow across reconfigurations.
+	// 2. Tear down the old tree (flushes every buffered counter shard; each
+	// stage drops its own interrupt latch as it stops).
 	closeErr := p.root.Close()
 	p.rootGate.close()
 	p.liveMu.Lock()
 	p.live = nil
 	p.liveMu.Unlock()
-	p.intMu.Lock()
-	p.interrupts = p.interrupts[:0]
-	p.intMu.Unlock()
 	if closeErr != nil {
 		err := fmt.Errorf("engine: reconfigure teardown: %w", closeErr)
 		p.finishReconfig(pr, err)

@@ -267,13 +267,10 @@ func mapGraph(t *testing.T, udfName string) *pipeline.Graph {
 	return g
 }
 
-// TestCancelUnblocksAndSurfacesCause pins the cancellation contract: Cancel
-// from another goroutine unblocks a draining consumer with the cancel
-// cause, and Close after Cancel stays safe and idempotent. A Batch canceled
-// mid-fill hands the consumer its partial minibatch first, then the cause.
-func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
+// slowSetup is testSetup with "slow", a UDF that takes 2 ms an element: a
+// drain over it is mid-flight when a cancel lands.
+func slowSetup(t *testing.T) (*connector.SimFS, *udf.Registry) {
 	fs, reg := testSetup(t)
-	// A UDF slow enough that the drain is mid-flight when Cancel lands.
 	if err := reg.Register(udf.UDF{
 		Name: "slow",
 		Body: func(e data.Element) (data.Element, bool, error) {
@@ -284,6 +281,15 @@ func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	return fs, reg
+}
+
+// TestCancelUnblocksAndSurfacesCause pins the cancellation contract: Cancel
+// from another goroutine unblocks a draining consumer with the cancel
+// cause, and Close after Cancel stays safe and idempotent. A Batch canceled
+// mid-fill hands the consumer its partial minibatch first, then the cause.
+func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
+	fs, reg := slowSetup(t)
 	p, err := New(mapGraph(t, "slow"), Options{FS: fs, UDFs: reg})
 	if err != nil {
 		t.Fatal(err)
@@ -341,63 +347,72 @@ func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
 	}
 }
 
-// TestNextCtxAndDrainCtx pins the context-based entry points: an
-// already-expired context fails fast, and a deadline interrupts DrainCtx
-// with the context's cause.
-func TestNextCtxAndDrainCtx(t *testing.T) {
+// TestOptionsContextCancels pins the one context entry point: a context
+// that has already ended cancels the pipeline before New returns, and a
+// deadline interrupts a blocked Drain with the context's cause.
+func TestOptionsContextCancels(t *testing.T) {
 	fs, reg := testSetup(t)
-	p, err := New(canonicalGraph(t, 1), Options{FS: fs, UDFs: reg})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	p, err := New(canonicalGraph(t, 1), Options{FS: fs, UDFs: reg, Context: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := p.NextCtx(ctx); !errors.Is(err, context.Canceled) {
-		t.Fatalf("NextCtx with canceled ctx: %v, want context.Canceled", err)
-	}
-	// A dead context cancels the pipeline itself. Elements already handed
-	// off may still drain out (cancellation never drops completed work),
-	// but the stream must terminate with the cancellation cause.
+	defer p.Close()
+	// Cancel drops no handed-off element; the stream still ends with the cause.
 	var cause error
-	for i := 0; i < 10000; i++ {
-		if _, cause = p.Next(); cause != nil {
-			break
-		}
+	for i := 0; i < 10000 && cause == nil; i++ {
+		_, cause = p.Next()
 	}
 	if !errors.Is(cause, context.Canceled) {
-		t.Fatalf("stream after expired-ctx NextCtx ended with %v, want context.Canceled", cause)
+		t.Fatalf("stream under an ended context finished with %v, want context.Canceled", cause)
 	}
-	p.Close()
 
-	fs2, reg2 := testSetup(t)
-	if err := reg2.Register(udf.UDF{
-		Name: "slow",
-		Body: func(e data.Element) (data.Element, bool, error) {
-			time.Sleep(2 * time.Millisecond)
-			return e, true, nil
-		},
-		Cost: udf.Cost{SizeFactor: 1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	p2, err := New(mapGraph(t, "slow"), Options{FS: fs2, UDFs: reg2})
+	fs2, reg2 := slowSetup(t)
+	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer dcancel()
+	p2, err := New(mapGraph(t, "slow"), Options{FS: fs2, UDFs: reg2, Context: dctx})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	dctx, dcancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer dcancel()
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := p2.DrainCtx(dctx, 0)
+		_, _, err := p2.Drain(0)
 		done <- err
 	}()
 	select {
 	case err = <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("DrainCtx ignored its context deadline")
+		t.Fatal("Drain ignored the Options.Context deadline")
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("DrainCtx returned %v, want context.DeadlineExceeded", err)
+		t.Fatalf("Drain returned %v, want context.DeadlineExceeded", err)
+	}
+}
+
+// TestLatchRegistryHoldsLiveStagesOnly: a stage drops its latch when it
+// stops, so the epochs Repeat rebuilds leave only the live source's and
+// map's latches registered, not two per epoch, and Close empties it.
+func TestLatchRegistryHoldsLiveStagesOnly(t *testing.T) {
+	fs, reg := testSetup(t)
+	g := pipeline.NewBuilder().Interleave(testCatalog.Name, 2).Map("noop", 2).Repeat(100).Batch(8).MustBuild()
+	p, err := New(g, Options{FS: fs, UDFs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stages register and drop latches on the consumer's goroutine, which
+	// is this one: the registry is read here without the lock.
+	if _, _, err := p.Drain(0); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.interrupts); n > 2 {
+		t.Fatalf("%d latches registered after 100 epochs, want at most the live source's and map's 2", n)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(p.interrupts); n != 0 {
+		t.Fatalf("%d latches registered after Close, want 0", n)
 	}
 }
