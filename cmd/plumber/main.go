@@ -36,24 +36,21 @@
 // plans from the same trace. A snapshot carries no UDF registry, so plan
 // treats every UDF as deterministic for cache legality, as analyze does.
 //
-// Budget flags are -cores N, -memory-mb M, -bw-mbps B. Without -graph,
-// trace and optimize build the demo program — an all-sequential interleave
-// → map → batch chain over a synthetic catalog — whose shape is controlled
-// by the workload flags (-files, -records-per-file, -record-bytes, -batch,
-// -udf-cpu-us). -backend selects the storage connector serving the shards:
-// simfs (the default in-memory simulated filesystem), localfs (shards
-// materialized as real files in a temp dir, removed on exit), or
-// objectstore (the modeled high-latency object store). A walkthrough:
+// Budget flags are -cores N, -memory-mb M, -bw-mbps B. The workload flags
+// (-files, -records-per-file, -record-bytes, -batch, -udf-cpu-us, -seed,
+// and -backend, the storage connector) fill one scenario.Spec, and trace,
+// optimize and watch build it through scenario.Build: an all-sequential
+// source → map → batch chain over a synthetic catalog. A walkthrough:
 //
 //	plumber trace -out snap.json              # run instrumented, dump counters + program
 //	plumber analyze -snap snap.json           # rates, capacities, cache legality
 //	plumber plan -snap snap.json -out p.json  # the snapshot -> joint allocation, rewrite, prediction
 //	plumber optimize -out tuner.json          # 1 settled trace -> the same plan, in one call
 //
-// UDF names in a loaded graph that the demo registry does not know are
-// registered automatically as cost-model UDFs costing -udf-cpu-us
-// microseconds per element, so serialized programs from other tools remain
-// runnable.
+// A -graph program replaces the chain and must read the flags' catalog.
+// UDF names in it that the workload's registry does not know are registered
+// as cost-model UDFs costing -udf-cpu-us microseconds per element, so
+// serialized programs from other tools remain runnable.
 package main
 
 import (
@@ -68,173 +65,99 @@ import (
 	"text/tabwriter"
 
 	"plumber"
-	"plumber/internal/connector"
-	"plumber/internal/data"
 	"plumber/internal/ops"
 	"plumber/internal/pipeline"
 	"plumber/internal/scenario"
-	"plumber/internal/simfs"
 	"plumber/internal/stats"
 	"plumber/internal/trace"
 	"plumber/internal/udf"
 )
 
-const demoUDF = "cli_decode"
+// specFlags registers the flags that describe the demo workload — the
+// synthetic catalog and its source → decode map → batch chain — and returns
+// a func that reads them into one scenario.Spec after Parse. trace,
+// optimize and watch all build that Spec through scenario.Build.
+func specFlags(fs *flag.FlagSet) func() scenario.Spec {
+	s := scenario.Spec{Name: "cli"}
+	fs.IntVar(&s.Files, "files", 4, "synthetic catalog: shard count")
+	fs.IntVar(&s.RecordsPerFile, "records-per-file", 512, "synthetic catalog: records per shard")
+	fs.Int64Var(&s.MeanRecordBytes, "record-bytes", 1024, "synthetic catalog: mean record size")
+	fs.IntVar(&s.BatchSize, "batch", 32, "demo chain: batch size")
+	udfCPUMicros := fs.Float64("udf-cpu-us", 20, "modeled UDF cost in CPU-microseconds per element (0 omits the map)")
+	fs.Uint64Var(&s.Seed, "seed", 42, "seed for shard content and shuffles (0 means 42)")
+	return func() scenario.Spec {
+		s.DecodeCPUPerElement = *udfCPUMicros * 1e-6
+		return s
+	}
+}
 
 // workload bundles the flags shared by trace and optimize.
 type workload struct {
-	graphPath      string
-	backend        string
-	files          int
-	recordsPerFile int
-	recordBytes    int64
-	batch          int
-	udfCPUMicros   float64
-	workScale      float64
-	spin           bool
-	seed           uint64
-	minibatches    int64
+	spec      func() scenario.Spec
+	graphPath string
+	backend   string
+	opts      plumber.Options
 }
 
 func (w *workload) register(fs *flag.FlagSet) {
+	w.spec = specFlags(fs)
 	fs.StringVar(&w.graphPath, "graph", "", "serialized pipeline program to load (default: build the demo chain)")
 	fs.StringVar(&w.backend, "backend", "simfs", "storage connector serving the shards: simfs, localfs, or objectstore")
-	fs.IntVar(&w.files, "files", 4, "synthetic catalog: shard count")
-	fs.IntVar(&w.recordsPerFile, "records-per-file", 512, "synthetic catalog: records per shard")
-	fs.Int64Var(&w.recordBytes, "record-bytes", 1024, "synthetic catalog: mean record size")
-	fs.IntVar(&w.batch, "batch", 32, "demo chain: batch size")
-	fs.Float64Var(&w.udfCPUMicros, "udf-cpu-us", 20, "modeled UDF cost in CPU-microseconds per element")
-	fs.Float64Var(&w.workScale, "workscale", 1, "scale factor on modeled CPU time (0 disables CPU modeling)")
-	fs.BoolVar(&w.spin, "spin", false, "burn modeled CPU for real so wallclock reflects the cost model")
-	fs.Uint64Var(&w.seed, "seed", 42, "seed for shard content and shuffles")
-	fs.Int64Var(&w.minibatches, "minibatches", 0, "hard cap on each trace drain, in minibatches (0 = none)")
+	fs.Float64Var(&w.opts.WorkScale, "workscale", 1, "scale factor on modeled CPU time (0 disables CPU modeling)")
+	fs.BoolVar(&w.opts.Spin, "spin", false, "burn modeled CPU for real so wallclock reflects the cost model")
+	fs.Int64Var(&w.opts.MaxMinibatches, "minibatches", 0, "hard cap on each trace drain, in minibatches (0 = none)")
 }
 
-func (w *workload) catalog() data.Catalog {
-	return data.Catalog{
-		Name:                  "cli-synth",
-		NumFiles:              w.files,
-		RecordsPerFile:        w.recordsPerFile,
-		MeanRecordBytes:       w.recordBytes,
-		RecordBytesStddevFrac: 0.25,
-		DecodeAmplification:   1,
-	}
-}
-
-// setup registers the synthetic workload, loads (or builds) the graph, and
-// prepares the storage connector and UDF registry it needs. The returned
-// cleanup releases backend resources (the localfs temp dir) and is always
-// safe to call.
+// setup builds the flags' workload through scenario.Build and, with -graph,
+// loads the program that replaces its chain. The returned cleanup releases
+// backend resources (the localfs temp dir); on error setup has released them.
 func (w *workload) setup() (*pipeline.Graph, plumber.Options, func(), error) {
-	noop := func() {}
-	cat := w.catalog()
-	if err := data.RegisterCatalog(cat); err != nil {
-		return nil, plumber.Options{}, noop, err
+	spec := w.spec()
+	spec.Backend = w.backend
+	wl, err := scenario.Build(spec)
+	if err != nil {
+		return nil, w.opts, nil, err
 	}
-	reg := udf.NewRegistry()
-	cost := udf.Cost{CPUPerElement: w.udfCPUMicros * 1e-6, SizeFactor: 1}
-	if err := reg.Register(udf.UDF{Name: demoUDF, Cost: cost}); err != nil {
-		return nil, plumber.Options{}, noop, err
+	cleanup := func() {}
+	if wl.Cleanup != nil {
+		cleanup = wl.Cleanup
 	}
-
-	var g *pipeline.Graph
+	g := wl.Graph
 	if w.graphPath != "" {
-		b, err := os.ReadFile(w.graphPath)
-		if err != nil {
-			return nil, plumber.Options{}, noop, err
-		}
-		g, err = pipeline.Unmarshal(b)
-		if err != nil {
-			return nil, plumber.Options{}, noop, err
-		}
-	} else {
-		var err error
-		g, err = pipeline.NewBuilder().
-			Interleave(cat.Name, 1).
-			Map(demoUDF, 1).
-			Batch(w.batch).
-			Build()
-		if err != nil {
-			return nil, plumber.Options{}, noop, err
+		if g, err = loadGraph(w.graphPath, wl); err != nil {
+			cleanup()
+			return nil, w.opts, nil, err
 		}
 	}
+	opts := w.opts
+	opts.Source, opts.UDFs, opts.Seed = wl.Source, wl.Registry, wl.Spec.Seed
+	return g, opts, cleanup, nil
+}
 
-	// Unknown UDFs in a loaded graph become cost-model-only stand-ins.
+// loadGraph reads a serialized program to run over wl's catalog. UDFs the
+// workload's registry does not know become cost-model stand-ins costing
+// -udf-cpu-us per element.
+func loadGraph(path string, wl *scenario.Workload) (*pipeline.Graph, error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	g, err := pipeline.Unmarshal(b)
+	if err != nil {
+		return nil, err
+	}
+	cost := udf.Cost{CPUPerElement: wl.Spec.DecodeCPUPerElement, SizeFactor: 1}
 	for _, n := range g.Nodes {
 		if n.UDF == "" {
 			continue
 		}
-		if _, err := reg.Lookup(n.UDF); err != nil {
-			if err := reg.Register(udf.UDF{Name: n.UDF, Cost: cost}); err != nil {
-				return nil, plumber.Options{}, noop, err
+		if _, err := wl.Registry.Lookup(n.UDF); err != nil {
+			if err := wl.Registry.Register(udf.UDF{Name: n.UDF, Cost: cost}); err != nil {
+				return nil, err
 			}
 		}
 	}
-
-	// A DAG-shaped graph has one catalog per branch head; serve them all
-	// from the chosen backend.
-	srcNodes, err := g.Sources()
-	if err != nil {
-		return nil, plumber.Options{}, noop, err
-	}
-	srcCats := make([]data.Catalog, 0, len(srcNodes))
-	seen := make(map[string]bool)
-	for _, n := range srcNodes {
-		if seen[n.Catalog] {
-			continue
-		}
-		seen[n.Catalog] = true
-		c, err := data.CatalogByName(n.Catalog)
-		if err != nil {
-			return nil, plumber.Options{}, noop, err
-		}
-		srcCats = append(srcCats, c)
-	}
-
-	var src plumber.Connector
-	cleanup := noop
-	switch w.backend {
-	case "", "simfs":
-		fs := simfs.New(simfs.Device{Name: "cli-mem"}, false)
-		for _, c := range srcCats {
-			fs.AddCatalog(c, w.seed)
-		}
-		src = connector.FromSimFS(fs)
-	case "localfs":
-		dir, err := os.MkdirTemp("", "plumber-cli-localfs-")
-		if err != nil {
-			return nil, plumber.Options{}, noop, err
-		}
-		lfs := connector.NewLocalFS(dir)
-		for _, c := range srcCats {
-			if err := lfs.MaterializeCatalog(c, w.seed); err != nil {
-				os.RemoveAll(dir)
-				return nil, plumber.Options{}, noop, err
-			}
-		}
-		src = lfs
-		cleanup = func() { os.RemoveAll(dir) }
-	case "objectstore":
-		if len(srcCats) > 1 {
-			return nil, plumber.Options{}, noop, fmt.Errorf("-backend objectstore serves a single catalog; the graph reads %d (use simfs or localfs)", len(srcCats))
-		}
-		src = connector.NewMemObjectStore(srcCats[0], w.seed, connector.ObjectStoreConfig{
-			Name: "cli-objectstore",
-			Seed: w.seed,
-		})
-	default:
-		return nil, plumber.Options{}, noop, fmt.Errorf("unknown -backend %q (want simfs, localfs, or objectstore)", w.backend)
-	}
-
-	opts := plumber.Options{
-		Source:         src,
-		UDFs:           reg,
-		Seed:           w.seed,
-		WorkScale:      w.workScale,
-		Spin:           w.spin,
-		MaxMinibatches: w.minibatches,
-	}
-	return g, opts, cleanup, nil
+	return g, nil
 }
 
 func main() {

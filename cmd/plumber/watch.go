@@ -11,13 +11,11 @@ import (
 	"time"
 
 	"plumber/internal/connector"
-	"plumber/internal/data"
 	"plumber/internal/doctor"
 	"plumber/internal/engine"
 	"plumber/internal/pipeline"
-	"plumber/internal/simfs"
+	"plumber/internal/scenario"
 	"plumber/internal/trace"
-	"plumber/internal/udf"
 )
 
 // runWatch runs the demo chain on a throttled simulated device for a fixed
@@ -30,15 +28,10 @@ import (
 // -min-replans turns the run into a CI assertion.
 func runWatch(args []string) error {
 	fs := flag.NewFlagSet("watch", flag.ExitOnError)
-	files := fs.Int("files", 4, "synthetic catalog: shard count")
-	recordsPerFile := fs.Int("records-per-file", 512, "synthetic catalog: records per shard")
-	recordBytes := fs.Int64("record-bytes", 1024, "synthetic catalog: mean record size")
-	batch := fs.Int("batch", 32, "demo chain: batch size")
+	spec := specFlags(fs)
 	epochs := fs.Int("epochs", 4096, "demo chain: Repeat count (keeps the pipeline live for the whole window)")
-	udfCPUMicros := fs.Float64("udf-cpu-us", 20, "modeled UDF cost in CPU-microseconds per element")
 	workScale := fs.Float64("workscale", 1, "scale factor on modeled CPU time (0 disables CPU modeling)")
 	spin := fs.Bool("spin", false, "burn modeled CPU for real so wallclock reflects the cost model")
-	seed := fs.Uint64("seed", 42, "seed for shard content and shuffles")
 	duration := fs.Duration("duration", 6*time.Second, "how long to watch before exiting")
 	interval := fs.Duration("interval", 500*time.Millisecond, "doctor sampling period")
 	drift := fs.Float64("drift", 0.3, "relative measured-vs-predicted gap that triggers a replan")
@@ -56,28 +49,14 @@ func runWatch(args []string) error {
 		return fmt.Errorf("-ramp-after needs -ramp-mbps > 0 (the bandwidth to ramp to)")
 	}
 
-	cat := data.Catalog{
-		Name:                  "watch-synth",
-		NumFiles:              *files,
-		RecordsPerFile:        *recordsPerFile,
-		MeanRecordBytes:       *recordBytes,
-		RecordBytesStddevFrac: 0.25,
-		DecodeAmplification:   1,
-	}
-	if err := data.RegisterCatalog(cat); err != nil {
+	wl, err := scenario.Build(spec())
+	if err != nil {
 		return err
 	}
-	reg := udf.NewRegistry()
-	cost := udf.Cost{CPUPerElement: *udfCPUMicros * 1e-6, SizeFactor: 1}
-	if err := reg.Register(udf.UDF{Name: demoUDF, Cost: cost}); err != nil {
-		return err
-	}
-	g, err := pipeline.NewBuilder().
-		Named("src").Interleave(cat.Name, 1).
-		Named("decode").Map(demoUDF, 1).
-		Repeat(int64(*epochs)).
-		Batch(*batch).
-		Build()
+	// The Repeat goes above the batch's input (the decode map), so the
+	// pipeline stays live for the whole window.
+	batch, _ := wl.Graph.Node(wl.Graph.Output)
+	g, err := wl.Graph.InsertAbove(batch.Input, pipeline.Node{Name: "repeat_1", Kind: pipeline.KindRepeat, Count: int64(*epochs)})
 	if err != nil {
 		return err
 	}
@@ -85,10 +64,8 @@ func runWatch(args []string) error {
 	// A throttled simulated device: readers sleep in real time against the
 	// token bucket, so SetBandwidth mid-run genuinely changes the delivered
 	// rate the doctor measures.
-	dev := simfs.Device{Name: "watch", TotalBandwidth: *deviceMBps * 1e6, PerStreamBandwidth: *deviceMBps * 1e6 / 4}
-	sfs := simfs.New(dev, true)
-	sfs.AddCatalog(cat, *seed)
-	src := connector.FromSimFS(sfs)
+	src := connector.NewSimFS(connector.Device{Name: "watch", TotalBandwidth: *deviceMBps * 1e6, PerStreamBandwidth: *deviceMBps * 1e6 / 4}, true)
+	src.AddCatalog(wl.Catalog, wl.Spec.Seed)
 
 	col, err := trace.NewCollector(g, trace.Machine{Name: "watch", Cores: runtime.NumCPU()})
 	if err != nil {
@@ -97,8 +74,8 @@ func runWatch(args []string) error {
 	src.AddObserver(col)
 	defer src.RemoveObserver(col)
 	p, err := engine.New(g, engine.Options{
-		FS: src, UDFs: reg, Collector: col,
-		WorkScale: *workScale, Spin: *spin, Seed: *seed,
+		FS: src, UDFs: wl.Registry, Collector: col,
+		WorkScale: *workScale, Spin: *spin, Seed: wl.Spec.Seed,
 	})
 	if err != nil {
 		return err
@@ -134,7 +111,7 @@ func runWatch(args []string) error {
 	if *rampAfter > 0 {
 		toBytes := *rampMBps * 1e6
 		defer time.AfterFunc(*rampAfter, func() {
-			sfs.SetBandwidth(toBytes)
+			src.SetBandwidth(toBytes)
 			fmt.Printf("[watch] ramped delivered bandwidth %.0f -> %.0f MB/s\n", *deviceMBps, *rampMBps)
 		}).Stop()
 	}
@@ -145,8 +122,8 @@ func runWatch(args []string) error {
 		Cooldown:      *cooldown,
 		Replan:        *replan,
 		Budget:        budget(),
-		UDFs:          reg,
-		TotalFiles:    cat.NumFiles,
+		UDFs:          wl.Registry,
+		TotalFiles:    wl.Catalog.NumFiles,
 		Out:           os.Stdout,
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), *duration)

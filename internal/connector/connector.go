@@ -37,6 +37,8 @@ import (
 // These are aliases, not new types: a *simfs.FS's own methods satisfy the
 // Connector interface directly.
 type (
+	// Device models the storage a simfs-backed connector serves from.
+	Device = simfs.Device
 	// ReadObserver receives a callback for observed reads (the tracer).
 	ReadObserver = simfs.ReadObserver
 	// ObserverFunc adapts a function to ReadObserver.

@@ -21,10 +21,17 @@ func FromSimFS(fs *simfs.FS) *SimFS {
 	return &SimFS{FS: fs}
 }
 
+// NewSimFS returns a connector over a fresh in-memory filesystem on dev. If
+// throttle is true, its readers sleep in real time to honor the device's
+// bandwidth, so a SetBandwidth mid-run changes the delivered rate.
+func NewSimFS(dev Device, throttle bool) *SimFS {
+	return FromSimFS(simfs.New(dev, throttle))
+}
+
 // NewMem returns a connector over a fresh unthrottled in-memory filesystem —
 // the common construction for tests and in-memory experiments.
 func NewMem(name string) *SimFS {
-	return FromSimFS(simfs.New(simfs.Device{Name: name}, false))
+	return NewSimFS(Device{Name: name}, false)
 }
 
 // Backend implements Connector.

@@ -163,7 +163,7 @@ func (rr *RecordReader) Next() ([]byte, error) {
 		rr.discard(payload, fromAlloc)
 		return nil, fmt.Errorf("tfrecord: reading footer: %w", err)
 	}
-	if err := checkPayload(payload, rr.footer[:]); err != nil {
+	if err := checkPayload(MaskedCRC(payload), rr.footer[:]); err != nil {
 		rr.discard(payload, fromAlloc)
 		return nil, err
 	}
@@ -194,7 +194,7 @@ func (rr *RecordReader) nextView() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tfrecord: reading footer: %w", err)
 	}
-	if err := checkPayload(payload, footer); err != nil {
+	if err := checkPayload(MaskedCRC(payload), footer); err != nil {
 		return nil, err
 	}
 	return payload, nil
@@ -214,11 +214,12 @@ func recordLength(header []byte) (int, error) {
 	return int(length), nil
 }
 
-// checkPayload validates a payload against the masked CRC in its footer.
-func checkPayload(payload, footer []byte) error {
-	wantCRC := binary.LittleEndian.Uint32(footer)
-	if got := MaskedCRC(payload); got != wantCRC {
-		return fmt.Errorf("tfrecord: payload checksum mismatch: got %#x want %#x", got, wantCRC)
+// checkPayload validates a payload's checksum, crc (its MaskedCRC), against
+// the masked CRC in its footer. Callers checksum first, so the footer word's
+// cache miss comes after the payload's sequential scan, not ahead of it.
+func checkPayload(crc uint32, footer []byte) error {
+	if want := binary.LittleEndian.Uint32(footer); crc != want {
+		return fmt.Errorf("tfrecord: payload checksum mismatch: got %#x want %#x", crc, want)
 	}
 	return nil
 }

@@ -34,10 +34,10 @@ import (
 	"math"
 
 	"plumber"
+	"plumber/internal/connector"
 	"plumber/internal/ops"
 	"plumber/internal/plan"
 	"plumber/internal/scenario"
-	"plumber/internal/simfs"
 	"plumber/internal/stats"
 	"plumber/internal/trace"
 )
@@ -148,7 +148,7 @@ func Gen(seed uint64) (scenario.Spec, plan.Budget) {
 	}
 	if rng.Float64() < 0.3 {
 		bw := (4 + 60*rng.Float64()) * 1e6
-		s.Device = simfs.Device{
+		s.Device = connector.Device{
 			Name:               "fuzz-device",
 			TotalBandwidth:     bw,
 			PerStreamBandwidth: bw / 2,
@@ -455,7 +455,7 @@ func shrinkSteps(s scenario.Spec) []scenario.Spec {
 		mut(func(v *scenario.Spec) { v.RandomAugment, v.AugmentCPUPerElement = false, 0 })
 	}
 	if s.Device.TotalBandwidth > 0 {
-		mut(func(v *scenario.Spec) { v.Device = simfs.Device{} })
+		mut(func(v *scenario.Spec) { v.Device = connector.Device{} })
 	}
 	for _, f := range []func(*scenario.Spec){
 		func(v *scenario.Spec) { v.ParseCPUPerElement = 0 },

@@ -32,7 +32,6 @@ import (
 	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/pipeline"
-	"plumber/internal/simfs"
 	"plumber/internal/udf"
 )
 
@@ -110,7 +109,7 @@ type Spec struct {
 	// the scenario's disk-bandwidth budget hint. It serializes with the
 	// rest of the spec so a recorded spec rebuilds the same workload,
 	// device model included.
-	Device simfs.Device `json:"device"`
+	Device connector.Device `json:"device"`
 
 	// Backend selects the storage connector serving the shards: "simfs"
 	// (default, in-memory simulated filesystem), "localfs" (catalog
@@ -250,7 +249,7 @@ func Build(spec Spec) (*Workload, error) {
 
 	dev := s.Device
 	if dev.Name == "" {
-		dev = simfs.Device{Name: "scenario-mem"}
+		dev = connector.Device{Name: "scenario-mem"}
 	}
 
 	reg := udf.NewRegistry()
@@ -335,12 +334,12 @@ func Build(spec Spec) (*Workload, error) {
 	}
 	switch s.Backend {
 	case "", "simfs":
-		fs := simfs.New(dev, false)
+		fs := connector.NewSimFS(dev, false)
 		fs.AddCatalog(cat, s.Seed)
 		if s.Shape != "" {
 			fs.AddCatalog(auxCat, s.Seed)
 		}
-		w.Source = connector.FromSimFS(fs)
+		w.Source = fs
 	case "localfs":
 		dir, err := os.MkdirTemp("", "plumber-localfs-")
 		if err != nil {
@@ -367,7 +366,7 @@ func Build(spec Spec) (*Workload, error) {
 // log-normal tail), per-stream and aggregate bandwidth straight from the
 // device, and a short cold-start ramp so the first reads pay the cold
 // frontend.
-func objectStoreConfig(s Spec, dev simfs.Device) connector.ObjectStoreConfig {
+func objectStoreConfig(s Spec, dev connector.Device) connector.ObjectStoreConfig {
 	lat := dev.ReadLatency
 	if lat <= 0 {
 		lat = time.Millisecond
@@ -455,7 +454,7 @@ func Suite(quick bool) []Spec {
 			RecordsPerFile:      256 / scale,
 			MeanRecordBytes:     8 << 10,
 			DecodeCPUPerElement: 4e-6,
-			Device: simfs.Device{
+			Device: connector.Device{
 				Name:               "scenario-cold",
 				TotalBandwidth:     8 * mb,
 				PerStreamBandwidth: 2 * mb,
@@ -490,7 +489,7 @@ func MixedBackendMix(quick bool) []Spec {
 			DecodeAmplification: 4,
 			DecodeCPUPerByte:    5e-9,
 			BatchSize:           16,
-			Device: simfs.Device{
+			Device: connector.Device{
 				Name:           "mixed-local",
 				TotalBandwidth: 400 * mb,
 			},
@@ -506,7 +505,7 @@ func MixedBackendMix(quick bool) []Spec {
 			MeanRecordBytes:     8 << 10,
 			DecodeCPUPerElement: 4e-6,
 			BatchSize:           16,
-			Device: simfs.Device{
+			Device: connector.Device{
 				Name:               "mixed-object",
 				TotalBandwidth:     12 * mb,
 				PerStreamBandwidth: 4 * mb,
