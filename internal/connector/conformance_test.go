@@ -429,3 +429,22 @@ func TestObjectStoreTimingModel(t *testing.T) {
 		t.Fatalf("reads inside the paid range took %v, want < the 2ms request latency", rest)
 	}
 }
+
+// TestObjectStoreOpenAllocatesItsReaders: an open costs the object reader
+// and the simfs reader it wraps, nothing more. The latency draws' RNG lives
+// inside the object reader.
+func TestObjectStoreOpenAllocatesItsReaders(t *testing.T) {
+	cat := confCatalog(t)
+	obj := connector.NewMemObjectStore(cat, confSeed, connector.ObjectStoreConfig{Name: "alloc-object", Seed: confSeed})
+	path := cat.FileName(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		r, err := obj.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Close()
+	})
+	if allocs > 2 {
+		t.Errorf("Open+Close allocates %.1f objects, want <= 2", allocs)
+	}
+}

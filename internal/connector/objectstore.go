@@ -128,7 +128,7 @@ func (s *ObjectStore) Open(path string) (Reader, error) {
 	return &objectReader{
 		Reader: inner,
 		store:  s,
-		rng:    stats.NewRNG(s.cfg.Seed ^ fnv64(path)),
+		rng:    *stats.NewRNG(s.cfg.Seed ^ fnv64(path)),
 		start:  time.Now(),
 	}, nil
 }
@@ -145,7 +145,7 @@ func (s *ObjectStore) Open(path string) (Reader, error) {
 type objectReader struct {
 	*simfs.Reader
 	store *ObjectStore
-	rng   *stats.RNG
+	rng   stats.RNG // by value, so an open allocates no RNG of its own
 
 	start       time.Time
 	served      int64 // bytes served, for stream pacing

@@ -61,13 +61,20 @@ func (c Catalog) FileName(i int) string {
 }
 
 // FileNames returns the materialized shard paths (all of them, or the
-// declared subsample when SampleFiles is set).
+// declared subsample when SampleFiles is set). The slice is built once per
+// distinct name, file count and materialized count, and every caller shares
+// it: it is read-only.
 func (c Catalog) FileNames() []string {
-	out := make([]string, c.MaterializedFiles())
+	key := fileNamesKey{c.Name, c.NumFiles, c.MaterializedFiles()}
+	if names, ok := fileNames.Load(key); ok {
+		return names.([]string)
+	}
+	out := make([]string, key.materialized)
 	for i := range out {
 		out[i] = c.FileName(i)
 	}
-	return out
+	names, _ := fileNames.LoadOrStore(key, out)
+	return names.([]string)
 }
 
 // FileSpec describes one generated shard.
@@ -186,6 +193,16 @@ var (
 	registeredMu sync.RWMutex
 	registered   = map[string]Catalog{}
 )
+
+// fileNames memoizes FileNames by the three values its names depend on.
+// Sources start concurrently (two tenants at once), so a race to build the
+// same slice keeps whichever LoadOrStore stored first.
+var fileNames sync.Map // fileNamesKey → []string
+
+type fileNamesKey struct {
+	name                   string
+	numFiles, materialized int
+}
 
 // RegisterCatalog makes a custom catalog resolvable by name from pipeline
 // source nodes. Re-registering a name replaces the previous definition;

@@ -94,6 +94,14 @@ func NewRecordReader(r io.Reader) *RecordReader {
 	return &RecordReader{r: r}
 }
 
+// Reset points the reader at a new stream, so one reader can serve a
+// worker's files one after another. It clears the view: UseViews must be
+// asked again for the new stream. Pooling and the allocator stay as set.
+func (rr *RecordReader) Reset(r io.Reader) {
+	rr.r = r
+	rr.view = nil
+}
+
 // SetPooling makes Next draw payload buffers from the package buffer pool
 // instead of allocating fresh slices. Returned records then follow the
 // Element payload-ownership rules: the consumer owns the buffer and may

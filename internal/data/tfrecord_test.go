@@ -204,6 +204,40 @@ func TestViewRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResetServesTheNextStream: one reader serves stream after stream.
+// Reset drops the previous stream's view, so a stream read without asking
+// UseViews again is copied, and pooling stays as it was set.
+func TestResetServesTheNextStream(t *testing.T) {
+	records := makeRecords(4)
+	framed := writeRecords(t, records).Bytes()
+	rr := NewRecordReader(nil)
+	rr.SetPooling(true)
+	for i, viewing := range []bool{true, false, true} {
+		rr.Reset(&memStream{b: framed})
+		if viewing && !rr.UseViews() {
+			t.Fatalf("stream %d: UseViews declined a reader that has View", i)
+		}
+		for j, want := range records {
+			got, err := rr.Next()
+			if err != nil {
+				t.Fatalf("stream %d, record %d: %v", i, j, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("stream %d, record %d: payload mismatch", i, j)
+			}
+			if isView := &got[0] == &framed[RecordHeaderBytes]; j == 0 && isView != viewing {
+				t.Fatalf("stream %d: record served as a view = %v, want %v", i, isView, viewing)
+			}
+			if !viewing {
+				PutBuf(got)
+			}
+		}
+		if _, err := rr.Next(); err != io.EOF {
+			t.Fatalf("stream %d: expected EOF, got %v", i, err)
+		}
+	}
+}
+
 // TestViewCorruptionAndTruncation: the view path runs both checksums and
 // reports the same framing errors as the copying path, byte for byte.
 func TestViewCorruptionAndTruncation(t *testing.T) {

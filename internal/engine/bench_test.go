@@ -142,6 +142,37 @@ func BenchmarkMapHop(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/examples, "allocs/example")
 }
 
+// tinyCatalog is a tiny-files, metadata-bound input: 1 024 shards of four
+// 250-byte records, where opening a shard costs as much as reading it.
+var (
+	tinyCatalog = data.Catalog{Name: "engine-bench-tiny", NumFiles: 1024, RecordsPerFile: 4,
+		MeanRecordBytes: 250, DecodeAmplification: 1}
+	registerTinyOnce sync.Once
+)
+
+// BenchmarkSourceTinyFiles measures the source's per-shard cost: opening a
+// shard, pointing the worker's record reader at it and reading its four
+// records, through Interleave(1) → Batch(32). It reports ns per file over
+// whole drains, start-up and teardown included.
+func BenchmarkSourceTinyFiles(b *testing.B) {
+	_, reg := benchSetup(b)
+	registerTinyOnce.Do(func() {
+		if err := data.RegisterCatalog(tinyCatalog); err != nil {
+			panic(err)
+		}
+	})
+	fs := connector.NewMem("bench-tiny")
+	fs.AddCatalog(tinyCatalog, 7)
+	g := pipeline.NewBuilder().Interleave(tinyCatalog.Name, 1).Batch(32).MustBuild()
+	drainOnce(b, fs, reg, g, Options{}) // materializes the shards
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainOnce(b, fs, reg, g, Options{})
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(tinyCatalog.NumFiles)), "ns/file")
+}
+
 // BenchmarkChunkedVsPerElement compares the chunked/pooled hot path against
 // the per-element, unpooled baseline on the canonical chain.
 func BenchmarkChunkedVsPerElement(b *testing.B) {

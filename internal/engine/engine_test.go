@@ -655,6 +655,73 @@ func TestStagesAllocateNothingPerPull(t *testing.T) {
 	}
 }
 
+// shardCatalogs are two tiny-file datasets that differ only in how many
+// shards they hold, so what a drain allocates per pipeline or per worker
+// cancels between them. Records allocate nothing once warm
+// (TestStagesAllocateNothingPerPull), so what is left is per shard.
+var (
+	shardCatalogs = [2]data.Catalog{
+		{Name: "engine-test-shards-256", NumFiles: 256, RecordsPerFile: 2, MeanRecordBytes: 250, DecodeAmplification: 1},
+		{Name: "engine-test-shards-1024", NumFiles: 1024, RecordsPerFile: 2, MeanRecordBytes: 250, DecodeAmplification: 1},
+	}
+	registerShardsOnce sync.Once
+)
+
+// TestOpeningAShardAllocatesOnlyItsReader: once warm, a source opens a shard
+// for one heap object, the connector's reader. Shard names are built once
+// per catalog, not per source start, and one record reader, its pooling and
+// its allocator serve every file a worker reads.
+func TestOpeningAShardAllocatesOnlyItsReader(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates, and sync.Pool drops a quarter of its Puts under it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	registerShardsOnce.Do(func() {
+		for _, c := range shardCatalogs {
+			if err := data.RegisterCatalog(c); err != nil {
+				panic(err)
+			}
+		}
+	})
+	fs, reg := testSetup(t)
+	for _, c := range shardCatalogs {
+		fs.AddCatalog(c, 7)
+	}
+	for _, tc := range []struct {
+		name  string
+		graph func(cat string) *pipeline.Graph
+	}{
+		{"views (source→batch)", func(cat string) *pipeline.Graph {
+			return pipeline.NewBuilder().Interleave(cat, 1).Batch(8).MustBuild()
+		}},
+		{"arena copies (source at the root)", func(cat string) *pipeline.Graph {
+			return pipeline.NewBuilder().Interleave(cat, 1).MustBuild()
+		}},
+	} {
+		var mallocs [2]uint64
+		for i, c := range shardCatalogs {
+			g := tc.graph(c.Name)
+			opts := Options{FS: fs, UDFs: reg}
+			if err := drainAll(g, opts); err != nil { // warm: shards, pools, names
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := drainAll(g, opts)
+			runtime.ReadMemStats(&after)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mallocs[i] = after.Mallocs - before.Mallocs
+		}
+		extra := shardCatalogs[1].NumFiles - shardCatalogs[0].NumFiles
+		if per := float64(mallocs[1]-mallocs[0]) / float64(extra); per > 1.05 {
+			t.Errorf("%s: %.3f heap objects per shard (%d and %d per drain), want <= 1.05",
+				tc.name, per, mallocs[0], mallocs[1])
+		}
+	}
+}
+
 // drainAll drains g to EOF under opts and closes it.
 func drainAll(g *pipeline.Graph, opts Options) error {
 	p, err := New(g, opts)

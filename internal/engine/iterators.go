@@ -475,6 +475,14 @@ func (s *sourceIter) worker(w int) {
 		ar = newArena()
 		defer ar.seal()
 	}
+	// One record reader serves all of this worker's files, so opening a
+	// shard costs only the connector's reader. Pooling and the allocator
+	// are set once: on the view path Next reads neither.
+	rr := data.NewRecordReader(nil)
+	rr.SetPooling(s.p.pool)
+	if ar != nil {
+		rr.SetAlloc(ar.alloc, ar.unalloc)
+	}
 	tr := tracker{h: s.handle}
 	defer tr.flush()
 	rt := s.p.retrier(s.key.name, &tr, s.latch.ch, s.seed^uint64(w+1)*0x9e3779b97f4a7c15)
@@ -518,14 +526,8 @@ func (s *sourceIter) worker(w int) {
 			return false
 		}
 		defer r.Close()
-		rr := data.NewRecordReader(r)
+		rr.Reset(r)
 		viewing := s.views && rr.UseViews()
-		if !viewing {
-			rr.SetPooling(s.p.pool)
-			if ar != nil {
-				rr.SetAlloc(ar.alloc, ar.unalloc)
-			}
-		}
 		for {
 			if s.p.quiesce.Load() {
 				// Quiesce barrier: park the file at its exact record
