@@ -142,6 +142,30 @@ func BenchmarkMapHop(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/examples, "allocs/example")
 }
 
+// BenchmarkMapHopAmplified measures the hop an inflating decode makes: the
+// vision workload's 480 records of 8 000 bytes served from memory, a
+// cost-model map at parallelism 2 that grows each fourfold, and a Batch of
+// 16 copying the 32 000-byte outputs. It reports time, bytes and heap
+// objects per example over whole drains, start-up and teardown included.
+func BenchmarkMapHopAmplified(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fs, reg := amplifySetup(b)
+	g := pipeline.NewBuilder().Interleave(amplifyCatalog.Name, 1).Map("inflate", 2).Batch(16).MustBuild()
+	drainOnce(b, fs, reg, g, Options{}) // materializes the shards
+	examples := float64(b.N) * float64(amplifyCatalog.NumFiles*amplifyCatalog.RecordsPerFile)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		drainOnce(b, fs, reg, g, Options{})
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/examples, "ns/example")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/examples, "B/example")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/examples, "allocs/example")
+}
+
 // tinyCatalog is a tiny-files, metadata-bound input: 1 024 shards of four
 // 250-byte records, where opening a shard costs as much as reading it.
 var (

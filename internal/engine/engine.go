@@ -55,10 +55,12 @@ type Options struct {
 	Handoff HandoffKind
 	// ChunkSize caps the number of elements a worker hands off per edge
 	// send. Chunking amortizes edge synchronization across many elements;
-	// the engine sizes each handoff to about a millisecond of the producing
-	// worker's measured work (handoffQuantum), so only stages cheaper than
-	// 1 ms / ChunkSize per element reach the cap. 1 reproduces the legacy
-	// per-element handoff (useful as a benchmark baseline). Default 64.
+	// the engine closes each handoff at about a millisecond of the producing
+	// worker's measured work (handoffQuantum) or 64 KiB of payload
+	// (chunkBytes), whichever comes first, so only stages cheaper than 1 ms /
+	// ChunkSize per element, with elements under 1 KiB, reach the cap. 1
+	// reproduces the legacy per-element handoff (useful as a benchmark
+	// baseline). Default 64.
 	ChunkSize int
 	// SampleEvery samples per-element wall timers every Nth element (scaling
 	// the recorded duration by N), so traced runs pay the time.Now cost only

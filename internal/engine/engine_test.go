@@ -732,3 +732,65 @@ func drainAll(g *pipeline.Graph, opts Options) error {
 	_, _, err = p.Drain(0)
 	return err
 }
+
+// amplifyCatalog is the vision workload's dataset: 6 shards of 80 records
+// of 8 000 bytes.
+var (
+	amplifyCatalog = data.Catalog{Name: "engine-test-amplify", NumFiles: 6, RecordsPerFile: 80,
+		MeanRecordBytes: 8000, RecordBytesStddevFrac: 0.004, DecodeAmplification: 1}
+	registerAmplifyOnce sync.Once
+)
+
+// amplifySetup registers amplifyCatalog, serves it from memory and registers
+// "inflate", a cost-model map (no Body, no CPU) that grows each record
+// fourfold, as a fast decode does.
+func amplifySetup(tb testing.TB) (*connector.SimFS, *udf.Registry) {
+	tb.Helper()
+	registerAmplifyOnce.Do(func() {
+		if err := data.RegisterCatalog(amplifyCatalog); err != nil {
+			panic(err)
+		}
+	})
+	fs := connector.NewMem("test-amplify")
+	fs.AddCatalog(amplifyCatalog, 7)
+	reg := udf.NewRegistry()
+	if err := reg.Register(udf.UDF{Name: "inflate", Cost: udf.Cost{SizeFactor: 4}}); err != nil {
+		tb.Fatal(err)
+	}
+	return fs, reg
+}
+
+// TestAmplifyingEdgeHoldsBoundedBytes: a fast map that inflates 8 000-byte
+// records to 32 000 hands its batch chunks of at most chunkBytes (give or
+// take an element), so once warm a drain's decoded buffers come back out of
+// the pool and it allocates about two edges' worth of bytes, with no GC.
+// Chunks sized by count alone keep up to 64 × 32 KB on each edge: a drain
+// after a GC then allocates 5–7 MiB and sets off a GC of its own.
+func TestAmplifyingEdgeHoldsBoundedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates, and sync.Pool drops a quarter of its Puts under it")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fs, reg := amplifySetup(t)
+	for _, par := range []int{1, 2} {
+		g := pipeline.NewBuilder().Interleave(amplifyCatalog.Name, 1).Map("inflate", par).Batch(16).MustBuild()
+		opts := Options{FS: fs, UDFs: reg}
+		if err := drainAll(g, opts); err != nil { // warm: shards, pools, names
+			t.Fatal(err)
+		}
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := drainAll(g, opts)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alloc, gcs := after.TotalAlloc-before.TotalAlloc, after.NumGC-before.NumGC
+		if alloc > 2<<20 || gcs != 0 {
+			t.Errorf("map parallelism %d: a drain allocated %.2f MiB and ran %d GCs, want <= 2 MiB and none",
+				par, float64(alloc)/(1<<20), gcs)
+		}
+	}
+}

@@ -27,12 +27,18 @@ type item struct {
 //
 // Parallel stages pass []item chunks through their stage edges instead of
 // single items, amortizing the edge's synchronization (futex wakeups, memory
-// barriers) over the chunk. A chunk is sized by time, not by count: about
-// handoffQuantum of the producing worker's own work, at most
-// Options.ChunkSize elements. A 60 ns/element stage therefore hands off
-// full-size chunks, while a 1 ms/element stage hands off every element — so
-// its workers share the input evenly and the consumer sees the first
-// element after one element's time, not after ChunkSize of them.
+// barriers) over the chunk. A source or map worker's chunk closes at
+// whichever limit comes first: about handoffQuantum of the worker's own
+// work, Options.ChunkSize elements, or chunkBytes of payload. A 60
+// ns/element stage of 1 000-byte records therefore hands off full-size
+// chunks, while a 1 ms/element stage hands off every element — so its
+// workers share the input evenly and the consumer sees the first element
+// after one element's time, not after ChunkSize of them — and a fast map
+// that inflates records to 32 KB hands off two at a time. A producer's edge
+// holds at most edgeDepth chunks plus the one it is filling, so its payload
+// is bounded by (edgeDepth + 1) × (chunkBytes + one element), whatever the
+// element size. (A run added whole, as a cost-model map adds its outputs, is
+// sized by the bytes per element of the chunk before it.)
 //
 // Every stage hands its consumer runs (stage.pull): a stage fed by an edge
 // (source, map, prefetch) hands out runs of the chunk in hand, and every
@@ -49,6 +55,13 @@ type item struct {
 // when a waiter must be woken), so chunking still amortizes it away, and far
 // below a minibatch's time wherever the stage's cost matters at all.
 const handoffQuantum = time.Millisecond
+
+// chunkBytes is the payload one handoff carries at most (give or take its
+// last element): a source chunk of arena views spans at most a quarter of a
+// block, and an edge of decoded records stays in cache between the map's
+// write and its consumer's read. Copying 64 KiB takes several µs, so a
+// chunk this size still amortizes the edge's cost.
+const chunkBytes = arenaBlockBytes / 4
 
 // The settle rule's thresholds (Settled, tracerun.go), a time where it can
 // be in quanta: a trace settles on a window of completions, after a warm-up
@@ -105,14 +118,16 @@ func putChunk(c []item) {
 // chunks: ready starts a clock at the chunk's first element (after any wait
 // for a pool slot), flush stops it before sending (so a blocked send is not
 // counted either) and sets the next chunk to handoffQuantum of work at the
-// rate just measured. That rate can go stale — a source sized inside its
-// device's burst, then throttled — so add re-reads the clock whenever it
-// carries the fill to or past a power of two (six reads at most for 64
-// elements added one at a time, none at a cap of one) and sends a chunk a
-// quantum old as it is: at a steady pace nothing is held past two quanta. A
-// chunk that took a quantum or more also ends with the worker yielding its P
-// once (see flush). An emitter whose owner never calls ready keeps size
-// fixed and reads no clock.
+// rate just measured, but to no more than chunkBytes at the bytes per
+// element just seen; add sends a chunk once its payload reaches chunkBytes.
+// The rate can go stale — a source sized inside its device's burst, then
+// throttled — so add re-reads the clock whenever it carries the fill to or
+// past a power of two (six reads at most for 64 elements added one at a
+// time, none at a cap of one) and sends a chunk a quantum old as it is: at
+// a steady pace nothing is held past two quanta. A chunk that took a
+// quantum or more also ends with the worker yielding its P once (see
+// flush). An emitter whose owner never calls ready keeps size fixed and
+// reads no clock.
 type chunkEmitter struct {
 	p     *Pipeline // retires a chunk nobody will take
 	h     handoff
@@ -122,6 +137,7 @@ type chunkEmitter struct {
 	max   int // Options.ChunkSize
 	sl    *slot
 	buf   []item
+	bytes int64            // payload bytes in buf
 	since time.Time        // when the chunk in hand began filling; zero until ready runs
 	clock func() time.Time // time.Now outside tests
 }
@@ -158,16 +174,19 @@ func (ce *chunkEmitter) ready() bool {
 }
 
 // add appends items — one, or a run that fits the chunk — flushing when the
-// chunk is full or has aged a quantum. It returns false when the consumer
-// has gone away.
+// chunk is full, holds chunkBytes or has aged a quantum. It returns false
+// when the consumer has gone away.
 func (ce *chunkEmitter) add(items ...item) bool {
 	if ce.buf == nil {
 		ce.buf = getChunk(ce.max)
 	}
 	had := len(ce.buf)
 	ce.buf = append(ce.buf, items...)
+	for i := range items {
+		ce.bytes += items[i].elem.Size
+	}
 	n := len(ce.buf)
-	if n >= ce.size || bits.Len(uint(had)) < bits.Len(uint(n)) && !ce.since.IsZero() && ce.clock().Sub(ce.since) >= handoffQuantum {
+	if n >= ce.size || ce.bytes >= chunkBytes || bits.Len(uint(had)) < bits.Len(uint(n)) && !ce.since.IsZero() && ce.clock().Sub(ce.since) >= handoffQuantum {
 		return ce.flush()
 	}
 	return true
@@ -179,12 +198,17 @@ func (ce *chunkEmitter) flush() bool {
 	if len(ce.buf) == 0 {
 		return true
 	}
+	bytes := ce.bytes
+	ce.bytes = 0
 	yield := false
 	if !ce.since.IsZero() {
 		n := int64(ce.max)
 		if took := ce.clock().Sub(ce.since); took > 0 {
 			n = min(n, max(1, int64(len(ce.buf))*int64(handoffQuantum)/int64(took)))
 			yield = took >= handoffQuantum
+		}
+		if bytes > 0 {
+			n = min(n, max(1, int64(len(ce.buf))*chunkBytes/bytes))
 		}
 		ce.size, ce.since = int(n), time.Time{}
 	}

@@ -11,6 +11,7 @@ import (
 	"plumber/internal/connector"
 	"plumber/internal/data"
 	"plumber/internal/pipeline"
+	"plumber/internal/stats"
 	"plumber/internal/udf"
 )
 
@@ -110,6 +111,81 @@ func TestChunkEmitterSizesByTime(t *testing.T) {
 	}
 	if fmt.Sprint(l.sizes) != "[4 4 4]" {
 		t.Fatalf("untimed emitter: chunks %v, want [4 4 4]", l.sizes)
+	}
+}
+
+// byteLog is a stage edge that records the element sizes of every chunk it
+// is sent.
+type byteLog struct {
+	handoff
+	chunks [][]int64
+}
+
+func (l *byteLog) trySend(w int, c []item) bool {
+	sizes := make([]int64, len(c))
+	for i := range c {
+		sizes[i] = c[i].elem.Size
+	}
+	l.chunks = append(l.chunks, sizes)
+	return true
+}
+
+// TestChunkEmitterBoundsBytes pins the byte bound on the emitter alone, on a
+// fake clock at a pace (1 µs an element) where time alone would fill every
+// chunk to ChunkSize: before its last element no chunk holds chunkBytes of
+// payload, whatever the element sizes, while 1 000-byte elements (the hotpath
+// workload's records) still travel in 64-element chunks.
+func TestChunkEmitterBoundsBytes(t *testing.T) {
+	emit := func(n int, size func(k int) int64) [][]int64 {
+		clk := &fakeClock{now: time.Unix(0, 0)}
+		l := &byteLog{}
+		p := &Pipeline{opts: Options{ChunkSize: 64}}
+		em := p.emitter(l, 0, nil, &slot{})
+		em.clock = clk.read
+		for k := 0; k < n; k++ {
+			em.ready()
+			clk.now = clk.now.Add(time.Microsecond)
+			em.add(item{elem: data.Element{Size: size(k), Count: 1}})
+		}
+		em.flush()
+		return l.chunks
+	}
+	bounded := func(label string, chunks [][]int64) {
+		t.Helper()
+		for i, c := range chunks {
+			var before int64
+			for _, s := range c[:len(c)-1] {
+				before += s
+			}
+			if before >= chunkBytes {
+				t.Fatalf("%s: chunk %d holds %d B in %d elements before its last, want < %d", label, i, before, len(c)-1, chunkBytes)
+			}
+		}
+	}
+	large := emit(1+2*100, func(int) int64 { return 32 << 10 })
+	bounded("32 KiB elements", large)
+	for i, c := range large[1:] {
+		if len(c) != 2 {
+			t.Fatalf("32 KiB elements: chunk %d carries %d elements, want 2 (a chunkBytes each)", i+1, len(c))
+		}
+	}
+	small := emit(1+10*64, func(int) int64 { return 1000 })
+	bounded("1 000 B elements", small)
+	for i, c := range small[1:] {
+		if len(c) != 64 {
+			t.Fatalf("1 000 B elements: chunk %d carries %d elements, want 64", i+1, len(c))
+		}
+	}
+	rng := stats.NewRNG(44)
+	mixed := emit(2000, func(int) int64 {
+		if rng.Intn(4) == 0 {
+			return int64(rng.Intn(48 << 10))
+		}
+		return int64(rng.Intn(2000))
+	})
+	bounded("mixed sizes", mixed)
+	if len(mixed) > 2000/2 {
+		t.Fatalf("mixed sizes: %d chunks for 2000 elements, want most to carry several", len(mixed))
 	}
 }
 
