@@ -93,7 +93,7 @@ type Reader interface {
 // object store implement Viewer; LocalFS, which has nothing in memory to
 // alias, does not. The engine reads through it only on chains where it can
 // prove that no operator writes a record before the first copy (see
-// engine/arena.go).
+// engine/views.go).
 type Viewer interface {
 	View(n int) ([]byte, error)
 }

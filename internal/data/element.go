@@ -17,9 +17,10 @@ package data
 //
 // # Payload ownership
 //
-// Ownership of Payload transfers downstream with the Element: the operator
-// that receives an element from its child owns the payload and may mutate,
-// truncate, or recycle it. The rules the engine relies on are:
+// A payload is either owned or read-only. Ownership of an owned payload
+// transfers downstream with the Element: the operator that receives an
+// element from its child owns the payload and may mutate, truncate, or
+// recycle it. The rules the engine relies on are:
 //
 //   - An operator that copies the payload out (Batch concatenates child
 //     payloads into a fresh buffer) may return the child's buffer to the
@@ -27,39 +28,34 @@ package data
 //   - An operator that retains an element beyond the current Next call
 //     while also passing it downstream (Cache) keeps a Clone and passes the
 //     original on, to be recycled like any other. What it later serves from
-//     its copy is read-only and carries a no-op Owner (next rules): the same
-//     bytes are served again every epoch.
+//     its copy is read-only (next rule): the same bytes are served again
+//     every epoch.
 //   - Holding elements and later releasing each exactly once (Shuffle,
 //     Prefetch buffers) is pass-through and needs no copy.
 //   - UDF bodies must not retain the input payload after returning when
 //     buffer pooling is enabled; the returned element may alias the input.
-//   - A payload with a non-nil Owner is a borrowed view (a sub-slice of an
-//     arena block, of a connector's storage, or a cache's copy — not a
-//     pooled buffer): it must be released through Owner.ReleasePayload,
-//     never through PutBuf — an arena view's capacity is not a pool size
-//     class, and returning a view to the pool while its backing bytes are
-//     still live would hand them to two owners.
-//   - A storage view (whose backing bytes are the connector's own copy of
-//     the dataset) and a cache-served payload are additionally read-only: a
-//     write through one would corrupt the catalog, or the cache, for every
-//     later reader. No operator has to know which kind it holds, because the
-//     engine only emits one where no operator writes before the first copy:
-//     every stage between it and the next Batch passes payloads through
-//     untouched, and a UDF Body (which may mutate its input, per the first
-//     rule) anywhere in that stretch makes the source or cache copy instead.
-//     The pipeline's consumer is the one reader the engine cannot see: a
-//     root element a cache served is read-only to it too, so a consumer that
-//     writes what it is given must Clone it first.
+//   - A payload marked ReadOnly is a view of bytes nobody downstream owns: a
+//     slice of a connector's storage (the dataset every other reader is
+//     served from) or a cache's copy. It is never recycled — its capacity
+//     can be a pool size class, and handing it to PutBuf would give its
+//     bytes a second owner — and never written: a write would corrupt the
+//     catalog, or the cache, for every later reader. No operator has to
+//     check the flag before writing, because the engine only emits one
+//     where no operator writes before the first copy: every stage between
+//     it and the next Batch passes payloads through untouched, and a UDF
+//     Body (which may mutate its input, per the first rule) anywhere in that
+//     stretch makes the source or cache copy instead. The pipeline's
+//     consumer is the one reader the engine cannot see: a root element a
+//     cache served is read-only to it too, so a consumer that writes what it
+//     is given must Clone it first.
 type Element struct {
 	// Payload is the materialized content, possibly nil in simulation.
 	Payload []byte
-	// Owner, when non-nil, owns Payload's backing storage (an engine arena
-	// block, or the connector's storage or a cache's copy behind a no-op
-	// owner). The element
-	// holds one reference; whoever retires the element releases it exactly
-	// once via ReleasePayload. Nil means Payload is pool-allocated (PutBuf)
-	// or garbage-collected.
-	Owner PayloadOwner
+	// ReadOnly marks a Payload that is a view of storage the element does not
+	// own (a connector's storage or a cache's copy): it is never written and
+	// never recycled. Otherwise Payload is pool-allocated (PutBuf) or
+	// garbage-collected.
+	ReadOnly bool
 	// Size is the logical size in bytes. Invariant: if Payload != nil then
 	// Size == int64(len(Payload)).
 	Size int64
@@ -71,18 +67,11 @@ type Element struct {
 	Index int64
 }
 
-// PayloadOwner owns the backing storage of a borrowed payload view.
-// ReleasePayload returns the view's reference; implementations recycle the
-// underlying block once every view into it has been released.
-type PayloadOwner interface {
-	ReleasePayload(p []byte)
-}
-
-// Clone returns a deep copy of the element. The copy owns its own storage:
-// it drops any Owner, and the original's reference stays with the original.
+// Clone returns a deep copy of the element. The copy owns its own storage,
+// so it is never ReadOnly.
 func (e Element) Clone() Element {
 	out := e
-	out.Owner = nil
+	out.ReadOnly = false
 	if e.Payload != nil {
 		out.Payload = append([]byte(nil), e.Payload...)
 	}
@@ -102,9 +91,9 @@ func (e Element) WithSize(size int64) Element {
 			grown := make([]byte, size)
 			copy(grown, out.Payload)
 			out.Payload = grown
-			// Fresh storage: the copy is not a borrowed view. The caller
-			// still holds (and must release) the original's reference.
-			out.Owner = nil
+			// Fresh storage: the copy is not a view. The caller still owns
+			// (and must release) the original.
+			out.ReadOnly = false
 		}
 	}
 	return out

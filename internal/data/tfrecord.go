@@ -75,8 +75,6 @@ type RecordReader struct {
 	scratch [RecordHeaderBytes]byte
 	footer  [RecordFooterBytes]byte
 	pooled  bool
-	alloc   func(n int) []byte
-	unalloc func(p []byte)
 	view    viewSource
 }
 
@@ -96,7 +94,7 @@ func NewRecordReader(r io.Reader) *RecordReader {
 
 // Reset points the reader at a new stream, so one reader can serve a
 // worker's files one after another. It clears the view: UseViews must be
-// asked again for the new stream. Pooling and the allocator stay as set.
+// asked again for the new stream. Pooling stays as set.
 func (rr *RecordReader) Reset(r io.Reader) {
 	rr.r = r
 	rr.view = nil
@@ -108,23 +106,13 @@ func (rr *RecordReader) Reset(r io.Reader) {
 // recycle it with PutBuf once it no longer needs the contents.
 func (rr *RecordReader) SetPooling(on bool) { rr.pooled = on }
 
-// SetAlloc installs a custom payload allocator (the engine's per-worker
-// arenas). alloc may return nil to decline a size, in which case Next falls
-// back to the pool (or make); unalloc takes back a buffer alloc returned
-// when a read fails mid-record. Records served from alloc are borrowed
-// views: the caller attaches the owning arena to the Element it builds.
-func (rr *RecordReader) SetAlloc(alloc func(n int) []byte, unalloc func(p []byte)) {
-	rr.alloc = alloc
-	rr.unalloc = unalloc
-}
-
 // UseViews switches Next to reading without copying, if the underlying
 // reader can serve views of its own storage (a connector.Viewer), and
 // reports whether it did. Header, payload and footer are then each one View
 // call where the copying path makes one Read call, both checksums are
 // verified in place, and the returned record is a sub-slice of the reader's
-// storage. Such a record is read-only and is never recycled: no allocator
-// or pool is involved, and it must not reach PutBuf. Never on unless called.
+// storage. Such a record is read-only and is never recycled: no pool is
+// involved, and it must not reach PutBuf. Never on unless called.
 func (rr *RecordReader) UseViews() bool {
 	rr.view, _ = rr.r.(viewSource)
 	return rr.view != nil
@@ -151,28 +139,21 @@ func (rr *RecordReader) Next() ([]byte, error) {
 		return nil, err
 	}
 	var payload []byte
-	fromAlloc := false
-	if rr.alloc != nil {
-		payload = rr.alloc(length)
-		fromAlloc = payload != nil
-	}
-	if payload == nil {
-		if rr.pooled {
-			payload = GetBuf(length)
-		} else {
-			payload = make([]byte, length)
-		}
+	if rr.pooled {
+		payload = GetBuf(length)
+	} else {
+		payload = make([]byte, length)
 	}
 	if _, err := io.ReadFull(rr.r, payload); err != nil {
-		rr.discard(payload, fromAlloc)
+		rr.discard(payload)
 		return nil, fmt.Errorf("tfrecord: reading payload: %w", err)
 	}
 	if _, err := io.ReadFull(rr.r, rr.footer[:]); err != nil {
-		rr.discard(payload, fromAlloc)
+		rr.discard(payload)
 		return nil, fmt.Errorf("tfrecord: reading footer: %w", err)
 	}
 	if err := checkPayload(MaskedCRC(payload), rr.footer[:]); err != nil {
-		rr.discard(payload, fromAlloc)
+		rr.discard(payload)
 		return nil, err
 	}
 	return payload, nil
@@ -232,16 +213,9 @@ func checkPayload(crc uint32, footer []byte) error {
 	return nil
 }
 
-// discard takes back a payload abandoned by a failed read — to the custom
-// allocator if it came from there, else to the pool — so retried records do
-// not leak one buffer per attempt.
-func (rr *RecordReader) discard(payload []byte, fromAlloc bool) {
-	if fromAlloc {
-		if rr.unalloc != nil {
-			rr.unalloc(payload)
-		}
-		return
-	}
+// discard returns a payload abandoned by a failed read to the pool, so
+// retried records do not leak one buffer per attempt.
+func (rr *RecordReader) discard(payload []byte) {
 	if rr.pooled && payload != nil {
 		PutBuf(payload)
 	}

@@ -307,16 +307,6 @@ func TestNextAllocatesNothing(t *testing.T) {
 			t.Fatalf("view path: %.2f allocations per record, want 0", got)
 		}
 	})
-	t.Run("alloc", func(t *testing.T) {
-		// A bump allocator like the engine's arena, rewound per record.
-		block := make([]byte, 1<<10)
-		src := &memStream{b: framed}
-		rr := NewRecordReader(src)
-		rr.SetAlloc(func(n int) []byte { return block[:n:n] }, func([]byte) {})
-		if got := perRecord(src, rr, func([]byte) {}); got != 0 {
-			t.Fatalf("SetAlloc path: %.2f allocations per record, want 0", got)
-		}
-	})
 	t.Run("pooled", func(t *testing.T) {
 		if raceEnabled {
 			t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
@@ -363,7 +353,6 @@ func benchRecordReader(b *testing.B, views bool) {
 		b.Run(fmt.Sprintf("%dMiB", mib), func(b *testing.B) {
 			framed, records := benchFramed(b, mib<<20)
 			src := &memStream{b: framed}
-			block := make([]byte, 1<<10)
 			b.SetBytes(int64(len(framed)))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -373,7 +362,7 @@ func benchRecordReader(b *testing.B, views bool) {
 				if views {
 					rr.UseViews()
 				} else {
-					rr.SetAlloc(func(n int) []byte { return block[:n:n] }, func([]byte) {})
+					rr.SetPooling(true)
 				}
 				for r := 0; r < records; r++ {
 					rec, err := rr.Next()
@@ -381,6 +370,9 @@ func benchRecordReader(b *testing.B, views bool) {
 						b.Fatal(err)
 					}
 					benchSink += len(rec)
+					if !views {
+						PutBuf(rec)
+					}
 				}
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records), "ns/record")
@@ -388,8 +380,9 @@ func benchRecordReader(b *testing.B, views bool) {
 	}
 }
 
-// BenchmarkRecordReaderCopy is one pass over the stream on the copying path
-// (into a reused block, as into an arena): read, copy, two checksums.
+// BenchmarkRecordReaderCopy is one pass over the stream on the copying path,
+// the one a source takes when its chain may write: read into a pooled
+// buffer, copy, two checksums, and the buffer back to the pool.
 func BenchmarkRecordReaderCopy(b *testing.B) { benchRecordReader(b, false) }
 
 // BenchmarkRecordReaderView is the same pass on the view path: the checksums

@@ -11,11 +11,11 @@ import (
 	"plumber/internal/udf"
 )
 
-// A Cache keeps its own copy of what it records and serves that copy, with
-// the no-op readOnlyView owner, on every later epoch. The tests below pin
-// what that copy may cost (its size), who may write it (nobody: writers get
-// copies, chosen by viewPlan — see TestStorageViewSelection), and who may
-// recycle it (nobody: the pool never sees it).
+// A Cache keeps its own copy of what it records and serves that copy,
+// ReadOnly, on every later epoch. The tests below pin what that copy may
+// cost (its size), who may write it (nobody: writers get copies, chosen by
+// viewPlan — see TestStorageViewSelection), and who may recycle it (nobody:
+// the pool never sees it).
 
 // cacheCatalog has fixed 8 000 B records: a copy of one is 8 192 B of
 // capacity, which is a pool size class, so a cached copy recycled by mistake

@@ -136,18 +136,17 @@ type Pipeline struct {
 
 	// pool enables pooled record buffers at sources and pooled batch
 	// assembly, and lets operators that copy payloads (Batch) and the root
-	// consumer return buffers to the pool. viewArena additionally serves
-	// source records as borrowed views of per-worker arena blocks (see
-	// arena.go); it requires pool — views only reclaim if every stage retires
-	// the elements it drops — and the ring handoff, so the channel baseline
-	// measures the PR-1 engine unchanged. storageViews names the sources of a
-	// viewArena tree that skip the arena copy too: their records are views of
-	// the connector's own storage, because nothing on their chain writes a
-	// record before Batch copies it. servedCopies names the caches that serve
-	// copies of what they keep, because an operator above them may write its
-	// input before the next Batch (see arena.go).
+	// consumer return buffers to the pool. views lets sources serve
+	// read-only views of the connector's storage (see views.go); it
+	// requires pool, so the unpooled reference drain copies every record,
+	// and the ring handoff, so the channel baseline measures the PR-1 engine
+	// unchanged. storageViews names the sources of a views tree that serve
+	// them: nothing on their chain writes a record before Batch copies it.
+	// servedCopies names the caches that serve copies of what they keep,
+	// because an operator above them may write its input before the next
+	// Batch.
 	pool         bool
-	viewArena    bool
+	views        bool
 	storageViews map[string]bool
 	servedCopies map[string]bool
 
@@ -279,7 +278,7 @@ func (p *Pipeline) install(g *pipeline.Graph) error {
 		byName[n.Name] = n
 	}
 	p.pool = !p.opts.DisableBufferPool
-	p.viewArena = p.pool && p.opts.Handoff == HandoffRing
+	p.views = p.pool && p.opts.Handoff == HandoffRing
 	p.storageViews, p.servedCopies = p.viewPlan(order)
 	if p.progress != nil {
 		p.progress.locate(g, byName)
@@ -336,8 +335,8 @@ func (p *Pipeline) Graph() *pipeline.Graph {
 // The consumer owns what it is given, with one exception: an element a
 // Cache serves (a later epoch of a chain with a Cache and no Batch above
 // it) carries the cache's own bytes, which it serves again every epoch.
-// Such a payload is read-only: Clone the element to write it. Recycle
-// knows which kind it is handed.
+// Such a payload is marked ReadOnly: Clone the element to write it.
+// Recycle leaves it alone.
 //
 // Next is also where a pending Reconfigure lands: when the quiesce barrier
 // drains the old tree to io.EOF, the swap runs here — on the consumer's
@@ -511,31 +510,23 @@ func (p *Pipeline) Drain(max int64) (elements, examples int64, err error) {
 	return elements, examples, nil
 }
 
-// Recycle returns a root element's payload to its owner — the arena block
-// it is a view into, or the buffer pool when the pipeline pools. A
-// read-only payload (a storage view, or an element a Cache serves) has a
-// no-op owner and is left where it is. Callers that consume root elements
-// and do not keep their payloads should call it to close the recycling
-// loop.
+// Recycle returns a root element's payload to the buffer pool when the
+// pipeline pools. A read-only payload (a storage view, or an element a Cache
+// serves) is left where it is. Callers that consume root elements and do not
+// keep their payloads should call it to close the recycling loop.
 func (p *Pipeline) Recycle(e data.Element) {
 	p.releasePayload(&e)
 }
 
-// releasePayload retires an element this stage solely owns. Owned payloads
-// go back to their owner (never to the buffer pool — an arena view's
-// capacity is not a pool size class and its block may have other live
-// views; a read-only view's bytes are not the pool's to reuse); pooled
-// buffers go back to the pool. Every engine-side recycle site must come
-// through here rather than calling data.PutBuf directly. It takes e by
-// pointer: a Batch retires every example it copies, and passing the 64-byte
+// releasePayload retires an element this stage solely owns: a read-only
+// payload is not the pool's to reuse and is left alone, an owned one goes
+// back to the pool when the pipeline pools. Every engine-side recycle site
+// must come through here rather than calling data.PutBuf directly. It takes
+// e by pointer: a Batch retires every example it copies, and passing the
 // element by value was 14 % of an in-memory chain's profile, more than the
 // payload copy.
 func (p *Pipeline) releasePayload(e *data.Element) {
-	if e.Owner != nil {
-		e.Owner.ReleasePayload(e.Payload)
-		return
-	}
-	if p.pool && e.Payload != nil {
+	if p.pool && !e.ReadOnly && e.Payload != nil {
 		data.PutBuf(e.Payload)
 	}
 }

@@ -601,7 +601,11 @@ var registerAllocOnce sync.Once
 // TestStagesAllocateNothingPerPull: once warm, pulling a minibatch through
 // each sequential stage allocates nothing on the heap. A stage's scratch run
 // lives in a struct that already exists; a one-item buffer made per call
-// and handed to a child's pull escapes, one object per pull.
+// and handed to a child's pull escapes, one object per pull. The last two
+// cases take the copy path, where each record is read into a pooled buffer:
+// a Body before the Batch, and the source at the root with the consumer
+// recycling what it is handed. Every copy must go back to the pool, or a
+// pull allocates one buffer per record it carries.
 func TestStagesAllocateNothingPerPull(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates, and sync.Pool drops a quarter of its Puts under it")
@@ -615,6 +619,10 @@ func TestStagesAllocateNothingPerPull(t *testing.T) {
 	fs, reg := testSetup(t)
 	fs.AddCatalog(allocCatalog, 7)
 	if err := reg.Register(udf.UDF{Name: "most", Cost: udf.Cost{KeepFraction: 0.9}}); err != nil {
+		t.Fatal(err)
+	}
+	identity := func(in data.Element) (data.Element, bool, error) { return in, true, nil }
+	if err := reg.Register(udf.UDF{Name: "identity", Cost: udf.Cost{SizeFactor: 1}, Body: identity}); err != nil {
 		t.Fatal(err)
 	}
 	src := func() *pipeline.Builder { return pipeline.NewBuilder().Named("src").Interleave(allocCatalog.Name, 1) }
@@ -633,6 +641,8 @@ func TestStagesAllocateNothingPerPull(t *testing.T) {
 		{"repeat→batch", src().Repeat(2).Batch(8).MustBuild()},
 		{"shuffle→batch", src().Shuffle(64).Batch(8).MustBuild()},
 		{"serving cache→batch", cached},
+		{"body map→batch (pooled copies)", src().Map("identity", 1).Batch(8).MustBuild()},
+		{"source at the root (pooled copies)", src().MustBuild()},
 	} {
 		p, err := New(tc.g, Options{FS: fs, UDFs: reg, Caches: store})
 		if err != nil {
@@ -669,8 +679,8 @@ var (
 
 // TestOpeningAShardAllocatesOnlyItsReader: once warm, a source opens a shard
 // for one heap object, the connector's reader. Shard names are built once
-// per catalog, not per source start, and one record reader, its pooling and
-// its allocator serve every file a worker reads.
+// per catalog, not per source start, and one record reader and its pooling
+// serve every file a worker reads.
 func TestOpeningAShardAllocatesOnlyItsReader(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates, and sync.Pool drops a quarter of its Puts under it")
@@ -694,7 +704,7 @@ func TestOpeningAShardAllocatesOnlyItsReader(t *testing.T) {
 		{"views (source→batch)", func(cat string) *pipeline.Graph {
 			return pipeline.NewBuilder().Interleave(cat, 1).Batch(8).MustBuild()
 		}},
-		{"arena copies (source at the root)", func(cat string) *pipeline.Graph {
+		{"pooled copies (source at the root)", func(cat string) *pipeline.Graph {
 			return pipeline.NewBuilder().Interleave(cat, 1).MustBuild()
 		}},
 	} {

@@ -57,11 +57,10 @@ type item struct {
 const handoffQuantum = time.Millisecond
 
 // chunkBytes is the payload one handoff carries at most (give or take its
-// last element): a source chunk of arena views spans at most a quarter of a
-// block, and an edge of decoded records stays in cache between the map's
-// write and its consumer's read. Copying 64 KiB takes several µs, so a
-// chunk this size still amortizes the edge's cost.
-const chunkBytes = arenaBlockBytes / 4
+// last element), so an edge of decoded records stays in cache between the
+// map's write and its consumer's read. Copying 64 KiB takes several µs, so
+// a chunk this size still amortizes the edge's cost.
+const chunkBytes = 64 << 10
 
 // The settle rule's thresholds (Settled, tracerun.go), a time where it can
 // be in quanta: a trace settles on a window of completions, after a warm-up
@@ -246,8 +245,8 @@ func (p *Pipeline) assembly(n int) []byte {
 	return make([]byte, 0, n)
 }
 
-// retire releases the payloads of items no consumer will take, so an arena
-// block never waits on a view nobody holds.
+// retire releases the payloads of items no consumer will take, so their
+// pooled buffers go back to the pool instead of to the garbage collector.
 func (p *Pipeline) retire(items []item) {
 	for i := range items {
 		p.releasePayload(&items[i].elem)
@@ -488,25 +487,14 @@ func (s *sourceIter) worker(w int) {
 	defer sl.release()
 	em := s.p.emitter(s.out, w, s.latch.ch, &sl)
 	defer em.flush()
-	// Borrowed payload views (Element.Owner): on a chain that only reads its
-	// records before batching them, from a reader that can serve them, they
-	// are slices of the connector's own storage (s.views). Otherwise this
-	// worker's records are copied into its private arena; the deferred seal
-	// drops the final epoch's fill reference so it can reclaim once
-	// downstream releases its views.
-	var ar *arena
-	if s.p.viewArena {
-		ar = newArena()
-		defer ar.seal()
-	}
 	// One record reader serves all of this worker's files, so opening a
-	// shard costs only the connector's reader. Pooling and the allocator
-	// are set once: on the view path Next reads neither.
+	// shard costs only the connector's reader. On a chain that only reads
+	// its records before batching them, from a reader that can serve them,
+	// records are read-only slices of the connector's own storage (s.views);
+	// otherwise each is read into a buffer from the pool, when the pipeline
+	// pools, which whoever retires it returns.
 	rr := data.NewRecordReader(nil)
 	rr.SetPooling(s.p.pool)
-	if ar != nil {
-		rr.SetAlloc(ar.alloc, ar.unalloc)
-	}
 	tr := tracker{h: s.handle}
 	defer tr.flush()
 	rt := s.p.retrier(s.key.name, &tr, s.latch.ch, s.seed^uint64(w+1)*0x9e3779b97f4a7c15)
@@ -599,15 +587,11 @@ func (s *sourceIter) worker(w int) {
 				idxNext = idxEnd - idxBlock
 			}
 			e := data.Element{
-				Payload: rec,
-				Size:    int64(len(rec)),
-				Count:   1,
-				Index:   idxNext,
-			}
-			if viewing {
-				e.Owner = readOnlyView{}
-			} else if ar != nil {
-				e.Owner = ar.owner() // nil when the arena declined this size
+				Payload:  rec,
+				ReadOnly: viewing,
+				Size:     int64(len(rec)),
+				Count:    1,
+				Index:    idxNext,
 			}
 			idxNext++
 			if modelCPU {
@@ -769,8 +753,8 @@ func (m *mapIter) reshape(run []item, tr *tracker) {
 		case size == e.Size:
 		case e.Payload != nil && size > int64(len(e.Payload)) && m.p.pool:
 			// Amplifying UDF (decode-style): grow through the pool and
-			// retire the input — back to its arena block if it is a view,
-			// else to the pool — which WithSize's plain make would strand.
+			// retire the input to the pool (a read-only view stays put),
+			// which WithSize's plain make would strand.
 			buf := data.GetBuf(int(size))
 			clear(buf[copy(buf, e.Payload):])
 			m.p.releasePayload(e)
@@ -1004,7 +988,7 @@ func (s *shuffleIter) pull(dst []item) (int, error) {
 }
 
 // Close retires what the buffer still holds: a shuffle closed mid-stream
-// owns those elements, and an arena block would wait on them forever.
+// owns those elements, and their pooled buffers go back to the pool.
 func (s *shuffleIter) Close() error {
 	s.p.retire(s.buf)
 	s.buf = nil
@@ -1169,8 +1153,8 @@ func (b *batchIter) pull(dst []item) (int, error) {
 					payload = b.p.assembly(max(b.lastCap, b.size*len(e.Payload)*9/8))
 				}
 				payload = append(payload, e.Payload...)
-				// Copied out: retire the child payload — an arena view back
-				// to its block, a pooled buffer back to the pool.
+				// Copied out: retire the child payload — a pooled buffer
+				// back to the pool; a read-only view stays put.
 				b.p.releasePayload(e)
 			}
 		}
@@ -1316,7 +1300,7 @@ type CacheStore struct {
 type cacheEntry struct {
 	mu       sync.Mutex
 	sig      string
-	elems    []data.Element // the cache's own copies, each owned by readOnlyView
+	elems    []data.Element // the cache's own copies, each ReadOnly
 	complete bool
 }
 
@@ -1346,10 +1330,10 @@ func (cs *CacheStore) entry(name, sig string) *cacheEntry {
 // (Element.Clone), and the element itself goes on downstream to be recycled
 // like any other: the cache pins the bytes the plan budgeted for it, not
 // the buffers they arrived in, and nothing else in the pipeline changes
-// mode. A served element carries the no-op readOnlyView owner, so no
-// release site hands the cache's bytes to the pool. Where an operator above
-// may write its input before the next Batch (copies; see viewPlan), the
-// cache serves a copy of its copy instead.
+// mode. A served element is ReadOnly, so no release site hands the cache's
+// bytes to the pool. Where an operator above may write its input before the
+// next Batch (copies; see viewPlan), the cache serves a copy of its copy
+// instead.
 type cacheIter struct {
 	p       *Pipeline
 	key     resumeKey
@@ -1430,7 +1414,7 @@ func (c *cacheIter) pull(dst []item) (int, error) {
 		n := min(len(dst), len(c.entry.elems)-c.pos)
 		for i, e := range c.entry.elems[c.pos : c.pos+n] {
 			if c.copies && e.Payload != nil {
-				e.Payload, e.Owner = append(c.p.assembly(len(e.Payload)), e.Payload...), nil
+				e.Payload, e.ReadOnly = append(c.p.assembly(len(e.Payload)), e.Payload...), false
 			}
 			dst[i] = item{elem: e}
 		}
@@ -1468,7 +1452,7 @@ func (c *cacheIter) pull(dst []item) (int, error) {
 		for _, it := range dst[:n] {
 			if it.err == nil {
 				kept := it.elem.Clone()
-				kept.Owner = readOnlyView{}
+				kept.ReadOnly = true
 				c.entry.elems = append(c.entry.elems, kept)
 			}
 		}
@@ -1539,11 +1523,11 @@ func (t *takeIter) Close() error {
 // The branches are pulled in declared order on the consumer goroutine — zip
 // is sequential, like batch: its output order is the contract. The output
 // payload concatenates the branch payloads in a pooled buffer, and the
-// branch payloads it copied out of are retired (arena views back to their
-// blocks, pooled buffers back to the pool). Count and Index come from the
-// first branch, which identifies the tuple; Size sums over branches. The
-// stream ends at the first branch EOF (min semantics), releasing whatever
-// the other branches already delivered for the unfinished tuple.
+// branch payloads it copied out of are retired (pooled buffers back to the
+// pool). Count and Index come from the first branch, which identifies the
+// tuple; Size sums over branches. The stream ends at the first branch EOF
+// (min semantics), releasing whatever the other branches already delivered
+// for the unfinished tuple.
 type zipIter struct {
 	p        *Pipeline
 	children []stage

@@ -468,8 +468,7 @@ func TestReconfigureValidation(t *testing.T) {
 // TestReconfigureTortureFlat is the -race torture test on the flat chain:
 // random Reconfigure calls — parallelism up/down, cache insert/remove,
 // same-graph rebuilds — against a draining repeated pipeline, on both
-// handoff kinds, with byte-exact delivery asserted and (under
-// -tags=arena_debug) zero arena blocks leaked across all the transitions.
+// handoff kinds, with byte-exact delivery asserted.
 // It runs on the free chain and on a mixed-cost one — a 200 µs/element map
 // above the free one — so barriers also land between stages whose handoffs
 // carry 64 elements and stages whose handoffs carry a few.
@@ -486,7 +485,6 @@ func tortureFlat(t *testing.T, kind HandoffKind, mixed bool) {
 	const rounds = 6
 	want := wantPayloads(t, epochs)
 	label := fmt.Sprintf("%s mixed=%v", kind, mixed)
-	arenaBase := arenaLive()
 	fs, _ := testSetup(t)
 	reg := costedRegistry(t, 200*time.Microsecond, true)
 	b := pipeline.NewBuilder().
@@ -551,17 +549,6 @@ func tortureFlat(t *testing.T, kind HandoffKind, mixed bool) {
 	if applied.Load() == 0 {
 		t.Fatalf("%s: no reconfiguration was applied", label)
 	}
-	if arenaDebug {
-		// Give released blocks a moment: the consumer recycled every
-		// view above, so the counter must return to its baseline.
-		deadline := time.Now().Add(2 * time.Second)
-		for arenaLive() != arenaBase && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
-		if live := arenaLive(); live != arenaBase {
-			t.Fatalf("%s: %d arena blocks leaked across reconfigurations", label, live-arenaBase)
-		}
-	}
 }
 
 // TestReconfigureTortureStaged runs the torture loop on the full staged
@@ -569,7 +556,7 @@ func tortureFlat(t *testing.T, kind HandoffKind, mixed bool) {
 // accounting (batch boundaries may legally shift at a barrier, so element
 // counts are range-checked rather than exact). With the no-op map the source
 // serves storage views across every barrier; with a Body in its place it
-// copies into its arena, so both read paths are quiesced and resumed.
+// reads into pooled buffers, so both read paths are quiesced and resumed.
 func TestReconfigureTortureStaged(t *testing.T) {
 	for _, decode := range []string{"noop", "costly"} {
 		tortureStaged(t, decode)
@@ -755,10 +742,9 @@ func TestReconfigureWithSharedPool(t *testing.T) {
 // pass the rest of epoch 1 through and epoch 2 fills them again. The second
 // inserts a Prefetch above the caches while they serve epoch 3: each replica
 // resumes at its own position. The delivered examples and bytes must equal an
-// unpatched drain's, and no arena block may stay live.
+// unpatched drain's.
 func TestReconfigureOuterReplicas(t *testing.T) {
 	const epochs, perEpoch = 3, 4 * 50 // testCatalog: 4 files of 50 records
-	arenaBase := arenaLive()
 	g := pipeline.NewBuilder().
 		Named("src").Interleave(testCatalog.Name, 1).
 		Named("decode").Map("noop", 1).
@@ -835,14 +821,5 @@ func TestReconfigureOuterReplicas(t *testing.T) {
 	gotExamples, gotBytes := drain(true)
 	if gotExamples != wantExamples || gotBytes != wantBytes {
 		t.Fatalf("patched drain delivered %d examples (bytes equal: %v), want %d", gotExamples, gotBytes == wantBytes, wantExamples)
-	}
-	if arenaDebug {
-		deadline := time.Now().Add(2 * time.Second)
-		for arenaLive() != arenaBase && time.Now().Before(deadline) {
-			runtime.Gosched()
-		}
-		if live := arenaLive(); live != arenaBase {
-			t.Fatalf("%d arena blocks left live", live-arenaBase)
-		}
 	}
 }

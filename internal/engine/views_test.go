@@ -184,7 +184,7 @@ func TestWritersGetCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 		got := drainRecords(t, "overwriting drain", p, func(e data.Element) {
-			if _, view := e.Owner.(readOnlyView); view {
+			if e.ReadOnly {
 				t.Fatal("a root element is a view of the connector's storage")
 			}
 			for i := range e.Payload {
@@ -285,7 +285,7 @@ func TestViewPathRetryReplaysRecords(t *testing.T) {
 }
 
 // TestViewChainOverLocalFS: the same chain over a backend with nothing in
-// memory to alias reads through the arena and delivers the same records.
+// memory to alias reads into pooled buffers and delivers the same records.
 func TestViewChainOverLocalFS(t *testing.T) {
 	_, reg := testSetup(t)
 	lfs := connector.NewLocalFS(t.TempDir())

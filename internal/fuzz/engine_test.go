@@ -21,13 +21,12 @@ import (
 // workloads (Gen, built by scenario.Build: chains, zips and concats, filters,
 // amplifying and shrinking maps, batches of 4 to 32) the reference drain
 // hands off one element at a time over the channel edge with no buffer pool
-// — so no arena and no storage views. Against it run the default engine with
+// — so no storage views. Against it run the default engine with
 // source and map parallelism drawn from 1 to 4, and the same engine again
 // with every edge one chunk deep, transient read faults absorbed by Retry,
 // and a shared pool a competing tenant keeps drawing on. Each must deliver
 // the reference's minibatch, example and byte counts and its multiset of
-// payload bytes, and leave no arena block live (counted under
-// -tags=arena_debug). A third run caches: the same engine over the graph
+// payload bytes. A third run caches: the same engine over the graph
 // with a Cache above its output (the Batch) and Repeat(3) on top must deliver three times
 // the reference's counts and weight — one fill, two epochs served from the
 // cache's own copies while the consumer recycles everything it is handed. A
@@ -64,14 +63,10 @@ func TestEngineMatchesReference(t *testing.T) {
 				g.Nodes[i].Parallelism = 1 + rng.Intn(4)
 			}
 		}
-		live := arenaLive()
 		check := func(config string, got, want delivered) {
 			t.Helper()
 			if got.order, want.order = 0, 0; got != want {
 				t.Errorf("seed %d (%s shape %q), %s: delivered %+v, want %+v", seed, spec.Name, spec.Shape, config, got, want)
-			}
-			if n := arenaLive() - live; n != 0 {
-				t.Errorf("seed %d, %s: %d arena blocks live after the closed drain", seed, config, n)
 			}
 		}
 		check("defaults", deliver(t, g, base), want)
