@@ -49,9 +49,10 @@ type Options struct {
 	// Seed drives shuffling and any randomized UDFs.
 	Seed uint64
 	// Handoff selects the stage-edge implementation for parallel stages:
-	// HandoffRing (the default) hands chunks through sharded SPMC ring
-	// buffers; HandoffChannel keeps the buffered-Go-channel edge as an A/B
-	// baseline. Any other value is rejected by New.
+	// HandoffRing (the default) hands chunks through one single-producer,
+	// single-consumer ring per worker; HandoffChannel keeps the
+	// buffered-Go-channel edge as an A/B baseline. Any other value is
+	// rejected by New.
 	Handoff HandoffKind
 	// ChunkSize caps the number of elements a worker hands off per edge
 	// send. Chunking amortizes edge synchronization across many elements;
@@ -342,6 +343,11 @@ func (p *Pipeline) Graph() *pipeline.Graph {
 // drains the old tree to io.EOF, the swap runs here — on the consumer's
 // goroutine, where every pull already serializes — and the loop continues
 // pulling from the resumed tree, so the consumer never observes the barrier.
+//
+// Next is for one consumer goroutine at a time: calls from several
+// goroutines must not overlap (every stage edge has a single consumer), and
+// Close comes only after the last Next has returned. Cancel is the way to
+// stop a pipeline from another goroutine; it also wakes a blocked Next.
 func (p *Pipeline) Next() (data.Element, error) {
 	for {
 		_, err := p.root.pull(p.one[:])
@@ -473,7 +479,8 @@ func (p *Pipeline) ErrorStats() ErrorStats {
 // idempotent: the first call tears the iterator tree down (flushing every
 // buffered counter shard), and every later call is a no-op returning nil,
 // so callers may safely combine a deferred Close with an explicit
-// error-checked one.
+// error-checked one. Close must not overlap a Next: call it once the last
+// Next has returned (Cancel first to make a blocked Next return).
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -696,9 +703,8 @@ func (p *Pipeline) handle(name string) *trace.NodeStats {
 const DefaultChunkSize = 64
 
 // edgeDepth is the per-worker edge depth, in chunks, of a parallel stage:
-// the buffered-channel capacity per worker, or the ring shard's logical
-// depth (its slot count is the depth rounded up to a power of two, at least
-// two).
+// the buffered-channel capacity per worker, or the slot count of each
+// producer's ring.
 const edgeDepth = 2
 
 // chunkSize returns the normalized cap on a handoff's element count.

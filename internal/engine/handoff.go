@@ -11,11 +11,11 @@ import (
 type HandoffKind string
 
 const (
-	// HandoffRing is the default: sharded SPMC ring buffers with
-	// power-of-two capacity, padded atomic cursors, and bounded
-	// spin-then-park waiters. Producers publish chunk descriptors without
-	// allocation or channel locks; the consumer steals across shards when
-	// its preferred shard runs dry.
+	// HandoffRing is the default: one single-producer/single-consumer ring
+	// per producer, with padded atomic cursors and bounded spin-then-park
+	// waiters. A producer publishes a chunk descriptor with a bounds check,
+	// a store and a cursor store; the one consumer takes from the producers
+	// in turn.
 	HandoffRing HandoffKind = "ring"
 	// HandoffChannel is the PR-1 buffered-Go-channel edge, kept as the A/B
 	// baseline for benchmarks.
@@ -23,10 +23,12 @@ const (
 )
 
 // handoff is one stage edge: parallel-stage workers publish []item chunk
-// descriptors, the downstream consumer drains them. Implementations must
-// support one producer per worker index and a single logical consumer at a
-// time (a stage's pull serializes its consumers; cursor atomics keep
-// the ring safe even when the consuming goroutine identity changes).
+// descriptors, the downstream consumer drains them. Implementations support
+// one producer per worker index and one consumer at a time: a stage's pull
+// serializes its consumers (map workers pull their child under a mutex, the
+// root is pulled from one goroutine, and a stage's Close drains its edge only
+// after its last pull), so the consuming goroutine may change between takes
+// but two never take at once.
 type handoff interface {
 	// trySend publishes a chunk from producer w without blocking; it
 	// reports whether the chunk was accepted.
@@ -36,23 +38,22 @@ type handoff interface {
 	// done is the stage's latch, the one signal that stops a parked
 	// producer: edge.stop and Pipeline.Cancel close it.
 	send(w int, c []item, done <-chan struct{}) bool
-	// tryRecv takes the next available chunk without blocking. prefer is
-	// the consumer's shard-affinity cursor, updated on steal.
-	tryRecv(prefer *int) ([]item, bool)
+	// tryRecv takes the next available chunk without blocking.
+	tryRecv() ([]item, bool)
 	// recv takes the next chunk, blocking while the edge is empty. It
 	// returns ok == false when cancel closes or when the edge is closed
 	// and fully drained (both surface as io.EOF to the iterator).
-	recv(prefer *int, cancel <-chan struct{}) ([]item, bool)
+	recv(cancel <-chan struct{}) ([]item, bool)
 	// empty reports whether the consumer is starving (no chunk buffered);
 	// the prefetch producer uses it to cut partial chunks early.
 	empty() bool
 	// close marks the producer side finished: once drained, recv returns
 	// ok == false. Called after every producer has exited.
 	close()
-	// stats returns cumulative waiter parks and cross-shard steals for the
-	// trace handoff counters (zero for the channel edge, which cannot
-	// observe its own futex waits).
-	stats() (parks, steals int64)
+	// stats returns the cumulative waiter parks for the trace's handoff
+	// counter (zero for the channel edge, which cannot observe its own
+	// futex waits).
+	stats() (parks int64)
 }
 
 // newHandoff builds the configured edge for `producers` workers with
@@ -100,7 +101,7 @@ func (h *channelHandoff) send(_ int, c []item, done <-chan struct{}) bool {
 	}
 }
 
-func (h *channelHandoff) tryRecv(_ *int) ([]item, bool) {
+func (h *channelHandoff) tryRecv() ([]item, bool) {
 	select {
 	case c, ok := <-h.ch:
 		if !ok {
@@ -112,7 +113,7 @@ func (h *channelHandoff) tryRecv(_ *int) ([]item, bool) {
 	}
 }
 
-func (h *channelHandoff) recv(_ *int, cancel <-chan struct{}) ([]item, bool) {
+func (h *channelHandoff) recv(cancel <-chan struct{}) ([]item, bool) {
 	// Prefer data already handed off over cancellation, so cancel does not
 	// drop elements a worker has completed.
 	select {
@@ -132,10 +133,10 @@ func (h *channelHandoff) empty() bool { return len(h.ch) == 0 }
 
 func (h *channelHandoff) close() { close(h.ch) }
 
-func (h *channelHandoff) stats() (int64, int64) { return 0, 0 }
+func (h *channelHandoff) stats() int64 { return 0 }
 
 // ---------------------------------------------------------------------------
-// Sharded SPMC ring edge
+// Ring edge
 
 // ringSpin bounds how many probe rounds a waiter spins before parking. On a
 // single-P runtime spinning cannot make the other side run, so waiters park
@@ -150,106 +151,78 @@ var ringSpin = func() int {
 
 const cacheLinePad = 64
 
-// ringSlot is one chunk descriptor cell. seq is the Vyukov-style sequence
-// cursor: slot free for lap L when seq == L*cap+i, occupied when seq ==
-// L*cap+i+1. The chunk slice header is published by the seq store-release
-// and read under the matching load-acquire, so descriptors move between
-// goroutines without locks or allocation.
-type ringSlot struct {
-	seq atomic.Uint64
-	c   []item
-	_   [cacheLinePad - 8 - 24 - (8+24)%cacheLinePad]byte
-}
-
-// ringShard is one producer's SPMC ring: the owning worker publishes at
-// tail, any consumer steals at head. Cursors are padded to their own cache
-// lines so producer and consumer never false-share.
+// ringShard is one producer's single-producer/single-consumer ring of depth
+// chunk descriptors. The producer owns tail and the consumer owns head, each
+// on its own cache line; each side loads the other's cursor only to see
+// whether there is room (push) or a chunk (pop). The cursor store after a
+// slot's write publishes the slot (tail) or frees it (head), so descriptors
+// move between goroutines without a lock, a CAS or a per-slot sequence.
 type ringShard struct {
 	_     [cacheLinePad]byte
-	tail  atomic.Uint64 // next position the owning producer fills
+	tail  atomic.Uint64 // next position the producer fills
 	_     [cacheLinePad - 8]byte
-	head  atomic.Uint64 // next position a consumer takes
+	head  atomic.Uint64 // next position the consumer takes
 	_     [cacheLinePad - 8]byte
 	slots []ringSlot
-	mask  uint64
 }
 
-// push publishes c at the owner's tail; it reports false when the shard has
-// no free slot (or the logical depth limit is reached).
-func (sh *ringShard) push(c []item, limit uint64) bool {
-	pos := sh.tail.Load()
-	if pos-sh.head.Load() >= limit {
-		return false // logical depth limit (prefetch lookahead bound)
+// ringSlot holds one chunk descriptor on its own cache line, so a producer
+// filling one slot does not false-share with the consumer reading the next.
+type ringSlot struct {
+	c []item
+	_ [cacheLinePad - 24]byte
+}
+
+// push publishes c at the tail; it reports false when the ring is full.
+func (sh *ringShard) push(c []item) bool {
+	pos, n := sh.tail.Load(), uint64(len(sh.slots))
+	if pos-sh.head.Load() == n {
+		return false
 	}
-	slot := &sh.slots[pos&sh.mask]
-	if slot.seq.Load() != pos {
-		return false // full: the consumer has not freed this cell yet
-	}
-	slot.c = c
-	slot.seq.Store(pos + 1) // release: publishes the descriptor
+	sh.slots[pos%n].c = c
 	sh.tail.Store(pos + 1)
 	return true
 }
 
-// pop takes the chunk at head, if any. The head CAS arbitrates racing
-// consumers; the final seq store frees the cell for the producer's next lap.
+// pop takes the chunk at the head, if any.
 func (sh *ringShard) pop() ([]item, bool) {
-	for {
-		pos := sh.head.Load()
-		slot := &sh.slots[pos&sh.mask]
-		if slot.seq.Load() != pos+1 {
-			return nil, false // empty (or mid-publish)
-		}
-		if sh.head.CompareAndSwap(pos, pos+1) {
-			c := slot.c
-			slot.c = nil
-			slot.seq.Store(pos + sh.mask + 1)
-			return c, true
-		}
+	pos := sh.head.Load()
+	if pos == sh.tail.Load() {
+		return nil, false
 	}
+	slot := &sh.slots[pos%uint64(len(sh.slots))]
+	c := slot.c
+	slot.c = nil
+	sh.head.Store(pos + 1)
+	return c, true
 }
 
-// ringHandoff is the sharded SPMC edge: one ring per producer, a consumer
-// that sticks to its last productive shard and steals across the others when
-// it runs dry, and bounded spin-then-park waiters on both sides.
+// ringHandoff is the ring edge: one single-producer ring per producer, one
+// consumer at a time that takes from the producers in turn, and bounded
+// spin-then-park waiters on both sides.
 type ringHandoff struct {
 	shards []*ringShard
-	limit  uint64 // per-shard logical depth (<= slot capacity)
 	closed atomic.Bool
 
-	notEmpty notifier // consumers park here; producers wake it on publish
-	notFull  notifier // producers park here; consumers wake it on take
+	notEmpty notifier // the consumer parks here; producers wake it on publish
+	notFull  notifier // producers park here; the consumer wakes it on take
 
-	parks  atomic.Int64
-	steals atomic.Int64
+	parks atomic.Int64
+	next  int // the shard the consumer's next scan starts at; consumer-owned
 }
 
 func newRingHandoff(producers, depth int) *ringHandoff {
-	// At least two cells: with one, a cell's "occupied at lap L" and "free
-	// for lap L+1" sequence values are the same number, so a consumer's head
-	// CAS alone would tell the producer (through the depth limit) that the
-	// cell is free while the consumer is still reading it. The limit keeps
-	// the logical depth at the requested 1.
-	capacity := 2
-	for capacity < depth {
-		capacity <<= 1
-	}
-	r := &ringHandoff{limit: uint64(depth)}
+	r := &ringHandoff{shards: make([]*ringShard, producers)}
 	r.notEmpty.init()
 	r.notFull.init()
-	r.shards = make([]*ringShard, producers)
 	for i := range r.shards {
-		sh := &ringShard{slots: make([]ringSlot, capacity), mask: uint64(capacity - 1)}
-		for j := range sh.slots {
-			sh.slots[j].seq.Store(uint64(j))
-		}
-		r.shards[i] = sh
+		r.shards[i] = &ringShard{slots: make([]ringSlot, depth)}
 	}
 	return r
 }
 
 func (r *ringHandoff) trySend(w int, c []item) bool {
-	if r.shards[w].push(c, r.limit) {
+	if r.shards[w].push(c) {
 		r.notEmpty.wake()
 		return true
 	}
@@ -257,27 +230,22 @@ func (r *ringHandoff) trySend(w int, c []item) bool {
 }
 
 func (r *ringHandoff) send(w int, c []item, done <-chan struct{}) bool {
-	sh := r.shards[w]
-	for {
-		for i := 0; ; i++ {
-			if sh.push(c, r.limit) {
-				r.notEmpty.wake()
-				return true
-			}
-			if i >= ringSpin {
-				break
-			}
-			runtime.Gosched()
+	for i := 0; ; i++ {
+		if r.trySend(w, c) {
+			return true
 		}
-		// Park until a consumer frees a cell. Registering the sleeper and
+		if i < ringSpin {
+			runtime.Gosched()
+			continue
+		}
+		// Park until the consumer frees a slot. Registering the sleeper and
 		// grabbing the generation channel BEFORE the final re-check closes
 		// the lost-wakeup window: any pop after the re-check sees the
 		// sleeper and closes the channel we select on.
 		r.notFull.sleepers.Add(1)
 		ch := r.notFull.gate()
-		if sh.push(c, r.limit) {
+		if r.trySend(w, c) {
 			r.notFull.sleepers.Add(-1)
-			r.notEmpty.wake()
 			return true
 		}
 		r.parks.Add(1)
@@ -288,26 +256,22 @@ func (r *ringHandoff) send(w int, c []item, done <-chan struct{}) bool {
 			return false
 		}
 		r.notFull.sleepers.Add(-1)
+		i = -1 // spin again before the next park
 	}
 }
 
-// scan pops from the preferred shard, stealing from the others in order when
-// it runs dry.
-func (r *ringHandoff) scan(prefer *int) ([]item, bool) {
+// tryRecv takes a chunk without blocking, trying the producers in turn from
+// the one after the last take, so every producer's chunks go out in turn.
+func (r *ringHandoff) tryRecv() ([]item, bool) {
 	n := len(r.shards)
-	p := *prefer
-	if p >= n || p < 0 {
-		p = 0
-	}
-	for i := 0; i < n; i++ {
-		idx := p + i
+	for i := range n {
+		idx := r.next + i
 		if idx >= n {
 			idx -= n
 		}
 		if c, ok := r.shards[idx].pop(); ok {
-			if idx != p {
-				r.steals.Add(1)
-				*prefer = idx
+			if r.next = idx + 1; r.next == n {
+				r.next = 0
 			}
 			r.notFull.wake()
 			return c, true
@@ -316,73 +280,55 @@ func (r *ringHandoff) scan(prefer *int) ([]item, bool) {
 	return nil, false
 }
 
-func (r *ringHandoff) tryRecv(prefer *int) ([]item, bool) {
-	return r.scan(prefer)
-}
-
-func (r *ringHandoff) recv(prefer *int, cancel <-chan struct{}) ([]item, bool) {
-	for {
-		for i := 0; ; i++ {
-			if c, ok := r.scan(prefer); ok {
-				return c, true
-			}
-			// closed is read after the empty scan: producers close only
-			// after their final publish, so closed-and-still-empty means
-			// fully drained.
-			if r.closed.Load() {
-				if c, ok := r.scan(prefer); ok {
-					return c, true
-				}
-				return nil, false
-			}
-			if i >= ringSpin {
-				break
-			}
-			runtime.Gosched()
-		}
-		r.notEmpty.sleepers.Add(1)
-		ch := r.notEmpty.gate()
-		if c, ok := r.scan(prefer); ok {
-			r.notEmpty.sleepers.Add(-1)
+func (r *ringHandoff) recv(cancel <-chan struct{}) ([]item, bool) {
+	for i := 0; ; i++ {
+		if c, ok := r.tryRecv(); ok {
 			return c, true
 		}
+		// closed is read after the empty scan: producers close only after
+		// their final publish, so closed and still empty on one more scan
+		// means fully drained.
 		if r.closed.Load() {
-			r.notEmpty.sleepers.Add(-1)
-			if c, ok := r.scan(prefer); ok {
-				return c, true
-			}
-			return nil, false
+			return r.tryRecv()
 		}
-		r.parks.Add(1)
-		select {
-		case <-ch:
-		case <-cancel:
-			r.notEmpty.sleepers.Add(-1)
-			return nil, false
+		if i < ringSpin {
+			runtime.Gosched()
+			continue
+		}
+		// Park until a producer publishes (the same register-then-recheck
+		// protocol as send).
+		r.notEmpty.sleepers.Add(1)
+		ch := r.notEmpty.gate()
+		if r.empty() && !r.closed.Load() {
+			r.parks.Add(1)
+			select {
+			case <-ch:
+			case <-cancel:
+				r.notEmpty.sleepers.Add(-1)
+				return nil, false
+			}
 		}
 		r.notEmpty.sleepers.Add(-1)
+		i = -1
 	}
 }
 
 func (r *ringHandoff) empty() bool {
 	for _, sh := range r.shards {
-		pos := sh.head.Load()
-		if sh.slots[pos&sh.mask].seq.Load() == pos+1 {
+		if sh.head.Load() != sh.tail.Load() {
 			return false
 		}
 	}
 	return true
 }
 
-// close wakes parked consumers only: every producer has exited by now.
+// close wakes a parked consumer only: every producer has exited by now.
 func (r *ringHandoff) close() {
 	r.closed.Store(true)
 	r.notEmpty.wakeForce()
 }
 
-func (r *ringHandoff) stats() (int64, int64) {
-	return r.parks.Load(), r.steals.Load()
-}
+func (r *ringHandoff) stats() int64 { return r.parks.Load() }
 
 // ---------------------------------------------------------------------------
 // Park/wake notifier

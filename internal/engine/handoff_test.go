@@ -1,26 +1,48 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"plumber/internal/data"
 )
 
-// TestRingHandoffGeometry pins the shard layout: one ring per producer, slot
-// capacity rounded up to a power of two, and the logical depth limit kept at
-// the requested (possibly non-power-of-two) value.
+// TestRingHandoffGeometry pins the layout: one ring per producer holding
+// exactly the requested depth of chunks, each cursor and each slot on its own
+// cache line.
 func TestRingHandoffGeometry(t *testing.T) {
 	r := newRingHandoff(2, 3)
 	if len(r.shards) != 2 {
 		t.Fatalf("shards = %d, want 2 (one per producer)", len(r.shards))
 	}
-	if got := len(r.shards[0].slots); got != 4 {
-		t.Fatalf("slot capacity = %d, want 4 (3 rounded up to a power of two)", got)
+	for i := 0; i < 3; i++ {
+		if !r.trySend(1, []item{{}}) {
+			t.Fatalf("depth 3: send %d refused", i)
+		}
 	}
-	if r.limit != 3 {
-		t.Fatalf("logical depth limit = %d, want the requested 3", r.limit)
+	if r.trySend(1, []item{{}}) {
+		t.Fatal("depth 3: a fourth chunk was accepted")
+	}
+	if !r.trySend(0, []item{{}}) {
+		t.Fatal("a full ring refused another producer's chunk")
+	}
+	for range 2 { // producer 0's chunk, then in turn producer 1's
+		if _, ok := r.tryRecv(); !ok {
+			t.Fatal("no chunk to take")
+		}
+	}
+	if !r.trySend(1, []item{{}}) {
+		t.Fatal("depth 3: a taken chunk did not free its slot")
+	}
+	var sh ringShard
+	if d := unsafe.Offsetof(sh.head) - unsafe.Offsetof(sh.tail); d < cacheLinePad {
+		t.Fatalf("head is %d bytes past tail, want a cache line apart", d)
+	}
+	if n := unsafe.Sizeof(ringSlot{}); n != cacheLinePad {
+		t.Fatalf("a slot is %d bytes, want one cache line", n)
 	}
 }
 
@@ -45,18 +67,11 @@ func TestChunkRecycleAllocatesNothing(t *testing.T) {
 }
 
 // TestRingHandoffDepthOne is the workout for the shallowest edge — what a
-// Prefetch of three elements or fewer builds. With a
-// single slot the cell's "occupied at lap L" and "free for lap L+1" sequence
-// values coincide, so a consumer's head CAS alone told the producer the cell
-// was free while the consumer was still reading it: the next chunk could be
-// overwritten or dropped, and the consumer's late sequence store then left
-// the shard full to the producer and empty to the consumer for good. Every
-// chunk must arrive exactly once, in order, and the run must end.
+// Prefetch of three elements or fewer builds: one slot, which the producer
+// may fill again only once the consumer has read it. Every chunk must arrive
+// exactly once, in order, and the run must end.
 func TestRingHandoffDepthOne(t *testing.T) {
 	r := newRingHandoff(1, 1)
-	if r.limit != 1 {
-		t.Fatalf("logical depth limit = %d, want 1", r.limit)
-	}
 	const chunks = 200000
 	done := make(chan struct{})
 	go func() {
@@ -67,12 +82,11 @@ func TestRingHandoffDepthOne(t *testing.T) {
 			}
 		}
 	}()
-	var prefer int
 	timeout := time.After(30 * time.Second)
 	for want := int64(0); ; want++ {
 		got := make(chan []item, 1)
 		go func() {
-			c, _ := r.recv(&prefer, done)
+			c, _ := r.recv(done)
 			got <- c
 		}()
 		select {
@@ -93,67 +107,77 @@ func TestRingHandoffDepthOne(t *testing.T) {
 	}
 }
 
-// TestRingHandoffConcurrentStealWrapAround is the -race workout for the ring:
-// three producers push 400 chunks each through depth-2 shards (hundreds of
-// sequence-counter laps), while two consumers with separate shard-affinity
-// cursors drain and steal concurrently. Every chunk must arrive exactly once.
-func TestRingHandoffConcurrentStealWrapAround(t *testing.T) {
+// TestRingHandoffOneConsumerWrapAround is the -race workout for the ring:
+// three producers push 400 chunks each through depth-1 and depth-2 rings
+// (hundreds of laps), while the consuming goroutine changes every few chunks
+// under a mutex, as map workers take turns on their child's edge. Every chunk
+// must arrive exactly once, each producer's in the order it sent them.
+func TestRingHandoffOneConsumerWrapAround(t *testing.T) {
 	const (
 		producers   = 3
 		perProducer = 400
-		depth       = 2
 	)
-	r := newRingHandoff(producers, depth)
-
-	var pwg sync.WaitGroup
-	for w := 0; w < producers; w++ {
-		pwg.Add(1)
-		go func(w int) {
-			defer pwg.Done()
-			for i := 0; i < perProducer; i++ {
-				c := []item{{elem: data.Element{Index: int64(w*perProducer + i)}}}
-				if !r.send(w, c, nil) {
-					t.Errorf("producer %d: send %d rejected on an open ring", w, i)
-					return
+	for _, depth := range []int{1, 2} {
+		r := newRingHandoff(producers, depth)
+		var pwg sync.WaitGroup
+		for w := range producers {
+			pwg.Add(1)
+			go func() {
+				defer pwg.Done()
+				for i := range perProducer {
+					c := []item{{elem: data.Element{Index: int64(w*perProducer + i)}}}
+					if !r.send(w, c, nil) {
+						t.Errorf("depth %d producer %d: send %d rejected on an open ring", depth, w, i)
+						return
+					}
 				}
-			}
-		}(w)
-	}
-	go func() {
-		pwg.Wait()
-		r.close()
-	}()
-
-	got := make(chan int64, producers*perProducer)
-	var cwg sync.WaitGroup
-	for c := 0; c < 2; c++ {
-		cwg.Add(1)
-		go func(c int) {
-			defer cwg.Done()
-			prefer := c
-			for {
-				chunk, ok := r.recv(&prefer, nil)
-				if !ok {
-					return
-				}
-				for _, it := range chunk {
-					got <- it.elem.Index
-				}
-			}
-		}(c)
-	}
-	cwg.Wait()
-	close(got)
-
-	seen := make(map[int64]bool, producers*perProducer)
-	for idx := range got {
-		if seen[idx] {
-			t.Fatalf("chunk %d delivered twice", idx)
+			}()
 		}
-		seen[idx] = true
-	}
-	if len(seen) != producers*perProducer {
-		t.Fatalf("delivered %d chunks, want %d", len(seen), producers*perProducer)
+		go func() {
+			pwg.Wait()
+			r.close()
+		}()
+
+		var (
+			mu      sync.Mutex
+			drained bool
+			got     int
+			next    [producers]int64 // each producer's next index
+			cwg     sync.WaitGroup
+		)
+		for range 3 {
+			cwg.Add(1)
+			go func() {
+				defer cwg.Done()
+				for {
+					mu.Lock()
+					for k := 0; k < 3 && !drained; k++ {
+						c, ok := r.recv(nil)
+						if !ok {
+							drained = true
+							break
+						}
+						idx := c[0].elem.Index
+						w := idx / perProducer
+						if idx != w*perProducer+next[w] {
+							t.Errorf("depth %d: chunk %d arrived where producer %d's chunk %d was due", depth, idx, w, next[w])
+						}
+						next[w]++
+						got++
+					}
+					stop := drained
+					mu.Unlock()
+					if stop {
+						return
+					}
+					runtime.Gosched()
+				}
+			}()
+		}
+		cwg.Wait()
+		if got != producers*perProducer {
+			t.Fatalf("depth %d: delivered %d chunks, want %d", depth, got, producers*perProducer)
+		}
 	}
 }
 
@@ -167,8 +191,7 @@ func TestRingHandoffCancelDuringPark(t *testing.T) {
 	cancel := make(chan struct{})
 	recvOK := make(chan bool, 1)
 	go func() {
-		prefer := 0
-		_, ok := r.recv(&prefer, cancel)
+		_, ok := r.recv(cancel)
 		recvOK <- ok
 	}()
 	time.Sleep(5 * time.Millisecond) // give the consumer time to park

@@ -118,15 +118,17 @@ func putChunk(c []item) {
 // for a pool slot), flush stops it before sending (so a blocked send is not
 // counted either) and sets the next chunk to handoffQuantum of work at the
 // rate just measured, but to no more than chunkBytes at the bytes per
-// element just seen; add sends a chunk once its payload reaches chunkBytes.
+// element just seen; commit sends a chunk once its payload reaches
+// chunkBytes.
 // The rate can go stale — a source sized inside its device's burst, then
-// throttled — so add re-reads the clock whenever it carries the fill to or
+// throttled — so commit re-reads the clock whenever it carries the fill to or
 // past a power of two (six reads at most for 64 elements added one at a
 // time, none at a cap of one) and sends a chunk a quantum old as it is: at
 // a steady pace nothing is held past two quanta. A chunk that took a
 // quantum or more also ends with the worker yielding its P once (see
-// flush). An emitter whose owner never calls ready keeps size fixed and
-// reads no clock.
+// flush). An emitter whose owner never calls ready keeps size fixed, reads
+// no clock and sends by count alone: prefetch sizes its chunks to its
+// buffer.
 type chunkEmitter struct {
 	p     *Pipeline // retires a chunk nobody will take
 	h     handoff
@@ -172,29 +174,46 @@ func (ce *chunkEmitter) ready() bool {
 	return true
 }
 
-// add appends items — one, or a run that fits the chunk — flushing when the
-// chunk is full, holds chunkBytes or has aged a quantum. It returns false
-// when the consumer has gone away.
-func (ce *chunkEmitter) add(items ...item) bool {
+// room returns the part of the chunk in hand still to fill, never empty: a
+// producer writes items there — a stage pulls its child's run straight in —
+// and hands them over with commit.
+func (ce *chunkEmitter) room() []item {
 	if ce.buf == nil {
 		ce.buf = getChunk(ce.max)
 	}
+	return ce.buf[len(ce.buf):ce.size]
+}
+
+// commit takes the first n items of the room into the chunk, flushing when
+// the chunk is full or, once the chunk's clock runs, holds chunkBytes or has
+// aged a quantum. It returns false when the consumer has gone away.
+func (ce *chunkEmitter) commit(n int) bool {
 	had := len(ce.buf)
-	ce.buf = append(ce.buf, items...)
-	for i := range items {
-		ce.bytes += items[i].elem.Size
+	ce.buf = ce.buf[:had+n]
+	for i := had; i < len(ce.buf); i++ {
+		ce.bytes += ce.buf[i].elem.Size
 	}
-	n := len(ce.buf)
-	if n >= ce.size || ce.bytes >= chunkBytes || bits.Len(uint(had)) < bits.Len(uint(n)) && !ce.since.IsZero() && ce.clock().Sub(ce.since) >= handoffQuantum {
+	if n = len(ce.buf); n >= ce.size || !ce.since.IsZero() && (ce.bytes >= chunkBytes || bits.Len(uint(had)) < bits.Len(uint(n)) && ce.clock().Sub(ce.since) >= handoffQuantum) {
 		return ce.flush()
 	}
 	return true
 }
 
-// flush sends any buffered items. Safe to call multiple times. A chunk the
-// edge refuses (the stage is shutting down) is retired.
+// add commits one item.
+func (ce *chunkEmitter) add(it item) bool {
+	ce.room()[0] = it
+	return ce.commit(1)
+}
+
+// flush sends any buffered items, or recycles an empty chunk. Safe to call
+// multiple times. A chunk the edge refuses (the stage is shutting down) is
+// retired.
 func (ce *chunkEmitter) flush() bool {
 	if len(ce.buf) == 0 {
+		if ce.buf != nil {
+			putChunk(ce.buf)
+			ce.buf = nil
+		}
 		return true
 	}
 	bytes := ce.bytes
@@ -265,7 +284,6 @@ func (p *Pipeline) retire(items []item) {
 type chunkReceiver struct {
 	pending []item
 	pos     int
-	prefer  int // shard affinity cursor for ring stealing
 	// lump, when set, is raised for every chunk taken off the edge: the
 	// progress tap of the consuming segment samples arrivals, not elements
 	// (tracerun.go). Nil outside a trace run under a stop rule.
@@ -278,10 +296,10 @@ type chunkReceiver struct {
 // drained chunk is recycled at once.
 func (cr *chunkReceiver) pull(dst []item, h handoff, p *Pipeline, g *seqGate) (int, error) {
 	for cr.pos == len(cr.pending) {
-		c, ok := h.tryRecv(&cr.prefer)
+		c, ok := h.tryRecv()
 		if !ok {
 			g.unblock()
-			c, ok = h.recv(&cr.prefer, p.cancelCh)
+			c, ok = h.recv(p.cancelCh)
 			if !g.reacquire() || !ok {
 				p.retire(c) // drained, or shutting down: a chunk taken then is abandoned
 				return 0, io.EOF
@@ -306,7 +324,7 @@ func (cr *chunkReceiver) pull(dst []item, h handoff, p *Pipeline, g *seqGate) (i
 func (cr *chunkReceiver) discard(p *Pipeline, h handoff) {
 	p.retire(cr.pending[cr.pos:])
 	cr.pending, cr.pos = nil, 0
-	for c, ok := h.tryRecv(&cr.prefer); ok; c, ok = h.tryRecv(&cr.prefer) {
+	for c, ok := h.tryRecv(); ok; c, ok = h.tryRecv() {
 		p.retire(c)
 	}
 }
@@ -380,8 +398,7 @@ func (e *edge) stop() {
 	e.wg.Wait()
 	e.recv.discard(e.p, e.out)
 	if e.handle != nil {
-		parks, steals := e.out.stats()
-		trace.AddHandoff(e.handle, parks, steals)
+		trace.AddHandoff(e.handle, e.out.stats())
 	}
 }
 
@@ -631,8 +648,9 @@ func (s *sourceIter) Close() error {
 
 // mapIter applies a UDF with a worker pool. Child access is serialized;
 // output order is the workers' completion order (tf.data's non-deterministic
-// parallel map). Workers pull a run of inputs with one call under the child
-// lock, process them lock-free, and emit a chunk of outputs.
+// parallel map). Workers pull a run of inputs straight into the chunk in
+// hand with one call under the child lock, apply the UDF there lock-free,
+// and hand the chunk on.
 type mapIter struct {
 	edge
 	name  string
@@ -663,17 +681,16 @@ func (m *mapIter) worker(w int) {
 	defer tr.flush()
 	rt := m.p.retrier(m.name, &tr, m.latch.ch, m.seed^uint64(w+1)*0xbf58476d1ce4e5b9)
 	sm := trace.NewSampler(m.p.sampleEvery())
-	in := make([]item, m.p.chunkSize())
-	var run []item                     // pulled, not yet handed to the emitter
-	defer func() { m.p.retire(run) }() // shutting down
 	for !m.eof.Load() {
 		// Pull what the chunk in hand has room for — about handoffQuantum of
 		// this worker's work, so an expensive UDF's inputs spread evenly over
-		// the workers — with one call under the lock. It takes what the child
-		// has in hand and never waits for more: a slower child does not keep
-		// the inputs from the UDF while the rest trickle in.
+		// the workers — straight into that room, with one call under the
+		// lock. It takes what the child has in hand and never waits for
+		// more: a slower child does not keep the inputs from the UDF while
+		// the rest trickle in.
+		room := em.room()
 		m.childMu.Lock()
-		n, err := m.child.pull(in[:em.size-len(em.buf)])
+		n, err := m.child.pull(room)
 		if err != nil {
 			m.eof.Store(true)
 		}
@@ -683,58 +700,68 @@ func (m *mapIter) worker(w int) {
 		// against itself (UDF acquire waiting on the idle childGate hold).
 		m.childGate.unblock()
 		m.childMu.Unlock()
-		run = in[:n]
-		var failed error // a failure is the last item its producer sends, so the run's last
-		if n > 0 && run[n-1].err != nil {
-			failed, run = run[n-1].err, run[:n-1]
+		run := room[:n]
+		failed := n > 0 && run[n-1].err != nil // a failure is the last item its producer sends, so the run's last
+		if failed {
+			run = run[:n-1]
 		}
-		// Apply the UDF to the run under a pool slot, returned before the
-		// next pull so shares enforce per chunk. The pull above holds no
-		// slot — it is mostly a channel receive.
-		if m.u.Body == nil && len(run) > 0 {
-			// The cost model alone: applied in place, emitted with one add.
-			if !em.ready() {
-				return
-			}
-			tr.consumed(len(run)) // an input counts once it is applied: a cut trace reads produced/consumed
-			m.reshape(run, &tr)
-			ok := em.add(run...)
-			if run = nil; !ok {
-				return
-			}
+		// Apply the UDF to the run in place under a pool slot, returned
+		// before the next pull so shares enforce per chunk. The pull above
+		// holds no slot — it is mostly a channel receive.
+		kept, ok := m.applyRun(run, &em, &tr, &sm, &rt)
+		if failed && ok {
+			room[kept] = room[n-1]
+			kept++
 		}
-		for len(run) > 0 {
-			if !em.ready() {
-				return
-			}
-			it := run[0]
-			run = run[1:]
-			tr.consumed(1)
-			out, keep, err := m.apply(it.elem, &tr, &sm, &rt)
-			if err != nil {
-				if err != errInterrupted {
-					em.add(item{err: err})
-				}
-				return
-			}
-			if !keep {
-				// The dropped element's sole owner is this worker (UDF
-				// bodies must not retain inputs); retire its payload.
-				m.p.releasePayload(&it.elem)
-				continue
-			}
-			tr.produced(out)
-			if !em.add(item{elem: out}) {
-				return
-			}
-		}
-		if failed != nil {
-			em.add(item{err: failed})
+		clear(room[kept:n]) // inputs not kept must not pin their buffers
+		if !em.commit(kept) || !ok || failed {
 			return
 		}
-		clear(in[:n]) // stale payload references must not pin their buffers
 		sl.release()
 	}
+}
+
+// applyRun applies the UDF to run in place, compacting the outputs it keeps
+// to the run's front, and returns how many. ok is false when the worker must
+// stop: the pipeline is shutting down (the inputs not yet applied are
+// retired) or the UDF failed (its error is the last output kept).
+func (m *mapIter) applyRun(run []item, em *chunkEmitter, tr *tracker, sm *trace.Sampler, rt *retrier) (kept int, ok bool) {
+	if m.u.Body == nil && len(run) > 0 {
+		// The cost model alone: every input kept.
+		if !em.ready() {
+			m.p.retire(run)
+			return 0, false
+		}
+		tr.consumed(len(run)) // an input counts once it is applied: a cut trace reads produced/consumed
+		m.reshape(run, tr)
+		return len(run), true
+	}
+	for i := range run {
+		if !em.ready() {
+			m.p.retire(run[i:])
+			return kept, false
+		}
+		tr.consumed(1)
+		out, keep, err := m.apply(run[i].elem, tr, sm, rt)
+		switch {
+		case err != nil:
+			m.p.retire(run[i+1:])
+			if err == errInterrupted {
+				return kept, false
+			}
+			run[kept] = item{err: err}
+			return kept + 1, false
+		case keep:
+			tr.produced(out)
+			run[kept] = item{elem: out}
+			kept++
+		default:
+			// The dropped element's sole owner is this worker (UDF bodies
+			// must not retain inputs); retire its payload.
+			m.p.releasePayload(&run[i].elem)
+		}
+	}
+	return kept, true
 }
 
 // reshape applies the cost-model UDF — CPU accounting and size factor — to
@@ -1240,32 +1267,21 @@ func (p *prefetchIter) produce(cs int) {
 	const flushEvery = 16
 	flushIn := flushEvery
 	for {
-		if em.buf == nil {
-			em.buf = getChunk(cs)
-		}
-		had := len(em.buf)
-		n, err := p.child.pull(em.buf[had:cs])
+		room := em.room()
+		n, err := p.child.pull(room)
 		if err != nil {
-			if had == 0 {
-				putChunk(em.buf)
-				em.buf = nil
-			}
 			return
 		}
-		em.buf = em.buf[:had+n]
-		tr.passed(em.buf[had:])
+		tr.passed(room[:n])
 		if flushIn -= n; flushIn <= 0 {
 			flushIn = flushEvery
 			tr.flush()
 		}
-		if em.buf[had+n-1].err != nil {
-			em.flush()
-			return
-		}
-		// Full, or the consumer is starving (edge drained): hand over the
-		// chunk now instead of waiting for it to fill. Only this goroutine
-		// sends, so the observed room cannot vanish.
-		if (had+n == cs || p.out.empty()) && !em.flush() {
+		failed := room[n-1].err != nil // read before commit hands the room on
+		// A full chunk goes out in commit; so does one the consumer is
+		// starving for (edge drained), instead of waiting for it to fill.
+		// Only this goroutine sends, so the observed room cannot vanish.
+		if !em.commit(n) || failed || p.out.empty() && !em.flush() {
 			return
 		}
 	}

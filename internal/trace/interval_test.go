@@ -78,7 +78,7 @@ func TestSnapshotIntervalMonotonic(t *testing.T) {
 					}
 				}
 				ls.Flush(ns)
-				AddHandoff(ns, 2, 1)
+				AddHandoff(ns, 2)
 			}(ns)
 		}
 	}

@@ -74,14 +74,14 @@ type NodeStats struct {
 	// attempt budget or per-element deadline ran out (a subset of Errors).
 	GaveUp int64 `json:"gave_up,omitempty"`
 	// HandoffParks counts waiter parks on this node's stage-handoff edge
-	// (ring handoff: producer blocked on a full shard or consumer on empty
-	// rings after the spin window) — the residual synchronization the
+	// (ring handoff: a producer blocked on its full ring or the consumer on
+	// empty rings after the spin window) — the residual synchronization the
 	// lock-free edge could not avoid. The channel edge cannot observe its
 	// own futex waits, so channel runs report 0.
 	HandoffParks int64 `json:"handoff_parks,omitempty"`
-	// HandoffSteals counts consumer pops served from a non-preferred shard
-	// (cross-shard work stealing); high rates mean producer output is
-	// imbalanced across workers.
+	// HandoffSteals is no longer counted: an edge has one consumer, which
+	// takes from its producers in turn, so nothing is stolen. It stays zero
+	// in new snapshots and is kept for the readers of older ones.
 	HandoffSteals int64 `json:"handoff_steals,omitempty"`
 }
 
@@ -423,15 +423,12 @@ func (c *Collector) ObserveRead(path string, n int64) {
 	}
 }
 
-// AddHandoff records stage-handoff waiter parks and cross-shard steals.
-// The engine publishes these once per edge at iterator Close (they are
-// cheap ring-level atomics, not per-element counters).
-func AddHandoff(ns *NodeStats, parks, steals int64) {
+// AddHandoff records stage-handoff waiter parks (steals are no longer
+// counted: see HandoffSteals). The engine publishes them once per edge at
+// iterator Close (a ring-level atomic, not a per-element counter).
+func AddHandoff(ns *NodeStats, parks int64) {
 	if parks != 0 {
 		atomic.AddInt64(&ns.HandoffParks, parks)
-	}
-	if steals != 0 {
-		atomic.AddInt64(&ns.HandoffSteals, steals)
 	}
 }
 
