@@ -83,12 +83,12 @@ type Options struct {
 	// automatically. Nil gives each pipeline a private store (caches live
 	// only across Repeat epochs within that pipeline).
 	Caches *CacheStore
-	// Pool, when non-nil, subjects this pipeline's parallel-stage workers
-	// (source/interleave and map) to shared-pool admission: a worker must
-	// hold a pool slot while it processes a chunk of elements, so several
-	// pipelines on one pool contend for — and are held to — their arbitrated
-	// worker shares. Sequential iterators run on the consumer's goroutine
-	// and are not gated. Nil (the default) runs the pipeline unconstrained.
+	// Pool, when non-nil, subjects this pipeline to shared-pool admission:
+	// a source or map worker holds a pool slot while it processes a chunk of
+	// elements, and the sequential stages that work on what they pull
+	// (filter, shuffle, batch, zip, concat) share one slot per driving
+	// goroutine (seqGate), so pipelines on one pool are held to their
+	// arbitrated worker shares. Nil (the default) runs it unconstrained.
 	Pool *SharedPool
 	// PoolTenant names the tenant this pipeline's slots are accounted to;
 	// required (and it must already be admitted) when Pool is set.
@@ -800,8 +800,28 @@ type tracker struct {
 	n  int
 }
 
-// traced reports whether the tracker publishes anywhere.
-func (t *tracker) traced() bool { return t.h != nil }
+// timer starts timing a piece of work: it returns the time now when the
+// tracker publishes and sm, if given, samples the work, and the zero time
+// when the work goes untimed.
+func (t *tracker) timer(sm *trace.Sampler) time.Time {
+	if t.h == nil || sm != nil && !sm.Tick() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// lap adds the wall time since a timer's start, scaled up to the work sm
+// samples from.
+func (t *tracker) lap(start time.Time, sm *trace.Sampler) {
+	if start.IsZero() {
+		return
+	}
+	d := time.Since(start)
+	if sm != nil {
+		d = sm.Scale(d)
+	}
+	t.ls.AddWall(d)
+}
 
 func (t *tracker) produced(e data.Element) {
 	if t.h == nil {
@@ -819,13 +839,6 @@ func (t *tracker) consumed(n int) {
 	}
 	t.ls.AddConsumed(int64(n))
 	t.maybeFlush(n)
-}
-
-func (t *tracker) wall(d time.Duration) {
-	if t.h == nil {
-		return
-	}
-	t.ls.AddWall(d)
 }
 
 func (t *tracker) retried() {
@@ -924,11 +937,11 @@ func (s *slot) yield() bool {
 	return s.acquire()
 }
 
-// seqGate subjects the consumer-side sequential stages (filter, shuffle,
-// batch) to shared-pool admission. One gate serves one driving goroutine's
-// whole sequential segment: the root consumer's stack of sequential
-// iterators, a prefetch goroutine's, or a map worker's below-map pulls
-// (serialized by the map's childMu, so gate state needs no lock). Nested
+// seqGate subjects the sequential stages that work on what they pull
+// (filter, shuffle, batch, zip, concat) to shared-pool admission. One gate
+// serves one driving goroutine's whole sequential segment: the root
+// consumer's stack, a prefetch goroutine's, or a map worker's below-map
+// pulls (serialized by the map's childMu, so gate state needs no lock). Nested
 // gated stages share the slot through a reentrancy depth instead of each
 // holding one — a share-1 tenant with batch-over-filter would deadlock
 // against itself otherwise.

@@ -189,6 +189,79 @@ func TestTracedCounts(t *testing.T) {
 	}
 }
 
+// TestModeledCPUPerNode drains one cost through each UDF path — a cost-model
+// Map, a cost-model Filter and a Map with a Body — at WorkScale 1 without
+// Spin, and reads each node's CPUNanos: the sum of CPUSeconds over its
+// inputs, whether it is charged per element or per run (within the 1 ns a
+// charge's truncation may drop per element). Only the cost-model Map
+// applies SizeFactor, and only the Filter applies KeepFraction.
+func TestModeledCPUPerNode(t *testing.T) {
+	fs, reg := testSetup(t)
+	cost := udf.Cost{CPUPerElement: 20e-6, CPUPerByte: 3e-9, SizeFactor: 2, KeepFraction: 0.5}
+	identity := func(in data.Element) (data.Element, bool, error) { return in, true, nil }
+	for _, u := range []udf.UDF{{Name: "modeled", Cost: cost}, {Name: "modeled-body", Cost: cost, Body: identity}} {
+		if err := reg.Register(u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := func() *pipeline.Builder { return pipeline.NewBuilder().Interleave(testCatalog.Name, 1) }
+	drain := func(g *pipeline.Graph) (map[int64]int64, *trace.NodeStats) {
+		t.Helper()
+		col, err := trace.NewCollector(g, trace.Machine{Name: "test", Cores: runtime.NumCPU()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := New(g, Options{FS: fs, UDFs: reg, Collector: col, WorkScale: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := map[int64]int64{} // element index → size
+		for {
+			e, err := p.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			sizes[e.Index] = e.Size
+		}
+		p.Close()
+		ns, err := col.Node("node")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sizes, ns
+	}
+	inputs, _ := drain(src().Named("node").Map("noop", 1).MustBuild())
+	var want float64
+	for _, size := range inputs {
+		want += cost.CPUSeconds(size) * 1e9
+	}
+	for _, tc := range []struct {
+		name           string
+		g              *pipeline.Graph
+		drops, resizes bool
+	}{
+		{"cost-model map", src().Named("node").Map("modeled", 1).MustBuild(), false, true},
+		{"cost-model filter", src().Named("node").Filter("modeled").MustBuild(), true, false},
+		{"body map", src().Named("node").Map("modeled-body", 1).MustBuild(), false, false},
+	} {
+		outputs, ns := drain(tc.g)
+		if got := float64(ns.CPUNanos); got > want || got < want-float64(len(inputs)) {
+			t.Errorf("%s: CPUNanos %.0f, want the inputs' modeled %.0f within %d ns", tc.name, got, want, len(inputs))
+		}
+		if dropped := len(outputs) < len(inputs); dropped != tc.drops || len(outputs) == 0 {
+			t.Errorf("%s: %d of %d inputs delivered", tc.name, len(outputs), len(inputs))
+		}
+		for i, size := range outputs {
+			if in := inputs[i]; tc.resizes && size != 2*in || !tc.resizes && size != in {
+				t.Fatalf("%s: element %d of %d bytes delivered at %d", tc.name, i, in, size)
+			}
+		}
+	}
+}
+
 // TestUntracedZeroWall documents satellite #3: with no collector, wall
 // counters simply do not exist, and draining works identically.
 func TestUntracedZeroWall(t *testing.T) {
@@ -642,6 +715,8 @@ func TestStagesAllocateNothingPerPull(t *testing.T) {
 		{"shuffle→batch", src().Shuffle(64).Batch(8).MustBuild()},
 		{"serving cache→batch", cached},
 		{"body map→batch (pooled copies)", src().Map("identity", 1).Batch(8).MustBuild()},
+		{"cost-model map→batch", src().Map("noop", 1).Batch(8).MustBuild()},
+		{"body filter→batch (pooled copies)", src().Filter("identity").Batch(8).MustBuild()},
 		{"source at the root (pooled copies)", src().MustBuild()},
 	} {
 		p, err := New(tc.g, Options{FS: fs, UDFs: reg, Caches: store})

@@ -37,18 +37,19 @@ type item struct {
 // that inflates records to 32 KB hands off two at a time. A producer's edge
 // holds at most edgeDepth chunks plus the one it is filling, so its payload
 // is bounded by (edgeDepth + 1) × (chunkBytes + one element), whatever the
-// element size. (A run added whole, as a cost-model map adds its outputs, is
+// element size. (A map fills its chunk in place, so a run it inflates is
 // sized by the bytes per element of the chunk before it.)
 //
 // Every stage hands its consumer runs (stage.pull): a stage fed by an edge
 // (source, map, prefetch) hands out runs of the chunk in hand, and every
 // other stage pulls a run from its child and works on it in place — a map
-// worker applies a cost-model UDF to its run and emits it with one add, a
-// Filter compacts its run, a Shuffle swaps it through its buffer, a Batch
-// fills its minibatch from runs. Counters, admission ticks and the progress
-// tap count a run with one add. Per-element Next is left only at the root
-// (Pipeline.Next), a pull of one. Chunk slices are recycled through a pool:
-// the consumer returns a drained chunk, the next producer reuses it.
+// worker pulls a run into its chunk's room and commits what its UDF kept, a
+// Filter keeps part of its run (one applier runs both UDFs), a Shuffle swaps
+// it through its buffer, a Batch fills its minibatch from runs. Counters,
+// admission ticks and the progress tap count a run with one add. Per-element
+// Next is left only at the root (Pipeline.Next), a pull of one. Chunk slices
+// are recycled through a pool: the consumer returns a drained chunk, the next
+// producer reuses it.
 
 // handoffQuantum is the amount of a worker's work one handoff carries. It
 // is far above an edge operation's cost (tens of ns uncontended, a few µs
@@ -515,7 +516,6 @@ func (s *sourceIter) worker(w int) {
 	tr := tracker{h: s.handle}
 	defer tr.flush()
 	rt := s.p.retrier(s.key.name, &tr, s.latch.ch, s.seed^uint64(w+1)*0x9e3779b97f4a7c15)
-	traced := tr.traced()
 	sm := trace.NewSampler(s.p.sampleEvery())
 	modelCPU := s.p.opts.WorkScale > 0
 	// Per-record parse cost: framing checksum work, modeled as a small
@@ -572,11 +572,7 @@ func (s *sourceIter) worker(w int) {
 			if !em.ready() {
 				return false
 			}
-			var start time.Time
-			sampled := traced && sm.Tick()
-			if sampled {
-				start = time.Now()
-			}
+			start := tr.timer(&sm)
 			var rec []byte
 			err := rt.do("read", func() error {
 				off := r.Offset()
@@ -615,9 +611,7 @@ func (s *sourceIter) worker(w int) {
 				s.p.accountCPU(&tr.ls, parsePerByte*float64(len(rec))+parsePerElem)
 			}
 			tr.produced(e)
-			if sampled {
-				tr.wall(sm.Scale(time.Since(start)))
-			}
+			tr.lap(start, &sm)
 			if !em.add(item{elem: e}) {
 				return false
 			}
@@ -644,7 +638,131 @@ func (s *sourceIter) Close() error {
 }
 
 // ---------------------------------------------------------------------------
-// Map
+// Map and Filter
+
+// applier applies one node's UDF to runs in place, for a Map worker or a
+// Filter: the one place a UDF is called and its modeled CPU charged. A Body
+// is called per element under the retry policy, a panic contained as an
+// error; a transiently failing Body (its error implements Transient() true)
+// is retried with backoff, so it must be idempotent with respect to its
+// input. A cost-model UDF (no Body) resizes each element by SizeFactor in a
+// Map, and drops it at KeepFraction, by a seeded generator, in a Filter.
+type applier struct {
+	p   *Pipeline
+	u   udf.UDF // its Cost holds only the terms its node's kind applies
+	rng uint64  // a cost-model Filter's drops
+	tr  tracker
+	sm  trace.Sampler
+	rt  retrier
+}
+
+// init sets a up to apply u for the node name, counting into h; done cuts
+// its retry backoffs short.
+func (a *applier) init(p *Pipeline, name string, u udf.UDF, h *trace.NodeStats, done <-chan struct{}, seed uint64) {
+	// A cost-model run is timed whole, every run; a Body's calls are sampled.
+	*a = applier{p: p, u: u, rng: 0x2545f4914f6cdd1d, tr: tracker{h: h}, sm: trace.NewSampler(1)}
+	if u.Body != nil {
+		a.sm = trace.NewSampler(p.sampleEvery())
+	}
+	a.rt = p.retrier(name, &a.tr, done, seed)
+}
+
+// apply applies the UDF to run in place, compacts what it keeps to the run's
+// front, then a failure the run ends with, and returns how many. A Body takes
+// the run one element a step, a cost-model UDF in one step; each step is
+// made ready (em.ready: a Map worker's emitter; a Filter ticks its gate per
+// run and passes nil), charged its modeled CPU with one call, and timed when
+// sampled. ok is false when the producer must stop: the pipeline is shutting
+// down (what was not applied is retired), or the run ends in a failure, the
+// UDF's or the one its producer sent.
+func (a *applier) apply(run []item, em *chunkEmitter) (kept int, ok bool) {
+	n := len(run)
+	failed := n > 0 && run[n-1].err != nil // a failure is the last item its producer sends
+	if failed {
+		n--
+	}
+	step := n
+	if a.u.Body != nil {
+		step = 1
+	}
+	ok = true
+	for i := 0; i < n && ok; i += step {
+		if ok = em == nil || em.ready(); !ok {
+			a.p.retire(run[i:n])
+			break
+		}
+		a.tr.consumed(step) // an input counts once it is applied: a cut trace reads produced/consumed
+		start := a.tr.timer(&a.sm)
+		if a.p.opts.WorkScale > 0 {
+			cpu := 0.0
+			for _, it := range run[i : i+step] {
+				cpu += a.u.Cost.CPUSeconds(it.elem.Size)
+			}
+			a.p.accountCPU(&a.tr.ls, cpu)
+		}
+		for j := i; j < i+step && ok; j++ {
+			switch keep, err := a.call(&run[j].elem); {
+			case err != nil:
+				a.p.retire(run[j+1 : n])
+				if ok = false; err != errInterrupted {
+					run[kept] = item{err: err}
+					kept++
+				}
+			case keep:
+				a.tr.produced(run[j].elem)
+				run[kept] = run[j]
+				kept++
+			default:
+				a.p.releasePayload(&run[j].elem) // dropped: this stage is the payload's sole owner
+			}
+		}
+		a.tr.lap(start, &a.sm)
+	}
+	if failed && ok {
+		run[kept] = run[n]
+		kept++
+	}
+	clear(run[kept:]) // inputs not kept must not pin their buffers
+	return kept, ok && !failed
+}
+
+// call applies the UDF to *e in place and reports whether it keeps it. A
+// dropped element is left as it came.
+func (a *applier) call(e *data.Element) (keep bool, err error) {
+	if a.u.Body != nil {
+		var out data.Element
+		err = a.rt.do("udf", func() error {
+			return safeCall(func() (uerr error) {
+				out, keep, uerr = a.u.Body(*e)
+				return uerr
+			})
+		})
+		if keep && err == nil {
+			*e = out
+		}
+		return keep, err
+	}
+	if kf := a.u.Cost.KeepFraction; kf < 1 {
+		a.rng = a.rng*6364136223846793005 + 1442695040888963407
+		if float64(a.rng>>11)/(1<<53) >= kf {
+			return false, nil
+		}
+	}
+	switch size := int64(float64(e.Size) * a.u.Cost.SizeFactor); {
+	case size == e.Size:
+	case e.Payload != nil && size > int64(len(e.Payload)) && a.p.pool:
+		// Amplifying UDF (decode-style): grow through the pool and retire
+		// the input to the pool (a read-only view stays put), which
+		// WithSize's plain make would strand.
+		buf := data.GetBuf(int(size))
+		clear(buf[copy(buf, e.Payload):])
+		a.p.releasePayload(e)
+		*e = data.Element{Payload: buf, Size: size, Count: e.Count, Index: e.Index}
+	default:
+		*e = e.WithSize(size)
+	}
+	return true, nil
+}
 
 // mapIter applies a UDF with a worker pool. Child access is serialized;
 // output order is the workers' completion order (tf.data's non-deterministic
@@ -666,6 +784,7 @@ type mapIter struct {
 }
 
 func newMapIter(p *Pipeline, name string, child stage, u udf.UDF, par int, handle *trace.NodeStats, seed uint64, latch *doneLatch, gate, childGate *seqGate) *mapIter {
+	u.Cost.KeepFraction = 1 // a Map keeps every element its cost model is applied to
 	m := &mapIter{edge: edge{p: p, handle: handle, gate: gate, latch: latch},
 		name: name, child: child, u: u, par: par, seed: seed, childGate: childGate}
 	m.startup = func() { m.launch(m.par, m.p.depth, m.worker) }
@@ -677,10 +796,9 @@ func (m *mapIter) worker(w int) {
 	defer sl.release()
 	em := m.p.emitter(m.out, w, m.latch.ch, &sl)
 	defer em.flush()
-	tr := tracker{h: m.handle}
-	defer tr.flush()
-	rt := m.p.retrier(m.name, &tr, m.latch.ch, m.seed^uint64(w+1)*0xbf58476d1ce4e5b9)
-	sm := trace.NewSampler(m.p.sampleEvery())
+	var a applier
+	a.init(m.p, m.name, m.u, m.handle, m.latch.ch, m.seed^uint64(w+1)*0xbf58476d1ce4e5b9)
+	defer a.tr.flush()
 	for !m.eof.Load() {
 		// Pull what the chunk in hand has room for — about handoffQuantum of
 		// this worker's work, so an expensive UDF's inputs spread evenly over
@@ -700,127 +818,15 @@ func (m *mapIter) worker(w int) {
 		// against itself (UDF acquire waiting on the idle childGate hold).
 		m.childGate.unblock()
 		m.childMu.Unlock()
-		run := room[:n]
-		failed := n > 0 && run[n-1].err != nil // a failure is the last item its producer sends, so the run's last
-		if failed {
-			run = run[:n-1]
-		}
 		// Apply the UDF to the run in place under a pool slot, returned
 		// before the next pull so shares enforce per chunk. The pull above
 		// holds no slot — it is mostly a channel receive.
-		kept, ok := m.applyRun(run, &em, &tr, &sm, &rt)
-		if failed && ok {
-			room[kept] = room[n-1]
-			kept++
-		}
-		clear(room[kept:n]) // inputs not kept must not pin their buffers
-		if !em.commit(kept) || !ok || failed {
+		kept, ok := a.apply(room[:n], &em)
+		if !em.commit(kept) || !ok {
 			return
 		}
 		sl.release()
 	}
-}
-
-// applyRun applies the UDF to run in place, compacting the outputs it keeps
-// to the run's front, and returns how many. ok is false when the worker must
-// stop: the pipeline is shutting down (the inputs not yet applied are
-// retired) or the UDF failed (its error is the last output kept).
-func (m *mapIter) applyRun(run []item, em *chunkEmitter, tr *tracker, sm *trace.Sampler, rt *retrier) (kept int, ok bool) {
-	if m.u.Body == nil && len(run) > 0 {
-		// The cost model alone: every input kept.
-		if !em.ready() {
-			m.p.retire(run)
-			return 0, false
-		}
-		tr.consumed(len(run)) // an input counts once it is applied: a cut trace reads produced/consumed
-		m.reshape(run, tr)
-		return len(run), true
-	}
-	for i := range run {
-		if !em.ready() {
-			m.p.retire(run[i:])
-			return kept, false
-		}
-		tr.consumed(1)
-		out, keep, err := m.apply(run[i].elem, tr, sm, rt)
-		switch {
-		case err != nil:
-			m.p.retire(run[i+1:])
-			if err == errInterrupted {
-				return kept, false
-			}
-			run[kept] = item{err: err}
-			return kept + 1, false
-		case keep:
-			tr.produced(out)
-			run[kept] = item{elem: out}
-			kept++
-		default:
-			// The dropped element's sole owner is this worker (UDF bodies
-			// must not retain inputs); retire its payload.
-			m.p.releasePayload(&run[i].elem)
-		}
-	}
-	return kept, true
-}
-
-// reshape applies the cost-model UDF — CPU accounting and size factor — to
-// run in place, timing the whole run when traced.
-func (m *mapIter) reshape(run []item, tr *tracker) {
-	var start time.Time
-	if tr.traced() {
-		start = time.Now()
-	}
-	for i := range run {
-		e := &run[i].elem
-		if m.p.opts.WorkScale > 0 {
-			m.p.accountCPU(&tr.ls, m.u.Cost.CPUSeconds(e.Size))
-		}
-		switch size := int64(float64(e.Size) * m.u.Cost.SizeFactor); {
-		case size == e.Size:
-		case e.Payload != nil && size > int64(len(e.Payload)) && m.p.pool:
-			// Amplifying UDF (decode-style): grow through the pool and
-			// retire the input to the pool (a read-only view stays put),
-			// which WithSize's plain make would strand.
-			buf := data.GetBuf(int(size))
-			clear(buf[copy(buf, e.Payload):])
-			m.p.releasePayload(e)
-			*e = data.Element{Payload: buf, Size: size, Count: e.Count, Index: e.Index}
-		default:
-			*e = e.WithSize(size)
-		}
-		tr.produced(*e)
-	}
-	if tr.traced() {
-		tr.wall(time.Since(start))
-	}
-}
-
-// apply runs the UDF body with CPU accounting into the worker's shard and
-// sampled wall timing. Bodies run under the retry policy (panics are
-// contained as errors, and transiently failing bodies — errors implementing
-// Transient() true — are retried with backoff); retried bodies must
-// therefore be idempotent with respect to their input element.
-func (m *mapIter) apply(in data.Element, tr *tracker, sm *trace.Sampler, rt *retrier) (out data.Element, keep bool, err error) {
-	var start time.Time
-	sampled := tr.traced() && sm.Tick()
-	if sampled {
-		start = time.Now()
-	}
-	if m.p.opts.WorkScale > 0 {
-		m.p.accountCPU(&tr.ls, m.u.Cost.CPUSeconds(in.Size))
-	}
-	err = rt.do("udf", func() error {
-		return safeCall(func() error {
-			var uerr error
-			out, keep, uerr = m.u.Body(in)
-			return uerr
-		})
-	})
-	if sampled {
-		tr.wall(sm.Scale(time.Since(start)))
-	}
-	return out, keep, err
 }
 
 func (m *mapIter) Close() error {
@@ -829,25 +835,20 @@ func (m *mapIter) Close() error {
 	return m.child.Close()
 }
 
-// ---------------------------------------------------------------------------
-// Filter
-
+// filterIter applies its predicate on the consumer's goroutine.
 type filterIter struct {
 	p     *Pipeline
 	child stage
-	u     udf.UDF
 	g     *seqGate
-	tr    tracker
-	sm    trace.Sampler
-	rng   uint64
-	rt    retrier
+	a     applier
 }
 
 func newFilterIter(p *Pipeline, name string, child stage, u udf.UDF, handle *trace.NodeStats, g *seqGate) *filterIter {
-	f := &filterIter{p: p, child: child, u: u, g: g, tr: tracker{h: handle}, sm: trace.NewSampler(p.sampleEvery()), rng: 0x2545f4914f6cdd1d}
+	u.Cost.SizeFactor = 1 // a Filter keeps an element's size
+	f := &filterIter{p: p, child: child, g: g}
 	// Filter runs on the consumer goroutine; its retry backoffs abort on
 	// pipeline cancellation rather than an iterator latch.
-	f.rt = p.retrier(name, &f.tr, p.cancelCh, p.opts.Seed^hashName(name))
+	f.a.init(p, name, u, handle, p.cancelCh, p.opts.Seed^hashName(name))
 	return f
 }
 
@@ -866,70 +867,22 @@ func (f *filterIter) pull(dst []item) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		f.tr.consumed(n)
 		if !f.g.tick(n) {
 			f.p.retire(dst[:n])
 			return 0, io.EOF
 		}
-		kept := 0
-		for i, in := range dst[:n] {
-			if in.err == nil {
-				out, keep, err := f.keep(in.elem)
-				switch {
-				case err != nil:
-					f.p.retire(dst[i+1 : n]) // a failure ends the run
-					in = item{err: err}
-				case !keep:
-					// Dropped: this stage is the payload's sole owner; retire it.
-					f.p.releasePayload(&in.elem)
-					continue
-				default:
-					in.elem = out
-					f.tr.produced(out)
-				}
-			}
-			dst[kept] = in
-			if kept++; in.err != nil {
-				break
-			}
-		}
-		clear(dst[kept:n])
+		kept, ok := f.a.apply(dst[:n], nil)
 		if kept > 0 {
 			return kept, nil
 		}
+		if !ok {
+			return 0, io.EOF // shutting down
+		}
 	}
-}
-
-// keep applies the predicate to one element.
-func (f *filterIter) keep(in data.Element) (out data.Element, keep bool, err error) {
-	var start time.Time
-	sampled := f.tr.traced() && f.sm.Tick()
-	if sampled {
-		start = time.Now()
-	}
-	f.p.accountCPU(&f.tr.ls, f.u.Cost.CPUSeconds(in.Size))
-	out, keep = in, true
-	if f.u.Body != nil {
-		err = f.rt.do("udf", func() error {
-			return safeCall(func() error {
-				var uerr error
-				out, keep, uerr = f.u.Body(in)
-				return uerr
-			})
-		})
-	} else if kf := f.u.Cost.KeepFraction; kf < 1 {
-		// Cost-model-only predicate: drop deterministically at rate kf.
-		f.rng = f.rng*6364136223846793005 + 1442695040888963407
-		keep = float64(f.rng>>11)/(1<<53) < kf
-	}
-	if sampled {
-		f.tr.wall(f.sm.Scale(time.Since(start)))
-	}
-	return out, keep, err
 }
 
 func (f *filterIter) Close() error {
-	f.tr.flush()
+	f.a.tr.flush()
 	return f.child.Close()
 }
 
@@ -962,11 +915,7 @@ func (s *shuffleIter) pull(dst []item) (int, error) {
 		return 0, io.EOF
 	}
 	defer s.g.exit()
-	var start time.Time
-	traced := s.tr.traced()
-	if traced {
-		start = time.Now()
-	}
+	start := s.tr.timer(nil)
 	n := 0
 	for n == 0 && !s.eof {
 		fill, run := len(s.buf) < s.size, dst
@@ -1007,9 +956,7 @@ func (s *shuffleIter) pull(dst []item) (int, error) {
 	if n == 0 {
 		return 0, io.EOF
 	}
-	if traced {
-		s.tr.wall(time.Since(start))
-	}
+	s.tr.lap(start, nil)
 	s.tr.handed(dst[:n])
 	return n, nil
 }
@@ -1143,11 +1090,7 @@ func (b *batchIter) pull(dst []item) (int, error) {
 		return 0, io.EOF
 	}
 	defer b.g.exit()
-	var start time.Time
-	traced := b.tr.traced()
-	if traced {
-		start = time.Now()
-	}
+	start := b.tr.timer(nil)
 	var out data.Element
 	var payload []byte
 	for filled := 0; filled < b.size; {
@@ -1188,9 +1131,7 @@ func (b *batchIter) pull(dst []item) (int, error) {
 		clear(run)
 		filled += n
 	}
-	if traced {
-		b.tr.wall(time.Since(start))
-	}
+	b.tr.lap(start, nil)
 	if out.Count == 0 {
 		if payload != nil && b.p.pool {
 			data.PutBuf(payload)
@@ -1568,11 +1509,7 @@ func (z *zipIter) pull(dst []item) (int, error) {
 		return 0, io.EOF
 	}
 	defer z.g.exit()
-	var start time.Time
-	traced := z.tr.traced()
-	if traced {
-		start = time.Now()
-	}
+	start := z.tr.timer(nil)
 	for i, c := range z.children {
 		if _, err := c.pull(z.pulled[i : i+1]); err != nil {
 			z.eof = true
@@ -1607,9 +1544,7 @@ func (z *zipIter) pull(dst []item) (int, error) {
 	}
 	z.p.retire(z.pulled) // copied out, or nothing to copy
 	clear(z.pulled)
-	if traced {
-		z.tr.wall(time.Since(start))
-	}
+	z.tr.lap(start, nil)
 	z.tr.produced(out)
 	dst[0] = item{elem: out}
 	return 1, nil
