@@ -387,6 +387,198 @@ func TestConformanceFaultStream(t *testing.T) {
 	}
 }
 
+// TestConformanceReopen drives Reopen on every backend: one reader moved
+// across every shard serves what fresh opens serve; the Reopen that leaves a
+// file flushes its observation; Reopen(path, off) serves from off and
+// neither observes nor pays for the prefix; and under a seeded fault plan
+// the stream a reopened reader is injected equals the one injected into a
+// reader closed and opened afresh.
+func TestConformanceReopen(t *testing.T) {
+	cat := confCatalog(t)
+	specs := cat.GenerateFileSpecs(confSeed)
+	for name, c := range backends(t, cat) {
+		t.Run(name, func(t *testing.T) {
+			obs := &countingObserver{observed: map[string]int64{}}
+			c.AddObserver(obs)
+			defer c.RemoveObserver(obs)
+			r, err := c.Open(specs[0].Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+
+			// The same bytes as fresh opens, across every shard and back.
+			for _, spec := range append(specs, specs[0]) {
+				if err := r.Reopen(spec.Name, 0); err != nil {
+					t.Fatalf("Reopen(%s, 0): %v", spec.Name, err)
+				}
+				got, err := io.ReadAll(r)
+				if err != nil {
+					t.Fatalf("ReadAll(%s) after Reopen: %v", spec.Name, err)
+				}
+				fresh, err := c.Open(spec.Name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := io.ReadAll(fresh)
+				fresh.Close()
+				if err != nil || !bytes.Equal(got, want) || r.Path() != spec.Name {
+					t.Fatalf("%s: reopened reader served %d bytes (path %q), a fresh one %d (%v)",
+						spec.Name, len(got), r.Path(), len(want), err)
+				}
+			}
+
+			// The Reopen that leaves a file flushes its observation.
+			obs.take(specs[0].Name)
+			obs.take(specs[1].Name)
+			if err := r.Reopen(specs[0].Name, 0); err != nil {
+				t.Fatal(err)
+			}
+			const part = 1000
+			if _, err := io.ReadFull(r, make([]byte, part)); err != nil {
+				t.Fatal(err)
+			}
+			if got := obs.take(specs[0].Name); got != 0 {
+				t.Fatalf("%d bytes observed before the file was left: the partial read flushed early", got)
+			}
+			if err := r.Reopen(specs[1].Name, 0); err != nil {
+				t.Fatal(err)
+			}
+			if got := obs.take(specs[0].Name); got != part {
+				t.Fatalf("observed %d bytes of the file Reopen left, want %d", got, part)
+			}
+
+			// Reopen at an offset serves from it, and only what it serves
+			// is observed.
+			spec := specs[2]
+			want := simfs.FileContent(spec, confSeed)
+			off := spec.TotalBytes / 2
+			obs.take(spec.Name)
+			if err := r.Reopen(spec.Name, off); err != nil {
+				t.Fatal(err)
+			}
+			if r.Offset() != off {
+				t.Fatalf("Offset() after Reopen = %d, want %d", r.Offset(), off)
+			}
+			got, err := io.ReadAll(r)
+			if err != nil || !bytes.Equal(got, want[off:]) {
+				t.Fatalf("Reopen at %d served %d bytes (%v), want the %d after it", off, len(got), err, len(want[off:]))
+			}
+			if got := obs.take(spec.Name); got != spec.TotalBytes-off {
+				t.Fatalf("observed %d bytes after Reopen at %d, want %d", got, off, spec.TotalBytes-off)
+			}
+
+			// A failed Reopen leaves the reader closed; the next one works.
+			if err := r.Reopen("/data/nonexistent", 0); err == nil {
+				t.Fatal("Reopen(nonexistent) succeeded, want an error")
+			}
+			if _, err := r.Read(make([]byte, 8)); err == nil || err == io.EOF {
+				t.Fatalf("Read after a failed Reopen: %v, want a closed-reader error", err)
+			}
+			if err := r.Reopen(spec.Name, spec.TotalBytes+1); err == nil {
+				t.Fatal("Reopen past the end of the file succeeded, want an error")
+			}
+			if err := r.Reopen(spec.Name, spec.TotalBytes); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := r.Read(make([]byte, 8)); err != io.EOF {
+				t.Fatalf("Read after Reopen at the end: %v, want io.EOF", err)
+			}
+		})
+	}
+
+	// A seeded plan injects the same stream into a reopened reader as into
+	// readers closed and opened afresh: the stall latch starts over per file.
+	plan := &connector.FaultPlan{Seed: 11, Rules: []connector.FaultRule{
+		{Name: "flaky", ErrorRate: 0.2, SpikeRate: 0.1, SpikeBase: 10 * time.Microsecond},
+		{Name: "stall", StallAfterBytes: 4096, StallDuration: 20 * time.Microsecond},
+	}}
+	injected := func(reopen bool) map[string][]int64 {
+		out := map[string][]int64{}
+		for name, c := range backends(t, cat) {
+			c.SetFaults(plan)
+			var r connector.Reader
+			for _, spec := range specs {
+				var err error
+				if reopen && r != nil {
+					err = r.Reopen(spec.Name, 0)
+				} else {
+					if r != nil {
+						r.Close()
+					}
+					r, err = c.Open(spec.Name)
+				}
+				if err != nil {
+					t.Fatalf("%s: open %s: %v", name, spec.Name, err)
+				}
+				out[name] = append(out[name], faultOffsets(t, r)...)
+			}
+			r.Close()
+			st := c.FaultStats()
+			if st.Stalls != int64(len(specs)) {
+				t.Errorf("%s (reopen %v): %d stalls over %d files, want one a file", name, reopen, st.Stalls, len(specs))
+			}
+			out[name] = append(out[name], st.Errors, st.Spikes, st.Stalls)
+		}
+		return out
+	}
+	fresh, reopened := injected(false), injected(true)
+	for name, want := range fresh {
+		if fmt.Sprint(reopened[name]) != fmt.Sprint(want) {
+			t.Errorf("%s: reopened reader was injected %v, fresh readers %v", name, reopened[name], want)
+		}
+	}
+
+	// The object store pays one request on the first read after Reopen, as
+	// after Open, and paces only the bytes it serves: at 50 KB/s the
+	// skipped prefix alone would hold the read for ~200 ms.
+	obj := connector.NewMemObjectStore(cat, confSeed, connector.ObjectStoreConfig{
+		Name: "reopen-object", RequestLatency: 5 * time.Millisecond, ParallelRanges: 1,
+		PerStreamBandwidth: 50e3, Seed: confSeed,
+	})
+	r, err := obj.Open(specs[0].Name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, err := r.Read(make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	tail := specs[1].TotalBytes - 64
+	if err := r.Reopen(specs[1].Name, tail); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := io.ReadFull(r, make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took < 5*time.Millisecond || took > 100*time.Millisecond {
+		t.Errorf("the first read after Reopen at %d took %v, want one 5ms request and no pacing for the prefix", tail, took)
+	}
+}
+
+// faultOffsets drains r in 256-byte reads, reissuing a read that faulted,
+// and returns the offsets the faults came at.
+func faultOffsets(t *testing.T, r connector.Reader) []int64 {
+	t.Helper()
+	var out []int64
+	buf := make([]byte, 256)
+	for {
+		_, err := r.Read(buf)
+		var fe *connector.FaultError
+		if errors.As(err, &fe) {
+			out = append(out, r.Offset())
+			continue
+		}
+		if err == io.EOF {
+			return out
+		}
+		if err != nil {
+			t.Fatalf("read %s at %d: %v", r.Path(), r.Offset(), err)
+		}
+	}
+}
+
 // TestObjectStoreTimingModel sanity-checks the modeled costs: per-request
 // latency makes cold sequential reads slower than a zero-latency store, and
 // a Rewind inside the paid range does not pay a new request.
@@ -431,8 +623,8 @@ func TestObjectStoreTimingModel(t *testing.T) {
 }
 
 // TestObjectStoreOpenAllocatesItsReaders: an open costs the object reader
-// and the simfs reader it wraps, nothing more. The latency draws' RNG lives
-// inside the object reader.
+// and the simfs reader it wraps, nothing more, and a Reopen nothing at all.
+// The latency draws' RNG lives inside the object reader.
 func TestObjectStoreOpenAllocatesItsReaders(t *testing.T) {
 	cat := confCatalog(t)
 	obj := connector.NewMemObjectStore(cat, confSeed, connector.ObjectStoreConfig{Name: "alloc-object", Seed: confSeed})
@@ -446,5 +638,21 @@ func TestObjectStoreOpenAllocatesItsReaders(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Errorf("Open+Close allocates %.1f objects, want <= 2", allocs)
+	}
+	r, err := obj.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	paths := [2]string{path, cat.FileName(1)}
+	i := 0
+	allocs = testing.AllocsPerRun(100, func() {
+		i++
+		if err := r.Reopen(paths[i%2], 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Reopen allocates %.1f objects, want 0", allocs)
 	}
 }

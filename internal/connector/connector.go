@@ -13,7 +13,9 @@
 //
 //   - Rewind: a reader repositions to a recorded offset so a framed-record
 //     read that failed mid-record replays the exact same byte range under
-//     the engine's retry policy.
+//     the engine's retry policy. Reopen moves a reader to another file (or
+//     the same one) at an offset, so a source worker keeps one reader for
+//     all its shards and resumes a partly read shard where it was parked.
 //   - Observation: every served byte eventually reaches the registered
 //     ReadObservers (the tracer), with the remainder flushed on Close even
 //     when a reader is abandoned mid-file.
@@ -57,7 +59,8 @@ type (
 // Reader streams one file's bytes. Offset/Rewind support the engine's
 // retry-replay contract: a failed framed-record read rewinds to the offset
 // recorded before the attempt and replays the same range. Close flushes any
-// unpublished read observation, including on abandoned readers.
+// unpublished read observation, including on abandoned readers, and Reopen
+// does the same for the file it leaves.
 type Reader interface {
 	io.Reader
 	io.Closer
@@ -67,12 +70,13 @@ type Reader interface {
 	Offset() int64
 	// Rewind repositions to an earlier offset (0 <= off <= Offset()).
 	Rewind(off int64) error
-	// SkipTo repositions to a later offset (off >= Offset()) without
-	// serving, re-observing or paying for the skipped bytes. The engine's
-	// live-reconfiguration resume uses it to reopen a partially-read shard
-	// at the quiesce barrier without double-counting the prefix a previous
-	// reader already consumed.
-	SkipTo(off int64) error
+	// Reopen closes the current file exactly as Close does, then serves
+	// path from off (0 <= off <= its size). The bytes before off are not
+	// served, observed or paid for: the engine's live-reconfiguration
+	// resume reopens a partly read shard at the offset its predecessor
+	// parked it at without double-counting the prefix. A failed Reopen
+	// leaves the reader closed; it may be reopened again.
+	Reopen(path string, off int64) error
 }
 
 // Viewer is the optional zero-copy extension of Reader, for backends whose
@@ -82,7 +86,7 @@ type Reader interface {
 // plan is consulted once before any byte is served (a faulted View consumes
 // no offset), the bytes and the call reach ReadObservers and the backend's
 // counters through the same batched flush, throttling and modeled latency
-// apply, and Offset/Rewind/SkipTo see the bytes as served. With fewer than n
+// apply, and Offset/Rewind/Reopen see the bytes as served. With fewer than n
 // bytes left View serves the remainder and returns io.ErrUnexpectedEOF; at
 // end of file it returns io.EOF.
 //

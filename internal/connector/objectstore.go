@@ -125,23 +125,21 @@ func (s *ObjectStore) Open(path string) (Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &objectReader{
-		Reader: inner,
-		store:  s,
-		rng:    *stats.NewRNG(s.cfg.Seed ^ fnv64(path)),
-		start:  time.Now(),
-	}, nil
+	r := &objectReader{Reader: inner, store: s}
+	r.reset(path)
+	return r, nil
 }
 
 // objectReader adds the request-latency model over the simfs reader it
 // embeds: crossing into each new range pays one (amortized, possibly cold,
 // possibly tail-inflated) request latency, and the per-stream bandwidth cap
 // paces the byte flow. Faults, observation, Close, Path and Offset are the
-// embedded reader's. So are Rewind and SkipTo, which pay nothing: replayed
-// ranges were already fetched into the client's window, so a rewind inside
-// the paid range pays no new request latency; and a skip transfers nothing
-// (a real store would simply issue its next range request from there), so
-// it is free and the first read at the new offset pays as usual.
+// embedded reader's. So is Rewind, which pays nothing: replayed ranges were
+// already fetched into the client's window, so a rewind inside the paid
+// range pays no new request latency. Reopen starts the latency model over,
+// as Open does: the prefix before its offset transfers nothing (a real store
+// would simply issue its first range request from there), and the first
+// read at the new offset pays one request.
 type objectReader struct {
 	*simfs.Reader
 	store *ObjectStore
@@ -150,6 +148,21 @@ type objectReader struct {
 	start       time.Time
 	served      int64 // bytes served, for stream pacing
 	paidThrough int64 // offsets below this are in already-fetched ranges
+}
+
+// Reopen implements Reader.
+func (r *objectReader) Reopen(path string, off int64) error {
+	if err := r.Reader.Reopen(path, off); err != nil {
+		return err
+	}
+	r.reset(path)
+	return nil
+}
+
+// reset starts the latency model over, its draws seeded from path.
+func (r *objectReader) reset(path string) {
+	r.rng = *stats.NewRNG(r.store.cfg.Seed ^ fnv64(path))
+	r.start, r.served, r.paidThrough = time.Now(), 0, 0
 }
 
 // Read implements io.Reader.

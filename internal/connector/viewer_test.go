@@ -161,8 +161,8 @@ func (o *countingObserver) take(path string) int64 {
 
 // TestViewerFaultRewindSkipEOF covers the positional contract: a faulted
 // View serves nothing and consumes no offset, Rewind replays the same range
-// (the same storage, even), SkipTo then View serves from the new offset
-// without observing the skipped prefix, and the end of the file reads as a
+// (the same storage, even), Reopen at a later offset then View serves from
+// it without observing the prefix before it, and the end of the file reads as a
 // short view with io.ErrUnexpectedEOF, then io.EOF.
 func TestViewerFaultRewindSkipEOF(t *testing.T) {
 	cat := confCatalog(t)
@@ -217,7 +217,7 @@ func TestViewerFaultRewindSkipEOF(t *testing.T) {
 
 			// 128+256+256+128 bytes served so far, replays included.
 			tail := int64(len(want)) - 5
-			if err := r.SkipTo(tail); err != nil {
+			if err := r.Reopen(spec.Name, tail); err != nil {
 				t.Fatal(err)
 			}
 			short, err := v.View(10)
@@ -235,7 +235,7 @@ func TestViewerFaultRewindSkipEOF(t *testing.T) {
 				t.Fatalf("View on a closed reader: %v, want an error", err)
 			}
 			if got, want := obs.take(spec.Name), int64(128+256+256+128+5); got != want {
-				t.Fatalf("observers saw %d bytes, want %d (the skipped prefix is not served)", got, want)
+				t.Fatalf("observers saw %d bytes, want %d (the prefix before the reopened offset is not served)", got, want)
 			}
 		})
 	}

@@ -802,9 +802,17 @@ type tracker struct {
 
 // timer starts timing a piece of work: it returns the time now when the
 // tracker publishes and sm, if given, samples the work, and the zero time
-// when the work goes untimed.
+// when the work goes untimed. It and lap inline, so untraced work pays no
+// call (CI checks it).
 func (t *tracker) timer(sm *trace.Sampler) time.Time {
-	if t.h == nil || sm != nil && !sm.Tick() {
+	if t.h == nil {
+		return time.Time{}
+	}
+	return sampledNow(sm)
+}
+
+func sampledNow(sm *trace.Sampler) time.Time {
+	if sm != nil && !sm.Tick() {
 		return time.Time{}
 	}
 	return time.Now()
@@ -813,9 +821,12 @@ func (t *tracker) timer(sm *trace.Sampler) time.Time {
 // lap adds the wall time since a timer's start, scaled up to the work sm
 // samples from.
 func (t *tracker) lap(start time.Time, sm *trace.Sampler) {
-	if start.IsZero() {
-		return
+	if start != (time.Time{}) {
+		t.addLap(start, sm)
 	}
+}
+
+func (t *tracker) addLap(start time.Time, sm *trace.Sampler) {
 	d := time.Since(start)
 	if sm != nil {
 		d = sm.Scale(d)

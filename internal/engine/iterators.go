@@ -505,14 +505,23 @@ func (s *sourceIter) worker(w int) {
 	defer sl.release()
 	em := s.p.emitter(s.out, w, s.latch.ch, &sl)
 	defer em.flush()
-	// One record reader serves all of this worker's files, so opening a
-	// shard costs only the connector's reader. On a chain that only reads
-	// its records before batching them, from a reader that can serve them,
-	// records are read-only slices of the connector's own storage (s.views);
-	// otherwise each is read into a buffer from the pool, when the pipeline
-	// pools, which whoever retires it returns.
+	// One record reader serves all of this worker's files, and where the
+	// pipeline pools so does one connector reader, reopened on every shard
+	// after the first: opening a shard allocates nothing. The unpooled
+	// reference opens a reader per shard. The deferred Close flushes the
+	// last file's read accounting, whichever path abandons it. On a chain
+	// that only reads its records before batching them, from a reader that
+	// can serve them, records are read-only slices of the connector's own
+	// storage (s.views); otherwise each is read into a buffer from the pool,
+	// when the pipeline pools, which whoever retires it returns.
 	rr := data.NewRecordReader(nil)
 	rr.SetPooling(s.p.pool)
+	var r connector.Reader
+	defer func() {
+		if r != nil {
+			r.Close()
+		}
+	}()
 	tr := tracker{h: s.handle}
 	defer tr.flush()
 	rt := s.p.retrier(s.key.name, &tr, s.latch.ch, s.seed^uint64(w+1)*0x9e3779b97f4a7c15)
@@ -526,35 +535,32 @@ func (s *sourceIter) worker(w int) {
 	// counter is touched once per block instead of once per record.
 	idxBlock := int64(s.p.chunkSize())
 	var idxNext, idxEnd int64
+	// open moves r to the task's shard. A shard a quiesce barrier parked
+	// resumes at its record boundary, its prefix neither served nor
+	// observed again.
+	open := func(task fileTask) (err error) {
+		if r != nil && s.p.pool {
+			return r.Reopen(task.path, task.offset)
+		}
+		if r != nil {
+			r.Close()
+		}
+		if r, err = s.p.opts.FS.Open(task.path); err != nil || task.offset == 0 {
+			return err
+		}
+		return r.Reopen(task.path, task.offset)
+	}
 	// stream reads one shard to EOF, retrying transiently faulting opens
 	// and record reads under the pipeline's retry policy. It reports
 	// whether the worker should continue with the next file; on any
-	// surfaced error the terminal item has already been emitted. The
-	// deferred Close guarantees the reader flushes its partial read
-	// accounting to observers no matter which path abandons the file.
+	// surfaced error the terminal item has already been emitted.
 	stream := func(task fileTask) bool {
-		var r connector.Reader
-		err := rt.do("open", func() error {
-			var e error
-			r, e = s.p.opts.FS.Open(task.path)
-			if e == nil && task.offset > 0 {
-				// Resuming a file a quiesce barrier interrupted: skip to
-				// the recorded record boundary without re-observing (or
-				// re-serving) the prefix the predecessor already consumed.
-				if e = r.SkipTo(task.offset); e != nil {
-					r.Close()
-					r = nil
-				}
-			}
-			return e
-		})
-		if err != nil {
+		if err := rt.do("open", func() error { return open(task) }); err != nil {
 			if err != errInterrupted {
 				em.add(item{err: fmt.Errorf("source: %w", err)})
 			}
 			return false
 		}
-		defer r.Close()
 		rr.Reset(r)
 		viewing := s.views && rr.UseViews()
 		for {

@@ -35,8 +35,8 @@ import (
 //     rewrite.ApplyPlan) replaces the old one; the stage edges are rebuilt
 //     with it.
 //
-//   - Resume. install rebuilds the tree; sources reopen their partial
-//     files and SkipTo the recorded offsets, repeat/take/cache iterators
+//   - Resume. install rebuilds the tree; sources Reopen their partial
+//     files at the recorded offsets, repeat/take/cache iterators
 //     pick up their epoch/position counters. Workers re-acquire shared-pool
 //     slots at the new widths on their first chunk, so pool shares follow
 //     the patch automatically.
@@ -70,8 +70,8 @@ type ReconfigReport struct {
 	// the Reconfigure call and the barrier — the in-flight work that was
 	// delivered rather than dropped.
 	DrainedInFlight int64 `json:"drained_in_flight"`
-	// ResumedPartialFiles counts source files reopened mid-file (SkipTo a
-	// recorded record boundary); ResumedPendingFiles counts files that were
+	// ResumedPartialFiles counts source files reopened mid-file (Reopen at
+	// a recorded record boundary); ResumedPendingFiles counts files that were
 	// still queued, carried over unopened.
 	ResumedPartialFiles int `json:"resumed_partial_files"`
 	ResumedPendingFiles int `json:"resumed_pending_files"`

@@ -30,10 +30,6 @@ type Retry struct {
 	// [1-JitterFrac, 1+JitterFrac], decorrelating retry storms. Zero
 	// keeps the schedule exact (useful for deterministic tests).
 	JitterFrac float64
-	// PerElementDeadline bounds the total time spent on one operation
-	// across all its attempts and backoffs; once exceeded, the next
-	// failure surfaces even if attempts remain. Zero means no deadline.
-	PerElementDeadline time.Duration
 }
 
 // Backoff returns the delay before retry number `attempt` (1-based: the
@@ -73,7 +69,7 @@ type StageError struct {
 	// Attempts is how many tries were made, including the failing one.
 	Attempts int
 	// GaveUp is true when the final failure was transient but the attempt
-	// budget or per-element deadline ran out.
+	// budget ran out.
 	GaveUp bool
 	// Err is the underlying failure.
 	Err error
@@ -119,14 +115,10 @@ func (p *Pipeline) retrier(stage string, tr *tracker, done <-chan struct{}, seed
 
 // do runs op under the retry policy. io.EOF passes through untouched (it is
 // a stream state, not a failure). Transient errors are retried with
-// exponential backoff while attempts and the per-element deadline allow;
-// the final failure is counted and wrapped in a *StageError. A backoff cut
-// short by shutdown returns errInterrupted.
+// exponential backoff while attempts allow; the final failure is counted
+// and wrapped in a *StageError. A backoff cut short by shutdown returns
+// errInterrupted.
 func (rt *retrier) do(op string, f func() error) error {
-	var deadline time.Time
-	if rt.policy.PerElementDeadline > 0 {
-		deadline = time.Now().Add(rt.policy.PerElementDeadline)
-	}
 	for attempt := 1; ; attempt++ {
 		err := f()
 		if err == nil || err == io.EOF {
@@ -134,14 +126,11 @@ func (rt *retrier) do(op string, f func() error) error {
 		}
 		isTransient := transient(err)
 		if isTransient && attempt < rt.policy.MaxAttempts {
-			backoff := rt.policy.Backoff(attempt, rt.rng)
-			if deadline.IsZero() || time.Now().Add(backoff).Before(deadline) {
-				rt.noteRetry()
-				if !rt.sleep(backoff) {
-					return errInterrupted
-				}
-				continue
+			rt.noteRetry()
+			if !rt.sleep(rt.policy.Backoff(attempt, rt.rng)) {
+				return errInterrupted
 			}
+			continue
 		}
 		rt.noteError(isTransient)
 		return &StageError{Stage: rt.stage, Op: op, Attempts: attempt, GaveUp: isTransient, Err: err}

@@ -21,7 +21,8 @@ import (
 
 // Device models one storage device: a total bandwidth ceiling enforced by a
 // token bucket, a per-stream bandwidth ceiling (sequential streams cannot
-// individually saturate the device), and a fixed per-read latency.
+// individually saturate the device), and a request latency. simfs enforces
+// only the total; the other two are read by the stores built on it.
 type Device struct {
 	// Name identifies the device, e.g. "hdd".
 	Name string
@@ -31,7 +32,8 @@ type Device struct {
 	// bytes/second. The token bucket enforces only the total; a scenario's
 	// object store paces each stream to this.
 	PerStreamBandwidth float64
-	// ReadLatency is the fixed latency added to each read call.
+	// ReadLatency is the device's request latency. simfs never applies it;
+	// a scenario's object store takes its base request latency from it.
 	ReadLatency time.Duration
 }
 

@@ -134,9 +134,10 @@ func newInjector(plan FaultPlan) *injector {
 }
 
 // Inject evaluates the plan for one read call on path. stalled is the
-// calling reader's per-rule stall latch (allocated here on first use). The
-// returned delay must be slept by the caller before returning the error (a
-// faulting backend is slow and broken, not just broken).
+// calling reader's per-rule stall latch (allocated here on first use, and
+// again under a plan with another number of rules). The returned delay must
+// be slept by the caller before returning the error (a faulting backend is
+// slow and broken, not just broken).
 func (fi *injector) Inject(path string, off int64, stalled *[]bool) (time.Duration, error) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
@@ -145,7 +146,7 @@ func (fi *injector) Inject(path string, off int64, stalled *[]bool) (time.Durati
 		counts = make([]int64, len(fi.plan.Rules))
 		fi.reads[path] = counts
 	}
-	if *stalled == nil {
+	if len(*stalled) != len(fi.plan.Rules) { // first use, or a plan swapped in
 		*stalled = make([]bool, len(fi.plan.Rules))
 	}
 	var delay time.Duration

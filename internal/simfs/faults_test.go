@@ -208,3 +208,34 @@ func TestAbandonedReaderFlushesObservation(t *testing.T) {
 		t.Fatalf("TotalBytesRead = %d, want %d", got, n)
 	}
 }
+
+// TestFaultPlanSwapUnderAnOpenReader: a reader that read under one plan
+// reads on under a plan with more rules, its stall latch sized to the new
+// plan: a stall rule the old plan did not have fires once, and indexes no
+// latch past its end.
+func TestFaultPlanSwapUnderAnOpenReader(t *testing.T) {
+	fs, _ := testCatalogFS(t)
+	path := fs.List()[0]
+	fs.SetFaults(&FaultPlan{Seed: 1, Rules: []FaultRule{{Name: "quiet"}}})
+	r, err := fs.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, 64)
+	if _, err := r.Read(buf); err != nil {
+		t.Fatal(err)
+	}
+	fs.SetFaults(&FaultPlan{Seed: 1, Rules: []FaultRule{
+		{Name: "quiet"},
+		{Name: "stall", StallAfterBytes: 1, StallDuration: time.Microsecond},
+	}})
+	for i := 0; i < 3; i++ {
+		if _, err := r.Read(buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := fs.FaultStats(); st.Stalls != 1 {
+		t.Fatalf("the new plan's stall rule fired %d times, want once", st.Stalls)
+	}
+}

@@ -308,21 +308,41 @@ type Reader struct {
 
 // Open returns a reader over the file's framed content.
 func (fs *FS) Open(path string) (*Reader, error) {
-	fs.mu.Lock()
-	f, ok := fs.files[path]
-	fs.mu.Unlock()
+	r := &Reader{fs: fs, closed: true}
+	if err := r.Reopen(path, 0); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// Reopen closes the reader's file exactly as Close does, then serves path
+// from off: the bytes before off are not served, observed or paid for, and
+// the fault plan sees the new file as it sees a fresh reader's. A reader
+// moved from file to file this way allocates nothing for the move (a file on
+// disk still opens its *os.File, and keeps the pooled read-ahead buffer). A
+// failed Reopen leaves the reader closed; Reopen may be called again.
+func (r *Reader) Reopen(path string, off int64) error {
+	r.closeFile()
+	r.fs.mu.Lock()
+	f, ok := r.fs.files[path]
+	r.fs.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("simfs: open %s: no such file", path)
+		return fmt.Errorf("simfs: open %s: no such file", path)
 	}
+	if off < 0 || off > f.spec.TotalBytes {
+		return fmt.Errorf("simfs: open %s: offset %d out of range [0, %d]", path, off, f.spec.TotalBytes)
+	}
+	r.path, r.buf, r.disk, r.ahead, r.size, r.off = path, nil, nil, nil, int(f.spec.TotalBytes), int(off)
+	var err error
 	if f.disk == "" {
-		content := f.materialize()
-		return &Reader{fs: fs, path: path, buf: content, size: len(content)}, nil
+		r.buf = f.materialize()
+		r.size = len(r.buf)
+	} else if r.disk, err = os.Open(f.disk); err != nil {
+		return fmt.Errorf("simfs: open %s: %w", path, err)
 	}
-	file, err := os.Open(f.disk)
-	if err != nil {
-		return nil, fmt.Errorf("simfs: open %s: %w", path, err)
-	}
-	return &Reader{fs: fs, path: path, size: int(f.spec.TotalBytes), disk: file}, nil
+	r.closed = false
+	clear(r.stalled) // in place: the injector indexes it by rule
+	return nil
 }
 
 // Read implements io.Reader with read accounting and optional throttling.
@@ -444,6 +464,16 @@ func (r *Reader) flushObservation() {
 // Close releases the reader, flushing any unpublished read accounting even
 // for readers abandoned mid-file, and closes a file on disk.
 func (r *Reader) Close() error {
+	err := r.closeFile()
+	if r.ra != nil {
+		readAheadPool.Put(r.ra)
+		r.ra, r.ahead = nil, nil
+	}
+	return err
+}
+
+// closeFile is Close but for the read-ahead buffer, which Reopen keeps.
+func (r *Reader) closeFile() error {
 	if r.closed {
 		return nil
 	}
@@ -451,10 +481,6 @@ func (r *Reader) Close() error {
 	r.flushObservation()
 	if r.disk == nil {
 		return nil
-	}
-	if r.ra != nil {
-		readAheadPool.Put(r.ra)
-		r.ra, r.ahead = nil, nil
 	}
 	return r.disk.Close()
 }
@@ -464,23 +490,6 @@ func (r *Reader) Path() string { return r.path }
 
 // Offset returns the reader's current byte offset into the file.
 func (r *Reader) Offset() int64 { return int64(r.off) }
-
-// SkipTo fast-forwards the reader to a later offset without serving — or
-// re-observing, or paying modeled bandwidth for — the skipped bytes: the
-// forward-only counterpart of Rewind. The engine's live-reconfiguration
-// resume uses it to reopen a partially-read shard at the quiesce barrier;
-// the skipped prefix was already read (and its observation flushed) by the
-// reader the barrier interrupted, so replaying it would double-count.
-func (r *Reader) SkipTo(off int64) error {
-	if r.closed {
-		return fmt.Errorf("simfs: skip %s: closed", r.path)
-	}
-	if off < int64(r.off) || off > int64(r.size) {
-		return fmt.Errorf("simfs: skip %s: offset %d out of range [%d, %d]", r.path, off, r.off, r.size)
-	}
-	r.off = int(off)
-	return nil
-}
 
 // Rewind repositions the reader to an earlier offset so a framed-record
 // read that failed mid-record can be replayed exactly. Bytes served again

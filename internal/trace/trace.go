@@ -19,7 +19,6 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -491,14 +490,4 @@ func (s *Snapshot) ChainStats() ([]*NodeStats, error) {
 		out = append(out, ns)
 	}
 	return out, nil
-}
-
-// SortedFileNames returns observed file names sorted for deterministic output.
-func (s *Snapshot) SortedFileNames() []string {
-	out := make([]string, 0, len(s.Files))
-	for p := range s.Files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
