@@ -114,11 +114,11 @@ var (
 
 // BenchmarkMapHop measures what the engine costs an example on the path
 // every pipeline runs: records served from memory, a map with no Body (the
-// cost model alone, which changes nothing here) and a Batch of 64, on one P
-// so that wall time is the chain's CPU time. It reports ns and heap objects
-// per example over whole drains, start-up and teardown included.
+// cost model alone, which changes nothing here) at parallelism 1, which runs
+// inline on the Batch's goroutine, and a Batch of 64. It runs on the Ps -cpu
+// gives it. It reports ns and heap objects per example over whole drains,
+// start-up and teardown included.
 func BenchmarkMapHop(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	_, reg := benchSetup(b)
 	registerHopOnce.Do(func() {
 		if err := data.RegisterCatalog(hopCatalog); err != nil {
@@ -145,10 +145,10 @@ func BenchmarkMapHop(b *testing.B) {
 // BenchmarkMapHopAmplified measures the hop an inflating decode makes: the
 // vision workload's 480 records of 8 000 bytes served from memory, a
 // cost-model map at parallelism 2 that grows each fourfold, and a Batch of
-// 16 copying the 32 000-byte outputs. It reports time, bytes and heap
-// objects per example over whole drains, start-up and teardown included.
+// 16 copying the 32 000-byte outputs, on the Ps -cpu gives it. It reports
+// time, bytes and heap objects per example over whole drains, start-up and
+// teardown included.
 func BenchmarkMapHopAmplified(b *testing.B) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fs, reg := amplifySetup(b)
 	g := pipeline.NewBuilder().Interleave(amplifyCatalog.Name, 1).Map("inflate", 2).Batch(16).MustBuild()
 	drainOnce(b, fs, reg, g, Options{}) // materializes the shards

@@ -84,9 +84,9 @@ type Options struct {
 	// only across Repeat epochs within that pipeline).
 	Caches *CacheStore
 	// Pool, when non-nil, subjects this pipeline to shared-pool admission:
-	// a source or map worker holds a pool slot while it processes a chunk of
-	// elements, and the sequential stages that work on what they pull
-	// (filter, shuffle, batch, zip, concat) share one slot per driving
+	// a worker holds a pool slot while it processes a chunk of elements, and
+	// the sequential stages that work on what they pull (an inline map or
+	// filter, shuffle, batch, zip, concat) share one slot per driving
 	// goroutine (seqGate), so pipelines on one pool are held to their
 	// arbitrated worker shares. Nil (the default) runs it unconstrained.
 	Pool *SharedPool
@@ -155,9 +155,9 @@ type Pipeline struct {
 	// trace run under a rule, and then no stage records anything.
 	progress *progress
 
-	// rootGate admits the root consumer's sequential stages (filter,
-	// shuffle, batch driven by Next callers) to the shared pool; nil
-	// without a pool. Segments driven by other goroutines (prefetch, map
+	// rootGate admits the root consumer's sequential stages (an inline map
+	// or filter, shuffle, batch driven by Next callers) to the shared pool;
+	// nil without a pool. Segments driven by other goroutines (prefetch, map
 	// workers) get their own gates at build time.
 	rootGate *seqGate
 
@@ -547,16 +547,17 @@ func (p *Pipeline) releasePayload(e *data.Element) {
 // independent pipeline instances whose fills must not interleave.
 //
 // g is the admission gate of the sequential segment this node's pull runs
-// in. Parallel stages (map, prefetch) end the segment: the stages below
-// them run on their worker/prefetch goroutines, under a fresh gate bound to
-// the parallel stage's latch. Sequential stages and pass-throughs inherit g
-// (Repeat's factory captures it, so epoch rebuilds stay in the segment);
-// combiners inherit it too — the consumer goroutine drives every branch.
+// in. Parallel stages (a map or filter on workers, prefetch) end the
+// segment: the stages below them run on their worker/prefetch goroutines,
+// under a fresh gate bound to the parallel stage's latch. Sequential stages
+// and pass-throughs inherit g (Repeat's factory captures it, so epoch
+// rebuilds stay in the segment); combiners inherit it too — the consumer
+// goroutine drives every branch.
 //
 // lump belongs to the segment as g does: the flag its receivers raise when
-// they take a chunk off their edge, for the progress tap at the head of the
-// segment (tracerun.go). It is nil everywhere but below the recording stage
-// of a pipeline that keeps a progress stream.
+// they take a chunk off their edge, and its inline UDF stages per run, for
+// the progress tap at the segment's head (tracerun.go). It is nil but below
+// the recording stage of a pipeline that keeps a progress stream.
 func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node, name string, replica int, seed uint64, g *seqGate, lump *bool) (stage, error) {
 	n, ok := byName[name]
 	if !ok {
@@ -570,42 +571,45 @@ func (p *Pipeline) buildNode(gr *pipeline.Graph, byName map[string]pipeline.Node
 		return p.buildNode(gr, byName, n.Input, replica, seed, g, lump)
 	}
 	switch n.Kind {
-	case pipeline.KindSource, pipeline.KindInterleave:
+	case pipeline.KindInterleave:
 		cat, err := data.CatalogByName(n.Catalog)
 		if err != nil {
 			return nil, err
 		}
-		par := 1
-		if n.Kind == pipeline.KindInterleave {
-			par = n.EffectiveParallelism()
-		}
-		s := newSource(p, resumeKey{n.Name, replica}, cat, par, handle, seed, g)
+		s := newSource(p, resumeKey{n.Name, replica}, cat, n.EffectiveParallelism(), handle, seed, g)
 		s.recv.lump = lump
 		return s, nil
-	case pipeline.KindMap:
+	case pipeline.KindMap, pipeline.KindFilter:
+		u, err := p.lookupUDF(n.UDF)
+		if err != nil {
+			return nil, err
+		}
+		if n.Kind == pipeline.KindMap {
+			u.Cost.KeepFraction = 1 // a Map keeps every element
+		} else {
+			u.Cost.SizeFactor = 1 // a Filter keeps an element's size
+		}
+		par := n.EffectiveParallelism()
+		if par == 1 {
+			child, err := childFactory()
+			if err != nil {
+				return nil, err
+			}
+			f := &inlineIter{p: p, child: child, g: g, lump: lump, size: 1}
+			f.a.init(p, n.Name, u, handle, p.cancelCh, seed)
+			return f, nil
+		}
 		latch := p.iterLatch()
 		childGate := p.gate(latch.ch)
 		child, err := p.buildNode(gr, byName, n.Input, replica, seed, childGate, nil)
 		if err != nil {
 			return nil, err
 		}
-		u, err := p.lookupUDF(n.UDF)
-		if err != nil {
-			return nil, err
-		}
-		m := newMapIter(p, n.Name, child, u, n.EffectiveParallelism(), handle, seed, latch, g, childGate)
+		m := &mapIter{edge: edge{p: p, handle: handle, gate: g, latch: latch},
+			name: n.Name, child: child, u: u, seed: seed, childGate: childGate}
+		m.startup = func() { m.launch(par, p.depth, m.worker) }
 		m.recv.lump = lump
 		return m, nil
-	case pipeline.KindFilter:
-		child, err := childFactory()
-		if err != nil {
-			return nil, err
-		}
-		u, err := p.lookupUDF(n.UDF)
-		if err != nil {
-			return nil, err
-		}
-		return newFilterIter(p, n.Name, child, u, handle, g), nil
 	case pipeline.KindShuffle:
 		child, err := childFactory()
 		if err != nil {
@@ -948,14 +952,14 @@ func (s *slot) yield() bool {
 	return s.acquire()
 }
 
-// seqGate subjects the sequential stages that work on what they pull
-// (filter, shuffle, batch, zip, concat) to shared-pool admission. One gate
-// serves one driving goroutine's whole sequential segment: the root
-// consumer's stack, a prefetch goroutine's, or a map worker's below-map
-// pulls (serialized by the map's childMu, so gate state needs no lock). Nested
-// gated stages share the slot through a reentrancy depth instead of each
-// holding one — a share-1 tenant with batch-over-filter would deadlock
-// against itself otherwise.
+// seqGate subjects the sequential stages that work on what they pull (an
+// inline map or filter, shuffle, batch, zip, concat) to shared-pool
+// admission. One gate serves one driving goroutine's whole sequential
+// segment: the root consumer's stack, a prefetch goroutine's, or a map
+// worker's below-map pulls (serialized by the map's childMu, so gate state
+// needs no lock). Nested gated stages share the slot through a reentrancy
+// depth instead of each holding one — a share-1 tenant with batch-over-filter
+// would deadlock against itself otherwise.
 //
 // The "never hold a slot across a blocking handoff" invariant holds on both
 // edges of the segment: a chunkReceiver about to block on an empty upstream

@@ -191,11 +191,12 @@ func TestTracedCounts(t *testing.T) {
 }
 
 // TestModeledCPUPerNode drains one cost through each UDF path — a cost-model
-// Map, a cost-model Filter and a Map with a Body — at WorkScale 1 without
-// Spin, and reads each node's CPUNanos: the sum of CPUSeconds over its
-// inputs, whether it is charged per element or per run (within the 1 ns a
-// charge's truncation may drop per element). Only the cost-model Map
-// applies SizeFactor, and only the Filter applies KeepFraction.
+// Map, a cost-model Filter and a Map with a Body, inline and on two workers —
+// at WorkScale 1 without Spin, and reads each node's CPUNanos: the sum of
+// CPUSeconds over its inputs, whether it is charged per element or per run
+// (within the 1 ns a charge's truncation may drop per element). Only the
+// cost-model Map applies SizeFactor, and only the Filter applies
+// KeepFraction.
 func TestModeledCPUPerNode(t *testing.T) {
 	fs, reg := testSetup(t)
 	cost := udf.Cost{CPUPerElement: 20e-6, CPUPerByte: 3e-9, SizeFactor: 2, KeepFraction: 0.5}
@@ -239,6 +240,13 @@ func TestModeledCPUPerNode(t *testing.T) {
 	for _, size := range inputs {
 		want += cost.CPUSeconds(size) * 1e9
 	}
+	onTwo := func(g *pipeline.Graph) *pipeline.Graph {
+		g, err := g.WithParallelism("node", 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
 	for _, tc := range []struct {
 		name           string
 		g              *pipeline.Graph
@@ -247,6 +255,9 @@ func TestModeledCPUPerNode(t *testing.T) {
 		{"cost-model map", src().Named("node").Map("modeled", 1).MustBuild(), false, true},
 		{"cost-model filter", src().Named("node").Filter("modeled").MustBuild(), true, false},
 		{"body map", src().Named("node").Map("modeled-body", 1).MustBuild(), false, false},
+		{"cost-model map on two workers", src().Named("node").Map("modeled", 2).MustBuild(), false, true},
+		{"cost-model filter on two workers", onTwo(src().Named("node").Filter("modeled").MustBuild()), true, false},
+		{"body map on two workers", src().Named("node").Map("modeled-body", 2).MustBuild(), false, false},
 	} {
 		outputs, ns := drain(tc.g)
 		if got := float64(ns.CPUNanos); got > want || got < want-float64(len(inputs)) {
@@ -717,6 +728,8 @@ func TestStagesAllocateNothingPerPull(t *testing.T) {
 		{"serving cache→batch", cached},
 		{"body map→batch (pooled copies)", src().Map("identity", 1).Batch(8).MustBuild()},
 		{"cost-model map→batch", src().Map("noop", 1).Batch(8).MustBuild()},
+		{"body map on two workers→batch (pooled copies)", src().Map("identity", 2).Batch(8).MustBuild()},
+		{"cost-model map on two workers→batch", src().Map("noop", 2).Batch(8).MustBuild()},
 		{"body filter→batch (pooled copies)", src().Filter("identity").Batch(8).MustBuild()},
 		{"source at the root (pooled copies)", src().MustBuild()},
 	} {

@@ -27,29 +27,29 @@ type item struct {
 //
 // Parallel stages pass []item chunks through their stage edges instead of
 // single items, amortizing the edge's synchronization (futex wakeups, memory
-// barriers) over the chunk. A source or map worker's chunk closes at
-// whichever limit comes first: about handoffQuantum of the worker's own
-// work, Options.ChunkSize elements, or chunkBytes of payload. A 60
-// ns/element stage of 1 000-byte records therefore hands off full-size
-// chunks, while a 1 ms/element stage hands off every element — so its
-// workers share the input evenly and the consumer sees the first element
-// after one element's time, not after ChunkSize of them — and a fast map
-// that inflates records to 32 KB hands off two at a time. A producer's edge
-// holds at most edgeDepth chunks plus the one it is filling, so its payload
-// is bounded by (edgeDepth + 1) × (chunkBytes + one element), whatever the
-// element size. (A map fills its chunk in place, so a run it inflates is
-// sized by the bytes per element of the chunk before it.)
+// barriers) over the chunk. A worker's chunk closes at whichever limit comes
+// first: about handoffQuantum of the worker's own work, Options.ChunkSize
+// elements, or chunkBytes of payload. A 60 ns/element stage of 1 000-byte
+// records therefore hands off full-size chunks, while a 1 ms/element stage
+// hands off every element — so its workers share the input evenly and the
+// consumer sees the first element after one element's time, not after
+// ChunkSize of them — and a fast map that inflates records to 32 KB hands
+// off two at a time. A producer's edge holds at most edgeDepth chunks plus
+// the one it is filling, so its payload is bounded by (edgeDepth + 1) ×
+// (chunkBytes + one element), whatever the element size. (A map fills its
+// chunk in place, so a run it inflates is sized by the bytes per element of
+// the chunk before it.)
 //
 // Every stage hands its consumer runs (stage.pull): a stage fed by an edge
-// (source, map, prefetch) hands out runs of the chunk in hand, and every
-// other stage pulls a run from its child and works on it in place — a map
-// worker pulls a run into its chunk's room and commits what its UDF kept, a
-// Filter keeps part of its run (one applier runs both UDFs), a Shuffle swaps
-// it through its buffer, a Batch fills its minibatch from runs. Counters,
-// admission ticks and the progress tap count a run with one add. Per-element
-// Next is left only at the root (Pipeline.Next), a pull of one. Chunk slices
-// are recycled through a pool: the consumer returns a drained chunk, the next
-// producer reuses it.
+// (source, a Map or Filter on workers, prefetch) hands out runs of the chunk
+// in hand, and every other stage pulls a run from its child and works on it
+// in place — a UDF worker pulls a run into its chunk's room and commits what
+// its UDF kept, an inline Map or Filter hands on what it kept of its run
+// (one applier serves both), a Shuffle swaps it through its buffer, a Batch
+// fills its minibatch from runs. Counters, admission ticks and the progress
+// tap count a run with one add. Per-element Next is left only at the root
+// (Pipeline.Next), a pull of one. Chunk slices are recycled through a pool:
+// the consumer returns a drained chunk, the next producer reuses it.
 
 // handoffQuantum is the amount of a worker's work one handoff carries. It
 // is far above an edge operation's cost (tens of ns uncontended, a few µs
@@ -162,12 +162,8 @@ func (ce *chunkEmitter) ready() bool {
 	if !ce.sl.acquire() {
 		return false
 	}
-	if len(ce.buf) == 0 {
-		select {
-		case <-ce.done:
-			return false
-		default:
-		}
+	if len(ce.buf) == 0 && closed(ce.done) {
+		return false
 	}
 	if ce.max > 1 && ce.since.IsZero() { // at a cap of one there is nothing to size
 		ce.since = ce.clock()
@@ -221,15 +217,9 @@ func (ce *chunkEmitter) flush() bool {
 	ce.bytes = 0
 	yield := false
 	if !ce.since.IsZero() {
-		n := int64(ce.max)
-		if took := ce.clock().Sub(ce.since); took > 0 {
-			n = min(n, max(1, int64(len(ce.buf))*int64(handoffQuantum)/int64(took)))
-			yield = took >= handoffQuantum
-		}
-		if bytes > 0 {
-			n = min(n, max(1, int64(len(ce.buf))*chunkBytes/bytes))
-		}
-		ce.size, ce.since = int(n), time.Time{}
+		took := ce.clock().Sub(ce.since)
+		yield = took >= handoffQuantum
+		ce.size, ce.since = nextSize(len(ce.buf), took, bytes, ce.max), time.Time{}
 	}
 	// Fast path: room on the edge, the slot (if any) stays held.
 	if ce.h.trySend(ce.w, ce.buf) {
@@ -254,6 +244,20 @@ func (ce *chunkEmitter) flush() bool {
 	ce.p.retire(ce.buf)
 	ce.buf = nil
 	return false
+}
+
+// nextSize sizes a stage's next run of work after one of n elements that took
+// took with bytes of payload: about handoffQuantum of work at that rate, no
+// more than chunkBytes at those bytes per element (0: no bound), 1..limit.
+func nextSize(n int, took time.Duration, bytes int64, limit int) int {
+	size := int64(limit)
+	if took > 0 {
+		size = min(size, int64(n)*int64(handoffQuantum)/int64(took))
+	}
+	if bytes > 0 {
+		size = min(size, int64(n)*chunkBytes/bytes)
+	}
+	return int(max(1, size))
 }
 
 // assembly returns an empty buffer of capacity n for a payload a stage
@@ -646,9 +650,9 @@ func (s *sourceIter) Close() error {
 // ---------------------------------------------------------------------------
 // Map and Filter
 
-// applier applies one node's UDF to runs in place, for a Map worker or a
-// Filter: the one place a UDF is called and its modeled CPU charged. A Body
-// is called per element under the retry policy, a panic contained as an
+// applier applies one node's UDF to runs in place, inline or on a worker:
+// the one place a UDF is called and its modeled CPU charged. A Body is
+// called per element under the retry policy, a panic contained as an
 // error; a transiently failing Body (its error implements Transient() true)
 // is retried with backoff, so it must be idempotent with respect to its
 // input. A cost-model UDF (no Body) resizes each element by SizeFactor in a
@@ -676,8 +680,8 @@ func (a *applier) init(p *Pipeline, name string, u udf.UDF, h *trace.NodeStats, 
 // apply applies the UDF to run in place, compacts what it keeps to the run's
 // front, then a failure the run ends with, and returns how many. A Body takes
 // the run one element a step, a cost-model UDF in one step; each step is
-// made ready (em.ready: a Map worker's emitter; a Filter ticks its gate per
-// run and passes nil), charged its modeled CPU with one call, and timed when
+// made ready (a worker's em.ready; inline, em is nil and a step looks at the
+// pipeline's cancel), charged its modeled CPU with one call, and timed when
 // sampled. ok is false when the producer must stop: the pipeline is shutting
 // down (what was not applied is retired), or the run ends in a failure, the
 // UDF's or the one its producer sent.
@@ -693,7 +697,7 @@ func (a *applier) apply(run []item, em *chunkEmitter) (kept int, ok bool) {
 	}
 	ok = true
 	for i := 0; i < n && ok; i += step {
-		if ok = em == nil || em.ready(); !ok {
+		if ok = em == nil && !closed(a.rt.done) || em != nil && em.ready(); !ok {
 			a.p.retire(run[i:n])
 			break
 		}
@@ -770,31 +774,22 @@ func (a *applier) call(e *data.Element) (keep bool, err error) {
 	return true, nil
 }
 
-// mapIter applies a UDF with a worker pool. Child access is serialized;
-// output order is the workers' completion order (tf.data's non-deterministic
-// parallel map). Workers pull a run of inputs straight into the chunk in
-// hand with one call under the child lock, apply the UDF there lock-free,
-// and hand the chunk on.
+// mapIter runs a Map or Filter at parallelism 2 or more on a worker pool.
+// Child access is serialized; output order is the workers' completion order
+// (tf.data's non-deterministic parallel map). Workers pull a run of inputs
+// straight into the chunk in hand with one call under the child lock, apply
+// the UDF there lock-free, and hand the chunk on.
 type mapIter struct {
 	edge
 	name  string
 	child stage
 	u     udf.UDF
-	par   int
 	seed  uint64
 	// childGate covers the below-map sequential segment, whose stages run
 	// on worker goroutines under childMu.
 	childGate *seqGate
 	childMu   sync.Mutex
 	eof       atomic.Bool
-}
-
-func newMapIter(p *Pipeline, name string, child stage, u udf.UDF, par int, handle *trace.NodeStats, seed uint64, latch *doneLatch, gate, childGate *seqGate) *mapIter {
-	u.Cost.KeepFraction = 1 // a Map keeps every element its cost model is applied to
-	m := &mapIter{edge: edge{p: p, handle: handle, gate: gate, latch: latch},
-		name: name, child: child, u: u, par: par, seed: seed, childGate: childGate}
-	m.startup = func() { m.launch(m.par, m.p.depth, m.worker) }
-	return m
 }
 
 func (m *mapIter) worker(w int) {
@@ -841,35 +836,31 @@ func (m *mapIter) Close() error {
 	return m.child.Close()
 }
 
-// filterIter applies its predicate on the consumer's goroutine.
-type filterIter struct {
+// inlineIter runs a Map or Filter at parallelism 1 on its consumer's
+// goroutine, stopping on the pipeline's cancel. It pulls runs of about
+// handoffQuantum of its own measured work (nextSize, as a worker sizes its
+// chunks) and raises its segment's progress lump once per run it applies,
+// so a planning trace samples it at a worker's grain.
+type inlineIter struct {
 	p     *Pipeline
 	child stage
 	g     *seqGate
+	lump  *bool
+	size  int // elements in the next run, 1..ChunkSize
 	a     applier
 }
 
-func newFilterIter(p *Pipeline, name string, child stage, u udf.UDF, handle *trace.NodeStats, g *seqGate) *filterIter {
-	u.Cost.SizeFactor = 1 // a Filter keeps an element's size
-	f := &filterIter{p: p, child: child, g: g}
-	// Filter runs on the consumer goroutine; its retry backoffs abort on
-	// pipeline cancellation rather than an iterator latch.
-	f.a.init(p, name, u, handle, p.cancelCh, p.opts.Seed^hashName(name))
-	return f
-}
-
-// pull pulls a run into dst and compacts the kept elements to its front,
-// pulling again while a run keeps nothing.
-func (f *filterIter) pull(dst []item) (int, error) {
-	// Filter is CPU work on the consumer goroutine: it runs under the
-	// segment's sequential-admission slot, ticking once per consumed run so
-	// shares enforce at chunk granularity.
+// pull pulls a run into dst, applies the UDF to it in place and hands on what
+// it keeps, pulling again while a run keeps nothing.
+func (f *inlineIter) pull(dst []item) (int, error) {
+	// The UDF is CPU work on the consumer goroutine: it runs under the segment's
+	// sequential-admission slot, ticking once per run so shares enforce per chunk.
 	if !f.g.enter() {
 		return 0, io.EOF
 	}
 	defer f.g.exit()
 	for {
-		n, err := f.child.pull(dst)
+		n, err := f.child.pull(dst[:min(len(dst), f.size)])
 		if err != nil {
 			return 0, err
 		}
@@ -877,7 +868,12 @@ func (f *filterIter) pull(dst []item) (int, error) {
 			f.p.retire(dst[:n])
 			return 0, io.EOF
 		}
+		start := time.Now()
 		kept, ok := f.a.apply(dst[:n], nil)
+		f.size = nextSize(n, time.Since(start), 0, f.p.chunkSize())
+		if f.lump != nil {
+			*f.lump = true
+		}
 		if kept > 0 {
 			return kept, nil
 		}
@@ -887,7 +883,7 @@ func (f *filterIter) pull(dst []item) (int, error) {
 	}
 }
 
-func (f *filterIter) Close() error {
+func (f *inlineIter) Close() error {
 	f.a.tr.flush()
 	return f.child.Close()
 }

@@ -59,7 +59,7 @@ type poolTenant struct {
 	// and nobody may borrow.
 	waiting int
 	// heldNanos is total slot-hold time; heldSeqNanos is the part accrued by
-	// sequential consumer-side stages (filter/shuffle/batch), a subset.
+	// sequential consumer-side stages (inline UDF, shuffle, batch), a subset.
 	heldNanos    int64
 	heldSeqNanos int64
 	acquires     int64
@@ -134,10 +134,10 @@ func (p *SharedPool) Acquire(tenant string, done <-chan struct{}) (release func(
 }
 
 // acquireSlot is Acquire with a stage-kind tag: sequential marks slots held
-// by consumer-side sequential stages (filter/shuffle/batch), whose hold time
-// is additionally accumulated into the tenant's sequential bucket so the
-// measured share report can show how much of a tenant's occupancy came from
-// its gated sequential work.
+// by consumer-side sequential stages (inline UDF, shuffle, batch), whose
+// hold time is also accumulated into the tenant's sequential bucket so the
+// share report can show how much of its occupancy came from gated
+// sequential work.
 func (p *SharedPool) acquireSlot(tenant string, done <-chan struct{}, sequential bool) (release func(), ok bool) {
 	p.mu.Lock()
 	t, admitted := p.tenants[tenant]
@@ -324,9 +324,9 @@ type PoolStats struct {
 	// occupied); the ratio across tenants is the share each actually got.
 	HeldSeconds float64 `json:"held_seconds"`
 	// HeldSecondsSequential is the subset of HeldSeconds accrued by
-	// consumer-side sequential stages (filter/shuffle/batch) — the admission
-	// surface PR 8 added. Nonzero means the tenant's sequential work is
-	// being gated and charged, not running outside the share.
+	// consumer-side sequential stages (inline UDF, shuffle, batch), which the
+	// pool admits too. Nonzero means the tenant's sequential work is being
+	// gated and charged, not running outside the share.
 	HeldSecondsSequential float64 `json:"held_seconds_sequential,omitempty"`
 	// Acquires counts slot grants; Borrows counts grants beyond the share.
 	Acquires int64 `json:"acquires"`

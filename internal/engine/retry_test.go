@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,15 +316,17 @@ func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
 		}
 	}
 
-	// The map cancels its own pipeline as it starts on the fifth record, 2 ms
+	// The UDF cancels its own pipeline as it starts on the fifth record, 2 ms
 	// a record into a minibatch of eight: the four before it are on the edge
-	// or in the batch, which the consumer is blocked filling.
+	// or in the batch, which the consumer is blocked filling. Inline (at
+	// parallelism 1) the stage makes no call after the one that canceled;
+	// two workers may each finish the call they are in.
 	var mid *Pipeline
-	calls := 0
+	var calls atomic.Int32
 	if err := reg.Register(udf.UDF{
 		Name: "cancel_fifth",
 		Body: func(e data.Element) (data.Element, bool, error) {
-			if calls++; calls == 5 {
+			if calls.Add(1) == 5 {
 				mid.Cancel()
 			}
 			time.Sleep(2 * time.Millisecond)
@@ -333,17 +336,31 @@ func TestCancelUnblocksAndSurfacesCause(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	g := pipeline.NewBuilder().Interleave(testCatalog.Name, 1).Map("cancel_fifth", 1).Batch(8).MustBuild()
-	if mid, err = New(g, Options{FS: fs, UDFs: reg}); err != nil {
-		t.Fatal(err)
-	}
-	defer mid.Close()
-	e, err := mid.Next()
-	if err != nil || e.Count < 1 || e.Count >= 8 {
-		t.Fatalf("a batch canceled mid-fill delivered %d examples (%v), want its partial minibatch", e.Count, err)
-	}
-	if _, err := mid.Next(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("after the partial minibatch: %v, want context.Canceled", err)
+	src := func() *pipeline.Builder { return pipeline.NewBuilder().Interleave(testCatalog.Name, 1) }
+	for _, tc := range []struct {
+		name     string
+		g        *pipeline.Graph
+		maxCalls int32
+	}{
+		{"inline map", src().Map("cancel_fifth", 1).Batch(8).MustBuild(), 5},
+		{"inline body filter", src().Filter("cancel_fifth").Batch(8).MustBuild(), 5},
+		{"map on two workers", src().Map("cancel_fifth", 2).Batch(8).MustBuild(), 6},
+	} {
+		calls.Store(0)
+		if mid, err = New(tc.g, Options{FS: fs, UDFs: reg}); err != nil {
+			t.Fatal(err)
+		}
+		e, err := mid.Next()
+		if err != nil || e.Count < 1 || e.Count >= 8 {
+			t.Errorf("%s: a batch canceled mid-fill delivered %d examples (%v), want its partial minibatch", tc.name, e.Count, err)
+		}
+		if _, err := mid.Next(); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: after the partial minibatch: %v, want context.Canceled", tc.name, err)
+		}
+		mid.Close()
+		if n := calls.Load(); n > tc.maxCalls {
+			t.Errorf("%s: the UDF was called %d times, want at most %d after it canceled at the fifth", tc.name, n, tc.maxCalls)
+		}
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"plumber/internal/data"
 	"plumber/internal/pipeline"
 	"plumber/internal/stats"
+	"plumber/internal/trace"
 	"plumber/internal/udf"
 )
 
@@ -369,6 +370,28 @@ func slowMapDrain(t *testing.T, par int, batched bool) (first, total time.Durati
 	}
 }
 
+// TestInlineRunsAreSizedByTheirWork: an inline Map at 1 ms an element pulls
+// runs of about a quantum of its work, one element, not the Batch's 16, and
+// raises the progress lump once per run, so a trace under a rule that never
+// fires samples about every element. Pulling the Batch's runs whole sampled
+// vision's planning trace once a minibatch, and its optimize_s read 0.114 s
+// instead of 0.039.
+func TestInlineRunsAreSizedByTheirWork(t *testing.T) {
+	reg := costedRegistry(t, time.Millisecond, true)
+	g := pipeline.NewBuilder().
+		Named("src").Interleave(smallCatalog.Name, 1).
+		Named("work").Map("costly", 1).
+		Named("batch").Batch(16).
+		MustBuild()
+	snap, err := TraceRun(g, Options{FS: memFS(t, smallCatalog), UDFs: reg}, trace.Machine{Name: "t", Cores: 2}, 0, never)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := smallCatalog.NumFiles * smallCatalog.RecordsPerFile; snap.Run.Samples < n/2 {
+		t.Errorf("a trace of %d elements at 1 ms each took %d samples, want about one a run of one element", n, snap.Run.Samples)
+	}
+}
+
 // TestExpensiveMapScalesWithWorkers: at 1 ms/element two map workers must
 // finish the 200-record catalog at least 1.7x sooner than one. With fixed
 // 64-element handoffs they split it 128 : 72 and reach 1.56x.
@@ -387,23 +410,26 @@ func TestExpensiveMapScalesWithWorkers(t *testing.T) {
 // first minibatch must reach the consumer within two batches' work of the
 // first Next — 2 x 16 x the per-element time this same drain averaged, which
 // under the race detector or next to spinning neighbours is some way above
-// the nominal millisecond. A 64-element handoff holds it back for four.
+// the nominal millisecond — whether the map runs inline or on two workers.
+// A 64-element run or handoff holds it back for four.
 func TestFirstMinibatchTakesOneBatchOfWork(t *testing.T) {
 	records := time.Duration(testCatalog.NumFiles * testCatalog.RecordsPerFile)
-	ok, detail := bestOf(func() (bool, string) {
-		first, total := slowMapDrain(t, 1, true)
-		bound := 2 * 16 * total / records
-		return first <= bound, fmt.Sprintf("%v, want <= %v", first, bound)
-	})
-	if !ok {
-		t.Fatalf("first minibatch after %s", detail)
+	for _, par := range []int{1, 2} {
+		ok, detail := bestOf(func() (bool, string) {
+			first, total := slowMapDrain(t, par, true)
+			bound := 2 * 16 * total / records
+			return first <= bound, fmt.Sprintf("%v, want <= %v", first, bound)
+		})
+		if !ok {
+			t.Fatalf("par=%d: first minibatch after %s", par, detail)
+		}
 	}
 }
 
-// TestBusyWorkerYieldsAfterAQuantum: on one P, a worker that burns 1 ms an
-// element with its whole input in hand and room on its edge never blocks. It
-// gives the P up after each handoff all the same, so the consumer takes an
-// element about every element time. Left to the scheduler's own preemption
+// TestBusyWorkerYieldsAfterAQuantum: on one P, two workers that burn 1 ms an
+// element with their whole input in hand and room on their edges never
+// block. Each gives the P up after each handoff all the same, so the
+// consumer takes an element about every element time. Left to the scheduler's own preemption
 // (sysmon, after 10-20 ms) the consumer took them a dozen at a time — and a
 // trace's settle rule read those lumps as a rate still moving. The bound is
 // five element times, as this drain measured them (its mean gap): a host
@@ -414,7 +440,7 @@ func TestBusyWorkerYieldsAfterAQuantum(t *testing.T) {
 	reg := costedRegistry(t, time.Millisecond, false)
 	g := pipeline.NewBuilder().
 		Named("src").Interleave(testCatalog.Name, 1).
-		Named("work").Map("costly", 1).
+		Named("work").Map("costly", 2).
 		MustBuild()
 	ok, detail := bestOf(func() (bool, string) {
 		fs, _ := testSetup(t)

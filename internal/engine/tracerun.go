@@ -33,14 +33,14 @@ type StopRule func(progress []trace.Sample) (rate float64, ok bool)
 // stream, one element each.
 //
 // The stage records once per lump it is handed, not per element: receivers
-// feeding its segment raise a flag when they take a chunk off their edge (one
-// nil check per chunk in a pipeline without a rule), and a tap at the stage's
-// input, seeing the flag, appends (now, elements pulled before this lump).
-// What is counted is the stage's own input, so a Filter below it is already
-// in the rate, and X_0 is that rate over the elements the stage pulls per
-// output. Outer-parallel replicas each have a tap and pool their samples
-// here, under mu, taken once per lump; the clock is read inside it, so At
-// ascends whichever replica records.
+// feeding its segment raise a flag when they take a chunk off their edge, an
+// inline Map or Filter when it applies a run (one nil check in a pipeline
+// without a rule), and a tap at the stage's input, seeing the flag, appends
+// (now, elements pulled before this lump). What is counted is the stage's
+// own input, so a Filter below it is already in the rate, and X_0 is that
+// rate over the elements the stage pulls per output. Outer-parallel replicas
+// each have a tap and pool their samples here, under mu, taken once per
+// lump; the clock is read inside it, so At ascends whichever replica records.
 //
 // The rule is asked in one place, lump, on whichever goroutine records, over
 // the samples in place. It scans its stream, so asking at every lump of one

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"plumber/internal/connector"
+	"plumber/internal/data"
 	"plumber/internal/engine"
 	"plumber/internal/pipeline"
 	"plumber/internal/scenario"
@@ -21,8 +22,8 @@ import (
 // workloads (Gen, built by scenario.Build: chains, zips and concats, filters,
 // amplifying and shrinking maps, batches of 4 to 32) the reference drain
 // hands off one element at a time over the channel edge with no buffer pool
-// — so no storage views. Against it run the default engine with
-// source and map parallelism drawn from 1 to 4, and the same engine again
+// — so no storage views. Against it run the default engine with source,
+// map and filter parallelism drawn from 1 to 4, and the same engine again
 // with every edge one chunk deep, transient read faults absorbed by Retry,
 // and a shared pool a competing tenant keeps drawing on. Each must deliver
 // the reference's minibatch, example and byte counts and its multiset of
@@ -32,7 +33,10 @@ import (
 // cache's own copies while the consumer recycles everything it is handed. A
 // zip's branches are made as long as each other: of a longer branch, a zip
 // keeps the records that arrive first, and which those are is a parallel
-// stage's to decide.
+// stage's to decide. Outside the zips, a Filter whose Body keeps a record by
+// its content alone, run on 2 to 4 workers below the Batch, must deliver
+// what the reference does with it inline. (A cost-model Filter on workers
+// drops by each worker's generator, so only its kept fraction repeats.)
 //
 // At parallelism 1 the order a drain delivers is deterministic, so an
 // ordered leg also compares it: over the generated graph with a Shuffle, a
@@ -59,7 +63,7 @@ func TestEngineMatchesReference(t *testing.T) {
 		g := w.Graph.Clone()
 		rng := stats.NewRNG(seed)
 		for i, n := range g.Nodes {
-			if n.Kind == pipeline.KindInterleave || n.Kind == pipeline.KindMap {
+			if n.IsSource() || n.Kind == pipeline.KindMap || n.Kind == pipeline.KindFilter {
 				g.Nodes[i].Parallelism = 1 + rng.Intn(4)
 			}
 		}
@@ -84,6 +88,22 @@ func TestEngineMatchesReference(t *testing.T) {
 		if err := w.Registry.Register(udf.UDF{Name: "oracle_keep", Cost: udf.Cost{KeepFraction: 0.7}}); err != nil {
 			t.Fatal(err)
 		}
+		if err := w.Registry.Register(udf.UDF{Name: "oracle_pick", Body: pick}); err != nil {
+			t.Fatal(err)
+		}
+		pickedAt := func(g *pipeline.Graph, par int) *pipeline.Graph {
+			t.Helper()
+			below := g.Nodes[g.NodeIndex(g.Output)].Input
+			g, err := g.InsertAbove(below, pipeline.Node{Name: "oracle_pick", Kind: pipeline.KindFilter, UDF: "oracle_pick", Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}
+		if par := 2 + rng.Intn(3); spec.Shape != "zip" { // which records a zip pairs is a parallel stage's to decide
+			check(fmt.Sprintf("a Body filter on %d workers", par), deliver(t, pickedAt(g, par), base), deliver(t, pickedAt(w.Graph, 1), ref))
+		}
+
 		ordered := orderedLeg(t, w.Graph, want.examples)
 		if got, want := deliver(t, ordered, base), deliver(t, ordered, ref); got != want {
 			t.Errorf("seed %d (%s shape %q), ordered at parallelism 1: delivered %+v, want %+v", seed, spec.Name, spec.Shape, got, want)
@@ -98,6 +118,16 @@ func TestEngineMatchesReference(t *testing.T) {
 		stop()
 		w.Source.SetFaults(nil)
 	}
+}
+
+// pick keeps a record by its content alone, seven payloads in ten, so a
+// drain keeps the same records however its workers split them.
+func pick(e data.Element) (data.Element, bool, error) {
+	var h uint64
+	for _, b := range e.Payload {
+		h += byteWeight[b]
+	}
+	return e, h%10 < 7, nil
 }
 
 // delivered is what a drain handed its consumer, in terms no reordering of

@@ -62,17 +62,20 @@ func TestJointSolveCanonicalScenarios(t *testing.T) {
 // replicas) that the whole-core grant loop this planner replaced gave the
 // canonical scenarios under 3, 4 and 9 cores, without a memory budget and
 // with 64 MiB — its plans were the same on every run, accounted CPU being a
-// function of the data.
+// function of the data. That loop could not give a Filter workers, so it
+// replicated nlp's whole chain for its parse Filter: those replicas are the
+// Filter's floor, and the stages beside it, which took them along, keep the
+// one worker their knob had.
 func TestCanonicalPlansNeverBelowWholeCoreCounting(t *testing.T) {
-	type floor struct{ interleave, map1, map2 int }
+	type floor struct{ interleave, map1, map2, filter int }
 	// Indexed [budget 3, 4, 9][no memory, 64 MiB].
 	floors := map[string][3][2]floor{
-		"vision":         {{{1, 2, 0}, {1, 2, 0}}, {{1, 3, 0}, {1, 3, 0}}, {{1, 8, 0}, {1, 8, 0}}},
-		"nlp":            {{{1, 1, 0}, {1, 1, 0}}, {{2, 2, 0}, {1, 1, 0}}, {{4, 4, 0}, {1, 1, 0}}},
-		"tiny-files":     {{{1, 2, 0}, {1, 2, 0}}, {{2, 2, 0}, {2, 2, 0}}, {{4, 5, 0}, {4, 5, 0}}},
-		"skewed":         {{{1, 2, 0}, {1, 2, 0}}, {{1, 3, 0}, {1, 3, 0}}, {{1, 8, 0}, {1, 8, 0}}},
-		"random-augment": {{{1, 1, 1}, {1, 1, 3}}, {{1, 2, 1}, {1, 1, 4}}, {{1, 4, 4}, {1, 1, 9}}},
-		"cold-storage":   {{{1, 1, 0}, {1, 1, 0}}, {{1, 1, 0}, {1, 1, 0}}, {{1, 1, 0}, {1, 1, 0}}},
+		"vision":         {{{1, 2, 0, 0}, {1, 2, 0, 0}}, {{1, 3, 0, 0}, {1, 3, 0, 0}}, {{1, 8, 0, 0}, {1, 8, 0, 0}}},
+		"nlp":            {{{1, 1, 0, 1}, {1, 1, 0, 1}}, {{1, 1, 0, 2}, {1, 1, 0, 1}}, {{1, 1, 0, 4}, {1, 1, 0, 1}}},
+		"tiny-files":     {{{1, 2, 0, 0}, {1, 2, 0, 0}}, {{2, 2, 0, 0}, {2, 2, 0, 0}}, {{4, 5, 0, 0}, {4, 5, 0, 0}}},
+		"skewed":         {{{1, 2, 0, 0}, {1, 2, 0, 0}}, {{1, 3, 0, 0}, {1, 3, 0, 0}}, {{1, 8, 0, 0}, {1, 8, 0, 0}}},
+		"random-augment": {{{1, 1, 1, 0}, {1, 1, 3, 0}}, {{1, 2, 1, 0}, {1, 1, 4, 0}}, {{1, 4, 4, 0}, {1, 1, 9, 0}}},
+		"cold-storage":   {{{1, 1, 0, 0}, {1, 1, 0, 0}}, {{1, 1, 0, 0}, {1, 1, 0, 0}}, {{1, 1, 0, 0}, {1, 1, 0, 0}}},
 	}
 	for _, spec := range scenario.Suite(true) {
 		want, ok := floors[spec.Name]
@@ -89,7 +92,7 @@ func TestCanonicalPlansNeverBelowWholeCoreCounting(t *testing.T) {
 					t.Errorf("%s cores=%d mem=%d: %v", spec.Name, cores, mem, c.Violations)
 				}
 				f := want[bi][mi]
-				for name, floor := range map[string]int{"interleave_1": f.interleave, "map_1": f.map1, "map_2": f.map2} {
+				for name, floor := range map[string]int{"interleave_1": f.interleave, "map_1": f.map1, "map_2": f.map2, "filter_1": f.filter} {
 					if got := c.Parallelism[name] * c.OuterReplicas; got < floor {
 						t.Errorf("%s cores=%d mem=%d: %s runs %d workers (knobs %v x %d replicas), whole-core counting planned %d",
 							spec.Name, cores, mem, name, got, c.Parallelism, c.OuterReplicas, floor)

@@ -111,7 +111,7 @@ type MeasuredShare struct {
 	HeldCoreSeconds   float64 `json:"held_core_seconds"`
 	HeldShareFraction float64 `json:"held_share_fraction"`
 	// SequentialHeldCoreSeconds is the subset of HeldCoreSeconds accrued by
-	// the tenant's consumer-side sequential stages (filter/shuffle/batch)
+	// the tenant's consumer-side sequential stages (inline UDF/shuffle/batch)
 	// under pool admission; nonzero confirms the tenant's sequential work
 	// is charged against its share rather than running ungated.
 	SequentialHeldCoreSeconds float64 `json:"sequential_held_core_seconds,omitempty"`

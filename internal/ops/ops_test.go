@@ -16,7 +16,7 @@ func analysisFromCapacities(caps []float64, ioBytesPerMB float64) *Analysis {
 			ScaledCapacity: c,
 		}
 		if i == 0 {
-			n.Kind = pipeline.KindSource
+			n.Kind = pipeline.KindInterleave
 			n.IOBytesPerMinibatch = ioBytesPerMB
 		}
 		a.Nodes = append(a.Nodes, n)

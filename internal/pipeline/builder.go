@@ -44,12 +44,8 @@ func (b *Builder) add(n Node) *Builder {
 	return b
 }
 
-// Source appends a sequential shard reader over the named catalog.
-func (b *Builder) Source(catalog string) *Builder {
-	return b.add(Node{Kind: KindSource, Catalog: catalog})
-}
-
-// Interleave appends a parallel shard reader over the named catalog.
+// Interleave appends a shard reader over the named catalog, reading
+// parallelism shards at once.
 func (b *Builder) Interleave(catalog string, parallelism int) *Builder {
 	return b.add(Node{Kind: KindInterleave, Catalog: catalog, Parallelism: parallelism})
 }
@@ -59,7 +55,8 @@ func (b *Builder) Map(udfName string, parallelism int) *Builder {
 	return b.add(Node{Kind: KindMap, UDF: udfName, Parallelism: parallelism})
 }
 
-// Filter appends a sequential Filter over the named predicate UDF.
+// Filter appends a Filter over the named predicate UDF at parallelism 1;
+// like a Map's, its parallelism is a knob the planner may raise.
 func (b *Builder) Filter(udfName string) *Builder {
 	return b.add(Node{Kind: KindFilter, UDF: udfName})
 }

@@ -23,14 +23,13 @@ import (
 // Kind enumerates Dataset operator types.
 type Kind string
 
-// Operator kinds. Source and Interleave are data sources reading TFRecord
-// shards (Interleave reads multiple shards concurrently); the rest transform
-// the element stream.
+// Operator kinds. Interleave is the data source, reading TFRecord shards
+// (at parallelism p, p shards at once); the rest transform the element
+// stream.
 const (
-	KindSource     Kind = "source"     // sequential shard reader -> records
-	KindInterleave Kind = "interleave" // parallel shard reader -> records
+	KindInterleave Kind = "interleave" // shard reader -> records, parallelizable
 	KindMap        Kind = "map"        // UDF application, parallelizable
-	KindFilter     Kind = "filter"     // UDF predicate, sequential
+	KindFilter     Kind = "filter"     // UDF predicate, parallelizable
 	KindShuffle    Kind = "shuffle"    // buffered random sampling, sequential
 	KindRepeat     Kind = "repeat"     // restart the stream Count times (-1 = forever)
 	KindBatch      Kind = "batch"      // group BatchSize examples into one element
@@ -79,12 +78,12 @@ func (n Node) EffectiveParallelism() int {
 }
 
 // Parallelizable reports whether Plumber may raise the node's parallelism
-// knob. Sequential Datasets are constrained to at most one core in the LP;
-// combining operators (Zip, Concat) are always sequential — their output
-// order is the contract.
+// knob: a source or a UDF stage (Map, Filter). Sequential Datasets are
+// constrained to at most one core in the LP; combining operators (Zip,
+// Concat) are always sequential — their output order is the contract.
 func (n Node) Parallelizable() bool {
 	switch n.Kind {
-	case KindMap, KindInterleave, KindSource:
+	case KindMap, KindFilter, KindInterleave:
 		return true
 	default:
 		return false
@@ -110,7 +109,7 @@ func (n Node) InputNames() []string {
 
 // IsSource reports whether the node reads from storage.
 func (n Node) IsSource() bool {
-	return n.Kind == KindSource || n.Kind == KindInterleave
+	return n.Kind == KindInterleave
 }
 
 // Graph is a complete pipeline program: an in-tree of nodes rooted at
@@ -477,7 +476,7 @@ func (g *Graph) Validate() error {
 			return fmt.Errorf("pipeline: branch head %q (kind %s) is not a source", n.Name, n.Kind)
 		}
 		switch n.Kind {
-		case KindSource, KindInterleave:
+		case KindInterleave:
 			if n.Catalog == "" {
 				return fmt.Errorf("pipeline: source %q missing catalog", n.Name)
 			}

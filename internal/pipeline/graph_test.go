@@ -74,7 +74,7 @@ func TestInsertAbove(t *testing.T) {
 		{"missing anchor", "nope", Node{Name: "x", Kind: KindPrefetch, BufferSize: 1}},
 		{"duplicate name", "map_1", Node{Name: "batch_1", Kind: KindPrefetch, BufferSize: 1}},
 		{"empty name", "map_1", Node{Kind: KindPrefetch, BufferSize: 1}},
-		{"source mid-chain", "map_1", Node{Name: "s2", Kind: KindSource, Catalog: "cat"}},
+		{"source mid-chain", "map_1", Node{Name: "s2", Kind: KindInterleave, Catalog: "cat"}},
 		{"invalid params", "map_1", Node{Name: "pf0", Kind: KindPrefetch}},
 	} {
 		if _, err := g.InsertAbove(tc.anchor, tc.node); err == nil {

@@ -92,7 +92,7 @@ func TestSolveSingleNodeGraph(t *testing.T) {
 // ceiling and sets no per-node knobs.
 func TestSolveAllSequentialGraph(t *testing.T) {
 	g := pipeline.NewBuilder().
-		Source("cat").
+		Interleave("cat", 1).
 		Filter("parse").
 		Batch(4).
 		MustBuild()
@@ -100,7 +100,7 @@ func TestSolveAllSequentialGraph(t *testing.T) {
 		Snapshot:     &trace.Snapshot{Graph: g, Machine: trace.Machine{Cores: 8}},
 		ObservedRate: 45,
 		Nodes: []ops.NodeAnalysis{
-			{Name: "source_1", Kind: pipeline.KindSource, Parallelism: 1,
+			{Name: "interleave_1", Kind: pipeline.KindInterleave, Parallelism: 1,
 				Rate: 1000, ScaledCapacity: 1000},
 			{Name: "filter_1", Kind: pipeline.KindFilter, Parallelism: 1,
 				Rate: 50, ScaledCapacity: 50},

@@ -8,8 +8,8 @@
 //
 //   - vision: few large files, a heavy parallelizable per-byte decode —
 //     CPU-bound, water-filling territory.
-//   - nlp: a fundamentally sequential parse stage ahead of a cheap
-//     tokenizer — the outer-parallelism remedy's home turf (§5.1).
+//   - nlp: a costly per-record parse Filter ahead of a cheap tokenizer —
+//     the stage the planner must give the most cores (§5.1).
 //   - tiny-files: hundreds of small shards with a handful of records each —
 //     metadata/visit-ratio bound rather than CPU bound.
 //   - skewed: heavy-tailed (Zipf-like) per-file sizes via the catalog's
@@ -91,8 +91,8 @@ type Spec struct {
 	// decode Map; both zero omits the stage.
 	DecodeCPUPerByte    float64 `json:"decode_cpu_per_byte,omitempty"`
 	DecodeCPUPerElement float64 `json:"decode_cpu_per_element,omitempty"`
-	// ParseCPUPerElement costs a sequential Filter ahead of the decode (the
-	// NLP parse bottleneck); zero omits it.
+	// ParseCPUPerElement costs a Filter ahead of the decode (the NLP parse
+	// bottleneck); zero omits it.
 	ParseCPUPerElement float64 `json:"parse_cpu_per_element,omitempty"`
 	// TokenizeCPUPerElement costs a cheap parallelizable Map after the
 	// parse; zero omits it.
@@ -403,8 +403,7 @@ func Suite(quick bool) []Spec {
 			BatchSize:           16,
 		},
 		{
-			// Sequential parse caps the pipeline; outer parallelism is the
-			// only remedy.
+			// The parse Filter caps the pipeline until it is given cores.
 			Name:                  "nlp",
 			Files:                 4,
 			RecordsPerFile:        2048 / scale,

@@ -44,8 +44,8 @@ func TestSuiteTracesToEOF(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if parse.Parallelizable {
-					t.Fatal("nlp parse stage must be sequential")
+				if !parse.Parallelizable {
+					t.Fatal("nlp parse Filter must be parallelizable, like a Map")
 				}
 				if math.IsInf(parse.ScaledCapacity, 1) {
 					t.Fatal("nlp parse stage accumulated no measurable cost")

@@ -133,12 +133,16 @@ func newInjector(plan FaultPlan) *injector {
 	}
 }
 
-// Inject evaluates the plan for one read call on path. stalled is the
-// calling reader's per-rule stall latch (allocated here on first use, and
-// again under a plan with another number of rules). The returned delay must
-// be slept by the caller before returning the error (a faulting backend is
-// slow and broken, not just broken).
-func (fi *injector) Inject(path string, off int64, stalled *[]bool) (time.Duration, error) {
+// stallLatch is a reader's per-rule stall latch, owned by the injector that set it.
+type stallLatch struct {
+	by    *injector
+	fired []bool
+}
+
+// Inject evaluates the plan for one read call on path, with the calling
+// reader's stall latch (made anew on its first use under fi). The returned
+// delay must be slept before returning the error (slow and broken, not just broken).
+func (fi *injector) Inject(path string, off int64, latch *stallLatch) (time.Duration, error) {
 	fi.mu.Lock()
 	defer fi.mu.Unlock()
 	counts := fi.reads[path]
@@ -146,8 +150,8 @@ func (fi *injector) Inject(path string, off int64, stalled *[]bool) (time.Durati
 		counts = make([]int64, len(fi.plan.Rules))
 		fi.reads[path] = counts
 	}
-	if len(*stalled) != len(fi.plan.Rules) { // first use, or a plan swapped in
-		*stalled = make([]bool, len(fi.plan.Rules))
+	if latch.by != fi { // first use, or a plan swapped in
+		latch.by, latch.fired = fi, make([]bool, len(fi.plan.Rules))
 	}
 	var delay time.Duration
 	var err error
@@ -165,8 +169,8 @@ func (fi *injector) Inject(path string, off int64, stalled *[]bool) (time.Durati
 			delay += time.Duration(d)
 			fi.stats.Spikes++
 		}
-		if r.StallAfterBytes > 0 && off >= r.StallAfterBytes && !(*stalled)[i] {
-			(*stalled)[i] = true
+		if r.StallAfterBytes > 0 && off >= r.StallAfterBytes && !latch.fired[i] {
+			latch.fired[i] = true
 			delay += r.StallDuration
 			fi.stats.Stalls++
 		}

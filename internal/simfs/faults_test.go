@@ -239,3 +239,31 @@ func TestFaultPlanSwapUnderAnOpenReader(t *testing.T) {
 		t.Fatalf("the new plan's stall rule fired %d times, want once", st.Stalls)
 	}
 }
+
+// TestFaultPlanSwapRearmsTheStallLatch: a reader that stalled under one plan
+// stalls again under a plan swapped in with an identical rule (as many
+// rules, another seed), as a fresh reader would. The latch belongs to the
+// plan that set it.
+func TestFaultPlanSwapRearmsTheStallLatch(t *testing.T) {
+	fs, _ := testCatalogFS(t)
+	plan := func(seed uint64) *FaultPlan {
+		return &FaultPlan{Seed: seed, Rules: []FaultRule{{Name: "stall", StallAfterBytes: 1, StallDuration: time.Microsecond}}}
+	}
+	r, err := fs.Open(fs.List()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	buf := make([]byte, 64)
+	for _, seed := range []uint64{1, 2} {
+		fs.SetFaults(plan(seed))
+		for i := 0; i < 3; i++ {
+			if _, err := r.Read(buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := fs.FaultStats(); st.Stalls != 1 {
+			t.Fatalf("plan %d: the stall rule fired %d times on an open reader, want once", seed, st.Stalls)
+		}
+	}
+}

@@ -303,7 +303,7 @@ type Reader struct {
 
 	pendingBytes int64
 	pendingCalls int64
-	stalled      []bool // per-fault-rule mid-read stall latch
+	stalled      stallLatch // per-fault-rule mid-read stall latch
 }
 
 // Open returns a reader over the file's framed content.
@@ -341,7 +341,7 @@ func (r *Reader) Reopen(path string, off int64) error {
 		return fmt.Errorf("simfs: open %s: %w", path, err)
 	}
 	r.closed = false
-	clear(r.stalled) // in place: the injector indexes it by rule
+	clear(r.stalled.fired) // in place: the injector indexes it by rule
 	return nil
 }
 
