@@ -220,35 +220,38 @@ func slowFS(t *testing.T) connector.Connector {
 // used to learn of a closed latch only from a blocked send, so Close after
 // the third minibatch waited for the source to read the rest of the epoch
 // (here ~460 ms). The chain reads storage views with the no-op map; with a
-// Body in its place the source reads into pooled buffers.
+// Body in its place the source reads into pooled buffers. The map runs
+// inline and on two workers.
 func TestCloseLatencyWithRoomOnEveryEdge(t *testing.T) {
 	reg := costedRegistry(t, 0, false)
 	for _, work := range []string{"noop", "costly"} {
-		g := pipeline.NewBuilder().
-			Named("src").Interleave(slowCatalog.Name, 1).
-			Named("work").Map(work, 1).
-			Batch(16).
-			MustBuild()
-		for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
-			label := fmt.Sprintf("%s/%s", work, kind)
-			ok, detail := bestOf(func() (bool, string) {
-				p, err := New(g, Options{FS: slowFS(t), UDFs: reg, Handoff: kind})
-				if err != nil {
-					t.Fatal(err)
+		for _, par := range []int{1, 2} {
+			g := pipeline.NewBuilder().
+				Named("src").Interleave(slowCatalog.Name, 1).
+				Named("work").Map(work, par).
+				Batch(16).
+				MustBuild()
+			for _, kind := range []HandoffKind{HandoffRing, HandoffChannel} {
+				label := fmt.Sprintf("%s par=%d/%s", work, par, kind)
+				ok, detail := bestOf(func() (bool, string) {
+					p, err := New(g, Options{FS: slowFS(t), UDFs: reg, Handoff: kind})
+					if err != nil {
+						t.Fatal(err)
+					}
+					p.depth = 1024 // workers start at the first pull
+					if n, _, err := p.Drain(3); err != nil || n != 3 {
+						t.Fatalf("%s: drained %d minibatches: %v", label, n, err)
+					}
+					start := time.Now()
+					if err := p.Close(); err != nil {
+						t.Fatal(err)
+					}
+					took := time.Since(start)
+					return took < 20*time.Millisecond, took.String()
+				})
+				if !ok {
+					t.Errorf("%s: Close after the third minibatch took %s, want < 20ms", label, detail)
 				}
-				p.depth = 1024 // workers start at the first pull
-				if n, _, err := p.Drain(3); err != nil || n != 3 {
-					t.Fatalf("%s: drained %d minibatches: %v", label, n, err)
-				}
-				start := time.Now()
-				if err := p.Close(); err != nil {
-					t.Fatal(err)
-				}
-				took := time.Since(start)
-				return took < 20*time.Millisecond, took.String()
-			})
-			if !ok {
-				t.Errorf("%s: Close after the third minibatch took %s, want < 20ms", label, detail)
 			}
 		}
 	}
